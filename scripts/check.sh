@@ -119,11 +119,12 @@ python - "$PUSHDOWN_DIR" <<'EOF2'
 import sys, pathlib
 from repro.workloads.beffio import generate_campaign
 from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
-                                           input_xml)
+                                           input_xml, stddev_query_xml)
 ws = pathlib.Path(sys.argv[1])
 (ws / "experiment.xml").write_text(experiment_xml())
 (ws / "input.xml").write_text(input_xml())
 (ws / "fig8.xml").write_text(fig8_query_xml())
+(ws / "stddev.xml").write_text(stddev_query_xml())
 results = ws / "results"
 results.mkdir()
 for fname, content in generate_campaign(repetitions=2):
@@ -132,10 +133,15 @@ EOF2
 perfbase setup -d "$PUSHDOWN_DIR/experiment.xml" --dbdir "$PUSHDOWN_DIR/db"
 perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
     --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/results/*
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    -o "$PUSHDOWN_DIR/fused" --dbdir "$PUSHDOWN_DIR/db"
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    --no-pushdown -o "$PUSHDOWN_DIR/plain" --dbdir "$PUSHDOWN_DIR/db"
+# fig8 fuses into one group (two source->max chains joined by the
+# comparison); stddev materialises its fan-out source, then fuses the
+# mean/spread/combiner group over it
+for q in fig8 stddev; do
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        -o "$PUSHDOWN_DIR/fused/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        --no-pushdown -o "$PUSHDOWN_DIR/plain/$q" --dbdir "$PUSHDOWN_DIR/db"
+done
 diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/plain"
 
 echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="

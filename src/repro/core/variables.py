@@ -20,9 +20,14 @@ from .datatypes import DataType, coerce, parse_content
 from .errors import DataTypeError, DefinitionError
 from .units import DIMENSIONLESS, Unit
 
-__all__ = ["Occurrence", "Variable", "Parameter", "Result", "VariableSet"]
+__all__ = ["Occurrence", "Variable", "Parameter", "Result", "VariableSet",
+           "ORD_PREFIX"]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+#: prefix of the synthetic row-order columns the query engine projects
+#: (see :mod:`repro.query.pushdown`); no user-named column may use it
+ORD_PREFIX = "pb_ord__"
 
 
 class Occurrence(enum.Enum):
@@ -87,6 +92,10 @@ class Variable:
         if keyword.iskeyword(self.name):
             raise DefinitionError(
                 f"variable name {self.name!r} is a reserved word")
+        if self.name.startswith(ORD_PREFIX):
+            raise DefinitionError(
+                f"variable name {self.name!r} uses the reserved "
+                f"{ORD_PREFIX}* prefix")
         if isinstance(self.datatype, str):
             self.datatype = DataType.from_name(self.datatype)
         if isinstance(self.occurrence, str):

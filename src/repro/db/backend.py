@@ -16,8 +16,9 @@ independent server per simulated cluster node.
 from __future__ import annotations
 
 import abc
+import contextlib
 import re
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.errors import DatabaseError
 
@@ -96,6 +97,20 @@ class Database(abc.ABC):
         """
         raise DatabaseError(
             f"{type(self).__name__} does not support rollback")
+
+    @contextlib.contextmanager
+    def read_transaction(self) -> Iterator[None]:
+        """Run a query's statements as one transaction, closed on exit.
+
+        A query only reads the experiment tables and writes its own
+        temp tables.  Backends whose connections open transactions
+        implicitly must not leave one open afterwards: an idle handle
+        would keep the database's read lock and lock every writer out.
+        Inside a transaction the caller already holds, this is a no-op.
+        This default does nothing, for backends without implicit
+        transactions.
+        """
+        yield
 
     @abc.abstractmethod
     def close(self) -> None:

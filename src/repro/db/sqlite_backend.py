@@ -17,11 +17,12 @@ pool yields real concurrency for the parallel-query experiments.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import pathlib
 import sqlite3
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
@@ -331,6 +332,28 @@ class SQLiteDatabase(Database):
     def rollback(self) -> None:
         with self._lock:
             self._conn.rollback()
+
+    @contextlib.contextmanager
+    def read_transaction(self) -> Iterator[None]:
+        """One deferred transaction around a query.
+
+        sqlite3 would otherwise BEGIN implicitly before the first
+        temp-table INSERT and never end that transaction, so the idle
+        handle kept its read lock on the database file and every other
+        writer's commit waited out the busy timeout.  Deferred, the
+        transaction takes no write lock on the experiment tables (temp
+        tables live in their own database), and the query's DDL joins
+        it instead of committing statement by statement.
+        """
+        with self._lock:
+            began = not self._conn.in_transaction
+            if began:
+                self._conn.execute("BEGIN")
+        try:
+            yield
+        finally:
+            if began and self._conn.in_transaction:
+                self.commit()
 
     def close(self) -> None:
         with self._lock:

@@ -31,7 +31,7 @@ from ..query.cache import (CacheEntry, QueryCache, cache_key,
                            content_fingerprint)
 from ..query.elements import QueryContext
 from ..query.engine import Query, QueryResult, resolve_cache
-from ..query.pushdown import run_fused_group
+from ..query.pushdown import PushdownPlan, run_fused_group
 from ..query.vectors import DataVector
 from .cluster import SimulatedCluster, copy_vector
 from .profiling import QueryProfile
@@ -148,14 +148,11 @@ class ParallelQueryExecutor:
                     skipped.add(name)
 
         # -- pushdown plan: absorbed members never get scheduled -------
-        pd_plan = None
-        if pushdown and qcache is None:
-            pd_plan = query.pushdown_plan()
-            if not pd_plan.groups:
-                pd_plan = None
-        absorbed = (frozenset(n for n in pd_plan.member_of
-                              if pd_plan.absorbed(n))
-                    if pd_plan is not None else frozenset())
+        # (unfused, the plan is empty: every element its own group)
+        pd_plan = (query.pushdown_plan() if pushdown and qcache is None
+                   else PushdownPlan())
+        absorbed = frozenset(n for n in pd_plan.member_of
+                             if pd_plan.absorbed(n))
 
         placement = self.scheduler.place(
             graph, len(self.cluster),
@@ -186,15 +183,14 @@ class ParallelQueryExecutor:
                      for name, element in graph.elements.items()
                      if name not in resolved and name not in skipped
                      and name not in absorbed}
-        if pd_plan is not None:
-            # a fused group becomes runnable when the inputs arriving
-            # from OUTSIDE the group are done (interior edges are
-            # subsumed by the single statement)
-            for tail, members in pd_plan.groups.items():
-                remaining[tail] = {
-                    i for m in members
-                    for i in graph.elements[m].inputs
-                    if i not in members}
+        # a fused group becomes runnable when the inputs arriving from
+        # OUTSIDE the group are done (interior edges are subsumed by
+        # the single statement)
+        for tail, members in pd_plan.groups.items():
+            remaining[tail] = {
+                i for m in members
+                for i in graph.elements[m].inputs
+                if i not in members}
         done: set[str] = set()
         running: dict[Future, str] = {}
         errors: list[BaseException] = []
@@ -271,7 +267,7 @@ class ParallelQueryExecutor:
                     f"node{node.index}", kind="node", element=name)
                     if tracer is not None else nullcontext())
                 with node_cm:
-                    if pd_plan is not None and name in pd_plan.groups:
+                    if name in pd_plan.groups:
                         # ship the group's external inputs, then run
                         # the whole chain as one statement on this node
                         members = pd_plan.groups[name]

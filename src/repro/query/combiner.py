@@ -11,13 +11,14 @@ The merge joins on the shared parameter columns (positionally when there
 are none).  Result columns occurring in both inputs are disambiguated by
 suffixing the producing element's name — which is what lets two query
 branches (e.g. old vs. new I/O technique) be compared side by side.
+:meth:`Combiner.fuse` is the only SQL emitter; run on its own, the
+combiner is the fused group of one over its two input temp tables.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.datatypes import sql_type
 from ..db.backend import quote_identifier
 from .elements import QueryContext, QueryElement
 from .pushdown import SelectFragment, fuse_join
@@ -44,10 +45,10 @@ class Combiner(QueryElement):
         spec["producer_names"] = list(self.inputs)
         return spec
 
-    def _merge_columns(self, left, right) -> tuple[
+    def _merge_columns(self, left: SelectFragment,
+                       right: SelectFragment) -> tuple[
             list[str], list[ColumnInfo], list[str]]:
-        """Section 3.3.3 merge shape over two vector-like inputs
-        (:class:`DataVector` or pushdown ``SelectFragment``): returns
+        """Section 3.3.3 merge shape over two input fragments: returns
         ``(shared, out_cols, sel)`` where ``shared`` are the join
         parameter names and ``sel`` renders one aliased select item
         (over operands ``a``/``b``) per output column, in lockstep
@@ -92,32 +93,14 @@ class Combiner(QueryElement):
 
     def run(self, ctx: QueryContext) -> DataVector:
         self._require_inputs(2, 2)
-        left, right = self.input_vectors(ctx)
-        shared, out_cols, sel = self._merge_columns(left, right)
-        table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype)) for c in out_cols])
-        lt = quote_identifier(left.table)
-        rt = quote_identifier(right.table)
-        if shared:
-            cond = " AND ".join(
-                f"a.{quote_identifier(c)} = b.{quote_identifier(c)}"
-                for c in shared)
-        else:
-            cond = "a.rowid = b.rowid"
-        # ORDER BY pins duplicate-key join output, which is otherwise
-        # backend-planner-dependent.
-        ctx.db.execute(
-            f"INSERT INTO {quote_identifier(table)} "
-            f"SELECT {', '.join(sel)} FROM {lt} a JOIN {rt} b ON {cond} "
-            f"ORDER BY a.rowid, b.rowid")
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
+        return self.run_fused(ctx)
 
-    # -- SQL pushdown ------------------------------------------------------
+    # -- the SQL emitter (fused groups and groups of one) ------------------
 
     def can_fuse(self) -> bool:
         return len(self.inputs) == 2
 
-    def fuse(self, ctx: QueryContext, inputs) -> "SelectFragment":
+    def fuse(self, ctx: QueryContext, inputs) -> SelectFragment:
         left, right = inputs
         shared, out_cols, sel = self._merge_columns(left, right)
         return fuse_join(left, right, sel, out_cols, shared, self.name)

@@ -22,6 +22,8 @@ from ..db.backend import Database
 from ..db.temptables import TempTableManager
 from ..obs.profile import QueryProfile
 from ..obs.tracer import current_tracer
+from .pushdown import (FusionError, SelectFragment, materialise,
+                       vector_fragment)
 from .vectors import DataVector
 
 __all__ = ["QueryContext", "QueryElement"]
@@ -82,23 +84,34 @@ class QueryElement(abc.ABC):
     # -- SQL pushdown ------------------------------------------------------
 
     def can_fuse(self) -> bool:
-        """Whether :meth:`fuse` can express this element as a
-        composable SELECT.  The pushdown planner only absorbs such
-        elements into fused statements; everything else keeps the
+        """Whether the pushdown planner may absorb this element into a
+        multi-element fused statement; everything else keeps the
         paper's temp-table protocol.  Structural only — shape
         problems discovered while fusing raise ``FusionError`` from
         :meth:`fuse` instead, and the group falls back."""
         return False
 
-    def fuse(self, ctx: QueryContext, inputs: Sequence[Any]
-             ) -> Any:
-        """Return this element's output as a ``SelectFragment`` over
-        the given input fragments instead of materialising it (see
-        :mod:`repro.query.pushdown`)."""
-        from .pushdown import FusionError
+    def fuse(self, ctx: QueryContext, inputs: Sequence[SelectFragment]
+             ) -> SelectFragment:
+        """Return this element's output as a fragment over the given
+        input fragments instead of materialising it (see
+        :mod:`repro.query.pushdown`).  The element's only SQL
+        emitter: element-wise execution goes through it as well
+        (:meth:`run_fused`)."""
         raise FusionError(
             f"{self.kind} element {self.name!r} cannot join a fused "
             "statement")
+
+    def run_fused(self, ctx: QueryContext) -> DataVector:
+        """Element-wise execution as a fused group of one: scan the
+        input temp tables and materialise :meth:`fuse` into this
+        element's own temp table — one ``CREATE`` and one ``INSERT``,
+        as in the Section 4.2 protocol.  Scan fragments satisfy every
+        ordering precondition of ``fuse()``, so this never falls
+        back."""
+        return materialise(ctx, self.fuse(
+            ctx, [vector_fragment(v) for v in self.input_vectors(ctx)]),
+            self)
 
     # -- fingerprinting ----------------------------------------------------
 

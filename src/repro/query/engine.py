@@ -108,7 +108,8 @@ class Query:
         ``pushdown`` turns on SQL chain fusion
         (:mod:`repro.query.pushdown`): maximal linear element chains
         run as one nested-subquery statement, materialised only at the
-        chain tail.  Results are byte-identical either way; absorbed
+        chain tail; without it every element is a group of one.
+        Results are byte-identical either way; absorbed
         interior elements simply produce no intermediate vector.  With
         an active cache every cacheable element is a hit/miss seam, so
         pushdown fuses nothing — it is the cold-path optimisation.
@@ -122,27 +123,25 @@ class Query:
         ctx = QueryContext(experiment=experiment, db=db,
                            temptables=temptables, profile=prof)
         result = QueryResult(profile=prof)
-        try:
-            with maybe_span(self.name, kind="query", mode="serial",
-                            elements=len(self.graph.elements)):
-                if qcache is None:
-                    plan = self.pushdown_plan() if pushdown else None
-                    if plan is not None and plan.groups:
-                        self._execute_fused(ctx, plan)
+        with db.read_transaction():
+            try:
+                with maybe_span(self.name, kind="query", mode="serial",
+                                elements=len(self.graph.elements)):
+                    if qcache is None:
+                        # unfused, every element is its own group of one
+                        self._execute_plan(ctx, self.pushdown_plan()
+                                           if pushdown else PushdownPlan())
                     else:
-                        for element in self.graph.topological_order():
-                            element.execute(ctx)
-                else:
-                    # under caching the pushdown plan is empty (every
-                    # cacheable element is a boundary) — run the
-                    # incremental engine unchanged
-                    self._execute_cached(ctx, qcache, experiment)
-            for output in self.graph.outputs:
-                result.artifacts.extend(output.artifacts)
-            result.vectors = dict(ctx.vectors)
-        finally:
-            if not keep_temp_tables:
-                temptables.drop_all()
+                        # under caching the pushdown plan is empty (every
+                        # cacheable element is a boundary) — run the
+                        # incremental engine unchanged
+                        self._execute_cached(ctx, qcache, experiment)
+                for output in self.graph.outputs:
+                    result.artifacts.extend(output.artifacts)
+                result.vectors = dict(ctx.vectors)
+            finally:
+                if not keep_temp_tables:
+                    temptables.drop_all()
         return result
 
     # -- SQL pushdown --------------------------------------------------------
@@ -156,8 +155,8 @@ class Query:
                       else frozenset())
         return plan_pushdown(self.graph, boundaries)
 
-    def _execute_fused(self, ctx: QueryContext,
-                       plan: PushdownPlan) -> None:
+    def _execute_plan(self, ctx: QueryContext,
+                      plan: PushdownPlan) -> None:
         for element in self.graph.topological_order():
             name = element.name
             if plan.absorbed(name):

@@ -23,11 +23,19 @@ and type of the input vectors and the type of the operator":
    of the vectors into a single output vector (SQL join on the shared
    parameter columns, positional when there are none).
 
-Aggregations and two-vector relations execute inside the SQL engine
-(Section 4.2: "use SQL database functionality for many of the operators,
-which results in better performance than to process the data within a
-Python script"); ``eval`` fetches columns into numpy.  A pure-Python
-fallback path (``use_sql=False``) exists for the E8 ablation benchmark.
+Aggregations, reductions, ``scale``/``offset``, ``norm``, ``convert``
+and the two-vector relations execute inside the SQL engine (Section
+4.2: "use SQL database functionality for many of the operators, which
+results in better performance than to process the data within a
+Python script").  Each of these shapes has exactly one SQL emitter, its
+``fuse()``, which returns a composable fragment; element-wise ``run()``
+is the fused group of one
+(:meth:`~repro.query.elements.QueryElement.run_fused`), so a
+pushdown-fused chain and the per-element temp-table protocol execute
+the same SQL.  ``eval`` and ``filter`` evaluate expressions in numpy,
+the multi-input element-wise reduction runs in Python, and a pure-Python
+aggregation path (``use_sql=False``) exists for the E8 ablation
+benchmark.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 from ..core.datatypes import DataType, sql_type
 from ..core.errors import OperatorError, QueryError
 from ..core.units import DIMENSIONLESS, Unit
+from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
 from ..expr import Expression
 from .elements import QueryContext, QueryElement
@@ -165,6 +174,10 @@ class Operator(QueryElement):
                 else unit
         else:
             self.unit = None
+        if result_name is not None and result_name.startswith(ORD_PREFIX):
+            raise OperatorError(
+                f"operator {name!r}: result name {result_name!r} uses "
+                f"the reserved {ORD_PREFIX}* prefix")
         self.result_name = result_name
         self.use_sql = use_sql
 
@@ -190,35 +203,28 @@ class Operator(QueryElement):
     # -- mode dispatch --------------------------------------------------
 
     def run(self, ctx: QueryContext) -> DataVector:
-        if self.op in STATISTICAL:
+        if self.op in STATISTICAL or self.op in TRANSFORMS:
             self._require_inputs(1, 1)
         elif self.op in TWO_VECTOR:
             self._require_inputs(2, 2)
         else:
             self._require_inputs(1)
         vectors = self.input_vectors(ctx)
-
-        if self.op in TWO_VECTOR:
-            return self._binary(ctx, vectors[0], vectors[1])
         if self.op == "eval":
             return self._eval(ctx, vectors)
-        if self.op in ("scale", "offset"):
-            return self._linear(ctx, vectors)
         if self.op == "filter":
-            self._require_inputs(1, 1)
             return self._filter(ctx, vectors[0])
-        if self.op == "norm":
-            self._require_inputs(1, 1)
-            return self._norm(ctx, vectors[0])
-        if self.op == "convert":
-            self._require_inputs(1, 1)
-            return self._convert(ctx, vectors[0])
-        # statistical / reductions
-        if len(vectors) == 1:
-            if vectors[0].from_source:
-                return self._aggregate(ctx, vectors[0])
-            return self._full_reduce(ctx, vectors[0])
-        return self._elementwise_reduce(ctx, vectors)
+        if self.op in ("scale", "offset") and len(vectors) > 1:
+            # several inputs: concatenate the transformed vectors
+            return _concat(ctx, [
+                materialise(ctx, self._fuse_linear(vector_fragment(v)),
+                            self) for v in vectors], self.name)
+        if self.op in _SQL_AGG:  # statistical / reductions
+            if len(vectors) > 1:
+                return self._elementwise_reduce(ctx, vectors)
+            if not self.use_sql:
+                return self._reduce_python(ctx, vectors[0])
+        return self.run_fused(ctx)
 
     # -- output-column helpers ---------------------------------------------
 
@@ -243,43 +249,34 @@ class Operator(QueryElement):
                 "numeric result columns")
         return cols
 
-    # -- mode 1: data set aggregation ---------------------------------------
+    # -- modes 1 and 2 in Python (the SQL path is fuse()) ------------------
 
-    def _aggregate(self, ctx: QueryContext,
-                   vector: DataVector) -> DataVector:
-        """Aggregate result values over identical parameter sets."""
+    def _reduce_python(self, ctx: QueryContext,
+                       vector: DataVector) -> DataVector:
+        """Pure-Python data set aggregation (source input) or full
+        reduction (any other input): the E8 ablation reference path."""
         results = self._numeric_results(vector, f"operator {self.name!r}")
-        group = vector.parameters
+        group = vector.parameters if vector.from_source else []
         out_cols = list(group) + [self._agg_column(c) for c in results]
         table = ctx.temptables.new_table(
-            self.name,
-            [(c.name, sql_type(c.datatype)) for c in out_cols])
-
-        if self.use_sql:
-            gsel = [quote_identifier(c.name) for c in group]
-            aggs = [_SQL_AGG[self.op].format(c=quote_identifier(c.name))
-                    for c in results]
-            sql = (f"INSERT INTO {quote_identifier(table)} "
-                   f"SELECT {', '.join(gsel + aggs)} "
-                   f"FROM {quote_identifier(vector.table)}")
-            if gsel:
-                # explicit ORDER BY: the group order is part of the
-                # vector's content (fingerprints hash row order), so
-                # it must not depend on the backend's GROUP BY
-                # implementation
-                sql += (" GROUP BY " + ", ".join(gsel)
-                        + " ORDER BY " + ", ".join(gsel))
-            ctx.db.execute(sql)
+            self.name, [(c.name, sql_type(c.datatype)) for c in out_cols])
+        if vector.from_source:
+            rows = self._aggregate_rows(vector, group, results)
         else:
-            self._aggregate_python(ctx, vector, group, results,
-                                   table, out_cols)
+            row = []
+            for c in results:
+                arr = vector.array(c.name)
+                arr = arr[~np.isnan(arr)]
+                row.append(None if arr.size == 0
+                           else _NP_AGG[self.op](arr))
+            rows = [row]
+        if rows:
+            ctx.db.insert_rows(table, [c.name for c in out_cols], rows)
         return DataVector(ctx.db, table, out_cols, producer=self.name)
 
-    def _aggregate_python(self, ctx: QueryContext, vector: DataVector,
-                          group: list[ColumnInfo],
-                          results: list[ColumnInfo], table: str,
-                          out_cols: list[ColumnInfo]) -> None:
-        """Pure-Python aggregation (E8 ablation reference path)."""
+    def _aggregate_rows(self, vector: DataVector, group: list[ColumnInfo],
+                        results: list[ColumnInfo]) -> list[list]:
+        """Aggregate result values over identical parameter sets."""
         groups: dict[tuple, list[list[float]]] = {}
         order: list[tuple] = []
         gnames = [c.name for c in group]
@@ -307,34 +304,7 @@ class Operator(QueryElement):
                 else:
                     aggs.append(_NP_AGG[self.op](np.asarray(values)))
             out_rows.append(list(key) + aggs)
-        if out_rows:
-            ctx.db.insert_rows(table, [c.name for c in out_cols], out_rows)
-
-    # -- mode 2: full vector reduction ---------------------------------------
-
-    def _full_reduce(self, ctx: QueryContext,
-                     vector: DataVector) -> DataVector:
-        """Reduce every result column of a single vector to one element."""
-        results = self._numeric_results(vector, f"operator {self.name!r}")
-        out_cols = [self._agg_column(c) for c in results]
-        table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype)) for c in out_cols])
-        if self.use_sql:
-            aggs = [_SQL_AGG[self.op].format(c=quote_identifier(c.name))
-                    for c in results]
-            ctx.db.execute(
-                f"INSERT INTO {quote_identifier(table)} "
-                f"SELECT {', '.join(aggs)} "
-                f"FROM {quote_identifier(vector.table)}")
-        else:
-            row = []
-            for c in results:
-                arr = vector.array(c.name)
-                arr = arr[~np.isnan(arr)]
-                row.append(None if arr.size == 0
-                           else _NP_AGG[self.op](arr))
-            ctx.db.insert_rows(table, [c.name for c in out_cols], [row])
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
+        return out_rows
 
     # -- mode 3: element-wise reduction over several vectors -------------------
 
@@ -366,43 +336,6 @@ class Operator(QueryElement):
         if rows:
             ctx.db.insert_rows(table, names, rows)
         return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    # -- arithmetic: scale / offset -------------------------------------------
-
-    def _linear(self, ctx: QueryContext,
-                vectors: list[DataVector]) -> DataVector:
-        """``scale``: multiply every numeric result by ``factor``;
-        ``offset``: add ``summand``.  Pure SQL SELECT expressions."""
-        outs = []
-        for vector in vectors:
-            results = self._numeric_results(
-                vector, f"operator {self.name!r}")
-            out_cols = list(vector.parameters) + [
-                ColumnInfo(c.name, DataType.FLOAT, c.unit,
-                           f"{self.op} of {c.synopsis or c.name}",
-                           is_result=True)
-                for c in results]
-            table = ctx.temptables.new_table(
-                self.name,
-                [(c.name, sql_type(c.datatype)) for c in out_cols])
-            sel = [quote_identifier(c.name) for c in vector.parameters]
-            for c in results:
-                col = quote_identifier(c.name)
-                if self.op == "scale":
-                    sel.append(f"({col} * {self.factor})")
-                else:
-                    sel.append(f"({col} + {self.summand})")
-            ctx.db.execute(
-                f"INSERT INTO {quote_identifier(table)} "
-                f"SELECT {', '.join(sel)} "
-                f"FROM {quote_identifier(vector.table)} "
-                "ORDER BY rowid")
-            outs.append(DataVector(ctx.db, table, out_cols,
-                                   producer=self.name))
-        if len(outs) == 1:
-            return outs[0]
-        # several inputs: concatenate the transformed vectors
-        return _concat(ctx, outs, self.name)
 
     # -- arithmetic: eval ------------------------------------------------------
 
@@ -451,61 +384,7 @@ class Operator(QueryElement):
             ctx.db.insert_rows(table, [c.name for c in out_cols], rows)
         return DataVector(ctx.db, table, out_cols, producer=self.name)
 
-    # -- two-vector relations ---------------------------------------------------
-
-    def _binary(self, ctx: QueryContext, left: DataVector,
-                right: DataVector) -> DataVector:
-        """diff/div/percentof/above/below, joined in SQL."""
-        lres = self._numeric_results(left, f"operator {self.name!r}")
-        rres = self._numeric_results(right, f"operator {self.name!r}")
-        n = min(len(lres), len(rres))
-        lres, rres = lres[:n], rres[:n]
-        common = [p.name for p in left.parameters
-                  if right.has_column(p.name)
-                  and not right.column(p.name).is_result]
-
-        if self.op == "diff":
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, lc.unit,
-                                  f"diff of {lc.synopsis or lc.name}",
-                                  is_result=True)
-        else:
-            unit = (_PERCENT_UNIT if self.op in
-                    ("percentof", "above", "below") else DIMENSIONLESS)
-
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, unit,
-                                  f"{self.op} of {lc.synopsis or lc.name}",
-                                  is_result=True)
-
-        out_cols = list(left.parameters) + [out_info(c) for c in lres]
-        table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype)) for c in out_cols])
-
-        lt, rt = (quote_identifier(left.table),
-                  quote_identifier(right.table))
-        sel = [f"a.{quote_identifier(p.name)}" for p in left.parameters]
-        for lc, rc in zip(lres, rres):
-            sel.append(_SQL_BINARY[self.op].format(
-                a=f"a.{quote_identifier(lc.name)}",
-                b=f"b.{quote_identifier(rc.name)}"))
-        if common:
-            cond = " AND ".join(
-                f"a.{quote_identifier(c)} = b.{quote_identifier(c)}"
-                for c in common)
-        else:
-            cond = "a.rowid = b.rowid"
-        # Pin the row order: without it, duplicate join keys come back
-        # in whatever order the backend's planner picks (SQLite's
-        # automatic indexes sort them by the covered columns).
-        ctx.db.execute(
-            f"INSERT INTO {quote_identifier(table)} "
-            f"SELECT {', '.join(sel)} FROM {lt} a JOIN {rt} b "
-            f"ON {cond} ORDER BY a.rowid, b.rowid")
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-
-    # -- transforms: filter / norm / convert ------------------------------
+    # -- transforms: filter (norm and convert are SQL, see fuse()) --------
 
     def _filter(self, ctx: QueryContext,
                 vector: DataVector) -> DataVector:
@@ -543,102 +422,7 @@ class Operator(QueryElement):
                           from_source=vector.from_source,
                           producer=self.name)
 
-    def _norm(self, ctx: QueryContext,
-              vector: DataVector) -> DataVector:
-        """Normalise each numeric result column by its max/min/sum/
-        first value (SQL-side)."""
-        results = self._numeric_results(vector, f"operator {self.name!r}")
-        out_cols = list(vector.parameters) + [
-            ColumnInfo(c.name, DataType.FLOAT, DIMENSIONLESS,
-                       f"{c.synopsis or c.name} (normalised to "
-                       f"{self.mode})", is_result=True)
-            for c in results]
-        table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype))
-                        for c in out_cols])
-        src = quote_identifier(vector.table)
-        # deterministic "first" row: parameters, then rowid — not the
-        # bare insertion order, which a fused subquery cannot reproduce
-        order = ", ".join(
-            [quote_identifier(p.name) for p in vector.parameters]
-            + ["rowid"])
-        sel = [quote_identifier(p.name) for p in vector.parameters]
-        denoms: list[float] = []
-        for c in results:
-            denoms.append(self.norm_denominator(
-                ctx.db, c.name, quote_identifier(c.name),
-                f"FROM {src}", f"ORDER BY {order}"))
-            sel.append(f"(CAST({quote_identifier(c.name)} AS REAL) "
-                       "/ ?)")
-        ctx.db.execute(
-            f"INSERT INTO {quote_identifier(table)} "
-            f"SELECT {', '.join(sel)} FROM {src} ORDER BY rowid",
-            denoms)
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    def norm_denominator(self, db, column: str, column_sql: str,
-                         from_sql: str, order_sql: str,
-                         params: Sequence = ()) -> float:
-        """The normalisation divisor of one column, computed eagerly.
-
-        Eager evaluation is what lets a zero or NULL divisor (SQLite
-        maps division by zero to NULL) raise here, naming element and
-        column, instead of silently filling the output vector with
-        NULL rows.  ``column_sql``/``from_sql``/``order_sql`` are
-        pre-rendered so the fused path can point at a subquery.
-        """
-        if self.mode == "first":
-            sql = (f"SELECT {column_sql} {from_sql} {order_sql} "
-                   "LIMIT 1")
-        else:
-            agg = {"max": "MAX", "min": "MIN", "sum": "SUM"}[self.mode]
-            sql = f"SELECT {agg}({column_sql}) {from_sql}"
-        row = db.fetchone(sql, params)
-        value = row[0] if row else None
-        if value is None or float(value) == 0.0:
-            raise QueryError(
-                f"operator {self.name!r}: cannot normalise column "
-                f"{column!r} by {self.mode}: denominator is "
-                + ("NULL" if value is None else "0"))
-        return float(value)
-
-    def _convert(self, ctx: QueryContext,
-                 vector: DataVector) -> DataVector:
-        """Convert compatible result columns to the target unit
-        (Fig. 5: "Units are defined such that they can be converted
-        correctly")."""
-        assert self.unit is not None
-        out_cols: list[ColumnInfo] = list(vector.parameters)
-        sel = [quote_identifier(p.name) for p in vector.parameters]
-        converted = 0
-        for c in vector.results:
-            col = quote_identifier(c.name)
-            if c.datatype.is_numeric and c.unit.is_compatible(
-                    self.unit):
-                factor = c.unit.conversion_factor(self.unit)
-                out_cols.append(ColumnInfo(
-                    c.name, DataType.FLOAT, self.unit, c.synopsis,
-                    is_result=True))
-                sel.append(f"({col} * {factor!r})")
-                converted += 1
-            else:
-                out_cols.append(c)
-                sel.append(col)
-        if not converted:
-            raise OperatorError(
-                f"operator {self.name!r}: no result column of "
-                f"{vector.producer!r} is compatible with unit "
-                f"{self.unit.symbol!r}")
-        table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype))
-                        for c in out_cols])
-        ctx.db.execute(
-            f"INSERT INTO {quote_identifier(table)} "
-            f"SELECT {', '.join(sel)} "
-            f"FROM {quote_identifier(vector.table)} ORDER BY rowid")
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
-
-    # -- SQL pushdown ------------------------------------------------------
+    # -- the SQL emitter (fused groups and groups of one) ------------------
 
     def can_fuse(self) -> bool:
         """SQL-expressible operator shapes: everything the SQL engine
@@ -662,7 +446,8 @@ class Operator(QueryElement):
             return self._fuse_norm(ctx, frags[0])
         if self.op == "convert":
             return self._fuse_convert(frags[0])
-        # statistical / reductions: same mode selection as run()
+        # statistical / reductions: a source input is aggregated per
+        # parameter set, any other input reduced to one row
         if frags[0].from_source:
             return self._fuse_aggregate(frags[0])
         return self._fuse_full_reduce(frags[0])
@@ -775,16 +560,42 @@ class Operator(QueryElement):
                for p in frag.parameters]
         denoms: list[float] = []
         for c in results:
-            denoms.append(self.norm_denominator(
-                ctx.db, c.name, f"s.{quote_identifier(c.name)}",
-                f"FROM ({frag.sql}) s",
-                f"ORDER BY {order}" if order else "", frag.params))
+            denoms.append(self._norm_denominator(ctx.db, frag, c.name,
+                                                 order))
             sel.append(f"(CAST(s.{quote_identifier(c.name)} AS REAL) "
                        f"/ ?) AS {quote_identifier(c.name)}")
         # the ?s in the select list come textually before the ones
         # inside the FROM subquery — parameter order must match
         return self._row_preserving(frag, sel, out_cols,
                                     tuple(denoms) + frag.params)
+
+    def _norm_denominator(self, db, frag: SelectFragment, column: str,
+                          order: str) -> float:
+        """The normalisation divisor of one column, computed eagerly.
+
+        Eager evaluation is what lets a zero or NULL divisor (SQLite
+        maps division by zero to NULL) raise here, naming element and
+        column, instead of silently filling the output vector with
+        NULL rows.  ``first`` is the first row in parameter, then
+        insertion order.
+        """
+        col = f"s.{quote_identifier(column)}"
+        if self.mode == "first":
+            sql = f"SELECT {col} FROM ({frag.sql}) s"
+            if order:
+                sql += f" ORDER BY {order}"
+            sql += " LIMIT 1"
+        else:
+            agg = {"max": "MAX", "min": "MIN", "sum": "SUM"}[self.mode]
+            sql = f"SELECT {agg}({col}) FROM ({frag.sql}) s"
+        row = db.fetchone(sql, frag.params)
+        value = row[0] if row else None
+        if value is None or float(value) == 0.0:
+            raise QueryError(
+                f"operator {self.name!r}: cannot normalise column "
+                f"{column!r} by {self.mode}: denominator is "
+                + ("NULL" if value is None else "0"))
+        return float(value)
 
     def _fuse_convert(self, frag: SelectFragment) -> SelectFragment:
         assert self.unit is not None
@@ -823,20 +634,15 @@ class Operator(QueryElement):
         common = [p.name for p in left.parameters
                   if right.has_column(p.name)
                   and not right.column(p.name).is_result]
-        if self.op == "diff":
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, lc.unit,
-                                  f"diff of {lc.synopsis or lc.name}",
-                                  is_result=True)
-        else:
-            unit = (_PERCENT_UNIT if self.op in
-                    ("percentof", "above", "below") else DIMENSIONLESS)
-
-            def out_info(lc: ColumnInfo) -> ColumnInfo:
-                return ColumnInfo(lc.name, DataType.FLOAT, unit,
-                                  f"{self.op} of {lc.synopsis or lc.name}",
-                                  is_result=True)
-        out_cols = list(left.parameters) + [out_info(c) for c in lres]
+        # diff keeps the input unit; ratios are plain or percentages
+        unit = {"diff": None, "div": DIMENSIONLESS}.get(self.op,
+                                                       _PERCENT_UNIT)
+        out_cols = list(left.parameters) + [
+            ColumnInfo(c.name, DataType.FLOAT,
+                       c.unit if unit is None else unit,
+                       f"{self.op} of {c.synopsis or c.name}",
+                       is_result=True)
+            for c in lres]
         items = [f"a.{quote_identifier(p.name)} "
                  f"AS {quote_identifier(p.name)}"
                  for p in left.parameters]

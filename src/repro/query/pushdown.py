@@ -1,30 +1,40 @@
-"""SQL pushdown: fuse linear element chains into single statements.
+"""SQL pushdown: every SQL element runs as a fused group.
 
 The paper's element protocol (Section 4.2) materialises a temp table
 per DAG edge — faithful, but the CREATE TABLE + INSERT..SELECT +
-re-scan round-trip dominates the cold path.  This module rewrites the
-plan: maximal ``source → operator* → combiner?`` chains whose elements
-can express themselves as composable SQL become one nested-subquery
-statement, materialised once at the chain tail.  Temp tables survive
-only where they are load-bearing:
+re-scan round-trip dominates the cold path.  Each SQL-expressible
+element has exactly one SQL emitter, its ``fuse()``, which builds a
+composable :class:`SelectFragment` over its input fragments; all that
+varies is where the result is materialised:
 
-* **fan-out points** — a vector read by several consumers;
-* **cache boundaries** — with a :class:`~repro.query.cache.QueryCache`
-  active every cacheable element is a potential hit/miss seam, so the
-  plan degenerates to no fusion (pushdown is the *cold-path*
-  optimisation, the cache is the warm-path one);
-* **output elements** and anything that computes in Python
-  (``eval``/``filter``/``use_sql=False``) or whose shape the fuser
-  cannot reproduce byte-identically (it raises :class:`FusionError`
-  and the group falls back to element-wise temp tables).
+* **element-wise** execution is a *group of one*: ``run()`` wraps each
+  input temp table as a scan fragment (:func:`vector_fragment`) and
+  materialises its own ``fuse()`` straight into its temp table;
+* the **planner** (:func:`plan_pushdown`) merges maximal
+  ``source → operator* → combiner?`` chains into one nested-subquery
+  statement, materialised once at the chain tail.  Temp tables
+  survive only where they are load-bearing:
 
-Fused plans are **byte-identical** to unfused ones: every fragment
-carries ``order_names`` — projected columns (synthetic ``pb_ord__N``
-rowid ordinals where needed) whose sort reproduces exactly the rowid
-order the unfused temp table would have had — and the single final
-INSERT applies the same column affinities the per-element tables
-would have applied.  Element fingerprints (``spec()``) are untouched,
-so PR4 cache keys and PR7 sentinel baselines remain valid either way.
+  - fan-out points — a vector read by several consumers;
+  - cache boundaries — with a :class:`~repro.query.cache.QueryCache`
+    active every cacheable element is a potential hit/miss seam, so
+    the plan is empty (pushdown is the *cold-path* optimisation, the
+    cache is the warm-path one);
+  - output elements and anything that computes in Python
+    (``eval``/``filter``/``use_sql=False``).
+
+A group whose fragment cannot be built (:class:`FusionError`: a shape
+the fuser cannot reproduce byte-identically, a source with more
+compound operands than SQLite accepts, an unattachable experiment
+database) falls back to element-wise groups of one.  Because both
+paths run the same emitter, fused and unfused results cannot disagree:
+every fragment carries ``order_names`` — projected columns (synthetic
+``pb_ord__N`` rowid ordinals where needed; the prefix is reserved for
+user column names at definition time) whose sort reproduces exactly
+the rowid order the per-element temp table has — and the single final
+INSERT applies the same column affinities.  Element fingerprints
+(``spec()``) are untouched, so cache keys and sentinel baselines stay
+valid either way.
 
 Observability: ``pushdown.groups`` / ``pushdown.fused_elements`` /
 ``pushdown.statements_saved`` / ``pushdown.fallbacks`` counters, and a
@@ -39,6 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..core.datatypes import sql_type
 from ..core.errors import QueryError
+from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
 from ..obs.tracer import current_tracer
 from .vectors import ColumnInfo, DataVector
@@ -51,18 +62,14 @@ __all__ = ["FusionError", "SelectFragment", "PushdownPlan",
            "plan_pushdown", "vector_fragment", "fuse_join",
            "materialise", "run_fused_group", "ORD_PREFIX"]
 
-#: prefix of the synthetic rowid-ordinal columns fragments project to
-#: pin row order; user column names must not collide with it
-ORD_PREFIX = "pb_ord__"
-
 
 class FusionError(QueryError):
     """An element (or column shape) cannot join a fused statement.
 
-    Raised during planning or fragment construction; the runner
-    responds by executing the group's members element-wise through
-    the ordinary temp-table protocol, so a fusion gap is a missed
-    optimisation, never a wrong answer.
+    Raised during fragment construction of a multi-element group; the
+    runner responds by executing the group's members element-wise, as
+    groups of one, so a fusion gap is a missed optimisation, never a
+    wrong answer.
     """
 
 
@@ -132,11 +139,6 @@ def vector_fragment(vector: DataVector) -> SelectFragment:
     ``pb_ord__0`` — downstream fragments thread that ordinal through
     so the final materialisation can restore insertion order.
     """
-    for c in vector.columns:
-        if c.name.startswith(ORD_PREFIX):
-            raise FusionError(
-                f"column {c.name!r} collides with the {ORD_PREFIX}* "
-                "ordinal namespace")
     ordinal = f"{ORD_PREFIX}0"
     cols = [quote_identifier(c.name) for c in vector.columns]
     sql = (f"SELECT {', '.join(cols)}, "

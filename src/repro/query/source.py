@@ -19,19 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
-from ..core.datatypes import DataType
+from ..core.datatypes import DataType, sql_type
 from ..core.errors import QueryError
 from ..core.units import DIMENSIONLESS
-from ..core.variables import Occurrence
+from ..core.variables import ORD_PREFIX, Occurrence
 from ..db.backend import quote_identifier
 from ..db.schema import _encode_value  # shared cell encoding
 from .elements import QueryContext, QueryElement
-from .pushdown import ORD_PREFIX, FusionError, SelectFragment
+from .pushdown import FusionError, SelectFragment
 from .vectors import ColumnInfo, DataVector
 
-__all__ = ["ParameterSpec", "RunFilter", "Source"]
+__all__ = ["ParameterSpec", "RunFilter", "Source", "MAX_COMPOUND_OPERANDS"]
+
+#: SQLite's default SQLITE_MAX_COMPOUND_SELECT: a fused source unions
+#: one operand per matching run, so beyond this it runs unfused
+MAX_COMPOUND_OPERANDS = 500
 
 _OPS = {"==": "=", "=": "=", "!=": "<>", "<>": "<>",
         "<": "<", "<=": "<=", ">": ">", ">=": ">=", "like": "LIKE"}
@@ -157,8 +161,9 @@ class Source(QueryElement):
         return (f"{column} {sql_op} ?",
                 [_encode_value(spec.value, datatype)])
 
-    def _split_specs(self, variables):
-        """Partition parameter specs and results by occurrence."""
+    def _layout(self, variables) -> _Layout:
+        """Partition parameter specs and results by occurrence and
+        derive the output vector layout."""
         once_specs: list[ParameterSpec] = []
         multi_specs: list[ParameterSpec] = []
         for spec in self.parameters:
@@ -175,7 +180,19 @@ class Source(QueryElement):
                         if variables[r].occurrence is Occurrence.ONCE]
         multi_results = [variables[r] for r in self.results
                          if variables[r].occurrence is Occurrence.MULTIPLE]
-        return once_specs, multi_specs, once_results, multi_results
+        shown_once = [s for s in once_specs if s.show or not s.is_filter]
+        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
+        # the output vector layout (also the insertion column order)
+        columns: list[ColumnInfo] = []
+        if self.include_run_index:
+            columns.append(ColumnInfo("run_index", DataType.INTEGER,
+                                      DIMENSIONLESS, "run index"))
+        for s in shown_once + shown_multi:
+            columns.append(ColumnInfo.from_variable(variables[s.name]))
+        for v in once_results + multi_results:
+            columns.append(ColumnInfo.from_variable(v))
+        return _Layout(once_specs, multi_specs, once_results,
+                       multi_results, shown_once, shown_multi, columns)
 
     def _run_where(self, variables,
                    once_specs) -> tuple[list[str], list[Any]]:
@@ -197,148 +214,147 @@ class Source(QueryElement):
                 params.extend(p)
         return where, params
 
-    def _matching_runs(self, store, variables, once_specs, shown_once,
-                       once_results):
+    def _matching_runs(self, store, variables, layout: _Layout):
         """Fetch (run_index, shown-once values, once-result values)
         for every matching run, in run_index order."""
         once_cols = ["o.run_index"] + [
-            f"o.{quote_identifier(s.name)}" for s in shown_once] + [
-            f"o.{quote_identifier(v.name)}" for v in once_results]
-        where, params = self._run_where(variables, once_specs)
+            f"o.{quote_identifier(s.name)}" for s in layout.shown_once] + [
+            f"o.{quote_identifier(v.name)}" for v in layout.once_results]
+        where, params = self._run_where(variables, layout.once_specs)
         return store.db.fetchall(
             f"SELECT {', '.join(once_cols)} FROM pb_once o "
             "JOIN pb_runs r ON r.run_index = o.run_index "
             f"WHERE {' AND '.join(where)} ORDER BY o.run_index",
             params)
 
-    def _dataset_where(self, variables, multi_specs,
-                       multi_results) -> tuple[str, list[Any]]:
+    def _dataset_where(self, variables,
+                       layout: _Layout) -> tuple[str, list[Any]]:
         """The per-run data-table WHERE clause (identical for every
         run): data-set filters plus the guard skipping rows that
         predate an added result variable (all-NULL in every requested
         column)."""
         dwhere: list[str] = []
         dparams: list[Any] = []
-        for spec in multi_specs:
+        for spec in layout.multi_specs:
             if spec.is_filter:
                 clause, p = self._filter_sql(
                     spec, quote_identifier(spec.name),
                     variables[spec.name].datatype)
                 dwhere.append(clause)
                 dparams.extend(p)
-        if multi_results:
+        if layout.multi_results:
             dwhere.append("NOT (" + " AND ".join(
                 f"{quote_identifier(v.name)} IS NULL"
-                for v in multi_results) + ")")
+                for v in layout.multi_results) + ")")
         return ((" WHERE " + " AND ".join(dwhere)) if dwhere else "",
                 dparams)
 
-    def _vector_columns(self, variables, shown_once, shown_multi,
-                        once_results, multi_results):
-        """The output vector layout (also the insertion column order)."""
-        columns: list[ColumnInfo] = []
-        if self.include_run_index:
-            columns.append(ColumnInfo("run_index", DataType.INTEGER,
-                                      DIMENSIONLESS, "run index"))
-        for s in shown_once:
-            columns.append(ColumnInfo.from_variable(variables[s.name]))
-        for s in shown_multi:
-            columns.append(ColumnInfo.from_variable(variables[s.name]))
-        for v in once_results + multi_results:
-            columns.append(ColumnInfo.from_variable(v))
-        return columns
+    def _run_operands(self, store, variables, layout: _Layout,
+                      exp_prefix: str, *, ordinals: bool
+                      ) -> list[tuple[str, list[Any]]]:
+        """One ``SELECT`` per matching run that stores data sets.
+
+        Run-level values ride along as bound constants, data-set
+        values come from the run's own table under the data-set
+        filters.  With ``ordinals`` the (run position, data set)
+        order is projected as ``pb_ord__0``/``pb_ord__1``.  Returns
+        ``(sql, params)`` pairs in run order — the per-run statements
+        of :meth:`run` and the compound operands of :meth:`fuse`.
+        """
+        where_sql, dparams = self._dataset_where(variables, layout)
+        needed = ([s.name for s in layout.shown_multi]
+                  + [v.name for v in layout.multi_results])
+        n_shown = len(layout.shown_once)
+        operands: list[tuple[str, list[Any]]] = []
+        for position, run_row in enumerate(
+                self._matching_runs(store, variables, layout)):
+            run_index = int(run_row[0])
+            data_table = store.run_table(run_index)
+            if not store.db.table_exists(data_table):
+                continue
+            available = set(store.db.table_columns(data_table))
+            if any(n not in available for n in needed):
+                continue  # run predates these variables
+            sel = []
+            params: list[Any] = []
+            if self.include_run_index:
+                sel.append(f"? AS {quote_identifier('run_index')}")
+                params.append(run_index)
+            for s, value in zip(layout.shown_once, run_row[1:]):
+                sel.append(f"? AS {quote_identifier(s.name)}")
+                params.append(value)
+            sel += [f"{quote_identifier(s.name)} "
+                    f"AS {quote_identifier(s.name)}"
+                    for s in layout.shown_multi]
+            for v, value in zip(layout.once_results,
+                                run_row[1 + n_shown:]):
+                sel.append(f"? AS {quote_identifier(v.name)}")
+                params.append(value)
+            sel += [f"{quote_identifier(v.name)} "
+                    f"AS {quote_identifier(v.name)}"
+                    for v in layout.multi_results]
+            if ordinals:
+                sel.append(f"? AS {quote_identifier(ORD_PREFIX + '0')}")
+                params.append(position)
+                sel.append(f"{quote_identifier('dataset_index')} "
+                           f"AS {quote_identifier(ORD_PREFIX + '1')}")
+            operands.append((
+                f"SELECT {', '.join(sel)} FROM "
+                f"{exp_prefix}{quote_identifier(data_table)}{where_sql}",
+                params + dparams))
+        return operands
+
+    @staticmethod
+    def _exp_prefix(ctx: QueryContext) -> str | None:
+        """Schema prefix of the experiment tables as seen from
+        ``ctx.db`` — empty on the experiment database itself, the
+        attach alias on a cluster node's database, ``None`` when the
+        node cannot attach it (the stand-in for socket access to the
+        frontend server, Section 4.3)."""
+        store = ctx.experiment.store
+        if ctx.db is store.db:
+            return ""
+        alias = ctx.db.attach(store.db)
+        return f"{alias}." if alias else None
 
     # -- execution ---------------------------------------------------------
 
     def run(self, ctx: QueryContext) -> DataVector:
+        """The Section 4.3 protocol: "source elements do only perform
+        simple read access on the shared database tables, and write
+        data into independent temporary tables" — one INSERT..SELECT
+        per matching run, entirely inside the SQL engine.  On a node
+        whose database cannot attach the experiment database, the same
+        per-run selects run on the experiment database and the rows
+        travel through Python instead.
+        """
         variables = ctx.experiment.variables
         store = ctx.experiment.store
-
-        (once_specs, multi_specs, once_results,
-         multi_results) = self._split_specs(variables)
-
-        # --- select matching runs from the once-table -------------------
-        shown_once = [s for s in once_specs if s.show or not s.is_filter]
-        run_rows = self._matching_runs(store, variables, once_specs,
-                                       shown_once, once_results)
-
-        # --- output vector layout ----------------------------------------
-        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
-        columns = self._vector_columns(variables, shown_once, shown_multi,
-                                       once_results, multi_results)
-
-        from ..core.datatypes import sql_type
+        layout = self._layout(variables)
         table = ctx.temptables.new_table(
-            self.name, [(c.name, sql_type(c.datatype)) for c in columns])
-
-        # --- per matching run: pull data sets ------------------------------
-        # Fast path: "source elements do only perform simple read
-        # access on the shared database tables, and write data into
-        # independent temporary tables" (Section 4.3) — one
-        # INSERT..SELECT per run, entirely inside the SQL engine.  When
-        # the element runs on another node's database, the experiment
-        # database is attached (the stand-in for socket access to the
-        # frontend server); if that is impossible, rows are fetched
-        # through Python instead.
-        if ctx.db is store.db:
-            exp_prefix = ""
+            self.name,
+            [(c.name, sql_type(c.datatype)) for c in layout.columns])
+        rows: list[Any] = []
+        if not layout.per_dataset:
+            rows = [([int(r[0])] if self.include_run_index else [])
+                    + list(r[1:])
+                    for r in self._matching_runs(store, variables, layout)]
         else:
-            alias = ctx.db.attach(store.db)
-            exp_prefix = f"{alias}." if alias else None
-
-        out_rows: list[list[Any]] = []
-        col_names = [c.name for c in columns]
-        where_sql, dparams = self._dataset_where(variables, multi_specs,
-                                                 multi_results)
-        needed = ([s.name for s in shown_multi]
-                  + [v.name for v in multi_results])
-        for run_row in run_rows:
-            run_index = int(run_row[0])
-            once_shown_vals = list(run_row[1:1 + len(shown_once)])
-            once_result_vals = list(run_row[1 + len(shown_once):])
-            prefix: list[Any] = []
-            if self.include_run_index:
-                prefix.append(run_index)
-            prefix.extend(once_shown_vals)
-
-            if multi_results or shown_multi:
-                data_table = store.run_table(run_index)
-                if not store.db.table_exists(data_table):
-                    continue
-                available = set(store.db.table_columns(data_table))
-                if any(n not in available for n in needed):
-                    continue  # run predates these variables
-                n_shown = len(shown_multi)
-                sel_cols = [quote_identifier(n) for n in needed]
-                if exp_prefix is not None:
-                    # SQL-side: constants for the run-level values,
-                    # table columns for the data-set values
-                    shown_sel = sel_cols[:n_shown]
-                    result_sel = sel_cols[n_shown:]
-                    consts_prefix = ["?"] * len(prefix)
-                    consts_once = ["?"] * len(once_result_vals)
-                    select = ", ".join(consts_prefix + shown_sel
-                                       + consts_once + result_sel)
-                    ctx.db.execute(
-                        f"INSERT INTO {quote_identifier(table)} "
-                        f"SELECT {select} FROM "
-                        f"{exp_prefix}{quote_identifier(data_table)}"
-                        f"{where_sql} ORDER BY dataset_index",
-                        prefix + once_result_vals + dparams)
+            exp_prefix = self._exp_prefix(ctx)
+            for sql, params in self._run_operands(
+                    store, variables, layout, exp_prefix or "",
+                    ordinals=False):
+                sql += " ORDER BY dataset_index"
+                if exp_prefix is None:
+                    rows.extend(store.db.fetchall(sql, params))
                 else:
-                    sql = (f"SELECT {', '.join(sel_cols)} FROM "
-                           f"{quote_identifier(data_table)}{where_sql}"
-                           " ORDER BY dataset_index")
-                    for drow in store.db.fetchall(sql, dparams):
-                        out_rows.append(
-                            prefix + list(drow[:n_shown])
-                            + once_result_vals + list(drow[n_shown:]))
-            else:
-                out_rows.append(prefix + once_result_vals)
-
-        if out_rows:
-            ctx.db.insert_rows(table, col_names, out_rows)
-        return DataVector(ctx.db, table, columns, from_source=True,
+                    ctx.db.execute(
+                        f"INSERT INTO {quote_identifier(table)} {sql}",
+                        params)
+        if rows:
+            ctx.db.insert_rows(table, [c.name for c in layout.columns],
+                               rows)
+        return DataVector(ctx.db, table, layout.columns, from_source=True,
                           producer=self.name)
 
     # -- SQL pushdown ------------------------------------------------------
@@ -350,115 +366,87 @@ class Source(QueryElement):
              inputs: Sequence[Any]) -> SelectFragment:
         """Express the retrieval itself as a composable SELECT.
 
-        The unfused :meth:`run` issues one INSERT..SELECT per matching
-        run — by far the largest statement count of any element, and
-        pure per-statement overhead on warm data.  Fused, a source with
-        per-data-set values becomes one UNION ALL of per-run operands
-        over the shared data tables (run-level values ride along as
-        bound constants), and a run-level-only source a single select
-        over the once table.  Hidden ordinals pin the (run, data set)
-        order, so a chain tail materialises rows in exactly the rowid
-        order the source temp table would have had.
+        :meth:`run` runs one INSERT..SELECT per matching run — by
+        far the largest statement count of any element, and pure
+        per-statement overhead on warm data.  Fused, a source with
+        per-data-set values becomes one UNION ALL of the same per-run
+        selects, and a run-level-only source a single select over the
+        once table.  Hidden ordinals pin the (run, data set) order, so
+        a chain tail materialises rows in exactly the rowid order the
+        source temp table would have had.  More than
+        :data:`MAX_COMPOUND_OPERANDS` runs exceed SQLite's compound
+        SELECT limit, so such a source falls back to :meth:`run` (on
+        every backend, keeping them observably alike).
         """
         variables = ctx.experiment.variables
         store = ctx.experiment.store
-        (once_specs, multi_specs, once_results,
-         multi_results) = self._split_specs(variables)
-        shown_once = [s for s in once_specs if s.show or not s.is_filter]
-        shown_multi = [s for s in multi_specs if s.show or not s.is_filter]
-        columns = self._vector_columns(variables, shown_once, shown_multi,
-                                       once_results, multi_results)
-        for c in columns:
-            if c.name.startswith(ORD_PREFIX):
-                raise FusionError(
-                    f"column {c.name!r} collides with the "
-                    f"{ORD_PREFIX}* ordinal namespace")
-        if ctx.db is store.db:
-            exp_prefix = ""
-        else:
-            alias = ctx.db.attach(store.db)
-            if not alias:
-                raise FusionError(
-                    f"source {self.name!r}: experiment database is not "
-                    "attachable from this node")
-            exp_prefix = f"{alias}."
+        layout = self._layout(variables)
+        exp_prefix = self._exp_prefix(ctx)
+        if exp_prefix is None:
+            raise FusionError(
+                f"source {self.name!r}: experiment database is not "
+                "attachable from this node")
 
-        if not (multi_results or shown_multi):
+        ordinal = f"{ORD_PREFIX}0"
+        if not layout.per_dataset:
             # run-level values only: one row per matching run, straight
             # off the once table (run() assembles these rows in Python)
-            where, params = self._run_where(variables, once_specs)
+            where, params = self._run_where(variables, layout.once_specs)
             sel = []
             if self.include_run_index:
                 sel.append(f"o.run_index AS "
                            f"{quote_identifier('run_index')}")
-            for name in ([s.name for s in shown_once]
-                         + [v.name for v in once_results]):
+            for name in ([s.name for s in layout.shown_once]
+                         + [v.name for v in layout.once_results]):
                 sel.append(f"o.{quote_identifier(name)} "
                            f"AS {quote_identifier(name)}")
-            ordinal = f"{ORD_PREFIX}0"
             sel.append(f"o.run_index AS {quote_identifier(ordinal)}")
             sql = (f"SELECT {', '.join(sel)} FROM {exp_prefix}pb_once o "
                    f"JOIN {exp_prefix}pb_runs r "
                    "ON r.run_index = o.run_index "
                    f"WHERE {' AND '.join(where)}")
             return SelectFragment(
-                sql, tuple(params), tuple(columns), (ordinal,),
+                sql, tuple(params), tuple(layout.columns), (ordinal,),
                 (ordinal,), from_source=True, scan_ordered=True,
                 ord_rowid=False, producer=self.name)
 
-        run_rows = self._matching_runs(store, variables, once_specs,
-                                       shown_once, once_results)
-        where_sql, dparams = self._dataset_where(variables, multi_specs,
-                                                 multi_results)
-        needed = ([s.name for s in shown_multi]
-                  + [v.name for v in multi_results])
-        ord0, ord1 = f"{ORD_PREFIX}0", f"{ORD_PREFIX}1"
-        operands: list[str] = []
-        params: list[Any] = []
-        for position, run_row in enumerate(run_rows):
-            run_index = int(run_row[0])
-            once_shown_vals = list(run_row[1:1 + len(shown_once)])
-            once_result_vals = list(run_row[1 + len(shown_once):])
-            data_table = store.run_table(run_index)
-            if not store.db.table_exists(data_table):
-                continue
-            available = set(store.db.table_columns(data_table))
-            if any(n not in available for n in needed):
-                continue  # run predates these variables
-            sel = []
-            op_params: list[Any] = []
-            if self.include_run_index:
-                sel.append(f"? AS {quote_identifier('run_index')}")
-                op_params.append(run_index)
-            for s, value in zip(shown_once, once_shown_vals):
-                sel.append(f"? AS {quote_identifier(s.name)}")
-                op_params.append(value)
-            sel += [f"{quote_identifier(s.name)} "
-                    f"AS {quote_identifier(s.name)}" for s in shown_multi]
-            for v, value in zip(once_results, once_result_vals):
-                sel.append(f"? AS {quote_identifier(v.name)}")
-                op_params.append(value)
-            sel += [f"{quote_identifier(v.name)} "
-                    f"AS {quote_identifier(v.name)}"
-                    for v in multi_results]
-            sel.append(f"? AS {quote_identifier(ord0)}")
-            op_params.append(position)
-            sel.append(f"{quote_identifier('dataset_index')} "
-                       f"AS {quote_identifier(ord1)}")
-            operands.append(
-                f"SELECT {', '.join(sel)} FROM "
-                f"{exp_prefix}{quote_identifier(data_table)}{where_sql}")
-            params.extend(op_params)
-            params.extend(dparams)
+        operands = self._run_operands(store, variables, layout,
+                                      exp_prefix, ordinals=True)
         if not operands:
             raise FusionError(
                 f"source {self.name!r}: no matching runs — the "
                 "temp-table path produces the empty vector")
+        if len(operands) > MAX_COMPOUND_OPERANDS:
+            raise FusionError(
+                f"source {self.name!r}: {len(operands)} matching runs "
+                f"exceed the {MAX_COMPOUND_OPERANDS}-operand compound "
+                "SELECT limit")
         # each operand scans its run table in rowid (== dataset_index)
         # order and both engines emit UNION ALL operands left to right,
         # so the natural emission order is the unfused insertion order
+        ords = (ordinal, f"{ORD_PREFIX}1")
         return SelectFragment(
-            " UNION ALL ".join(operands), tuple(params), tuple(columns),
-            (ord0, ord1), (ord0, ord1), from_source=True,
+            " UNION ALL ".join(sql for sql, _ in operands),
+            tuple(p for _, params in operands for p in params),
+            tuple(layout.columns), ords, ords, from_source=True,
             scan_ordered=True, ord_rowid=False, rescan_cheap=False,
             producer=self.name)
+
+
+class _Layout(NamedTuple):
+    """How a source's specs split by occurrence, and its output
+    columns."""
+
+    once_specs: list[ParameterSpec]
+    multi_specs: list[ParameterSpec]
+    once_results: list
+    multi_results: list
+    shown_once: list[ParameterSpec]
+    shown_multi: list[ParameterSpec]
+    columns: list[ColumnInfo]
+
+    @property
+    def per_dataset(self) -> bool:
+        """Whether any output column comes from the per-run data
+        tables (otherwise one row per run, off the once table)."""
+        return bool(self.multi_results or self.shown_multi)

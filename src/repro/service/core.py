@@ -80,13 +80,19 @@ class ServiceConfig:
     ``connections_per_shard`` sizes each per-experiment handle pool on
     backends with independent connections (see ``docs/service.md`` for
     sizing guidance).  ``retry`` is the policy wrapping retryable
-    operations *and* pacing the admission queue's backoff.
+    operations *and* pacing the admission queue's backoff.  By default
+    its deadline, not an attempt count, ends the retries: the pooled
+    handles of one shard contend for SQLite's write lock, a batch that
+    loses the read-to-write upgrade fails at once rather than waiting,
+    and under the 200-client stress run a dozen quick attempts ran out
+    within half a second.
     """
 
     max_sessions: int = 64
     admission_timeout: float = 5.0
     connections_per_shard: int = 4
-    retry: RetryPolicy = field(default_factory=lambda: DEFAULT_POLICY)
+    retry: RetryPolicy = field(default_factory=lambda: replace(
+        DEFAULT_POLICY, max_attempts=1_000_000))
 
     def admission_policy(self, timeout: float | None = None) -> RetryPolicy:
         """The retry policy pacing one admission wait.

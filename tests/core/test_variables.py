@@ -39,6 +39,15 @@ class TestVariableConstruction:
         with pytest.raises(DefinitionError):
             Parameter("class")
 
+    def test_ordinal_prefix_reserved(self):
+        # the query engine projects pb_ord__N row-order columns next to
+        # user columns; the namespace is closed where names enter
+        with pytest.raises(DefinitionError, match="reserved pb_ord__"):
+            Parameter("pb_ord__0")
+        with pytest.raises(DefinitionError, match="reserved pb_ord__"):
+            Result("pb_ord__bw")
+        Parameter("pb_ord_0")  # only the exact prefix is reserved
+
     def test_default_is_coerced(self):
         v = Parameter("x", datatype="integer", default="42")
         assert v.default == 42

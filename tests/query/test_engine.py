@@ -57,6 +57,23 @@ class TestExecution:
             bad.execute(filled_experiment)
         assert set(db.list_tables()) == before
 
+    def test_no_transaction_left_open(self, filled_experiment):
+        db = filled_experiment.store.db
+        assert not db._conn.in_transaction
+        for pushdown in (False, True):
+            fig_query().execute(filled_experiment, pushdown=pushdown)
+            assert not db._conn.in_transaction
+        fig_query().execute(filled_experiment, keep_temp_tables=True)
+        assert not db._conn.in_transaction
+
+    def test_callers_transaction_stays_the_callers(self,
+                                                   filled_experiment):
+        db = filled_experiment.store.db
+        db.begin()
+        fig_query().execute(filled_experiment)
+        assert db._conn.in_transaction
+        db.rollback()
+
     def test_profile_collected(self, filled_experiment):
         result = fig_query().execute(filled_experiment, profile=True)
         prof = result.profile

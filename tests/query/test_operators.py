@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(OperatorError, match="expression"):
             Operator("x", "eval", ["a"])
 
+    def test_eval_result_name_cannot_use_ordinal_prefix(self):
+        with pytest.raises(OperatorError, match="reserved pb_ord__"):
+            Operator("x", "eval", ["a"], expression="bw * 2",
+                     result_name="pb_ord__0")
+
     def test_statistical_needs_exactly_one_input(self,
                                                  filled_experiment):
         from repro.core import QueryError

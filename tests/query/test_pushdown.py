@@ -3,11 +3,17 @@ fallback paths, counters and cache interplay."""
 
 import pytest
 
+from repro import Experiment
 from repro.core import QueryError
 from repro.obs import InMemorySink, Tracer, use_tracer
+from repro.parse import Importer
 from repro.query import (Combiner, Operator, Output, ParameterSpec,
                          Query, Source)
-from repro.testing import assert_identical, query_outcome
+from repro.testing import assert_identical, make_server, query_outcome
+from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
+                                           input_xml, stddev_query_xml)
+from repro.xmlio import (parse_experiment_xml, parse_input_xml,
+                         parse_query_xml)
 from tests.conftest import fill_simple, make_simple_experiment
 
 pytestmark = pytest.mark.pushdown
@@ -207,3 +213,36 @@ class TestObservability:
         # absorbed members never ran as elements of their own
         assert not [s for s in tracer.spans
                     if s.name in ("s", "scaled")]
+
+
+#: db.statements of one fig8 and one stddev query over the 6-run
+#: ``beffio_campaign``, per backend (the columnar engine counts fewer
+#: because its catalogue probes are not statements).  Unfused, every
+#: element is a group of one and runs what the Section 4.2 protocol
+#: does — one CREATE and one INSERT, plus norm's probe per column — so
+#: these numbers must not move when emitters are refactored.
+EXACT_STATEMENTS = {
+    "sqlite": {"unfused": (46, 30), "fused": (22, 20)},
+    "memory": {"unfused": (29, 20), "fused": (9, 12)},
+}
+
+
+@pytest.mark.parametrize("backend", sorted(EXACT_STATEMENTS))
+def test_exact_statement_counts(backend, beffio_campaign):
+    definition = parse_experiment_xml(experiment_xml())
+    exp = Experiment.create(make_server(backend), definition.name,
+                            list(definition.variables), definition.info)
+    importer = Importer(exp, parse_input_xml(input_xml()))
+    for fname, content in beffio_campaign:
+        importer.import_text(content, fname)
+    counts = {}
+    for label, pushdown in (("unfused", False), ("fused", True)):
+        per_query = []
+        for xml in (fig8_query_xml(), stddev_query_xml()):
+            tracer = Tracer(InMemorySink())
+            with use_tracer(tracer):
+                parse_query_xml(xml).execute(exp, pushdown=pushdown)
+            per_query.append(
+                int(tracer.metrics.counter("db.statements").value))
+        counts[label] = tuple(per_query)
+    assert counts == EXACT_STATEMENTS[backend]

@@ -1,6 +1,7 @@
 """Service-layer battery: session pooling, admission control,
 backpressure and shard lifecycle (``-m service``)."""
 
+import sqlite3
 import threading
 
 import pytest
@@ -10,9 +11,11 @@ from repro.core import (DataType, LockoutError, Parameter, Result,
                         UserClass)
 from repro.core.experiment import Experiment
 from repro.core.variables import Occurrence
-from repro.db import (MemoryDatabaseServer, MemoryServer,
+from repro.db import (MemoryDatabaseServer, MemoryServer, SQLiteServer,
                       memory_server_for)
+from repro.faults import FaultPlan, use_faults
 from repro.obs import InMemorySink, Tracer, use_tracer
+from repro.query import Operator, Output, Query, Source
 from repro.service import ExperimentService, ServiceConfig
 
 pytestmark = pytest.mark.service
@@ -174,6 +177,48 @@ class TestShardLifecycle:
                 session.revoke("exp", "alice")
             # the guard kept the table intact: alice still admin
             session.grant("exp", "bob", UserClass.QUERY)
+
+
+class TestLockContention:
+    def test_store_retried_until_the_deadline(self, service):
+        """Pooled handles of one shard contend for SQLite's write lock,
+        and a batch that loses the upgrade fails at once: a store that
+        keeps losing is retried until the deadline, not abandoned
+        after a fixed dozen attempts."""
+        plan = FaultPlan()
+        plan.add("lock", "db.run", times=20)
+        with use_faults(plan):
+            with service.session("ingest") as session:
+                idx = session.store_run("exp", run(val=3.0))
+        assert plan.fired("lock") == 20
+        with service.session("reader") as session:
+            assert session.load_run("exp", idx).datasets[0]["val"] == 3.0
+
+
+class TestQueryTransactions:
+    @pytest.mark.parametrize("pushdown", [False, True],
+                             ids=["unfused", "fused"])
+    def test_query_leaves_the_shard_writable(self, tmp_path, pushdown):
+        """The temp-table writes of a query open an implicit
+        transaction; if the pooled handle kept it after the op, its
+        read lock would make every other writer's commit on the shard
+        wait out the busy timeout and fail with 'database is locked'."""
+        svc = ExperimentService(server=SQLiteServer(tmp_path))
+        svc.create_experiment("exp", variables(), user="a")
+        query = Query([Source("s", results=["val"]),
+                       Operator("m", "avg", ["s"]),
+                       Output("o", ["m"], format="csv")], name="q")
+        with svc.session("a") as session:
+            session.store_run("exp", run(val=2.0))
+            session.execute("exp", query, pushdown=pushdown)
+            other = sqlite3.connect(str(tmp_path / "exp.db"),
+                                    isolation_level=None)
+            other.execute("PRAGMA busy_timeout=0")
+            other.execute("BEGIN IMMEDIATE")
+            other.execute("CREATE TABLE writer_probe (a INTEGER)")
+            other.execute("COMMIT")
+            other.close()
+        svc.close()
 
 
 class TestObservability:
