@@ -112,7 +112,7 @@ test -s benchmarks/BENCH_pr7.json
 echo "== pushdown: chain-fusion battery (pytest -m pushdown) =="
 python -m pytest -q -p no:randomly -m pushdown tests
 
-echo "== pushdown: fused vs unfused CLI artifacts are byte-identical =="
+echo "== pushdown/parallel: fused, unfused and 2-node CLI artifacts are byte-identical =="
 PUSHDOWN_DIR="$(mktemp -d)"
 trap 'rm -rf "$FSCK_DIR" "$SENTINEL_DIR" "$PUSHDOWN_DIR"' EXIT
 python - "$PUSHDOWN_DIR" <<'EOF2'
@@ -141,8 +141,21 @@ for q in fig8 stddev; do
         -o "$PUSHDOWN_DIR/fused/$q" --dbdir "$PUSHDOWN_DIR/db"
     perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
         --no-pushdown -o "$PUSHDOWN_DIR/plain/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        --parallel 2 -o "$PUSHDOWN_DIR/par/$q" --dbdir "$PUSHDOWN_DIR/db"
+    # a cached 2-node run fills the cache, the next one runs warm
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
+        -o "$PUSHDOWN_DIR/par_cold/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
+        --profile -o "$PUSHDOWN_DIR/par_warm/$q" --dbdir "$PUSHDOWN_DIR/db" \
+        > "$PUSHDOWN_DIR/par_warm_$q.log"
 done
-diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/plain"
+for run in plain par par_cold par_warm; do
+    diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/$run"
+done
+# the warm profile lists every fig8 element, upfront cache hits included
+test "$(grep -cE '^[A-Za-z0-9_]+ +(source|operator|combiner|output) ' \
+    "$PUSHDOWN_DIR/par_warm_fig8.log")" -eq 8
 
 echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="
 python -m pytest -q -p no:randomly --benchmark-disable \

@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
+from ..obs.tracer import count, current_span
+
 __all__ = ["RetryPolicy", "DEFAULT_POLICY", "retry_locked",
            "is_transient_lock"]
 
@@ -131,37 +133,24 @@ class RetryPolicy:
     # -- observability (no-ops without an active tracer) ------------------
 
     @staticmethod
-    def _metrics():
-        from ..obs.tracer import current_tracer
-        tracer = current_tracer()
-        return None if tracer is None else tracer.metrics
+    def _on_retry(site: str) -> None:
+        count("retry.retries")
+        count(f"retry.retries.{site}")
 
-    def _on_retry(self, site: str) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("retry.retries").inc()
-            metrics.counter(f"retry.retries.{site}").inc()
-
-    def _on_sleep(self, seconds: float) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("retry.sleep_seconds").inc(seconds)
+    @staticmethod
+    def _on_sleep(seconds: float) -> None:
+        count("retry.sleep_seconds", seconds)
 
     def _on_recovered(self, site: str, retries: int) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("retry.recovered").inc()
+        count("retry.recovered")
         self._annotate_span(retries)
 
     def _on_exhausted(self, site: str, retries: int) -> None:
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter("retry.exhausted").inc()
+        count("retry.exhausted")
         self._annotate_span(retries)
 
     @staticmethod
     def _annotate_span(retries: int) -> None:
-        from ..obs.tracer import current_span
         span = current_span()
         if span is not None:
             span.attributes["retries"] = (

@@ -43,7 +43,7 @@ from ..core.run import RunData, RunRecord
 from ..core.units import BaseUnit, Unit
 from ..core.variables import (Occurrence, Parameter, Result, Variable,
                               VariableSet)
-from ..obs.tracer import current_tracer, maybe_span
+from ..obs.tracer import count, maybe_span
 from .backend import Database, quote_identifier
 from .retry import retry_locked
 
@@ -703,9 +703,7 @@ class BatchContext:
                     pass
             self._release()
             raise
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter("db.batches").inc()
+        count("db.batches")
         return self
 
     def store_run(self, run: RunData,
@@ -754,9 +752,7 @@ class BatchContext:
                 if checksum is not None:
                     self._checksums.setdefault(checksum, index)
         self.indices.append(index)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter("db.batch_runs").inc()
+        count("db.batch_runs")
         return index
 
     def flush(self) -> None:
@@ -788,9 +784,7 @@ class BatchContext:
                 self.db.insert_rows(
                     _FILES, ["run_index", "filename", "checksum"],
                     self._files_rows)
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.counter("db.batch_flushes").inc()
+            count("db.batch_flushes")
         self._once_rows.clear()
         self._runs_rows.clear()
         self._files_rows.clear()

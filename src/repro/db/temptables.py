@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..obs.tracer import current_tracer
+from ..obs.tracer import count
 from .backend import Database
 
 __all__ = ["TempTableManager"]
@@ -79,10 +79,7 @@ class TempTableManager:
                     first_error = exc
         self._tables.clear()
         if first_error is not None:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.counter(
-                    "temptables.drop_errors").inc(failed)
+            count("temptables.drop_errors", failed)
             raise first_error
 
     def row_count(self, name: str) -> int:

@@ -83,6 +83,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .core.errors import DefinitionError
+from .obs.tracer import count
 
 __all__ = [
     "ENV_FAULTS", "KINDS", "ACTIVE",
@@ -293,20 +294,13 @@ class FaultPlan:
                 break
         if armed is None:
             return
-        self._count(armed.kind)
+        count("faults.injected")
+        count(f"faults.injected.{armed.kind}")
         if armed.kind == "latency":
             # the one fault that returns normally: a planted slowdown
             time.sleep(armed.ms / 1e3)
             return
         raise _EXCEPTIONS[armed.kind](site, ctx)
-
-    @staticmethod
-    def _count(kind: str) -> None:
-        from .obs.tracer import current_tracer
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter("faults.injected").inc()
-            tracer.metrics.counter(f"faults.injected.{kind}").inc()
 
     # -- introspection ----------------------------------------------------
 

@@ -15,7 +15,8 @@ measurement a first-class, always-available facility:
   ASCII summary table (:func:`summary_table`).
 * :class:`QueryProfile` — the Section 4.3 per-element profile — is a
   thin view over the element spans of a trace
-  (:meth:`QueryProfile.from_spans`).
+  (:meth:`QueryProfile.from_spans`); ``profile=True`` query runs
+  collect theirs with :func:`profile_spans`.
 
 Tracing is off unless a tracer is activated::
 
@@ -27,32 +28,33 @@ Tracing is off unless a tracer is activated::
     print(tracer.spans)          # element + db spans, nested
 
 With no active tracer the instrumented layers only pay one
-context-variable read per operation.
+context-variable read per operation; :func:`count` is the one-line
+"increment if tracing" call they use for counters.
 """
 
 from .diff import (RegressionReason, RegressionRecord, SpanSetDelta,
                    TraceDiff, diff_traces)
 from .explain import ElementStats, collect_element_stats, explain
 from .metrics import Counter, Gauge, Histogram, Metrics
-from .profile import ElementTiming, QueryProfile
+from .profile import ElementTiming, QueryProfile, profile_spans
 from .render import timeline
 from .sinks import (AsciiSummarySink, InMemorySink, JsonLinesSink,
                     Sink, TraceData, metrics_table, read_trace,
                     summary_table)
 from .spans import ELEMENT_KINDS, Span
-from .tracer import (Tracer, current_span, current_tracer, maybe_span,
-                     use_tracer)
+from .tracer import (Tracer, count, current_span, current_tracer,
+                     maybe_span, use_tracer)
 
 __all__ = [
     "RegressionReason", "RegressionRecord", "SpanSetDelta",
     "TraceDiff", "diff_traces",
     "ElementStats", "collect_element_stats", "explain",
     "Counter", "Gauge", "Histogram", "Metrics",
-    "ElementTiming", "QueryProfile",
+    "ElementTiming", "QueryProfile", "profile_spans",
     "timeline",
     "AsciiSummarySink", "InMemorySink", "JsonLinesSink", "Sink",
     "TraceData", "metrics_table", "read_trace", "summary_table",
     "ELEMENT_KINDS", "Span",
-    "Tracer", "current_span", "current_tracer", "maybe_span",
+    "Tracer", "count", "current_span", "current_tracer", "maybe_span",
     "use_tracer",
 ]

@@ -6,24 +6,51 @@ typically only about 10%.  This fraction decreases with increasing
 complexity of the query."
 
 :class:`QueryProfile` aggregates per-element timings into exactly that
-metric (:meth:`QueryProfile.source_fraction`).  Since the tracing
-subsystem records every element execution as a span, a profile is now
-just a *view* over the element spans of a trace
-(:meth:`QueryProfile.from_spans`); the record/collect API remains for
-callers that profile without a tracer (the serial engine's
-``profile=True`` path and the schedule simulator).
+metric (:meth:`QueryProfile.source_fraction`).  The tracing subsystem
+records every element execution — cache hits included — as a span, and
+that span is the only record of it: a profile is a *view* over the
+element spans of a trace (:meth:`QueryProfile.from_spans`).  A
+``profile=True`` query run collects its spans with
+:func:`profile_spans`, so its timings include the span overhead, like
+every profile taken from a trace.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
+
+from .sinks import InMemorySink
+from .tracer import Tracer, current_tracer, use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spans import Span
 
-__all__ = ["ElementTiming", "QueryProfile"]
+__all__ = ["ElementTiming", "QueryProfile", "profile_spans"]
+
+
+@contextmanager
+def profile_spans(enabled: bool) -> Iterator[InMemorySink | None]:
+    """Collect the spans finished inside the ``with`` block.
+
+    Under an active tracer a private sink is attached for the block
+    (whatever sinks the tracer has); with tracing off a private
+    :class:`~repro.obs.tracer.Tracer` is activated instead.  Yields
+    ``None`` when not ``enabled``.
+    """
+    if not enabled:
+        yield None
+        return
+    tracer = current_tracer()
+    if tracer is None:
+        tracer = Tracer()
+        with use_tracer(tracer):
+            yield tracer.memory
+    else:
+        with tracer.collecting() as sink:
+            yield sink
 
 
 @dataclass(frozen=True)
@@ -42,7 +69,7 @@ class ElementTiming:
 
 @dataclass
 class QueryProfile:
-    """Thread-safe collector of element timings for one query run."""
+    """Element timings of one query run (thread-safe to extend)."""
 
     query_name: str = "query"
     timings: list[ElementTiming] = field(default_factory=list)

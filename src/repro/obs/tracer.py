@@ -30,7 +30,8 @@ from .metrics import Metrics
 from .sinks import InMemorySink, Sink
 from .spans import Span
 
-__all__ = ["Tracer", "current_tracer", "use_tracer", "maybe_span"]
+__all__ = ["Tracer", "count", "current_tracer", "use_tracer",
+           "maybe_span"]
 
 _ACTIVE: contextvars.ContextVar["Tracer | None"] = \
     contextvars.ContextVar("perfbase_tracer", default=None)
@@ -45,6 +46,14 @@ def current_tracer() -> "Tracer | None":
     operation and do nothing further when it returns ``None``.
     """
     return _ACTIVE.get()
+
+
+def count(name: str, amount: int | float = 1) -> None:
+    """Add ``amount`` to the active tracer's counter ``name``; a no-op
+    when tracing is disabled."""
+    tracer = _ACTIVE.get()
+    if tracer is not None:
+        tracer.metrics.counter(name).inc(amount)
 
 
 def current_span() -> Span | None:
@@ -143,6 +152,22 @@ class Tracer:
                 self._open -= 1
             for sink in self.sinks:
                 sink.emit(span)
+
+    @contextmanager
+    def collecting(self) -> Iterator[InMemorySink]:
+        """Attach a private in-memory sink for the ``with`` block.
+
+        The sink list is swapped, never mutated, so a span finishing
+        concurrently on another thread emits to one complete list.
+        """
+        sink = InMemorySink()
+        with self._lock:
+            self.sinks = [*self.sinks, sink]
+        try:
+            yield sink
+        finally:
+            with self._lock:
+                self.sinks = [s for s in self.sinks if s is not sink]
 
     @property
     def open_spans(self) -> int:

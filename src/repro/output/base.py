@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.datatypes import format_content
 from ..core.errors import QueryError
-from ..obs.tracer import current_tracer
+from ..obs.tracer import count
 from ..query.vectors import DataVector
 
 __all__ = ["Artifact", "OutputFormat", "register_format", "get_format",
@@ -62,9 +62,7 @@ def format_cell(value: Any, column) -> str:
     try:
         return format_content(value, column.datatype)
     except (TypeError, ValueError, OverflowError):
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter("output.format_errors").inc()
+        count("output.format_errors")
         return str(value)
 
 

@@ -1,11 +1,11 @@
 """Parallel query processing on a simulated cluster (paper Section 4.3,
-Fig. 3) plus per-element query profiling."""
+Fig. 3) and a schedule simulator fed by per-element query profiles
+(:class:`repro.obs.QueryProfile`)."""
 
 from .cluster import ClusterNode, SimulatedCluster, copy_vector
 from .executor import ParallelQueryExecutor, ParallelRunStats
 from .network import (ETHERNET_1G, HIGH_SPEED, INFINITE,
                       InterconnectModel)
-from .profiling import ElementTiming, QueryProfile
 from .scheduler import (LevelScheduler, LocalityScheduler,
                         RoundRobinScheduler, Scheduler)
 from .simulation import (SimulatedSchedule, simulate_schedule,
@@ -14,8 +14,8 @@ from .simulation import (SimulatedSchedule, simulate_schedule,
 __all__ = [
     "ClusterNode", "SimulatedCluster", "copy_vector",
     "ParallelQueryExecutor", "ParallelRunStats", "ETHERNET_1G",
-    "HIGH_SPEED", "INFINITE", "InterconnectModel", "ElementTiming",
-    "QueryProfile", "LevelScheduler", "LocalityScheduler",
+    "HIGH_SPEED", "INFINITE", "InterconnectModel",
+    "LevelScheduler", "LocalityScheduler",
     "RoundRobinScheduler", "Scheduler", "SimulatedSchedule",
     "simulate_schedule", "speedup_curve",
 ]

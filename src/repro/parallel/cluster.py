@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..db.backend import Database
 from ..db.sqlite_backend import SQLiteDatabase
 from ..db.temptables import TempTableManager
-from ..obs.tracer import current_tracer, maybe_span
+from ..obs.tracer import count, maybe_span
 from ..query.vectors import DataVector
 from .network import HIGH_SPEED, InterconnectModel
 
@@ -102,12 +102,10 @@ def copy_vector(vector: DataVector, target: ClusterNode,
             span.attributes.update(
                 rows=len(rows), cols=len(vector.columns),
                 bytes=n_bytes, modelled_seconds=seconds)
-            tracer = current_tracer()
-            metrics = tracer.metrics
-            metrics.counter("transfer.vectors").inc()
-            metrics.counter("transfer.rows").inc(len(rows))
-            metrics.counter("transfer.bytes").inc(n_bytes)
-            metrics.counter("transfer.modelled_seconds").inc(seconds)
+            count("transfer.vectors")
+            count("transfer.rows", len(rows))
+            count("transfer.bytes", n_bytes)
+            count("transfer.modelled_seconds", seconds)
         from ..core.datatypes import sql_type
         table = target.temptables.new_table(
             f"xfer_{vector.producer or 'v'}",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 
 from .. import faults as _faults
@@ -26,15 +25,14 @@ from ..core.access import UserClass
 from ..core.errors import QueryError
 from ..core.experiment import Experiment
 from ..faults import NodeDeathFault
-from ..obs.tracer import current_tracer, use_tracer
-from ..query.cache import (CacheEntry, QueryCache, cache_key,
-                           content_fingerprint)
+from ..obs.profile import QueryProfile, profile_spans
+from ..obs.tracer import count, current_tracer, maybe_span, use_tracer
+from ..query.cache import CachePlan, QueryCache, plan_cached_run
 from ..query.elements import QueryContext
 from ..query.engine import Query, QueryResult, resolve_cache
 from ..query.pushdown import PushdownPlan, run_fused_group
 from ..query.vectors import DataVector
 from .cluster import SimulatedCluster, copy_vector
-from .profiling import QueryProfile
 from .scheduler import LevelScheduler, Scheduler
 
 __all__ = ["ParallelQueryExecutor", "ParallelRunStats"]
@@ -105,15 +103,26 @@ class ParallelQueryExecutor:
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
-        graph = query.graph
         qcache = resolve_cache(cache, experiment)
+        with profile_spans(profile) as spans:
+            # one root span per run: upfront cache hits, scheduled
+            # elements and deferred cache stores all nest below it
+            with maybe_span(query.name, kind="parallel",
+                            nodes=len(self.cluster),
+                            scheduler=self.scheduler.name,
+                            elements=len(query.graph.elements)) as root:
+                result, stats = self._run(query, experiment, qcache,
+                                          pushdown, root)
+        if spans is not None:
+            result.profile = QueryProfile.from_spans(
+                spans.spans, query.name, query=root.span_id)
+        return result, stats
 
-        # -- upfront structural resolution (prune cached subgraphs) ----
-        data_version = 0
-        structural: dict[str, str] = {}
-        probed_misses: set[str] = set()
-        resolved: dict[str, CacheEntry] = {}
-        skipped: set[str] = set()
+    def _run(self, query: Query, experiment: Experiment,
+             qcache: QueryCache | None, pushdown: bool, root_span
+             ) -> tuple[QueryResult, ParallelRunStats]:
+        graph = query.graph
+        plan: CachePlan | None = None
         if qcache is not None:
             # node connections may still hold open read transactions
             # on the attached experiment database from a previous run
@@ -121,31 +130,9 @@ class ParallelQueryExecutor:
             # can create tables on the frontend
             for node in self.cluster.nodes:
                 node.db.commit()
-            data_version = experiment.store.data_version()
-            qcache.prune_stale(data_version)
-            structural = graph.fingerprints(
-                {"experiment": experiment.name,
-                 "data_version": data_version})
-            plan: dict[str, object] = {}
-            for element in reversed(graph.topological_order()):
-                name = element.name
-                if not element.cacheable:
-                    plan[name] = "exec"
-                    continue
-                consumers = graph.consumers(name)
-                needed = (not consumers) or any(
-                    plan[c] == "exec" for c in consumers)
-                entry = qcache.lookup_structural(structural[name],
-                                                 count=needed)
-                if entry is not None:
-                    plan[name] = entry
-                    resolved[name] = entry
-                elif needed:
-                    plan[name] = "exec"
-                    probed_misses.add(structural[name])
-                else:
-                    plan[name] = "skip"
-                    skipped.add(name)
+            plan = plan_cached_run(qcache, graph, experiment)
+        resolved = plan.hits if plan is not None else {}
+        skipped = plan.skipped if plan is not None else frozenset()
 
         # -- pushdown plan: absorbed members never get scheduled -------
         # (unfused, the plan is empty: every element its own group)
@@ -157,7 +144,6 @@ class ParallelQueryExecutor:
         placement = self.scheduler.place(
             graph, len(self.cluster),
             skip=frozenset(resolved) | skipped | absorbed)
-        prof = QueryProfile(query_name=query.name) if profile else None
         stats = ParallelRunStats(n_nodes=len(self.cluster),
                                  scheduler=self.scheduler.name,
                                  placement=placement)
@@ -166,7 +152,7 @@ class ParallelQueryExecutor:
         contexts = {
             node.index: QueryContext(
                 experiment=experiment, db=node.db,
-                temptables=node.temptables, profile=prof)
+                temptables=node.temptables)
             for node in self.cluster.nodes}
         vectors: dict[str, DataVector] = {}
         transfer_base = self.cluster.transfer_seconds
@@ -176,8 +162,8 @@ class ParallelQueryExecutor:
         # vectors (persistent pbc_ tables on the experiment database)
         # are available to every node via the usual input shipping
         for name, entry in resolved.items():
-            vectors[name] = qcache.load(entry)
-            stats.cache_hits += 1
+            vectors[name] = plan.load(graph.elements[name], entry)
+        stats.cache_hits += len(resolved)
 
         remaining = {name: set(element.inputs) - set(resolved) - skipped
                      for name, element in graph.elements.items()
@@ -191,45 +177,25 @@ class ParallelQueryExecutor:
                 i for m in members
                 for i in graph.elements[m].inputs
                 if i not in members}
-        done: set[str] = set()
         running: dict[Future, str] = {}
         errors: list[BaseException] = []
         busy = [0.0]
         queue_wait = [0.0]
-        wait_lock = threading.Lock()
-        #: content hashes of completed producers (guarded by hash_lock)
-        hashes: dict[str, str | None] = {
-            name: entry.result_hash for name, entry in resolved.items()}
-        hash_lock = threading.Lock()
+        #: guards the run's shared tallies and ``pending_puts``
+        lock = threading.Lock()
         #: misses to persist once the run is over — storing means DDL
         #: on the experiment database, which would deadlock against the
         #: read locks concurrently-running workers hold on it
-        pending_puts: list[tuple[str, str, DataVector, str, int, int]] \
-            = []
+        pending_puts: list[tuple] = []
 
         # Worker threads start in a fresh contextvars context, so the
         # tracer active here must be re-activated inside each worker,
         # with the run-root span as explicit parent for proper nesting.
         tracer = current_tracer()
 
-        def dynamic_entry(element) -> "tuple[str | None, CacheEntry | None]":
-            """Result-chained lookup right before execution."""
-            if qcache is None or not element.cacheable:
-                return None, None
-            with hash_lock:
-                input_hashes = [hashes.get(i) for i in element.inputs]
-            key = cache_key(element, input_hashes,
-                            data_version=data_version,
-                            experiment_name=experiment.name)
-            if key is None or key in probed_misses:
-                return key, None
-            return key, qcache.lookup(
-                key, refresh_skey=structural[element.name])
-
-        def run_element(name: str, ready_at: float,
-                        parent_span) -> None:
+        def run_element(name: str, ready_at: float) -> None:
             waited = time.perf_counter() - ready_at
-            with wait_lock:
+            with lock:
                 queue_wait[0] += waited
             element = graph.elements[name]
             node = self.cluster.node(placement[name])
@@ -240,33 +206,21 @@ class ParallelQueryExecutor:
                 _faults.ACTIVE.check("parallel.worker",
                                      node=node.index, element=name)
             ctx = contexts[node.index]
-            with use_tracer(tracer, parent=parent_span):
+            with use_tracer(tracer, parent=root_span):
                 if tracer is not None:
                     tracer.metrics.histogram(
                         "parallel.queue_wait_seconds").observe(waited)
-                key, entry = dynamic_entry(element)
+                key, entry = (plan.probe(element) if plan is not None
+                              else (None, None))
                 if entry is not None:
                     # cache hit discovered mid-run: no shipping, no
                     # execution — the cached vector acts as produced
-                    vector = qcache.load(entry)
-                    if tracer is not None:
-                        with tracer.span(name, kind=element.kind,
-                                         cache="hit") as span:
-                            span.attributes["rows"] = entry.n_rows
-                            span.attributes["cols"] = len(entry.columns)
-                    if prof is not None:
-                        prof.record(name, element.kind, 0.0,
-                                    entry.n_rows, len(entry.columns),
-                                    cached=True)
-                    with hash_lock:
-                        hashes[name] = entry.result_hash
+                    vectors[name] = plan.load(element, entry)
+                    with lock:
                         stats.cache_hits += 1
-                    vectors[name] = vector
                     return
-                node_cm = (tracer.span(
-                    f"node{node.index}", kind="node", element=name)
-                    if tracer is not None else nullcontext())
-                with node_cm:
+                with maybe_span(f"node{node.index}", kind="node",
+                                element=name):
                     if name in pd_plan.groups:
                         # ship the group's external inputs, then run
                         # the whole chain as one statement on this node
@@ -281,7 +235,8 @@ class ParallelQueryExecutor:
                         start = time.perf_counter()
                         vector = run_fused_group(ctx, graph, pd_plan,
                                                  name)
-                        busy[0] += time.perf_counter() - start
+                        with lock:
+                            busy[0] += time.perf_counter() - start
                         if vector is not None:
                             vectors[name] = vector
                         return
@@ -294,19 +249,18 @@ class ParallelQueryExecutor:
                     vector = element.execute(
                         ctx, span_attrs=(
                             {"cache": "miss"}
-                            if qcache is not None and element.cacheable
+                            if plan is not None and element.cacheable
                             else None))
-                    busy[0] += time.perf_counter() - start
-                if qcache is not None and element.cacheable \
+                    with lock:
+                        busy[0] += time.perf_counter() - start
+                if plan is not None and element.cacheable \
                         and vector is not None:
-                    rhash, n_rows, n_bytes = content_fingerprint(vector)
-                    with hash_lock:
-                        hashes[name] = rhash
+                    fingerprint = plan.produced(element, vector)
+                    with lock:
                         stats.cache_misses += 1
                         if key is not None:
                             pending_puts.append(
-                                (name, key, vector, rhash, n_rows,
-                                 n_bytes))
+                                (key, element, vector, fingerprint))
             if vector is not None:
                 vectors[name] = vector
 
@@ -348,30 +302,18 @@ class ParallelQueryExecutor:
             for moved, index in sub.items():
                 placement[moved] = alive[index]
             stats.replaced_elements += len(to_move)
-            if tracer is not None:
-                tracer.metrics.counter("parallel.node_deaths").inc()
-                tracer.metrics.counter(
-                    "parallel.replaced_elements").inc(len(to_move))
+            count("parallel.node_deaths")
+            count("parallel.replaced_elements", len(to_move))
 
         start_wall = time.perf_counter()
-        with ExitStack() as stack:
-            root_span = None
-            if tracer is not None:
-                root_span = stack.enter_context(tracer.span(
-                    query.name, kind="parallel",
-                    nodes=len(self.cluster),
-                    scheduler=self.scheduler.name,
-                    elements=len(graph.elements)))
-            pool = stack.enter_context(ThreadPoolExecutor(
-                max_workers=len(self.cluster)))
+        with ThreadPoolExecutor(max_workers=len(self.cluster)) as pool:
 
             def submit_ready() -> None:
                 now = time.perf_counter()
                 for name in list(remaining):
                     if not remaining[name]:
                         del remaining[name]
-                        future = pool.submit(run_element, name, now,
-                                             root_span)
+                        future = pool.submit(run_element, name, now)
                         running[future] = name
 
             submit_ready()
@@ -387,40 +329,32 @@ class ParallelQueryExecutor:
                         errors.append(exc)
                         remaining.clear()
                         continue
-                    done.add(name)
                     for other in remaining.values():
                         other.discard(name)
                 submit_ready()
-        if qcache is not None and pending_puts:
+        if pending_puts:
             # release the read locks held by the workers' element SQL
             # before storing (DDL on the experiment database)
             for node in self.cluster.nodes:
                 node.db.commit()
-            for name, key, vector, rhash, n_rows, n_bytes in \
-                    pending_puts:
-                qcache.put(key, structural[name], graph.elements[name],
-                           vector, result_hash=rhash, n_rows=n_rows,
-                           n_bytes=n_bytes, data_version=data_version,
-                           query_name=query.name)
+            for key, element, vector, fingerprint in pending_puts:
+                plan.put(key, element, vector, fingerprint, query.name)
         stats.wall_seconds = time.perf_counter() - start_wall
         stats.busy_seconds = busy[0]
         stats.queue_wait_seconds = queue_wait[0]
         stats.transfer_seconds = (self.cluster.transfer_seconds
                                   - transfer_base)
         stats.transfers = self.cluster.transfers - transfers_base
-        if tracer is not None:
-            metrics = tracer.metrics
-            metrics.counter("parallel.queries").inc()
-            metrics.counter("parallel.busy_seconds").inc(busy[0])
-            metrics.counter("parallel.transfer_seconds").inc(
-                stats.transfer_seconds)
+        count("parallel.queries")
+        count("parallel.busy_seconds", busy[0])
+        count("parallel.transfer_seconds", stats.transfer_seconds)
 
         if errors:
             raise QueryError(
                 f"parallel query {query.name!r} failed: {errors[0]}"
             ) from errors[0]
 
-        result = QueryResult(profile=prof)
+        result = QueryResult()
         for output in graph.outputs:
             result.artifacts.extend(output.artifacts)
         result.vectors = vectors

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from ..core.errors import QueryError
+from ..obs.profile import QueryProfile
 from ..query.graph import QueryGraph
 from .network import HIGH_SPEED, InterconnectModel
-from .profiling import QueryProfile
 from .scheduler import LevelScheduler, Scheduler
 
 __all__ = ["SimulatedSchedule", "simulate_schedule", "speedup_curve"]

@@ -29,7 +29,7 @@ from ..core.errors import DuplicateImportError, InputError
 from ..core.experiment import Experiment
 from ..core.run import RunData
 from ..db.checksums import content_checksum
-from ..obs.tracer import current_tracer, maybe_span
+from ..obs.tracer import count, maybe_span
 from .description import InputDescription
 
 __all__ = ["MissingPolicy", "ImportReport", "Importer"]
@@ -107,7 +107,6 @@ class Importer:
             _faults.ACTIVE.check("import.store",
                                  datasets=len(run.datasets))
         use_defaults = self.missing is not MissingPolicy.EMPTY
-        tracer = current_tracer()
         try:
             missing = run.validate(
                 self.experiment.variables,
@@ -117,9 +116,7 @@ class Importer:
         except InputError:
             if self.missing is MissingPolicy.DISCARD:
                 report.discarded += 1
-                if tracer is not None:
-                    tracer.metrics.counter(
-                        "import.runs_discarded").inc()
+                count("import.runs_discarded")
                 return
             raise
         with maybe_span("store_run", kind="import.run",
@@ -132,13 +129,10 @@ class Importer:
         report.run_indices.append(index)
         if missing:
             report.missing[index] = missing
-        if tracer is not None:
-            tracer.metrics.counter("import.runs_stored").inc()
-            tracer.metrics.counter("import.datasets_stored").inc(
-                len(run.datasets))
-            if missing:
-                tracer.metrics.counter(
-                    "import.runs_missing_content").inc()
+        count("import.runs_stored")
+        count("import.datasets_stored", len(run.datasets))
+        if missing:
+            count("import.runs_missing_content")
 
     def _read(self, path: str) -> str:
         if _faults.ACTIVE is not None:
@@ -162,18 +156,14 @@ class Importer:
         """Import one input text (cases a/b, programmatic form)."""
         desc = self._description(description)
         report = ImportReport()
-        tracer = current_tracer()
         with maybe_span(filename, kind="import.file",
                         bytes=len(text)) as span:
-            if tracer is not None:
-                tracer.metrics.counter("import.files").inc()
+            count("import.files")
             try:
                 checksum = self._check_duplicate(text, filename)
             except DuplicateImportError:
                 report.duplicates.append(filename)
-                if tracer is not None:
-                    tracer.metrics.counter(
-                        "import.duplicates_skipped").inc()
+                count("import.duplicates_skipped")
                 if span is not None:
                     span.attributes["duplicate"] = True
                 return report
@@ -185,9 +175,7 @@ class Importer:
                 if self.missing is MissingPolicy.DISCARD:
                     report.discarded += 1
                     report.failed[filename] = "no runs found"
-                    if tracer is not None:
-                        tracer.metrics.counter(
-                            "import.files_discarded").inc()
+                    count("import.files_discarded")
                     if span is not None:
                         span.attributes["discarded"] = True
                     return report
@@ -230,7 +218,6 @@ class Importer:
         """
         paths = list(paths)
         report = ImportReport()
-        tracer = current_tracer()
         with maybe_span("import_files", kind="import.batch",
                         files=len(paths)) as span:
             with self.experiment.store.batch():
@@ -242,9 +229,7 @@ class Importer:
                             raise
                         report.discarded += 1
                         report.failed[str(path)] = str(exc)
-                        if tracer is not None:
-                            tracer.metrics.counter(
-                                "import.files_discarded").inc()
+                        count("import.files_discarded")
             if span is not None:
                 span.attributes["runs"] = report.n_imported
         return report
@@ -281,11 +266,7 @@ class Importer:
             except DuplicateImportError:
                 report.duplicates.append(filename)
         if report.duplicates:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.counter(
-                    "import.duplicates_skipped").inc(
-                        len(report.duplicates))
+            count("import.duplicates_skipped", len(report.duplicates))
             return report
         merged: RunData | None = None
         for (filename, desc, text), checksum in zip(loaded, checksums):

@@ -54,15 +54,18 @@ from ..core.datatypes import DataType, sql_type
 from ..db.backend import quote_identifier
 from ..db.retry import RetryPolicy
 from ..db.schema import ExperimentStore, _unit_from_json, _unit_to_json
-from ..obs.tracer import current_tracer
+from ..obs.tracer import count, maybe_span
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.experiment import Experiment
     from .elements import QueryElement
+    from .graph import QueryGraph
 
-__all__ = ["QueryCache", "CacheEntry", "CACHE_TABLE", "CACHE_PREFIX",
-           "DEFAULT_BUDGET_BYTES", "cache_key", "content_fingerprint",
-           "columns_to_json", "columns_from_json"]
+__all__ = ["QueryCache", "CacheEntry", "CachePlan", "CACHE_TABLE",
+           "CACHE_PREFIX", "DEFAULT_BUDGET_BYTES", "cache_key",
+           "content_fingerprint", "columns_to_json", "columns_from_json",
+           "plan_cached_run"]
 
 CACHE_TABLE = "pb_query_cache"
 CACHE_PREFIX = "pbc_"
@@ -239,9 +242,7 @@ class QueryCache:
 
     def _count(self, what: str, metric: str) -> None:
         self.session[what] += 1
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter(metric).inc()
+        count(metric)
 
     def _next_tick(self) -> int:
         row = self.db.fetchone(
@@ -503,3 +504,119 @@ class QueryCache:
                 "data_version": self.data_version(),
                 "session": dict(self.session),
             }
+
+
+# -- one cached run ----------------------------------------------------------
+
+@dataclass
+class CachePlan:
+    """How one query run uses the cache — shared by the serial engine
+    and the parallel executor.
+
+    Built by :func:`plan_cached_run`: ``hits`` are the structural hits
+    (installed instead of running), ``skipped`` the exclusive ancestors
+    of cached subgraphs (never run), and everything else runs unless
+    :meth:`probe` finds a result-chained hit right before it would.
+    ``hashes`` holds the content hash of every completed producer; an
+    element only runs after its producers completed, so workers of a
+    parallel run never read a hash that is still being written.
+    """
+
+    qcache: QueryCache
+    experiment_name: str
+    data_version: int
+    structural: dict[str, str]
+    hits: dict[str, CacheEntry]
+    skipped: frozenset[str]
+    #: structural keys already probed and missed (not probed again)
+    probed_misses: frozenset[str]
+    hashes: dict[str, str]
+
+    def probe(self, element: "QueryElement"
+              ) -> tuple[str | None, CacheEntry | None]:
+        """``(result-chained key, entry)`` of an element about to run;
+        the entry is ``None`` on a miss, the key ``None`` when the
+        result cannot be cached (uncacheable element or an input
+        without content hash)."""
+        name = element.name
+        if name in self.hits:
+            return None, self.hits[name]
+        key = cache_key(element, [self.hashes.get(i)
+                                  for i in element.inputs],
+                        data_version=self.data_version,
+                        experiment_name=self.experiment_name)
+        if key is None or key in self.probed_misses:
+            return key, None
+        return key, self.qcache.lookup(
+            key, refresh_skey=self.structural[name])
+
+    def load(self, element: "QueryElement",
+             entry: CacheEntry) -> DataVector:
+        """Serve ``element`` from the cache.  Its span
+        (``cache="hit"``) encloses the load, like an executed
+        element's span encloses its run."""
+        with maybe_span(element.name, kind=element.kind, cache="hit",
+                        rows=entry.n_rows, cols=len(entry.columns)):
+            vector = self.qcache.load(entry)
+        self.hashes[element.name] = entry.result_hash
+        return vector
+
+    def produced(self, element: "QueryElement", vector: DataVector
+                 ) -> tuple[str, int, int]:
+        """Note a cacheable element's fresh output; returns its
+        :func:`content_fingerprint` for :meth:`put`."""
+        fingerprint = content_fingerprint(vector)
+        self.hashes[element.name] = fingerprint[0]
+        return fingerprint
+
+    def put(self, key: str | None, element: "QueryElement",
+            vector: DataVector, fingerprint: tuple[str, int, int],
+            query_name: str) -> None:
+        """Store a miss under both of its keys."""
+        if key is None:
+            return
+        result_hash, n_rows, n_bytes = fingerprint
+        self.qcache.put(key, self.structural[element.name], element,
+                        vector, result_hash=result_hash, n_rows=n_rows,
+                        n_bytes=n_bytes, data_version=self.data_version,
+                        query_name=query_name)
+
+
+def plan_cached_run(qcache: QueryCache, graph: "QueryGraph",
+                    experiment: "Experiment") -> CachePlan:
+    """Resolve structural fingerprints in reverse topological order.
+
+    Stale source entries are pruned first.  An element is *needed*
+    when it is a sink or some consumer runs; a needed element that
+    hits is installed from the cache, one that misses runs, and an
+    unneeded one without an entry is skipped — a structural hit thus
+    prunes the element together with its exclusive ancestors.  Only
+    needed probes count as hits or misses.
+    """
+    data_version = experiment.store.data_version()
+    qcache.prune_stale(data_version)
+    structural = graph.fingerprints({"experiment": experiment.name,
+                                     "data_version": data_version})
+    runs: set[str] = set()
+    hits: dict[str, CacheEntry] = {}
+    skipped: set[str] = set()
+    misses: set[str] = set()
+    for element in reversed(graph.topological_order()):
+        name = element.name
+        if not element.cacheable:
+            runs.add(name)
+            continue
+        consumers = graph.consumers(name)
+        needed = not consumers or not runs.isdisjoint(consumers)
+        entry = qcache.lookup_structural(structural[name], count=needed)
+        if entry is not None:
+            hits[name] = entry
+        elif needed:
+            runs.add(name)
+            misses.add(structural[name])
+        else:
+            skipped.add(name)
+    return CachePlan(qcache, experiment.name, data_version, structural,
+                     hits, frozenset(skipped), frozenset(misses),
+                     {name: entry.result_hash
+                      for name, entry in hits.items()})

@@ -12,7 +12,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -20,8 +19,7 @@ from ..core.errors import QueryError
 from ..core.experiment import Experiment
 from ..db.backend import Database
 from ..db.temptables import TempTableManager
-from ..obs.profile import QueryProfile
-from ..obs.tracer import current_tracer
+from ..obs.tracer import maybe_span
 from .pushdown import (FusionError, SelectFragment, materialise,
                        vector_fragment)
 from .vectors import DataVector
@@ -44,8 +42,6 @@ class QueryContext:
     temptables: TempTableManager
     #: output vectors of already-executed elements, by element name
     vectors: dict[str, DataVector] = field(default_factory=dict)
-    #: optional per-element timing collector
-    profile: QueryProfile | None = None
 
     def vector_of(self, element_name: str) -> DataVector:
         try:
@@ -149,39 +145,21 @@ class QueryElement(abc.ABC):
     def execute(self, ctx: QueryContext, *,
                 span_attrs: Mapping[str, Any] | None = None
                 ) -> DataVector | None:
-        """Run with timing; stores the vector in the context.
+        """Run and store the vector in the context.
 
         When a tracer is active, the execution is recorded as a span of
-        this element's kind carrying row/column counters — the unit the
-        Section 4.3 source-fraction analysis is computed from.
-        ``span_attrs`` adds extra span attributes (the incremental
-        engine marks executed elements with ``cache="miss"``).
+        this element's kind carrying row/column counters — the one
+        record of the run, and the unit the Section 4.3
+        source-fraction profile is computed from.  ``span_attrs`` adds
+        extra span attributes (the incremental engine marks executed
+        elements with ``cache="miss"``).
         """
-        tracer = current_tracer()
-        if tracer is not None:
-            with tracer.span(self.name, kind=self.kind,
-                             **dict(span_attrs or {})) as span:
-                vector = self.run(ctx)
-                if vector is not None or ctx.profile is not None:
-                    span.attributes["rows"] = (
-                        vector.n_rows if vector is not None else 0)
-                    span.attributes["cols"] = (
-                        len(vector.columns) if vector is not None
-                        else 0)
-            elapsed = span.wall_seconds
-            rows = int(span.attributes.get("rows", 0) or 0)
-            cols = int(span.attributes.get("cols", 0) or 0)
-        else:
-            start = time.perf_counter()
+        with maybe_span(self.name, kind=self.kind,
+                        **(span_attrs or {})) as span:
             vector = self.run(ctx)
-            elapsed = time.perf_counter() - start
-            rows = cols = 0
-            if ctx.profile is not None:
-                rows = vector.n_rows if vector is not None else 0
-                cols = len(vector.columns) if vector is not None else 0
-        if ctx.profile is not None:
-            ctx.profile.record(self.name, self.kind, elapsed, rows,
-                               cols)
+            if span is not None and vector is not None:
+                span.attributes.update(rows=vector.n_rows,
+                                       cols=len(vector.columns))
         if vector is not None:
             ctx.vectors[self.name] = vector
         return vector

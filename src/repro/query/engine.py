@@ -16,17 +16,16 @@ fingerprint and invalidation scheme.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core.access import UserClass
 from ..core.experiment import Experiment
 from ..db.temptables import TempTableManager
-from ..obs.profile import QueryProfile
-from ..obs.tracer import current_tracer, maybe_span
+from ..obs.profile import QueryProfile, profile_spans
+from ..obs.tracer import maybe_span
 from ..output.base import Artifact
-from .cache import CacheEntry, QueryCache, cache_key, content_fingerprint
+from .cache import QueryCache, plan_cached_run
 from .elements import QueryContext, QueryElement
 from .graph import QueryGraph
 from .pushdown import (PushdownPlan, cache_boundaries, plan_pushdown,
@@ -44,7 +43,8 @@ class QueryResult:
     artifacts: list[Artifact] = field(default_factory=list)
     #: final vectors by element name (outputs excluded — they render)
     vectors: dict[str, DataVector] = field(default_factory=dict)
-    #: per-element timing, if profiling was requested
+    #: per-element timing, if profiling was requested (a view over
+    #: the run's element spans)
     profile: QueryProfile | None = None
 
     def artifact(self, name: str) -> Artifact:
@@ -119,14 +119,14 @@ class Query:
         qcache = resolve_cache(cache, experiment)
         db = experiment.store.db
         temptables = TempTableManager(db, prefix=f"pbq_{_safe(self.name)}")
-        prof = QueryProfile(query_name=self.name) if profile else None
         ctx = QueryContext(experiment=experiment, db=db,
-                           temptables=temptables, profile=prof)
-        result = QueryResult(profile=prof)
-        with db.read_transaction():
+                           temptables=temptables)
+        result = QueryResult()
+        with profile_spans(profile) as spans, db.read_transaction():
             try:
                 with maybe_span(self.name, kind="query", mode="serial",
-                                elements=len(self.graph.elements)):
+                                elements=len(self.graph.elements)
+                                ) as root:
                     if qcache is None:
                         # unfused, every element is its own group of one
                         self._execute_plan(ctx, self.pushdown_plan()
@@ -142,6 +142,9 @@ class Query:
             finally:
                 if not keep_temp_tables:
                     temptables.drop_all()
+        if spans is not None:
+            result.profile = QueryProfile.from_spans(
+                spans.spans, self.name, query=root.span_id)
         return result
 
     # -- SQL pushdown --------------------------------------------------------
@@ -172,96 +175,27 @@ class Query:
                         experiment: Experiment) -> None:
         """Topological execution with content-addressed pruning.
 
-        Phase 1 resolves *structural* fingerprints in reverse
-        topological order: a hit installs the cached vector and lets
-        the element's exclusive ancestors be skipped entirely.  Phase 2
-        executes the cold remainder forward, trying *result-chained*
-        keys first (so after an import, elements whose inputs turn out
-        content-identical still hit) and storing every miss.
+        :func:`~repro.query.cache.plan_cached_run` resolves structural
+        fingerprints first (a hit lets the element's exclusive
+        ancestors be skipped entirely); the cold remainder then runs
+        forward, trying result-chained keys first (so after an import,
+        elements whose inputs turn out content-identical still hit)
+        and storing every miss.
         """
-        graph = self.graph
-        data_version = experiment.store.data_version()
-        qcache.prune_stale(data_version)
-        structural = graph.fingerprints(
-            {"experiment": experiment.name,
-             "data_version": data_version})
-        topo = graph.topological_order()
-
-        plan: dict[str, object] = {}
-        probed_misses: set[str] = set()
-        for element in reversed(topo):
-            name = element.name
-            if not element.cacheable:
-                plan[name] = "exec"
+        plan = plan_cached_run(qcache, self.graph, experiment)
+        for element in self.graph.topological_order():
+            if element.name in plan.skipped:
                 continue
-            consumers = graph.consumers(name)
-            needed = (not consumers) or any(
-                plan[c] == "exec" for c in consumers)
-            entry = qcache.lookup_structural(structural[name],
-                                             count=needed)
+            key, entry = plan.probe(element)
             if entry is not None:
-                plan[name] = entry
-            elif needed:
-                plan[name] = "exec"
-                probed_misses.add(structural[name])
-            else:
-                # unneeded and uncached: an exclusive ancestor of a
-                # cached subgraph — skipped without execution
-                plan[name] = "skip"
-
-        hashes: dict[str, str | None] = {}
-        for element in topo:
-            name = element.name
-            planned = plan[name]
-            if planned == "skip":
-                hashes[name] = None
+                ctx.vectors[element.name] = plan.load(element, entry)
                 continue
-            if isinstance(planned, CacheEntry):
-                self._install_hit(ctx, element, planned, qcache)
-                hashes[name] = planned.result_hash
-                continue
-            key = cache_key(element,
-                            [hashes.get(i) for i in element.inputs],
-                            data_version=data_version,
-                            experiment_name=experiment.name)
-            if key is not None and key not in probed_misses:
-                entry = qcache.lookup(key,
-                                      refresh_skey=structural[name])
-                if entry is not None:
-                    self._install_hit(ctx, element, entry, qcache)
-                    hashes[name] = entry.result_hash
-                    continue
             vector = element.execute(
                 ctx, span_attrs=({"cache": "miss"}
                                  if element.cacheable else None))
-            if vector is None or not element.cacheable:
-                continue
-            rhash, n_rows, n_bytes = content_fingerprint(vector)
-            hashes[name] = rhash
-            if key is not None:
-                qcache.put(key, structural[name], element, vector,
-                           result_hash=rhash, n_rows=n_rows,
-                           n_bytes=n_bytes,
-                           data_version=data_version,
-                           query_name=self.name)
-
-    @staticmethod
-    def _install_hit(ctx: QueryContext, element: QueryElement,
-                     entry: CacheEntry, qcache: QueryCache) -> None:
-        start = time.perf_counter()
-        vector = qcache.load(entry)
-        ctx.vectors[element.name] = vector
-        elapsed = time.perf_counter() - start
-        tracer = current_tracer()
-        if tracer is not None:
-            with tracer.span(element.name, kind=element.kind,
-                             cache="hit") as span:
-                span.attributes["rows"] = entry.n_rows
-                span.attributes["cols"] = len(entry.columns)
-        if ctx.profile is not None:
-            ctx.profile.record(element.name, element.kind, elapsed,
-                               entry.n_rows, len(entry.columns),
-                               cached=True)
+            if vector is not None and element.cacheable:
+                plan.put(key, element, vector,
+                         plan.produced(element, vector), self.name)
 
 
 def _safe(name: str) -> str:

@@ -51,8 +51,9 @@ from ..core.units import DIMENSIONLESS, Unit
 from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
 from ..expr import Expression
+from ..obs.tracer import count
 from .elements import QueryContext, QueryElement
-from .pushdown import (FusionError, SelectFragment, _count, fuse_join,
+from .pushdown import (FusionError, SelectFragment, fuse_join,
                        materialise, vector_fragment)
 from .vectors import ColumnInfo, DataVector
 
@@ -541,7 +542,7 @@ class Operator(QueryElement):
             # than re-running an aggregation/join fragment each time,
             # pin it to a seam table once and normalise over the scan
             frag = vector_fragment(materialise(ctx, frag, self))
-            _count("pushdown.seams")
+            count("pushdown.seams")
         if self.mode == "sum" and not frag.scan_ordered:
             raise FusionError(
                 f"operator {self.name!r}: sum-normalisation over a "

@@ -43,15 +43,14 @@ Observability: ``pushdown.groups`` / ``pushdown.fused_elements`` /
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.datatypes import sql_type
 from ..core.errors import QueryError
 from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
-from ..obs.tracer import current_tracer
+from ..obs.tracer import count, maybe_span
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -338,15 +337,8 @@ def build_fragment(ctx: "QueryContext", graph: "QueryGraph",
     return element.fuse(ctx, frags)
 
 
-def _count(metric: str, amount: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(metric).inc(amount)
-
-
 def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
-                    plan: PushdownPlan, tail_name: str, *,
-                    span_attrs: Mapping[str, object] | None = None
+                    plan: PushdownPlan, tail_name: str
                     ) -> DataVector | None:
     """Execute one fused group: build the tail fragment, materialise
     it in a single statement, and account it to the tail element.
@@ -360,31 +352,20 @@ def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
         frag = build_fragment(ctx, graph, tail_name,
                               frozenset(members))
     except FusionError:
-        _count("pushdown.fallbacks")
+        count("pushdown.fallbacks")
         vector = None
         for name in members:
-            vector = graph.elements[name].execute(
-                ctx, span_attrs=span_attrs)
+            vector = graph.elements[name].execute(ctx)
         return vector
 
-    _count("pushdown.groups")
-    _count("pushdown.fused_elements", len(members))
-    _count("pushdown.statements_saved", len(members) - 1)
-    attrs = dict(span_attrs or {})
-    attrs["fused"] = ",".join(members)
-    tracer = current_tracer()
-    start = time.perf_counter()
-    if tracer is not None:
-        with tracer.span(tail.name, kind=tail.kind, **attrs) as span:
-            vector = materialise(ctx, frag, tail)
-            span.attributes["rows"] = vector.n_rows
-            span.attributes["cols"] = len(vector.columns)
-        elapsed = span.wall_seconds
-    else:
+    count("pushdown.groups")
+    count("pushdown.fused_elements", len(members))
+    count("pushdown.statements_saved", len(members) - 1)
+    with maybe_span(tail.name, kind=tail.kind,
+                    fused=",".join(members)) as span:
         vector = materialise(ctx, frag, tail)
-        elapsed = time.perf_counter() - start
-    if ctx.profile is not None:
-        ctx.profile.record(tail.name, tail.kind, elapsed,
-                           vector.n_rows, len(vector.columns))
+        if span is not None:
+            span.attributes.update(rows=vector.n_rows,
+                                   cols=len(vector.columns))
     ctx.vectors[tail.name] = vector
     return vector

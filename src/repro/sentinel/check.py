@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..core.errors import PerfbaseError
 from ..db.backend import DatabaseServer
-from ..obs.tracer import current_tracer
+from ..obs.tracer import count
 from .compare import CheckOptions, CheckReport, compare_samples
 from .store import BaselineInfo, BaselineStore
 from .workloads import DEFAULT_WORKLOAD, get_workload, run_samples
@@ -33,12 +33,6 @@ __all__ = ["CheckOutcome", "EXIT_REGRESSION", "capture_baseline",
 #: exit status of `perfbase check` when a regression is found (same
 #: convention as `perfbase trace-diff --fail-on-regression`)
 EXIT_REGRESSION = 3
-
-
-def _count(name: str, amount: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.counter(name).inc(amount)
 
 
 @dataclass
@@ -73,8 +67,8 @@ def capture_baseline(server: DatabaseServer, name: str, *,
             paths = run_samples(wl, server, samples, directory,
                                 label="base")
             info = store.add(name, wl.name, paths, force=force)
-        _count("sentinel.baselines.captured")
-        _count("sentinel.samples.recorded", samples)
+        count("sentinel.baselines.captured")
+        count("sentinel.samples.recorded", samples)
         return info
     finally:
         store.close()
@@ -105,7 +99,7 @@ def run_check(server: DatabaseServer, *, against: str | None = None,
                     paths = run_samples(wl, server, samples,
                                         directory, label="check")
                     store.import_check(wl.name, paths)
-                    _count("sentinel.samples.recorded", samples)
+                    count("sentinel.samples.recorded", samples)
                     fresh_by_workload[info.workload] = \
                         store.element_samples("@check",
                                               workload=wl.name)
@@ -114,8 +108,8 @@ def run_check(server: DatabaseServer, *, against: str | None = None,
                     info.name, info.workload, base,
                     fresh_by_workload[info.workload], options)
                 reports.append(report)
-                _count("sentinel.checks.run")
-                _count("sentinel.regressions.found",
+                count("sentinel.checks.run")
+                count("sentinel.regressions.found",
                        len(report.regressions()))
         exit_code = (EXIT_REGRESSION
                      if any(r.has_regressions for r in reports) else 0)

@@ -60,7 +60,7 @@ from ..core.variables import Variable
 from ..db import server_for_backend
 from ..db.backend import DatabaseServer
 from ..db.retry import DEFAULT_POLICY, RetryPolicy
-from ..obs.tracer import current_tracer, maybe_span
+from ..obs.tracer import count, current_tracer, maybe_span
 
 __all__ = ["ServiceConfig", "ExperimentService", "Session"]
 
@@ -226,9 +226,7 @@ class ExperimentService:
     def _count(self, name: str, n: float = 1) -> None:
         with self._stats_lock:
             self._counts[name] = self._counts.get(name, 0) + n
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.counter(name).inc(n)
+        count(name, n)
 
     def _gauge_add(self, name: str, delta: float) -> float:
         with self._stats_lock:

@@ -88,3 +88,74 @@ class TestEmptyTraces:
         profile = QueryProfile.from_spans(spans)
         assert profile.timings == []
         assert profile.source_fraction() == 0.0
+
+
+def small_query(name="profiled"):
+    from repro.query import Operator, Output, ParameterSpec, Query, Source
+    return Query([
+        Source("s", parameters=[ParameterSpec("S_chunk"),
+                                ParameterSpec("access")],
+               results=["bw"]),
+        Operator("m", "avg", ["s"]),
+        Output("table", ["m"], format="ascii"),
+    ], name=name)
+
+
+class TestProfileFromRunSpans:
+    """``profile=True`` builds ``QueryResult.profile`` from the run's
+    own element spans, whatever tracer is (or is not) active."""
+
+    def test_tracer_with_only_a_json_sink(self, filled_experiment):
+        import io
+
+        from repro.obs import JsonLinesSink, Tracer, use_tracer
+        stream = io.StringIO()
+        sink = JsonLinesSink(stream)
+        tracer = Tracer(sink)
+        with use_tracer(tracer):
+            result = small_query().execute(filled_experiment,
+                                           profile=True)
+        assert [t.name for t in result.profile.timings] == \
+            ["s", "m", "table"]
+        assert tracer.sinks == [sink]  # the private sink is detached
+        tracer.close()
+        assert stream.getvalue().count('"kind": "source"') == 1
+
+    def test_runs_on_a_shared_tracer_stay_apart(self, filled_experiment):
+        from repro.obs import Tracer, use_tracer
+        tracer = Tracer()
+        with use_tracer(tracer):
+            first = small_query().execute(filled_experiment,
+                                          profile=True)
+            second = small_query().execute(filled_experiment,
+                                           profile=True)
+        assert len(tracer.element_spans()) == 6
+        roots = sorted(s.span_id for s in tracer.spans
+                       if s.kind == "query")
+        for result, root in zip((first, second), roots):
+            assert result.profile.timings == QueryProfile.from_spans(
+                tracer.spans, query=root).timings
+            assert len(result.profile.timings) == 3
+
+
+def test_collecting_sink_swap_never_skips_a_sink():
+    """A collector detached while a span is being emitted (as another
+    thread's run ends) must not make the emission skip the sinks after
+    it."""
+    from repro.obs import InMemorySink, Tracer
+    base = InMemorySink()
+    tracer = Tracer(base)
+    early = tracer.collecting()
+    early_sink = early.__enter__()
+    emit = early_sink.emit
+
+    def emit_then_detach(span):
+        emit(span)
+        early.__exit__(None, None, None)
+
+    early_sink.emit = emit_then_detach
+    with tracer.collecting() as late:
+        with tracer.span("x", kind="op"):
+            pass
+    assert len(base) == len(early_sink) == len(late) == 1
+    assert tracer.sinks == [base]

@@ -4,11 +4,12 @@
 import pytest
 
 from repro.core import QueryError
+from repro.obs import QueryProfile
 from repro.parallel import (ETHERNET_1G, HIGH_SPEED, INFINITE,
                             InterconnectModel, LevelScheduler,
                             LocalityScheduler, ParallelQueryExecutor,
-                            QueryProfile, RoundRobinScheduler,
-                            SimulatedCluster, copy_vector)
+                            RoundRobinScheduler, SimulatedCluster,
+                            copy_vector)
 from repro.query import (Combiner, Operator, Output, ParameterSpec,
                          Query, QueryGraph, Source)
 

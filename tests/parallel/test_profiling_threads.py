@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.parallel import QueryProfile
+from repro.obs import QueryProfile
 
 pytestmark = pytest.mark.obs
 

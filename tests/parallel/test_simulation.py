@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import QueryError
+from repro.obs import QueryProfile
 from repro.parallel import (HIGH_SPEED, INFINITE, LevelScheduler,
-                            QueryProfile, simulate_schedule,
-                            speedup_curve)
+                            simulate_schedule, speedup_curve)
 from repro.parallel.network import InterconnectModel
 from repro.query import (Operator, Output, ParameterSpec, QueryGraph,
                          Source)

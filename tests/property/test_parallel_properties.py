@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import QueryProfile
 from repro.parallel import (INFINITE, LevelScheduler, LocalityScheduler,
-                            QueryProfile, RoundRobinScheduler,
-                            simulate_schedule)
+                            RoundRobinScheduler, simulate_schedule)
 from repro.query import (Operator, Output, ParameterSpec, QueryGraph,
                          Source)
 

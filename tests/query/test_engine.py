@@ -75,7 +75,10 @@ class TestExecution:
         db.rollback()
 
     def test_profile_collected(self, filled_experiment):
+        from repro.obs import current_tracer
         result = fig_query().execute(filled_experiment, profile=True)
+        # the run's private tracer is not left active
+        assert current_tracer() is None
         prof = result.profile
         kinds = {t.kind for t in prof.timings}
         assert kinds == {"source", "operator", "output"}
@@ -91,13 +94,6 @@ class TestExecution:
         assert isinstance(with_profile.profile, QueryProfile)
         without = fig_query().execute(filled_experiment)
         assert without.profile is None
-
-    def test_profile_import_path_compat(self):
-        # the historical import location still resolves to the class
-        from repro.obs import QueryProfile as obs_profile
-        from repro.parallel.profiling import \
-            QueryProfile as legacy_profile
-        assert legacy_profile is obs_profile
 
     def test_write_all(self, filled_experiment, tmp_path):
         result = fig_query().execute(filled_experiment)
