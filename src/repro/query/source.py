@@ -260,21 +260,25 @@ class Source(QueryElement):
         order is projected as ``pb_ord__0``/``pb_ord__1``.  Returns
         ``(sql, params)`` pairs in run order — the per-run statements
         of :meth:`run` and the compound operands of :meth:`fuse`.
+
+        One catalogue statement checks every matching run's table: a
+        run is skipped when its data table is missing (e.g. dropped
+        behind perfbase's back) or lacks a requested column (the run
+        predates these variables).
         """
         where_sql, dparams = self._dataset_where(variables, layout)
         needed = ([s.name for s in layout.shown_multi]
                   + [v.name for v in layout.multi_results])
         n_shown = len(layout.shown_once)
+        runs = self._matching_runs(store, variables, layout)
+        tables = [store.run_table(int(r[0])) for r in runs]
+        usable = store.db.tables_with_columns(tables, needed)
         operands: list[tuple[str, list[Any]]] = []
-        for position, run_row in enumerate(
-                self._matching_runs(store, variables, layout)):
-            run_index = int(run_row[0])
-            data_table = store.run_table(run_index)
-            if not store.db.table_exists(data_table):
+        for position, (run_row, data_table) in enumerate(
+                zip(runs, tables)):
+            if data_table not in usable:
                 continue
-            available = set(store.db.table_columns(data_table))
-            if any(n not in available for n in needed):
-                continue  # run predates these variables
+            run_index = int(run_row[0])
             sel = []
             params: list[Any] = []
             if self.include_run_index:
@@ -323,7 +327,8 @@ class Source(QueryElement):
         """The Section 4.3 protocol: "source elements do only perform
         simple read access on the shared database tables, and write
         data into independent temporary tables" — one INSERT..SELECT
-        per matching run, entirely inside the SQL engine.  On a node
+        per matching run, entirely inside the SQL engine, after one
+        catalogue statement that checks all the runs' tables.  On a node
         whose database cannot attach the experiment database, the same
         per-run selects run on the experiment database and the rows
         travel through Python instead.
@@ -370,10 +375,11 @@ class Source(QueryElement):
         far the largest statement count of any element, and pure
         per-statement overhead on warm data.  Fused, a source with
         per-data-set values becomes one UNION ALL of the same per-run
-        selects, and a run-level-only source a single select over the
-        once table.  Hidden ordinals pin the (run, data set) order, so
-        a chain tail materialises rows in exactly the rowid order the
-        source temp table would have had.  More than
+        selects (built after the same single catalogue statement), and
+        a run-level-only source a single select over the once table,
+        with no catalogue check.  Hidden ordinals pin the (run, data
+        set) order, so a chain tail materialises rows in exactly the
+        rowid order the source temp table would have had.  More than
         :data:`MAX_COMPOUND_OPERANDS` runs exceed SQLite's compound
         SELECT limit, so such a source falls back to :meth:`run` (on
         every backend, keeping them observably alike).

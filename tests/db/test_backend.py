@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.errors import DatabaseError
-from repro.db import SQLiteDatabase, quote_identifier
+from repro.db import MemoryDatabase, SQLiteDatabase, quote_identifier
+from repro.obs import InMemorySink, Tracer, use_tracer
 
 
 class TestQuoteIdentifier:
@@ -72,3 +73,32 @@ class TestConvenienceHelpers:
         db = SQLiteDatabase()
         with pytest.raises(DatabaseError):
             db.execute("SELCT broken")
+
+
+@pytest.mark.parametrize("factory", [SQLiteDatabase, MemoryDatabase],
+                         ids=["sqlite", "memory"])
+class TestTablesWithColumns:
+    def _db(self, factory):
+        db = factory()
+        db.create_table("full", [("a", "INTEGER"), ("b", "TEXT")])
+        db.create_table("narrow", [("a", "INTEGER")])
+        return db
+
+    def test_skips_missing_tables_and_columns(self, factory):
+        db = self._db(factory)
+        names = ["full", "narrow", "ghost"]
+        assert db.tables_with_columns(names, ["a", "b"]) == {"full"}
+        assert db.tables_with_columns(names, ["b", "a", "b"]) == {"full"}
+        assert db.tables_with_columns(names, ["a"]) == {"full", "narrow"}
+        assert db.tables_with_columns(names, []) == {"full", "narrow"}
+        assert db.tables_with_columns(names, ["A"]) == set()
+        assert db.tables_with_columns([], ["a"]) == set()
+
+    def test_one_statement_however_many_names(self, factory):
+        db = self._db(factory)
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            db.tables_with_columns(["full"], ["a"])
+            db.tables_with_columns(["full", "narrow", "ghost"], ["a"])
+        expected = 2 if factory is SQLiteDatabase else 0
+        assert tracer.metrics.counter("db.statements").value == expected

@@ -15,6 +15,7 @@ from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
 from repro.xmlio import (parse_experiment_xml, parse_input_xml,
                          parse_query_xml)
 from tests.conftest import fill_simple, make_simple_experiment
+from tests.parallel.test_cache_plan import beffio
 
 pytestmark = pytest.mark.pushdown
 
@@ -217,12 +218,13 @@ class TestObservability:
 
 #: db.statements of one fig8 and one stddev query over the 6-run
 #: ``beffio_campaign``, per backend (the columnar engine counts fewer
-#: because its catalogue probes are not statements).  Unfused, every
-#: element is a group of one and runs what the Section 4.2 protocol
-#: does — one CREATE and one INSERT, plus norm's probe per column — so
-#: these numbers must not move when emitters are refactored.
+#: because its catalogue probes are not statements, where SQLite checks
+#: each per-data-set source's run tables with one catalogue statement).
+#: Unfused, every element is a group of one and runs what the Section
+#: 4.2 protocol does — one CREATE and one INSERT, plus norm's probe per
+#: column — so these numbers must not move when emitters are refactored.
 EXACT_STATEMENTS = {
-    "sqlite": {"unfused": (46, 30), "fused": (22, 20)},
+    "sqlite": {"unfused": (36, 25), "fused": (12, 15)},
     "memory": {"unfused": (29, 20), "fused": (9, 12)},
 }
 
@@ -246,3 +248,40 @@ def test_exact_statement_counts(backend, beffio_campaign):
                 int(tracer.metrics.counter("db.statements").value))
         counts[label] = tuple(per_query)
     assert counts == EXACT_STATEMENTS[backend]
+
+
+def test_statements_do_not_grow_with_run_count(beffio_campaign):
+    """A source checks all its matching runs' tables with one catalogue
+    statement: fused fig8 issues as many statements over 6 runs as over
+    5, and unfused each per-data-set source adds exactly its INSERT per
+    added matching run."""
+    exp, importer = beffio("sqlite", beffio_campaign[:5])
+
+    def statements(pushdown):
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            parse_query_xml(fig8_query_xml()).execute(
+                exp, pushdown=pushdown)
+        sources = {s.span_id: s.name for s in tracer.element_spans()
+                   if s.kind == "source"}
+        per_source = dict.fromkeys(sources.values(), 0)
+        for span in tracer.spans:
+            if span.kind == "db" and span.parent_id in sources:
+                per_source[sources[span.parent_id]] += 1
+        return (int(tracer.metrics.counter("db.statements").value),
+                per_source)
+
+    fused_before, _ = statements(True)
+    _, unfused_before = statements(False)
+    fname, content = beffio_campaign[5]
+    importer.import_text(content, fname)
+    fused_after, _ = statements(True)
+    _, unfused_after = statements(False)
+
+    assert fused_after == fused_before
+    # fig8's src_new keeps the listless runs, src_old the listbased ones
+    added = {"src_new": int("_listless_" in fname),
+             "src_old": int("_listbased_" in fname)}
+    assert sum(added.values()) == 1
+    assert {name: unfused_after[name] - unfused_before[name]
+            for name in unfused_before} == added
