@@ -160,6 +160,35 @@ done
 test "$(grep -cE '^[A-Za-z0-9_]+ +(source|operator|combiner|output) ' \
     "$PUSHDOWN_DIR/par_warm_fig8.log")" -eq 8
 
+echo "== query cache: cached re-analysis after an import is byte-identical =="
+# one more listless/ufs run: it matches one source of each query, so
+# the cached re-runs mix hits on the untouched chains with fused misses
+python - "$PUSHDOWN_DIR" <<'EOF3'
+import sys, pathlib
+from repro.workloads.beffio import generate_campaign
+more = pathlib.Path(sys.argv[1]) / "more"
+more.mkdir()
+for fname, content in generate_campaign(techniques=("listless",),
+                                        repetitions=1, seed=7):
+    (more / fname).write_text(content)
+EOF3
+perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
+    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more/*
+for q in fig8 stddev; do
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
+        -o "$PUSHDOWN_DIR/re_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
+        -o "$PUSHDOWN_DIR/re_par/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        -o "$PUSHDOWN_DIR/re_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
+done
+diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/re_serial"
+diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/re_par"
+# the import changed the results, so serving stale ones would show
+if diff -rq "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
+    echo "the imported run changed no query result"; exit 1
+fi
+
 echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="
 python -m pytest -q -p no:randomly --benchmark-disable \
     benchmarks/bench_pushdown.py

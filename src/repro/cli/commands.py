@@ -714,17 +714,17 @@ def cmd_cache(args: argparse.Namespace) -> int:
     else:
         stat = qcache.stat()
         echo(f"experiment: {exp.name}")
-        echo(f"  entries      : {stat['entries']}")
-        echo(f"  bytes        : {stat['bytes']}")
-        echo(f"  rows         : {stat['rows']}")
-        echo(f"  hits (total) : {stat['hits_total']}")
-        echo(f"  budget       : {stat['budget_bytes']} bytes")
-        echo(f"  data version : {stat['data_version']}")
+        echo(f"  entries        : {stat['entries']}")
+        echo(f"  bytes          : {stat['bytes']}")
+        echo(f"  rows           : {stat['rows']}")
+        echo(f"  hits (total)   : {stat['hits_total']}")
+        echo(f"  budget         : {stat['budget_bytes']} bytes")
+        echo(f"  schema counter : {stat['schema_counter']}")
         if args.verbose:
             for entry in qcache.entries():
                 echo(f"  {entry.element:<20} [{entry.kind}] "
                      f"rows={entry.n_rows} bytes={entry.n_bytes} "
-                     f"hits={entry.hits} dv={entry.data_version} "
+                     f"hits={entry.hits} schema={entry.schema_counter} "
                      f"query={entry.query_name or '-'}")
     exp.close()
     return 0

@@ -101,9 +101,9 @@ def resolve_cli_cache(args: argparse.Namespace, experiment: Experiment):
 def add_pushdown_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the chain-fusion escape hatch of query-running commands.
 
-    The CLI fuses by default — pushdown is the cold-path speedup, and
-    with the (default) query cache active it is inert anyway, so the
-    flag only matters together with ``--no-cache``.
+    The CLI fuses by default.  With the (default) query cache active no
+    chain fuses, but each cache miss still runs as a fused group of
+    one, so the flag changes how cached queries run their misses too.
     """
     parser.add_argument(
         "--no-pushdown", action="store_true",

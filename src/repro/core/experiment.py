@@ -221,8 +221,7 @@ class Experiment:
 
     def data_version(self) -> int:
         """Monotonic counter bumped by every data mutation (imports,
-        deletes, schema evolution) — the query cache's invalidation
-        signal."""
+        deletes, schema evolution, data-changing fsck repairs)."""
         return self.store.data_version()
 
     def query_cache(self, *, budget_bytes: int | None = None

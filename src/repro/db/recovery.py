@@ -32,10 +32,10 @@ finding              repair
 ===================  ===============================================
 
 Repairs that change visible run data (``orphan-files``, ``orphan-once``,
-``run-no-data``, ``orphan-rundata``) bump the experiment's data
-version, so the incremental query engine's invalidation contract keeps
-holding after a repair.  Cache-side repairs do not: the content-
-addressed keys of surviving entries are still valid.
+``run-no-data``, ``orphan-rundata``) bump the experiment's schema
+counter, so the incremental query engine's invalidation contract keeps
+holding after a repair.  Cache-side repairs do not: the keys of
+surviving entries are still valid.
 
 All repairs are idempotent — running :func:`fsck` twice is safe, and a
 second pass on a repaired database reports a clean bill.
@@ -233,9 +233,9 @@ class _Pass:
         self.run_rows()
         if self.repair and self.findings:
             if self._data_changed:
-                # repairs changed visible run data: advance the data
-                # version so cached query results are invalidated
-                self.store.bump_data_version()
+                # repairs changed visible run data: advance the schema
+                # counter so cached query results are invalidated
+                self.store.bump_schema_counter()
             retry_locked(self.db.commit, site="fsck")
             self.store.invalidate_variables_cache()
         return FsckReport(experiment=str(name),

@@ -60,8 +60,11 @@ _ONCE = "pb_once"
 #: index keeping the duplicate-import guard O(log n) at E9 scale
 _FILES_CHECKSUM_INDEX = "pb_run_files_checksum"
 #: pb_meta key of the monotonic per-experiment data version (bumped by
-#: every mutating entry point; read by the query cache for invalidation)
+#: every mutating entry point)
 _DATA_VERSION_KEY = "data_version"
+#: pb_meta key of the schema counter (bumped by variable changes and
+#: data-changing fsck repairs; folded into every query-cache key)
+_SCHEMA_COUNTER_KEY = "schema_counter"
 
 
 def _unit_to_json(unit: Unit) -> dict:
@@ -247,11 +250,32 @@ class ExperimentStore:
         The surrounding mutation's commit (or rollback) covers the
         bump, keeping it atomic with the data change it records.
         """
-        new = self.data_version() + int(n)
+        return self._bump_counter(_DATA_VERSION_KEY, n)
+
+    def schema_counter(self) -> int:
+        """Monotonic counter of changes to what a stored run reads as.
+
+        Bumped by the four schema-evolution operations and by fsck
+        repairs that change visible run data — not by imports or
+        deletes: runs are immutable once stored, so those change only
+        *which* runs a query matches, and the query cache keys each
+        source by its matching runs directly.  Databases created before
+        the counter existed report 0.
+        """
+        return int(self.get_meta(_SCHEMA_COUNTER_KEY, 0))
+
+    def bump_schema_counter(self) -> int:
+        """Advance the schema counter and the data version without
+        committing, like :meth:`bump_data_version`."""
+        self.bump_data_version()
+        return self._bump_counter(_SCHEMA_COUNTER_KEY, 1)
+
+    def _bump_counter(self, key: str, n: int) -> int:
+        new = int(self.get_meta(key, 0)) + int(n)
         self.db.execute(
             f"INSERT INTO {_META} (key, value) VALUES (?, ?) "
             "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-            (_DATA_VERSION_KEY, json.dumps(new)))
+            (key, json.dumps(new)))
         return new
 
     # -- variable definitions --------------------------------------------
@@ -273,7 +297,7 @@ class ExperimentStore:
                 _VARS, ["name", "definition", "position"],
                 [(v.name, variable_to_json(v), i)
                  for i, v in enumerate(variables)])
-            self.bump_data_version()
+            self.bump_schema_counter()
             self.db.commit()
         finally:
             self.invalidate_variables_cache()
@@ -319,7 +343,7 @@ class ExperimentStore:
                         f"ALTER TABLE "
                         f"{quote_identifier(self.run_table(idx))} "
                         f"ADD COLUMN {col} {stype}")
-            self.bump_data_version()
+            self.bump_schema_counter()
             self.db.commit()
         finally:
             self.invalidate_variables_cache()
@@ -342,7 +366,7 @@ class ExperimentStore:
                         self.db.execute(
                             f"ALTER TABLE {quote_identifier(table)} "
                             f"DROP COLUMN {col}")
-            self.bump_data_version()
+            self.bump_schema_counter()
             self.db.commit()
         finally:
             self.invalidate_variables_cache()
@@ -366,7 +390,7 @@ class ExperimentStore:
             self.db.execute(
                 f"UPDATE {_VARS} SET definition=? WHERE name=?",
                 (variable_to_json(var), var.name))
-            self.bump_data_version()
+            self.bump_schema_counter()
             self.db.commit()
         finally:
             self.invalidate_variables_cache()

@@ -29,7 +29,7 @@ from ..obs.profile import QueryProfile, profile_spans
 from ..obs.tracer import count, current_tracer, maybe_span, use_tracer
 from ..query.cache import CachePlan, QueryCache, plan_cached_run
 from ..query.elements import QueryContext
-from ..query.engine import Query, QueryResult, resolve_cache
+from ..query.engine import Query, QueryResult, resolve_cache, run_miss
 from ..query.pushdown import PushdownPlan, run_fused_group
 from ..query.vectors import DataVector
 from .cluster import SimulatedCluster, copy_vector
@@ -86,20 +86,18 @@ class ParallelQueryExecutor:
                 ) -> tuple[QueryResult, ParallelRunStats]:
         """Execute ``query``; returns the result plus run statistics.
 
-        With ``cache`` the run is incremental: cached subgraphs are
-        resolved upfront from structural fingerprints and treated as
+        With ``cache`` the run is incremental: every element's key is
+        probed upfront, cached subgraphs are treated as
         already-completed producers — the scheduler only places the
-        cold remainder.  Workers additionally try result-chained keys
-        just before executing (so after an import, elements whose
-        inputs turn out content-identical still hit) and store every
-        miss back into the shared cache.
+        cold remainder — and every miss is stored back into the shared
+        cache once the run is over.
 
         ``pushdown`` fuses linear element chains into single SQL
         statements (:mod:`repro.query.pushdown`): each fused group is
         scheduled as one unit placed on its tail element's node, where
         the single statement runs against the shipped external inputs.
-        Inert with an active cache (every cacheable element is a
-        hit/miss seam, so the plan fuses nothing).
+        With an active cache no chain fuses (every cacheable element is
+        a hit/miss seam); each miss runs as a fused group of one.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
@@ -148,11 +146,13 @@ class ParallelQueryExecutor:
                                  scheduler=self.scheduler.name,
                                  placement=placement)
 
-        # per-node context: element outputs land on the element's node
+        # per-node context: element outputs land on the element's node;
+        # sources read the runs their cache keys name
+        run_sets = plan.run_sets if plan is not None else {}
         contexts = {
             node.index: QueryContext(
                 experiment=experiment, db=node.db,
-                temptables=node.temptables)
+                temptables=node.temptables, run_sets=run_sets)
             for node in self.cluster.nodes}
         vectors: dict[str, DataVector] = {}
         transfer_base = self.cluster.transfer_seconds
@@ -210,15 +210,6 @@ class ParallelQueryExecutor:
                 if tracer is not None:
                     tracer.metrics.histogram(
                         "parallel.queue_wait_seconds").observe(waited)
-                key, entry = (plan.probe(element) if plan is not None
-                              else (None, None))
-                if entry is not None:
-                    # cache hit discovered mid-run: no shipping, no
-                    # execution — the cached vector acts as produced
-                    vectors[name] = plan.load(element, entry)
-                    with lock:
-                        stats.cache_hits += 1
-                    return
                 with maybe_span(f"node{node.index}", kind="node",
                                 element=name):
                     if name in pd_plan.groups:
@@ -246,21 +237,17 @@ class ParallelQueryExecutor:
                             vectors[input_name], node, self.cluster,
                             apply_delay=self.apply_network_delay)
                     start = time.perf_counter()
-                    vector = element.execute(
-                        ctx, span_attrs=(
-                            {"cache": "miss"}
-                            if plan is not None and element.cacheable
-                            else None))
+                    if plan is not None and element.cacheable:
+                        vector = run_miss(ctx, graph, element, pushdown)
+                    else:
+                        vector = element.execute(ctx)
                     with lock:
                         busy[0] += time.perf_counter() - start
                 if plan is not None and element.cacheable \
                         and vector is not None:
-                    fingerprint = plan.produced(element, vector)
                     with lock:
                         stats.cache_misses += 1
-                        if key is not None:
-                            pending_puts.append(
-                                (key, element, vector, fingerprint))
+                        pending_puts.append((element, vector))
             if vector is not None:
                 vectors[name] = vector
 
@@ -337,8 +324,8 @@ class ParallelQueryExecutor:
             # before storing (DDL on the experiment database)
             for node in self.cluster.nodes:
                 node.db.commit()
-            for key, element, vector, fingerprint in pending_puts:
-                plan.put(key, element, vector, fingerprint, query.name)
+            for element, vector in pending_puts:
+                plan.put(element, vector, query.name)
         stats.wall_seconds = time.perf_counter() - start_wall
         stats.busy_seconds = busy[0]
         stats.queue_wait_seconds = queue_wait[0]

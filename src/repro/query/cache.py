@@ -1,38 +1,52 @@
-"""Persistent, content-addressed cache of query-element output vectors.
+"""Persistent element-result cache of the incremental query engine.
 
-The incremental query engine: perfbase's dominant workload is re-running
-the *same query specification* against an experiment that grew by a few
-runs (the Section 5 analyses are regenerated after every import), so the
-engine should not redo work whose inputs did not change.
+perfbase's dominant workload is re-running the *same query
+specification* against an experiment that grew by a few runs (the
+Section 5 analyses are regenerated after every import), so the engine
+should not redo work whose inputs did not change.
 
-Two-layer fingerprint scheme
-----------------------------
+One key per element
+-------------------
 
-*Structural keys* (``skey``) come from
-:meth:`~repro.query.graph.QueryGraph.fingerprints`: the hash of an
-element's own spec combined with its producers' fingerprints, with the
-experiment identity and **data version** folded into the input-free
-elements.  One structural hit therefore proves the *whole subgraph*
-below the element unchanged — the engine installs the cached vector and
-skips the element together with all of its exclusive ancestors.
+Section 4.2 stores each run in its own table, and a run never changes
+once stored.  A source's output is therefore a function of its spec,
+the experiment's variable schema and the set of runs it matches.  A
+source's key hashes its spec with the experiment identity, the schema
+counter (:meth:`~repro.db.schema.ExperimentStore.schema_counter`) and
+the rows of its run-selection statement — run indices plus the
+run-level values it projects.  A downstream element's key hashes its
+spec with its producers' keys (Merkle-style, see
+:meth:`~repro.query.graph.QueryGraph.fingerprints`), so one key
+addresses the whole subgraph below an element.
 
-*Result-chained keys* (the primary ``key``) chain actual content: a
-source's key hashes its spec with the experiment identity and data
-version; a downstream element's key hashes its spec with the *content
-hashes* of its real input vectors.  After an import bumps the data
-version every structural key changes and every source re-executes — but
-a source whose output comes out byte-identical reproduces its old
-content hash, so every downstream element still hits.  Untouched
-subgraphs stay warm across imports.
+Every key is known before anything runs.  A query whose sources
+matched no new runs is all hits after one probe; an import that a
+source does match re-runs only that source's chain.  No result is ever
+hashed: an entry's key is its identity.
+
+=========================  =========================================
+mutation                   changes
+=========================  =========================================
+import (``store_run``)     the run set, so the key, of each source the
+                           new run matches
+``delete_run``             the run set of each source that matched it
+variable change            the schema counter, so every key
+``fsck`` repair of runs    the schema counter, so every key
+=========================  =========================================
 
 Storage
 -------
 
-Cached vectors are materialised as ``pbc_<hash>`` tables inside the
+Cached vectors are materialised as ``pbc_<key>`` tables inside the
 experiment database (so they survive across processes and are reachable
 from every executor), described by one row each in the
 ``pb_query_cache`` metadata table.  Eviction is LRU under a configurable
 byte budget, ordered by a deterministic monotonic ``tick`` counter.
+Entries that can never be looked up again are dropped early: source
+entries recorded under an older schema counter
+(:meth:`QueryCache.prune_stale`), a source's entries under other run
+sets when it stores a new one, and, once, every entry of an older key
+scheme (the ``query_cache_format`` marker in ``pb_meta``).
 
 Observability: ``qcache.hits`` / ``qcache.misses`` / ``qcache.stores`` /
 ``qcache.evictions`` counters on the active tracer's metrics registry,
@@ -43,7 +57,7 @@ and a ``cache="hit"|"miss"`` span attribute per element (rendered by
 from __future__ import annotations
 
 import datetime as _dt
-import hashlib
+import functools
 import json
 import threading
 from dataclasses import dataclass
@@ -63,18 +77,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .graph import QueryGraph
 
 __all__ = ["QueryCache", "CacheEntry", "CachePlan", "CACHE_TABLE",
-           "CACHE_PREFIX", "DEFAULT_BUDGET_BYTES", "cache_key",
-           "content_fingerprint", "columns_to_json", "columns_from_json",
-           "plan_cached_run"]
+           "CACHE_PREFIX", "DEFAULT_BUDGET_BYTES", "columns_to_json",
+           "columns_from_json", "plan_cached_run"]
 
 CACHE_TABLE = "pb_query_cache"
 CACHE_PREFIX = "pbc_"
+#: ``pb_meta`` marker of the key scheme; entries of any other scheme
+#: are dropped on first use (their keys can never be computed again)
+_FORMAT_KEY = "query_cache_format"
+_FORMAT = 2
+#: serialises the one-time format check of this process's caches
+_FORMAT_LOCK = threading.Lock()
 #: default LRU byte budget of one experiment's vector cache
 DEFAULT_BUDGET_BYTES = 64 * 1024 * 1024
 
-_COLS = ("key, skey, element, kind, query_name, table_name, "
-         "result_hash, data_version, n_rows, n_bytes, columns, "
-         "from_source, hits, tick, created")
+_COLS = ("key, family, element, kind, query_name, table_name, "
+         "schema_counter, n_rows, n_bytes, columns, from_source, hits, "
+         "tick, created")
 
 #: the cache's instance of the shared retry policy (repro.db.retry):
 #: bounded deterministic backoff, lock/busy-only classification and a
@@ -113,74 +132,57 @@ def columns_from_json(data: Sequence[dict]) -> list[ColumnInfo]:
             for d in data]
 
 
-# -- content hashing ------------------------------------------------------
+@functools.lru_cache(maxsize=1024)
+def _columns(text: str) -> tuple[ColumnInfo, ...]:
+    """Decoded column metadata of an entry (shared: entries of one
+    query are probed again on every run)."""
+    return tuple(columns_from_json(json.loads(text)))
 
-def _cell(value: Any) -> Any:
+
+# -- payload size -----------------------------------------------------------
+
+def _json_cell(value: Any) -> Any:
     if isinstance(value, bytes):
         return {"__bytes__": value.hex()}
-    return value
+    return str(value)
 
 
-def content_fingerprint(vector: DataVector) -> tuple[str, int, int]:
-    """``(hash, n_rows, n_bytes)`` of a vector's content.
+def _payload_size(vector: DataVector,
+                 rows: Sequence[Sequence[Any]]) -> tuple[int, int]:
+    """``(n_rows, n_bytes)`` of a vector holding ``rows``.
 
-    The hash covers the column metadata (names, datatypes, units,
-    synopses, result flags), the ``from_source`` flag and every row in
-    table order — two vectors with equal fingerprints are
-    interchangeable as element inputs.  ``n_bytes`` is the serialised
-    payload size, the unit of the eviction budget.
+    ``n_bytes`` is the serialised payload size, the unit of the
+    eviction budget: the JSON of the column metadata plus one compact
+    JSON line per row.  One C-encoded ``json.dumps`` of all rows yields
+    the lines' total (``"[" + ",".join(lines) + "]"`` is one byte
+    longer than the lines with their newlines).
     """
-    digest = hashlib.sha256()
     header = json.dumps(
         {"columns": columns_to_json(vector.columns),
          "from_source": vector.from_source},
         sort_keys=True, separators=(",", ":"), default=str)
-    digest.update(header.encode("utf-8"))
-    n_bytes = len(header)
-    n_rows = 0
-    for row in vector.rows():
-        line = json.dumps([_cell(v) for v in row],
-                          separators=(",", ":"), default=str)
-        digest.update(b"\n")
-        digest.update(line.encode("utf-8"))
-        n_bytes += len(line) + 1
-        n_rows += 1
-    return digest.hexdigest(), n_rows, n_bytes
-
-
-def cache_key(element: "QueryElement",
-              input_hashes: Sequence[str | None], *,
-              data_version: int,
-              experiment_name: str) -> str | None:
-    """Result-chained cache key of one element execution.
-
-    ``None`` when the element is uncacheable or an input's content hash
-    is unknown (its producer was skipped or uncacheable).
-    """
-    if not element.cacheable:
-        return None
-    hashes = list(input_hashes)
-    if any(h is None for h in hashes):
-        return None
-    extra = None
-    if not element.inputs:
-        extra = {"experiment": experiment_name,
-                 "data_version": int(data_version)}
-    return element.fingerprint(hashes, extra)
+    if not rows:
+        return 0, len(header)
+    body = json.dumps(rows, separators=(",", ":"), default=_json_cell)
+    return len(rows), len(header) + len(body) - 1
 
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One row of ``pb_query_cache`` (metadata of one cached vector)."""
+    """One row of ``pb_query_cache`` (metadata of one cached vector).
+
+    ``family`` groups a source's entries across run sets (the key
+    without the run set); it is empty for downstream elements.
+    ``schema_counter`` is the counter the entry was recorded under.
+    """
 
     key: str
-    skey: str
+    family: str
     element: str
     kind: str
     query_name: str
     table: str
-    result_hash: str
-    data_version: int
+    schema_counter: int
     n_rows: int
     n_bytes: int
     columns: tuple[ColumnInfo, ...]
@@ -193,7 +195,7 @@ class CacheEntry:
 class QueryCache:
     """The per-experiment element-result cache.
 
-    Lives inside the experiment database (``pbc_<hash>`` payload tables
+    Lives inside the experiment database (``pbc_<key>`` payload tables
     plus the ``pb_query_cache`` metadata table), so entries survive
     across processes and are shared by every executor of the
     experiment.  All operations are thread-safe; concurrent executions
@@ -224,25 +226,31 @@ class QueryCache:
         self._ready = True
 
     def _ensure_tables(self) -> None:
-        self.db.execute(
-            f"CREATE TABLE IF NOT EXISTS {CACHE_TABLE} ("
-            "key TEXT PRIMARY KEY, skey TEXT, element TEXT, "
-            "kind TEXT, query_name TEXT, table_name TEXT, "
-            "result_hash TEXT, data_version INTEGER, "
-            "n_rows INTEGER, n_bytes INTEGER, columns TEXT, "
-            "from_source INTEGER, hits INTEGER, tick INTEGER, "
-            "created TEXT)")
-        self.db.execute(
-            f"CREATE INDEX IF NOT EXISTS {CACHE_TABLE}_skey "
-            f"ON {CACHE_TABLE} (skey)")
-        self.db.commit()
+        with _FORMAT_LOCK:
+            if self.store.get_meta(_FORMAT_KEY) == _FORMAT:
+                return
+            # a database without the marker holds no entries or entries
+            # of an older key scheme, which no run can look up again
+            for table in self.db.list_tables():
+                if table.startswith(CACHE_PREFIX):
+                    self.db.drop_table(table)
+            self.db.drop_table(CACHE_TABLE)
+            self.db.execute(
+                f"CREATE TABLE IF NOT EXISTS {CACHE_TABLE} ("
+                "key TEXT PRIMARY KEY, family TEXT, element TEXT, "
+                "kind TEXT, query_name TEXT, table_name TEXT, "
+                "schema_counter INTEGER, n_rows INTEGER, "
+                "n_bytes INTEGER, columns TEXT, from_source INTEGER, "
+                "hits INTEGER, tick INTEGER, created TEXT)")
+            self.db.execute(
+                f"CREATE INDEX IF NOT EXISTS {CACHE_TABLE}_family "
+                f"ON {CACHE_TABLE} (family)")
+            self.store.set_meta(_FORMAT_KEY, _FORMAT)  # commits
 
-    def data_version(self) -> int:
-        return self.store.data_version()
-
-    def _count(self, what: str, metric: str) -> None:
-        self.session[what] += 1
-        count(metric)
+    def _count(self, what: str, metric: str, n: int = 1) -> None:
+        if n:
+            self.session[what] += n
+            count(metric, n)
 
     def _next_tick(self) -> int:
         row = self.db.fetchone(
@@ -252,78 +260,86 @@ class QueryCache:
     @staticmethod
     def _entry(row: Sequence[Any]) -> CacheEntry:
         return CacheEntry(
-            key=row[0], skey=row[1] or "", element=row[2], kind=row[3],
-            query_name=row[4] or "", table=row[5], result_hash=row[6],
-            data_version=int(row[7]), n_rows=int(row[8]),
-            n_bytes=int(row[9]),
-            columns=tuple(columns_from_json(json.loads(row[10]))),
-            from_source=bool(row[11]), hits=int(row[12]),
-            tick=int(row[13]), created=row[14] or "")
+            key=row[0], family=row[1] or "", element=row[2],
+            kind=row[3], query_name=row[4] or "", table=row[5],
+            schema_counter=int(row[6]), n_rows=int(row[7]),
+            n_bytes=int(row[8]),
+            columns=_columns(row[9]),
+            from_source=bool(row[10]), hits=int(row[11]),
+            tick=int(row[12]), created=row[13] or "")
+
+    def _drop_entries(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Drop ``(key, table_name)`` entries with their payloads."""
+        if not rows:
+            return
+        for _, table in rows:
+            self.db.drop_table(table)
+        self.db.executemany(f"DELETE FROM {CACHE_TABLE} WHERE key=?",
+                            [(key,) for key, _ in rows])
 
     # -- lookup -----------------------------------------------------------
 
-    def lookup(self, key: str | None, *,
-               refresh_skey: str | None = None) -> CacheEntry | None:
-        """Entry under a result-chained ``key``, bumping LRU state.
-
-        A hit refreshes the entry's structural key to ``refresh_skey``
-        when given — after an import re-validated the chain, the next
-        run's structural pass finds the entry again directly.
-        """
-        if key is None:
-            return None
-        with self._lock:
-            self._ensure()
-            return self._hit_or_miss(
-                self.db.fetchone(
-                    f"SELECT {_COLS} FROM {CACHE_TABLE} WHERE key=?",
-                    (key,)),
-                refresh_skey=refresh_skey)
-
-    def lookup_structural(self, skey: str, *,
-                          count: bool = True) -> CacheEntry | None:
-        """Entry whose structural key matches (whole-subgraph address)."""
-        with self._lock:
-            self._ensure()
-            row = self.db.fetchone(
-                f"SELECT {_COLS} FROM {CACHE_TABLE} WHERE skey=? "
-                "ORDER BY tick DESC LIMIT 1", (skey,))
-            if not count and row is None:
-                return None
-            return self._hit_or_miss(row)
-
-    def _hit_or_miss(self, row: Sequence[Any] | None, *,
-                     refresh_skey: str | None = None
-                     ) -> CacheEntry | None:
-        if row is not None and not self.db.table_exists(row[5]):
-            # metadata without payload (e.g. external table drop): heal
-            def heal():
-                self.db.execute(
-                    f"DELETE FROM {CACHE_TABLE} WHERE key=?", (row[0],))
-                self.db.commit()
-            _retry_locked(heal)
-            row = None
-        if row is None:
+    def lookup(self, key: str) -> CacheEntry | None:
+        """Entry under ``key``, counted (and touched) as a hit, or
+        counted as a miss."""
+        entry = self.lookup_structural([key]).get(key)
+        if entry is None:
             self._count("misses", "qcache.misses")
-            return None
-        entry = self._entry(row)
-
-        def touch():
-            tick = self._next_tick()
-            if refresh_skey is not None and refresh_skey != entry.skey:
-                self.db.execute(
-                    f"UPDATE {CACHE_TABLE} SET hits=hits+1, tick=?, "
-                    "skey=?, data_version=? WHERE key=?",
-                    (tick, refresh_skey, self.data_version(),
-                     entry.key))
-            else:
-                self.db.execute(
-                    f"UPDATE {CACHE_TABLE} SET hits=hits+1, tick=? "
-                    "WHERE key=?", (tick, entry.key))
-            self.db.commit()
-        _retry_locked(touch)
-        self._count("hits", "qcache.hits")
+        else:
+            self.touch([entry])
         return entry
+
+    def lookup_structural(self, keys: Sequence[str]
+                          ) -> dict[str, CacheEntry]:
+        """Entries under any of ``keys``, by key.
+
+        One ``SELECT`` finds the metadata rows and one catalogue check
+        their payload tables.  A row whose payload table is missing
+        (e.g. dropped behind perfbase's back) is healed — deleted —
+        and reads as absent.  Neither counts nor touches
+        (:meth:`touch` does).
+        """
+        keys = sorted(set(keys))
+        if not keys:
+            return {}
+        with self._lock:
+            self._ensure()
+            rows = self.db.fetchall(
+                f"SELECT {_COLS} FROM {CACHE_TABLE} WHERE key IN "
+                f"({', '.join(['?'] * len(keys))})", keys)
+            if not rows:
+                return {}
+            present = self.db.tables_with_columns(
+                [row[5] for row in rows], [])
+            lost = [(row[0], row[5]) for row in rows
+                    if row[5] not in present]
+            if lost:
+                def heal():
+                    self._drop_entries(lost)
+                    self.db.commit()
+                _retry_locked(heal)
+            return {row[0]: self._entry(row) for row in rows
+                    if row[5] in present}
+
+    def touch(self, entries: Sequence[CacheEntry]) -> None:
+        """Count ``entries`` as hits and make them the most recently
+        used, in the given order: one tick read and one batched
+        update."""
+        if not entries:
+            return
+        with self._lock:
+            self._ensure()
+
+            def bump():
+                tick = self._next_tick()
+                self.db.executemany(
+                    f"UPDATE {CACHE_TABLE} SET hits=hits+1, tick=? "
+                    "WHERE key=?",
+                    [(tick + i, entry.key)
+                     for i, entry in enumerate(entries)])
+                self.db.commit()
+            _retry_locked(bump)
+            self._count("hits", "qcache.hits", len(entries))
 
     def load(self, entry: CacheEntry) -> DataVector:
         """Materialise a :class:`DataVector` view of a cached entry."""
@@ -333,22 +349,24 @@ class QueryCache:
 
     # -- store ------------------------------------------------------------
 
-    def put(self, key: str, skey: str, element: "QueryElement",
-            vector: DataVector, *, result_hash: str, n_rows: int,
-            n_bytes: int, data_version: int,
+    def put(self, key: str, element: "QueryElement", vector: DataVector,
+            *, schema_counter: int, family: str = "",
             query_name: str = "") -> CacheEntry:
-        """Persist an element's output vector under both keys."""
+        """Persist an element's output vector under ``key``.
+
+        Storing a source entry (one with a ``family``) drops the
+        source's entries under other run sets: no later run can look
+        them up again unless it matches exactly those runs.
+        """
         with self._lock:
             self._ensure()
             return _retry_locked(lambda: self._put_locked(
-                key, skey, element, vector, result_hash=result_hash,
-                n_rows=n_rows, n_bytes=n_bytes,
-                data_version=data_version, query_name=query_name))
+                key, element, vector, schema_counter=schema_counter,
+                family=family, query_name=query_name))
 
-    def _put_locked(self, key: str, skey: str,
-                    element: "QueryElement", vector: DataVector, *,
-                    result_hash: str, n_rows: int, n_bytes: int,
-                    data_version: int, query_name: str) -> CacheEntry:
+    def _put_locked(self, key: str, element: "QueryElement",
+                    vector: DataVector, *, schema_counter: int,
+                    family: str, query_name: str) -> CacheEntry:
         if _faults.ACTIVE is not None:
             # inside the retried function: injected transient locks
             # exercise the retry path, injected crashes abandon the
@@ -364,29 +382,32 @@ class QueryCache:
         self.db.create_table(
             table, [(c.name, sql_type(c.datatype))
                     for c in vector.columns])
-        names = [quote_identifier(c.name) for c in vector.columns]
+        rows = vector.rows()
         if vector.db is self.db:
-            cols = ", ".join(names)
+            cols = ", ".join(quote_identifier(c.name)
+                             for c in vector.columns)
             self.db.execute(
                 f"INSERT INTO {quote_identifier(table)} ({cols}) "
                 f"SELECT {cols} FROM {quote_identifier(vector.table)}")
-        else:
-            rows = vector.rows()
-            if rows:
-                self.db.insert_rows(table, vector.column_names, rows)
+        elif rows:
+            self.db.insert_rows(table, vector.column_names, rows)
+        n_rows, n_bytes = _payload_size(vector, rows)
         tick = self._next_tick()
         created = _dt.datetime.now().strftime("%Y-%m-%d %H:%M:%S")
         self.db.execute(
             f"INSERT INTO {CACHE_TABLE} ({_COLS}) VALUES "
-            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
             "ON CONFLICT(key) DO UPDATE SET table_name="
             "excluded.table_name, tick=excluded.tick",
-            (key, skey, element.name, element.kind, query_name,
-             table, result_hash, int(data_version), int(n_rows),
-             int(n_bytes),
+            (key, family, element.name, element.kind, query_name,
+             table, int(schema_counter), n_rows, n_bytes,
              json.dumps(columns_to_json(vector.columns),
                         sort_keys=True, default=str),
              1 if vector.from_source else 0, 0, tick, created))
+        if family:
+            self._drop_entries(self.db.fetchall(
+                f"SELECT key, table_name FROM {CACHE_TABLE} "
+                "WHERE family=? AND key<>?", (family, key)))
         self.db.commit()
         self._count("stores", "qcache.stores")
         entry = self.lookup_entry(key)
@@ -403,33 +424,28 @@ class QueryCache:
 
     # -- invalidation / eviction ------------------------------------------
 
-    def prune_stale(self, current_version: int | None = None) -> int:
-        """Drop source entries recorded under an older data version.
+    def prune_stale(self, current: int | None = None) -> int:
+        """Drop source entries recorded under an older schema counter.
 
-        Their keys fold the data version, so after any mutation they
-        can never be looked up again — this reclaims the space early
-        instead of waiting for LRU.  Downstream entries are kept: they
-        stay reachable through result-chaining whenever their input
-        content proves unchanged.
+        Their keys fold the schema counter, so after a variable change
+        or a data-changing repair they can never be looked up again —
+        this reclaims the space early instead of waiting for LRU.
+        Downstream entries are left to LRU.
         """
         with self._lock:
             self._ensure()
-            if current_version is None:
-                current_version = self.data_version()
+            if current is None:
+                current = self.store.schema_counter()
             rows = self.db.fetchall(
                 f"SELECT key, table_name FROM {CACHE_TABLE} "
-                "WHERE from_source=1 AND data_version<?",
-                (int(current_version),))
+                "WHERE from_source=1 AND schema_counter<?",
+                (int(current),))
 
             def drop():
-                for key, table in rows:
-                    self.db.drop_table(table)
-                    self.db.execute(
-                        f"DELETE FROM {CACHE_TABLE} WHERE key=?",
-                        (key,))
-                if rows:
-                    self.db.commit()
-            _retry_locked(drop)
+                self._drop_entries(rows)
+                self.db.commit()
+            if rows:
+                _retry_locked(drop)
             return len(rows)
 
     def _evict_locked(self) -> list[str]:
@@ -444,9 +460,7 @@ class QueryCache:
                 "ORDER BY tick LIMIT 1")
             if row is None:
                 break
-            self.db.drop_table(row[1])
-            self.db.execute(
-                f"DELETE FROM {CACHE_TABLE} WHERE key=?", (row[0],))
+            self._drop_entries([row[:2]])
             total -= int(row[2])
             evicted.append(row[0])
             self._count("evictions", "qcache.evictions")
@@ -501,7 +515,8 @@ class QueryCache:
                 "rows": int(row[2]),
                 "hits_total": int(row[3]),
                 "budget_bytes": self.budget_bytes,
-                "data_version": self.data_version(),
+                "data_version": self.store.data_version(),
+                "schema_counter": self.store.schema_counter(),
                 "session": dict(self.session),
             }
 
@@ -513,42 +528,25 @@ class CachePlan:
     """How one query run uses the cache — shared by the serial engine
     and the parallel executor.
 
-    Built by :func:`plan_cached_run`: ``hits`` are the structural hits
-    (installed instead of running), ``skipped`` the exclusive ancestors
-    of cached subgraphs (never run), and everything else runs unless
-    :meth:`probe` finds a result-chained hit right before it would.
-    ``hashes`` holds the content hash of every completed producer; an
-    element only runs after its producers completed, so workers of a
-    parallel run never read a hash that is still being written.
+    Built by :func:`plan_cached_run` before anything runs: ``keys``
+    holds every element's key, ``hits`` the entries installed instead
+    of running, ``skipped`` the elements that never run; every other
+    element runs, and each cacheable one that does is a miss stored by
+    :meth:`put`.  ``run_sets`` holds the run-selection rows each
+    source was keyed by — the runs it must read
+    (:attr:`~repro.query.elements.QueryContext.run_sets`), so a run
+    imported meanwhile cannot enter an entry whose key does not name
+    it.
     """
 
     qcache: QueryCache
-    experiment_name: str
-    data_version: int
-    structural: dict[str, str]
+    schema_counter: int
+    keys: dict[str, str]
+    #: source name -> family key (its key without the run set)
+    families: dict[str, str]
+    run_sets: dict[str, list[tuple]]
     hits: dict[str, CacheEntry]
     skipped: frozenset[str]
-    #: structural keys already probed and missed (not probed again)
-    probed_misses: frozenset[str]
-    hashes: dict[str, str]
-
-    def probe(self, element: "QueryElement"
-              ) -> tuple[str | None, CacheEntry | None]:
-        """``(result-chained key, entry)`` of an element about to run;
-        the entry is ``None`` on a miss, the key ``None`` when the
-        result cannot be cached (uncacheable element or an input
-        without content hash)."""
-        name = element.name
-        if name in self.hits:
-            return None, self.hits[name]
-        key = cache_key(element, [self.hashes.get(i)
-                                  for i in element.inputs],
-                        data_version=self.data_version,
-                        experiment_name=self.experiment_name)
-        if key is None or key in self.probed_misses:
-            return key, None
-        return key, self.qcache.lookup(
-            key, refresh_skey=self.structural[name])
 
     def load(self, element: "QueryElement",
              entry: CacheEntry) -> DataVector:
@@ -557,66 +555,66 @@ class CachePlan:
         element's span encloses its run."""
         with maybe_span(element.name, kind=element.kind, cache="hit",
                         rows=entry.n_rows, cols=len(entry.columns)):
-            vector = self.qcache.load(entry)
-        self.hashes[element.name] = entry.result_hash
-        return vector
+            return self.qcache.load(entry)
 
-    def produced(self, element: "QueryElement", vector: DataVector
-                 ) -> tuple[str, int, int]:
-        """Note a cacheable element's fresh output; returns its
-        :func:`content_fingerprint` for :meth:`put`."""
-        fingerprint = content_fingerprint(vector)
-        self.hashes[element.name] = fingerprint[0]
-        return fingerprint
-
-    def put(self, key: str | None, element: "QueryElement",
-            vector: DataVector, fingerprint: tuple[str, int, int],
+    def put(self, element: "QueryElement", vector: DataVector,
             query_name: str) -> None:
-        """Store a miss under both of its keys."""
-        if key is None:
-            return
-        result_hash, n_rows, n_bytes = fingerprint
-        self.qcache.put(key, self.structural[element.name], element,
-                        vector, result_hash=result_hash, n_rows=n_rows,
-                        n_bytes=n_bytes, data_version=self.data_version,
-                        query_name=query_name)
+        """Store a cacheable element's fresh output under its key."""
+        if element.cacheable:
+            self.qcache.put(self.keys[element.name], element, vector,
+                            schema_counter=self.schema_counter,
+                            family=self.families.get(element.name, ""),
+                            query_name=query_name)
 
 
 def plan_cached_run(qcache: QueryCache, graph: "QueryGraph",
                     experiment: "Experiment") -> CachePlan:
-    """Resolve structural fingerprints in reverse topological order.
+    """Key every element, probe all keys at once, and decide what runs.
 
-    Stale source entries are pruned first.  An element is *needed*
-    when it is a sink or some consumer runs; a needed element that
-    hits is installed from the cache, one that misses runs, and an
-    unneeded one without an entry is skipped — a structural hit thus
-    prunes the element together with its exclusive ancestors.  Only
-    needed probes count as hits or misses.
+    Source entries of an older schema counter are pruned first.  Each
+    source's run-selection statement then runs once, here; its rows
+    enter the source's key.  One batched probe
+    (:meth:`QueryCache.lookup_structural`) finds every entry.
+
+    Walking the graph from the sinks, an element is *needed* when it
+    is a sink or some consumer runs.  Every cacheable element with an
+    entry is a *hit*, needed or not: it is installed instead of run,
+    counted and touched (an unneeded hit still costs no execution, and
+    its vector keeps the run's result complete).  A needed element
+    without an entry is a *miss* and runs; an unneeded one without an
+    entry is skipped and not counted — a hit thus prunes the exclusive
+    ancestors it makes unnecessary.
     """
-    data_version = experiment.store.data_version()
-    qcache.prune_stale(data_version)
-    structural = graph.fingerprints({"experiment": experiment.name,
-                                     "data_version": data_version})
+    schema = qcache.store.schema_counter()
+    qcache.prune_stale(schema)
+    run_sets = {source.name: source.run_selection(experiment)
+                for source in graph.sources}
+    keys = graph.fingerprints(
+        {"experiment": experiment.name, "schema": schema},
+        {name: {"runs": rows} for name, rows in run_sets.items()})
+    families = {source.name: source.fingerprint(
+        [], {"experiment": experiment.name}) for source in graph.sources}
+    order = list(reversed(graph.topological_order()))
+    found = qcache.lookup_structural(
+        [keys[e.name] for e in order if e.cacheable])
     runs: set[str] = set()
     hits: dict[str, CacheEntry] = {}
     skipped: set[str] = set()
-    misses: set[str] = set()
-    for element in reversed(graph.topological_order()):
+    misses = 0
+    for element in order:
         name = element.name
-        if not element.cacheable:
-            runs.add(name)
-            continue
+        entry = found.get(keys[name]) if element.cacheable else None
         consumers = graph.consumers(name)
         needed = not consumers or not runs.isdisjoint(consumers)
-        entry = qcache.lookup_structural(structural[name], count=needed)
         if entry is not None:
             hits[name] = entry
-        elif needed:
+        elif not element.cacheable or needed:
             runs.add(name)
-            misses.add(structural[name])
+            if element.cacheable:
+                misses += 1
         else:
             skipped.add(name)
-    return CachePlan(qcache, experiment.name, data_version, structural,
-                     hits, frozenset(skipped), frozenset(misses),
-                     {name: entry.result_hash
-                      for name, entry in hits.items()})
+    qcache.touch(list(hits.values()))
+    qcache._count("misses", "qcache.misses", misses)
+    return CachePlan(qcache, schema, keys, families, run_sets, hits,
+                     frozenset(skipped))

@@ -42,6 +42,10 @@ class QueryContext:
     temptables: TempTableManager
     #: output vectors of already-executed elements, by element name
     vectors: dict[str, DataVector] = field(default_factory=dict)
+    #: run-selection rows of sources, by element name, resolved before
+    #: execution; a source listed here reads exactly these runs (the
+    #: incremental engine keys sources by them)
+    run_sets: dict[str, list[tuple]] = field(default_factory=dict)
 
     def vector_of(self, element_name: str) -> DataVector:
         try:
@@ -116,7 +120,7 @@ class QueryElement(abc.ABC):
 
         Subclasses extend the base dict with every attribute that
         influences their output vector — the foundation of the
-        incremental engine's content addressing.  Two elements with
+        incremental engine's cache keys.  Two elements with
         equal specs and equal producers compute the same thing.
         """
         return {"type": type(self).__name__, "kind": self.kind,
@@ -130,9 +134,8 @@ class QueryElement(abc.ABC):
         fingerprints of its producers (Merkle-style — one hash
         addresses the whole subgraph that feeds this element).
         ``extra`` folds additional state into the hash; the incremental
-        engine passes the experiment identity and data version for
-        source elements, and content hashes of the actual input vectors
-        for downstream elements.
+        engine passes the experiment identity, schema counter and run
+        set for source elements.
         """
         payload: dict[str, Any] = {"spec": self.spec(),
                                    "producers": list(producers)}

@@ -7,11 +7,10 @@ topological order.  The parallel executor (:mod:`repro.parallel`)
 reuses the same elements with per-node databases.
 
 With a :class:`~repro.query.cache.QueryCache` the engine becomes
-*incremental*: element results are looked up by content-addressed
-fingerprints before running, cached subgraphs are pruned (a structural
-hit skips the element and all of its exclusive ancestors), and misses
-are stored for the next run.  See :mod:`repro.query.cache` for the
-fingerprint and invalidation scheme.
+*incremental*: every element's key is computed and probed before
+anything runs, cached subgraphs are pruned (a hit skips the element's
+exclusive ancestors), and misses run and are stored for the next run.
+See :mod:`repro.query.cache` for the key and invalidation scheme.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .pushdown import (PushdownPlan, cache_boundaries, plan_pushdown,
                        run_fused_group)
 from .vectors import DataVector
 
-__all__ = ["Query", "QueryResult", "resolve_cache"]
+__all__ = ["Query", "QueryResult", "resolve_cache", "run_miss"]
 
 
 @dataclass
@@ -59,6 +58,21 @@ class QueryResult:
     def write_all(self, directory: str) -> list[str]:
         """Write every artefact below ``directory``; returns paths."""
         return [a.write_to(directory) for a in self.artifacts]
+
+
+def run_miss(ctx: QueryContext, graph: QueryGraph,
+             element: QueryElement, pushdown: bool) -> DataVector | None:
+    """Run a cacheable element that missed the cache, marked
+    ``cache="miss"``: with ``pushdown`` as a fused group of one when
+    it can fuse (a source then runs as one ``INSERT … UNION ALL`` over
+    its runs), else element-wise."""
+    attrs = {"cache": "miss"}
+    name = element.name
+    if pushdown and element.can_fuse():
+        return run_fused_group(
+            ctx, graph, PushdownPlan({name: (name,)}, {name: name}), name,
+            attrs)
+    return element.execute(ctx, span_attrs=attrs)
 
 
 def resolve_cache(cache: "QueryCache | bool | None",
@@ -112,7 +126,7 @@ class Query:
         Results are byte-identical either way; absorbed
         interior elements simply produce no intermediate vector.  With
         an active cache every cacheable element is a hit/miss seam, so
-        pushdown fuses nothing — it is the cold-path optimisation.
+        no chain fuses; each miss runs as a fused group of one.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {self.name!r}")
@@ -132,10 +146,8 @@ class Query:
                         self._execute_plan(ctx, self.pushdown_plan()
                                            if pushdown else PushdownPlan())
                     else:
-                        # under caching the pushdown plan is empty (every
-                        # cacheable element is a boundary) — run the
-                        # incremental engine unchanged
-                        self._execute_cached(ctx, qcache, experiment)
+                        self._execute_cached(ctx, qcache, experiment,
+                                             pushdown)
                 for output in self.graph.outputs:
                     result.artifacts.extend(output.artifacts)
                 result.vectors = dict(ctx.vectors)
@@ -172,30 +184,25 @@ class Query:
     # -- incremental execution ---------------------------------------------
 
     def _execute_cached(self, ctx: QueryContext, qcache: QueryCache,
-                        experiment: Experiment) -> None:
-        """Topological execution with content-addressed pruning.
-
-        :func:`~repro.query.cache.plan_cached_run` resolves structural
-        fingerprints first (a hit lets the element's exclusive
-        ancestors be skipped entirely); the cold remainder then runs
-        forward, trying result-chained keys first (so after an import,
-        elements whose inputs turn out content-identical still hit)
-        and storing every miss.
-        """
+                        experiment: Experiment, pushdown: bool) -> None:
+        """Topological execution of what
+        :func:`~repro.query.cache.plan_cached_run` left to run: hits
+        are installed, skipped elements never run, and every miss runs
+        (see :func:`run_miss`) and is stored."""
         plan = plan_cached_run(qcache, self.graph, experiment)
+        ctx.run_sets.update(plan.run_sets)
         for element in self.graph.topological_order():
-            if element.name in plan.skipped:
+            name = element.name
+            if name in plan.skipped:
                 continue
-            key, entry = plan.probe(element)
-            if entry is not None:
-                ctx.vectors[element.name] = plan.load(element, entry)
-                continue
-            vector = element.execute(
-                ctx, span_attrs=({"cache": "miss"}
-                                 if element.cacheable else None))
-            if vector is not None and element.cacheable:
-                plan.put(key, element, vector,
-                         plan.produced(element, vector), self.name)
+            if name in plan.hits:
+                ctx.vectors[name] = plan.load(element, plan.hits[name])
+            elif not element.cacheable:
+                element.execute(ctx)
+            else:
+                vector = run_miss(ctx, self.graph, element, pushdown)
+                if vector is not None:
+                    plan.put(element, vector, self.name)
 
 
 def _safe(name: str) -> str:

@@ -17,7 +17,7 @@ Section 4.3 uses.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable, Mapping
 
 import networkx as nx
 
@@ -55,6 +55,8 @@ class QueryGraph:
                         f"{element.name!r}")
                 self.graph.add_edge(input_name, element.name)
         self._validate()
+        self._order = [self.elements[name] for name in
+                       nx.lexicographical_topological_sort(self.graph)]
 
     def _validate(self) -> None:
         if not self.elements:
@@ -92,8 +94,7 @@ class QueryGraph:
 
     def topological_order(self) -> list[QueryElement]:
         """Execution order: inputs before consumers, stable by name."""
-        order = list(nx.lexicographical_topological_sort(self.graph))
-        return [self.elements[name] for name in order]
+        return list(self._order)
 
     def levels(self) -> dict[str, int]:
         """Longest-path level of each element (sources are level 0).
@@ -121,20 +122,25 @@ class QueryGraph:
     def consumers(self, name: str) -> list[str]:
         return sorted(self.graph.successors(name))
 
-    def fingerprints(self, source_extra: dict | None = None
-                     ) -> dict[str, str]:
-        """Structural fingerprint of every element (Merkle-style).
+    def fingerprints(self, source_extra: Mapping[str, Any] | None = None,
+                     per_source: Mapping[str, Mapping[str, Any]]
+                     | None = None) -> dict[str, str]:
+        """Fingerprint of every element (Merkle-style).
 
         Each fingerprint hashes the element's own spec with the
         fingerprints of its producers, so one hash addresses a whole
         subgraph.  ``source_extra`` is folded into the fingerprints of
-        input-free elements (the incremental engine passes the
-        experiment identity and data version there, which propagates to
-        every downstream fingerprint).
+        input-free elements, merged with their own entry of
+        ``per_source`` (the incremental engine passes the experiment
+        identity and schema counter, and each source's run set), and so
+        reaches every downstream fingerprint.
         """
         fps: dict[str, str] = {}
         for element in self.topological_order():
-            extra = source_extra if not element.inputs else None
+            extra = None
+            if not element.inputs:
+                extra = {**(source_extra or {}),
+                         **(per_source or {}).get(element.name, {})}
             fps[element.name] = element.fingerprint(
                 [fps[i] for i in element.inputs], extra)
         return fps

@@ -18,8 +18,8 @@ varies is where the result is materialised:
   - fan-out points — a vector read by several consumers;
   - cache boundaries — with a :class:`~repro.query.cache.QueryCache`
     active every cacheable element is a potential hit/miss seam, so
-    the plan is empty (pushdown is the *cold-path* optimisation, the
-    cache is the warm-path one);
+    the plan is empty; a cache miss then runs as its own fused group of
+    one (a source as one ``INSERT … UNION ALL`` over its runs);
   - output elements and anything that computes in Python
     (``eval``/``filter``/``use_sql=False``).
 
@@ -195,9 +195,9 @@ def materialise(ctx: "QueryContext", frag: SelectFragment,
     The single INSERT applies the tail's column affinities — the same
     conversions the unfused per-element tables would have applied —
     and pins insertion order via the fragment's order columns, so the
-    resulting table is byte-identical to the unfused one (content
-    fingerprints hash row order, so this is what keeps cache and
-    sentinel baselines valid).
+    resulting table is byte-identical to the unfused one (cache entries
+    and sentinel baselines do not record how a vector was computed, so
+    this is what keeps them valid).
     """
     table = ctx.temptables.new_table(
         element.name,
@@ -224,7 +224,8 @@ class PushdownPlan:
     """The rewrite decision: which elements fuse into which tails."""
 
     #: tail element name -> group member names in topological order
-    #: (the tail is always the last member); only groups of >= 2
+    #: (the tail is always the last member); the planner makes groups
+    #: of >= 2, a cache miss runs as a group of one
     groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: member name -> its tail, for every fused member
     member_of: dict[str, str] = field(default_factory=dict)
@@ -310,8 +311,8 @@ def plan_pushdown(graph: "QueryGraph",
 
 def cache_boundaries(graph: "QueryGraph") -> frozenset[str]:
     """Boundary set when an element cache is active: every cacheable
-    element is a potential hit/miss seam, so nothing fuses.  (The
-    cache serves the warm path; pushdown serves the cold one.)"""
+    element is a potential hit/miss seam, so no chain fuses (a miss
+    runs as a group of one instead)."""
     return frozenset(name for name, element in graph.elements.items()
                      if element.cacheable)
 
@@ -338,16 +339,19 @@ def build_fragment(ctx: "QueryContext", graph: "QueryGraph",
 
 
 def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
-                    plan: PushdownPlan, tail_name: str
+                    plan: PushdownPlan, tail_name: str,
+                    span_attrs: dict | None = None
                     ) -> DataVector | None:
     """Execute one fused group: build the tail fragment, materialise
     it in a single statement, and account it to the tail element.
 
     On :class:`FusionError` the members run element-wise instead
     (``pushdown.fallbacks``) — identical results, just slower.
+    ``span_attrs`` are extra attributes of the element span(s).
     """
     members = plan.groups[tail_name]
     tail = graph.elements[tail_name]
+    attrs = span_attrs or {}
     try:
         frag = build_fragment(ctx, graph, tail_name,
                               frozenset(members))
@@ -355,14 +359,14 @@ def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
         count("pushdown.fallbacks")
         vector = None
         for name in members:
-            vector = graph.elements[name].execute(ctx)
+            vector = graph.elements[name].execute(ctx, span_attrs=attrs)
         return vector
 
     count("pushdown.groups")
     count("pushdown.fused_elements", len(members))
     count("pushdown.statements_saved", len(members) - 1)
-    with maybe_span(tail.name, kind=tail.kind,
-                    fused=",".join(members)) as span:
+    with maybe_span(tail.name, kind=tail.kind, fused=",".join(members),
+                    **attrs) as span:
         vector = materialise(ctx, frag, tail)
         if span is not None:
             span.attributes.update(rows=vector.n_rows,

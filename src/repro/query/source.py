@@ -214,6 +214,24 @@ class Source(QueryElement):
                 params.extend(p)
         return where, params
 
+    def run_selection(self, experiment) -> list[tuple]:
+        """The run-selection rows this source reads in ``experiment``
+        now: one ``(run_index, shown-once values, once-result values)``
+        tuple per matching run, in run_index order.  Runs never change
+        once stored, so under a fixed variable schema these rows
+        determine the source's output."""
+        return self._matching_runs(experiment.store, experiment.variables,
+                                   self._layout(experiment.variables))
+
+    def _runs(self, ctx: QueryContext, layout: _Layout) -> list[tuple]:
+        """The run-selection rows to read: those resolved before
+        execution (:attr:`QueryContext.run_sets`), else fresh ones."""
+        runs = ctx.run_sets.get(self.name)
+        if runs is None:
+            runs = self._matching_runs(ctx.experiment.store,
+                                       ctx.experiment.variables, layout)
+        return runs
+
     def _matching_runs(self, store, variables, layout: _Layout):
         """Fetch (run_index, shown-once values, once-result values)
         for every matching run, in run_index order."""
@@ -250,9 +268,9 @@ class Source(QueryElement):
                 dparams)
 
     def _run_operands(self, store, variables, layout: _Layout,
-                      exp_prefix: str, *, ordinals: bool
-                      ) -> list[tuple[str, list[Any]]]:
-        """One ``SELECT`` per matching run that stores data sets.
+                      runs: list[tuple], exp_prefix: str, *,
+                      ordinals: bool) -> list[tuple[str, list[Any]]]:
+        """One ``SELECT`` per run of ``runs`` that stores data sets.
 
         Run-level values ride along as bound constants, data-set
         values come from the run's own table under the data-set
@@ -270,7 +288,6 @@ class Source(QueryElement):
         needed = ([s.name for s in layout.shown_multi]
                   + [v.name for v in layout.multi_results])
         n_shown = len(layout.shown_once)
-        runs = self._matching_runs(store, variables, layout)
         tables = [store.run_table(int(r[0])) for r in runs]
         usable = store.db.tables_with_columns(tables, needed)
         operands: list[tuple[str, list[Any]]] = []
@@ -340,14 +357,14 @@ class Source(QueryElement):
             self.name,
             [(c.name, sql_type(c.datatype)) for c in layout.columns])
         rows: list[Any] = []
+        runs = self._runs(ctx, layout)
         if not layout.per_dataset:
             rows = [([int(r[0])] if self.include_run_index else [])
-                    + list(r[1:])
-                    for r in self._matching_runs(store, variables, layout)]
+                    + list(r[1:]) for r in runs]
         else:
             exp_prefix = self._exp_prefix(ctx)
             for sql, params in self._run_operands(
-                    store, variables, layout, exp_prefix or "",
+                    store, variables, layout, runs, exp_prefix or "",
                     ordinals=False):
                 sql += " ORDER BY dataset_index"
                 if exp_prefix is None:
@@ -377,7 +394,8 @@ class Source(QueryElement):
         per-data-set values becomes one UNION ALL of the same per-run
         selects (built after the same single catalogue statement), and
         a run-level-only source a single select over the once table,
-        with no catalogue check.  Hidden ordinals pin the (run, data
+        with no catalogue check (restricted to the runs resolved before
+        execution, when there are).  Hidden ordinals pin the (run, data
         set) order, so a chain tail materialises rows in exactly the
         rowid order the source temp table would have had.  More than
         :data:`MAX_COMPOUND_OPERANDS` runs exceed SQLite's compound
@@ -398,6 +416,14 @@ class Source(QueryElement):
             # run-level values only: one row per matching run, straight
             # off the once table (run() assembles these rows in Python)
             where, params = self._run_where(variables, layout.once_specs)
+            runs = ctx.run_sets.get(self.name)
+            if runs is not None:
+                if not runs:
+                    raise FusionError(
+                        f"source {self.name!r}: no matching runs")
+                where.append("o.run_index IN ("
+                             + ", ".join(["?"] * len(runs)) + ")")
+                params.extend(int(r[0]) for r in runs)
             sel = []
             if self.include_run_index:
                 sel.append(f"o.run_index AS "
@@ -417,7 +443,8 @@ class Source(QueryElement):
                 ord_rowid=False, producer=self.name)
 
         operands = self._run_operands(store, variables, layout,
-                                      exp_prefix, ordinals=True)
+                                      self._runs(ctx, layout), exp_prefix,
+                                      ordinals=True)
         if not operands:
             raise FusionError(
                 f"source {self.name!r}: no matching runs — the "

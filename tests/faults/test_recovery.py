@@ -11,8 +11,7 @@ from repro.db import SQLiteServer, fsck
 from repro.db.recovery import TEMP_TABLE_PREFIXES
 from repro.faults import CrashFault, FaultPlan, use_faults
 from repro.query import Operator, Output, ParameterSpec, Query, Source
-from repro.query.cache import CACHE_PREFIX, CACHE_TABLE, cache_key, \
-    content_fingerprint
+from repro.query.cache import CACHE_PREFIX, CACHE_TABLE
 
 from ..conftest import fill_simple, make_simple_experiment
 
@@ -133,9 +132,7 @@ class TestCrashConsistency:
         result = avg_query().execute(exp, keep_temp_tables=True)
         vector = result.vectors["a"]
         element = avg_query().elements["a"]
-        rhash, n_rows, n_bytes = content_fingerprint(vector)
-        key = cache_key(element, ["h0"], data_version=1,
-                        experiment_name=exp.name)
+        key = element.fingerprint(["h0"])
         # close the implicit transaction the query's temp-table writes
         # opened, so the payload-table DDL below really autocommits,
         # and create the metadata table now — its one-time setup commit
@@ -146,9 +143,7 @@ class TestCrashConsistency:
         plan.add("crash", "db.commit", times=1)
         with use_faults(plan):
             with pytest.raises(CrashFault):
-                qcache.put(key, "skey", element, vector,
-                           result_hash=rhash, n_rows=n_rows,
-                           n_bytes=n_bytes, data_version=1)
+                qcache.put(key, element, vector, schema_counter=0)
         db = exp.store.db
         db.rollback()  # the "reopen": the abandoned txn evaporates
         orphans = table_names(db, CACHE_PREFIX)

@@ -129,12 +129,12 @@ def test_hit_span_encloses_the_load(executor, beffio_campaign,
 #: cold, warm, and re-queried after one more import, over the 6-run
 #: ``beffio_campaign`` (5 runs before the import)
 EXACT_COUNTS = {
-    ("sqlite", "serial"): ((0, 8, 5, 92), (5, 0, 0, 27), (1, 7, 4, 87)),
-    ("sqlite", "parallel"): ((0, 8, 5, 107), (5, 0, 0, 42),
-                             (1, 7, 4, 101)),
-    ("memory", "serial"): ((0, 8, 5, 85), (5, 0, 0, 22), (1, 7, 4, 80)),
-    ("memory", "parallel"): ((0, 8, 5, 107), (5, 0, 0, 37),
-                             (1, 7, 4, 100)),
+    ("sqlite", "serial"): ((0, 5, 5, 91), (5, 0, 0, 12), (2, 3, 3, 60)),
+    ("sqlite", "parallel"): ((0, 5, 5, 101), (5, 0, 0, 27),
+                             (2, 3, 3, 70)),
+    ("memory", "serial"): ((0, 5, 5, 83), (5, 0, 0, 11), (2, 3, 3, 55)),
+    ("memory", "parallel"): ((0, 5, 5, 100), (5, 0, 0, 26),
+                             (2, 3, 3, 69)),
 }
 
 

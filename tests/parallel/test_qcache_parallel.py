@@ -100,10 +100,10 @@ class TestParallelInvalidation:
                                          "bw": 999.0}]))
         post, stats = executor.execute(build_query(max_new=5), exp,
                                        cache=cache)
-        # s1 is bounded to pre-import runs: content-identical output
-        # lets a1 hit through the result chain mid-run
-        assert stats.cache_hits == 1
-        assert stats.cache_misses == 4
+        # s1 is bounded to pre-import runs: its unchanged run set
+        # lets the s1 -> a1 branch hit upfront
+        assert stats.cache_hits == 2
+        assert stats.cache_misses == 3
         serial = build_query(max_new=5).execute(exp,
                                                 keep_temp_tables=True)
         assert (post.artifact("o.csv").content

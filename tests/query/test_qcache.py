@@ -3,6 +3,7 @@ cache (warm/cold identity, invalidation, eviction, concurrency)."""
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -12,9 +13,9 @@ from repro.core import DataType, Occurrence
 from repro.obs import InMemorySink, Tracer, use_tracer
 from repro.query import (DEFAULT_BUDGET_BYTES, Combiner, Operator,
                          Output, ParameterSpec, Query, QueryCache,
-                         RunFilter, Source, cache_key,
-                         content_fingerprint)
-from repro.query.cache import CACHE_PREFIX, CACHE_TABLE
+                         RunFilter, Source)
+from repro.query.cache import (CACHE_PREFIX, CACHE_TABLE, columns_to_json,
+                               plan_cached_run)
 
 from ..conftest import fill_simple, make_simple_experiment
 
@@ -76,16 +77,30 @@ class TestFingerprints:
         v2 = build_query().graph.fingerprints({"data_version": 2})
         assert all(v1[name] != v2[name] for name in v1)
 
-    def test_outputs_are_uncacheable(self):
-        query = build_query()
-        assert not query.elements["o"].cacheable
-        assert cache_key(query.elements["o"], [],
-                         data_version=0, experiment_name="x") is None
+    def test_outputs_are_uncacheable(self, exp, cache):
+        build_query().execute(exp, cache=cache)
+        assert not build_query().elements["o"].cacheable
+        assert {e.element for e in cache.entries()} == \
+            {"s1", "s2", "a1", "a2", "c"}
 
-    def test_unknown_input_hash_disables_key(self):
-        query = build_query()
-        assert cache_key(query.elements["a1"], [None],
-                         data_version=0, experiment_name="x") is None
+    def test_run_set_keys_only_the_matching_chain(self, exp, cache):
+        """An import changes the keys of the sources it matches and of
+        their consumers, nothing else."""
+        before = plan_cached_run(cache, build_query().graph, exp).keys
+        exp.store_run(RunData(once={"technique": "old", "fs": "ufs"},
+                              datasets=[{"S_chunk": 32,
+                                         "access": "write",
+                                         "bw": 999.0}]))
+        after = plan_cached_run(cache, build_query().graph, exp).keys
+        assert {name for name in before if before[name] != after[name]} \
+            == {"s2", "a2", "c", "o"}
+
+    def test_schema_counter_reaches_every_key(self, exp, cache):
+        before = plan_cached_run(cache, build_query().graph, exp).keys
+        exp.add_variable(Parameter("extra", datatype=DataType.FLOAT,
+                                   occurrence=Occurrence.ONCE))
+        after = plan_cached_run(cache, build_query().graph, exp).keys
+        assert all(before[name] != after[name] for name in before)
 
 
 class TestDataVersion:
@@ -175,7 +190,7 @@ class TestInvalidation:
 
     def test_untouched_subgraph_still_hits(self, exp, cache):
         # s1 bounded to existing runs: an import elsewhere leaves its
-        # content identical, so a1 hits through the result chain
+        # run set unchanged, so the s1 -> a1 branch hits structurally
         q = lambda: build_query(max_new=5)
         q().execute(exp, cache=cache)
         exp.store_run(RunData(once={"technique": "old", "fs": "ufs"},
@@ -185,10 +200,9 @@ class TestInvalidation:
         before = dict(cache.session)
         q().execute(exp, cache=cache)
         delta = {k: cache.session[k] - before[k] for k in before}
-        # a1 hits; s1/s2 re-execute (version in key), a2/c re-execute
-        # (a2's input content changed)
-        assert delta["hits"] == 1
-        assert delta["stores"] == 4
+        # s1 and a1 hit; s2 (its run set grew), a2 and c re-execute
+        assert delta["hits"] == 2
+        assert delta["stores"] == 3
 
     def test_skey_refresh_restores_structural_hits(self, exp, cache):
         q = lambda: build_query(max_new=5)
@@ -242,14 +256,29 @@ class TestInvalidation:
 
     def test_prune_stale_drops_old_source_entries(self, exp, cache):
         build_query().execute(exp, cache=cache)
-        exp.store_run(RunData(once={"technique": "new", "fs": "ufs"},
-                              datasets=[{"S_chunk": 32,
-                                         "access": "read",
-                                         "bw": 7.0}]))
+        exp.add_variable(Parameter("extra", datatype=DataType.FLOAT,
+                                   occurrence=Occurrence.ONCE))
         dropped = cache.prune_stale()
         assert dropped == 2  # both source entries are unreachable
         kinds = {e.kind for e in cache.entries()}
         assert "source" not in kinds
+
+    def test_import_keeps_source_entries_until_restored(self, exp,
+                                                        cache):
+        """An import changes no schema counter, so nothing is pruned;
+        storing the matching source's new entry drops its old one."""
+        build_query().execute(exp, cache=cache)
+        exp.store_run(RunData(once={"technique": "new", "fs": "ufs"},
+                              datasets=[{"S_chunk": 32,
+                                         "access": "read",
+                                         "bw": 7.0}]))
+        assert cache.prune_stale() == 0
+        old = {e.element: e.key for e in cache.entries()}
+        build_query().execute(exp, cache=cache)
+        sources = {e.element: e.key for e in cache.entries()
+                   if e.kind == "source"}
+        assert sources["s2"] == old["s2"]  # run set unchanged
+        assert sources["s1"] != old["s1"]  # one entry per source
 
 
 class TestEviction:
@@ -352,15 +381,27 @@ class TestObservability:
         assert stat["budget_bytes"] == DEFAULT_BUDGET_BYTES
         assert stat["data_version"] == exp.data_version()
 
-    def test_content_fingerprint_matches_itself(self, exp, cache):
-        warm = build_query().execute(exp, cache=cache)
+    def test_entries_record_their_keys_and_payload_size(self, exp,
+                                                       cache):
+        """Each entry sits under its element's planned key, and
+        ``n_bytes`` is the serialised payload size: the column header's
+        JSON plus one compact JSON line (and newline) per row."""
         build_query().execute(exp, cache=cache)
-        for entry in cache.entries():
-            rehash, n_rows, _ = content_fingerprint(
-                cache.load(entry))
-            assert rehash == entry.result_hash
-            assert n_rows == entry.n_rows
-        assert warm is not None
+        keys = plan_cached_run(cache, build_query().graph, exp).keys
+        entries = cache.entries()
+        assert {e.element: e.key for e in entries} == \
+            {name: keys[name] for name in ("s1", "s2", "a1", "a2", "c")}
+        for entry in entries:
+            vector = cache.load(entry)
+            header = json.dumps(
+                {"columns": columns_to_json(vector.columns),
+                 "from_source": vector.from_source},
+                sort_keys=True, separators=(",", ":"), default=str)
+            lines = [json.dumps(list(row), separators=(",", ":"),
+                                default=str) for row in vector.rows()]
+            assert entry.n_rows == len(lines) > 0
+            assert entry.n_bytes == len(header) + sum(
+                len(line) + 1 for line in lines)
 
 
 class TestArtifactErrors:
