@@ -4,9 +4,8 @@ A *cold* four-query chained suite (the paper's Fig. 7 relative-
 difference query, the Section-5 stddev check, and two synthetic
 ``source → aggregate → linear → linear/norm`` chains) over the 120-run
 b_eff_io experiment, executed with and without pushdown on both
-storage backends.  Every suite query contains a fusable chain — the
-warm analytic suite of ``bench_backend_diff.py`` deliberately does
-not, which is why this bench exists separately.  The fused runs must
+storage backends.  Every suite query contains a fusable chain, so
+the suite measures what fusing saves.  The fused runs must
 be byte-identical to the unfused ones and measurably faster: the
 whole point of fusing is deleting CREATE TABLE + INSERT..SELECT
 round-trips from the cold path.

@@ -46,11 +46,6 @@ python -m pytest -q -p no:randomly -m diffdb tests
 echo "== e2e benchmark: harness smoke (fused-vs-unfused digests, n_runs, cross-backend agreement) =="
 python -m pytest -q -p no:randomly benchmarks/e2e/test_e2e_smoke.py
 
-echo "== diffdb: bench smoke (writes benchmarks/BENCH_pr6.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_backend_diff.py
-test -s benchmarks/BENCH_pr6.json
-
 echo "== faults: injection / retry / crash-recovery markers (pytest -m faults) =="
 python -m pytest -q -p no:randomly -m faults tests
 

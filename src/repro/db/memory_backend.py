@@ -1,10 +1,28 @@
 """In-memory columnar storage backend.
 
 The second :class:`~repro.db.backend.Database` implementation, next to
-the SQLite one: tables are dictionaries of per-column Python lists (a
-columnar layout tuned for the query engine's vector access pattern —
-whole-column scans, projections and aggregations), driven by a small SQL
-interpreter that covers exactly the statement shapes perfbase emits.
+the SQLite one and the oracle the differential battery compares it
+with: tables are dictionaries of per-column Python lists, driven by a
+small SQL interpreter for exactly the statements perfbase emits:
+
+* ``CREATE [TEMP] TABLE``, ``CREATE INDEX`` (a no-op), ``DROP TABLE``,
+  ``ALTER TABLE .. ADD/DROP COLUMN``;
+* ``INSERT .. VALUES`` (with ``ON CONFLICT(key) DO UPDATE`` upserts),
+  ``INSERT .. SELECT`` into tables without a primary key, ``UPDATE``,
+  ``DELETE``;
+* ``SELECT [DISTINCT]`` from one named or derived table, optionally
+  ``JOIN``-ed to more on conjunctions of column equalities, with
+  ``WHERE``, ``GROUP BY`` over plain columns of a single table,
+  ``ORDER BY``, ``LIMIT`` and ``UNION ALL``;
+* expressions: literals, ``?`` parameters, columns, ``+ - * / %``,
+  comparisons, ``IS [NOT] NULL``, ``IN (..)``, ``LIKE``, ``NOT``,
+  ``AND``, ``OR``, ``CAST``, ``COALESCE`` and the aggregates
+  ``COUNT``/``SUM``/``AVG``/``MIN``/``MAX`` and ``pb_variance``/
+  ``pb_stddev``/``pb_median``/``pb_product``.
+
+Any other statement shape raises :class:`DatabaseError` quoting the
+statement, so an emitter that outgrows this grammar fails loudly in the
+differential battery rather than running differently.
 
 Semantics deliberately mirror SQLite so the differential harness
 (:mod:`repro.testing.differential`) can assert *byte-identical* results
@@ -17,14 +35,16 @@ across backends:
 * ``rowid`` as implicit insertion-order column, with ``INTEGER PRIMARY
   KEY`` columns acting as the rowid alias (scan order follows the key),
 * the ``pb_*`` statistical aggregates with PostgreSQL-parity NULL
-  semantics — the very same Welford/median implementations the SQLite
-  backend registers as user aggregates.
+  semantics, computed in the same operation order as the Welford/median
+  implementations the SQLite backend registers as user aggregates.
 
 Transactions follow the legacy ``sqlite3`` autocommit model the SQLite
 backend runs under (``isolation_level=""``): DML implicitly opens a
 transaction, DDL joins an open transaction but autocommits outside one,
-``begin()`` opens one explicitly.  Rollback replays an undo log, so
-:class:`~repro.db.schema.BatchContext` failure semantics are identical.
+``begin()`` opens one explicitly; ``commit()`` and ``rollback()`` end
+it (there is no ``BEGIN``/``COMMIT`` statement text).  Rollback replays
+an undo log, so :class:`~repro.db.schema.BatchContext` failure
+semantics are identical.
 
 ``attachable_uri``/``attach`` return ``None``: cross-database readers
 (the parallel executor's source elements, the query cache) take their
@@ -46,8 +66,7 @@ from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
-from .sqlite_backend import (_Median, _Product, _Stddev, _Variance,
-                             _sql_summary)
+from .sqlite_backend import _sql_summary
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
            "evict_memory_server", "clear_memory_servers"]
@@ -243,14 +262,6 @@ def _mod(a, b):
     return float(r) if isinstance(a, float) or isinstance(b, float) else r
 
 
-def _concat(a, b):
-    if a is None or b is None:
-        return None
-    def text(v):
-        return str(v) if isinstance(v, (int, float)) else v
-    return f"{text(a)}{text(b)}"
-
-
 _LIKE_CACHE: dict[str, re.Pattern] = {}
 
 
@@ -305,104 +316,22 @@ def _cast(value, target: str):
 # aggregates (SQLite built-ins + the pb_* user aggregates)
 # =========================================================================
 
-class _Count:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-    def step(self, value):
-        if value is not None:
-            self.n += 1
-
-    def finalize(self):
-        return self.n
+#: the aggregate functions the parser recognises (``COUNT(*)`` parses
+#: to the pseudo-name ``count*``)
+_AGGREGATE_NAMES = frozenset((
+    "count", "sum", "avg", "min", "max",
+    "pb_variance", "pb_stddev", "pb_median", "pb_product",
+))
 
 
-class _CountStar(_Count):
-    def step(self, value):
-        self.n += 1
+def _aggregate(name: str, values: list) -> Any:
+    """Aggregate one column's values (``COUNT(*)`` is counted by the
+    callers) in a single pass.
 
-
-class _Sum:
-    """SQLite SUM: NULL over no rows, integer until a float appears."""
-
-    __slots__ = ("acc", "seen")
-
-    def __init__(self):
-        self.acc = 0
-        self.seen = False
-
-    def step(self, value):
-        if value is None:
-            return
-        self.seen = True
-        value = _num(value)
-        if isinstance(value, float) and isinstance(self.acc, int):
-            self.acc = float(self.acc)
-        self.acc += value
-
-    def finalize(self):
-        return self.acc if self.seen else None
-
-
-class _Avg:
-    __slots__ = ("total", "n")
-
-    def __init__(self):
-        self.total = 0.0
-        self.n = 0
-
-    def step(self, value):
-        if value is None:
-            return
-        self.total += float(_num(value))
-        self.n += 1
-
-    def finalize(self):
-        return self.total / self.n if self.n else None
-
-
-class _Min:
-    __slots__ = ("best",)
-    _want = -1
-
-    def __init__(self):
-        self.best = None
-
-    def step(self, value):
-        if value is None:
-            return
-        if self.best is None or _compare(value, self.best) == self._want:
-            self.best = value
-
-    def finalize(self):
-        return self.best
-
-
-class _Max(_Min):
-    _want = 1
-
-
-_AGGREGATES = {
-    "count": _Count,
-    "sum": _Sum,
-    "avg": _Avg,
-    "min": _Min,
-    "max": _Max,
-    "pb_variance": _Variance,
-    "pb_stddev": _Stddev,
-    "pb_median": _Median,
-    "pb_product": _Product,
-}
-
-
-def _fast_aggregate(name: str, values: list) -> Any:
-    """One whole-column aggregation pass, inlined for the hot path.
-
-    Arithmetic is performed in exactly the order the per-row ``step``
-    implementations use, so results are bit-identical to the generic
-    path (and to the SQLite backend's Python aggregate callbacks).
+    SUM stays an integer until a float appears and is NULL over no
+    rows, like SQLite's.  The ``pb_*`` aggregates perform their
+    arithmetic in exactly the order of the SQLite backend's Python
+    aggregate callbacks, so results are bit-identical across backends.
     """
     if name == "count":
         return sum(1 for v in values if v is not None)
@@ -475,7 +404,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<string>'(?:[^']|'')*')
   | (?P<qident>"(?:[^"]|"")*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><>|<=|>=|==|!=|\|\||[-+*/%(),.?=<>;])
+  | (?P<op><>|<=|>=|==|!=|[-+*/%(),.?=<>;])
 """, re.VERBOSE)
 
 
@@ -580,15 +509,15 @@ class _Delete:
 
 
 class _Select:
-    __slots__ = ("distinct", "items", "sources", "joins", "where",
+    __slots__ = ("distinct", "items", "source", "joins", "where",
                  "group", "order", "limit")
 
-    def __init__(self, distinct, items, sources, joins, where, group,
+    def __init__(self, distinct, items, source, joins, where, group,
                  order, limit):
         self.distinct = distinct
         self.items = items              # [("star", alias|None)
         #                                  | ("expr", ast, alias|None)]
-        self.sources = sources          # [(table|select_ast, alias)]
+        self.source = source            # (table|select_ast, alias) | None
         self.joins = joins              # [(table|select_ast, alias, on_expr)]
         self.where = where
         self.group = group              # [ast]
@@ -601,17 +530,6 @@ class _Compound:
 
     def __init__(self, selects):
         self.selects = selects
-
-
-class _Tx:
-    __slots__ = ("what",)
-
-    def __init__(self, what):
-        self.what = what
-
-
-class _NoOp:
-    __slots__ = ()
 
 
 # =========================================================================
@@ -700,20 +618,6 @@ class _Parser:
             return self.delete()
         if self.at_kw("SELECT"):
             return self.select_compound()
-        if self.accept_kw("BEGIN"):
-            self.accept_kw("IMMEDIATE") or self.accept_kw("EXCLUSIVE") \
-                or self.accept_kw("DEFERRED")
-            self.accept_kw("TRANSACTION")
-            return _Tx("begin")
-        if self.accept_kw("COMMIT") or self.accept_kw("END"):
-            self.accept_kw("TRANSACTION")
-            return _Tx("commit")
-        if self.accept_kw("ROLLBACK"):
-            self.accept_kw("TRANSACTION")
-            return _Tx("rollback")
-        if self.accept_kw("PRAGMA"):
-            self.pos = len(self.tokens) - 1  # ignore the rest
-            return _NoOp()
         raise DatabaseError(f"unsupported statement: {self.sql!r}")
 
     def create(self):
@@ -888,21 +792,17 @@ class _Parser:
                     items.append(("expr", ast, alias))
             if not self.accept_op(","):
                 break
-        sources: list[tuple[str, str | None]] = []
-        joins: list[tuple[str, str | None, Any]] = []
+        source = None
+        joins: list[tuple[Any, str | None, Any]] = []
         if self.accept_kw("FROM"):
-            sources.append(self.table_ref())
+            source = self.table_ref()
             while True:
-                if self.accept_op(","):
-                    sources.append(self.table_ref())
-                    continue
                 self.accept_kw("INNER")
-                if self.accept_kw("JOIN"):
-                    table, alias = self.table_ref()
-                    self.expect_kw("ON")
-                    joins.append((table, alias, self.expr()))
-                    continue
-                break
+                if not self.accept_kw("JOIN"):
+                    break
+                table, alias = self.table_ref()
+                self.expect_kw("ON")
+                joins.append((table, alias, self.expr()))
         where = self.expr() if self.accept_kw("WHERE") else None
         group = []
         if self.accept_kw("GROUP"):
@@ -925,7 +825,7 @@ class _Parser:
                 if not self.accept_op(","):
                     break
         limit = self.expr() if self.accept_kw("LIMIT") else None
-        return _Select(distinct, items, sources, joins, where, group,
+        return _Select(distinct, items, source, joins, where, group,
                        order, limit)
 
     def table_ref(self):
@@ -983,24 +883,11 @@ class _Parser:
                 self.expect_kw("NULL")
                 node = ("isnull", node, negate)
                 continue
-            if self.at_kw("LIKE"):
-                self.pos += 1
-                node = ("like", node, self.expr_add(), False)
+            if self.accept_kw("LIKE"):
+                node = ("like", node, self.expr_add())
                 continue
-            if self.at_kw("NOT"):
-                checkpoint = self.pos
-                self.pos += 1
-                if self.accept_kw("LIKE"):
-                    node = ("like", node, self.expr_add(), True)
-                    continue
-                if self.accept_kw("IN"):
-                    node = ("in", node, self.in_list(), True)
-                    continue
-                self.pos = checkpoint
-                break
-            if self.at_kw("IN"):
-                self.pos += 1
-                node = ("in", node, self.in_list(), False)
+            if self.accept_kw("IN"):
+                node = ("in", node, self.in_list())
                 continue
             break
         return node
@@ -1029,7 +916,7 @@ class _Parser:
         node = self.expr_unary()
         while True:
             kind, value = self.peek()
-            if kind == "op" and value in ("*", "/", "%", "||"):
+            if kind == "op" and value in ("*", "/", "%"):
                 self.pos += 1
                 node = ("bin", value, node, self.expr_unary())
             else:
@@ -1057,10 +944,6 @@ class _Parser:
             return ("param", index)
         if kind == "op" and value == "(":
             self.pos += 1
-            if self.at_kw("SELECT"):
-                sub = self.select_compound()
-                self.expect_op(")")
-                return ("sub", sub)
             node = self.expr()
             self.expect_op(")")
             return node
@@ -1091,7 +974,7 @@ class _Parser:
                         if not self.accept_op(","):
                             break
                     self.expect_op(")")
-                if name in _AGGREGATES and len(args) == 1:
+                if name in _AGGREGATE_NAMES and len(args) == 1:
                     return ("agg", name, args[0])
                 if name == "coalesce":
                     return ("coalesce", args)
@@ -1127,19 +1010,18 @@ def _parse(sql: str):
 # =========================================================================
 
 class _CompileCtx:
-    """Per-execution compilation state: scalar subqueries + aggregates."""
+    """Per-execution compilation state: the aggregates to compute."""
 
-    __slots__ = ("resolver", "subs", "aggs")
+    __slots__ = ("resolver", "aggs")
 
     def __init__(self, resolver):
         self.resolver = resolver        # (qualifier, name) -> slot index
-        self.subs: list[Any] = []       # select ASTs
         self.aggs: list[tuple[str, Any]] = []  # (name, arg_fn | None)
 
 
 def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
     """Compile an expression AST into ``f(row, env)`` where ``env`` is
-    ``(params, subvals, aggvals)``."""
+    ``(params, aggvals)``."""
     kind = node[0]
     if kind == "lit":
         value = node[1]
@@ -1150,10 +1032,6 @@ def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
     if kind == "col":
         slot = ctx.resolver(node[1], node[2])
         return lambda row, env: row[slot]
-    if kind == "sub":
-        index = len(ctx.subs)
-        ctx.subs.append(node[1])
-        return lambda row, env: env[1][index]
     if kind == "agg":
         if not allow_agg:
             raise DatabaseError("aggregate in illegal context")
@@ -1162,7 +1040,7 @@ def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
                else _compile(node[2], ctx, allow_agg=False))
         index = len(ctx.aggs)
         ctx.aggs.append((name, arg))
-        return lambda row, env: env[2][index]
+        return lambda row, env: env[1][index]
     if kind == "cast":
         inner = _compile(node[1], ctx, allow_agg)
         target = node[2]
@@ -1188,8 +1066,7 @@ def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
         op = node[1]
         left = _compile(node[2], ctx, allow_agg)
         right = _compile(node[3], ctx, allow_agg)
-        fn = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod,
-              "||": _concat}[op]
+        fn = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod}[op]
         return lambda row, env: fn(left(row, env), right(row, env))
     if kind == "cmp":
         op = node[1]
@@ -1221,18 +1098,10 @@ def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
     if kind == "like":
         left = _compile(node[1], ctx, allow_agg)
         right = _compile(node[2], ctx, allow_agg)
-        negate = node[3]
-
-        def like(row, env):
-            result = _like(left(row, env), right(row, env))
-            if result is None:
-                return None
-            return (not result) if negate else result
-        return like
+        return lambda row, env: _like(left(row, env), right(row, env))
     if kind == "in":
         left = _compile(node[1], ctx, allow_agg)
         fns = [_compile(e, ctx, allow_agg) for e in node[2]]
-        negate = node[3]
 
         def isin(row, env):
             value = left(row, env)
@@ -1245,10 +1114,10 @@ def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
                 if c is None:
                     saw_null = True
                 elif c == 0:
-                    return (not True) if negate else True
+                    return True
             if saw_null:
                 return None
-            return negate
+            return False
         return isin
     if kind == "not":
         inner = _compile(node[1], ctx, allow_agg)
@@ -1295,7 +1164,7 @@ def _find_aggs(node) -> bool:
     kind = node[0]
     if kind == "agg":
         return True
-    if kind in ("lit", "param", "col", "sub"):
+    if kind in ("lit", "param", "col"):
         return False
     if kind == "cast":
         return _find_aggs(node[1])
@@ -1522,8 +1391,11 @@ class MemoryDatabase(Database):
                 if fetch == "one":
                     return rows[0] if rows else None
                 return None
-            except DatabaseError:
-                raise
+            except DatabaseError as exc:
+                # every error names its statement, as on SQLite
+                if "[sql: " in str(exc):
+                    raise
+                raise DatabaseError(f"{exc} [sql: {sql}]") from exc
             except sqlite3.Error as exc:
                 # injected TransientLockFaults are OperationalErrors;
                 # wrap them exactly like the SQLite backend so the
@@ -1590,16 +1462,7 @@ class MemoryDatabase(Database):
         if isinstance(stmt, _AlterTable):
             self._exec_alter(stmt, sql)
             return None
-        if isinstance(stmt, (_CreateIndex, _NoOp)):
-            return None
-        if isinstance(stmt, _Tx):
-            if stmt.what == "begin":
-                self.begin()
-            elif stmt.what == "commit":
-                self._in_txn = False
-                self._undo.clear()
-            else:
-                self.rollback()
+        if isinstance(stmt, _CreateIndex):
             return None
         raise DatabaseError(f"unsupported statement [sql: {sql}]")
 
@@ -1749,13 +1612,10 @@ class MemoryDatabase(Database):
                 return layout.index(name)
             except ValueError:
                 raise DatabaseError(f"no such column {name}") from None
-        ctx = _CompileCtx(resolver)
-        fn = _compile(expr, ctx)
-        subvals = tuple(self._scalar_sub(ast, params)
-                        for ast in ctx.subs)
+        fn = _compile(expr, _CompileCtx(resolver))
         row = tuple(table.cols[c][position] for c in layout) \
             + tuple(new_row[c] for c in layout)
-        return fn(row, (params, subvals, ()))
+        return fn(row, (params, ()))
 
     def _exec_insert(self, stmt: _Insert, params, sql: str) -> None:
         self._begin_implicit()
@@ -1765,9 +1625,7 @@ class MemoryDatabase(Database):
             ctx = _CompileCtx(lambda q, n: (_ for _ in ()).throw(
                 DatabaseError(f"no such column {n} [sql: {sql}]")))
             fns = [_compile(v, ctx) for v in stmt.values]
-            subvals = tuple(self._scalar_sub(ast, params)
-                            for ast in ctx.subs)
-            env = (params, subvals, ())
+            env = (params, ())
             values = [fn(None, env) for fn in fns]
             if len(values) != len(columns):
                 raise DatabaseError(
@@ -1777,23 +1635,18 @@ class MemoryDatabase(Database):
                                stmt.conflict_key, stmt.conflict_sets,
                                params)
         else:
-            rows = self._exec_select(stmt.select, params)
-            if (rows and table.primary_key is None
-                    and stmt.conflict_key is None
-                    and self._bulk_insert(table, columns, rows, sql)):
-                return
-            for row in rows:
-                self._insert_cells(table, columns, list(row), sql,
-                                   stmt.conflict_key,
-                                   stmt.conflict_sets, params)
+            self._bulk_insert(table, columns, stmt, params, sql)
 
     def _bulk_insert(self, table: _Table, columns: list[str],
-                     rows: list[tuple], sql: str) -> bool:
-        """Column-wise append for ``INSERT .. SELECT`` into tables
-        without a primary key (the query engine's temp-table fills):
-        one affinity pass per column and a single undo record instead
-        of per-row bookkeeping.  Returns False to fall back to the
-        per-row path."""
+                     stmt: _Insert, params, sql: str) -> None:
+        """``INSERT .. SELECT`` as a column-wise append: one affinity
+        pass per column and a single undo record.  Its targets are the
+        query engine's temp and cache tables, so a primary-key or
+        ``ON CONFLICT`` target is unsupported."""
+        if table.primary_key is not None or stmt.conflict_key is not None:
+            raise DatabaseError(
+                "INSERT .. SELECT into a table with a primary key is "
+                f"unsupported [sql: {sql}]")
         positions = []
         for name in columns:
             try:
@@ -1803,10 +1656,13 @@ class MemoryDatabase(Database):
                     f"table {table.name} has no column named {name} "
                     f"[sql: {sql}]") from None
         if len(set(positions)) != len(positions):
-            return False
+            raise DatabaseError(f"duplicate insert column [sql: {sql}]")
+        rows = self._exec_select(stmt.select, params)
         width = len(columns)
         if any(len(row) != width for row in rows):
-            return False
+            raise DatabaseError(
+                f"{width} columns but a row of another width "
+                f"[sql: {sql}]")
         old_len = len(table.rowids)
         old_next = table.next_rowid
         m = len(rows)
@@ -1828,7 +1684,6 @@ class MemoryDatabase(Database):
             table.next_rowid = old_next
         self._record(undo_bulk)
         self._last_rowcount += m
-        return True
 
     def _exec_update(self, stmt: _Update, params, sql: str) -> None:
         self._begin_implicit()
@@ -1851,9 +1706,7 @@ class MemoryDatabase(Database):
                  if stmt.where is not None else None)
         sets = [(column, _compile(expr, ctx))
                 for column, expr in stmt.sets]
-        subvals = tuple(self._scalar_sub(ast, params)
-                        for ast in ctx.subs)
-        env = (params, subvals, ())
+        env = (params, ())
         rows = table.scan()
         undo: list[tuple[int, str, Any]] = []
         pk_touched = False
@@ -1896,11 +1749,8 @@ class MemoryDatabase(Database):
         if stmt.where is None:
             positions = list(range(len(table)))
         else:
-            ctx = _CompileCtx(resolver)
-            where = _compile(stmt.where, ctx)
-            subvals = tuple(self._scalar_sub(ast, params)
-                            for ast in ctx.subs)
-            env = (params, subvals, ())
+            where = _compile(stmt.where, _CompileCtx(resolver))
+            env = (params, ())
             positions = [i for i, row in enumerate(table.scan())
                          if _truthy(where(row, env)) is True]
         removed: list[tuple[int, int, list]] = []
@@ -1916,20 +1766,16 @@ class MemoryDatabase(Database):
 
     # -- SELECT ------------------------------------------------------------
 
-    def _scalar_sub(self, ast, params) -> Any:
-        rows = self._exec_select(ast, params)
-        return rows[0][0] if rows else None
-
     def _resolve_source(self, ref, alias, params,
                         resolved: dict | None = None) -> _Table:
         """A FROM/JOIN entry: a named table, or a derived table
-        (subquery) materialised into an anonymous :class:`_Table`
-        with rowids 1..n and no affinity conversion.
+        materialised into an anonymous :class:`_Table` with rowids
+        1..n and no affinity conversion.
 
         ``resolved`` memoises derived tables by AST identity for the
         duration of one statement evaluation, so the fast path trying a
         statement and then handing it to the generic interpreter never
-        evaluates a subquery twice."""
+        evaluates a derived table twice."""
         if isinstance(ref, str):
             return self._table(ref, "select")
         if resolved is not None and id(ref) in resolved:
@@ -1953,20 +1799,24 @@ class MemoryDatabase(Database):
         ``agg(column)`` select items, a conjunction of single-column
         predicates, and optional GROUP BY over plain columns.  Works
         directly on the column lists — no per-row tuple
-        materialisation, no compiled closure tree.  Returns ``None``
-        when the statement needs the generic interpreter; results are
-        identical either way (the battery in tests/diffdb pins this
-        against both paths and SQLite).
+        materialisation, no compiled closure tree.
+
+        Returns ``None`` for any other shape — joins, DISTINCT, LIMIT,
+        expressions in the select list or WHERE — and the generic
+        interpreter evaluates it instead; a GROUP BY declined here is
+        unsupported there and raises.  A given statement always runs
+        on the same one of the two paths, and tests/diffdb compares
+        that path's result with SQLite's.
 
         Derived tables — the shape fused pushdown statements nest —
         are resolved through the shared ``resolved`` memo, so a late
         ``return None`` costs nothing: the generic path reuses the
-        already-evaluated subquery.
+        already-evaluated derived table.
         """
         if (stmt.joins or stmt.distinct or stmt.limit is not None
-                or len(stmt.sources) != 1):
+                or stmt.source is None):
             return None
-        ref, alias = stmt.sources[0]
+        ref, alias = stmt.source
         if isinstance(ref, str):
             table = self._tables.get(ref)
             if table is None:    # let the generic path raise
@@ -2057,18 +1907,17 @@ class MemoryDatabase(Database):
                                   v is not None
                                   and _compare(v, w) >= 0))
             elif kind == "in":
-                col, negate = column_of(node[1]), node[3]
+                col = column_of(node[1])
                 if col is None:
                     return None
                 values = [constant_of(e) for e in node[2]]
                 if any(v is _UNSUPPORTED or v is None for v in values):
                     return None     # NULL member: three-valued logic
                 keys = {_gkey(v) for v in values}
-                tests.append((col, lambda v, keys=keys, negate=negate:
-                              v is not None
-                              and ((_gkey(v) in keys) is not negate)))
+                tests.append((col, lambda v, keys=keys:
+                              v is not None and _gkey(v) in keys))
             elif kind == "like":
-                col, negate = column_of(node[1]), node[3]
+                col = column_of(node[1])
                 if col is None:
                     return None
                 pattern = constant_of(node[2])
@@ -2077,10 +1926,8 @@ class MemoryDatabase(Database):
                 if pattern is None:
                     tests.append((col, lambda v: False))
                 else:
-                    tests.append((col, lambda v, p=pattern,
-                                  negate=negate:
-                                  v is not None
-                                  and bool(_like(v, p)) is not negate))
+                    tests.append((col, lambda v, p=pattern:
+                                  v is not None and bool(_like(v, p))))
             else:
                 return None
 
@@ -2183,7 +2030,8 @@ class MemoryDatabase(Database):
                     buckets[key] = bucket = []
                     order.append(key)
                 bucket.append(i)
-            # match SQLite's sorter-based grouping (see _grouped)
+            # SQLite groups via a sort on the grouping terms, so its
+            # output comes back ordered by group key — match that
             order.sort(key=lambda key: tuple(_sort_key(v)
                                              for v in key))
             out = []
@@ -2201,7 +2049,7 @@ class MemoryDatabase(Database):
                         if name == "count*":
                             values.append(len(members))
                         else:
-                            values.append(_fast_aggregate(
+                            values.append(_aggregate(
                                 name, [col[i] for i in members]))
                 out.append(tuple(values))
             return out
@@ -2214,7 +2062,7 @@ class MemoryDatabase(Database):
                 if name == "count*":
                     aggvals.append(n if idx is None else len(idx))
                 else:
-                    aggvals.append(_fast_aggregate(
+                    aggvals.append(_aggregate(
                         name, col if idx is None
                         else [col[i] for i in idx]))
             return [tuple(aggvals[payload] if kind == "agg"
@@ -2241,15 +2089,22 @@ class MemoryDatabase(Database):
         fast = self._fast_select(stmt, params, resolved)
         if fast is not None:
             return fast
+        if stmt.group:
+            raise DatabaseError(
+                "GROUP BY is supported only over plain columns of one "
+                "table, with single-column filters and plain or "
+                "aggregated columns selected")
 
-        sources = [(self._resolve_source(ref, alias, params, resolved),
-                    alias)
-                   for ref, alias in stmt.sources]
-        join_tables = [(self._resolve_source(ref, alias, params,
-                                             resolved),
-                        alias, on)
-                       for ref, alias, on in stmt.joins]
-        all_sources = sources + [(t, a) for t, a, _ in join_tables]
+        all_sources = []
+        if stmt.source is not None:
+            ref, alias = stmt.source
+            all_sources.append(
+                (self._resolve_source(ref, alias, params, resolved),
+                 alias))
+        joins = [(self._resolve_source(ref, alias, params, resolved),
+                  alias, on)
+                 for ref, alias, on in stmt.joins]
+        all_sources += [(t, a) for t, a, _ in joins]
 
         # -- flat row layout: per table, its columns then its rowid ----
         offsets: list[int] = []
@@ -2299,23 +2154,27 @@ class MemoryDatabase(Database):
 
         where = (_compile(stmt.where, ctx)
                  if stmt.where is not None else None)
-        group_fns = [_compile(g, ctx) for g in stmt.group]
         order_fns = [(_compile(term, ctx, allow_agg=True), desc)
                      for term, desc in stmt.order]
         limit_fn = (_compile(stmt.limit, ctx)
                     if stmt.limit is not None else None)
 
-        subvals = tuple(self._scalar_sub(ast, params)
-                        for ast in ctx.subs)
-        env = (params, subvals, ())
+        env = (params, ())
 
-        rows = self._join_rows(sources, join_tables, params, env)
+        rows = self._join_rows(all_sources[:1], joins)
         if where is not None:
             rows = [r for r in rows if _truthy(where(r, env)) is True]
 
-        if agg_present or group_fns:
-            out = self._grouped(stmt, item_fns, group_fns, order_fns,
-                                ctx, rows, env, offset)
+        if agg_present:
+            # whole-table aggregation: one output row over all input
+            # rows, so ORDER BY has nothing to order
+            aggvals = tuple(
+                len(rows) if name == "count*"
+                else _aggregate(name, [arg(row, env) for row in rows])
+                for name, arg in ctx.aggs)
+            representative = rows[0] if rows else (None,) * offset
+            out = [tuple(fn(representative, (params, aggvals))
+                         for fn in item_fns)]
         else:
             if order_fns:
                 rows = _order_rows(rows, order_fns, env)
@@ -2337,138 +2196,41 @@ class MemoryDatabase(Database):
                 out = out[:int(limit)]
         return out
 
-    def _grouped(self, stmt, item_fns, group_fns, order_fns, ctx,
-                 rows, env, width) -> list[tuple]:
-        """GROUP BY / whole-table aggregation."""
-        aggs = ctx.aggs
-        if group_fns:
-            order: list[tuple] = []
-            groups: dict[tuple, tuple[tuple, list]] = {}
-            for row in rows:
-                key = tuple(_gkey(fn(row, env)) for fn in group_fns)
-                bucket = groups.get(key)
-                if bucket is None:
-                    states = [(_CountStar() if name == "count*"
-                               else _AGGREGATES[name]())
-                              for name, _arg in aggs]
-                    bucket = (row, states)
-                    groups[key] = bucket
-                    order.append(key)
-                states = bucket[1]
-                for state, (name, arg) in zip(states, aggs):
-                    state.step(None if arg is None
-                               else arg(row, env))
-            # SQLite groups via a sort on the grouping terms, so its
-            # output comes back ordered by group key — match that
-            order.sort(key=lambda key: tuple(_sort_key(v)
-                                             for v in key))
-            out = []
-            for key in order:
-                representative, states = groups[key]
-                aggvals = tuple(s.finalize() for s in states)
-                genv = (env[0], env[1], aggvals)
-                out.append(tuple(fn(representative, genv)
-                                 for fn in item_fns))
-            if order_fns:
-                reps = [groups[k][0] for k in order]
-                # order evaluated on the representative rows
-                indexed = list(range(len(out)))
-                for fn, desc in reversed(order_fns):
-                    keys = [_sort_key(fn(reps[i], (
-                        env[0], env[1],
-                        tuple(s.finalize()
-                              for s in groups[order[i]][1]))))
-                        for i in indexed]
-                    paired = sorted(zip(keys, indexed),
-                                    key=lambda kv: kv[0],
-                                    reverse=desc)
-                    indexed = [i for _k, i in paired]
-                out = [out[i] for i in indexed]
-            return out
-        # no GROUP BY: one output row over all input rows
-        states = [(_CountStar() if name == "count*"
-                   else _AGGREGATES[name]())
-                  for name, arg in aggs]
-        for row in rows:
-            for state, (name, arg) in zip(states, aggs):
-                state.step(None if arg is None else arg(row, env))
-        aggvals = tuple(s.finalize() for s in states)
-        representative = rows[0] if rows else (None,) * width
-        genv = (env[0], env[1], aggvals)
-        return [tuple(fn(representative, genv) for fn in item_fns)]
-
-    def _join_rows(self, sources, join_tables, params, env):
-        """FROM/JOIN evaluation: left-to-right nested loops with a hash
-        fast path for pure-equality ON conditions (matches SQLite's
+    def _join_rows(self, source, joins):
+        """FROM/JOIN evaluation: left-to-right hash joins on
+        conjunctions of column equalities (matches SQLite's
         outer-scan-order output for these statement shapes)."""
-        if not sources:  # FROM-less SELECT: one empty row
+        if not source:  # FROM-less SELECT: one empty row
             return [()]
-        table, _alias = sources[0]
-        rows = table.scan()
-        if len(sources) > 1:  # cartesian comma-joins (unused, correct)
-            for other, _alias2 in sources[1:]:
-                rows = [left + right for left in rows
-                        for right in other.scan()]
-        consumed = list(sources)
-        for table, alias, on in join_tables:
-            prior_width = sum(len(t.columns) + 1 for t, _a in consumed)
-            right_rows = table.scan()
+        rows = source[0][0].scan()
+        consumed = list(source)
+        for table, alias, on in joins:
             pairs = _equality_pairs(on, consumed, table, alias)
-            if pairs is not None:
-                index: dict[tuple, list[tuple]] = {}
-                for right in right_rows:
-                    key = tuple(_gkey(right[ri]) for _li, ri in pairs)
-                    if any(right[ri] is None for _li, ri in pairs):
-                        continue
-                    index.setdefault(key, []).append(right)
-                joined = []
-                for left in rows:
-                    if any(left[li] is None for li, _ri in pairs):
-                        continue
-                    key = tuple(_gkey(left[li]) for li, _ri in pairs)
-                    for right in index.get(key, ()):
-                        joined.append(left + right)
-                rows = joined
-            else:
-                # generic nested loop over the compiled ON expression
-                def resolver(qualifier, name,
-                             consumed=tuple(consumed),
-                             table=table, alias=alias,
-                             prior_width=prior_width):
-                    offset = 0
-                    for t, a in consumed:
-                        if qualifier in (a, t.name) or (
-                                qualifier is None
-                                and name in t.cols):
-                            if name in t.cols:
-                                return offset \
-                                    + t.columns.index(name)
-                            if name == "rowid":
-                                return offset + len(t.columns)
-                        offset += len(t.columns) + 1
-                    if qualifier in (alias, table.name) \
-                            or qualifier is None:
-                        if name in table.cols:
-                            return prior_width \
-                                + table.columns.index(name)
-                        if name == "rowid":
-                            return prior_width + len(table.columns)
-                    raise DatabaseError(f"no such column: {name}")
-                ctx = _CompileCtx(resolver)
-                on_fn = _compile(on, ctx)
-                subvals = tuple(self._scalar_sub(ast, params)
-                                for ast in ctx.subs)
-                jenv = (params, subvals, ())
-                rows = [left + right for left in rows
-                        for right in right_rows
-                        if _truthy(on_fn(left + right, jenv)) is True]
+            if pairs is None:
+                raise DatabaseError(
+                    "JOIN .. ON must be a conjunction of column "
+                    "equalities")
+            index: dict[tuple, list[tuple]] = {}
+            for right in table.scan():
+                key = tuple(_gkey(right[ri]) for _li, ri in pairs)
+                if any(right[ri] is None for _li, ri in pairs):
+                    continue
+                index.setdefault(key, []).append(right)
+            joined = []
+            for left in rows:
+                if any(left[li] is None for li, _ri in pairs):
+                    continue
+                key = tuple(_gkey(left[li]) for li, _ri in pairs)
+                for right in index.get(key, ()):
+                    joined.append(left + right)
+            rows = joined
             consumed.append((table, alias))
         return rows
 
 
 def _equality_pairs(on, consumed, table, alias):
     """Extract ``left_slot == right_slot`` pairs from a conjunction of
-    column equalities, or ``None`` if the ON clause is more general."""
+    column equalities, or ``None`` for any other ON clause."""
     pairs: list[tuple[int, int]] = []
 
     def left_slot(qualifier, name):
@@ -2513,7 +2275,7 @@ def _equality_pairs(on, consumed, table, alias):
 
 
 def _derived_names(stmt) -> list[str]:
-    """Output column names of a derived-table subquery: the item
+    """Output column names of a derived table: the item
     alias, else a plain column reference's name, else a positional
     placeholder (unreferenceable, like SQLite's expression names)."""
     if isinstance(stmt, _Compound):

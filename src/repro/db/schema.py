@@ -32,6 +32,7 @@ Concretely:
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
 import threading
@@ -289,18 +290,39 @@ class ExperimentStore:
         """
         self._variables_cache = None
 
+    @contextlib.contextmanager
+    def _schema_change(self):
+        """One change of the variable schema as one transaction.
+
+        On success the schema counter is bumped and everything
+        committed.  Any failure rolls the change back before
+        re-raising, or its statements would stay pending on this
+        connection and the next commit would persist half of it.  A
+        simulated crash (a BaseException) abandons the transaction
+        instead, like a killed process.  The variables cache is
+        dropped either way.
+        """
+        try:
+            yield
+            self.bump_schema_counter()
+            self.db.commit()
+        except Exception:
+            try:
+                self.db.rollback()
+            except DatabaseError:
+                pass  # the original exception matters more
+            raise
+        finally:
+            self.invalidate_variables_cache()
+
     def save_variables(self, variables: VariableSet) -> None:
         """Persist the full variable set (used at setup time)."""
-        try:
+        with self._schema_change():
             self.db.execute(f"DELETE FROM {_VARS}")
             self.db.insert_rows(
                 _VARS, ["name", "definition", "position"],
                 [(v.name, variable_to_json(v), i)
                  for i, v in enumerate(variables)])
-            self.bump_schema_counter()
-            self.db.commit()
-        finally:
-            self.invalidate_variables_cache()
 
     def load_variables(self) -> VariableSet:
         """The experiment's variable set (cached; see class docs).
@@ -326,7 +348,7 @@ class ExperimentStore:
         """
         variables = self.load_variables()
         variables.add(var)  # raises on duplicates
-        try:
+        with self._schema_change():
             pos = self.db.fetchone(
                 f"SELECT COALESCE(MAX(position), -1) + 1 FROM {_VARS}")[0]
             self.db.execute(
@@ -343,16 +365,12 @@ class ExperimentStore:
                         f"ALTER TABLE "
                         f"{quote_identifier(self.run_table(idx))} "
                         f"ADD COLUMN {col} {stype}")
-            self.bump_schema_counter()
-            self.db.commit()
-        finally:
-            self.invalidate_variables_cache()
 
     def remove_variable(self, name: str) -> None:
         """Experiment evolution: remove a variable and its stored data."""
         variables = self.load_variables()
         var = variables.remove(name)
-        try:
+        with self._schema_change():
             self.db.execute(f"DELETE FROM {_VARS} WHERE name=?", (name,))
             col = quote_identifier(name)
             if var.occurrence is Occurrence.ONCE:
@@ -366,10 +384,6 @@ class ExperimentStore:
                         self.db.execute(
                             f"ALTER TABLE {quote_identifier(table)} "
                             f"DROP COLUMN {col}")
-            self.bump_schema_counter()
-            self.db.commit()
-        finally:
-            self.invalidate_variables_cache()
 
     def modify_variable(self, var: Variable) -> None:
         """Experiment evolution: replace the definition of a variable.
@@ -386,14 +400,10 @@ class ExperimentStore:
         if old.occurrence is not var.occurrence:
             raise DefinitionError(
                 f"cannot change occurrence of {var.name!r}")
-        try:
+        with self._schema_change():
             self.db.execute(
                 f"UPDATE {_VARS} SET definition=? WHERE name=?",
                 (variable_to_json(var), var.name))
-            self.bump_schema_counter()
-            self.db.commit()
-        finally:
-            self.invalidate_variables_cache()
 
     def _ensure_once_columns(self, variables: VariableSet) -> None:
         existing = set(self.db.table_columns(_ONCE))

@@ -8,8 +8,10 @@ any SQL the engine emits is caught.
 
 from __future__ import annotations
 
+from datetime import datetime
+
 from repro.query import (Combiner, Operator, Output, ParameterSpec,
-                         Query, Source)
+                         Query, RunFilter, Source)
 from tests.conftest import fill_simple, make_simple_experiment
 
 
@@ -71,6 +73,33 @@ def _filtered_source():
     ], name="battery_filters")
 
 
+def _once_filtered_source(op, value):
+    """Run-level WHERE shapes: one filter on the once-parameter
+    ``technique``, evaluated in the run-selection join."""
+    return Query([
+        Source("s", parameters=[
+            ParameterSpec("technique", value, op=op),
+            ParameterSpec("S_chunk"),
+            ParameterSpec("access"),
+        ], results=["bw"]),
+        Output("csv", ["s"], format="csv"),
+    ], name=f"battery_once_{op}")
+
+
+def _run_filtered_source():
+    """Every RunFilter bound at once: an index list, an index range
+    and a creation-time window (wide enough to hold every run)."""
+    return Query([
+        Source("s", parameters=[ParameterSpec("technique"),
+                                ParameterSpec("S_chunk")],
+               results=["bw"],
+               runs=RunFilter(indices=(1, 2, 3, 5, 6), min_index=2,
+                              max_index=5, since=datetime(2000, 1, 1),
+                              until=datetime(2999, 1, 1))),
+        Output("csv", ["s"], format="csv"),
+    ], name="battery_run_filter")
+
+
 def _eval_chain():
     return Query([
         _source(),
@@ -125,6 +154,12 @@ QUERY_BATTERY = {
     "below": lambda: _two_branch("below"),
     "combine": _combined,
     "source_filters": _filtered_source,
+    "once_in": lambda: _once_filtered_source("in", ("new", "other")),
+    "once_like": lambda: _once_filtered_source("like", "ne%"),
+    "once_ne": lambda: _once_filtered_source("!=", "old"),
+    "once_lt": lambda: _once_filtered_source("<", "o"),
+    "once_ge": lambda: _once_filtered_source(">=", "old"),
+    "run_filter": _run_filtered_source,
     "eval": _eval_chain,
     "norm_max": lambda: _norm_chain("max"),
     "norm_min": lambda: _norm_chain("min"),

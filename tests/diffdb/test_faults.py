@@ -4,10 +4,12 @@ retried through, crashes roll partial batches back completely."""
 
 import pytest
 
-from repro.core import RunData
-from repro.faults import CrashFault, FaultPlan, use_faults
+from repro.core import (DataType, Occurrence, Parameter, Result,
+                        RunData)
+from repro.faults import (CrashFault, FaultPlan, InjectedIOError,
+                          use_faults)
 from repro.testing import query_outcome, run_differential, snapshot_store
-from tests.conftest import make_simple_experiment
+from tests.conftest import fill_simple, make_simple_experiment
 from tests.diffdb.conftest import QUERY_BATTERY, build_filled
 
 pytestmark = [pytest.mark.diffdb, pytest.mark.faults]
@@ -77,3 +79,48 @@ def test_crash_mid_batch_rolls_back_identically():
     # only the pre-batch run survives
     assert [r["once"]["technique"]
             for r in outcomes["sqlite"]["records"]] == ["keep"]
+
+
+def _schema_state(store):
+    """Everything a schema change touches: stored runs and variables,
+    the raw definitions, every table's columns and both counters."""
+    return {
+        "store": snapshot_store(store),
+        "definitions": store.db.fetchall(
+            "SELECT name, definition FROM pb_variables ORDER BY position"),
+        "columns": {table: store.db.table_columns(table)
+                    for table in ["pb_once"] + [
+                        store.run_table(i) for i in store.run_indices()]},
+        "schema_counter": store.schema_counter(),
+        "data_version": store.data_version(),
+    }
+
+
+SCHEMA_CHANGES = {
+    "add_variable": lambda exp: exp.add_variable(Result(
+        "latency", datatype=DataType.FLOAT,
+        occurrence=Occurrence.MULTIPLE)),
+    "remove_variable": lambda exp: exp.remove_variable("access"),
+    "modify_variable": lambda exp: exp.modify_variable(Parameter(
+        "access", datatype=DataType.STRING,
+        occurrence=Occurrence.MULTIPLE, synopsis="access direction")),
+}
+
+
+@pytest.mark.parametrize("change", sorted(SCHEMA_CHANGES))
+def test_failed_schema_change_rolls_back_identically(change):
+    """A schema change that fails part-way must leave nothing pending:
+    a later commit on the same connection persists none of it."""
+    def scenario(server, backend):
+        exp = fill_simple(make_simple_experiment(server), reps=2)
+        before = _schema_state(exp.store)
+        plan = FaultPlan()
+        plan.add("io", "db.run", after=4)
+        with use_faults(plan):
+            with pytest.raises(InjectedIOError):
+                SCHEMA_CHANGES[change](exp)
+        exp.store.db.commit()
+        after = _schema_state(exp.store)
+        assert after == before
+        return after
+    run_differential(scenario)
