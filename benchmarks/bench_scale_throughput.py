@@ -1,66 +1,15 @@
 """E9: scale check — import/query/status throughput at realistic
 experiment sizes (hundreds of runs), the regime the paper's workflow
 implies ("a large number of experiments is necessary").
-
-Also emits the ``benchmarks/BENCH_pr3.json`` trajectory point: a
-500-run storage comparison of the serial per-run path against the
-batched path (one transaction, cached variables, ``executemany``
-flushes), including the byte-level dump-identity check the batch layer
-guarantees.  Headline numbers use ``time.perf_counter`` so the smoke
-run works under ``--benchmark-disable``.
 """
 
 from __future__ import annotations
-
-import datetime
-import json
-import pathlib
-import time
 
 import pytest
 
 from repro.query import (Operator, Output, ParameterSpec, Query, Source)
 from repro.status import list_runs, missing_sweep_points
 from _helpers import report
-
-BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_pr3.json"
-
-
-def _storage_runs(n=500, rows=8):
-    """Deterministic runs with fixed created stamps so the serial and
-    batched stores can be compared byte-for-byte."""
-    from repro.core import RunData
-    base = datetime.datetime(2005, 9, 27, 12, 0, 0)
-    runs = []
-    for i in range(n):
-        runs.append(RunData(
-            once={"technique": "listbased" if i % 2 else "listless",
-                  "fs": ("ufs", "nfs")[i % 2]},
-            datasets=[{"S_chunk": 2 ** (10 + j), "access": "write",
-                       "bw": i + j / 10.0} for j in range(rows)],
-            source_files=[f"out_{i}.txt"],
-            created=base + datetime.timedelta(seconds=i)))
-        runs[-1].file_checksums[f"out_{i}.txt"] = f"sum{i:06d}"
-    return runs
-
-
-def _fresh_store():
-    from repro.core import (DataType, Occurrence, Parameter, Result,
-                            VariableSet)
-    from repro.db import ExperimentStore, SQLiteDatabase
-    store = ExperimentStore(SQLiteDatabase())
-    store.initialise("pr3")
-    store.save_variables(VariableSet([
-        Parameter("technique", datatype=DataType.STRING),
-        Parameter("fs", datatype=DataType.STRING),
-        Parameter("S_chunk", datatype=DataType.INTEGER,
-                  occurrence=Occurrence.MULTIPLE),
-        Parameter("access", datatype=DataType.STRING,
-                  occurrence=Occurrence.MULTIPLE),
-        Result("bw", datatype=DataType.FLOAT,
-               occurrence=Occurrence.MULTIPLE),
-    ]))
-    return store
 
 
 class TestScale:
@@ -154,62 +103,3 @@ class TestScale:
                f"large experiment: {large_experiment.n_runs()} runs, "
                f"{n_datasets} data sets\n"
                "(timings in the pytest-benchmark table)\n")
-
-
-class TestTrajectoryPoint:
-    def test_write_bench_json(self):
-        """The PR-3 trajectory point: 500-run serial vs batched
-        storage, plus bulk status retrieval, with the dump-identity
-        proof."""
-        n_runs = 500
-        runs = _storage_runs(n_runs)
-        variables = _fresh_store().load_variables()
-
-        serial = _fresh_store()
-        t0 = time.perf_counter()
-        for run in runs:
-            serial.store_run(run, variables)
-        serial_s = time.perf_counter() - t0
-
-        batched = _fresh_store()
-        t0 = time.perf_counter()
-        with batched.batch():
-            for run in runs:
-                batched.store_run(run)
-        batch_s = time.perf_counter() - t0
-
-        dump_identical = ("\n".join(serial.db._conn.iterdump())
-                          == "\n".join(batched.db._conn.iterdump()))
-
-        t0 = time.perf_counter()
-        per_run = [batched.run_record(i)
-                   for i in batched.run_indices()]
-        status_per_run_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bulk = batched.run_records()
-        status_bulk_s = time.perf_counter() - t0
-        assert bulk == per_run
-
-        point = {
-            "pr": 3,
-            "bench": "scale_throughput",
-            "runs": n_runs,
-            "serial_runs_per_second": round(n_runs / serial_s, 1),
-            "batched_runs_per_second": round(n_runs / batch_s, 1),
-            "store_speedup": round(serial_s / batch_s, 2),
-            "status_per_run_ms": round(status_per_run_s * 1e3, 2),
-            "status_bulk_ms": round(status_bulk_s * 1e3, 2),
-            "status_speedup": round(
-                status_per_run_s / status_bulk_s, 2),
-            "dump_identical": dump_identical,
-        }
-        BENCH_JSON.write_text(json.dumps(point, indent=2) + "\n")
-        report("scale_batch_vs_serial",
-               f"{n_runs} runs: serial "
-               f"{point['serial_runs_per_second']}/s, batched "
-               f"{point['batched_runs_per_second']}/s "
-               f"(x{point['store_speedup']}); status bulk "
-               f"x{point['status_speedup']}; dump identical: "
-               f"{dump_identical}\n")
-        assert dump_identical
-        assert point["store_speedup"] > 1.0

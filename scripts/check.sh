@@ -27,11 +27,6 @@ test -s benchmarks/BENCH_pr2.json
 echo "== batch storage path: correctness + identity markers (pytest -m batch) =="
 python -m pytest -q -p no:randomly -m batch tests
 
-echo "== batch storage path: bench smoke (writes benchmarks/BENCH_pr3.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_scale_throughput.py::TestTrajectoryPoint
-test -s benchmarks/BENCH_pr3.json
-
 echo "== query cache: incremental engine markers (pytest -m qcache) =="
 python -m pytest -q -p no:randomly -m qcache tests
 

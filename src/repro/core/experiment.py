@@ -186,6 +186,17 @@ class Experiment:
                      use_defaults=use_defaults)
         return self.store.store_run(run, self.variables)
 
+    def store_validated_run(self, run: RunData) -> int:
+        """Persist a run that :meth:`RunData.validate` already
+        normalised against :attr:`variables`; returns its index.
+
+        The import engines validate each run themselves (they need the
+        missing-content list for their report), so the run is not
+        validated a second time here.
+        """
+        self._check(UserClass.INPUT, "import run data")
+        return self.store.store_run(run, self.variables)
+
     def batch(self):
         """A storage batch: many :meth:`store_run` calls, one
         transaction (see :class:`repro.db.BatchContext`)."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DefinitionError, InputError
-from .variables import Occurrence, VariableSet
+from .variables import Occurrence, Variable, VariableSet
 
 __all__ = ["DataSet", "RunData", "RunRecord"]
 
@@ -74,6 +75,12 @@ class RunData:
         #: filled by the importer, may be missing for programmatic runs
         self.file_checksums: dict[str, str | None] = {}
         self.created = created
+        #: the :class:`VariableSet` every value was parsed or coerced
+        #: against, set by the import engine
+        #: (:meth:`repro.parse.InputDescription.extract_chunk`); ``None``
+        #: while values may still need coercion.  :meth:`validate`
+        #: skips per-value coercion only for this very object.
+        self.typed_for: VariableSet | None = None
 
     def merge(self, other: "RunData") -> None:
         """Merge another partial run into this one (Fig. 1 case d: data
@@ -90,6 +97,8 @@ class RunData:
         self.datasets.extend(other.datasets)
         self.source_files.extend(other.source_files)
         self.file_checksums.update(other.file_checksums)
+        if other.typed_for is not self.typed_for:
+            self.typed_for = None  # an untyped or differently typed part
 
     def validate(self, variables: VariableSet, *,
                  require_all: bool = False,
@@ -97,38 +106,26 @@ class RunData:
         """Validate & normalise this run against the experiment variables.
 
         Values are coerced to their declared datatype and checked against
-        whitelists.  Behaviour for variables without content follows
-        Section 3.2: with ``use_defaults`` missing once-variables take
-        their declared default; variables may also stay without content
-        — unless ``require_all`` is set, in which case the list of
-        missing names makes the run rejectable by the caller.
+        whitelists — unless the run is typed for ``variables`` (see
+        :attr:`typed_for`): the parser already did both, cell by cell,
+        so only the structure is checked.  Behaviour for variables
+        without content follows Section 3.2: with ``use_defaults``
+        missing variables take their declared default; variables may
+        also stay without content — unless ``require_all`` is set, in
+        which case the list of missing names makes the run rejectable by
+        the caller.
 
         Returns the names of variables that ended up without content.
         """
-        missing: list[str] = []
-        for var in variables:
-            if var.occurrence is Occurrence.ONCE:
-                if var.name in self.once:
-                    self.once[var.name] = var.coerce(self.once[var.name])
-                elif use_defaults and var.default is not None:
-                    self.once[var.name] = var.default
-                else:
-                    missing.append(var.name)
-            else:
-                present = any(var.name in ds for ds in self.datasets)
-                if not present:
-                    if use_defaults and var.default is not None:
-                        for ds in self.datasets:
-                            ds[var.name] = var.default
-                    else:
-                        missing.append(var.name)
-        for ds in self.datasets:
-            for name in list(ds):
-                var = variables[name]
-                if var.occurrence is not Occurrence.MULTIPLE:
-                    raise InputError(
-                        f"once-variable {name!r} appears in a data set")
-                ds[name] = var.coerce(ds[name])
+        # structure: every data-set name is a known multiple-occurrence
+        # variable, every once-name a known once-variable
+        columns: dict[str, Variable] = {}
+        for name in dict.fromkeys(chain.from_iterable(self.datasets)):
+            var = variables[name]
+            if var.occurrence is not Occurrence.MULTIPLE:
+                raise InputError(
+                    f"once-variable {name!r} appears in a data set")
+            columns[name] = var
         for name in self.once:
             if name not in variables:
                 raise DefinitionError(
@@ -137,6 +134,27 @@ class RunData:
                 raise InputError(
                     f"multiple-occurrence variable {name!r} has "
                     "once-content")
+        if self.typed_for is not variables:
+            for name, value in self.once.items():
+                self.once[name] = variables[name].coerce(value)
+            for ds in self.datasets:
+                for name, value in ds.items():
+                    ds[name] = columns[name].coerce(value)
+        missing: list[str] = []
+        for var in variables:
+            if var.occurrence is Occurrence.ONCE:
+                if var.name in self.once:
+                    continue
+                if use_defaults and var.default is not None:
+                    self.once[var.name] = var.default
+                else:
+                    missing.append(var.name)
+            elif var.name not in columns:
+                if use_defaults and var.default is not None:
+                    for ds in self.datasets:
+                        ds[var.name] = var.default
+                else:
+                    missing.append(var.name)
         if require_all and missing:
             raise InputError(
                 "input provides no content for variables: "

@@ -127,6 +127,24 @@ def _encode_value(value: Any, datatype: DataType) -> Any:
     return value
 
 
+def _dataset_rows(datasets: list[dict[str, Any]],
+                  multi_vars: list[Variable]) -> list[list[Any]]:
+    """The rows of one run's data table: the data-set index, then one
+    cell per multiple-occurrence variable.  The encoder is picked once
+    per column: only TIMESTAMP and BOOLEAN cells pass through
+    :func:`_encode_value`, which returns every other value unchanged."""
+    names = [v.name for v in multi_vars]
+    encoded = [(j, v.datatype) for j, v in enumerate(multi_vars, 1)
+               if v.datatype in (DataType.TIMESTAMP, DataType.BOOLEAN)]
+    rows = []
+    for i, ds in enumerate(datasets):
+        row = [i, *map(ds.get, names)]
+        for j, datatype in encoded:
+            row[j] = _encode_value(row[j], datatype)
+        rows.append(row)
+    return rows
+
+
 def _decode_value(value: Any, datatype: DataType) -> Any:
     """Decode a stored cell back into the Python value space."""
     if value is None:
@@ -475,13 +493,9 @@ class ExperimentStore:
             + [(v.name, sql_type(v.datatype)) for v in multi_vars],
             primary_key="dataset_index")
         if run.datasets:
-            names = [v.name for v in multi_vars]
-            rows = []
-            for i, ds in enumerate(run.datasets):
-                rows.append([i] + [
-                    _encode_value(ds.get(v.name), v.datatype)
-                    for v in multi_vars])
-            self.db.insert_rows(table, ["dataset_index"] + names, rows)
+            self.db.insert_rows(
+                table, ["dataset_index"] + [v.name for v in multi_vars],
+                _dataset_rows(run.datasets, multi_vars))
 
         self.db.insert_rows(
             _RUNS, ["run_index", "created", "n_datasets", "active"],
@@ -765,13 +779,9 @@ class BatchContext:
             + [(v.name, sql_type(v.datatype)) for v in multi_vars],
             primary_key="dataset_index")
         if run.datasets:
-            names = [v.name for v in multi_vars]
-            rows = []
-            for i, ds in enumerate(run.datasets):
-                rows.append([i] + [
-                    _encode_value(ds.get(v.name), v.datatype)
-                    for v in multi_vars])
-            self.db.insert_rows(table, ["dataset_index"] + names, rows)
+            self.db.insert_rows(
+                table, ["dataset_index"] + [v.name for v in multi_vars],
+                _dataset_rows(run.datasets, multi_vars))
 
         self._runs_rows.append(
             (index, created.strftime("%Y-%m-%d %H:%M:%S.%f"),

@@ -65,7 +65,13 @@ class InputDescription:
 
     def extract_chunk(self, source: SourceText,
                       variables: VariableSet) -> RunData:
-        """Run every location over one chunk, yielding a partial run."""
+        """Run every location over one chunk, yielding a partial run.
+
+        Every location stores values that came out of
+        :meth:`Variable.parse` or :meth:`Variable.coerce`, so the run is
+        typed for ``variables`` (:attr:`RunData.typed_for`) and its
+        validation skips coercing them again.
+        """
         run = RunData(source_files=[source.filename])
         ordinary = [l for l in self.locations
                     if not isinstance(l, DerivedParameter)]
@@ -75,6 +81,7 @@ class InputDescription:
             loc.extract(source, run, variables)
         for loc in derived:
             loc.extract(source, run, variables)
+        run.typed_for = variables
         return run
 
     def extract(self, text: str, filename: str,

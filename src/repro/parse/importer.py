@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .. import faults as _faults
-from ..core.errors import DuplicateImportError, InputError
+from ..core.errors import (DataTypeError, DuplicateImportError,
+                           InputError)
 from ..core.experiment import Experiment
 from ..core.run import RunData
 from ..db.checksums import content_checksum
@@ -121,8 +122,7 @@ class Importer:
             raise
         with maybe_span("store_run", kind="import.run",
                         datasets=len(run.datasets)) as span:
-            index = self.experiment.store_run(run,
-                                              use_defaults=use_defaults)
+            index = self.experiment.store_validated_run(run)
             if span is not None:
                 span.attributes["run_index"] = index
                 span.attributes["rows"] = len(run.datasets)
@@ -139,6 +139,17 @@ class Importer:
             _faults.ACTIVE.check("import.read", file=str(path))
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             return fh.read()
+
+    def _extract(self, desc: InputDescription, text: str,
+                 filename: str) -> list[RunData]:
+        """The runs of one input text.  Content that does not parse in
+        its variable's datatype, or fails the whitelist without a
+        default, is bad input: an :class:`InputError` naming the file
+        (so the discard policy skips just this file)."""
+        try:
+            return desc.extract(text, filename, self.experiment.variables)
+        except DataTypeError as exc:
+            raise InputError(f"{filename}: {exc}") from exc
 
     def _description(self,
                      description: InputDescription | None
@@ -167,8 +178,7 @@ class Importer:
                 if span is not None:
                     span.attributes["duplicate"] = True
                 return report
-            runs = desc.extract(text, filename,
-                                self.experiment.variables)
+            runs = self._extract(desc, text, filename)
             if not runs:
                 # a file yielding no runs must not abort a batch under
                 # the discard policy (Section 3.2's batch promise)
@@ -202,6 +212,7 @@ class Importer:
         """Import many files independently: one (or more) runs each.
 
         Duplicates and (under the discard policy) malformed files,
+        files with content that does not parse or fails a whitelist,
         unreadable files and incomplete runs are skipped without
         aborting the batch — "batch imports of a large number of input
         files without worrying about corrupt or incomplete experiment
@@ -270,8 +281,7 @@ class Importer:
             return report
         merged: RunData | None = None
         for (filename, desc, text), checksum in zip(loaded, checksums):
-            runs = desc.extract(text, filename,
-                                self.experiment.variables)
+            runs = self._extract(desc, text, filename)
             if not runs:
                 raise InputError(
                     f"merged import: no run content found in "

@@ -46,9 +46,12 @@ class Location(abc.ABC):
     """Base class of all extraction locations.
 
     ``extract`` reads from a :class:`SourceText` and writes the content
-    it found into a partial :class:`RunData`.  Locations that find
-    nothing simply leave the run untouched — the missing-content policy
-    is applied later by the importer.
+    it found into a partial :class:`RunData`.  Every value written must
+    come from :meth:`Variable.parse` or :meth:`Variable.coerce` of its
+    variable: the run counts as typed, and validation does not coerce
+    its values again.  Locations that find nothing simply leave the run
+    untouched — the missing-content policy is applied later by the
+    importer.
     """
 
     #: names of the variables this location can provide
@@ -234,30 +237,32 @@ class TabularLocation(Location):
     def provides(self) -> tuple[str, ...]:
         return tuple(c.variable for c in self.columns)
 
-    def _parse_row(self, line: str,
-                   variables: VariableSet) -> dict[str, Any] | None:
+    @staticmethod
+    def _parse_row(line: str, columns: list[tuple[int, Variable]]
+                   ) -> dict[str, Any] | None:
         fields = line.split()
         if not fields:
             return None
         row: dict[str, Any] = {}
-        for col in self.columns:
-            if col.field > len(fields):
+        for index, var in columns:
+            if index >= len(fields):
                 return None
-            var = variables[col.variable]
             try:
-                row[var.name] = var.parse(fields[col.field - 1])
+                row[var.name] = var.parse(fields[index])
             except DataTypeError:
                 return None
         return row
 
     def extract(self, source: SourceText, run: RunData,
                 variables: VariableSet) -> None:
+        columns = []  # (0-based field index, variable), resolved once
         for col in self.columns:
             var = variables[col.variable]
             if var.occurrence is not Occurrence.MULTIPLE:
                 raise InputError(
                     f"tabular location column {var.name!r} must be a "
                     "multiple-occurrence variable")
+            columns.append((col.field - 1, var))
         if self.start is not None:
             hit = source.first(self.start, regex=self.regex)
             if hit is None:
@@ -276,7 +281,7 @@ class TabularLocation(Location):
                          else self.stop in line)
                 if ended:
                     break
-            row = self._parse_row(line, variables)
+            row = self._parse_row(line, columns)
             if row is None:
                 if self.on_mismatch == "stop":
                     if n_rows:  # blank/garbage after table body ends it

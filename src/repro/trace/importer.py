@@ -138,8 +138,7 @@ class TraceImporter:
                 report.discarded += 1
                 return report
             raise
-        index = self.experiment.store_run(run,
-                                          use_defaults=use_defaults)
+        index = self.experiment.store_validated_run(run)
         report.run_indices.append(index)
         if missing:
             report.missing[index] = missing
