@@ -179,11 +179,6 @@ if diff -rq "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
     echo "the imported run changed no query result"; exit 1
 fi
 
-echo "== pushdown: bench smoke (writes benchmarks/BENCH_pr8.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_pushdown.py
-test -s benchmarks/BENCH_pr8.json
-
 echo "== service: multi-tenant service battery (pytest -m service) =="
 python -m pytest -q -p no:randomly -m service tests
 

@@ -24,11 +24,22 @@ Any other statement shape raises :class:`DatabaseError` quoting the
 statement, so an emitter that outgrows this grammar fails loudly in the
 differential battery rather than running differently.
 
+One evaluator runs every statement, a column at a time: expressions
+compile to functions from a frame of row positions to a column of
+values.  A SELECT first narrows each source by the WHERE conjuncts that
+read only its columns, hash-joins the surviving positions on the ON
+equalities, filters the joined rows by the remaining conjuncts, and
+then groups, orders, projects and limits by reading columns through
+those positions.  UPDATE and DELETE select their rows with the same
+WHERE evaluation.
+
 Semantics deliberately mirror SQLite so the differential harness
 (:mod:`repro.testing.differential`) can assert *byte-identical* results
 across backends:
 
-* column type affinity on storage (``INTEGER``/``REAL``/``TEXT``),
+* column type affinity on storage (``INTEGER``/``REAL``/``TEXT``) —
+  but no comparison affinity: ``2`` never equals ``'2'``, so emitters
+  bind values in their column's type,
 * integer division truncating toward zero, division by zero -> NULL,
 * three-valued logic for NULL in WHERE/comparisons,
 * the SQLite ordering of types (NULL < numbers < text),
@@ -55,6 +66,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import re
 import sqlite3
 import threading
@@ -186,26 +198,32 @@ def _sort_key(value: Any):
     return (rank, 0.0, "")
 
 
-def _compare(a: Any, b: Any):
-    """Three-valued comparison: -1/0/1, or ``None`` with a NULL side."""
-    if a is None or b is None:
-        return None
-    ra, rb = _rank(a), _rank(b)
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if ra == 1:
-        return (a > b) - (a < b)
-    return (a > b) - (a < b)
+def _eq(a: Any, b: Any):
+    """Three-valued ``=``: values of different type classes differ."""
+    return None if a is None or b is None else a == b
 
 
-def _gkey(value: Any):
-    """Grouping/uniqueness key with SQLite's numeric equality
-    (``1`` and ``1.0`` fall into the same group)."""
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
+def _ne(a: Any, b: Any):
+    return None if a is None or b is None else a != b
+
+
+def _ordering(op):
+    """A three-valued ordering comparison: Python's within a type
+    class (numbers, text, blobs), SQLite's type order across them."""
+    def compare(a: Any, b: Any):
+        if a is None or b is None:
+            return None
+        try:
+            return op(a, b)
+        except TypeError:
+            return op(_rank(a), _rank(b))
+    return compare
+
+
+_lt, _le, _gt, _ge = map(_ordering, (operator.lt, operator.le,
+                                     operator.gt, operator.ge))
+_COMPARISONS = {"=": _eq, "<>": _ne, "<": _lt, "<=": _le, ">": _gt,
+                ">=": _ge}
 
 
 def _truthy(value: Any):
@@ -216,6 +234,29 @@ def _truthy(value: Any):
         return value != 0
     number = _text_to_number(value) if isinstance(value, str) else None
     return bool(number) if number is not None else False
+
+
+def _and(a, b):
+    """Three-valued AND of two truth values."""
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
+def _or(a, b):
+    """Three-valued OR of two truth values."""
+    if a is True or b is True:
+        return True
+    return None if a is None or b is None else False
+
+
+def _in(value, options):
+    """Three-valued ``value IN (options)``."""
+    if value is None:
+        return None
+    if any(_eq(value, other) for other in options):
+        return True
+    return None if None in options else False
 
 
 # -- arithmetic with SQLite NULL/div-by-zero semantics ---------------------
@@ -260,6 +301,9 @@ def _mod(a, b):
     r = abs(a) % abs(b)
     r = r if a >= 0 else -r
     return float(r) if isinstance(a, float) or isinstance(b, float) else r
+
+
+_ARITHMETIC = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod}
 
 
 _LIKE_CACHE: dict[str, re.Pattern] = {}
@@ -354,12 +398,10 @@ def _aggregate(name: str, values: list) -> Any:
                 n += 1
         return total / n if n else None
     if name in ("min", "max"):
-        want = -1 if name == "min" else 1
+        better = _lt if name == "min" else _gt
         best = None
         for v in values:
-            if v is None:
-                continue
-            if best is None or _compare(v, best) == want:
+            if v is not None and (best is None or better(v, best)):
                 best = v
         return best
     if name in ("pb_variance", "pb_stddev"):
@@ -990,9 +1032,6 @@ class _Parser:
 _PARSE_CACHE: dict[str, Any] = {}
 _PARSE_LOCK = threading.Lock()
 
-#: sentinel distinguishing "not a constant" from a literal NULL
-_UNSUPPORTED = object()
-
 
 def _parse(sql: str):
     stmt = _PARSE_CACHE.get(sql)
@@ -1006,184 +1045,318 @@ def _parse(sql: str):
 
 
 # =========================================================================
-# expression compilation
+# column-at-a-time evaluation
 # =========================================================================
 
-class _CompileCtx:
-    """Per-execution compilation state: the aggregates to compute."""
+class _Frame:
+    """The rows a statement reads, as positions into its sources:
+    ``pos[k][i]`` is the position of row ``i``'s cells in source ``k``'s
+    columns (``None`` for a source not joined yet).  ``pos`` itself is
+    ``None`` for the all-NULL row an aggregate over no rows reads its
+    bare columns from."""
 
-    __slots__ = ("resolver", "aggs")
+    __slots__ = ("n", "pos")
 
-    def __init__(self, resolver):
-        self.resolver = resolver        # (qualifier, name) -> slot index
-        self.aggs: list[tuple[str, Any]] = []  # (name, arg_fn | None)
+    def __init__(self, n: int, pos: list | None):
+        self.n = n
+        self.pos = pos
+
+    @classmethod
+    def of_source(cls, width: int, k: int, rows) -> "_Frame":
+        """The rows ``rows`` of source ``k`` alone."""
+        pos: list = [None] * width
+        pos[k] = rows
+        return cls(len(rows), pos)
+
+    def take(self, rows: Sequence[int]) -> "_Frame":
+        """The frame of the given row indices, in their order."""
+        if self.pos is None:
+            return _Frame(len(rows), None)
+        return _Frame(len(rows), [
+            None if p is None else [p[i] for i in rows]
+            for p in self.pos])
 
 
-def _compile(node, ctx: _CompileCtx, allow_agg: bool = False):
-    """Compile an expression AST into ``f(row, env)`` where ``env`` is
-    ``(params, aggvals)``."""
+#: a frame of one row over no sources (VALUES, LIMIT, FROM-less SELECT)
+_ONE_ROW = _Frame(1, [])
+
+
+class _Scope:
+    """Name resolution over a statement's sources, ``(k, table, alias)``
+    triples with ``k`` the source's slot in the frame.  ``used``
+    collects the ``(k, column)`` pairs compiled since it was reset,
+    which routes each WHERE conjunct to the sources it reads."""
+
+    __slots__ = ("sources", "aggs", "used")
+
+    def __init__(self, sources: list[tuple[int, "_Table", str | None]]):
+        self.sources = sources
+        self.aggs: list[tuple[str, Any]] = []   # (name, arg_fn | None)
+        self.used: set[tuple[int, str]] = set()
+
+    def lookup(self, qualifier, name):
+        """``(k, values)`` of a column reference, or ``None`` when no
+        source of this scope matches it."""
+        for k, table, alias in self.sources:
+            if qualifier is not None and qualifier != alias \
+                    and qualifier != table.name:
+                continue
+            if name in table.cols:
+                return k, table.cols[name]
+            if name == "rowid":
+                return k, table.rowids
+            if qualifier is not None:
+                raise DatabaseError(f"no such column: {qualifier}.{name}")
+        return None
+
+    def column(self, qualifier, name):
+        """A compiled read of one column reference."""
+        found = self.lookup(qualifier, name)
+        if found is None:
+            raise DatabaseError(
+                f"no such column: "
+                f"{name if qualifier is None else qualifier + '.' + name}")
+        self.used.add((found[0], name))
+        return _reader(*found)
+
+    def star(self, qualifier) -> list:
+        """Compiled reads of every column of the sources ``qualifier``
+        names (all sources for a bare ``*``)."""
+        fns = [_reader(k, table.cols[name])
+               for k, table, alias in self.sources
+               if qualifier in (None, alias, table.name)
+               for name in table.columns]
+        if qualifier is not None and not any(
+                qualifier in (alias, table.name)
+                for _k, table, alias in self.sources):
+            raise DatabaseError(f"no such table: {qualifier}")
+        return fns
+
+
+def _reader(k: int, values: list):
+    """Read column ``values`` of source ``k`` at the frame's rows."""
+    def read(frame, env):
+        pos = frame.pos
+        if pos is None:
+            return [None] * frame.n
+        rows = pos[k]
+        if type(rows) is range:
+            return values[rows.start:rows.stop]
+        return list(map(values.__getitem__, rows))
+    return read
+
+
+#: expression kinds whose values are truth values (True/False/NULL)
+_PREDICATES = frozenset(("cmp", "isnull", "like", "in", "not", "and",
+                         "or"))
+
+
+def _truth(node, fn):
+    """``fn`` as a truth-value column (SQLite's WHERE truthiness)."""
+    if node[0] in _PREDICATES:
+        return fn
+    return lambda frame, env: list(map(_truthy, fn(frame, env)))
+
+
+def _pairwise(fn, left, right):
+    """Apply ``fn`` row by row to two compiled operands."""
+    return lambda frame, env: list(map(fn, left(frame, env),
+                                       right(frame, env)))
+
+
+def _compile(node, scope: _Scope, allow_agg: bool = False):
+    """Compile an expression AST into ``f(frame, env) -> column``: one
+    value per row of ``frame``.  ``env`` is ``(params, aggregates)``,
+    the latter one value column per aggregate of ``scope.aggs``."""
     kind = node[0]
     if kind == "lit":
         value = node[1]
-        return lambda row, env: value
+        return lambda frame, env: [value] * frame.n
     if kind == "param":
         index = node[1]
-        return lambda row, env: env[0][index]
+        return lambda frame, env: [env[0][index]] * frame.n
     if kind == "col":
-        slot = ctx.resolver(node[1], node[2])
-        return lambda row, env: row[slot]
+        return scope.column(node[1], node[2])
     if kind == "agg":
         if not allow_agg:
             raise DatabaseError("aggregate in illegal context")
-        name = node[1]
-        arg = (None if node[2] is None
-               else _compile(node[2], ctx, allow_agg=False))
-        index = len(ctx.aggs)
-        ctx.aggs.append((name, arg))
-        return lambda row, env: env[1][index]
+        arg = None if node[2] is None else _compile(node[2], scope)
+        index = len(scope.aggs)
+        scope.aggs.append((node[1], arg))
+        return lambda frame, env: env[1][index]
+    if kind in ("cmp", "bin"):
+        fn = (_COMPARISONS if kind == "cmp" else _ARITHMETIC)[node[1]]
+        return _pairwise(fn, _compile(node[2], scope, allow_agg),
+                         _compile(node[3], scope, allow_agg))
+    if kind == "like":
+        return _pairwise(_like, _compile(node[1], scope, allow_agg),
+                         _compile(node[2], scope, allow_agg))
     if kind == "cast":
-        inner = _compile(node[1], ctx, allow_agg)
+        inner = _compile(node[1], scope, allow_agg)
         target = node[2]
-        return lambda row, env: _cast(inner(row, env), target)
+        return lambda frame, env: [_cast(v, target)
+                                   for v in inner(frame, env)]
     if kind == "coalesce":
-        fns = [_compile(a, ctx, allow_agg) for a in node[1]]
+        fns = [_compile(a, scope, allow_agg) for a in node[1]]
 
-        def coalesce(row, env):
-            for fn in fns:
-                value = fn(row, env)
-                if value is not None:
-                    return value
-            return None
+        def coalesce(frame, env):
+            out = fns[0](frame, env)
+            for fn in fns[1:]:
+                if None in out:
+                    out = [v if v is not None else w
+                           for v, w in zip(out, fn(frame, env))]
+            return out
         return coalesce
     if kind == "neg":
-        inner = _compile(node[1], ctx, allow_agg)
-
-        def neg(row, env):
-            value = inner(row, env)
-            return None if value is None else -_num(value)
-        return neg
-    if kind == "bin":
-        op = node[1]
-        left = _compile(node[2], ctx, allow_agg)
-        right = _compile(node[3], ctx, allow_agg)
-        fn = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod}[op]
-        return lambda row, env: fn(left(row, env), right(row, env))
-    if kind == "cmp":
-        op = node[1]
-        left = _compile(node[2], ctx, allow_agg)
-        right = _compile(node[3], ctx, allow_agg)
-
-        def cmp(row, env, op=op):
-            c = _compare(left(row, env), right(row, env))
-            if c is None:
-                return None
-            if op == "=":
-                return c == 0
-            if op == "<>":
-                return c != 0
-            if op == "<":
-                return c < 0
-            if op == "<=":
-                return c <= 0
-            if op == ">":
-                return c > 0
-            return c >= 0
-        return cmp
+        inner = _compile(node[1], scope, allow_agg)
+        return lambda frame, env: [None if v is None else -_num(v)
+                                   for v in inner(frame, env)]
     if kind == "isnull":
-        inner = _compile(node[1], ctx, allow_agg)
-        negate = node[2]
-        if negate:
-            return lambda row, env: inner(row, env) is not None
-        return lambda row, env: inner(row, env) is None
-    if kind == "like":
-        left = _compile(node[1], ctx, allow_agg)
-        right = _compile(node[2], ctx, allow_agg)
-        return lambda row, env: _like(left(row, env), right(row, env))
+        inner = _compile(node[1], scope, allow_agg)
+        if node[2]:
+            return lambda frame, env: [v is not None
+                                       for v in inner(frame, env)]
+        return lambda frame, env: [v is None for v in inner(frame, env)]
     if kind == "in":
-        left = _compile(node[1], ctx, allow_agg)
-        fns = [_compile(e, ctx, allow_agg) for e in node[2]]
+        left = _compile(node[1], scope, allow_agg)
+        options = [_compile(e, scope, allow_agg) for e in node[2]]
+        if all(e[0] in ("lit", "param") for e in node[2]):
+            def isin(frame, env):
+                values = [fn(_ONE_ROW, env)[0] for fn in options]
+                keys = {v for v in values if v is not None}
+                miss = None if None in values else False
+                return [None if v is None else (v in keys) or miss
+                        for v in left(frame, env)]
+            return isin
 
-        def isin(row, env):
-            value = left(row, env)
-            if value is None:
-                return None
-            saw_null = False
-            for fn in fns:
-                other = fn(row, env)
-                c = _compare(value, other)
-                if c is None:
-                    saw_null = True
-                elif c == 0:
-                    return True
-            if saw_null:
-                return None
-            return False
-        return isin
+        def isin_rows(frame, env):
+            columns = [fn(frame, env) for fn in options]
+            return [_in(v, row) for v, row in zip(left(frame, env),
+                                                  zip(*columns))]
+        return isin_rows
     if kind == "not":
-        inner = _compile(node[1], ctx, allow_agg)
-
-        def negation(row, env):
-            value = _truthy(inner(row, env))
-            return None if value is None else (not value)
-        return negation
-    if kind == "and":
-        left = _compile(node[1], ctx, allow_agg)
-        right = _compile(node[2], ctx, allow_agg)
-
-        def conj(row, env):
-            a = _truthy(left(row, env))
-            if a is False:
-                return False
-            b = _truthy(right(row, env))
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-        return conj
-    if kind == "or":
-        left = _compile(node[1], ctx, allow_agg)
-        right = _compile(node[2], ctx, allow_agg)
-
-        def disj(row, env):
-            a = _truthy(left(row, env))
-            if a is True:
-                return True
-            b = _truthy(right(row, env))
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-        return disj
+        inner = _truth(node[1], _compile(node[1], scope, allow_agg))
+        return lambda frame, env: [None if t is None else not t
+                                   for t in inner(frame, env)]
+    if kind in ("and", "or"):
+        return _pairwise(_and if kind == "and" else _or,
+                         _truth(node[1], _compile(node[1], scope, allow_agg)),
+                         _truth(node[2], _compile(node[2], scope, allow_agg)))
     raise DatabaseError(f"cannot compile expression node {kind!r}")
 
 
-def _find_aggs(node) -> bool:
-    """Whether an expression AST contains an aggregate call."""
-    kind = node[0]
-    if kind == "agg":
+def _conjuncts(node) -> list:
+    """The top-level AND terms of a WHERE clause."""
+    if node is None:
+        return []
+    if node[0] == "and":
+        return _conjuncts(node[1]) + _conjuncts(node[2])
+    return [node]
+
+
+def _where(frame: _Frame, tests: list, env) -> _Frame:
+    """Narrow ``frame`` to the rows on which every compiled conjunct is
+    true — the one WHERE evaluation of SELECT, UPDATE and DELETE."""
+    for test in tests:
+        if not frame.n:
+            break
+        truth = test(frame, env)
+        keep = [i for i, t in enumerate(truth) if t is True]
+        if len(keep) < frame.n:
+            frame = frame.take(keep)
+    return frame
+
+
+def _tests(where, scope: _Scope) -> list[tuple[Any, set]]:
+    """Each WHERE conjunct compiled to a truth-value column, with the
+    ``(source, column)`` pairs it reads."""
+    tests = []
+    for node in _conjuncts(where):
+        scope.used = set()
+        tests.append((_truth(node, _compile(node, scope)), scope.used))
+    return tests
+
+
+def _join_keys(on, entries, k: int):
+    """Compiled key reads of a ``JOIN .. ON`` clause, a conjunction of
+    equalities between a column of an earlier source and one of source
+    ``k``: ``(left reads, right reads)``."""
+    earlier, joined = _Scope(entries[:k]), _Scope(entries[k:k + 1])
+    left, right = [], []
+    for node in _conjuncts(on):
+        if node[0] != "cmp" or node[1] != "=" or node[2][0] != "col" \
+                or node[3][0] != "col":
+            break
+        a, b = node[2], node[3]
+        if earlier.lookup(a[1], a[2]) is None:
+            a, b = b, a
+        if earlier.lookup(a[1], a[2]) is None \
+                or joined.lookup(b[1], b[2]) is None:
+            break
+        left.append(earlier.column(a[1], a[2]))
+        right.append(joined.column(b[1], b[2]))
+    else:
+        return left, right
+    raise DatabaseError("JOIN .. ON must be a conjunction of column "
+                        "equalities")
+
+
+def _groupable(item) -> bool:
+    """Whether a select item is a plain column, a constant or an
+    aggregate of one column (the select list GROUP BY supports)."""
+    if item[0] == "star":
         return True
-    if kind in ("lit", "param", "col"):
-        return False
-    if kind == "cast":
-        return _find_aggs(node[1])
-    if kind == "coalesce":
-        return any(_find_aggs(a) for a in node[1])
-    if kind in ("neg", "not"):
-        return _find_aggs(node[1])
-    if kind in ("bin", "cmp"):
-        return _find_aggs(node[2]) or _find_aggs(node[3])
-    if kind in ("and", "or"):
-        return _find_aggs(node[1]) or _find_aggs(node[2])
-    if kind == "isnull":
-        return _find_aggs(node[1])
-    if kind == "like":
-        return _find_aggs(node[1]) or _find_aggs(node[2])
-    if kind == "in":
-        return _find_aggs(node[1]) or any(_find_aggs(e)
-                                          for e in node[2])
-    return False
+    node = item[1]
+    if node[0] == "agg":
+        return node[2] is None or node[2][0] == "col"
+    return node[0] in ("col", "lit", "param")
+
+
+def _hash_join(left_keys: list[list], right_keys: list[list]):
+    """Equality hash join of two key-column lists: the ``(left, right)``
+    row indices of every pair whose keys are equal and not NULL, left
+    rows in order, each with its matches in right-row order (SQLite's
+    outer-scan order for these statement shapes).  Keys compare as
+    tuples of stored values, which hash and compare as SQLite compares
+    them."""
+    index: dict[tuple, list[int]] = {}
+    for j, key in enumerate(zip(*right_keys)):
+        if None not in key:
+            index.setdefault(key, []).append(j)
+    left: list[int] = []
+    right: list[int] = []
+    for i, key in enumerate(zip(*left_keys)):
+        matches = index.get(key)
+        if matches:
+            left.extend(itertools.repeat(i, len(matches)))
+            right.extend(matches)
+    return left, right
+
+
+def _groups(frame: _Frame, fns: list, env) -> list[list[int]]:
+    """Row indices of ``frame`` per distinct GROUP BY key, members in
+    row order and groups ordered by key: SQLite groups by sorting on
+    the grouping terms and emits its groups in that order."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(*(fn(frame, env) for fn in fns))):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [i]
+        else:
+            bucket.append(i)
+    return [buckets[key] for key in sorted(
+        buckets, key=lambda key: tuple(map(_sort_key, key)))]
+
+
+def _sort_order(keys: list, order: list[int], desc: bool) -> None:
+    """Stable-sort row indices ``order`` by one ORDER BY key column."""
+    types = set(map(type, keys))
+    if types <= {int, float} or types == {str}:
+        # homogeneous keys: plain comparison orders them like _sort_key
+        order.sort(key=keys.__getitem__, reverse=desc)
+    else:
+        ranked = [_sort_key(v) for v in keys]
+        order.sort(key=ranked.__getitem__, reverse=desc)
 
 
 # =========================================================================
@@ -1223,13 +1396,15 @@ class _Table:
             return None
         if self._pk_map is None:
             column = self.cols[self.primary_key]
-            self._pk_map = {_gkey(v): i for i, v in enumerate(column)}
-        return self._pk_map.get(_gkey(value))
+            # stored values key a dict as SQLite compares them: 1 and
+            # 1.0 are one key, 1 and '1' two
+            self._pk_map = {v: i for i, v in enumerate(column)}
+        return self._pk_map.get(value)
 
     def _pk_note_insert(self, value, position: int) -> None:
         if self._pk_map is not None:
             if position == len(self.rowids) - 1:
-                self._pk_map[_gkey(value)] = position
+                self._pk_map[value] = position
             else:
                 self._pk_map = None
 
@@ -1275,12 +1450,18 @@ class _Table:
             self.cols[name].insert(position, value)
         self.invalidate()
 
-    def scan(self) -> list[tuple]:
-        """All rows as tuples of column values plus trailing rowid."""
-        if not self.columns:
-            return [(rowid,) for rowid in self.rowids]
-        return list(zip(*(self.cols[c] for c in self.columns),
-                        self.rowids))
+    @classmethod
+    def derived(cls, name: str, names: list[str], columns: list[list],
+                n: int) -> "_Table":
+        """An anonymous table over computed columns, with rowids 1..n
+        and no affinity conversion: a derived table, or the
+        ``excluded`` row of an upsert."""
+        table = cls(name, [(c, "") for c in names], None, True)
+        table.cols = dict(zip(names, columns))
+        table.rowids = list(range(1, n + 1))
+        table.next_rowid = n + 1
+        return table
+
 
 
 # =========================================================================
@@ -1557,14 +1738,17 @@ class MemoryDatabase(Database):
                     raise DatabaseError(
                         f"UNIQUE constraint failed: {table.name}."
                         f"{table.primary_key} [sql: {sql}]")
-                # upsert: update the existing row in place
-                new_row = dict(zip(table.columns, cells))
-                updates: list[tuple[str, Any]] = []
-                for column, expr in conflict_sets:
-                    value = self._eval_upsert(expr, table, position,
-                                              new_row, params)
-                    updates.append((column, _store_value(
-                        table.affinities[column], value)))
+                # upsert: update the existing row in place; bare columns
+                # read the existing row, ``excluded.col`` the new one
+                excluded = _Table.derived("excluded", table.columns,
+                                          [[v] for v in cells], 1)
+                scope = _Scope([(0, table, None), (1, excluded, "excluded")])
+                frame = _Frame(1, [[position], [0]])
+                updates = [
+                    (column, _store_value(
+                        table.affinities[column],
+                        _compile(expr, scope)(frame, (params, None))[0]))
+                    for column, expr in conflict_sets]
                 undo: list[tuple[str, Any]] = []
                 for column, value in updates:
                     undo.append((column,
@@ -1595,38 +1779,14 @@ class MemoryDatabase(Database):
         self._record(undo_insert)
         self._last_rowcount += 1
 
-    def _eval_upsert(self, expr, table: _Table, position: int,
-                     new_row: dict, params) -> Any:
-        """Evaluate an ``ON CONFLICT .. SET`` expression: bare columns
-        read the existing row, ``excluded.col`` the would-be row."""
-        layout = table.columns
-
-        def resolver(qualifier, name):
-            if qualifier == "excluded":
-                try:
-                    return len(layout) + layout.index(name)
-                except ValueError:
-                    raise DatabaseError(
-                        f"no such column excluded.{name}") from None
-            try:
-                return layout.index(name)
-            except ValueError:
-                raise DatabaseError(f"no such column {name}") from None
-        fn = _compile(expr, _CompileCtx(resolver))
-        row = tuple(table.cols[c][position] for c in layout) \
-            + tuple(new_row[c] for c in layout)
-        return fn(row, (params, ()))
-
     def _exec_insert(self, stmt: _Insert, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table, sql)
         columns = stmt.columns or list(table.columns)
         if stmt.values is not None:
-            ctx = _CompileCtx(lambda q, n: (_ for _ in ()).throw(
-                DatabaseError(f"no such column {n} [sql: {sql}]")))
-            fns = [_compile(v, ctx) for v in stmt.values]
-            env = (params, ())
-            values = [fn(None, env) for fn in fns]
+            scope = _Scope([])
+            values = [_compile(v, scope)(_ONE_ROW, (params, None))[0]
+                      for v in stmt.values]
             if len(values) != len(columns):
                 raise DatabaseError(
                     f"{len(columns)} columns but {len(values)} values "
@@ -1657,19 +1817,17 @@ class MemoryDatabase(Database):
                     f"[sql: {sql}]") from None
         if len(set(positions)) != len(positions):
             raise DatabaseError(f"duplicate insert column [sql: {sql}]")
-        rows = self._exec_select(stmt.select, params)
-        width = len(columns)
-        if any(len(row) != width for row in rows):
+        m, values = self._select(stmt.select, params)
+        if len(values) != len(columns):
             raise DatabaseError(
-                f"{width} columns but a row of another width "
+                f"{len(columns)} columns but {len(values)} selected "
                 f"[sql: {sql}]")
         old_len = len(table.rowids)
         old_next = table.next_rowid
-        m = len(rows)
-        for j, ci in enumerate(positions):
+        for ci, column in zip(positions, values):
             name = table.columns[ci]
             table.cols[name].extend(_store_column(
-                table.affinities[name], [row[j] for row in rows]))
+                table.affinities[name], column))
         untouched = set(range(len(table.columns))) - set(positions)
         for ci in untouched:
             table.cols[table.columns[ci]].extend(
@@ -1685,78 +1843,52 @@ class MemoryDatabase(Database):
         self._record(undo_bulk)
         self._last_rowcount += m
 
+    def _matching(self, table: _Table, where, params):
+        """The positions of ``table``'s rows an UPDATE or DELETE
+        ``WHERE`` selects, and the scope its expressions compile in."""
+        scope = _Scope([(0, table, None)])
+        tests = [test for test, _used in _tests(where, scope)]
+        frame = _where(_Frame.of_source(1, 0, range(len(table))), tests,
+                       (params, None))
+        return frame, scope
+
     def _exec_update(self, stmt: _Update, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table, sql)
-        layout = table.columns
-
-        def resolver(qualifier, name):
-            if qualifier not in (None, stmt.table):
-                raise DatabaseError(
-                    f"no such column {qualifier}.{name} [sql: {sql}]")
-            if name == "rowid":
-                return len(layout)
-            try:
-                return layout.index(name)
-            except ValueError:
-                raise DatabaseError(
-                    f"no such column: {name} [sql: {sql}]") from None
-        ctx = _CompileCtx(resolver)
-        where = (_compile(stmt.where, ctx)
-                 if stmt.where is not None else None)
-        sets = [(column, _compile(expr, ctx))
-                for column, expr in stmt.sets]
-        env = (params, ())
-        rows = table.scan()
-        undo: list[tuple[int, str, Any]] = []
-        pk_touched = False
-        for position, row in enumerate(rows):
-            if where is not None and _truthy(where(row, env)) is not True:
-                continue
-            for column, fn in sets:
-                value = _store_value(table.affinities[column],
-                                     fn(row, env))
-                undo.append((position, column,
-                             table.cols[column][position]))
-                table.cols[column][position] = value
-                if column == table.primary_key:
-                    pk_touched = True
-            self._last_rowcount += 1
-        if pk_touched:
-            table.invalidate()
-        if undo:
+        frame, scope = self._matching(table, stmt.where, params)
+        rows = frame.pos[0]
+        # every SET expression reads the old row
+        updates = []
+        for column, expr in stmt.sets:
+            if column not in table.cols:
+                raise DatabaseError(f"no such column: {column}")
+            updates.append((column, _compile(expr, scope)(
+                frame, (params, None))))
+        undo: list[tuple[str, list]] = []
+        for column, values in updates:
+            cells = table.cols[column]
+            affinity = table.affinities[column]
+            undo.append((column, [cells[p] for p in rows]))
+            for p, value in zip(rows, values):
+                cells[p] = _store_value(affinity, value)
+            if column == table.primary_key:
+                table.invalidate()
+        self._last_rowcount += len(rows)
+        if rows and undo:
             def undo_update():
-                for position, column, value in reversed(undo):
-                    table.cols[column][position] = value
+                for column, old in reversed(undo):
+                    cells = table.cols[column]
+                    for p, value in zip(rows, old):
+                        cells[p] = value
                 table.invalidate()
             self._record(undo_update)
 
     def _exec_delete(self, stmt: _Delete, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table, sql)
-        layout = table.columns
-
-        def resolver(qualifier, name):
-            if name == "rowid":
-                return len(layout)
-            try:
-                return layout.index(name)
-            except ValueError:
-                raise DatabaseError(
-                    f"no such column: {name} [sql: {sql}]") from None
-        env = None
-        positions: list[int]
-        if stmt.where is None:
-            positions = list(range(len(table)))
-        else:
-            where = _compile(stmt.where, _CompileCtx(resolver))
-            env = (params, ())
-            positions = [i for i, row in enumerate(table.scan())
-                         if _truthy(where(row, env)) is True]
-        removed: list[tuple[int, int, list]] = []
-        for position in reversed(positions):
-            rowid, cells = table.remove_position(position)
-            removed.append((position, rowid, cells))
+        frame, _scope = self._matching(table, stmt.where, params)
+        removed = [(p, *table.remove_position(p))
+                   for p in reversed(frame.pos[0])]
         self._last_rowcount += len(removed)
         if removed:
             def undo_delete():
@@ -1766,512 +1898,150 @@ class MemoryDatabase(Database):
 
     # -- SELECT ------------------------------------------------------------
 
-    def _resolve_source(self, ref, alias, params,
-                        resolved: dict | None = None) -> _Table:
+    def _source(self, ref, alias, params) -> _Table:
         """A FROM/JOIN entry: a named table, or a derived table
-        materialised into an anonymous :class:`_Table` with rowids
-        1..n and no affinity conversion.
-
-        ``resolved`` memoises derived tables by AST identity for the
-        duration of one statement evaluation, so the fast path trying a
-        statement and then handing it to the generic interpreter never
-        evaluates a derived table twice."""
-        if isinstance(ref, str):
-            return self._table(ref, "select")
-        if resolved is not None and id(ref) in resolved:
-            return resolved[id(ref)]
-        names = _derived_names(ref)
-        rows = self._exec_select(ref, params)
-        table = _Table(alias or "", [(n, "") for n in names],
-                       None, True)
-        for j, name in enumerate(names):
-            table.cols[name] = [row[j] for row in rows]
-        table.rowids = list(range(1, len(rows) + 1))
-        table.next_rowid = len(rows) + 1
-        if resolved is not None:
-            resolved[id(ref)] = table
-        return table
-
-    def _fast_select(self, stmt: _Select, params,
-                     resolved: dict | None = None):
-        """Vectorised evaluation of the hot statement shapes: a single
-        table (named or derived), plain column / constant /
-        ``agg(column)`` select items, a conjunction of single-column
-        predicates, and optional GROUP BY over plain columns.  Works
-        directly on the column lists — no per-row tuple
-        materialisation, no compiled closure tree.
-
-        Returns ``None`` for any other shape — joins, DISTINCT, LIMIT,
-        expressions in the select list or WHERE — and the generic
-        interpreter evaluates it instead; a GROUP BY declined here is
-        unsupported there and raises.  A given statement always runs
-        on the same one of the two paths, and tests/diffdb compares
-        that path's result with SQLite's.
-
-        Derived tables — the shape fused pushdown statements nest —
-        are resolved through the shared ``resolved`` memo, so a late
-        ``return None`` costs nothing: the generic path reuses the
-        already-evaluated derived table.
-        """
-        if (stmt.joins or stmt.distinct or stmt.limit is not None
-                or stmt.source is None):
-            return None
-        ref, alias = stmt.source
+        evaluated into an anonymous :class:`_Table`."""
         if isinstance(ref, str):
             table = self._tables.get(ref)
-            if table is None:    # let the generic path raise
-                return None
-        else:
-            table = self._resolve_source(ref, alias, params, resolved)
-        names = (alias, table.name)
-
-        def column_of(node):
-            """Plain column reference -> its value list, else None."""
-            if node[0] != "col":
-                return None
-            qualifier, name = node[1], node[2]
-            if qualifier is not None and qualifier not in names:
-                return None
-            if name in table.cols:
-                return table.cols[name]
-            if name == "rowid":
-                return table.rowids
-            return None
-
-        def constant_of(node):
-            if node[0] == "lit":
-                return node[1]
-            if node[0] == "param":
-                return params[node[1]]
-            return _UNSUPPORTED
-
-        # -- WHERE: conjunction of single-column predicates ------------
-        conjuncts: list = []
-
-        def split(node):
-            if node[0] == "and":
-                split(node[1])
-                split(node[2])
-            else:
-                conjuncts.append(node)
-        if stmt.where is not None:
-            split(stmt.where)
-
-        tests: list[tuple[list, Any]] = []
-        for node in conjuncts:
-            if node[0] == "not" and node[1][0] == "isnull":
-                node = ("isnull", node[1][1], not node[1][2])
-            kind = node[0]
-            if kind == "isnull":
-                col = column_of(node[1])
-                if col is None:
-                    return None
-                if node[2]:
-                    tests.append((col, lambda v: v is not None))
-                else:
-                    tests.append((col, lambda v: v is None))
-            elif kind == "cmp":
-                op = node[1]
-                col, other = column_of(node[2]), node[3]
-                if col is None:
-                    col, other = column_of(node[3]), node[2]
-                    op = {"<": ">", "<=": ">=", ">": "<",
-                          ">=": "<="}.get(op, op)
-                if col is None:
-                    return None
-                value = constant_of(other)
-                if value is _UNSUPPORTED:
-                    return None
-                if value is None:   # comparison with NULL: no rows
-                    tests.append((col, lambda v: False))
-                elif op == "=":
-                    tests.append((col, lambda v, w=value:
-                                  v is not None
-                                  and _compare(v, w) == 0))
-                elif op == "<>":
-                    tests.append((col, lambda v, w=value:
-                                  v is not None
-                                  and _compare(v, w) != 0))
-                elif op == "<":
-                    tests.append((col, lambda v, w=value:
-                                  v is not None and _compare(v, w) < 0))
-                elif op == "<=":
-                    tests.append((col, lambda v, w=value:
-                                  v is not None
-                                  and _compare(v, w) <= 0))
-                elif op == ">":
-                    tests.append((col, lambda v, w=value:
-                                  v is not None and _compare(v, w) > 0))
-                else:
-                    tests.append((col, lambda v, w=value:
-                                  v is not None
-                                  and _compare(v, w) >= 0))
-            elif kind == "in":
-                col = column_of(node[1])
-                if col is None:
-                    return None
-                values = [constant_of(e) for e in node[2]]
-                if any(v is _UNSUPPORTED or v is None for v in values):
-                    return None     # NULL member: three-valued logic
-                keys = {_gkey(v) for v in values}
-                tests.append((col, lambda v, keys=keys:
-                              v is not None and _gkey(v) in keys))
-            elif kind == "like":
-                col = column_of(node[1])
-                if col is None:
-                    return None
-                pattern = constant_of(node[2])
-                if pattern is _UNSUPPORTED:
-                    return None
-                if pattern is None:
-                    tests.append((col, lambda v: False))
-                else:
-                    tests.append((col, lambda v, p=pattern:
-                                  v is not None and bool(_like(v, p))))
-            else:
-                return None
-
-        # -- select items ----------------------------------------------
-        # items: ("const", value) | ("col", value_list) | ("agg", slot)
-        items: list[tuple[str, Any]] = []
-        agg_specs: list[tuple[str, list | None]] = []
-        for item in stmt.items:
-            if item[0] == "star":
-                if item[1] is not None and item[1] not in names:
-                    return None
-                for name in table.columns:
-                    items.append(("col", table.cols[name]))
-                continue
-            ast = item[1]
-            if ast[0] == "agg":
-                if ast[1] == "count*":
-                    items.append(("agg", len(agg_specs)))
-                    agg_specs.append(("count*", None))
-                    continue
-                col = column_of(ast[2])
-                if col is None:
-                    return None
-                items.append(("agg", len(agg_specs)))
-                agg_specs.append((ast[1], col))
-                continue
-            value = constant_of(ast)
-            if value is not _UNSUPPORTED:
-                items.append(("const", value))
-                continue
-            col = column_of(ast)
-            if col is None:
-                return None
-            items.append(("col", col))
-
-        gcols = []
-        for term in stmt.group:
-            col = column_of(term)
-            if col is None:
-                return None
-            gcols.append(col)
-
-        ocols = []
-        if stmt.order and (gcols or agg_specs):
-            # the grouped path below emits rows sorted on the full
-            # group key; an ORDER BY that is an ASC prefix of the
-            # GROUP BY terms is therefore a no-op and stays fast
-            if (not gcols or len(stmt.order) > len(stmt.group)
-                    or any(desc or term != gterm
-                           for (term, desc), gterm
-                           in zip(stmt.order, stmt.group))):
-                return None     # genuine post-aggregate ordering
-        else:
-            for term, desc in stmt.order:
-                col = column_of(term)
-                if col is None:
-                    return None
-                ocols.append((col, desc))
-
-        # -- filter: the surviving row positions -----------------------
-        n = len(table.rowids)
-        idx: list[int] | None = None
-        for col, test in tests:
-            if idx is None:
-                idx = [i for i, v in enumerate(col) if test(v)]
-            else:
-                idx = [i for i in idx if test(col[i])]
-
-        if ocols:
-            # stable multi-term sort, last term first (see _order_rows)
-            seq = list(range(n)) if idx is None else idx
-            for col, desc in reversed(ocols):
-                types = set(map(type, col))
-                if types <= {int, float} or types == {str} \
-                        or types == {bytes}:
-                    # homogeneous column: plain compare == _sort_key
-                    seq.sort(key=col.__getitem__, reverse=desc)
-                else:
-                    seq.sort(key=lambda i, col=col: _sort_key(col[i]),
-                             reverse=desc)
-            idx = seq
-
-        if gcols:
-            src = range(n) if idx is None else idx
-            # raw stored values hash/compare like _gkey (1 and 1.0
-            # collide, bools never reach storage)
-            if len(gcols) == 1:
-                g0 = gcols[0]
-                keys = [(g0[i],) for i in src]
-            elif len(gcols) == 2:
-                g0, g1 = gcols
-                keys = [(g0[i], g1[i]) for i in src]
-            else:
-                keys = [tuple(g[i] for g in gcols) for i in src]
-            buckets: dict[tuple, list[int]] = {}
-            order: list[tuple] = []
-            for i, key in zip(src, keys):
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = []
-                    order.append(key)
-                bucket.append(i)
-            # SQLite groups via a sort on the grouping terms, so its
-            # output comes back ordered by group key — match that
-            order.sort(key=lambda key: tuple(_sort_key(v)
-                                             for v in key))
-            out = []
-            for key in order:
-                members = buckets[key]
-                first = members[0]
-                values = []
-                for kind, payload in items:
-                    if kind == "col":
-                        values.append(payload[first])
-                    elif kind == "const":
-                        values.append(payload)
-                    else:
-                        name, col = agg_specs[payload]
-                        if name == "count*":
-                            values.append(len(members))
-                        else:
-                            values.append(_aggregate(
-                                name, [col[i] for i in members]))
-                out.append(tuple(values))
-            return out
-
-        if agg_specs:
-            if any(kind == "col" for kind, _payload in items):
-                return None     # representative-row semantics
-            aggvals = []
-            for name, col in agg_specs:
-                if name == "count*":
-                    aggvals.append(n if idx is None else len(idx))
-                else:
-                    aggvals.append(_aggregate(
-                        name, col if idx is None
-                        else [col[i] for i in idx]))
-            return [tuple(aggvals[payload] if kind == "agg"
-                          else payload for kind, payload in items)]
-
-        # plain projection
-        m = n if idx is None else len(idx)
-        if not items:
-            return [()] * m
-        columns = [payload if kind == "col" and idx is None
-                   else [payload[i] for i in idx] if kind == "col"
-                   else itertools.repeat(payload, m)
-                   for kind, payload in items]
-        return list(zip(*columns))
+            if table is None:
+                raise DatabaseError(f"no such table: {ref}")
+            return table
+        n, columns = self._select(ref, params)
+        return _Table.derived(alias, _derived_names(ref), columns, n)
 
     def _exec_select(self, stmt, params) -> list[tuple]:
-        if isinstance(stmt, _Compound):
-            out: list[tuple] = []
-            for select in stmt.selects:
-                out.extend(self._exec_select(select, params))
-            return out
+        n, columns = self._select(stmt, params)
+        return list(zip(*columns)) if columns else [()] * n
 
-        resolved: dict = {}
-        fast = self._fast_select(stmt, params, resolved)
-        if fast is not None:
-            return fast
-        if stmt.group:
+    def _select(self, stmt, params) -> tuple[int, list[list]]:
+        """Evaluate a SELECT into its row count and output columns.
+
+        Each source is first narrowed by the WHERE conjuncts that read
+        only its columns; the equality hash join then pairs the
+        surviving positions left to right, the remaining conjuncts
+        filter the joined rows, and grouping, ordering, projection,
+        DISTINCT and LIMIT read columns through those positions."""
+        if isinstance(stmt, _Compound):
+            parts = [self._select(select, params)
+                     for select in stmt.selects]
+            width = len(parts[0][1])
+            if any(len(columns) != width for _n, columns in parts):
+                raise DatabaseError(
+                    "SELECTs to the left and right of UNION ALL do not "
+                    "have the same number of result columns")
+            return (sum(n for n, _columns in parts),
+                    [list(itertools.chain.from_iterable(
+                        columns[j] for _n, columns in parts))
+                     for j in range(width)])
+
+        entries = []
+        if stmt.source is not None:
+            ref, alias = stmt.source
+            entries.append((0, self._source(ref, alias, params), alias))
+        for ref, alias, _on in stmt.joins:
+            entries.append((len(entries), self._source(ref, alias, params),
+                            alias))
+        scope = _Scope(entries)
+        width = len(entries)
+
+        # -- compile ----------------------------------------------------
+        local: list[list] = [[] for _ in entries]
+        post = []
+        single_column = True
+        for test, used in _tests(stmt.where, scope):
+            read = {k for k, _name in used}
+            if len(read) == 1:
+                local[read.pop()].append(test)
+            else:
+                post.append(test)
+            single_column = single_column and len(used) <= 1
+        joins = [_join_keys(on, entries, k)
+                 for k, (_ref, _alias, on) in enumerate(stmt.joins, 1)]
+        items = []
+        for item in stmt.items:
+            if item[0] == "star":
+                items.extend(scope.star(item[1]))
+            else:
+                items.append(_compile(item[1], scope, allow_agg=True))
+        group = [_compile(term, scope) for term in stmt.group]
+        order = [(_compile(term, scope, allow_agg=True), desc)
+                 for term, desc in stmt.order]
+        if stmt.group and (stmt.joins or not single_column or any(
+                term[0] != "col" for term in stmt.group) or not all(
+                _groupable(item) for item in stmt.items)):
             raise DatabaseError(
                 "GROUP BY is supported only over plain columns of one "
                 "table, with single-column filters and plain or "
                 "aggregated columns selected")
+        env = (params, None)
+        limit = None
+        if stmt.limit is not None:
+            value = _compile(stmt.limit, _Scope([]))(_ONE_ROW, env)[0]
+            if value is not None and int(value) >= 0:
+                limit = int(value)
 
-        all_sources = []
-        if stmt.source is not None:
-            ref, alias = stmt.source
-            all_sources.append(
-                (self._resolve_source(ref, alias, params, resolved),
-                 alias))
-        joins = [(self._resolve_source(ref, alias, params, resolved),
-                  alias, on)
-                 for ref, alias, on in stmt.joins]
-        all_sources += [(t, a) for t, a, _ in joins]
+        # -- filter and join --------------------------------------------
+        rows = [_where(_Frame.of_source(width, k, range(len(table))),
+                       local[k], env).pos[k]
+                for k, table, _alias in entries]
+        frame = _Frame.of_source(width, 0, rows[0]) if rows else _ONE_ROW
+        for k, (left_keys, right_keys) in enumerate(joins, 1):
+            right = _Frame.of_source(width, k, rows[k])
+            left_rows, right_rows = _hash_join(
+                [fn(frame, env) for fn in left_keys],
+                [fn(right, env) for fn in right_keys])
+            frame = frame.take(left_rows)
+            frame.pos[k] = [rows[k][j] for j in right_rows]
+        frame = _where(frame, post, env)
 
-        # -- flat row layout: per table, its columns then its rowid ----
-        offsets: list[int] = []
-        offset = 0
-        for table, _alias in all_sources:
-            offsets.append(offset)
-            offset += len(table.columns) + 1
-
-        def resolver(qualifier, name):
-            matches = []
-            for index, (table, alias) in enumerate(all_sources):
-                if qualifier is not None and qualifier != alias \
-                        and qualifier != table.name:
-                    continue
-                base = offsets[index]
-                if name in table.cols:
-                    matches.append(base + table.columns.index(name))
-                elif name == "rowid":
-                    matches.append(base + len(table.columns))
-                elif qualifier is not None:
-                    raise DatabaseError(
-                        f"no such column: {qualifier}.{name}")
-            if not matches:
-                raise DatabaseError(f"no such column: {name}")
-            return matches[0]
-
-        ctx = _CompileCtx(resolver)
-
-        # expand select items
-        item_fns: list = []
-        agg_present = False
-        for item in stmt.items:
-            if item[0] == "star":
-                for index, (table, alias) in enumerate(all_sources):
-                    if item[1] is not None and item[1] != alias \
-                            and item[1] != table.name:
-                        continue
-                    base = offsets[index]
-                    for ci in range(len(table.columns)):
-                        slot = base + ci
-                        item_fns.append(
-                            lambda row, env, slot=slot: row[slot])
+        # -- aggregate ----------------------------------------------------
+        if stmt.group or scope.aggs:
+            if stmt.group:
+                groups = _groups(frame, group, env)
+                first = frame.take([g[0] for g in groups])
             else:
-                if _find_aggs(item[1]):
-                    agg_present = True
-                item_fns.append(_compile(item[1], ctx, allow_agg=True))
+                groups = [range(frame.n)]
+                first = frame.take([0]) if frame.n else _Frame(1, None)
+            aggregates = []
+            for name, arg in scope.aggs:
+                if arg is None:
+                    aggregates.append([len(g) for g in groups])
+                else:
+                    values = arg(frame, env)
+                    aggregates.append([
+                        _aggregate(name, [values[i] for i in g])
+                        for g in groups])
+            frame, env = first, (params, aggregates)
 
-        where = (_compile(stmt.where, ctx)
-                 if stmt.where is not None else None)
-        order_fns = [(_compile(term, ctx, allow_agg=True), desc)
-                     for term, desc in stmt.order]
-        limit_fn = (_compile(stmt.limit, ctx)
-                    if stmt.limit is not None else None)
-
-        env = (params, ())
-
-        rows = self._join_rows(all_sources[:1], joins)
-        if where is not None:
-            rows = [r for r in rows if _truthy(where(r, env)) is True]
-
-        if agg_present:
-            # whole-table aggregation: one output row over all input
-            # rows, so ORDER BY has nothing to order
-            aggvals = tuple(
-                len(rows) if name == "count*"
-                else _aggregate(name, [arg(row, env) for row in rows])
-                for name, arg in ctx.aggs)
-            representative = rows[0] if rows else (None,) * offset
-            out = [tuple(fn(representative, (params, aggvals))
-                         for fn in item_fns)]
-        else:
-            if order_fns:
-                rows = _order_rows(rows, order_fns, env)
-            out = [tuple(fn(row, env) for fn in item_fns)
-                   for row in rows]
-            if stmt.distinct:
-                seen = set()
-                unique = []
-                for row in out:
-                    key = tuple(_gkey(v) for v in row)
-                    if key not in seen:
-                        seen.add(key)
-                        unique.append(row)
-                out = unique
-
-        if limit_fn is not None:
-            limit = limit_fn(None, env)
-            if limit is not None and int(limit) >= 0:
-                out = out[:int(limit)]
-        return out
-
-    def _join_rows(self, source, joins):
-        """FROM/JOIN evaluation: left-to-right hash joins on
-        conjunctions of column equalities (matches SQLite's
-        outer-scan-order output for these statement shapes)."""
-        if not source:  # FROM-less SELECT: one empty row
-            return [()]
-        rows = source[0][0].scan()
-        consumed = list(source)
-        for table, alias, on in joins:
-            pairs = _equality_pairs(on, consumed, table, alias)
-            if pairs is None:
-                raise DatabaseError(
-                    "JOIN .. ON must be a conjunction of column "
-                    "equalities")
-            index: dict[tuple, list[tuple]] = {}
-            for right in table.scan():
-                key = tuple(_gkey(right[ri]) for _li, ri in pairs)
-                if any(right[ri] is None for _li, ri in pairs):
-                    continue
-                index.setdefault(key, []).append(right)
-            joined = []
-            for left in rows:
-                if any(left[li] is None for li, _ri in pairs):
-                    continue
-                key = tuple(_gkey(left[li]) for li, _ri in pairs)
-                for right in index.get(key, ()):
-                    joined.append(left + right)
-            rows = joined
-            consumed.append((table, alias))
-        return rows
-
-
-def _equality_pairs(on, consumed, table, alias):
-    """Extract ``left_slot == right_slot`` pairs from a conjunction of
-    column equalities, or ``None`` for any other ON clause."""
-    pairs: list[tuple[int, int]] = []
-
-    def left_slot(qualifier, name):
-        offset = 0
-        for t, a in consumed:
-            if qualifier in (a, t.name) or (qualifier is None
-                                            and name in t.cols):
-                if name in t.cols:
-                    return offset + t.columns.index(name)
-                if name == "rowid":
-                    return offset + len(t.columns)
-            offset += len(t.columns) + 1
-        return None
-
-    def right_slot(qualifier, name):
-        if qualifier is not None and qualifier not in (alias,
-                                                       table.name):
-            return None
-        if name in table.cols:
-            return table.columns.index(name)
-        if name == "rowid":
-            return len(table.columns)
-        return None
-
-    def walk(node) -> bool:
-        if node[0] == "and":
-            return walk(node[1]) and walk(node[2])
-        if node[0] == "cmp" and node[1] == "=":
-            a, b = node[2], node[3]
-            if a[0] != "col" or b[0] != "col":
-                return False
-            for x, y in ((a, b), (b, a)):
-                li = left_slot(x[1], x[2])
-                ri = right_slot(y[1], y[2])
-                if li is not None and ri is not None:
-                    pairs.append((li, ri))
-                    return True
-            return False
-        return False
-
-    return pairs if walk(on) else None
+        # -- order, limit, project ----------------------------------------
+        picked = None
+        if order:
+            picked = list(range(frame.n))
+            for fn, desc in reversed(order):
+                _sort_order(fn(frame, env), picked, desc)
+        if limit is not None and not stmt.distinct and limit < frame.n:
+            picked = (list(range(frame.n)) if picked is None
+                      else picked)[:limit]
+        if picked is not None:
+            frame = frame.take(picked)
+            if env[1]:
+                env = (params, [[column[i] for i in picked]
+                                for column in env[1]])
+        columns = [fn(frame, env) for fn in items]
+        n = frame.n
+        if stmt.distinct:
+            seen: set = set()
+            keep = []
+            for i, row in enumerate(zip(*columns)):
+                if row not in seen:
+                    seen.add(row)
+                    keep.append(i)
+            if limit is not None:
+                keep = keep[:limit]
+            if len(keep) < n:
+                columns = [[column[i] for i in keep] for column in columns]
+                n = len(keep)
+        return n, columns
 
 
 def _derived_names(stmt) -> list[str]:
@@ -2294,16 +2064,6 @@ def _derived_names(stmt) -> list[str]:
             names.append(f"__c{len(names)}")
     return names
 
-
-def _order_rows(rows, order_fns, env):
-    """Stable multi-term ORDER BY on the source-row scope."""
-    indexed = list(range(len(rows)))
-    for fn, desc in reversed(order_fns):
-        keys = [_sort_key(fn(rows[i], env)) for i in indexed]
-        paired = sorted(zip(keys, indexed), key=lambda kv: kv[0],
-                        reverse=desc)
-        indexed = [i for _k, i in paired]
-    return [rows[i] for i in indexed]
 
 
 # =========================================================================

@@ -83,9 +83,11 @@ __all__ = ["QueryCache", "CacheEntry", "CachePlan", "CACHE_TABLE",
 CACHE_TABLE = "pb_query_cache"
 CACHE_PREFIX = "pbc_"
 #: ``pb_meta`` marker of the key scheme; entries of any other scheme
-#: are dropped on first use (their keys can never be computed again)
+#: are dropped on first use (their keys can never be computed again).
+#: 3: source filter values are bound in their parameter's type, so
+#: entries computed under the old binding are not served
 _FORMAT_KEY = "query_cache_format"
-_FORMAT = 2
+_FORMAT = 3
 #: serialises the one-time format check of this process's caches
 _FORMAT_LOCK = threading.Lock()
 #: default LRU byte budget of one experiment's vector cache

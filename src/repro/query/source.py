@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, NamedTuple, Sequence
 
-from ..core.datatypes import DataType, sql_type
-from ..core.errors import QueryError
+from ..core.datatypes import DataType, coerce, sql_type
+from ..core.errors import DataTypeError, QueryError
 from ..core.units import DIMENSIONLESS
 from ..core.variables import ORD_PREFIX, Occurrence
 from ..db.backend import quote_identifier
@@ -147,19 +147,30 @@ class Source(QueryElement):
 
     def _filter_sql(self, spec: ParameterSpec, column: str,
                     datatype) -> tuple[str, list[Any]]:
-        if spec.op == "in":
-            values = [
-                _encode_value(v, datatype) for v in spec.value]
-            marks = ", ".join(["?"] * len(values))
-            return f"{column} IN ({marks})", values
+        """The WHERE clause of one filter, its values bound in the
+        column's type: neither backend may rely on comparison affinity
+        (SQLite converts ``2`` for a TEXT column, the columnar engine
+        does not).  LIKE patterns are bound as given."""
         try:
-            sql_op = _OPS[spec.op]
+            sql_op = "IN" if spec.op == "in" else _OPS[spec.op]
         except KeyError:
             raise QueryError(
                 f"source {self.name!r}: unknown filter operator "
                 f"{spec.op!r}") from None
-        return (f"{column} {sql_op} ?",
-                [_encode_value(spec.value, datatype)])
+        if sql_op == "LIKE":
+            return f"{column} LIKE ?", [spec.value]
+        values = list(spec.value) if sql_op == "IN" else [spec.value]
+        try:
+            values = [_encode_value(coerce(v, datatype), datatype)
+                      for v in values]
+        except (DataTypeError, ValueError) as exc:
+            raise QueryError(
+                f"source {self.name!r}: filter value of parameter "
+                f"{spec.name!r} is not a {datatype.value}: {exc}") from None
+        if sql_op == "IN":
+            marks = ", ".join(["?"] * len(values))
+            return f"{column} IN ({marks})", values
+        return f"{column} {sql_op} ?", values
 
     def _layout(self, variables) -> _Layout:
         """Partition parameter specs and results by occurrence and

@@ -93,7 +93,8 @@ def _inputs_of(element: ET.Element) -> list[str]:
 
 def _smart_value(raw: str) -> Any:
     """Guess the Python type of a filter value from its spelling; the
-    source element coerces it to the variable's datatype later."""
+    source element coerces it to the variable's datatype when it binds
+    the value (``Source._filter_sql``)."""
     raw = raw.strip()
     try:
         return int(raw)

@@ -222,3 +222,34 @@ class TestServer:
         other = server.create_database("f")
         assert db.attachable_uri is None
         assert db.attach(other) is None
+
+
+class TestJoinInput:
+    """WHERE conjuncts that read one source filter it before the join."""
+
+    @pytest.mark.parametrize("n_runs", [10, 200])
+    def test_find_import_joins_one_file_row(self, monkeypatch, n_runs):
+        from repro import RunData
+        from repro.db import memory_backend
+        from tests.conftest import make_simple_experiment
+
+        exp = make_simple_experiment(MemoryDatabaseServer(), "joins")
+        for i in range(n_runs):
+            run = RunData(once={"technique": "t", "fs": "ufs"},
+                          datasets=[{"S_chunk": 1, "access": "read",
+                                     "bw": float(i)}],
+                          source_files=[f"run{i}.sum"])
+            run.file_checksums = {f"run{i}.sum": f"sum{i}"}
+            exp.store_run(run)
+        left_rows: list[int] = []
+        real = memory_backend._hash_join
+
+        def counting(left_keys, right_keys):
+            left_rows.append(len(left_keys[0]))
+            return real(left_keys, right_keys)
+        monkeypatch.setattr(memory_backend, "_hash_join", counting)
+        wanted = n_runs // 2
+        assert exp.store.find_import(f"sum{wanted}") == \
+            exp.run_indices()[wanted]
+        # one pb_run_files row (the checksum's) meets the pb_runs rows
+        assert left_rows == [1]
