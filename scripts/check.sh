@@ -10,6 +10,17 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 
+# no stage may write into the checkout: record the working tree's
+# status now and compare it after the last stage (skipped quietly
+# outside a git work tree)
+STATUS_BEFORE="$(mktemp)"
+trap 'rm -f "$STATUS_BEFORE"' EXIT
+IN_GIT=
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    IN_GIT=1
+    git status --porcelain > "$STATUS_BEFORE"
+fi
+
 echo "== tier-1 test suite =="
 python -m pytest -x -q -p no:randomly tests
 
@@ -19,21 +30,11 @@ python -m pytest -q -p no:randomly -m obs tests
 echo "== obs-analytics: explain / diff / meta-experiment markers =="
 python -m pytest -q -p no:randomly -m obs_analytics tests
 
-echo "== obs-analytics: bench smoke (writes benchmarks/BENCH_pr2.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_obs_analytics.py
-test -s benchmarks/BENCH_pr2.json
-
 echo "== batch storage path: correctness + identity markers (pytest -m batch) =="
 python -m pytest -q -p no:randomly -m batch tests
 
 echo "== query cache: incremental engine markers (pytest -m qcache) =="
 python -m pytest -q -p no:randomly -m qcache tests
-
-echo "== query cache: bench smoke (writes benchmarks/BENCH_pr4.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_query_cache.py
-test -s benchmarks/BENCH_pr4.json
 
 echo "== diffdb: cross-backend differential battery (pytest -m diffdb) =="
 python -m pytest -q -p no:randomly -m diffdb tests
@@ -46,7 +47,7 @@ python -m pytest -q -p no:randomly -m faults tests
 
 echo "== faults: fsck round-trip on a deliberately corrupted fixture db =="
 FSCK_DIR="$(mktemp -d)"
-trap 'rm -rf "$FSCK_DIR"' EXIT
+trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR"' EXIT
 python - "$FSCK_DIR" <<'EOF'
 import sys
 sys.path.insert(0, "tests")
@@ -82,7 +83,7 @@ python -m pytest -q -p no:randomly -m sentinel tests
 
 echo "== sentinel: baseline -> planted latency -> perfbase check exits 3 =="
 SENTINEL_DIR="$(mktemp -d)"
-trap 'rm -rf "$FSCK_DIR" "$SENTINEL_DIR"' EXIT
+trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR"' EXIT
 perfbase baseline add ci --samples 4 --dbdir "$SENTINEL_DIR"
 # subshell: a VAR=x prefix on a shell *function* call leaks the
 # assignment in some POSIX shells, which would poison the clean re-run
@@ -97,17 +98,13 @@ perfbase check --against ci --samples 2 --min-samples 4 \
 # baselines must survive a consistency pass over their experiment
 perfbase fsck -e perfbase_sentinel --dbdir "$SENTINEL_DIR" --dry-run
 
-echo "== sentinel: bench smoke (writes benchmarks/BENCH_pr7.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_sentinel.py
-test -s benchmarks/BENCH_pr7.json
-
 echo "== pushdown: chain-fusion battery (pytest -m pushdown) =="
 python -m pytest -q -p no:randomly -m pushdown tests
 
 echo "== pushdown/parallel: fused, unfused and 2-node CLI artifacts are byte-identical =="
 PUSHDOWN_DIR="$(mktemp -d)"
-trap 'rm -rf "$FSCK_DIR" "$SENTINEL_DIR" "$PUSHDOWN_DIR"' EXIT
+trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR" \
+    "$PUSHDOWN_DIR"' EXIT
 python - "$PUSHDOWN_DIR" <<'EOF2'
 import sys, pathlib
 from repro.workloads.beffio import generate_campaign
@@ -186,7 +183,10 @@ echo "== service: stress smoke under injected faults (CLI) =="
 perfbase service stress --scratch --clients 200 --shards 4 \
     --faults "seed=11;lock@db.run:p=0.02;io@db.commit:p=0.01"
 
-echo "== service: bench smoke (writes benchmarks/BENCH_pr10.json) =="
-python -m pytest -q -p no:randomly --benchmark-disable \
-    benchmarks/bench_service.py
-test -s benchmarks/BENCH_pr10.json
+if [ -n "$IN_GIT" ]; then
+    echo "== working tree: no stage changed the checkout =="
+    if ! git status --porcelain | diff "$STATUS_BEFORE" -; then
+        echo "check.sh changed the working tree (< before, > after)"
+        exit 1
+    fi
+fi

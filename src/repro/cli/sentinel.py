@@ -1,10 +1,8 @@
 """CLI faces of the regression sentinel and the metrics registry.
 
-``perfbase baseline`` manages stored baselines (add/list/rm/show plus
-``import-bench`` for the repo's own benchmark trajectory), ``perfbase
-check --against/--all`` runs the sentinel comparison, and ``perfbase
-metrics dump`` exposes a counter/gauge/histogram registry — the live
-one when a tracer is active (in-process callers), else the final
+``perfbase baseline`` manages stored baselines (add/list/rm/show),
+``perfbase check --against/--all`` runs the sentinel comparison, and
+``perfbase metrics dump`` prints the final counter/gauge/histogram
 snapshot of a recorded trace file.
 """
 
@@ -14,10 +12,8 @@ import argparse
 import json
 
 from ..obs import metrics_table, read_trace
-from ..obs.metrics import Metrics
-from ..obs.tracer import current_tracer
 from ..sentinel import (BaselineStore, CheckOptions, capture_baseline,
-                        get_workload, import_bench_history, run_check)
+                        get_workload, run_check)
 from ..sentinel.assets import (EXPERIMENT_NAME,
                                element_trend_query_xml)
 from .common import (CommandError, add_dbdir_argument,
@@ -99,17 +95,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if action == "show":
         name = _required_name(args, "baseline show")
         return _show_baseline(server, name)
-    if action == "import-bench":
-        # the first file lands in the optional NAME positional
-        files = ([args.name] if args.name else []) + list(args.files)
-        if not files:
-            raise CommandError(
-                "baseline import-bench needs BENCH_pr*.json files")
-        imported, skipped = import_bench_history(server, files,
-                                                 force=args.force)
-        echo(f"imported {imported} benchmark verdict(s), "
-             f"skipped {skipped} already-imported")
-        return 0
     raise CommandError(f"unknown baseline action {action!r}")
 
 
@@ -163,14 +148,9 @@ def _show_baseline(server, name: str) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """Dump a metrics registry as an ASCII table or JSON."""
-    if args.trace_file:
-        metrics = read_trace(args.trace_file).metrics
-        origin = args.trace_file
-    else:
-        tracer = current_tracer()
-        metrics = tracer.metrics if tracer is not None else Metrics()
-        origin = "live registry" if tracer is not None else "no tracer"
+    """Dump a recorded trace's metrics as an ASCII table or JSON."""
+    metrics = read_trace(args.trace_file).metrics
+    origin = args.trace_file
     if args.json:
         echo(json.dumps({"origin": origin,
                          "metrics": metrics.snapshot()},
@@ -224,34 +204,27 @@ def register_sentinel(sub) -> None:
     """Register the ``baseline`` and ``metrics`` subcommands."""
     p = sub.add_parser(
         "baseline",
-        help="manage stored sentinel baselines "
-             "(add/list/rm/show/import-bench)")
-    p.add_argument("action",
-                   choices=("add", "list", "rm", "show",
-                            "import-bench"))
+        help="manage stored sentinel baselines (add/list/rm/show)")
+    p.add_argument("action", choices=("add", "list", "rm", "show"))
     p.add_argument("name", nargs="?",
                    help="baseline name (add/rm/show)")
-    p.add_argument("files", nargs="*",
-                   help="BENCH_pr*.json files (import-bench)")
     p.add_argument("--workload", default="fig8",
                    help="sentinel workload to capture (default fig8)")
     p.add_argument("--samples", type=int, default=5, metavar="N",
                    help="sample runs to record (default 5)")
     p.add_argument("--force", action="store_true",
-                   help="replace an existing baseline / re-import "
-                        "benchmark files")
+                   help="replace an existing baseline")
     add_obs_arguments(p)
     add_dbdir_argument(p)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser(
         "metrics",
-        help="dump the counter/gauge/histogram registry")
+        help="dump the counter/gauge/histogram registry of a trace")
     p.add_argument("action", choices=("dump",))
-    p.add_argument("--trace-file", metavar="FILE",
-                   help="read the final metrics snapshot of a recorded "
-                        "JSON-lines trace instead of the live registry")
+    p.add_argument("--trace-file", metavar="FILE", required=True,
+                   help="recorded JSON-lines trace whose final metrics "
+                        "snapshot to print")
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of the ASCII table")
-    add_dbdir_argument(p)
     p.set_defaults(func=cmd_metrics)

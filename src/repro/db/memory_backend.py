@@ -1180,7 +1180,7 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
     if kind == "agg":
         if not allow_agg:
             raise DatabaseError("aggregate in illegal context")
-        arg = None if node[2] is None else _compile(node[2], scope)
+        arg = None if node[2] is None else _value(node[2], scope)
         index = len(scope.aggs)
         scope.aggs.append((node[1], arg))
         return lambda frame, env: env[1][index]
@@ -1189,15 +1189,15 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
         return _pairwise(fn, _compile(node[2], scope, allow_agg),
                          _compile(node[3], scope, allow_agg))
     if kind == "like":
-        return _pairwise(_like, _compile(node[1], scope, allow_agg),
-                         _compile(node[2], scope, allow_agg))
+        return _pairwise(_like, _value(node[1], scope, allow_agg),
+                         _value(node[2], scope, allow_agg))
     if kind == "cast":
-        inner = _compile(node[1], scope, allow_agg)
+        inner = _value(node[1], scope, allow_agg)
         target = node[2]
         return lambda frame, env: [_cast(v, target)
                                    for v in inner(frame, env)]
     if kind == "coalesce":
-        fns = [_compile(a, scope, allow_agg) for a in node[1]]
+        fns = [_value(a, scope, allow_agg) for a in node[1]]
 
         def coalesce(frame, env):
             out = fns[0](frame, env)
@@ -1243,6 +1243,19 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
                          _truth(node[1], _compile(node[1], scope, allow_agg)),
                          _truth(node[2], _compile(node[2], scope, allow_agg)))
     raise DatabaseError(f"cannot compile expression node {kind!r}")
+
+
+def _value(node, scope: _Scope, allow_agg: bool = False):
+    """Compile ``node`` where its result is read as a value — a select
+    item, an aggregate argument, a CAST, COALESCE or LIKE operand: a
+    predicate's truth values become SQLite's 1/0, NULL kept.  WHERE
+    and ON read predicates through :func:`_truth` and keep booleans;
+    arithmetic and comparisons already treat them as 1/0."""
+    fn = _compile(node, scope, allow_agg)
+    if node[0] not in _PREDICATES:
+        return fn
+    return lambda frame, env: [None if t is None else int(t)
+                               for t in fn(frame, env)]
 
 
 def _conjuncts(node) -> list:
@@ -1962,7 +1975,7 @@ class MemoryDatabase(Database):
             if item[0] == "star":
                 items.extend(scope.star(item[1]))
             else:
-                items.append(_compile(item[1], scope, allow_agg=True))
+                items.append(_value(item[1], scope, allow_agg=True))
         group = [_compile(term, scope) for term in stmt.group]
         order = [(_compile(term, scope, allow_agg=True), desc)
                  for term, desc in stmt.order]

@@ -13,23 +13,21 @@ statistically (:mod:`~repro.sentinel.compare`), exiting 3 on a
 regression so CI can gate on it (:mod:`~repro.sentinel.check`).
 """
 
-from .assets import BENCH_EXPERIMENT_NAME, CHECK_LABEL, EXPERIMENT_NAME
+from .assets import CHECK_LABEL, EXPERIMENT_NAME
 from .check import (EXIT_REGRESSION, CheckOutcome, capture_baseline,
                     run_check)
 from .compare import (CheckOptions, CheckReport, ElementVerdict,
                       MetricComparison, compare_samples)
-from .store import (BaselineInfo, BaselineStore, ElementSamples,
-                    import_bench_history)
+from .store import BaselineInfo, BaselineStore, ElementSamples
 from .workloads import (DEFAULT_WORKLOAD, SUITE, SentinelWorkload,
                         get_workload, run_samples)
 
 __all__ = [
-    "EXPERIMENT_NAME", "BENCH_EXPERIMENT_NAME", "CHECK_LABEL",
+    "EXPERIMENT_NAME", "CHECK_LABEL",
     "EXIT_REGRESSION", "CheckOutcome", "capture_baseline", "run_check",
     "CheckOptions", "CheckReport", "ElementVerdict", "MetricComparison",
     "compare_samples",
     "BaselineInfo", "BaselineStore", "ElementSamples",
-    "import_bench_history",
     "DEFAULT_WORKLOAD", "SUITE", "SentinelWorkload", "get_workload",
     "run_samples",
 ]

@@ -8,23 +8,15 @@ the baseline bookkeeping once-parameters (baseline name, workload,
 sample index, capture timestamp).  Because baselines live in a regular
 experiment, every existing facility applies: ``perfbase runs -e
 perfbase_sentinel``, declarative queries, ``perfbase fsck``, dumps.
-
-The repo's own benchmark trajectory (``benchmarks/BENCH_pr*.json``) is
-imported into a second experiment (:data:`BENCH_EXPERIMENT_NAME`) so
-the perf history of perfbase itself becomes queryable — perfbase
-monitoring perfbase.
 """
 
 from __future__ import annotations
 
-__all__ = ["EXPERIMENT_NAME", "BENCH_EXPERIMENT_NAME", "CHECK_LABEL",
-           "experiment_xml", "input_xml", "bench_experiment_xml",
-           "element_trend_query_xml", "bench_history_query_xml"]
+__all__ = ["EXPERIMENT_NAME", "CHECK_LABEL", "experiment_xml",
+           "input_xml", "element_trend_query_xml"]
 
 #: the baselines experiment: one run per captured sample trace
 EXPERIMENT_NAME = "perfbase_sentinel"
-#: the benchmark-trajectory experiment (BENCH_pr*.json history)
-BENCH_EXPERIMENT_NAME = "perfbase_bench"
 #: reserved baseline label under which `perfbase check` imports the
 #: fresh sample traces (replaced on every check, never listed)
 CHECK_LABEL = "@check"
@@ -161,53 +153,6 @@ def input_xml() -> str:
 """
 
 
-def bench_experiment_xml() -> str:
-    """Experiment definition for the BENCH_pr*.json trajectory: one run
-    per benchmark verdict file, one data set per numeric metric."""
-    return f"""\
-<experiment>
-  <name>{BENCH_EXPERIMENT_NAME}</name>
-  <info>
-    <performed_by>
-      <name>perfbase</name>
-      <organization>perfbase regression sentinel</organization>
-    </performed_by>
-    <project>perfbase meta-experiment</project>
-    <synopsis>Benchmark trajectory of the perfbase repo itself</synopsis>
-    <description>Each run is one benchmarks/BENCH_pr*.json verdict;
-      each data set is one numeric metric of that verdict.  The repo's
-      own perf history, managed by the repo's own system.
-    </description>
-  </info>
-  <parameter occurrence="once">
-    <name>pr</name>
-    <synopsis>pull-request number of the trajectory point</synopsis>
-    <datatype>integer</datatype>
-  </parameter>
-  <parameter occurrence="once">
-    <name>bench</name>
-    <synopsis>benchmark that produced the verdict</synopsis>
-    <datatype>string</datatype>
-  </parameter>
-  <parameter occurrence="once">
-    <name>file</name>
-    <synopsis>source file of the verdict</synopsis>
-    <datatype>string</datatype>
-  </parameter>
-  <parameter>
-    <name>metric</name>
-    <synopsis>name of one numeric verdict field</synopsis>
-    <datatype>string</datatype>
-  </parameter>
-  <result>
-    <name>value</name>
-    <synopsis>value of the metric</synopsis>
-    <datatype>float</datatype>
-  </result>
-</experiment>
-"""
-
-
 def element_trend_query_xml(baseline: str | None = None) -> str:
     """Per-element mean wall/CPU time over the stored samples —
     the hotspot list of a baseline (or of everything when ``baseline``
@@ -228,24 +173,6 @@ def element_trend_query_xml(baseline: str | None = None) -> str:
   <output id="table" input="mean" format="ascii">
     <option name="title">per-element mean time</option>
     <option name="sort_by">element</option>
-    <option name="precision">6</option>
-  </output>
-</query>
-"""
-
-
-def bench_history_query_xml(metric: str) -> str:
-    """One metric of the benchmark trajectory across PRs."""
-    return f"""\
-<query name="bench_history">
-  <source id="src">
-    <parameter name="pr"/>
-    <parameter name="metric" value="{metric}" show="no"/>
-    <result name="value"/>
-  </source>
-  <output id="table" input="src" format="ascii">
-    <option name="title">benchmark trajectory: {metric}</option>
-    <option name="sort_by">pr</option>
     <option name="precision">6</option>
   </output>
 </query>

@@ -15,24 +15,16 @@ path under the reserved :data:`~repro.sentinel.assets.CHECK_LABEL`
 from __future__ import annotations
 
 import datetime
-import glob
-import json
-import os
-import re
 from dataclasses import dataclass, field
 
 from ..core.errors import DefinitionError, PerfbaseError
 from ..core.experiment import Experiment
-from ..core.run import RunData
 from ..db.backend import DatabaseServer
 from ..parse.importer import Importer
 from ..xmlio import parse_experiment_xml, parse_input_xml
-from .assets import (BENCH_EXPERIMENT_NAME, CHECK_LABEL,
-                     EXPERIMENT_NAME, bench_experiment_xml,
-                     experiment_xml, input_xml)
+from .assets import CHECK_LABEL, EXPERIMENT_NAME, experiment_xml, input_xml
 
-__all__ = ["BaselineInfo", "ElementSamples", "BaselineStore",
-           "import_bench_history"]
+__all__ = ["BaselineInfo", "ElementSamples", "BaselineStore"]
 
 #: the metrics a stored sample provides per element
 METRICS = ("wall_s", "cpu_s", "rows", "bytes")
@@ -243,69 +235,3 @@ class BaselineStore:
 
 def _now() -> str:
     return datetime.datetime.now().isoformat(timespec="seconds")
-
-
-# -- benchmark trajectory -----------------------------------------------------
-
-
-_BENCH_NAME = re.compile(r"BENCH_pr(\d+)\.json$")
-
-
-def import_bench_history(server: DatabaseServer,
-                         patterns: list[str], *,
-                         force: bool = False) -> tuple[int, int]:
-    """Import ``BENCH_pr*.json`` verdicts into the bench experiment.
-
-    Each file becomes one run: the ``pr``/``bench`` fields go to
-    once-content, every other numeric field becomes a (metric, value)
-    data set.  Returns ``(imported, skipped)``; files whose basename
-    was already imported are skipped unless ``force``.
-    """
-    paths: list[str] = []
-    for pattern in patterns:
-        matches = sorted(glob.glob(pattern))
-        paths.extend(matches if matches else [pattern])
-    if BENCH_EXPERIMENT_NAME not in server.list_databases():
-        definition = parse_experiment_xml(bench_experiment_xml())
-        exp = Experiment.create(server, definition.name,
-                                list(definition.variables),
-                                definition.info)
-    else:
-        exp = Experiment.open(server, BENCH_EXPERIMENT_NAME)
-    try:
-        seen: dict[str, int] = {}
-        for index in exp.run_indices():
-            once = exp.store.load_once(index)
-            seen[str(once.get("file", ""))] = index
-        imported = skipped = 0
-        with exp.store.batch():
-            for path in paths:
-                basename = os.path.basename(path)
-                with open(path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                if not isinstance(payload, dict):
-                    raise PerfbaseError(
-                        f"{path}: expected one JSON object")
-                if basename in seen:
-                    if not force:
-                        skipped += 1
-                        continue
-                    exp.delete_run(seen[basename])
-                match = _BENCH_NAME.search(basename)
-                pr = int(payload.get(
-                    "pr", match.group(1) if match else 0))
-                datasets = [
-                    {"metric": key, "value": float(value)}
-                    for key, value in sorted(payload.items())
-                    if key != "pr"
-                    and isinstance(value, (int, float, bool))]
-                exp.store_run(RunData(
-                    once={"pr": pr,
-                          "bench": str(payload.get("bench", "")),
-                          "file": basename},
-                    datasets=datasets,
-                    source_files=[path]))
-                imported += 1
-        return imported, skipped
-    finally:
-        exp.close()

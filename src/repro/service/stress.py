@@ -18,8 +18,8 @@ under an injected fault plan (:mod:`repro.faults`), and then proves
   ``service.rejections`` counter on the rejected client only, never as
   exceptions in unrelated clients.
 
-Used by ``tests/service``, ``benchmarks/bench_service.py`` and the
-``perfbase service stress`` CLI smoke in ``scripts/check.sh``.
+Used by ``tests/service`` and the ``perfbase service stress`` CLI
+smoke in ``scripts/check.sh``.
 """
 
 from __future__ import annotations

@@ -155,6 +155,26 @@ SELECTS = [
      "SELECT k + v, k / 3, k % 3, -v, v * 2, CAST(v AS INTEGER), "
      "CAST(k AS REAL), COALESCE(s, 'none') FROM t", ()),
     ("constants", "SELECT 1, 2.5, 'c', NULL, ?", (7,)),
+    ("predicate_is_null",
+     "SELECT k IS NULL, k IS NOT NULL, s IS NULL FROM t", ()),
+    ("predicate_comparison",
+     "SELECT k = 2, v > 2.0, x >= 'x', k = NULL, k IN (1, 3, NULL) "
+     "FROM t", ()),
+    ("predicate_logic",
+     "SELECT k = 1 AND v > 1.0, k = 1 OR s IS NULL, NOT (k > 1), "
+     "k > 2 OR v > 2.0 FROM t", ()),
+    ("predicate_like", "SELECT s LIKE 'a%', s LIKE '_b' FROM t", ()),
+    ("predicate_ordered",
+     "SELECT k IS NULL, v = 1.5, k IS NOT NULL FROM t ORDER BY v", ()),
+    ("predicate_operand",
+     "SELECT CAST(k IS NULL AS TEXT), COALESCE(k = 1, 5), "
+     "(k = 2) LIKE '1', (k > 1) + 1 FROM t", ()),
+    ("predicate_aggregate",
+     "SELECT MAX(k IS NULL), MIN(v > 2.0), SUM(s LIKE 'a%') FROM t",
+     ()),
+    ("predicate_derived",
+     "SELECT d.n, d.k FROM (SELECT k IS NULL AS n, k AS k FROM t) d "
+     "WHERE d.n = 0", ()),
     ("rowid", "SELECT rowid, k FROM t", ()),
     ("order_mixed_desc", "SELECT x FROM t ORDER BY x DESC", ()),
     ("order_mixed_asc", "SELECT x, k FROM t ORDER BY x", ()),

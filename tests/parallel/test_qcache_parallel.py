@@ -11,6 +11,8 @@ from repro import RunData
 from repro.parallel import (LevelScheduler, LocalityScheduler,
                             ParallelQueryExecutor, RoundRobinScheduler,
                             SimulatedCluster)
+from repro.workloads.beffio_assets import fig8_query_xml
+from repro.xmlio import parse_query_xml
 
 from ..conftest import fill_simple, make_simple_experiment
 from ..query.test_qcache import build_query, vector_rows
@@ -80,6 +82,20 @@ class TestParallelWarmCold:
         assert stats.cache_hits == 5
         assert (warm.artifact("o.csv").content
                 == cold.artifact("o.csv").content)
+
+    def test_fig8_warm_run_all_hits(self, beffio_experiment, executor):
+        """The paper's Fig. 8 query on 3 nodes: the warm run resolves
+        both sources and all three operators from the cache."""
+        cache = beffio_experiment.query_cache()
+        query = parse_query_xml(fig8_query_xml())
+        cold, cold_stats = executor.execute(query, beffio_experiment,
+                                            cache=cache)
+        warm, warm_stats = executor.execute(query, beffio_experiment,
+                                            cache=cache)
+        assert (cold_stats.cache_hits, cold_stats.cache_misses) == (0, 5)
+        assert (warm_stats.cache_hits, warm_stats.cache_misses) == (5, 0)
+        assert ([a.content for a in warm.artifacts]
+                == [a.content for a in cold.artifacts])
 
     def test_without_cache_unchanged(self, exp, executor):
         result, stats = executor.execute(build_query(), exp)

@@ -1,5 +1,6 @@
-"""Incremental query engine: the content-addressed element-result
-cache (warm/cold identity, invalidation, eviction, concurrency)."""
+"""Incremental query engine: the element-result cache, keyed by each
+element's spec and the runs it reads (warm/cold identity, invalidation,
+eviction, concurrency)."""
 
 from __future__ import annotations
 

@@ -121,15 +121,6 @@ class TestBaselineCommands:
                     + db) == 1
         assert "unknown sentinel workload" in capsys.readouterr().err
 
-    def test_import_bench(self, tmp_path, capsys):
-        db = dbargs(tmp_path, "sqlite")
-        verdict = tmp_path / "BENCH_pr7.json"
-        verdict.write_text(json.dumps({"bench": "sentinel",
-                                       "wall_ms": 9.5}))
-        assert main(["baseline", "import-bench", str(verdict)]
-                    + db) == 0
-        assert "imported 1" in capsys.readouterr().out
-
     def test_fsck_round_trip(self, tmp_path, capsys):
         db = dbargs(tmp_path, "sqlite")
         assert main(["baseline", "add", "v1"] + CAPTURE + db) == 0
@@ -148,8 +139,7 @@ class TestMetricsDump:
         assert main(["baseline", "add", "v1", "--trace", str(trace)]
                     + CAPTURE + db) == 0
         capsys.readouterr()
-        assert main(["metrics", "dump", "--trace-file", str(trace)]
-                    + db) == 0
+        assert main(["metrics", "dump", "--trace-file", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "sentinel.baselines.captured" in out
         assert "sentinel.samples.recorded" in out
@@ -161,13 +151,15 @@ class TestMetricsDump:
                     + CAPTURE + db) == 0
         capsys.readouterr()
         assert main(["metrics", "dump", "--trace-file", str(trace),
-                     "--json"] + db) == 0
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         metrics = payload["metrics"]
         assert metrics["sentinel.baselines.captured"]["value"] == 1.0
         assert metrics["sentinel.samples.recorded"]["value"] == 4.0
 
-    def test_dump_without_tracer(self, capsys, tmp_path):
-        db = dbargs(tmp_path, "sqlite")
-        assert main(["metrics", "dump"] + db) == 0
-        assert "no metrics recorded" in capsys.readouterr().out
+    def test_dump_needs_trace_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "dump"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--trace-file" in err

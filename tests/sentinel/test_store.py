@@ -1,18 +1,13 @@
-"""Baseline storage: names, samples, the reserved check label, and the
-benchmark-trajectory import."""
+"""Baseline storage: names, samples and the reserved check label."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.core.errors import DefinitionError, PerfbaseError
 from repro.db.recovery import fsck
 from repro.core.experiment import Experiment
-from repro.sentinel import (BaselineStore, EXPERIMENT_NAME,
-                            import_bench_history)
-from repro.sentinel.assets import BENCH_EXPERIMENT_NAME
+from repro.sentinel import BaselineStore, EXPERIMENT_NAME
 
 from .conftest import write_samples, write_trace
 
@@ -132,37 +127,3 @@ class TestFsckRoundTrip:
         assert [i.name for i in store.baselines()] == ["v1"]
         assert store.element_samples("v1")["src"].n() == 4
         store.close()
-
-
-class TestBenchHistory:
-    def _verdict(self, tmp_path, pr, **metrics):
-        path = tmp_path / f"BENCH_pr{pr}.json"
-        payload = {"bench": f"bench_{pr}", **metrics}
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_import_and_skip(self, server, tmp_path):
-        p2 = self._verdict(tmp_path, 2, wall_ms=12.5, runs=160)
-        p3 = self._verdict(tmp_path, 3, wall_ms=10.0)
-        imported, skipped = import_bench_history(server, [p2, p3])
-        assert (imported, skipped) == (2, 0)
-        imported, skipped = import_bench_history(server, [p3])
-        assert (imported, skipped) == (0, 1)
-        imported, skipped = import_bench_history(server, [p3],
-                                                 force=True)
-        assert (imported, skipped) == (1, 0)
-
-    def test_run_shape(self, server, tmp_path):
-        path = self._verdict(tmp_path, 7, wall_ms=9.5, runs=160)
-        import_bench_history(server, [path])
-        exp = Experiment.open(server, BENCH_EXPERIMENT_NAME)
-        try:
-            (index,) = exp.run_indices()
-            once = exp.store.load_once(index)
-            assert once["pr"] == 7
-            assert once["file"] == "BENCH_pr7.json"
-            datasets = {ds["metric"]: ds["value"]
-                        for ds in exp.store.load_datasets(index)}
-            assert datasets == {"wall_ms": 9.5, "runs": 160.0}
-        finally:
-            exp.close()
