@@ -147,6 +147,37 @@ done
 test "$(grep -cE '^[A-Za-z0-9_]+ +(source|operator|combiner|output) ' \
     "$PUSHDOWN_DIR/par_warm_fig8.log")" -eq 8
 
+echo "== metrics: a traced serial fig8 counts one db.statements per db span (both backends) =="
+perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
+    -o "$PUSHDOWN_DIR/counted/sqlite" --dbdir "$PUSHDOWN_DIR/db" \
+    --trace "$PUSHDOWN_DIR/counted_sqlite.jsonl"
+# the memory backend lives in-process: set up, import and query in one
+python - "$PUSHDOWN_DIR" <<'EOF4'
+import glob, sys
+from repro.cli.main import main
+ws = sys.argv[1]
+memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb"]
+for argv in (["setup", "-d", f"{ws}/experiment.xml"],
+             ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
+              *sorted(glob.glob(f"{ws}/results/*"))],
+             ["query", "-e", "b_eff_io", "-q", f"{ws}/fig8.xml",
+              "--no-cache", "-o", f"{ws}/counted/memory",
+              "--trace", f"{ws}/counted_memory.jsonl"]):
+    if main(argv + memory) != 0:
+        sys.exit(1)
+EOF4
+for backend in sqlite memory; do
+    trace="$PUSHDOWN_DIR/counted_$backend.jsonl"
+    spans="$(grep -c '"kind": "db"' "$trace")"
+    statements="$(perfbase metrics dump --trace-file "$trace" --json \
+        | python -c 'import json, sys
+print(json.load(sys.stdin)["metrics"]["db.statements"]["value"])')"
+    if [ "$spans" -ne "$statements" ]; then
+        echo "$backend: $statements db.statements, $spans db spans"
+        exit 1
+    fi
+done
+
 echo "== query cache: cached re-analysis after an import is byte-identical =="
 # one more listless/ufs run: it matches one source of each query, so
 # the cached re-runs mix hits on the untouched chains with fused misses

@@ -2,7 +2,7 @@
 
 ``perfbase baseline`` manages stored baselines (add/list/rm/show),
 ``perfbase check --against/--all`` runs the sentinel comparison, and
-``perfbase metrics dump`` prints the final counter/gauge/histogram
+``perfbase metrics dump`` prints the final counter/gauge
 snapshot of a recorded trace file.
 """
 
@@ -220,7 +220,7 @@ def register_sentinel(sub) -> None:
 
     p = sub.add_parser(
         "metrics",
-        help="dump the counter/gauge/histogram registry of a trace")
+        help="dump the counters and gauges a trace recorded")
     p.add_argument("action", choices=("dump",))
     p.add_argument("--trace-file", metavar="FILE", required=True,
                    help="recorded JSON-lines trace whose final metrics "

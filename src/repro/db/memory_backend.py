@@ -78,7 +78,7 @@ from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
-from .sqlite_backend import _sql_summary
+from .sqlite_backend import _sql_summary, count_statement
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
            "evict_memory_server", "clear_memory_servers"]
@@ -1542,29 +1542,19 @@ class MemoryDatabase(Database):
              fetch: str | None = None):
         tracer = current_tracer()
         if tracer is None:
-            return self._run_locked(sql, params, many=many, fetch=fetch)
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            count_statement(fetch, result, rowcount)
+            return result
         op = ("db.executemany" if many
               else f"db.fetch{fetch}" if fetch else "db.execute")
         with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
-            result = self._run_locked(sql, params, many=many,
-                                      fetch=fetch)
-            if fetch == "all":
-                rows = len(result)
-            elif fetch == "one":
-                rows = 0 if result is None else 1
-            else:
-                rows = self._last_rowcount
-            span.attributes["rows"] = rows
-            metrics = tracer.metrics
-            metrics.counter("db.statements").inc()
-            if fetch:
-                metrics.counter("db.rows_fetched").inc(rows)
-            else:
-                metrics.counter("db.rows_affected").inc(rows)
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            span.attributes["rows"] = count_statement(fetch, result,
+                                                      rowcount)
             return result
 
-    def _run_locked(self, sql: str, params: Any, *, many: bool,
-                    fetch: str | None):
+    def _run_locked(self, sql: str, params: Any, many: bool,
+                    fetch: str | None) -> tuple[Any, int]:
         with self._lock:
             try:
                 if _faults.ACTIVE is not None:
@@ -1575,16 +1565,17 @@ class MemoryDatabase(Database):
                         f"database {self.path} is closed "
                         f"[sql: {sql}]")
                 stmt = _parse(sql)
+                result = None
                 if many:
                     for row in params:
                         self._execute_stmt(stmt, tuple(row), sql)
-                    return None
-                rows = self._execute_stmt(stmt, params, sql)
-                if fetch == "all":
-                    return rows if rows is not None else []
-                if fetch == "one":
-                    return rows[0] if rows else None
-                return None
+                else:
+                    rows = self._execute_stmt(stmt, params, sql)
+                    if fetch == "all":
+                        result = rows if rows is not None else []
+                    elif fetch == "one":
+                        result = rows[0] if rows else None
+                return result, self._last_rowcount
             except DatabaseError as exc:
                 # every error names its statement, as on SQLite
                 if "[sql: " in str(exc):

@@ -35,7 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from ..obs.tracer import count, current_span
+from ..obs.metrics import count
+from ..obs.tracer import current_span
 
 __all__ = ["RetryPolicy", "DEFAULT_POLICY", "retry_locked",
            "is_transient_lock"]

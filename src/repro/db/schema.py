@@ -44,7 +44,8 @@ from ..core.run import RunData, RunRecord
 from ..core.units import BaseUnit, Unit
 from ..core.variables import (Occurrence, Parameter, Result, Variable,
                               VariableSet)
-from ..obs.tracer import count, maybe_span
+from ..obs.metrics import count
+from ..obs.tracer import maybe_span
 from .backend import Database, quote_identifier
 from .retry import retry_locked
 
@@ -255,11 +256,11 @@ class ExperimentStore:
     def data_version(self) -> int:
         """Monotonic counter of data mutations in this experiment.
 
-        Bumped by every mutating entry point — :meth:`store_run`
-        (serial and batched), :meth:`delete_run` and all four
-        schema-evolution operations — so a reader holding a version can
-        tell whether the experiment changed underneath it.  Databases
-        created before the counter existed report 0.
+        Bumped by every mutating entry point — :meth:`store_run`,
+        :meth:`delete_run` and all four schema-evolution operations —
+        so a reader holding a version can tell whether the experiment
+        changed underneath it.  Databases created before the counter
+        existed report 0.
         """
         return int(self.get_meta(_DATA_VERSION_KEY, 0))
 
@@ -453,67 +454,12 @@ class ExperimentStore:
                   *, created: _dt.datetime | None = None) -> int:
         """Persist a validated :class:`RunData`; returns the run index.
 
-        Inside an active :meth:`batch` of the calling thread the run
-        joins the batch (deferred commit, grouped meta inserts) —
-        callers do not need to distinguish the two paths.
+        The run is stored as a :meth:`batch` of one, or joins the
+        calling thread's active batch (deferred commit, grouped meta
+        inserts) — callers do not need to distinguish the two paths.
         """
-        batch = self._batch
-        if batch is not None and batch.owns_current_thread:
+        with self.batch() as batch:
             return batch.store_run(run, variables, created=created)
-        variables = variables or self.load_variables()
-        created = created or run.created or _dt.datetime.now()
-        with self._write_lock:
-            try:
-                return self._store_run_locked(run, variables, created)
-            except Exception:
-                # undo the partial run, or its statements stay pending
-                # on this connection and the next commit persists them
-                try:
-                    self.db.rollback()
-                except DatabaseError:
-                    pass
-                raise
-
-    def _store_run_locked(self, run: RunData, variables: VariableSet,
-                          created: _dt.datetime) -> int:
-        index = self.next_run_index()
-
-        self._ensure_once_columns(variables)
-        once_vars = [v for v in variables.once() if v.name in run.once]
-        cols = ["run_index"] + [v.name for v in once_vars]
-        vals = [index] + [_encode_value(run.once[v.name], v.datatype)
-                          for v in once_vars]
-        self.db.insert_rows(_ONCE, cols, [vals])
-
-        multi_vars = variables.multiple()
-        table = self.run_table(index)
-        self.db.create_table(
-            table,
-            [("dataset_index", "INTEGER")]
-            + [(v.name, sql_type(v.datatype)) for v in multi_vars],
-            primary_key="dataset_index")
-        if run.datasets:
-            self.db.insert_rows(
-                table, ["dataset_index"] + [v.name for v in multi_vars],
-                _dataset_rows(run.datasets, multi_vars))
-
-        self.db.insert_rows(
-            _RUNS, ["run_index", "created", "n_datasets", "active"],
-            [(index, created.strftime("%Y-%m-%d %H:%M:%S.%f"),
-              len(run.datasets), 1)])
-        if run.source_files:
-            from .checksums import file_checksum
-            rows = []
-            for fn in run.source_files:
-                checksum = run.file_checksums.get(fn)
-                if checksum is None:
-                    checksum = file_checksum(fn, missing_ok=True)
-                rows.append((index, fn, checksum))
-            self.db.insert_rows(
-                _FILES, ["run_index", "filename", "checksum"], rows)
-        self.bump_data_version()
-        self.db.commit()
-        return index
 
     def run_indices(self, *, include_inactive: bool = False) -> list[int]:
         sql = f"SELECT run_index FROM {_RUNS}"
@@ -670,11 +616,10 @@ class ExperimentStore:
 
 
 class BatchContext:
-    """Many runs, one transaction: the batch-import fast path.
+    """Many runs, one transaction: the one path that stores runs.
 
-    The serial :meth:`ExperimentStore.store_run` pays, per run, a
-    ``MAX(run_index)`` scan, a ``pb_variables`` decode, four separate
-    INSERT statements and a ``commit()``.  A batch instead
+    :meth:`ExperimentStore.store_run` outside a batch stores its run as
+    a batch of one.  A batch
 
     * allocates the run-index range once at entry,
     * reuses the store's cached :class:`VariableSet`,
@@ -684,11 +629,11 @@ class BatchContext:
       immediately — their contents are per-run by design and already
       go through ``executemany``).
 
-    Stored results are identical to the serial path: same run indices,
-    same cell values, same checksum bookkeeping.  On an exception the
-    whole batch rolls back, so a failed batch leaves the experiment
-    untouched (Section 3.2's "without worrying about corrupt or
-    incomplete experiment data").
+    A batch of n runs stores the same bytes as n batches of one: same
+    run indices, same cell values, same checksum bookkeeping.  On an
+    exception the whole batch rolls back, so a failed batch leaves the
+    experiment untouched (Section 3.2's "without worrying about corrupt
+    or incomplete experiment data").
 
     The batch holds the store's write lock for its whole extent and
     registers itself on the store, so ``store_run`` calls anywhere
@@ -810,7 +755,7 @@ class BatchContext:
             if self._once_rows:
                 # one statement over the union of once-columns —
                 # unspecified columns default to NULL, so the stored
-                # rows equal the serial per-run inserts
+                # rows equal per-run inserts
                 names: list[str] = []
                 for _index, content in self._once_rows:
                     for name in content:
@@ -843,9 +788,7 @@ class BatchContext:
                     self.flush()
                     if self.indices:
                         # one bump covering the whole batch — ends at
-                        # the same value as n serial bumps, so the
-                        # stored bytes stay identical to the serial
-                        # path
+                        # the same value as one bump per run
                         self.store.bump_data_version(len(self.indices))
                     # a concurrent reader's transient lock must not
                     # throw away a whole imported batch — commit under

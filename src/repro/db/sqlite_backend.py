@@ -28,6 +28,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
+from ..obs.metrics import REGISTRY
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
 from .retry import DEFAULT_POLICY
@@ -109,6 +110,26 @@ def _sql_summary(sql: str, limit: int = 120) -> str:
     """Compact single-line form of a statement for span attributes."""
     text = " ".join(sql.split())
     return text if len(text) <= limit else text[:limit - 1] + "…"
+
+
+_STATEMENTS = REGISTRY.counter("db.statements")
+_ROWS_FETCHED = REGISTRY.counter("db.rows_fetched")
+_ROWS_AFFECTED = REGISTRY.counter("db.rows_affected")
+
+
+def count_statement(fetch: str | None, result: Any, rowcount: int) -> int:
+    """Count one finished statement and its rows on the process
+    registry (both backends' choke points call this); returns the
+    statement's row count."""
+    if fetch == "all":
+        rows = len(result)
+    elif fetch == "one":
+        rows = 0 if result is None else 1
+    else:
+        rows = max(rowcount, 0)
+    _STATEMENTS.inc()
+    (_ROWS_FETCHED if fetch else _ROWS_AFFECTED).inc(rows)
+    return rows
 
 
 def _to_uri(path: str) -> str:
@@ -216,58 +237,38 @@ class SQLiteDatabase(Database):
              fetch: str | None = None):
         """Single choke point for statement execution.
 
-        Serialises on the per-database lock, maps sqlite errors, and —
-        only when a tracer is active — wraps the statement in a ``db``
-        span with row counters, so the disabled path stays exactly the
-        pre-instrumentation code.
+        Serialises on the per-database lock, maps sqlite errors and
+        counts the statement and its rows; only when a tracer is active
+        is the statement also wrapped in a ``db`` span.
         """
         tracer = current_tracer()
         if tracer is None:
-            with self._lock:
-                try:
-                    if _faults.ACTIVE is not None:
-                        _faults.ACTIVE.check("db.run", db=self.path,
-                                             sql=_sql_summary(sql))
-                    if many:
-                        self._conn.executemany(sql, params)
-                        return None
-                    cur = self._conn.execute(sql, params)
-                    if fetch == "all":
-                        return cur.fetchall()
-                    if fetch == "one":
-                        return cur.fetchone()
-                    return None
-                except sqlite3.Error as exc:
-                    raise DatabaseError(f"{exc} [sql: {sql}]") from exc
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            count_statement(fetch, result, rowcount)
+            return result
         op = ("db.executemany" if many
               else f"db.fetch{fetch}" if fetch else "db.execute")
         with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
-            with self._lock:
-                try:
-                    if _faults.ACTIVE is not None:
-                        _faults.ACTIVE.check("db.run", db=self.path,
-                                             sql=_sql_summary(sql))
-                    cur = (self._conn.executemany(sql, params) if many
-                           else self._conn.execute(sql, params))
-                    result = (cur.fetchall() if fetch == "all"
-                              else cur.fetchone() if fetch == "one"
-                              else None)
-                except sqlite3.Error as exc:
-                    raise DatabaseError(f"{exc} [sql: {sql}]") from exc
-            if fetch == "all":
-                rows = len(result)
-            elif fetch == "one":
-                rows = 0 if result is None else 1
-            else:
-                rows = max(cur.rowcount, 0)
-            span.attributes["rows"] = rows
-            metrics = tracer.metrics
-            metrics.counter("db.statements").inc()
-            if fetch:
-                metrics.counter("db.rows_fetched").inc(rows)
-            else:
-                metrics.counter("db.rows_affected").inc(rows)
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            span.attributes["rows"] = count_statement(fetch, result,
+                                                      rowcount)
             return result
+
+    def _run_locked(self, sql: str, params: Any, many: bool,
+                    fetch: str | None) -> tuple[Any, int]:
+        with self._lock:
+            try:
+                if _faults.ACTIVE is not None:
+                    _faults.ACTIVE.check("db.run", db=self.path,
+                                         sql=_sql_summary(sql))
+                cur = (self._conn.executemany(sql, params) if many
+                       else self._conn.execute(sql, params))
+                result = (cur.fetchall() if fetch == "all"
+                          else cur.fetchone() if fetch == "one"
+                          else None)
+                return result, cur.rowcount
+            except sqlite3.Error as exc:
+                raise DatabaseError(f"{exc} [sql: {sql}]") from exc
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> None:
         self._run(sql, tuple(params))

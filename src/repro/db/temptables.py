@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..obs.tracer import count
+from ..obs.metrics import count
 from .backend import Database
 
 __all__ = ["TempTableManager"]

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .core.errors import DefinitionError
-from .obs.tracer import count
+from .obs.metrics import count
 
 __all__ = [
     "ENV_FAULTS", "KINDS", "ACTIVE",

@@ -24,9 +24,10 @@ benchmark harness uses it for the PR trajectory point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .spans import ELEMENT_KINDS, Span
+from .profile import SpanTotals, rollup
+from .spans import ELEMENT_KINDS
 
 __all__ = ["RegressionReason", "RegressionRecord", "SpanSetDelta",
            "TraceDiff", "diff_traces"]
@@ -214,17 +215,6 @@ class TraceDiff:
         return "\n".join(lines) + "\n"
 
 
-def _groups(spans: Iterable[Span],
-            kinds: frozenset[str] | None
-            ) -> dict[tuple[str, str], list[Span]]:
-    out: dict[tuple[str, str], list[Span]] = {}
-    for span in spans:
-        if kinds is not None and span.kind not in kinds:
-            continue
-        out.setdefault((span.kind, span.name), []).append(span)
-    return out
-
-
 def diff_traces(base, new, *, threshold: float = 0.25,
                 min_seconds: float = 0.0,
                 kinds: Sequence[str] | None = ELEMENT_KINDS
@@ -240,26 +230,25 @@ def diff_traces(base, new, *, threshold: float = 0.25,
     """
     if threshold < 0.0:
         raise ValueError("threshold must be non-negative")
-    base_spans = getattr(base, "spans", base)
-    new_spans = getattr(new, "spans", new)
     kindset = frozenset(kinds) if kinds is not None else None
-    base_groups = _groups(base_spans, kindset)
-    new_groups = _groups(new_spans, kindset)
 
+    def totals(trace):
+        return {key: st for key, st in
+                rollup(getattr(trace, "spans", trace)).items()
+                if kindset is None or key[0] in kindset}
+
+    base_totals, new_totals = totals(base), totals(new)
     diff = TraceDiff(threshold=threshold, min_seconds=min_seconds)
-    for key in sorted(set(base_groups) | set(new_groups)):
-        kind, name = key
-        b = base_groups.get(key, ())
-        n = new_groups.get(key, ())
+    for key in sorted(set(base_totals) | set(new_totals)):
+        b = base_totals.get(key) or SpanTotals(*key)
+        n = new_totals.get(key) or SpanTotals(*key)
         diff.deltas.append(SpanSetDelta(
-            kind=kind, name=name,
-            base_calls=len(b), new_calls=len(n),
-            base_wall=sum(s.wall_seconds for s in b),
-            new_wall=sum(s.wall_seconds for s in n),
-            base_rows=sum(s.rows for s in b),
-            new_rows=sum(s.rows for s in n)))
-        if not n:
+            kind=b.kind, name=b.name,
+            base_calls=b.calls, new_calls=n.calls,
+            base_wall=b.wall_seconds, new_wall=n.wall_seconds,
+            base_rows=b.rows, new_rows=n.rows))
+        if key not in new_totals:
             diff.only_base.append(key)
-        elif not b:
+        elif key not in base_totals:
             diff.only_new.append(key)
     return diff

@@ -24,112 +24,10 @@ import edge from :mod:`repro.obs` to the query layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from .profile import QueryProfile, SpanTotals, rollup
+from .spans import ELEMENT_KINDS
 
-from .profile import QueryProfile
-from .spans import ELEMENT_KINDS, Span
-
-__all__ = ["explain", "ElementStats", "collect_element_stats"]
-
-
-@dataclass
-class ElementStats:
-    """Measured execution numbers of one plan element in a trace."""
-
-    name: str
-    kind: str = ""
-    calls: int = 0
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    rows: int = 0
-    bytes: int = 0
-    #: cluster nodes this element ran on (empty for serial runs)
-    nodes: set[int] = field(default_factory=set)
-    #: query-cache outcomes (zero when the run was uncached)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def annotation(self) -> str:
-        parts = [f"calls={self.calls}",
-                 f"wall={self.wall_seconds * 1e3:.3f}ms",
-                 f"cpu={self.cpu_seconds * 1e3:.3f}ms",
-                 f"rows={self.rows}"]
-        if self.bytes:
-            parts.append(f"bytes={self.bytes}")
-        if self.nodes:
-            parts.append("node=" + ",".join(
-                str(n) for n in sorted(self.nodes)))
-        if self.cache_hits or self.cache_misses:
-            if self.cache_misses == 0:
-                parts.append("cache=HIT")
-            elif self.cache_hits == 0:
-                parts.append("cache=MISS")
-            else:
-                parts.append(f"cache={self.cache_hits}xHIT/"
-                             f"{self.cache_misses}xMISS")
-        return "(" + " ".join(parts) + ")"
-
-
-def collect_element_stats(spans: Iterable[Span]
-                          ) -> dict[str, ElementStats]:
-    """Aggregate the element spans of a trace by element name.
-
-    Wall/CPU/rows sum over all calls of the element.  Bytes sum the
-    ``bytes`` attributes found in the element span's subtree plus the
-    inbound ``transfer`` spans of the ``node`` spans the parallel
-    executor wrapped around this element's executions.
-    """
-    spans = list(spans)
-    children: dict[int, list[Span]] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            children.setdefault(span.parent_id, []).append(span)
-
-    def subtree_bytes(span: Span) -> int:
-        total = span.bytes
-        stack = list(children.get(span.span_id, ()))
-        while stack:
-            s = stack.pop()
-            total += s.bytes
-            stack.extend(children.get(s.span_id, ()))
-        return total
-
-    stats: dict[str, ElementStats] = {}
-    for span in spans:
-        if span.kind in ELEMENT_KINDS:
-            st = stats.setdefault(span.name,
-                                  ElementStats(span.name, span.kind))
-            st.calls += 1
-            st.wall_seconds += span.wall_seconds
-            st.cpu_seconds += span.cpu_seconds
-            st.rows += span.rows
-            st.bytes += subtree_bytes(span)
-            cache = span.attributes.get("cache")
-            if cache == "hit":
-                st.cache_hits += 1
-            elif cache == "miss":
-                st.cache_misses += 1
-        elif span.kind == "node":
-            element = span.attributes.get("element")
-            if not element:
-                continue
-            st = stats.setdefault(str(element),
-                                  ElementStats(str(element)))
-            node = span.name
-            if node.startswith("node"):
-                try:
-                    st.nodes.add(int(node[4:]))
-                except ValueError:
-                    pass
-            # vectors shipped to this node for this element
-            st.bytes += sum(c.bytes for c in
-                            children.get(span.span_id, ())
-                            if c.kind == "transfer")
-    return stats
-
-
-# -- plan rendering ----------------------------------------------------------
+__all__ = ["explain"]
 
 
 def _describe(element) -> str:
@@ -166,7 +64,7 @@ def explain(query, trace=None, fused=None) -> str:
 
     ``trace`` — a :class:`~repro.obs.sinks.TraceData` or a plain span
     iterable — switches to the ANALYZE form: every plan node gains the
-    measured numbers of :func:`collect_element_stats`, the header gains
+    element's :func:`~repro.obs.profile.rollup` totals, the header gains
     trace totals (including the Section 4.3 source fraction), and
     element spans that match no plan node are listed at the end.
 
@@ -187,10 +85,13 @@ def explain(query, trace=None, fused=None) -> str:
         counts[element.kind] = counts.get(element.kind, 0) + 1
     n_levels = max(levels.values()) + 1 if levels else 0
 
-    stats: dict[str, ElementStats] | None = None
+    stats: dict[str, SpanTotals] | None = None
     if trace is not None:
-        spans = getattr(trace, "spans", trace)
-        stats = collect_element_stats(spans)
+        spans = list(getattr(trace, "spans", trace))
+        stats = {}
+        for (kind, name), st in rollup(spans).items():
+            if kind in ELEMENT_KINDS:
+                stats.setdefault(name, st)
 
     lines = [f"QUERY PLAN: {query.name}"]
     lines.append("elements: {} ({}); levels: {}; width: {}".format(
@@ -199,8 +100,7 @@ def explain(query, trace=None, fused=None) -> str:
                   ("source", "operator", "combiner", "output")),
         n_levels, graph.width()))
     if stats is not None:
-        profile = QueryProfile.from_spans(
-            getattr(trace, "spans", trace), query.name)
+        profile = QueryProfile.from_spans(spans, query.name)
         lines.append(
             "trace: {} element call(s); element time {:.3f}ms; "
             "source fraction {:.1f}%".format(

@@ -13,6 +13,13 @@ element spans of a trace (:meth:`QueryProfile.from_spans`).  A
 ``profile=True`` query run collects its spans with
 :func:`profile_spans`, so its timings include the span overhead, like
 every profile taken from a trace.
+
+:func:`rollup` is the one place spans are totalled per ``(kind,
+name)``: EXPLAIN ANALYZE (:mod:`repro.obs.explain`), trace diffs
+(:mod:`repro.obs.diff`) and the ASCII summary table
+(:func:`~repro.obs.sinks.summary_table`) all read its
+:class:`SpanTotals`.  A profile keeps the per-call timings instead,
+which the Section 4.3 numbers and the speed-up curves need.
 """
 
 from __future__ import annotations
@@ -28,7 +35,113 @@ from .tracer import Tracer, current_tracer, use_tracer
 if TYPE_CHECKING:  # pragma: no cover
     from .spans import Span
 
-__all__ = ["ElementTiming", "QueryProfile", "profile_spans"]
+__all__ = ["ElementTiming", "QueryProfile", "SpanTotals",
+           "profile_spans", "rollup"]
+
+
+@dataclass
+class SpanTotals:
+    """The spans of one ``(kind, name)`` in a trace, totalled."""
+
+    kind: str
+    name: str
+    calls: int = 0
+    wall_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    rows: int = 0
+    #: ``bytes`` attributes summed over each span's subtree (plus, for
+    #: an element, the transfers into the nodes it ran on)
+    bytes: int = 0
+    #: cluster nodes an element ran on (empty for serial runs)
+    nodes: set[int] = field(default_factory=set)
+    #: query-cache outcomes (zero when the run was uncached)
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+    def annotation(self) -> str:
+        """The EXPLAIN ANALYZE annotation of a plan node."""
+        parts = [f"calls={self.calls}",
+                 f"wall={self.wall_seconds * 1e3:.3f}ms",
+                 f"cpu={self.cpu_seconds * 1e3:.3f}ms",
+                 f"rows={self.rows}"]
+        if self.bytes:
+            parts.append(f"bytes={self.bytes}")
+        if self.nodes:
+            parts.append("node=" + ",".join(
+                str(n) for n in sorted(self.nodes)))
+        if self.cache_hits or self.cache_misses:
+            if self.cache_misses == 0:
+                parts.append("cache=HIT")
+            elif self.cache_hits == 0:
+                parts.append("cache=MISS")
+            else:
+                parts.append(f"cache={self.cache_hits}xHIT/"
+                             f"{self.cache_misses}xMISS")
+        return "(" + " ".join(parts) + ")"
+
+
+def rollup(spans: Iterable["Span"]
+           ) -> dict[tuple[str, str], SpanTotals]:
+    """Total ``spans`` per ``(kind, name)``.
+
+    Calls, wall and CPU time, rows and cache outcomes sum over the
+    group's spans; bytes sum each span's subtree.  An element is also
+    credited with the ``node`` spans the parallel executor wrapped
+    around its executions (attribute ``element``): their node number
+    joins :attr:`SpanTotals.nodes`, and the bytes of their ``transfer``
+    children (the vectors shipped to that node) join its bytes.
+    """
+    from .spans import ELEMENT_KINDS
+    spans = list(spans)
+    children: dict[int, list["Span"]] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+
+    def subtree_bytes(span: "Span") -> int:
+        # a trace file may link parents in a cycle: visit each span once
+        total, seen, stack = 0, set(), [span]
+        while stack:
+            s = stack.pop()
+            if id(s) not in seen:
+                seen.add(id(s))
+                total += s.bytes
+                stack.extend(children.get(s.span_id, ()))
+        return total
+
+    totals: dict[tuple[str, str], SpanTotals] = {}
+    elements: dict[str, SpanTotals] = {}
+    for span in spans:
+        key = (span.kind, span.name)
+        st = totals.get(key)
+        if st is None:
+            st = totals[key] = SpanTotals(span.kind, span.name)
+            if span.kind in ELEMENT_KINDS:
+                elements.setdefault(span.name, st)
+        st.calls += 1
+        st.wall_seconds += span.wall_seconds
+        st.cpu_seconds += span.cpu_seconds
+        st.rows += span.rows
+        st.bytes += subtree_bytes(span)
+        cache = span.attributes.get("cache")
+        if cache == "hit":
+            st.cache_hits += 1
+        elif cache == "miss":
+            st.cache_misses += 1
+    for span in spans:
+        if span.kind != "node":
+            continue
+        st = elements.get(str(span.attributes.get("element", "")))
+        if st is None:
+            continue
+        if span.name.startswith("node"):
+            try:
+                st.nodes.add(int(span.name[4:]))
+            except ValueError:
+                pass
+        st.bytes += sum(c.bytes for c in children.get(span.span_id, ())
+                        if c.kind == "transfer")
+    return totals
 
 
 @contextmanager

@@ -40,7 +40,8 @@ class Sink:
         raise NotImplementedError
 
     def close(self, metrics: Metrics | None = None) -> None:
-        """Flush buffered state; ``metrics`` is the tracer's registry."""
+        """Flush buffered state; ``metrics`` is what the tracer's
+        metrics view recorded."""
 
 
 class InMemorySink(Sink):
@@ -72,11 +73,9 @@ class JsonLinesSink(Sink):
     """Writes spans as JSON lines; the metrics snapshot goes last.
 
     Accepts a path (``str`` or :class:`os.PathLike`, opened and owned
-    by the sink) or an open text stream (flushed but not closed).
-    ``append=True`` adds to an existing file instead of truncating it —
-    that is how several traced commands accumulate one trace.  Lines
-    are self-describing: ``{"type": "span", ...}`` and
-    ``{"type": "metrics", ...}``.
+    by the sink, truncating an existing file) or an open text stream
+    (flushed but not closed).  Lines are self-describing:
+    ``{"type": "span", ...}`` and ``{"type": "metrics", ...}``.
 
     The sink is also a context manager: ``with JsonLinesSink(p) as s``
     guarantees the file is flushed and closed even when the traced
@@ -84,11 +83,9 @@ class JsonLinesSink(Sink):
     sink again afterwards is harmless).
     """
 
-    def __init__(self, target: str | os.PathLike | IO[str], *,
-                 append: bool = False):
+    def __init__(self, target: str | os.PathLike | IO[str]):
         if isinstance(target, (str, os.PathLike)):
-            self._fh: IO[str] = open(os.fspath(target),
-                                     "a" if append else "w",
+            self._fh: IO[str] = open(os.fspath(target), "w",
                                      encoding="utf-8")
             self._owns = True
         else:
@@ -241,18 +238,12 @@ def _render_ascii(rows: Sequence[Sequence[Any]],
 
 def summary_table(spans: Iterable[Span],
                   title: str = "trace summary") -> str:
-    """Aggregate spans per (kind, name) into an ASCII table."""
-    groups: dict[tuple[str, str], list[Span]] = {}
-    for span in spans:
-        groups.setdefault((span.kind, span.name), []).append(span)
-    rows = []
-    for (kind, name), members in sorted(groups.items()):
-        rows.append([
-            kind, name, len(members),
-            sum(s.wall_seconds for s in members),
-            sum(s.cpu_seconds for s in members),
-            sum(s.rows for s in members),
-        ])
+    """Render the :func:`~repro.obs.profile.rollup` of ``spans`` as an
+    ASCII table."""
+    from .profile import rollup  # profile imports this module
+    rows = [[st.kind, st.name, st.calls, st.wall_seconds,
+             st.cpu_seconds, st.rows]
+            for _, st in sorted(rollup(spans).items())]
     return _render_ascii(
         rows,
         [("kind", "string"), ("name", "string"),
@@ -264,21 +255,11 @@ def summary_table(spans: Iterable[Span],
 def metrics_table(metrics: Metrics,
                   title: str = "metrics") -> str:
     """Render a metrics registry as an ASCII table."""
-    rows = []
-    for name, snap in sorted(metrics.snapshot().items()):
-        if snap["type"] == "histogram":
-            count = snap["count"] or 0
-            mean = (snap["sum"] / count) if count else 0.0
-            rows.append([name, "histogram", float(count),
-                         f"sum={snap['sum']:.6g} mean={mean:.6g} "
-                         f"max={snap['max'] if snap['max'] is not None else 0:.6g}"])
-        else:
-            rows.append([name, snap["type"],
-                         float(snap["value"]), ""])
+    rows = [[name, snap["type"], float(snap["value"])]
+            for name, snap in sorted(metrics.snapshot().items())]
     return _render_ascii(
         rows,
-        [("metric", "string"), ("type", "string"),
-         ("value", "float"), ("detail", "string")],
+        [("metric", "string"), ("type", "string"), ("value", "float")],
         title)
 
 

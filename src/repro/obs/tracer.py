@@ -1,4 +1,4 @@
-"""The context-local tracer: produces nested spans, owns the metrics.
+"""The context-local tracer: produces nested spans.
 
 Design constraints (mirroring how the paper's Section 4.3 numbers were
 obtained — by profiling the real query command, not a model):
@@ -26,12 +26,11 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator
 
-from .metrics import Metrics
+from .metrics import MetricsView
 from .sinks import InMemorySink, Sink
 from .spans import Span
 
-__all__ = ["Tracer", "count", "current_tracer", "use_tracer",
-           "maybe_span"]
+__all__ = ["Tracer", "current_tracer", "use_tracer", "maybe_span"]
 
 _ACTIVE: contextvars.ContextVar["Tracer | None"] = \
     contextvars.ContextVar("perfbase_tracer", default=None)
@@ -46,14 +45,6 @@ def current_tracer() -> "Tracer | None":
     operation and do nothing further when it returns ``None``.
     """
     return _ACTIVE.get()
-
-
-def count(name: str, amount: int | float = 1) -> None:
-    """Add ``amount`` to the active tracer's counter ``name``; a no-op
-    when tracing is disabled."""
-    tracer = _ACTIVE.get()
-    if tracer is not None:
-        tracer.metrics.counter(name).inc(amount)
 
 
 def current_span() -> Span | None:
@@ -96,23 +87,22 @@ def maybe_span(name: str, kind: str = "span", **attributes: Any):
 
 
 class Tracer:
-    """Produces spans, forwards finished ones to sinks, owns metrics.
+    """Produces spans and forwards finished ones to sinks.
 
-    Parameters
-    ----------
-    sinks:
-        Destinations for finished spans.  Defaults to one
-        :class:`~repro.obs.sinks.InMemorySink` so ``tracer.spans``
-        works out of the box.
-    metrics:
-        Shared :class:`~repro.obs.metrics.Metrics` registry; a fresh
-        one is created when not given.
+    ``sinks`` are the destinations for finished spans.  Defaults to one
+    :class:`~repro.obs.sinks.InMemorySink` so ``tracer.spans`` works
+    out of the box.
+
+    :attr:`metrics` is a :class:`~repro.obs.metrics.MetricsView`: what
+    the process registry recorded from the tracer's creation to its
+    :meth:`close` — work of other threads and tracers in that window
+    included.
     """
 
-    def __init__(self, *sinks: Sink, metrics: Metrics | None = None):
+    def __init__(self, *sinks: Sink):
         self.sinks: list[Sink] = list(sinks) if sinks \
             else [InMemorySink()]
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = MetricsView()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._open = 0
@@ -196,6 +186,8 @@ class Tracer:
         return [s for s in self.spans if s.kind in ELEMENT_KINDS]
 
     def close(self) -> None:
-        """Flush and close every sink (metrics snapshots included)."""
+        """Freeze :attr:`metrics`, then flush and close every sink
+        (metrics snapshots included)."""
+        metrics = self.metrics.close()
         for sink in self.sinks:
-            sink.close(self.metrics)
+            sink.close(metrics)

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.datatypes import format_content
 from ..core.errors import QueryError
-from ..obs.tracer import count
+from ..obs.metrics import count
 from ..query.vectors import DataVector
 
 __all__ = ["Artifact", "OutputFormat", "register_format", "get_format",

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from ..db.backend import Database
 from ..db.sqlite_backend import SQLiteDatabase
 from ..db.temptables import TempTableManager
-from ..obs.tracer import count, maybe_span
+from ..obs.metrics import count
+from ..obs.tracer import maybe_span
 from ..query.vectors import DataVector
 from .network import HIGH_SPEED, InterconnectModel
 

@@ -26,7 +26,8 @@ from ..core.errors import QueryError
 from ..core.experiment import Experiment
 from ..faults import NodeDeathFault
 from ..obs.profile import QueryProfile, profile_spans
-from ..obs.tracer import count, current_tracer, maybe_span, use_tracer
+from ..obs.metrics import count
+from ..obs.tracer import current_tracer, maybe_span, use_tracer
 from ..query.cache import CachePlan, QueryCache, plan_cached_run
 from ..query.elements import QueryContext
 from ..query.engine import Query, QueryResult, resolve_cache, run_miss
@@ -206,10 +207,9 @@ class ParallelQueryExecutor:
                 _faults.ACTIVE.check("parallel.worker",
                                      node=node.index, element=name)
             ctx = contexts[node.index]
+            count("parallel.queue_wait_seconds", waited)
+            count("parallel.queue_waits")
             with use_tracer(tracer, parent=root_span):
-                if tracer is not None:
-                    tracer.metrics.histogram(
-                        "parallel.queue_wait_seconds").observe(waited)
                 with maybe_span(f"node{node.index}", kind="node",
                                 element=name):
                     if name in pd_plan.groups:

@@ -30,7 +30,8 @@ from ..core.errors import (DataTypeError, DuplicateImportError,
 from ..core.experiment import Experiment
 from ..core.run import RunData
 from ..db.checksums import content_checksum
-from ..obs.tracer import count, maybe_span
+from ..obs.metrics import count
+from ..obs.tracer import maybe_span
 from .description import InputDescription
 
 __all__ = ["MissingPolicy", "ImportReport", "Importer"]

@@ -68,7 +68,8 @@ from ..core.datatypes import DataType, sql_type
 from ..db.backend import quote_identifier
 from ..db.retry import RetryPolicy
 from ..db.schema import ExperimentStore, _unit_from_json, _unit_to_json
-from ..obs.tracer import count, maybe_span
+from ..obs.metrics import MetricsView, count
+from ..obs.tracer import maybe_span
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -214,10 +215,17 @@ class QueryCache:
         self.budget_bytes = budget_bytes
         self._lock = threading.RLock()
         self._ready = False
-        #: this-session counters (the persistent per-entry hit counts
-        #: live in the metadata table)
-        self.session = {"hits": 0, "misses": 0, "stores": 0,
-                        "evictions": 0}
+        self._metrics = MetricsView()
+
+    @property
+    def session(self) -> dict[str, int]:
+        """``hits``/``misses``/``stores``/``evictions`` counted by the
+        process since this cache was created (other caches' included;
+        the persistent per-entry hit counts live in the metadata
+        table)."""
+        moved = self._metrics.current()
+        return {what: moved.counter(f"qcache.{what}").value
+                for what in ("hits", "misses", "stores", "evictions")}
 
     # -- infrastructure ---------------------------------------------------
 
@@ -248,11 +256,6 @@ class QueryCache:
                 f"CREATE INDEX IF NOT EXISTS {CACHE_TABLE}_family "
                 f"ON {CACHE_TABLE} (family)")
             self.store.set_meta(_FORMAT_KEY, _FORMAT)  # commits
-
-    def _count(self, what: str, metric: str, n: int = 1) -> None:
-        if n:
-            self.session[what] += n
-            count(metric, n)
 
     def _next_tick(self) -> int:
         row = self.db.fetchone(
@@ -286,7 +289,7 @@ class QueryCache:
         counted as a miss."""
         entry = self.lookup_structural([key]).get(key)
         if entry is None:
-            self._count("misses", "qcache.misses")
+            count("qcache.misses")
         else:
             self.touch([entry])
         return entry
@@ -341,7 +344,7 @@ class QueryCache:
                      for i, entry in enumerate(entries)])
                 self.db.commit()
             _retry_locked(bump)
-            self._count("hits", "qcache.hits", len(entries))
+            count("qcache.hits", len(entries))
 
     def load(self, entry: CacheEntry) -> DataVector:
         """Materialise a :class:`DataVector` view of a cached entry."""
@@ -411,7 +414,7 @@ class QueryCache:
                 f"SELECT key, table_name FROM {CACHE_TABLE} "
                 "WHERE family=? AND key<>?", (family, key)))
         self.db.commit()
-        self._count("stores", "qcache.stores")
+        count("qcache.stores")
         entry = self.lookup_entry(key)
         self._evict_locked()
         return entry
@@ -465,7 +468,7 @@ class QueryCache:
             self._drop_entries([row[:2]])
             total -= int(row[2])
             evicted.append(row[0])
-            self._count("evictions", "qcache.evictions")
+            count("qcache.evictions")
         if evicted:
             self.db.commit()
         return evicted
@@ -519,7 +522,7 @@ class QueryCache:
                 "budget_bytes": self.budget_bytes,
                 "data_version": self.store.data_version(),
                 "schema_counter": self.store.schema_counter(),
-                "session": dict(self.session),
+                "session": self.session,
             }
 
 
@@ -617,6 +620,6 @@ def plan_cached_run(qcache: QueryCache, graph: "QueryGraph",
         else:
             skipped.add(name)
     qcache.touch(list(hits.values()))
-    qcache._count("misses", "qcache.misses", misses)
+    count("qcache.misses", misses)
     return CachePlan(qcache, schema, keys, families, run_sets, hits,
                      frozenset(skipped))

@@ -51,7 +51,7 @@ from ..core.units import DIMENSIONLESS, Unit
 from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
 from ..expr import Expression
-from ..obs.tracer import count
+from ..obs.metrics import count
 from .elements import QueryContext, QueryElement
 from .pushdown import (FusionError, SelectFragment, fuse_join,
                        materialise, vector_fragment)

@@ -50,7 +50,8 @@ from ..core.datatypes import sql_type
 from ..core.errors import QueryError
 from ..core.variables import ORD_PREFIX
 from ..db.backend import quote_identifier
-from ..obs.tracer import count, maybe_span
+from ..obs.metrics import count
+from ..obs.tracer import maybe_span
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..core.errors import PerfbaseError
 from ..db.backend import DatabaseServer
-from ..obs.tracer import count
+from ..obs.metrics import count
 from .compare import CheckOptions, CheckReport, compare_samples
 from .store import BaselineInfo, BaselineStore
 from .workloads import DEFAULT_WORKLOAD, get_workload, run_samples

@@ -38,8 +38,10 @@ admission control (protection)
     layer — so a ``revoke`` issued by an admin in one session takes
     effect on another session's very next operation.
 
-Observability: ``service.*`` counters and gauges on the active
-tracer's registry, plus ``service.session`` / ``service.op`` spans so
+Observability: ``service.*`` counters and gauges on the process
+metrics registry (:data:`repro.obs.metrics.REGISTRY`), which
+:meth:`ExperimentService.stats` reports as the difference since the
+service was created, plus ``service.session`` / ``service.op`` spans so
 ``perfbase trace-view`` shows session lifetimes with the operations
 nested inside them.
 """
@@ -47,6 +49,7 @@ nested inside them.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
@@ -60,7 +63,8 @@ from ..core.variables import Variable
 from ..db import server_for_backend
 from ..db.backend import DatabaseServer
 from ..db.retry import DEFAULT_POLICY, RetryPolicy
-from ..obs.tracer import count, current_tracer, maybe_span
+from ..obs.metrics import MetricsView, count, gauge_add
+from ..obs.tracer import maybe_span
 
 __all__ = ["ServiceConfig", "ExperimentService", "Session"]
 
@@ -130,7 +134,7 @@ class _Shard:
         so a broken transaction never leaks into the next client).
         """
         if not self._slots.acquire(timeout=timeout):
-            self.service._count("service.pool_timeouts")
+            count("service.pool_timeouts")
             raise ServiceUnavailable(
                 f"shard {self.name!r} saturated: no connection within "
                 f"{timeout:.3g}s")
@@ -214,30 +218,9 @@ class ExperimentService:
         self._slots = threading.BoundedSemaphore(self.config.max_sessions)
         self._shards: dict[str, _Shard] = {}
         self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._counts: dict[str, float] = {}
-        self._gauges: dict[str, float] = {"service.sessions_open": 0,
-                                          "service.queue_depth": 0}
-        self._sessions_peak = 0
         self._closed = False
-
-    # -- internal bookkeeping (mirrored to the active tracer) -------------
-
-    def _count(self, name: str, n: float = 1) -> None:
-        with self._stats_lock:
-            self._counts[name] = self._counts.get(name, 0) + n
-        count(name, n)
-
-    def _gauge_add(self, name: str, delta: float) -> float:
-        with self._stats_lock:
-            value = self._gauges.get(name, 0) + delta
-            self._gauges[name] = value
-            if name == "service.sessions_open":
-                self._sessions_peak = max(self._sessions_peak, value)
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.gauge(name).set(value)
-        return value
+        #: what the process registry records while the service is open
+        self._metrics = MetricsView()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -262,24 +245,24 @@ class ExperimentService:
             if not self._slots.acquire(blocking=False):
                 raise _Saturated()
 
-        depth = self._gauge_add("service.queue_depth", 1)
+        depth = gauge_add("service.queue_depth", 1)
         try:
             policy.run(attempt, site="service.admit",
                        classify=lambda exc: isinstance(exc, _Saturated))
         except _Saturated:
-            self._count("service.rejections")
+            count("service.rejections")
             raise ServiceUnavailable(
                 f"service saturated: no session slot within "
                 f"{policy.deadline:.3g}s", queue_depth=int(depth)) from None
         finally:
-            self._gauge_add("service.queue_depth", -1)
-        self._count("service.sessions_total")
-        self._gauge_add("service.sessions_open", 1)
+            gauge_add("service.queue_depth", -1)
+        count("service.sessions_total")
+        gauge_add("service.sessions_open", 1)
         return Session(self, user)
 
     def _release_session(self) -> None:
         self._slots.release()
-        self._gauge_add("service.sessions_open", -1)
+        gauge_add("service.sessions_open", -1)
 
     # -- shard routing -----------------------------------------------------
 
@@ -290,7 +273,7 @@ class ExperimentService:
             if shard is None or shard.retired:
                 shard = _Shard(self, experiment)
                 self._shards[experiment] = shard
-                self._count("service.shards_opened")
+                count("service.shards_opened")
             return shard
 
     def retire_shard(self, experiment: str) -> None:
@@ -299,7 +282,7 @@ class ExperimentService:
             shard = self._shards.pop(experiment, None)
         if shard is not None:
             shard.retire()
-            self._count("service.shards_retired")
+            count("service.shards_retired")
 
     def experiments(self) -> list[str]:
         """Names of the experiments this service can route to."""
@@ -318,7 +301,7 @@ class ExperimentService:
                                 user or current_user())
         if self.server.independent_connections:
             exp.close()
-        self._count("service.experiments_created")
+        count("service.experiments_created")
 
     # -- shutdown ----------------------------------------------------------
 
@@ -354,11 +337,19 @@ class ExperimentService:
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Structured snapshot for ``perfbase service stat``."""
-        with self._stats_lock:
-            counts = dict(self._counts)
-            gauges = dict(self._gauges)
-            peak = self._sessions_peak
+        """Structured snapshot for ``perfbase service stat``.
+
+        ``counters`` and ``gauges`` are what the process registry
+        recorded since the service was created, by every thread and
+        every other service of the process too; the service's own two
+        gauges are listed even when they did not move.
+        """
+        counters: dict[str, float] = {}
+        gauges: dict[str, float] = {"service.sessions_open": 0,
+                                    "service.queue_depth": 0}
+        for name, snap in self._metrics.snapshot().items():
+            into = gauges if snap["type"] == "gauge" else counters
+            into[name] = snap["value"]
         with self._lock:
             shards = {name: shard.stats()
                       for name, shard in self._shards.items()}
@@ -372,8 +363,7 @@ class ExperimentService:
                 "connections_per_shard":
                     self.config.connections_per_shard,
             },
-            "sessions_peak": int(peak),
-            "counters": counts,
+            "counters": counters,
             "gauges": gauges,
             "shards": shards,
         }
@@ -393,9 +383,14 @@ class Session:
         self.service = service
         self.user = user
         self._closed = False
+        # the session span outlives the caller's scope, and sessions may
+        # close in any order: open it in a private copy of the context,
+        # so it never becomes (or, on close, resets) the caller's
+        # current span; operations name it as their parent instead
+        self._span_context = contextvars.copy_context()
         self._span_cm = maybe_span("service.session", kind="service",
                                    user=user)
-        self._span_cm.__enter__()
+        self._span = self._span_context.run(self._span_cm.__enter__)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -403,7 +398,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        self._span_cm.__exit__(None, None, None)
+        self._span_context.run(self._span_cm.__exit__, None, None, None)
         self.service._release_session()
 
     def __enter__(self) -> "Session":
@@ -421,8 +416,9 @@ class Session:
             raise ServiceError("session is closed")
         self.service._check_open()
         config = self.service.config
-        with maybe_span("service.op", kind="service", op=operation,
-                        experiment=experiment, user=self.user):
+        with maybe_span("service.op", kind="service", parent=self._span,
+                        op=operation, experiment=experiment,
+                        user=self.user):
             shard = self.service.shard(experiment)
             with shard.handle(self.user,
                               config.admission_timeout) as exp:
@@ -434,8 +430,7 @@ class Session:
                 access = config.retry.run(exp.reload_access,
                                           site="service.access")
                 access.check(self.user, needed, operation)
-                self.service._count(
-                    f"service.ops.{needed.name.lower()}")
+                count(f"service.ops.{needed.name.lower()}")
                 if retryable:
                     return config.retry.run(lambda: fn(exp),
                                             site="service.op")

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.obs import (InMemorySink, QueryProfile, Span, Tracer,
-                       collect_element_stats, explain, use_tracer)
+from repro.obs import (ELEMENT_KINDS, InMemorySink, QueryProfile, Span,
+                       Tracer, explain, rollup, use_tracer)
 from repro.parallel import ParallelQueryExecutor, SimulatedCluster
 from repro.workloads.beffio_assets import fig8_query_xml
 from repro.xmlio import parse_query_xml
@@ -64,7 +64,8 @@ class TestExplainAnalyze:
                                           fig8_query):
         spans = traced_spans(fig8_query, beffio_experiment)
         text = explain(fig8_query, spans)
-        stats = collect_element_stats(spans)
+        stats = {name: st for (kind, name), st in rollup(spans).items()
+                 if kind in ELEMENT_KINDS}
         assert set(stats) == set(fig8_query.elements)
         for name, st in stats.items():
             assert st.calls == 1
@@ -91,7 +92,7 @@ class TestExplainAnalyze:
         text = explain(fig8_query, spans)
         assert "node=" in text
         nodes = set()
-        for st in collect_element_stats(spans).values():
+        for st in rollup(spans).values():
             nodes |= st.nodes
         assert nodes == {0, 1}
 
@@ -115,7 +116,7 @@ class TestCollectElementStats:
             Span(2, None, "s", kind="source", start=1.0, end=1.25,
                  cpu_start=1.0, cpu_end=1.2, attributes={"rows": 2}),
         ]
-        st = collect_element_stats(spans)["s"]
+        st = rollup(spans)[("source", "s")]
         assert st.calls == 2
         assert st.wall_seconds == pytest.approx(0.75)
         assert st.cpu_seconds == pytest.approx(0.6)
@@ -131,7 +132,7 @@ class TestCollectElementStats:
             Span(3, 1, "op", kind="operator", start=0.1, end=0.9,
                  attributes={"rows": 7}),
         ]
-        st = collect_element_stats(spans)["op"]
+        st = rollup(spans)[("operator", "op")]
         assert st.nodes == {1}
         assert st.bytes == 128
         assert st.calls == 1 and st.rows == 7
@@ -196,7 +197,7 @@ class TestExplainCacheAnnotations:
             Span(2, None, "s", kind="source", start=0.2, end=0.3,
                  attributes={"cache": "hit"}),
         ]
-        st = collect_element_stats(spans)["s"]
+        st = rollup(spans)[("source", "s")]
         assert st.cache_hits == 1 and st.cache_misses == 1
         assert "cache=1xHIT/1xMISS" in st.annotation()
 

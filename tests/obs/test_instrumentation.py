@@ -207,10 +207,10 @@ class TestParallelSpans:
         assert metrics.get("parallel.queries").value == 1
         assert metrics.get("parallel.busy_seconds").value == \
             pytest.approx(stats.busy_seconds)
-        wait = metrics.get("parallel.queue_wait_seconds")
-        assert wait.count == 3  # one observation per element
-        assert wait.sum == pytest.approx(stats.queue_wait_seconds,
-                                         abs=1e-6)
+        # one wait per element
+        assert metrics.get("parallel.queue_waits").value == 3
+        assert metrics.get("parallel.queue_wait_seconds").value == \
+            pytest.approx(stats.queue_wait_seconds, abs=1e-6)
         if stats.transfers:
             assert metrics.get("transfer.vectors").value == \
                 stats.transfers

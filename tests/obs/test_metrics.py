@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, Metrics
+from repro.obs import Counter, Gauge, Metrics
 
 pytestmark = pytest.mark.obs
 
@@ -39,27 +39,6 @@ class TestGauge:
         assert g.snapshot() == {"type": "gauge", "value": 3.0}
 
 
-class TestHistogram:
-    def test_observations_tracked_exactly(self):
-        h = Histogram("lat", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.sum == pytest.approx(5.55)
-        assert h.min == pytest.approx(0.05)
-        assert h.max == pytest.approx(5.0)
-        assert h.mean == pytest.approx(5.55 / 3)
-
-    def test_bucketing_with_overflow(self):
-        h = Histogram("lat", buckets=(0.1, 1.0))
-        for v in (0.01, 0.02, 0.5, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.counts == [2, 1, 3]  # <=0.1, <=1.0, overflow
-
-    def test_empty_mean_is_zero(self):
-        assert Histogram("lat").mean == 0.0
-
-
 class TestMetricsRegistry:
     def test_created_on_first_use_then_shared(self):
         m = Metrics()
@@ -76,32 +55,20 @@ class TestMetricsRegistry:
         m.counter("x")
         with pytest.raises(TypeError):
             m.gauge("x")
-        with pytest.raises(TypeError):
-            m.histogram("x")
 
     def test_snapshot_roundtrip(self):
         m = Metrics()
         m.counter("db.statements").inc(12)
         m.gauge("depth").set(-2)
-        h = m.histogram("wait", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(2.0)
         restored = Metrics.from_snapshot(m.snapshot())
         assert restored.names() == m.names()
         assert restored.get("db.statements").value == 12
         assert restored.get("depth").value == -2
-        rh = restored.get("wait")
-        assert rh.count == 2
-        assert rh.sum == pytest.approx(2.05)
-        assert rh.min == pytest.approx(0.05)
-        assert rh.max == pytest.approx(2.0)
-        assert rh.counts == h.counts
 
     def test_snapshot_is_json_safe(self):
         import json
         m = Metrics()
         m.counter("c").inc()
-        m.histogram("h").observe(0.5)
         json.dumps(m.snapshot())  # must not raise
 
 
@@ -128,14 +95,6 @@ class TestThreadSafety:
         c = Counter("n")
         self._hammer(c.inc)
         assert c.value == self.N_THREADS * self.N_OPS
-
-    def test_histogram_concurrent_observations(self):
-        h = Histogram("lat")
-        self._hammer(lambda: h.observe(0.01))
-        total = self.N_THREADS * self.N_OPS
-        assert h.count == total
-        assert sum(h.counts) == total
-        assert h.sum == pytest.approx(total * 0.01)
 
     def test_registry_concurrent_first_use(self):
         m = Metrics()
