@@ -33,6 +33,9 @@ python -m pytest -q -p no:randomly -m obs_analytics tests
 echo "== batch storage path: correctness + identity markers (pytest -m batch) =="
 python -m pytest -q -p no:randomly -m batch tests
 
+echo "== parse: compiled-parser battery (pytest -m parse) =="
+python -m pytest -q -p no:randomly -m parse tests
+
 echo "== query cache: incremental engine markers (pytest -m qcache) =="
 python -m pytest -q -p no:randomly -m qcache tests
 

@@ -18,12 +18,12 @@ import enum
 import math
 import re
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Callable
 
 from .errors import DataTypeError
 
-__all__ = ["DataType", "parse_content", "format_content", "sql_type",
-           "coerce", "TIMESTAMP_FORMATS"]
+__all__ = ["DataType", "parse_content", "compile_parser", "format_content",
+           "sql_type", "coerce", "TIMESTAMP_FORMATS"]
 
 
 class DataType(enum.Enum):
@@ -90,6 +90,10 @@ TIMESTAMP_FORMATS = (
 _INT_RE = re.compile(r"[+-]?\d[\d_,]*")
 _FLOAT_RE = re.compile(
     r"[+-]?(?:\d[\d_,]*(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+#: whole tokens :func:`compile_parser` converts without smart parsing
+_PLAIN_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_PLAIN_FLOAT_RE = re.compile(
+    r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 _VERSION_RE = re.compile(r"\d+(?:\.\d+)+(?:[-_.]?[A-Za-z]\w*)?")
 _TRUE_WORDS = frozenset({"true", "yes", "on", "1", "enabled", "y", "t"})
 _FALSE_WORDS = frozenset({"false", "no", "off", "0", "disabled", "n", "f"})
@@ -138,11 +142,7 @@ def parse_content(text: str, datatype: DataType) -> Any:
             return int(token)
         except ValueError:
             # something like "2.000" — accept if it is integral
-            val = float(token)
-            if val != math.floor(val):
-                raise DataTypeError(
-                    f"{text!r} is not an integer value") from None
-            return int(val)
+            return _integral(float(token), text)
 
     if datatype is DataType.FLOAT:
         m = _FLOAT_RE.search(stripped)
@@ -173,6 +173,65 @@ def parse_content(text: str, datatype: DataType) -> Any:
     raise DataTypeError(f"unhandled datatype {datatype}")  # pragma: no cover
 
 
+def _integral(value: float, text: Any) -> int:
+    """``value`` as an int, or :class:`DataTypeError` if it is not a
+    finite whole number (``inf`` and ``nan`` included)."""
+    if not math.isfinite(value) or value != math.floor(value):
+        raise DataTypeError(f"{text!r} is not an integer value")
+    return int(value)
+
+
+def _from_epoch(epoch: float, text: Any) -> datetime:
+    """UTC wall time of a UNIX epoch; :class:`DataTypeError` when the
+    platform cannot represent it (``inf``, ``nan``, year > 9999)."""
+    try:
+        return datetime.fromtimestamp(
+            epoch, tz=timezone.utc).replace(tzinfo=None)
+    except (OverflowError, ValueError, OSError):
+        raise DataTypeError(f"timestamp {text!r} out of range") from None
+
+
+def compile_parser(datatype: DataType) -> Callable[[str], Any]:
+    """The smart parser of ``datatype`` as one callable, built once.
+
+    It returns what :func:`parse_content` returns and raises what it
+    raises.  For ``INTEGER`` and ``FLOAT`` a token that is, as a whole,
+    a plain ASCII number (``-12``, ``3.5e-2``) is converted directly;
+    anything else (padding, units, grouping, Unicode digits) goes
+    through :func:`parse_content`.  ``float(text)`` alone would not do:
+    it also accepts ``inf``, ``nan`` and ``1_000.5_5``.
+    """
+    if datatype is DataType.INTEGER:
+        plain_int = _PLAIN_INT_RE.fullmatch
+
+        def parse_integer(text: str) -> int:
+            if text is not None and plain_int(text):
+                try:
+                    return int(text)
+                except ValueError:  # beyond the int-string digit limit
+                    pass
+            return parse_content(text, DataType.INTEGER)
+        return parse_integer
+    if datatype is DataType.FLOAT:
+        plain_float = _PLAIN_FLOAT_RE.fullmatch
+
+        def parse_float(text: str) -> float:
+            if text is not None and plain_float(text):
+                return float(text)
+            return parse_content(text, DataType.FLOAT)
+        return parse_float
+    if datatype is DataType.STRING:
+        def parse_string(text: str) -> str:
+            if text is None:
+                raise DataTypeError("cannot parse None")
+            return text.strip()
+        return parse_string
+
+    def parse(text: str) -> Any:
+        return parse_content(text, datatype)
+    return parse
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse a timestamp using :data:`TIMESTAMP_FORMATS`.
 
@@ -199,7 +258,7 @@ def parse_timestamp(text: str) -> datetime:
         epoch = float(text)
     except ValueError:
         raise DataTypeError(f"unrecognised timestamp {text!r}") from None
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).replace(tzinfo=None)
+    return _from_epoch(epoch, text)
 
 
 def parse_duration(text: str) -> float:
@@ -253,9 +312,7 @@ def coerce(value: Any, datatype: DataType) -> Any:
         if isinstance(value, (int,)):
             return value
         if isinstance(value, float):
-            if value != math.floor(value):
-                raise DataTypeError(f"{value!r} is not integral")
-            return int(value)
+            return _integral(value, value)
         return parse_content(str(value), datatype)
     if datatype is DataType.FLOAT:
         if isinstance(value, bool):
@@ -273,8 +330,7 @@ def coerce(value: Any, datatype: DataType) -> Any:
         if isinstance(value, datetime):
             return value
         if isinstance(value, (int, float)):
-            return datetime.fromtimestamp(
-                value, tz=timezone.utc).replace(tzinfo=None)
+            return _from_epoch(value, value)
         return parse_timestamp(str(value))
     if datatype is DataType.VERSION:
         return parse_content(str(value), datatype)

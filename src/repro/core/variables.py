@@ -14,9 +14,9 @@ import enum
 import keyword
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from .datatypes import DataType, coerce, parse_content
+from .datatypes import DataType, coerce, compile_parser
 from .errors import DataTypeError, DefinitionError
 from .units import DIMENSIONLESS, Unit
 
@@ -83,6 +83,9 @@ class Variable:
 
     #: set by subclasses
     is_result: bool = field(default=False, init=False, repr=False)
+    #: smart parser plus whitelist check, built once (see :meth:`parse`)
+    parser: Callable[[str], Any] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if not _NAME_RE.match(self.name):
@@ -105,14 +108,21 @@ class Variable:
                 coerce(v, self.datatype) for v in self.valid_values)
         if self.default is not None:
             self.default = self.validate(coerce(self.default, self.datatype))
+        # safe to build once: modify_variable replaces a Variable and
+        # never changes its datatype or whitelist in place
+        parse = compile_parser(self.datatype)
+        if self.valid_values:
+            validate = self.validate
+            self.parser = lambda text: validate(parse(text))
+        else:
+            self.parser = parse
 
     # -- content handling ------------------------------------------------
 
     def parse(self, text: str) -> Any:
         """Smart-parse raw ASCII content for this variable and validate
-        it against the ``valid_values`` whitelist."""
-        value = parse_content(text, self.datatype)
-        return self.validate(value)
+        it against the ``valid_values`` whitelist (:attr:`parser`)."""
+        return self.parser(text)
 
     def validate(self, value: Any) -> Any:
         """Check a parsed value against the whitelist.

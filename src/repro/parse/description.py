@@ -68,7 +68,7 @@ class InputDescription:
         """Run every location over one chunk, yielding a partial run.
 
         Every location stores values that came out of
-        :meth:`Variable.parse` or :meth:`Variable.coerce`, so the run is
+        :attr:`Variable.parser` or :meth:`Variable.coerce`, so the run is
         typed for ``variables`` (:attr:`RunData.typed_for`) and its
         validation skips coercing them again.
         """

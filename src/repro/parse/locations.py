@@ -29,7 +29,7 @@ import abc
 import json
 import os
 import re
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.errors import DataTypeError, InputError
 from ..core.run import RunData
@@ -47,11 +47,11 @@ class Location(abc.ABC):
 
     ``extract`` reads from a :class:`SourceText` and writes the content
     it found into a partial :class:`RunData`.  Every value written must
-    come from :meth:`Variable.parse` or :meth:`Variable.coerce` of its
-    variable: the run counts as typed, and validation does not coerce
-    its values again.  Locations that find nothing simply leave the run
-    untouched — the missing-content policy is applied later by the
-    importer.
+    come from :attr:`Variable.parser` (what :meth:`Variable.parse`
+    calls) or :meth:`Variable.coerce` of its variable: the run counts
+    as typed, and validation does not coerce its values again.
+    Locations that find nothing simply leave the run untouched — the
+    missing-content policy is applied later by the importer.
     """
 
     #: names of the variables this location can provide
@@ -132,6 +132,13 @@ class NamedLocation(Location):
     def extract(self, source: SourceText, run: RunData,
                 variables: VariableSet) -> None:
         var = self._var(variables, self.variable)
+        if self.which == "first":
+            # stop at the first hit: no line after it is read
+            hit = source.first(self.match, regex=self.regex)
+            if hit is not None:
+                run.once[var.name] = var.parser(
+                    self._content_of(source, hit))
+            return
         hits = list(source.find(self.match, regex=self.regex))
         if not hits:
             return
@@ -142,10 +149,9 @@ class NamedLocation(Location):
                     f"occurrence variable, {var.name!r} is once")
             for hit in hits:
                 run.datasets.append(
-                    {var.name: var.parse(self._content_of(source, hit))})
+                    {var.name: var.parser(self._content_of(source, hit))})
             return
-        hit = hits[-1] if self.which == "last" else hits[0]
-        run.once[var.name] = var.parse(self._content_of(source, hit))
+        run.once[var.name] = var.parser(self._content_of(source, hits[-1]))
 
 
 class FixedLocation(Location):
@@ -182,7 +188,7 @@ class FixedLocation(Location):
             if self.column > len(fields):
                 return
             raw = fields[self.column - 1]
-        run.once[var.name] = var.parse(raw)
+        run.once[var.name] = var.parser(raw)
 
 
 class TabularColumn:
@@ -238,31 +244,34 @@ class TabularLocation(Location):
         return tuple(c.variable for c in self.columns)
 
     @staticmethod
-    def _parse_row(line: str, columns: list[tuple[int, Variable]]
+    def _parse_row(line: str,
+                   columns: list[tuple[int, str, Callable[[str], Any]]]
                    ) -> dict[str, Any] | None:
         fields = line.split()
-        if not fields:
+        n_fields = len(fields)
+        if not n_fields:
             return None
         row: dict[str, Any] = {}
-        for index, var in columns:
-            if index >= len(fields):
-                return None
-            try:
-                row[var.name] = var.parse(fields[index])
-            except DataTypeError:
-                return None
+        try:
+            for index, name, parse in columns:
+                if index >= n_fields:
+                    return None
+                row[name] = parse(fields[index])
+        except DataTypeError:
+            return None
         return row
 
     def extract(self, source: SourceText, run: RunData,
                 variables: VariableSet) -> None:
-        columns = []  # (0-based field index, variable), resolved once
+        # (0-based field index, name, compiled parser), resolved once
+        columns = []
         for col in self.columns:
             var = variables[col.variable]
             if var.occurrence is not Occurrence.MULTIPLE:
                 raise InputError(
                     f"tabular location column {var.name!r} must be a "
                     "multiple-occurrence variable")
-            columns.append((col.field - 1, var))
+            columns.append((col.field - 1, var.name, var.parser))
         if self.start is not None:
             hit = source.first(self.start, regex=self.regex)
             if hit is None:
@@ -337,7 +346,7 @@ class FilenameLocation(Location):
             if self.part >= len(parts):
                 return
             raw = parts[self.part]
-        run.once[var.name] = var.parse(raw)
+        run.once[var.name] = var.parser(raw)
 
 
 class FixedValue(Location):
@@ -452,7 +461,7 @@ class JsonLocation(Location):
             if value is _MISSING or value is None:
                 if fld.default is None:
                     return None  # incomplete record: not a data set
-                row[var.name] = var.parse(fld.default)
+                row[var.name] = var.parser(fld.default)
                 continue
             try:
                 row[var.name] = var.coerce(value)

@@ -9,10 +9,12 @@ import re
 import pytest
 
 import repro.core.experiment as experiment_module
+import repro.core.variables as variables_module
 from repro import Experiment, MemoryServer
 from repro.core import (DataType, DataTypeError, DefinitionError,
                         InputError, Occurrence, Parameter, Result,
                         RunData, VariableSet)
+from repro.core.datatypes import compile_parser
 from repro.core.variables import Variable
 from repro.parse import (DerivedParameter, FixedValue, Importer,
                          InputDescription, MissingPolicy, NamedLocation,
@@ -86,11 +88,9 @@ class TestValidateOnce:
     def test_one_validate_and_no_coercion_per_stored_run(
             self, monkeypatch, tmp_path):
         paths = beffio_files(tmp_path)
-        exp = beffio_experiment()
         calls = {"validate": 0, "coerce_in_validate": 0, "parse": 0}
         in_validate = []
-        validate, coerce, parse = (RunData.validate, Variable.coerce,
-                                   Variable.parse)
+        validate, coerce = RunData.validate, Variable.coerce
 
         def counting_validate(self, *args, **kwargs):
             calls["validate"] += 1
@@ -105,13 +105,20 @@ class TestValidateOnce:
                 calls["coerce_in_validate"] += 1
             return coerce(self, value)
 
-        def counting_parse(self, text):
-            calls["parse"] += 1
-            return parse(self, text)
+        def counting_compile_parser(datatype):
+            parse = compile_parser(datatype)
+
+            def counting_parse(text):
+                calls["parse"] += 1
+                return parse(text)
+            return counting_parse
 
         monkeypatch.setattr(RunData, "validate", counting_validate)
         monkeypatch.setattr(Variable, "coerce", counting_coerce)
-        monkeypatch.setattr(Variable, "parse", counting_parse)
+        # every variable's compiled parser counts its calls
+        monkeypatch.setattr(variables_module, "compile_parser",
+                            counting_compile_parser)
+        exp = beffio_experiment()
         report = Importer(exp, parse_input_xml(input_xml())
                           ).import_files(paths)
         assert report.n_imported == exp.n_runs() == len(paths) == 16

@@ -61,13 +61,16 @@ class TestStressUnderFaults:
     def test_saturation_rejects_gracefully(self, tmp_path):
         """An undersized service sheds load as ServiceUnavailable: the
         rejected clients count as rejections, everyone else's ops keep
-        their invariants."""
+        their invariants.  The injected 20 ms statement latency makes
+        every admitted session outlive the 10 ms admission timeout, so
+        rejections do not depend on how the threads happen to overlap."""
         report = run_stress(
             str(tmp_path),
             options=StressOptions(
                 clients=150, shards=4, ops_per_client=2,
                 config=ServiceConfig(max_sessions=4,
-                                     admission_timeout=0.01)))
+                                     admission_timeout=0.01),
+                faults="seed=1;latency@db.run:ms=20"))
         assert report.ok, f"problems: {report.problems[:5]}"
         assert report.rejections > 0
         assert (report.service_stats["counters"]["service.rejections"]
