@@ -42,6 +42,41 @@ python -m pytest -q -p no:randomly -m qcache tests
 echo "== diffdb: cross-backend differential battery (pytest -m diffdb) =="
 python -m pytest -q -p no:randomly -m diffdb tests
 
+echo "== diffdb: an import counts the same db.rows_affected on both backends =="
+ROWS_DIR="$(mktemp -d)"
+trap 'rm -rf "$STATUS_BEFORE" "$ROWS_DIR"' EXIT
+python - "$ROWS_DIR" <<'EOF5'
+import pathlib, sys
+from repro.cli.main import main
+from repro.obs.metrics import REGISTRY
+from repro.workloads.beffio import generate_campaign
+from repro.workloads.beffio_assets import experiment_xml, input_xml
+ws = pathlib.Path(sys.argv[1])
+(ws / "experiment.xml").write_text(experiment_xml())
+(ws / "input.xml").write_text(input_xml())
+files = []
+for name, text in generate_campaign(filesystems=("ufs", "nfs"),
+                                    proc_counts=(4, 8, 16, 32),
+                                    repetitions=1):
+    (ws / name).write_text(text)
+    files.append(str(ws / name))
+affected = {}
+for backend in ("sqlite", "memory"):
+    where = ["--backend", backend, "--dbdir", str(ws / backend)]
+    if main(["setup", "-d", str(ws / "experiment.xml"), *where]) != 0:
+        sys.exit(1)
+    before = REGISTRY.counter("db.rows_affected").value
+    if main(["input", "-e", "b_eff_io", "-d", str(ws / "input.xml"),
+             *files, *where]) != 0:
+        sys.exit(1)
+    affected[backend] = REGISTRY.counter("db.rows_affected").value - before
+print(f"{len(files)} files imported, db.rows_affected per backend: "
+      f"{affected}")
+if affected["sqlite"] != affected["memory"]:
+    sys.exit(1)
+EOF5
+rm -rf "$ROWS_DIR"
+
 echo "== e2e benchmark: harness smoke (fused-vs-unfused digests, n_runs, cross-backend agreement) =="
 python -m pytest -q -p no:randomly benchmarks/e2e/test_e2e_smoke.py
 

@@ -30,8 +30,12 @@ values.  A SELECT first narrows each source by the WHERE conjuncts that
 read only its columns, hash-joins the surviving positions on the ON
 equalities, filters the joined rows by the remaining conjuncts, and
 then groups, orders, projects and limits by reading columns through
-those positions.  UPDATE and DELETE select their rows with the same
-WHERE evaluation.
+those positions.  A named table joined on its primary key alone is
+probed by key instead of filtered and hashed.  UPDATE and DELETE select
+their rows with the same WHERE evaluation.  ``INSERT .. VALUES`` runs
+over a batch of parameter rows (``execute`` is a batch of one): the
+VALUES compile once, and a batch that lands after the table's last row
+is appended a column at a time.
 
 Semantics deliberately mirror SQLite so the differential harness
 (:mod:`repro.testing.differential`) can assert *byte-identical* results
@@ -53,8 +57,9 @@ Transactions follow the legacy ``sqlite3`` autocommit model the SQLite
 backend runs under (``isolation_level=""``): DML implicitly opens a
 transaction, DDL joins an open transaction but autocommits outside one,
 ``begin()`` opens one explicitly; ``commit()`` and ``rollback()`` end
-it (there is no ``BEGIN``/``COMMIT`` statement text).  Rollback replays
-an undo log, so :class:`~repro.db.schema.BatchContext` failure
+it (there is no ``BEGIN``/``COMMIT`` statement text), and
+``read_transaction()`` wraps a query in one it commits.  Rollback
+replays an undo log, so :class:`~repro.db.schema.BatchContext` failure
 semantics are identical.
 
 ``attachable_uri``/``attach`` return ``None``: cross-database readers
@@ -65,13 +70,14 @@ Python-row fallback paths, which the differential battery exercises.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import operator
 import re
 import sqlite3
 import threading
 from datetime import datetime
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
@@ -484,7 +490,13 @@ def _tokenize(sql: str) -> list[tuple[str, Any]]:
 # statement ASTs
 # =========================================================================
 
-class _CreateTable:
+class _Statement:
+    """Base of the statement ASTs; a parsed top-level statement carries
+    the number of ``?`` parameters it reads as ``n_params``."""
+    __slots__ = ("n_params",)
+
+
+class _CreateTable(_Statement):
     __slots__ = ("table", "columns", "primary_key", "temporary",
                  "if_not_exists")
 
@@ -497,11 +509,11 @@ class _CreateTable:
         self.if_not_exists = if_not_exists
 
 
-class _CreateIndex:
+class _CreateIndex(_Statement):
     __slots__ = ()
 
 
-class _AlterTable:
+class _AlterTable(_Statement):
     __slots__ = ("table", "action", "column", "decltype")
 
     def __init__(self, table, action, column, decltype=None):
@@ -511,7 +523,7 @@ class _AlterTable:
         self.decltype = decltype
 
 
-class _DropTable:
+class _DropTable(_Statement):
     __slots__ = ("table", "if_exists")
 
     def __init__(self, table, if_exists):
@@ -519,7 +531,7 @@ class _DropTable:
         self.if_exists = if_exists
 
 
-class _Insert:
+class _Insert(_Statement):
     __slots__ = ("table", "columns", "values", "select",
                  "conflict_key", "conflict_sets")
 
@@ -533,7 +545,7 @@ class _Insert:
         self.conflict_sets = conflict_sets  # [(col, expr)]
 
 
-class _Update:
+class _Update(_Statement):
     __slots__ = ("table", "sets", "where")
 
     def __init__(self, table, sets, where):
@@ -542,7 +554,7 @@ class _Update:
         self.where = where
 
 
-class _Delete:
+class _Delete(_Statement):
     __slots__ = ("table", "where")
 
     def __init__(self, table, where):
@@ -550,7 +562,7 @@ class _Delete:
         self.where = where
 
 
-class _Select:
+class _Select(_Statement):
     __slots__ = ("distinct", "items", "source", "joins", "where",
                  "group", "order", "limit")
 
@@ -567,7 +579,7 @@ class _Select:
         self.limit = limit              # expr | None
 
 
-class _Compound:
+class _Compound(_Statement):
     __slots__ = ("selects",)
 
     def __init__(self, selects):
@@ -643,6 +655,7 @@ class _Parser:
         if kind != "end":
             raise DatabaseError(
                 f"trailing tokens after statement: {self.peek()!r}")
+        stmt.n_params = self.n_params
         return stmt
 
     def statement(self):
@@ -1293,9 +1306,9 @@ def _tests(where, scope: _Scope) -> list[tuple[Any, set]]:
 def _join_keys(on, entries, k: int):
     """Compiled key reads of a ``JOIN .. ON`` clause, a conjunction of
     equalities between a column of an earlier source and one of source
-    ``k``: ``(left reads, right reads)``."""
+    ``k``: ``(left reads, right reads, right column names)``."""
     earlier, joined = _Scope(entries[:k]), _Scope(entries[k:k + 1])
-    left, right = [], []
+    left, right, names = [], [], []
     for node in _conjuncts(on):
         if node[0] != "cmp" or node[1] != "=" or node[2][0] != "col" \
                 or node[3][0] != "col":
@@ -1308,10 +1321,25 @@ def _join_keys(on, entries, k: int):
             break
         left.append(earlier.column(a[1], a[2]))
         right.append(joined.column(b[1], b[2]))
+        names.append(b[2])
     else:
-        return left, right
+        return left, right, names
     raise DatabaseError("JOIN .. ON must be a conjunction of column "
                         "equalities")
+
+
+def _pk_join(table: "_Table", keys: list):
+    """Probe ``table``'s primary key with each value of ``keys``: the
+    ``(left, right)`` row indices of the matches, left rows in order,
+    each with at most one match."""
+    left: list[int] = []
+    right: list[int] = []
+    for i, value in enumerate(keys):
+        position = table.pk_position(value)
+        if position is not None:
+            left.append(i)
+            right.append(position)
+    return left, right
 
 
 def _groupable(item) -> bool:
@@ -1372,6 +1400,45 @@ def _sort_order(keys: list, order: list[int], desc: bool) -> None:
         order.sort(key=ranked.__getitem__, reverse=desc)
 
 
+def _compile_values(exprs: list):
+    """Compile a ``VALUES`` list once, into a function from a batch of
+    parameter rows to one value column per expression: a ``?`` reads
+    ``row[k]``, a literal is read once, and any other expression is
+    evaluated row by row."""
+    fns = []
+    for node in exprs:
+        if node[0] == "param":
+            fns.append(lambda rows, get=operator.itemgetter(node[1]):
+                       list(map(get, rows)))
+        elif node[0] == "lit":
+            fns.append(lambda rows, value=node[1]: [value] * len(rows))
+        else:
+            fn = _value(node, _Scope([]))
+            fns.append(lambda rows, fn=fn: [fn(_ONE_ROW, (row, None))[0]
+                                            for row in rows])
+    return lambda rows: [fn(rows) for fn in fns]
+
+
+def _targets(table: "_Table", names: Sequence[str], sql: str) -> list[int]:
+    """The column positions of an INSERT's target column names."""
+    index = {name: i for i, name in enumerate(table.columns)}
+    positions = []
+    for name in names:
+        i = index.get(name)
+        if i is None:
+            raise DatabaseError(
+                f"table {table.name} has no column named {name} "
+                f"[sql: {sql}]")
+        positions.append(i)
+    return positions
+
+
+def _bindings_error(stmt, params) -> DatabaseError:
+    return DatabaseError(
+        f"Incorrect number of bindings supplied. The current statement "
+        f"uses {stmt.n_params}, and there are {len(params)} supplied.")
+
+
 # =========================================================================
 # columnar table
 # =========================================================================
@@ -1380,7 +1447,7 @@ class _Table:
     """One table: per-column value lists plus a parallel rowid list."""
 
     __slots__ = ("name", "columns", "types", "affinities", "cols",
-                 "rowids", "primary_key", "rowid_is_pk", "next_rowid",
+                 "rowids", "primary_key", "rowid_is_pk",
                  "temporary", "_pk_map")
 
     def __init__(self, name: str, columns: list[tuple[str, str]],
@@ -1395,24 +1462,52 @@ class _Table:
         self.rowid_is_pk = (
             primary_key is not None
             and self.affinities.get(primary_key) == "INTEGER")
-        self.next_rowid = 1
         self.temporary = temporary
         self._pk_map: dict | None = {} if primary_key else None
 
     def __len__(self) -> int:
         return len(self.rowids)
 
+    @property
+    def next_rowid(self) -> int:
+        """The rowid SQLite gives a row inserted without one: one past
+        the largest (``rowids`` is ascending), 1 in an empty table."""
+        return self.rowids[-1] + 1 if self.rowids else 1
+
     # -- primary-key bookkeeping ----------------------------------------
 
     def pk_position(self, value) -> int | None:
-        if self.primary_key is None:
+        """The position of the row whose primary key is ``value``.  A
+        NULL key matches no row: SQLite lets a key that is not an
+        ``INTEGER PRIMARY KEY`` hold any number of NULLs."""
+        if self.primary_key is None or value is None:
             return None
+        return self._pk_index().get(value)
+
+    def _pk_index(self) -> dict:
         if self._pk_map is None:
             column = self.cols[self.primary_key]
             # stored values key a dict as SQLite compares them: 1 and
             # 1.0 are one key, 1 and '1' two
-            self._pk_map = {v: i for i, v in enumerate(column)}
-        return self._pk_map.get(value)
+            self._pk_map = {v: i for i, v in enumerate(column)
+                            if v is not None}
+        return self._pk_map
+
+    def appends(self, keys: list | None) -> bool:
+        """Whether rows with these converted primary keys (``None`` for
+        a keyless table) all land after the last row, in order, with no
+        conflict among them or with a stored row: an ``INTEGER PRIMARY
+        KEY`` strictly increasing past the last rowid, any other key
+        free of NULLs, duplicates and stored matches."""
+        if keys is None:
+            return True
+        if self.rowid_is_pk:
+            return (set(map(type, keys)) == {int}
+                    and (not self.rowids or keys[0] > self.rowids[-1])
+                    and all(map(operator.lt, keys, keys[1:])))
+        stored = self._pk_index()
+        return (None not in keys and len(set(keys)) == len(keys)
+                and not any(map(stored.__contains__, keys)))
 
     def _pk_note_insert(self, value, position: int) -> None:
         if self._pk_map is not None:
@@ -1427,16 +1522,20 @@ class _Table:
 
     # -- mutation --------------------------------------------------------
 
-    def insert_row(self, cells: list) -> tuple[int, int]:
-        """Insert one affinity-converted row; returns (position, rowid)."""
+    def insert_row(self, cells: list, key: int | None) -> int:
+        """Insert one affinity-converted row, ``key`` the index of its
+        primary-key cell; returns its rowid.  A NULL ``INTEGER PRIMARY
+        KEY`` takes the next rowid, stored in its cell as on SQLite."""
         if self.rowid_is_pk:
-            pk = cells[self.columns.index(self.primary_key)]
-            rowid = int(pk) if pk is not None else self.next_rowid
+            rowid = cells[key]
+            if rowid is None:
+                rowid = cells[key] = self.next_rowid
+            elif type(rowid) is not int:
+                raise DatabaseError("datatype mismatch")
             position = bisect.bisect_left(self.rowids, rowid)
         else:
             rowid = self.next_rowid
             position = len(self.rowids)
-        self.next_rowid = max(self.next_rowid, rowid + 1)
         if position == len(self.rowids):
             self.rowids.append(rowid)
             for name, value in zip(self.columns, cells):
@@ -1445,10 +1544,41 @@ class _Table:
             self.rowids.insert(position, rowid)
             for name, value in zip(self.columns, cells):
                 self.cols[name].insert(position, value)
-        if self.primary_key is not None:
-            self._pk_note_insert(
-                cells[self.columns.index(self.primary_key)], position)
-        return position, rowid
+        if key is not None:
+            self._pk_note_insert(cells[key], position)
+        return rowid
+
+    def stored_columns(self, positions: list[int], values: list[list],
+                       n: int) -> list[list]:
+        """``n`` rows as one affinity-converted value list per column:
+        ``values[j]`` for the column at ``positions[j]`` (the first, for
+        a column named twice, as on SQLite), NULLs for the rest."""
+        columns: list = [None] * len(self.columns)
+        for i, column in zip(positions, values):
+            if columns[i] is None:
+                columns[i] = _store_column(
+                    self.affinities[self.columns[i]], column)
+        return [[None] * n if c is None else c for c in columns]
+
+    def append_columns(self, columns: list[list], keys: list | None,
+                       n: int) -> None:
+        """Append ``n`` converted rows, one value list per column, that
+        :meth:`appends` admits."""
+        old_len = len(self.rowids)
+        self.rowids.extend(keys if self.rowid_is_pk else range(
+            self.next_rowid, self.next_rowid + n))
+        for name, column in zip(self.columns, columns):
+            self.cols[name].extend(column)
+        if keys is not None and self._pk_map is not None:
+            self._pk_map.update(zip(keys, range(old_len, old_len + n)))
+
+    def truncate(self, length: int) -> None:
+        """Drop every row from position ``length`` on (the undo of an
+        append)."""
+        for name in self.columns:
+            del self.cols[name][length:]
+        del self.rowids[length:]
+        self.invalidate()
 
     def remove_position(self, position: int) -> tuple[int, list]:
         rowid = self.rowids.pop(position)
@@ -1472,7 +1602,6 @@ class _Table:
         table = cls(name, [(c, "") for c in names], None, True)
         table.cols = dict(zip(names, columns))
         table.rowids = list(range(1, n + 1))
-        table.next_rowid = n + 1
         return table
 
 
@@ -1565,11 +1694,25 @@ class MemoryDatabase(Database):
                         f"database {self.path} is closed "
                         f"[sql: {sql}]")
                 stmt = _parse(sql)
+                self._last_rowcount = 0
                 result = None
                 if many:
-                    for row in params:
-                        self._execute_stmt(stmt, tuple(row), sql)
+                    # SQLite binds row by row: the rows before one of
+                    # the wrong length are stored, then it raises
+                    bad = next((i for i, row in enumerate(params)
+                                if len(row) != stmt.n_params), None)
+                    rows = params if bad is None else params[:bad]
+                    if isinstance(stmt, _Insert) \
+                            and stmt.values is not None:
+                        self._exec_values(stmt, rows, sql)
+                    else:
+                        for row in rows:
+                            self._execute_stmt(stmt, row, sql)
+                    if bad is not None:
+                        raise _bindings_error(stmt, params[bad])
                 else:
+                    if len(params) != stmt.n_params:
+                        raise _bindings_error(stmt, params)
                     rows = self._execute_stmt(stmt, params, sql)
                     if fetch == "all":
                         result = rows if rows is not None else []
@@ -1602,6 +1745,22 @@ class MemoryDatabase(Database):
                  params: Sequence[Any] = ()) -> tuple | None:
         return self._run(sql, tuple(params), fetch="one")
 
+    @contextlib.contextmanager
+    def read_transaction(self) -> Iterator[None]:
+        """One transaction around a query, committed on exit if it began
+        here.  The query's DML would otherwise open one implicitly and
+        leave it open: its undo log would keep every dropped temp table
+        alive until the next commit, and a later failed batch would roll
+        the query's temp tables back into the experiment."""
+        with self._lock:
+            began = not self._in_txn
+            self._in_txn = True
+        try:
+            yield
+        finally:
+            if began and self._in_txn:
+                self.commit()
+
     # -- introspection ----------------------------------------------------
 
     def table_exists(self, name: str) -> bool:
@@ -1626,11 +1785,13 @@ class MemoryDatabase(Database):
     # -- statement dispatch ----------------------------------------------
 
     def _execute_stmt(self, stmt, params, sql: str):
-        self._last_rowcount = 0
         if isinstance(stmt, (_Select, _Compound)):
             return self._exec_select(stmt, params)
         if isinstance(stmt, _Insert):
-            self._exec_insert(stmt, params, sql)
+            if stmt.values is not None:
+                self._exec_values(stmt, [params], sql)
+            else:
+                self._exec_insert_select(stmt, params, sql)
             return None
         if isinstance(stmt, _Update):
             self._exec_update(stmt, params, sql)
@@ -1720,57 +1881,44 @@ class MemoryDatabase(Database):
 
     # -- DML --------------------------------------------------------------
 
-    def _insert_cells(self, table: _Table, columns: list[str],
-                      values: list, sql: str,
-                      conflict_key: str | None,
-                      conflict_sets, params) -> None:
-        cells = [None] * len(table.columns)
-        for name, value in zip(columns, values):
-            try:
-                index = table.columns.index(name)
-            except ValueError:
+    def _insert_cells(self, table: _Table, cells: list, key: int | None,
+                      sql: str, conflict_sets, params) -> None:
+        """Store one converted row, ``key`` the index of its primary-key
+        cell: a key that matches a stored row is a UNIQUE error, or with
+        ``conflict_sets`` an upsert of that row."""
+        position = None if key is None else table.pk_position(cells[key])
+        if position is not None:
+            if conflict_sets is None:
                 raise DatabaseError(
-                    f"table {table.name} has no column named {name} "
-                    f"[sql: {sql}]") from None
-            cells[index] = _store_value(table.affinities[name], value)
-
-        if table.primary_key is not None:
-            pk_value = cells[table.columns.index(table.primary_key)]
-            position = table.pk_position(pk_value)
-            if position is not None:
-                if conflict_key is None:
-                    raise DatabaseError(
-                        f"UNIQUE constraint failed: {table.name}."
-                        f"{table.primary_key} [sql: {sql}]")
-                # upsert: update the existing row in place; bare columns
-                # read the existing row, ``excluded.col`` the new one
-                excluded = _Table.derived("excluded", table.columns,
-                                          [[v] for v in cells], 1)
-                scope = _Scope([(0, table, None), (1, excluded, "excluded")])
-                frame = _Frame(1, [[position], [0]])
-                updates = [
-                    (column, _store_value(
-                        table.affinities[column],
-                        _compile(expr, scope)(frame, (params, None))[0]))
-                    for column, expr in conflict_sets]
-                undo: list[tuple[str, Any]] = []
-                for column, value in updates:
-                    undo.append((column,
-                                 table.cols[column][position]))
-                    table.cols[column][position] = value
-                    if column == table.primary_key:
-                        table.invalidate()
-
-                def undo_update():
-                    for column, value in undo:
-                        table.cols[column][position] = value
+                    f"UNIQUE constraint failed: {table.name}."
+                    f"{table.primary_key} [sql: {sql}]")
+            # upsert: update the existing row in place; bare columns
+            # read the existing row, ``excluded.col`` the new one
+            excluded = _Table.derived("excluded", table.columns,
+                                      [[v] for v in cells], 1)
+            scope = _Scope([(0, table, None), (1, excluded, "excluded")])
+            frame = _Frame(1, [[position], [0]])
+            updates = [
+                (column, _store_value(
+                    table.affinities[column],
+                    _compile(expr, scope)(frame, (params, None))[0]))
+                for column, expr in conflict_sets]
+            undo: list[tuple[str, Any]] = []
+            for column, value in updates:
+                undo.append((column, table.cols[column][position]))
+                table.cols[column][position] = value
+                if column == table.primary_key:
                     table.invalidate()
-                self._record(undo_update)
-                self._last_rowcount += 1
-                return
 
-        old_next = table.next_rowid
-        position, rowid = table.insert_row(cells)
+            def undo_update():
+                for column, value in undo:
+                    table.cols[column][position] = value
+                table.invalidate()
+            self._record(undo_update)
+            self._last_rowcount += 1
+            return
+
+        rowid = table.insert_row(cells, key)
 
         def undo_insert():
             index = bisect.bisect_left(table.rowids, rowid)
@@ -1779,72 +1927,69 @@ class MemoryDatabase(Database):
                 index += 1
             if index < len(table.rowids):
                 table.remove_position(index)
-            table.next_rowid = old_next
         self._record(undo_insert)
         self._last_rowcount += 1
 
-    def _exec_insert(self, stmt: _Insert, params, sql: str) -> None:
+    def _exec_values(self, stmt: _Insert, rows: list, sql: str) -> None:
+        """``INSERT .. VALUES`` over a batch of parameter rows (``execute``
+        runs a batch of one).  The target columns are resolved and the
+        ``VALUES`` compiled once per batch, and each column is converted
+        in one pass.  A batch that lands wholly after the table's last
+        row is appended a column at a time under one undo record; any
+        other goes row by row, in order, so the rows before a failing
+        one stay stored as on SQLite."""
         self._begin_implicit()
         table = self._table(stmt.table, sql)
-        columns = stmt.columns or list(table.columns)
-        if stmt.values is not None:
-            scope = _Scope([])
-            values = [_compile(v, scope)(_ONE_ROW, (params, None))[0]
-                      for v in stmt.values]
-            if len(values) != len(columns):
-                raise DatabaseError(
-                    f"{len(columns)} columns but {len(values)} values "
-                    f"[sql: {sql}]")
-            self._insert_cells(table, columns, values, sql,
-                               stmt.conflict_key, stmt.conflict_sets,
-                               params)
-        else:
-            self._bulk_insert(table, columns, stmt, params, sql)
+        names = stmt.columns or table.columns
+        if len(stmt.values) != len(names):
+            raise DatabaseError(
+                f"{len(names)} columns but {len(stmt.values)} values "
+                f"[sql: {sql}]")
+        positions = _targets(table, names, sql)
+        n = len(rows)
+        if not n:
+            return
+        columns = table.stored_columns(
+            positions, _compile_values(stmt.values)(rows), n)
+        key = (None if table.primary_key is None
+               else table.columns.index(table.primary_key))
+        keys = None if key is None else columns[key]
+        if table.appends(keys):
+            old_len = len(table)
+            table.append_columns(columns, keys, n)
+            self._record(lambda: table.truncate(old_len))
+            self._last_rowcount += n
+            return
+        for cells, params in zip(zip(*columns), rows):
+            self._insert_cells(table, list(cells), key, sql,
+                               stmt.conflict_sets, params)
 
-    def _bulk_insert(self, table: _Table, columns: list[str],
-                     stmt: _Insert, params, sql: str) -> None:
+    def _exec_insert_select(self, stmt: _Insert, params, sql: str) -> None:
         """``INSERT .. SELECT`` as a column-wise append: one affinity
         pass per column and a single undo record.  Its targets are the
         query engine's temp and cache tables, so a primary-key or
         ``ON CONFLICT`` target is unsupported."""
+        self._begin_implicit()
+        table = self._table(stmt.table, sql)
         if table.primary_key is not None or stmt.conflict_key is not None:
             raise DatabaseError(
                 "INSERT .. SELECT into a table with a primary key is "
                 f"unsupported [sql: {sql}]")
-        positions = []
-        for name in columns:
-            try:
-                positions.append(table.columns.index(name))
-            except ValueError:
-                raise DatabaseError(
-                    f"table {table.name} has no column named {name} "
-                    f"[sql: {sql}]") from None
+        names = stmt.columns or table.columns
+        positions = _targets(table, names, sql)
         if len(set(positions)) != len(positions):
             raise DatabaseError(f"duplicate insert column [sql: {sql}]")
         m, values = self._select(stmt.select, params)
-        if len(values) != len(columns):
+        if len(values) != len(names):
             raise DatabaseError(
-                f"{len(columns)} columns but {len(values)} selected "
+                f"{len(names)} columns but {len(values)} selected "
                 f"[sql: {sql}]")
-        old_len = len(table.rowids)
-        old_next = table.next_rowid
-        for ci, column in zip(positions, values):
-            name = table.columns[ci]
-            table.cols[name].extend(_store_column(
-                table.affinities[name], column))
-        untouched = set(range(len(table.columns))) - set(positions)
-        for ci in untouched:
-            table.cols[table.columns[ci]].extend(
-                itertools.repeat(None, m))
-        table.rowids.extend(range(old_next, old_next + m))
-        table.next_rowid = old_next + m
-
-        def undo_bulk():
-            for name in table.columns:
-                del table.cols[name][old_len:]
-            del table.rowids[old_len:]
-            table.next_rowid = old_next
-        self._record(undo_bulk)
+        if not m:
+            return
+        columns = table.stored_columns(positions, values, m)
+        old_len = len(table)
+        table.append_columns(columns, None, m)
+        self._record(lambda: table.truncate(old_len))
         self._last_rowcount += m
 
     def _matching(self, table: _Table, where, params):
@@ -1924,7 +2069,10 @@ class MemoryDatabase(Database):
         only its columns; the equality hash join then pairs the
         surviving positions left to right, the remaining conjuncts
         filter the joined rows, and grouping, ordering, projection,
-        DISTINCT and LIMIT read columns through those positions."""
+        DISTINCT and LIMIT read columns through those positions.  A
+        named table joined on its primary key alone is not scanned:
+        each left row probes the key, and the table's own conjuncts
+        filter the matched rows only."""
         if isinstance(stmt, _Compound):
             parts = [self._select(select, params)
                      for select in stmt.selects]
@@ -1961,6 +2109,9 @@ class MemoryDatabase(Database):
             single_column = single_column and len(used) <= 1
         joins = [_join_keys(on, entries, k)
                  for k, (_ref, _alias, on) in enumerate(stmt.joins, 1)]
+        probed = {k for k, (ref, _alias, _on) in enumerate(stmt.joins, 1)
+                  if isinstance(ref, str)
+                  and joins[k - 1][2] == [entries[k][1].primary_key]}
         items = []
         for item in stmt.items:
             if item[0] == "star":
@@ -1985,11 +2136,19 @@ class MemoryDatabase(Database):
                 limit = int(value)
 
         # -- filter and join --------------------------------------------
-        rows = [_where(_Frame.of_source(width, k, range(len(table))),
+        rows = [None if k in probed else
+                _where(_Frame.of_source(width, k, range(len(table))),
                        local[k], env).pos[k]
                 for k, table, _alias in entries]
         frame = _Frame.of_source(width, 0, rows[0]) if rows else _ONE_ROW
-        for k, (left_keys, right_keys) in enumerate(joins, 1):
+        for k, (left_keys, right_keys, _names) in enumerate(joins, 1):
+            if k in probed:
+                left_rows, right_rows = _pk_join(
+                    entries[k][1], left_keys[0](frame, env))
+                frame = frame.take(left_rows)
+                frame.pos[k] = right_rows
+                frame = _where(frame, local[k], env)
+                continue
             right = _Frame.of_source(width, k, rows[k])
             left_rows, right_rows = _hash_join(
                 [fn(frame, env) for fn in left_keys],

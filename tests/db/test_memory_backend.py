@@ -225,7 +225,8 @@ class TestServer:
 
 
 class TestJoinInput:
-    """WHERE conjuncts that read one source filter it before the join."""
+    """WHERE conjuncts that read one source filter it before the join;
+    a table joined on its primary key is probed, not scanned."""
 
     @pytest.mark.parametrize("n_runs", [10, 200])
     def test_find_import_joins_one_file_row(self, monkeypatch, n_runs):
@@ -241,15 +242,29 @@ class TestJoinInput:
                           source_files=[f"run{i}.sum"])
             run.file_checksums = {f"run{i}.sum": f"sum{i}"}
             exp.store_run(run)
-        left_rows: list[int] = []
-        real = memory_backend._hash_join
-
-        def counting(left_keys, right_keys):
-            left_rows.append(len(left_keys[0]))
-            return real(left_keys, right_keys)
-        monkeypatch.setattr(memory_backend, "_hash_join", counting)
         wanted = n_runs // 2
-        assert exp.store.find_import(f"sum{wanted}") == \
-            exp.run_indices()[wanted]
-        # one pb_run_files row (the checksum's) meets the pb_runs rows
-        assert left_rows == [1]
+        expected = exp.run_indices()[wanted]
+        probes: list = []
+        scanned: list[int] = []
+        real_probe = memory_backend._Table.pk_position
+        real_scan = memory_backend._Frame.of_source.__func__
+
+        def probe(table, value):
+            probes.append((table.name, value))
+            return real_probe(table, value)
+
+        def scan(cls, width, k, rows):
+            scanned.append(k)
+            return real_scan(cls, width, k, rows)
+
+        def no_hash_join(left_keys, right_keys):
+            raise AssertionError("pb_runs was hashed")
+        monkeypatch.setattr(memory_backend._Table, "pk_position", probe)
+        monkeypatch.setattr(memory_backend._Frame, "of_source",
+                            classmethod(scan))
+        monkeypatch.setattr(memory_backend, "_hash_join", no_hash_join)
+        assert exp.store.find_import(f"sum{wanted}") == expected
+        # one pb_run_files row (the checksum's) probes pb_runs' key,
+        # and pb_runs (source 1) is never filtered as a whole
+        assert probes == [("pb_runs", expected)]
+        assert scanned and 1 not in scanned
