@@ -162,8 +162,8 @@ perfbase setup -d "$PUSHDOWN_DIR/experiment.xml" --dbdir "$PUSHDOWN_DIR/db"
 perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
     --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/results/*
 # fig8 fuses into one group (two source->max chains joined by the
-# comparison); stddev materialises its fan-out source, then fuses the
-# mean/spread/combiner group over it
+# comparison); stddev fuses whole: its source feeds only the mean and
+# spread aggregates the combiner joins, so one GROUP BY computes both
 for q in fig8 stddev; do
     perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
         -o "$PUSHDOWN_DIR/fused/$q" --dbdir "$PUSHDOWN_DIR/db"
@@ -185,10 +185,12 @@ done
 test "$(grep -cE '^[A-Za-z0-9_]+ +(source|operator|combiner|output) ' \
     "$PUSHDOWN_DIR/par_warm_fig8.log")" -eq 8
 
-echo "== metrics: a traced serial fig8 counts one db.statements per db span (both backends) =="
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    -o "$PUSHDOWN_DIR/counted/sqlite" --dbdir "$PUSHDOWN_DIR/db" \
-    --trace "$PUSHDOWN_DIR/counted_sqlite.jsonl"
+echo "== metrics: traced serial fig8 and stddev count one db.statements per db span (both backends) =="
+for q in fig8 stddev; do
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        -o "$PUSHDOWN_DIR/counted/sqlite/$q" --dbdir "$PUSHDOWN_DIR/db" \
+        --trace "$PUSHDOWN_DIR/counted_sqlite_$q.jsonl"
+done
 # the memory backend lives in-process: set up, import and query in one
 python - "$PUSHDOWN_DIR" <<'EOF4'
 import glob, sys
@@ -198,22 +200,34 @@ memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb"]
 for argv in (["setup", "-d", f"{ws}/experiment.xml"],
              ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
               *sorted(glob.glob(f"{ws}/results/*"))],
-             ["query", "-e", "b_eff_io", "-q", f"{ws}/fig8.xml",
-              "--no-cache", "-o", f"{ws}/counted/memory",
-              "--trace", f"{ws}/counted_memory.jsonl"]):
+             *(["query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
+                "--no-cache", "-o", f"{ws}/counted/memory/{q}",
+                "--trace", f"{ws}/counted_memory_{q}.jsonl"]
+               for q in ("fig8", "stddev"))):
     if main(argv + memory) != 0:
         sys.exit(1)
 EOF4
 for backend in sqlite memory; do
-    trace="$PUSHDOWN_DIR/counted_$backend.jsonl"
-    spans="$(grep -c '"kind": "db"' "$trace")"
-    statements="$(perfbase metrics dump --trace-file "$trace" --json \
-        | python -c 'import json, sys
+    for q in fig8 stddev; do
+        trace="$PUSHDOWN_DIR/counted_${backend}_$q.jsonl"
+        spans="$(grep -c '"kind": "db"' "$trace")"
+        statements="$(perfbase metrics dump --trace-file "$trace" --json \
+            | python -c 'import json, sys
 print(json.load(sys.stdin)["metrics"]["db.statements"]["value"])')"
-    if [ "$spans" -ne "$statements" ]; then
-        echo "$backend: $statements db.statements, $spans db spans"
-        exit 1
-    fi
+        if [ "$spans" -ne "$statements" ]; then
+            echo "$backend $q: $statements db.statements, $spans db spans"
+            exit 1
+        fi
+    done
+    # stddev's whole diamond runs as one group, accounted to its tail
+    python - "$PUSHDOWN_DIR/counted_${backend}_stddev.jsonl" <<'EOF5'
+import sys
+from repro.obs import read_trace
+fused = [s.attributes.get("fused") for s in read_trace(sys.argv[1]).spans
+         if s.name == "both"]
+if fused != ["src,mean,spread,both"]:
+    sys.exit(f"stddev tail spans: fused={fused}")
+EOF5
 done
 
 echo "== query cache: cached re-analysis after an import is byte-identical =="

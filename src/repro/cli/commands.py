@@ -170,7 +170,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     echo(f"query {query.name!r}: {len(query.elements)} elements, "
          f"DAG width {query.graph.width()}")
     if resolve_cli_pushdown(args):
-        plan = query.pushdown_plan()
+        # the plan `perfbase query` runs: under a cache nothing fuses
+        plan = query.pushdown_plan(cache_active=qcache is not None)
         if plan.groups:
             echo("pushdown: {} fused chain(s) would save {} "
                  "statement(s): {}".format(
@@ -790,8 +791,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
                            on_error="skip" if args.lax else "raise")
         for problem in trace.errors:
             echo(f"warning: skipped {problem}")
-    fused = (query.pushdown_plan() if resolve_cli_pushdown(args)
-             else None)
+    # the plan `perfbase query` runs: by default it caches, and under
+    # a cache nothing fuses
+    fused = (query.pushdown_plan(cache_active=not args.no_cache)
+             if resolve_cli_pushdown(args) else None)
     echo(explain(query, trace, fused=fused), end="")
     return 0
 
@@ -838,6 +841,7 @@ def _register_obs(sub) -> None:
                    help="JSON-lines trace to annotate the plan with")
     p.add_argument("--lax", action="store_true",
                    help="skip malformed trace lines instead of failing")
+    add_cache_arguments(p)
     add_pushdown_arguments(p)
     add_dbdir_argument(p)
     p.set_defaults(func=cmd_explain)

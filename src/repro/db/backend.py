@@ -43,8 +43,9 @@ class Database(abc.ABC):
     """One open database holding one experiment (plus temp tables)."""
 
     @abc.abstractmethod
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> None:
-        """Run a statement without result rows."""
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
+        """Run a statement without result rows; returns the rows it
+        inserted, updated or deleted (0 for DDL)."""
 
     @abc.abstractmethod
     def executemany(self, sql: str,

@@ -1672,15 +1672,15 @@ class MemoryDatabase(Database):
         tracer = current_tracer()
         if tracer is None:
             result, rowcount = self._run_locked(sql, params, many, fetch)
-            count_statement(fetch, result, rowcount)
-            return result
+            rows = count_statement(fetch, result, rowcount)
+            return result if fetch else rows
         op = ("db.executemany" if many
               else f"db.fetch{fetch}" if fetch else "db.execute")
         with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
             result, rowcount = self._run_locked(sql, params, many, fetch)
-            span.attributes["rows"] = count_statement(fetch, result,
-                                                      rowcount)
-            return result
+            rows = span.attributes["rows"] = count_statement(
+                fetch, result, rowcount)
+            return result if fetch else rows
 
     def _run_locked(self, sql: str, params: Any, many: bool,
                     fetch: str | None) -> tuple[Any, int]:
@@ -1730,8 +1730,8 @@ class MemoryDatabase(Database):
                 # shared retry policy classifies them identically
                 raise DatabaseError(f"{exc} [sql: {sql}]") from exc
 
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> None:
-        self._run(sql, tuple(params))
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
+        return self._run(sql, tuple(params))
 
     def executemany(self, sql: str,
                     rows: Iterable[Sequence[Any]]) -> None:

@@ -141,6 +141,15 @@ def _to_uri(path: str) -> str:
     return f"file:{path}"
 
 
+#: prepared statements each connection keeps (sqlite3's default is
+#: 128).  A fused source names every matching run's table, so each
+#: import that adds a run retires the old text of its statement, at
+#: about 1 KB per run; kept, those stale versions grow a long-lived
+#: connection by megabytes.  64 still holds the recurring statements
+#: of a query suite (31 distinct) or an import call (36 for 8 files).
+STATEMENT_CACHE_SIZE = 64
+
+
 class SQLiteDatabase(Database):
     """A :class:`Database` over one sqlite3 connection.
 
@@ -173,7 +182,8 @@ class SQLiteDatabase(Database):
             self.uri = _to_uri(path)
         self._conn = sqlite3.connect(
             self.uri, uri=True, check_same_thread=False,
-            isolation_level=None if autocommit else "")
+            isolation_level=None if autocommit else "",
+            cached_statements=STATEMENT_CACHE_SIZE)
         self._conn.execute("PRAGMA journal_mode=MEMORY")
         self._conn.execute("PRAGMA synchronous=OFF")
         # cross-process writers block on the file lock for a bounded
@@ -239,20 +249,22 @@ class SQLiteDatabase(Database):
 
         Serialises on the per-database lock, maps sqlite errors and
         counts the statement and its rows; only when a tracer is active
-        is the statement also wrapped in a ``db`` span.
+        is the statement also wrapped in a ``db`` span.  Returns the
+        fetched rows, or the affected-row count of a statement that
+        fetches none.
         """
         tracer = current_tracer()
         if tracer is None:
             result, rowcount = self._run_locked(sql, params, many, fetch)
-            count_statement(fetch, result, rowcount)
-            return result
+            rows = count_statement(fetch, result, rowcount)
+            return result if fetch else rows
         op = ("db.executemany" if many
               else f"db.fetch{fetch}" if fetch else "db.execute")
         with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
             result, rowcount = self._run_locked(sql, params, many, fetch)
-            span.attributes["rows"] = count_statement(fetch, result,
-                                                      rowcount)
-            return result
+            rows = span.attributes["rows"] = count_statement(
+                fetch, result, rowcount)
+            return result if fetch else rows
 
     def _run_locked(self, sql: str, params: Any, many: bool,
                     fetch: str | None) -> tuple[Any, int]:
@@ -270,8 +282,8 @@ class SQLiteDatabase(Database):
             except sqlite3.Error as exc:
                 raise DatabaseError(f"{exc} [sql: {sql}]") from exc
 
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> None:
-        self._run(sql, tuple(params))
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
+        return self._run(sql, tuple(params))
 
     def executemany(self, sql: str,
                     rows: Iterable[Sequence[Any]]) -> None:

@@ -17,14 +17,18 @@ combiner is the fused group of one over its two input temp tables.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..db.backend import quote_identifier
 from .elements import QueryContext, QueryElement
-from .pushdown import SelectFragment, fuse_join
+from .pushdown import SelectFragment, fuse_grouped, fuse_join
 from .vectors import ColumnInfo, DataVector
 
 __all__ = ["Combiner"]
+
+
+def _operand_column(alias: str, name: str) -> str:
+    return f"{alias}.{quote_identifier(name)}"
 
 
 class Combiner(QueryElement):
@@ -46,20 +50,22 @@ class Combiner(QueryElement):
         return spec
 
     def _merge_columns(self, left: SelectFragment,
-                       right: SelectFragment) -> tuple[
-            list[str], list[ColumnInfo], list[str]]:
+                       right: SelectFragment,
+                       render: Callable[[str, str], str] = _operand_column
+                       ) -> tuple[list[str], list[ColumnInfo], list[str]]:
         """Section 3.3.3 merge shape over two input fragments: returns
         ``(shared, out_cols, sel)`` where ``shared`` are the join
         parameter names and ``sel`` renders one aliased select item
-        (over operands ``a``/``b``) per output column, in lockstep
-        with ``out_cols``."""
+        per output column, in lockstep with ``out_cols``.  ``render``
+        gives the value of an input column (``a`` is left, ``b``
+        right); by default the column of that join operand."""
         shared = [p.name for p in left.parameters
                   if right.has_column(p.name)
                   and not right.column(p.name).is_result]
 
         out_cols: list[ColumnInfo] = list(left.parameters)
         sel: list[str] = [
-            f"a.{quote_identifier(p.name)} AS {quote_identifier(p.name)}"
+            f"{render('a', p.name)} AS {quote_identifier(p.name)}"
             for p in left.parameters]
         taken = {c.name for c in out_cols}
         for p in right.parameters:
@@ -70,12 +76,12 @@ class Combiner(QueryElement):
                 p = p.renamed(self._unique(
                     p.name, right.producer or "b", taken))
                 out_cols.append(p)
-                sel.append(f"b.{quote_identifier(original)} "
+                sel.append(f"{render('b', original)} "
                            f"AS {quote_identifier(p.name)}")
             else:
                 out_cols.append(p)
                 taken.add(p.name)
-                sel.append(f"b.{quote_identifier(p.name)} "
+                sel.append(f"{render('b', p.name)} "
                            f"AS {quote_identifier(p.name)}")
 
         for alias, vector in (("a", left), ("b", right)):
@@ -87,7 +93,7 @@ class Combiner(QueryElement):
                 else:
                     taken.add(c.name)
                 out_cols.append(c)
-                sel.append(f"{alias}.{quote_identifier(original)} "
+                sel.append(f"{render(alias, original)} "
                            f"AS {quote_identifier(c.name)}")
         return shared, out_cols, sel
 
@@ -102,6 +108,15 @@ class Combiner(QueryElement):
 
     def fuse(self, ctx: QueryContext, inputs) -> SelectFragment:
         left, right = inputs
+        if left.grouped is not None and left.grouped is right.grouped:
+            # two data-set aggregates of one fragment: compute both in
+            # one GROUP BY over it instead of joining two
+            exprs = {alias: {c.name: e for c, e in zip(f.columns, f.exprs)}
+                     for alias, f in (("a", left), ("b", right))}
+            shared, out_cols, sel = self._merge_columns(
+                left, right, lambda alias, name: exprs[alias][name])
+            return fuse_grouped(left.grouped, sel, out_cols, shared,
+                                self.name)
         shared, out_cols, sel = self._merge_columns(left, right)
         return fuse_join(left, right, sel, out_cols, shared, self.name)
 

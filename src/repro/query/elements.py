@@ -91,6 +91,13 @@ class QueryElement(abc.ABC):
         :meth:`fuse` instead, and the group falls back."""
         return False
 
+    def sql_aggregate(self) -> bool:
+        """Whether this element is a SQL aggregate over one input —
+        over a source, a ``GROUP BY`` of the source's parameters; the
+        planner fuses two such siblings of one source that a combiner
+        joins into a single statement."""
+        return False
+
     def fuse(self, ctx: QueryContext, inputs: Sequence[SelectFragment]
              ) -> SelectFragment:
         """Return this element's output as a fragment over the given

@@ -436,6 +436,10 @@ class Operator(QueryElement):
             return len(self.inputs) == 2
         return len(self.inputs) == 1
 
+    def sql_aggregate(self) -> bool:
+        return (self.use_sql and self.op in _SQL_AGG
+                and len(self.inputs) == 1)
+
     def fuse(self, ctx: QueryContext,
              inputs: Sequence[SelectFragment]) -> SelectFragment:
         frags = list(inputs)
@@ -470,11 +474,12 @@ class Operator(QueryElement):
         results = self._numeric_results(frag, f"operator {self.name!r}")
         group = frag.parameters
         out_cols = [*group, *(self._agg_column(c) for c in results)]
-        sel = [f"s.{quote_identifier(c.name)} "
-               f"AS {quote_identifier(c.name)}" for c in group]
-        sel += [_SQL_AGG[self.op].format(
-                    c=f"s.{quote_identifier(c.name)}")
-                + f" AS {quote_identifier(c.name)}" for c in results]
+        exprs = [f"s.{quote_identifier(c.name)}" for c in group]
+        exprs += [_SQL_AGG[self.op].format(
+                      c=f"s.{quote_identifier(c.name)}")
+                  for c in results]
+        sel = [f"{expr} AS {quote_identifier(c.name)}"
+               for expr, c in zip(exprs, out_cols)]
         sql = (f"SELECT {', '.join(sel)} FROM ({frag.sql}) s")
         if group:
             sql += " GROUP BY " + ", ".join(
@@ -486,7 +491,7 @@ class Operator(QueryElement):
             sql, frag.params, tuple(out_cols),
             tuple(c.name for c in group), (), from_source=False,
             scan_ordered=True, ord_rowid=False, rescan_cheap=False,
-            producer=self.name)
+            producer=self.name, grouped=frag, exprs=tuple(exprs))
 
     def _fuse_full_reduce(self, frag: SelectFragment) -> SelectFragment:
         self._require_scan_ordered(frag)

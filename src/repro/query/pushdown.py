@@ -15,7 +15,10 @@ varies is where the result is materialised:
   statement, materialised once at the chain tail.  Temp tables
   survive only where they are load-bearing:
 
-  - fan-out points — a vector read by several consumers;
+  - fan-out points — a vector read by several consumers, except a
+    source read only by two SQL data-set aggregates that one combiner
+    joins: that diamond fuses whole, the combiner computing both
+    aggregates in one ``GROUP BY`` over the source;
   - cache boundaries — with a :class:`~repro.query.cache.QueryCache`
     active every cacheable element is a potential hit/miss seam, so
     the plan is empty; a cache miss then runs as its own fused group of
@@ -60,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FusionError", "SelectFragment", "PushdownPlan",
            "plan_pushdown", "vector_fragment", "fuse_join",
-           "materialise", "run_fused_group", "ORD_PREFIX"]
+           "fuse_grouped", "materialise", "run_fused_group", "ORD_PREFIX"]
 
 
 class FusionError(QueryError):
@@ -98,7 +101,11 @@ class SelectFragment:
     scans; once it contains an aggregation or a join, every extra
     evaluation recomputes that work, and consumers that must probe
     their input more than once (``norm``'s eager denominator) pin a
-    seam table instead.
+    seam table instead.  A data-set aggregate records the fragment it
+    groups as ``grouped`` and each column's select expression over it
+    (alias ``s``) as ``exprs``, in lockstep with ``columns``: a
+    combiner over two aggregates of the same fragment computes both in
+    one ``GROUP BY`` (:func:`fuse_grouped`) instead of joining them.
     """
 
     sql: str
@@ -111,6 +118,8 @@ class SelectFragment:
     ord_rowid: bool = False
     rescan_cheap: bool = True
     producer: str | None = None
+    grouped: "SelectFragment | None" = None
+    exprs: tuple[str, ...] = ()
 
     # the vector-shaped accessors operators/combiners already use on
     # DataVector, so the fused builders share their column logic
@@ -189,6 +198,31 @@ def fuse_join(left: SelectFragment, right: SelectFragment,
         producer=producer)
 
 
+def fuse_grouped(grouped: SelectFragment, items: list[str],
+                 out_cols: Iterable[ColumnInfo], keys: list[str],
+                 producer: str) -> SelectFragment:
+    """One ``GROUP BY`` over ``grouped`` computing what a combiner of
+    two of its data-set aggregates would join.
+
+    ``items`` are the combiner's select items rendered over the
+    aggregates' expressions, ``keys`` the group keys both aggregates
+    share.  The join ``a.k = b.k`` never matches a NULL key, so groups
+    with one are dropped; both aggregates group on the same keys, so
+    the join is 1:1 and the keys order the output as the join's
+    ``ORDER BY a.rowid, b.rowid`` does.
+    """
+    sql = f"SELECT {', '.join(items)} FROM ({grouped.sql}) s"
+    if keys:
+        cols = [f"s.{quote_identifier(k)}" for k in keys]
+        sql += (" WHERE " + " AND ".join(f"{c} IS NOT NULL"
+                                         for c in cols)
+                + " GROUP BY " + ", ".join(cols))
+    return SelectFragment(
+        sql, grouped.params, tuple(out_cols), tuple(keys), (),
+        from_source=False, scan_ordered=True, ord_rowid=False,
+        rescan_cheap=False, producer=producer)
+
+
 def materialise(ctx: "QueryContext", frag: SelectFragment,
                 element: "QueryElement") -> DataVector:
     """Run a fused fragment into the tail element's temp table.
@@ -210,10 +244,10 @@ def materialise(ctx: "QueryContext", frag: SelectFragment,
     if frag.order_names:
         sql += " ORDER BY " + ", ".join(
             f"s.{quote_identifier(n)}" for n in frag.order_names)
-    ctx.db.execute(sql, frag.params)
+    n_rows = ctx.db.execute(sql, frag.params)
     return DataVector(ctx.db, table, list(frag.columns),
                       from_source=frag.from_source,
-                      producer=element.name)
+                      producer=element.name, n_rows=n_rows)
 
 
 # =========================================================================
@@ -256,13 +290,15 @@ def plan_pushdown(graph: "QueryGraph",
 
     An edge ``producer → consumer`` is absorbed when both ends are
     SQL-expressible (``element.can_fuse()``), the producer feeds only
-    that consumer (no fan-out), and the producer is not a boundary.
+    that consumer (no fan-out) or its fan-out is a sibling-aggregate
+    diamond (:func:`_sibling_aggregates`), and the producer is not a
+    boundary.
     ``boundaries`` names elements whose materialised vector is needed
     by machinery outside the plan — the incremental engine passes
     every cacheable element, because each one is a potential cache
     hit/miss seam.  Connected components of absorbed edges form
-    in-tree groups whose root (the unique member with no absorbed
-    outgoing edge) is the tail that materialises.
+    groups whose unique member with no absorbed outgoing edge is the
+    tail that materialises.
     """
     elements = graph.elements
     parent: dict[str, str] = {}
@@ -278,14 +314,14 @@ def plan_pushdown(graph: "QueryGraph",
         if not element.can_fuse() or name in boundaries:
             continue
         consumers = graph.consumers(name)
-        if len(consumers) != 1:
+        if len(consumers) != 1 and not _sibling_aggregates(
+                graph, element, consumers, boundaries):
             continue
-        consumer = elements[consumers[0]]
-        if not consumer.can_fuse():
+        if not all(elements[c].can_fuse() for c in consumers):
             continue
-        absorbed_edges.append((name, consumer.name))
-        root = find(name)
-        parent[root] = find(consumer.name)
+        for consumer in consumers:
+            absorbed_edges.append((name, consumer))
+            parent[find(name)] = find(consumer)
 
     roots = {find(name) for edge in absorbed_edges for name in edge}
     members: dict[str, list[str]] = {root: [] for root in roots}
@@ -299,15 +335,36 @@ def plan_pushdown(graph: "QueryGraph",
     for group in members.values():
         if len(group) < 2:  # pragma: no cover - every edge has 2 ends
             continue
-        # the component is an in-tree (each absorbed producer feeds
-        # exactly one consumer); its unique sink — the one member whose
-        # own output edge was NOT absorbed — materialises for the group
+        # every absorbed producer feeds only members (one consumer, or
+        # both sides of a sibling-aggregate diamond), so the group's
+        # unique sink — the one member whose own output edge was NOT
+        # absorbed — materialises for the group
         tails = [n for n in group if n not in absorbed_from]
         tail = tails[0] if tails else group[-1]
         plan.groups[tail] = tuple(group)
         for name in group:
             plan.member_of[name] = tail
     return plan
+
+
+def _sibling_aggregates(graph: "QueryGraph", producer: "QueryElement",
+                        consumers: list[str],
+                        boundaries: frozenset[str]) -> bool:
+    """Whether a fan-out is the diamond one ``GROUP BY`` computes: a
+    source read by exactly two SQL data-set aggregates (which group on
+    its parameters), each read only by the same two-input combiner.
+    Fused, the combiner emits both aggregates over the source's single
+    fragment (:func:`fuse_grouped`) instead of joining two."""
+    if producer.kind != "source" or len(consumers) != 2:
+        return False
+    readers = [graph.consumers(c) for c in consumers]
+    if readers[0] != readers[1] or len(readers[0]) != 1:
+        return False
+    combiner = graph.elements[readers[0][0]]
+    return (combiner.kind == "combiner" and combiner.can_fuse()
+            and sorted(combiner.inputs) == consumers
+            and all(graph.elements[c].sql_aggregate()
+                    and c not in boundaries for c in consumers))
 
 
 def cache_boundaries(graph: "QueryGraph") -> frozenset[str]:
@@ -323,20 +380,29 @@ def cache_boundaries(graph: "QueryGraph") -> frozenset[str]:
 # =========================================================================
 
 def build_fragment(ctx: "QueryContext", graph: "QueryGraph",
-                   name: str, members: frozenset[str]
+                   name: str, members: frozenset[str],
+                   built: dict[str, SelectFragment] | None = None
                    ) -> SelectFragment:
-    """Recursively compose the fragment rooted at ``name``.
+    """Recursively compose the fragment of ``name``.
 
-    Inputs inside the group recurse; inputs outside it are already
-    materialised vectors and enter as chain-head fragments.
+    Members recurse; inputs outside the group are already materialised
+    vectors and enter as chain-head fragments.  ``built`` holds each
+    fragment by name, so one read by two members is built once: a
+    source then runs its catalogue statement once, and sibling
+    aggregates see the same fragment object and merge.
     """
-    element = graph.elements[name]
-    frags = [
-        build_fragment(ctx, graph, input_name, members)
-        if input_name in members
-        else vector_fragment(ctx.vector_of(input_name))
-        for input_name in element.inputs]
-    return element.fuse(ctx, frags)
+    built = {} if built is None else built
+    frag = built.get(name)
+    if frag is None:
+        if name in members:
+            element = graph.elements[name]
+            frag = element.fuse(ctx, [
+                build_fragment(ctx, graph, input_name, members, built)
+                for input_name in element.inputs])
+        else:
+            frag = vector_fragment(ctx.vector_of(name))
+        built[name] = frag
+    return frag
 
 
 def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
@@ -346,9 +412,11 @@ def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
     """Execute one fused group: build the tail fragment, materialise
     it in a single statement, and account it to the tail element.
 
-    On :class:`FusionError` the members run element-wise instead
-    (``pushdown.fallbacks``) — identical results, just slower.
-    ``span_attrs`` are extra attributes of the element span(s).
+    On :class:`FusionError` (``pushdown.fallbacks``) a group with a
+    fused fan-out materialises its shared producer and runs the rest
+    as one group again; any other group runs its members element-wise
+    — identical results, just slower.  ``span_attrs`` are extra
+    attributes of the element span(s).
     """
     members = plan.groups[tail_name]
     tail = graph.elements[tail_name]
@@ -358,10 +426,18 @@ def run_fused_group(ctx: "QueryContext", graph: "QueryGraph",
                               frozenset(members))
     except FusionError:
         count("pushdown.fallbacks")
+        shared = [name for name in members if name != tail_name
+                  and len(graph.consumers(name)) > 1]
         vector = None
-        for name in members:
+        for name in shared or members:
             vector = graph.elements[name].execute(ctx, span_attrs=attrs)
-        return vector
+        if not shared:
+            return vector
+        rest = tuple(name for name in members if name not in shared)
+        return run_fused_group(
+            ctx, graph, PushdownPlan({tail_name: rest},
+                                     dict.fromkeys(rest, tail_name)),
+            tail_name, span_attrs)
 
     count("pushdown.groups")
     count("pushdown.fused_elements", len(members))

@@ -298,7 +298,25 @@ class Source(QueryElement):
         where_sql, dparams = self._dataset_where(variables, layout)
         needed = ([s.name for s in layout.shown_multi]
                   + [v.name for v in layout.multi_results])
-        n_shown = len(layout.shown_once)
+        # the select text is the same for every run: run-level values
+        # (and the run position) are bound, only the table name varies
+        def bound(name: str) -> str:
+            return f"? AS {quote_identifier(name)}"
+
+        def stored(name: str) -> str:
+            return f"{quote_identifier(name)} AS {quote_identifier(name)}"
+
+        sel = [bound("run_index")] if self.include_run_index else []
+        sel += [bound(s.name) for s in layout.shown_once]
+        sel += [stored(s.name) for s in layout.shown_multi]
+        sel += [bound(v.name) for v in layout.once_results]
+        sel += [stored(v.name) for v in layout.multi_results]
+        if ordinals:
+            sel += [f"? AS {quote_identifier(ORD_PREFIX + '0')}",
+                    f"{quote_identifier('dataset_index')} "
+                    f"AS {quote_identifier(ORD_PREFIX + '1')}"]
+        head = f"SELECT {', '.join(sel)} FROM {exp_prefix}"
+        n_once = len(layout.shown_once) + len(layout.once_results)
         tables = [store.run_table(int(r[0])) for r in runs]
         usable = store.db.tables_with_columns(tables, needed)
         operands: list[tuple[str, list[Any]]] = []
@@ -306,33 +324,12 @@ class Source(QueryElement):
                 zip(runs, tables)):
             if data_table not in usable:
                 continue
-            run_index = int(run_row[0])
-            sel = []
-            params: list[Any] = []
-            if self.include_run_index:
-                sel.append(f"? AS {quote_identifier('run_index')}")
-                params.append(run_index)
-            for s, value in zip(layout.shown_once, run_row[1:]):
-                sel.append(f"? AS {quote_identifier(s.name)}")
-                params.append(value)
-            sel += [f"{quote_identifier(s.name)} "
-                    f"AS {quote_identifier(s.name)}"
-                    for s in layout.shown_multi]
-            for v, value in zip(layout.once_results,
-                                run_row[1 + n_shown:]):
-                sel.append(f"? AS {quote_identifier(v.name)}")
-                params.append(value)
-            sel += [f"{quote_identifier(v.name)} "
-                    f"AS {quote_identifier(v.name)}"
-                    for v in layout.multi_results]
+            params = ([int(run_row[0])] if self.include_run_index
+                      else []) + list(run_row[1:1 + n_once])
             if ordinals:
-                sel.append(f"? AS {quote_identifier(ORD_PREFIX + '0')}")
                 params.append(position)
-                sel.append(f"{quote_identifier('dataset_index')} "
-                           f"AS {quote_identifier(ORD_PREFIX + '1')}")
             operands.append((
-                f"SELECT {', '.join(sel)} FROM "
-                f"{exp_prefix}{quote_identifier(data_table)}{where_sql}",
+                f"{head}{quote_identifier(data_table)}{where_sql}",
                 params + dparams))
         return operands
 

@@ -62,17 +62,22 @@ class DataVector:
 
     ``from_source`` records whether the producing element was a *source*
     — the operator mode selection of Section 3.3.2 depends on it.
+    ``n_rows`` is the row count when the producer knows it (the
+    rowcount of the statement that filled the table); otherwise every
+    read counts the table.
     """
 
     def __init__(self, db: Database, table: str,
                  columns: Sequence[ColumnInfo], *,
                  from_source: bool = False,
-                 producer: str = ""):
+                 producer: str = "",
+                 n_rows: int | None = None):
         self.db = db
         self.table = table
         self.columns = list(columns)
         self.from_source = from_source
         self.producer = producer
+        self._n_rows = n_rows
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise QueryError(
@@ -109,7 +114,9 @@ class DataVector:
 
     @property
     def n_rows(self) -> int:
-        return self.db.count_rows(self.table)
+        if self._n_rows is None:
+            return self.db.count_rows(self.table)
+        return self._n_rows
 
     def rows(self, order_by: Sequence[str] = ()) -> list[tuple]:
         """All rows in column order (optionally sorted)."""

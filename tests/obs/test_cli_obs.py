@@ -232,9 +232,32 @@ class TestExplainCommand:
     def test_default_output_annotates_fused_chains(self, workspace,
                                                    capsys):
         assert run(workspace, "explain", "-q",
-                   str(workspace / "fig8.xml")) == 0
+                   str(workspace / "fig8.xml"), "--no-cache") == 0
         with open(PUSHDOWN_GOLDEN, encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
+
+    @pytest.mark.pushdown
+    def test_default_output_plans_like_a_cached_query(self, workspace,
+                                                      capsys):
+        # `perfbase query` caches by default, and under a cache no
+        # chain fuses: the default plan must not promise fused chains
+        assert run(workspace, "explain", "-q",
+                   str(workspace / "fig8.xml")) == 0
+        out = capsys.readouterr().out
+        assert "FUSED[" not in out and "fused into" not in out
+        assert "pushdown: no fusable chains" in out
+
+    @pytest.mark.pushdown
+    def test_simulate_reports_fusion_only_without_a_cache(self, workspace,
+                                                          capsys):
+        setup_and_import(workspace)
+        capsys.readouterr()
+        argv = ["simulate", "-e", "b_eff_io", "-q",
+                str(workspace / "fig8.xml"), "--nodes", "1"]
+        assert run(workspace, *argv) == 0
+        assert "fused chain" not in capsys.readouterr().out
+        assert run(workspace, *argv, "--no-cache") == 0
+        assert "pushdown: 1 fused chain(s)" in capsys.readouterr().out
 
     def test_annotated_with_trace(self, workspace, tmp_path, capsys):
         setup_and_import(workspace)

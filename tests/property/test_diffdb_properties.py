@@ -1,7 +1,8 @@
 """Property-based cross-backend differential testing.
 
-Hypothesis generates random element chains — linear pipelines and
-two-branch fan-outs — over randomised run data, executes them on the
+Hypothesis generates random element chains — linear pipelines,
+two-branch fan-outs and one source shared by two aggregates that a
+combiner joins — over randomised run data, executes them on the
 SQLite backend and the in-memory columnar backend (serial and
 parallel, cache on and off), and asserts the output vectors and
 artifacts are identical, value types included.
@@ -84,11 +85,19 @@ def _append_post(draw, elements, last):
 
 @st.composite
 def chains(draw):
-    """A linear chain or a two-branch fan-out, plus execution flags."""
-    if draw(st.booleans()):
+    """A linear chain, a two-branch fan-out or a shared source (two
+    aggregates of one source, combined), plus execution flags."""
+    shape = draw(st.sampled_from(["linear", "fanout", "shared"]))
+    if shape == "linear":
         elements, last = _branch(draw, "x", draw(
             st.sampled_from(["old", "new"])))
         last = _append_post(draw, elements, last)
+    elif shape == "shared":
+        elements, first = _branch(draw, "x", draw(
+            st.sampled_from(["old", "new"])))
+        elements.append(Operator("a2", draw(aggregations), ["sx"]))
+        elements.append(Combiner("join", [first, "a2"]))
+        last = _append_post(draw, elements, "join")
     else:
         left, lname = _branch(draw, "o", "old")
         right, rname = _branch(draw, "n", "new")
@@ -128,7 +137,7 @@ def outcome_or_error(exp, query, **kw):
 
 
 class TestBackendsAreIndistinguishable:
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=45, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(chains())
     def test_identical_vectors_and_artifacts(self, chain):

@@ -4,11 +4,12 @@ fallback paths, counters and cache interplay."""
 import pytest
 
 from repro import Experiment
-from repro.core import QueryError
+from repro.core import QueryError, RunData
 from repro.obs import InMemorySink, Tracer, use_tracer
 from repro.parse import Importer
 from repro.query import (Combiner, Operator, Output, ParameterSpec,
                          Query, Source)
+from repro.query.source import MAX_COMPOUND_OPERANDS
 from repro.testing import assert_identical, make_server, query_outcome
 from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
                                            input_xml, stddev_query_xml)
@@ -49,6 +50,20 @@ def fanout_query():
         Combiner("both", ["hi", "lo"]),
         Output("csv", ["both"], format="csv"),
     ], name="fanout")
+
+
+def sibling_aggregates(first="avg", second="stddev", *, use_sql=True,
+                       keep_duplicate_parameters=False):
+    """One source feeds two data-set aggregates that one combiner
+    joins — the diamond that fuses into a single GROUP BY."""
+    return Query([
+        _source(),
+        Operator("mean", first, ["s"]),
+        Operator("spread", second, ["s"], use_sql=use_sql),
+        Combiner("both", ["mean", "spread"],
+                 keep_duplicate_parameters=keep_duplicate_parameters),
+        Output("csv", ["both"], format="csv"),
+    ], name="siblings")
 
 
 def eval_in_chain():
@@ -92,6 +107,14 @@ def assert_fused_identical(experiment, factory, parallel=0):
     return fused
 
 
+def traced_fused(experiment, factory):
+    """The tracer of one fused run."""
+    tracer = Tracer(InMemorySink())
+    with use_tracer(tracer):
+        query_outcome(experiment, factory(), pushdown=True)
+    return tracer
+
+
 class TestPlanShapes:
     def test_linear_chain_fuses_to_tail(self):
         plan = linear_chain().pushdown_plan()
@@ -115,6 +138,37 @@ class TestPlanShapes:
         assert plan.groups == {"mean": ("s", "mean"),
                                "both": ("hi", "lo", "both")}
 
+    def test_sibling_aggregates_fuse_the_fanout(self):
+        plan = sibling_aggregates().pushdown_plan()
+        assert plan.groups == {"both": ("s", "mean", "spread", "both")}
+        assert plan.label("both") == "FUSED[s→mean→spread→both]"
+        assert plan.statements_saved == 3
+        assert all(plan.absorbed(n) for n in ("s", "mean", "spread"))
+
+    def test_python_sibling_keeps_the_source_materialised(self):
+        plan = sibling_aggregates(use_sql=False).pushdown_plan()
+        assert plan.groups == {"both": ("mean", "both")}
+
+    def test_siblings_under_a_cache_fuse_nothing(self):
+        plan = sibling_aggregates().pushdown_plan(cache_active=True)
+        assert plan.groups == {}
+
+    def test_aggregates_feeding_different_combiners_do_not_merge(self):
+        query = Query([
+            _source(),
+            Operator("mean", "avg", ["s"]),
+            Operator("spread", "stddev", ["s"]),
+            _source("t"),
+            Operator("top", "max", ["t"]),
+            Combiner("c1", ["mean", "top"]),
+            Combiner("c2", ["spread", "top"]),
+            Output("csv1", ["c1"], format="csv"),
+            Output("csv2", ["c2"], format="csv"),
+        ], name="two_combiners")
+        assert query.pushdown_plan().groups == {
+            "top": ("t", "top"), "c1": ("mean", "c1"),
+            "c2": ("spread", "c2")}
+
     def test_python_element_splits_the_chain(self):
         plan = eval_in_chain().pushdown_plan()
         assert "e" not in plan.member_of
@@ -135,6 +189,72 @@ class TestFusedIdentity:
 
     def test_fanout(self, filled_experiment):
         assert_fused_identical(filled_experiment, fanout_query)
+
+    @pytest.mark.parametrize("first,second", [
+        ("avg", "stddev"), ("count", "max"), ("median", "variance"),
+        ("sum", "prod"), ("min", "avg")])
+    def test_sibling_aggregates(self, filled_experiment, first, second):
+        factory = lambda: sibling_aggregates(first, second)
+        fused = assert_fused_identical(filled_experiment, factory)
+        assert set(fused["vectors"]) == {"both"}
+        tracer = traced_fused(filled_experiment, factory)
+        assert tracer.metrics.counter("pushdown.fallbacks").value == 0
+        # the source's fragment is built once: one INSERT reads it
+        inserts = [s for s in tracer.spans if s.kind == "db"
+                   and s.attributes["sql"].startswith("INSERT")]
+        assert len(inserts) == 1
+        assert " JOIN " not in inserts[0].attributes["sql"]
+
+    def test_sibling_aggregates_keep_duplicate_parameters(
+            self, filled_experiment):
+        fused = assert_fused_identical(
+            filled_experiment, lambda: sibling_aggregates(
+                keep_duplicate_parameters=True))
+        assert [c[0] for c in fused["vectors"]["both"]["columns"]] \
+            == ["S_chunk", "access", "S_chunk_spread", "access_spread",
+                "bw", "bw_spread"]
+
+    def test_sibling_aggregates_drop_null_keys(self, filled_experiment):
+        # data sets without an access value group under a NULL key;
+        # the unfused combiner's join never matches it
+        filled_experiment.store_run(RunData(
+            once={"technique": "old", "fs": "ufs"},
+            datasets=[{"S_chunk": 32, "bw": 1.0},
+                      {"S_chunk": 32, "bw": 3.0},
+                      {"access": "read", "bw": 5.0}]))
+        unfused = query_outcome(filled_experiment, sibling_aggregates())
+        mean = unfused["vectors"]["mean"]["rows"]
+        assert any(None in row[:2] for row in mean)
+        fused = assert_fused_identical(filled_experiment,
+                                       sibling_aggregates)
+        assert not any(None in row[:2]
+                       for row in fused["vectors"]["both"]["rows"])
+
+    @pytest.mark.parametrize("backend", ["sqlite", "memory"])
+    def test_sibling_aggregates_past_compound_limit(self, backend):
+        """Past 500 runs the source cannot fuse: it materialises, and
+        the aggregates and combiner still run as one group."""
+        exp = make_simple_experiment(make_server(backend))
+        with exp.store.batch() as batch:
+            for i in range(MAX_COMPOUND_OPERANDS + 1):
+                batch.store_run(RunData(
+                    once={"technique": "old", "fs": "ufs"},
+                    datasets=[{"S_chunk": 32 << (i % 3),
+                               "access": "read", "bw": float(i)}]))
+        fused = assert_fused_identical(exp, sibling_aggregates)
+        assert set(fused["vectors"]) == {"s", "both"}
+        tracer = traced_fused(exp, sibling_aggregates)
+        assert tracer.metrics.counter("pushdown.fallbacks").value == 1
+        tails = [s for s in tracer.spans if s.name == "both"]
+        assert [s.attributes.get("fused") for s in tails] \
+            == ["mean,spread,both"]
+
+    def test_sibling_aggregates_parallel(self, filled_experiment):
+        serial = assert_fused_identical(filled_experiment,
+                                        sibling_aggregates)
+        parallel = assert_fused_identical(filled_experiment,
+                                          sibling_aggregates, parallel=3)
+        assert_identical(serial, parallel, "serial vs parallel")
 
     def test_eval_chain(self, filled_experiment):
         assert_fused_identical(filled_experiment, eval_in_chain)
@@ -211,21 +331,28 @@ class TestObservability:
         tails = [s for s in tracer.spans if s.name == "normed"]
         assert tails, "no span recorded for the fused tail"
         assert tails[0].attributes["fused"] == "s,mean,scaled,normed"
+        # the span's rows is the INSERT's rowcount, not a COUNT(*)
+        assert tails[0].attributes["rows"] == 6
+        assert not [s for s in tracer.spans if s.kind == "db"
+                    and s.attributes["sql"].startswith("SELECT COUNT")]
         # absorbed members never ran as elements of their own
         assert not [s for s in tracer.spans
                     if s.name in ("s", "scaled")]
 
 
-#: db.statements of one fig8 and one stddev query over the 6-run
-#: ``beffio_campaign``, per backend (the columnar engine counts fewer
-#: because its catalogue probes are not statements, where SQLite checks
-#: each per-data-set source's run tables with one catalogue statement).
-#: Unfused, every element is a group of one and runs what the Section
-#: 4.2 protocol does — one CREATE and one INSERT, plus norm's probe per
-#: column — so these numbers must not move when emitters are refactored.
+#: db.statements of one traced fig8 and one traced stddev query over
+#: the 6-run ``beffio_campaign``, per backend (the columnar engine
+#: counts fewer because its catalogue probes are not statements, where
+#: SQLite checks each per-data-set source's run tables with one
+#: catalogue statement).  Unfused, every element is a group of one and
+#: runs what the Section 4.2 protocol does — one CREATE and one INSERT,
+#: plus norm's probe per column — so these numbers must not move when
+#: emitters are refactored.  The tracer adds one ``SELECT COUNT(*)``
+#: per source run element-wise (a materialised vector knows its rows);
+#: fused, stddev's sibling aggregates make the whole query one group.
 EXACT_STATEMENTS = {
-    "sqlite": {"unfused": (36, 25), "fused": (12, 15)},
-    "memory": {"unfused": (29, 20), "fused": (9, 12)},
+    "sqlite": {"unfused": (33, 22), "fused": (11, 7)},
+    "memory": {"unfused": (26, 17), "fused": (8, 5)},
 }
 
 
@@ -285,3 +412,25 @@ def test_statements_do_not_grow_with_run_count(beffio_campaign):
     assert sum(added.values()) == 1
     assert {name: unfused_after[name] - unfused_before[name]
             for name in unfused_before} == added
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "memory"])
+def test_fused_stddev_statements_do_not_grow_with_run_count(
+        backend, beffio_campaign):
+    """Fused, stddev_check is one group: one more matching run adds an
+    operand to its UNION ALL, not a statement."""
+    exp, importer = beffio(backend, beffio_campaign[:5])
+
+    def statements():
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            parse_query_xml(stddev_query_xml()).execute(exp, pushdown=True)
+        return (int(tracer.metrics.counter("db.statements").value),
+                [s.attributes["rows"] for s in tracer.element_spans()
+                 if s.name == "both"])
+
+    before = statements()
+    fname, content = beffio_campaign[5]
+    assert "_listless_ufs_" in fname  # matches stddev_check's source
+    importer.import_text(content, fname)
+    assert statements() == before
