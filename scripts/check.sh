@@ -251,9 +251,15 @@ for q in fig8 stddev; do
         -o "$PUSHDOWN_DIR/re_par/$q" --dbdir "$PUSHDOWN_DIR/db"
     perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
         -o "$PUSHDOWN_DIR/re_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-pushdown \
+        -o "$PUSHDOWN_DIR/re_serial_np/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-pushdown \
+        --parallel 2 -o "$PUSHDOWN_DIR/re_par_np/$q" \
+        --dbdir "$PUSHDOWN_DIR/db"
 done
-diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/re_serial"
-diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/re_par"
+for leg in re_serial re_par re_serial_np re_par_np; do
+    diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/$leg"
+done
 # the import changed the results, so serving stale ones would show
 if diff -rq "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
     echo "the imported run changed no query result"; exit 1

@@ -793,9 +793,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
             echo(f"warning: skipped {problem}")
     # the plan `perfbase query` runs: by default it caches, and under
     # a cache nothing fuses
-    fused = (query.pushdown_plan(cache_active=not args.no_cache)
+    cached = not args.no_cache
+    fused = (query.pushdown_plan(cache_active=cached)
              if resolve_cli_pushdown(args) else None)
-    echo(explain(query, trace, fused=fused), end="")
+    echo(explain(query, trace, fused=fused, cached=cached), end="")
     return 0
 
 

@@ -230,11 +230,6 @@ class Experiment:
 
     # -- incremental query cache -------------------------------------------
 
-    def data_version(self) -> int:
-        """Monotonic counter bumped by every data mutation (imports,
-        deletes, schema evolution, data-changing fsck repairs)."""
-        return self.store.data_version()
-
     def query_cache(self, *, budget_bytes: int | None = None
                     ) -> "QueryCache":
         """The experiment's persistent element-result cache.

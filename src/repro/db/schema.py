@@ -61,9 +61,6 @@ _FILES = "pb_run_files"
 _ONCE = "pb_once"
 #: index keeping the duplicate-import guard O(log n) at E9 scale
 _FILES_CHECKSUM_INDEX = "pb_run_files_checksum"
-#: pb_meta key of the monotonic per-experiment data version (bumped by
-#: every mutating entry point)
-_DATA_VERSION_KEY = "data_version"
 #: pb_meta key of the schema counter (bumped by variable changes and
 #: data-changing fsck repairs; folded into every query-cache key)
 _SCHEMA_COUNTER_KEY = "schema_counter"
@@ -219,7 +216,6 @@ class ExperimentStore:
                              primary_key="run_index")
         self.set_meta("name", name)
         self.set_meta("schema_version", SCHEMA_VERSION)
-        self.set_meta(_DATA_VERSION_KEY, 0)
         self.db.commit()
 
     @property
@@ -251,26 +247,7 @@ class ExperimentStore:
             return default
         return json.loads(row[0])
 
-    # -- data version ------------------------------------------------------
-
-    def data_version(self) -> int:
-        """Monotonic counter of data mutations in this experiment.
-
-        Bumped by every mutating entry point — :meth:`store_run`,
-        :meth:`delete_run` and all four schema-evolution operations —
-        so a reader holding a version can tell whether the experiment
-        changed underneath it.  Databases created before the counter
-        existed report 0.
-        """
-        return int(self.get_meta(_DATA_VERSION_KEY, 0))
-
-    def bump_data_version(self, n: int = 1) -> int:
-        """Advance the data version by ``n`` without committing.
-
-        The surrounding mutation's commit (or rollback) covers the
-        bump, keeping it atomic with the data change it records.
-        """
-        return self._bump_counter(_DATA_VERSION_KEY, n)
+    # -- schema counter ----------------------------------------------------
 
     def schema_counter(self) -> int:
         """Monotonic counter of changes to what a stored run reads as.
@@ -285,17 +262,14 @@ class ExperimentStore:
         return int(self.get_meta(_SCHEMA_COUNTER_KEY, 0))
 
     def bump_schema_counter(self) -> int:
-        """Advance the schema counter and the data version without
-        committing, like :meth:`bump_data_version`."""
-        self.bump_data_version()
-        return self._bump_counter(_SCHEMA_COUNTER_KEY, 1)
-
-    def _bump_counter(self, key: str, n: int) -> int:
-        new = int(self.get_meta(key, 0)) + int(n)
+        """Advance the schema counter without committing: the
+        surrounding mutation's commit (or rollback) covers the bump,
+        keeping it atomic with the change it records."""
+        new = self.schema_counter() + 1
         self.db.execute(
             f"INSERT INTO {_META} (key, value) VALUES (?, ?) "
             "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-            (key, json.dumps(new)))
+            (_SCHEMA_COUNTER_KEY, json.dumps(new)))
         return new
 
     # -- variable definitions --------------------------------------------
@@ -576,7 +550,6 @@ class ExperimentStore:
         self.db.execute(
             f"DELETE FROM {_ONCE} WHERE run_index=?", (index,))
         self.db.drop_table(self.run_table(index))
-        self.bump_data_version()
         self.db.commit()
 
     def n_runs(self) -> int:
@@ -786,10 +759,6 @@ class BatchContext:
             if exc_type is None:
                 try:
                     self.flush()
-                    if self.indices:
-                        # one bump covering the whole batch — ends at
-                        # the same value as one bump per run
-                        self.store.bump_data_version(len(self.indices))
                     # a concurrent reader's transient lock must not
                     # throw away a whole imported batch — commit under
                     # the shared retry policy

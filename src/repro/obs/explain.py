@@ -59,7 +59,7 @@ def _describe(element) -> str:
     return f"[{kind}]"
 
 
-def explain(query, trace=None, fused=None) -> str:
+def explain(query, trace=None, fused=None, cached=False) -> str:
     """Render ``query``'s element DAG as an ASCII plan.
 
     ``trace`` — a :class:`~repro.obs.sinks.TraceData` or a plain span
@@ -74,6 +74,9 @@ def explain(query, trace=None, fused=None) -> str:
     so this module keeps no import edge to the query layer) — annotates
     each fused chain's tail with ``FUSED[a→b→c]`` and its absorbed
     members with the tail that subsumes their materialisation.
+    ``cached`` says the plan is the one a run under the query cache
+    takes, where no chain fuses; an empty plan then names the cache as
+    the reason.
 
     The plain form depends only on the query specification, so its
     output is byte-for-byte deterministic (golden-file testable).
@@ -113,6 +116,10 @@ def explain(query, trace=None, fused=None) -> str:
             lines.append(
                 "pushdown: {} fused chain(s), {} statement(s) saved"
                 .format(len(groups), fused.statements_saved))
+        elif cached:
+            lines.append("pushdown: no chain fuses under the query cache "
+                         "(each miss runs as a group of one; --no-cache "
+                         "fuses chains)")
         else:
             lines.append("pushdown: no fusable chains")
 

@@ -27,14 +27,39 @@ def table(rows: Sequence[Sequence[Any]],
           columns: Sequence[tuple[str, str]], title: str) -> str:
     """Render rows through the regular ASCII-table output format.
 
-    Public face of the renderer behind the trace summary and metrics
-    tables; the regression sentinel's check report uses it so sentinel
-    output reads like every other perfbase table.  ``columns`` are
+    The renderer behind the trace summary and metrics tables; the
+    regression sentinel's check report uses it so sentinel output reads
+    like every other perfbase table.  ``columns`` are
     ``(name, datatype)`` pairs with datatype one of ``string``,
     ``integer``, ``float``; rows are sorted by the first column.
+
+    Builds a throwaway in-memory vector so the table goes through the
+    same renderer as query results (imports deferred: the DB layer is
+    instrumented and imports this package).
     """
-    from .sinks import _render_ascii
-    return _render_ascii(rows, columns, title)
+    from ..core.datatypes import DataType
+    from ..db.sqlite_backend import SQLiteDatabase
+    from ..output.ascii_table import AsciiTableFormat
+    from ..query.vectors import ColumnInfo, DataVector
+
+    db = SQLiteDatabase()
+    names = [name for name, _ in columns]
+    sql_types = {"string": "TEXT", "integer": "INTEGER",
+                 "float": "REAL"}
+    db.create_table("obs_summary",
+                    [(name, sql_types[dt]) for name, dt in columns])
+    if rows:
+        db.insert_rows("obs_summary", names, rows)
+    infos = [ColumnInfo(name, datatype=DataType(dt),
+                        is_result=(dt != "string"))
+             for name, dt in columns]
+    vector = DataVector(db, "obs_summary", infos, producer="obs")
+    fmt = AsciiTableFormat({"title": title, "precision": 6,
+                            "sort_by": names[0]})
+    text = fmt.render_one(vector)
+    db.close()
+    return text
+
 
 #: span kinds hidden by default: per-statement DB spans dominate the
 #: row count without adding timeline structure

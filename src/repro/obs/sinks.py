@@ -13,8 +13,9 @@ Three sinks ship:
   :class:`~repro.output.ascii_table.AsciiTableFormat`, so trace
   summaries look exactly like query output tables.
 
-The heavy imports (database, output formats) happen lazily inside the
-rendering helpers: the DB layer itself is instrumented and imports this
+The summary and metrics tables render through
+:func:`repro.obs.render.table`, which imports the database and output
+layers lazily: the DB layer itself is instrumented and imports this
 package, so module level here must stay dependency-free.
 """
 
@@ -24,9 +25,10 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Iterable
 
 from .metrics import Metrics
+from .render import table
 from .spans import ELEMENT_KINDS, Span
 
 __all__ = ["Sink", "InMemorySink", "JsonLinesSink", "AsciiSummarySink",
@@ -203,39 +205,6 @@ def read_trace(path: str | os.PathLike, *,
 # -- ASCII rendering ---------------------------------------------------------
 
 
-def _render_ascii(rows: Sequence[Sequence[Any]],
-                  columns: Sequence[tuple[str, str]],
-                  title: str) -> str:
-    """Render rows through the regular ASCII-table output format.
-
-    Builds a throwaway in-memory vector so the observability summary
-    uses the same renderer as query results (imports deferred — see
-    module docstring).
-    """
-    from ..core.datatypes import DataType
-    from ..db.sqlite_backend import SQLiteDatabase
-    from ..output.ascii_table import AsciiTableFormat
-    from ..query.vectors import ColumnInfo, DataVector
-
-    db = SQLiteDatabase()
-    names = [name for name, _ in columns]
-    sql_types = {"string": "TEXT", "integer": "INTEGER",
-                 "float": "REAL"}
-    db.create_table("obs_summary",
-                    [(name, sql_types[dt]) for name, dt in columns])
-    if rows:
-        db.insert_rows("obs_summary", names, rows)
-    infos = [ColumnInfo(name, datatype=DataType(dt),
-                        is_result=(dt != "string"))
-             for name, dt in columns]
-    vector = DataVector(db, "obs_summary", infos, producer="obs")
-    fmt = AsciiTableFormat({"title": title, "precision": 6,
-                            "sort_by": names[0]})
-    text = fmt.render_one(vector)
-    db.close()
-    return text
-
-
 def summary_table(spans: Iterable[Span],
                   title: str = "trace summary") -> str:
     """Render the :func:`~repro.obs.profile.rollup` of ``spans`` as an
@@ -244,7 +213,7 @@ def summary_table(spans: Iterable[Span],
     rows = [[st.kind, st.name, st.calls, st.wall_seconds,
              st.cpu_seconds, st.rows]
             for _, st in sorted(rollup(spans).items())]
-    return _render_ascii(
+    return table(
         rows,
         [("kind", "string"), ("name", "string"),
          ("count", "integer"), ("wall_s", "float"),
@@ -257,7 +226,7 @@ def metrics_table(metrics: Metrics,
     """Render a metrics registry as an ASCII table."""
     rows = [[name, snap["type"], float(snap["value"])]
             for name, snap in sorted(metrics.snapshot().items())]
-    return _render_ascii(
+    return table(
         rows,
         [("metric", "string"), ("type", "string"), ("value", "float")],
         title)

@@ -79,8 +79,7 @@ class SimulatedCluster:
 
 
 def copy_vector(vector: DataVector, target: ClusterNode,
-                cluster: SimulatedCluster, *,
-                apply_delay: bool = False) -> DataVector:
+                cluster: SimulatedCluster) -> DataVector:
     """Materialise ``vector`` on ``target``'s database server.
 
     This is the Fig. 3 data movement: "the output vector of each query
@@ -93,8 +92,8 @@ def copy_vector(vector: DataVector, target: ClusterNode,
     with maybe_span(f"xfer_{vector.producer or 'v'}",
                     kind="transfer", node=target.index) as span:
         rows = vector.rows()
-        seconds = cluster.interconnect.charge(
-            len(rows), len(vector.columns), apply_delay=apply_delay)
+        seconds = cluster.interconnect.transfer_seconds(
+            len(rows), len(vector.columns))
         cluster.transfer_seconds += seconds
         cluster.transfers += 1
         if span is not None:

@@ -28,10 +28,10 @@ from ..faults import NodeDeathFault
 from ..obs.profile import QueryProfile, profile_spans
 from ..obs.metrics import count
 from ..obs.tracer import current_tracer, maybe_span, use_tracer
-from ..query.cache import CachePlan, QueryCache, plan_cached_run
+from ..query.cache import QueryCache, plan_cached_run
 from ..query.elements import QueryContext
-from ..query.engine import Query, QueryResult, resolve_cache, run_miss
-from ..query.pushdown import PushdownPlan, run_fused_group
+from ..query.engine import Query, QueryResult, resolve_cache, run_unit
+from ..query.pushdown import PushdownPlan
 from ..query.vectors import DataVector
 from .cluster import SimulatedCluster, copy_vector
 from .scheduler import LevelScheduler, Scheduler
@@ -74,11 +74,9 @@ class ParallelQueryExecutor:
     """Runs queries on a :class:`SimulatedCluster`."""
 
     def __init__(self, cluster: SimulatedCluster,
-                 scheduler: Scheduler | None = None, *,
-                 apply_network_delay: bool = False):
+                 scheduler: Scheduler | None = None):
         self.cluster = cluster
         self.scheduler = scheduler or LevelScheduler()
-        self.apply_network_delay = apply_network_delay
 
     def execute(self, query: Query, experiment: Experiment, *,
                 profile: bool = False,
@@ -97,8 +95,9 @@ class ParallelQueryExecutor:
         statements (:mod:`repro.query.pushdown`): each fused group is
         scheduled as one unit placed on its tail element's node, where
         the single statement runs against the shipped external inputs.
-        With an active cache no chain fuses (every cacheable element is
-        a hit/miss seam); each miss runs as a fused group of one.
+        Each unit runs the way the serial engine runs it
+        (:func:`~repro.query.engine.run_unit`): with an active cache no
+        chain fuses, and each miss runs as a fused group of one.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
@@ -121,7 +120,6 @@ class ParallelQueryExecutor:
              qcache: QueryCache | None, pushdown: bool, root_span
              ) -> tuple[QueryResult, ParallelRunStats]:
         graph = query.graph
-        plan: CachePlan | None = None
         if qcache is not None:
             # node connections may still hold open read transactions
             # on the attached experiment database from a previous run
@@ -129,31 +127,27 @@ class ParallelQueryExecutor:
             # can create tables on the frontend
             for node in self.cluster.nodes:
                 node.db.commit()
-            plan = plan_cached_run(qcache, graph, experiment)
-        resolved = plan.hits if plan is not None else {}
-        skipped = plan.skipped if plan is not None else frozenset()
-
-        # -- pushdown plan: absorbed members never get scheduled -------
-        # (unfused, the plan is empty: every element its own group)
-        pd_plan = (query.pushdown_plan() if pushdown and qcache is None
-                   else PushdownPlan())
-        absorbed = frozenset(n for n in pd_plan.member_of
-                             if pd_plan.absorbed(n))
+        plan = plan_cached_run(qcache, graph, experiment)
+        # each unit is a group tail or a lone element; absorbed group
+        # members never get scheduled
+        units = (query.pushdown_plan(cache_active=qcache is not None)
+                 if pushdown else PushdownPlan())
+        done = frozenset(plan.hits) | plan.skipped
+        absorbed = frozenset(n for n in units.member_of
+                             if units.absorbed(n))
 
         placement = self.scheduler.place(
-            graph, len(self.cluster),
-            skip=frozenset(resolved) | skipped | absorbed)
+            graph, len(self.cluster), skip=done | absorbed)
         stats = ParallelRunStats(n_nodes=len(self.cluster),
                                  scheduler=self.scheduler.name,
                                  placement=placement)
 
         # per-node context: element outputs land on the element's node;
         # sources read the runs their cache keys name
-        run_sets = plan.run_sets if plan is not None else {}
         contexts = {
             node.index: QueryContext(
                 experiment=experiment, db=node.db,
-                temptables=node.temptables, run_sets=run_sets)
+                temptables=node.temptables, run_sets=plan.run_sets)
             for node in self.cluster.nodes}
         vectors: dict[str, DataVector] = {}
         transfer_base = self.cluster.transfer_seconds
@@ -162,22 +156,15 @@ class ParallelQueryExecutor:
         # cached subgraphs count as already-completed producers: their
         # vectors (persistent pbc_ tables on the experiment database)
         # are available to every node via the usual input shipping
-        for name, entry in resolved.items():
+        for name, entry in plan.hits.items():
             vectors[name] = plan.load(graph.elements[name], entry)
-        stats.cache_hits += len(resolved)
+        stats.cache_hits += len(plan.hits)
 
-        remaining = {name: set(element.inputs) - set(resolved) - skipped
-                     for name, element in graph.elements.items()
-                     if name not in resolved and name not in skipped
-                     and name not in absorbed}
-        # a fused group becomes runnable when the inputs arriving from
-        # OUTSIDE the group are done (interior edges are subsumed by
-        # the single statement)
-        for tail, members in pd_plan.groups.items():
-            remaining[tail] = {
-                i for m in members
-                for i in graph.elements[m].inputs
-                if i not in members}
+        # a unit becomes runnable when the inputs it reads from outside
+        # itself are done
+        remaining = {name: units.inputs(graph, name) - done
+                     for name in graph.elements
+                     if name not in done and name not in absorbed}
         running: dict[Future, str] = {}
         errors: list[BaseException] = []
         busy = [0.0]
@@ -209,42 +196,20 @@ class ParallelQueryExecutor:
             ctx = contexts[node.index]
             count("parallel.queue_wait_seconds", waited)
             count("parallel.queue_waits")
+            miss = plan.is_miss(element)
             with use_tracer(tracer, parent=root_span):
                 with maybe_span(f"node{node.index}", kind="node",
                                 element=name):
-                    if name in pd_plan.groups:
-                        # ship the group's external inputs, then run
-                        # the whole chain as one statement on this node
-                        members = pd_plan.groups[name]
-                        for input_name in sorted(
-                                {i for m in members
-                                 for i in graph.elements[m].inputs
-                                 if i not in members}):
-                            ctx.vectors[input_name] = copy_vector(
-                                vectors[input_name], node, self.cluster,
-                                apply_delay=self.apply_network_delay)
-                        start = time.perf_counter()
-                        vector = run_fused_group(ctx, graph, pd_plan,
-                                                 name)
-                        with lock:
-                            busy[0] += time.perf_counter() - start
-                        if vector is not None:
-                            vectors[name] = vector
-                        return
                     # ship inputs to this node (Fig. 3 data movement)
-                    for input_name in element.inputs:
+                    for input_name in sorted(units.inputs(graph, name)):
                         ctx.vectors[input_name] = copy_vector(
-                            vectors[input_name], node, self.cluster,
-                            apply_delay=self.apply_network_delay)
+                            vectors[input_name], node, self.cluster)
                     start = time.perf_counter()
-                    if plan is not None and element.cacheable:
-                        vector = run_miss(ctx, graph, element, pushdown)
-                    else:
-                        vector = element.execute(ctx)
+                    vector = run_unit(ctx, graph, units, element,
+                                      miss=miss, pushdown=pushdown)
                     with lock:
                         busy[0] += time.perf_counter() - start
-                if plan is not None and element.cacheable \
-                        and vector is not None:
+                if miss and vector is not None:
                     with lock:
                         stats.cache_misses += 1
                         pending_puts.append((element, vector))

@@ -3,9 +3,10 @@
 Section 4.3: "The access to the database servers on remote nodes is
 performed via sockets, possible using a high-speed interconnection
 network."  We have no cluster, so vector transfers between node
-databases are charged against a latency/bandwidth model; optionally the
-executor really sleeps for the modelled time so that measured speedups
-include communication cost.
+databases are charged against a latency/bandwidth model: every shipped
+vector adds its modelled transfer time to the cluster's tally, and the
+schedule simulator (:mod:`repro.parallel.simulation`) delays each
+consumer on another node by it.  Nothing sleeps.
 
 Default numbers model a 2005-era high-speed interconnect (Myrinet/IB:
 ~10 µs latency, ~250 MB/s effective bandwidth).
@@ -13,7 +14,6 @@ Default numbers model a 2005-era high-speed interconnect (Myrinet/IB:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 __all__ = ["InterconnectModel", "ETHERNET_1G", "HIGH_SPEED", "INFINITE"]
@@ -32,14 +32,6 @@ class InterconnectModel:
         """Modelled wall time to ship a vector between two nodes."""
         payload = n_rows * n_cols * self.bytes_per_cell
         return self.latency_s + payload / self.bandwidth_bytes_per_s
-
-    def charge(self, n_rows: int, n_cols: int, *,
-               apply_delay: bool = False) -> float:
-        """Account (and optionally sleep) the transfer cost."""
-        seconds = self.transfer_seconds(n_rows, n_cols)
-        if apply_delay and seconds > 0:
-            time.sleep(seconds)
-        return seconds
 
 
 #: gigabit ethernet (commodity cluster)

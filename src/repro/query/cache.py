@@ -520,7 +520,6 @@ class QueryCache:
                 "rows": int(row[2]),
                 "hits_total": int(row[3]),
                 "budget_bytes": self.budget_bytes,
-                "data_version": self.store.data_version(),
                 "schema_counter": self.store.schema_counter(),
                 "session": self.session,
             }
@@ -536,15 +535,16 @@ class CachePlan:
     Built by :func:`plan_cached_run` before anything runs: ``keys``
     holds every element's key, ``hits`` the entries installed instead
     of running, ``skipped`` the elements that never run; every other
-    element runs, and each cacheable one that does is a miss stored by
-    :meth:`put`.  ``run_sets`` holds the run-selection rows each
-    source was keyed by — the runs it must read
-    (:attr:`~repro.query.elements.QueryContext.run_sets`), so a run
-    imported meanwhile cannot enter an entry whose key does not name
-    it.
+    element runs, and each cacheable one that does is a miss
+    (:meth:`is_miss`) stored by :meth:`put`.  Without a cache the plan
+    is empty and nothing is a miss.  ``run_sets`` holds the
+    run-selection rows each source was keyed by — the runs it must
+    read (:attr:`~repro.query.elements.QueryContext.run_sets`), so a
+    run imported meanwhile cannot enter an entry whose key does not
+    name it.
     """
 
-    qcache: QueryCache
+    qcache: QueryCache | None
     schema_counter: int
     keys: dict[str, str]
     #: source name -> family key (its key without the run set)
@@ -562,19 +562,25 @@ class CachePlan:
                         rows=entry.n_rows, cols=len(entry.columns)):
             return self.qcache.load(entry)
 
+    def is_miss(self, element: "QueryElement") -> bool:
+        """Whether ``element``, when it runs, runs as a cache miss."""
+        return self.qcache is not None and element.cacheable
+
     def put(self, element: "QueryElement", vector: DataVector,
             query_name: str) -> None:
-        """Store a cacheable element's fresh output under its key."""
-        if element.cacheable:
-            self.qcache.put(self.keys[element.name], element, vector,
-                            schema_counter=self.schema_counter,
-                            family=self.families.get(element.name, ""),
-                            query_name=query_name)
+        """Store a missed element's fresh output under its key."""
+        self.qcache.put(self.keys[element.name], element, vector,
+                        schema_counter=self.schema_counter,
+                        family=self.families.get(element.name, ""),
+                        query_name=query_name)
 
 
-def plan_cached_run(qcache: QueryCache, graph: "QueryGraph",
+def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
                     experiment: "Experiment") -> CachePlan:
     """Key every element, probe all keys at once, and decide what runs.
+
+    Without a cache (``qcache`` is ``None``) everything runs: the plan
+    is empty and no statement is issued.
 
     Source entries of an older schema counter are pruned first.  Each
     source's run-selection statement then runs once, here; its rows
@@ -590,6 +596,8 @@ def plan_cached_run(qcache: QueryCache, graph: "QueryGraph",
     entry is skipped and not counted — a hit thus prunes the exclusive
     ancestors it makes unnecessary.
     """
+    if qcache is None:
+        return CachePlan(None, 0, {}, {}, {}, {}, frozenset())
     schema = qcache.store.schema_counter()
     qcache.prune_stale(schema)
     run_sets = {source.name: source.run_selection(experiment)

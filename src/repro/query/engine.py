@@ -3,8 +3,9 @@
 Executes a :class:`~repro.query.graph.QueryGraph` against one
 experiment, exactly the way Section 4.2 describes: all temp tables live
 in the experiment's own database and elements run one after another in
-topological order.  The parallel executor (:mod:`repro.parallel`)
-reuses the same elements with per-node databases.
+topological order.  How each element runs is decided here, by
+:func:`run_unit`; the parallel executor (:mod:`repro.parallel`) runs
+the same units with per-node databases.
 
 With a :class:`~repro.query.cache.QueryCache` the engine becomes
 *incremental*: every element's key is computed and probed before
@@ -27,11 +28,10 @@ from ..output.base import Artifact
 from .cache import QueryCache, plan_cached_run
 from .elements import QueryContext, QueryElement
 from .graph import QueryGraph
-from .pushdown import (PushdownPlan, cache_boundaries, plan_pushdown,
-                       run_fused_group)
+from .pushdown import PushdownPlan, plan_pushdown, run_fused_group
 from .vectors import DataVector
 
-__all__ = ["Query", "QueryResult", "resolve_cache", "run_miss"]
+__all__ = ["Query", "QueryResult", "resolve_cache", "run_unit"]
 
 
 @dataclass
@@ -60,15 +60,24 @@ class QueryResult:
         return [a.write_to(directory) for a in self.artifacts]
 
 
-def run_miss(ctx: QueryContext, graph: QueryGraph,
-             element: QueryElement, pushdown: bool) -> DataVector | None:
-    """Run a cacheable element that missed the cache, marked
-    ``cache="miss"``: with ``pushdown`` as a fused group of one when
-    it can fuse (a source then runs as one ``INSERT … UNION ALL`` over
-    its runs), else element-wise."""
-    attrs = {"cache": "miss"}
+def run_unit(ctx: QueryContext, graph: QueryGraph, plan: PushdownPlan,
+             element: QueryElement, *, miss: bool = False,
+             pushdown: bool = False) -> DataVector | None:
+    """Run ``element`` as one unit of work — how the serial engine and
+    the parallel executor both run everything that is neither a cache
+    hit, skipped, nor absorbed by a fused group.
+
+    A group tail of ``plan`` runs its whole chain as one statement.  A
+    cache ``miss`` is marked ``cache="miss"`` and, with ``pushdown``,
+    runs as a fused group of one when it can fuse (a source then runs
+    as one ``INSERT … UNION ALL`` over its runs).  Anything else runs
+    element-wise.
+    """
+    attrs = {"cache": "miss"} if miss else {}
     name = element.name
-    if pushdown and element.can_fuse():
+    if name in plan.groups:
+        return run_fused_group(ctx, graph, plan, name, attrs)
+    if miss and pushdown and element.can_fuse():
         return run_fused_group(
             ctx, graph, PushdownPlan({name: (name,)}, {name: name}), name,
             attrs)
@@ -125,12 +134,14 @@ class Query:
         chain tail; without it every element is a group of one.
         Results are byte-identical either way; absorbed
         interior elements simply produce no intermediate vector.  With
-        an active cache every cacheable element is a hit/miss seam, so
-        no chain fuses; each miss runs as a fused group of one.
+        an active cache the plan is empty (:meth:`pushdown_plan`); each
+        miss runs as a fused group of one (:func:`run_unit`).
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {self.name!r}")
         qcache = resolve_cache(cache, experiment)
+        units = (self.pushdown_plan(cache_active=qcache is not None)
+                 if pushdown else PushdownPlan())
         db = experiment.store.db
         temptables = TempTableManager(db, prefix=f"pbq_{_safe(self.name)}")
         ctx = QueryContext(experiment=experiment, db=db,
@@ -141,13 +152,23 @@ class Query:
                 with maybe_span(self.name, kind="query", mode="serial",
                                 elements=len(self.graph.elements)
                                 ) as root:
-                    if qcache is None:
-                        # unfused, every element is its own group of one
-                        self._execute_plan(ctx, self.pushdown_plan()
-                                           if pushdown else PushdownPlan())
-                    else:
-                        self._execute_cached(ctx, qcache, experiment,
-                                             pushdown)
+                    # hits are installed, skipped and absorbed elements
+                    # never run, everything else runs as a unit
+                    plan = plan_cached_run(qcache, self.graph, experiment)
+                    ctx.run_sets.update(plan.run_sets)
+                    for element in self.graph.topological_order():
+                        name = element.name
+                        if name in plan.skipped or units.absorbed(name):
+                            continue
+                        if name in plan.hits:
+                            ctx.vectors[name] = plan.load(
+                                element, plan.hits[name])
+                            continue
+                        miss = plan.is_miss(element)
+                        vector = run_unit(ctx, self.graph, units, element,
+                                          miss=miss, pushdown=pushdown)
+                        if miss and vector is not None:
+                            plan.put(element, vector, self.name)
                 for output in self.graph.outputs:
                     result.artifacts.extend(output.artifacts)
                 result.vectors = dict(ctx.vectors)
@@ -159,50 +180,13 @@ class Query:
                 spans.spans, self.name, query=root.span_id)
         return result
 
-    # -- SQL pushdown --------------------------------------------------------
-
     def pushdown_plan(self, cache_active: bool = False) -> PushdownPlan:
         """The chain-fusion plan of this query (see
         :func:`repro.query.pushdown.plan_pushdown`).  With
-        ``cache_active`` every cacheable element becomes a boundary
-        and the plan fuses nothing."""
-        boundaries = (cache_boundaries(self.graph) if cache_active
-                      else frozenset())
-        return plan_pushdown(self.graph, boundaries)
-
-    def _execute_plan(self, ctx: QueryContext,
-                      plan: PushdownPlan) -> None:
-        for element in self.graph.topological_order():
-            name = element.name
-            if plan.absorbed(name):
-                continue  # materialised by its group's tail
-            if name in plan.groups:
-                run_fused_group(ctx, self.graph, plan, name)
-            else:
-                element.execute(ctx)
-
-    # -- incremental execution ---------------------------------------------
-
-    def _execute_cached(self, ctx: QueryContext, qcache: QueryCache,
-                        experiment: Experiment, pushdown: bool) -> None:
-        """Topological execution of what
-        :func:`~repro.query.cache.plan_cached_run` left to run: hits
-        are installed, skipped elements never run, and every miss runs
-        (see :func:`run_miss`) and is stored."""
-        plan = plan_cached_run(qcache, self.graph, experiment)
-        ctx.run_sets.update(plan.run_sets)
-        for element in self.graph.topological_order():
-            name = element.name
-            if name in plan.skipped:
-                continue
-            if name in plan.hits:
-                ctx.vectors[name] = plan.load(element, plan.hits[name])
-            elif not element.cacheable:
-                element.execute(ctx)
-            else:
-                vector = run_miss(ctx, self.graph, element, pushdown)
-                if vector is not None:
-                    plan.put(element, vector, self.name)
+        ``cache_active`` the plan is empty: every cacheable element is
+        a hit/miss seam, and the only uncacheable elements, outputs,
+        cannot fuse."""
+        return PushdownPlan() if cache_active else plan_pushdown(self.graph)
 
 
 def _safe(name: str) -> str:

@@ -19,12 +19,14 @@ varies is where the result is materialised:
     source read only by two SQL data-set aggregates that one combiner
     joins: that diamond fuses whole, the combiner computing both
     aggregates in one ``GROUP BY`` over the source;
-  - cache boundaries — with a :class:`~repro.query.cache.QueryCache`
-    active every cacheable element is a potential hit/miss seam, so
-    the plan is empty; a cache miss then runs as its own fused group of
-    one (a source as one ``INSERT … UNION ALL`` over its runs);
   - output elements and anything that computes in Python
     (``eval``/``filter``/``use_sql=False``).
+
+  With a :class:`~repro.query.cache.QueryCache` active every cacheable
+  element is a potential hit/miss seam, so the query's plan is empty
+  (:meth:`~repro.query.engine.Query.pushdown_plan`); a cache miss runs
+  as its own fused group of one instead (a source as one
+  ``INSERT … UNION ALL`` over its runs).
 
 A group whose fragment cannot be built (:class:`FusionError`: a shape
 the fuser cannot reproduce byte-identically, a source with more
@@ -282,23 +284,25 @@ class PushdownPlan:
         """The explain annotation, e.g. ``FUSED[a→b→c]``."""
         return "FUSED[" + "→".join(self.groups[tail]) + "]"
 
+    def inputs(self, graph: "QueryGraph", name: str) -> set[str]:
+        """The vectors the unit ending at ``name`` reads from outside
+        itself: the external inputs of its group, or the element's own
+        inputs (interior edges are subsumed by the single statement)."""
+        members = self.groups.get(name, (name,))
+        return {i for m in members for i in graph.elements[m].inputs
+                if i not in members}
 
-def plan_pushdown(graph: "QueryGraph",
-                  boundaries: frozenset[str] = frozenset()
-                  ) -> PushdownPlan:
+
+def plan_pushdown(graph: "QueryGraph") -> PushdownPlan:
     """Walk the element DAG and mark maximal fusable chains.
 
     An edge ``producer → consumer`` is absorbed when both ends are
-    SQL-expressible (``element.can_fuse()``), the producer feeds only
-    that consumer (no fan-out) or its fan-out is a sibling-aggregate
-    diamond (:func:`_sibling_aggregates`), and the producer is not a
-    boundary.
-    ``boundaries`` names elements whose materialised vector is needed
-    by machinery outside the plan — the incremental engine passes
-    every cacheable element, because each one is a potential cache
-    hit/miss seam.  Connected components of absorbed edges form
-    groups whose unique member with no absorbed outgoing edge is the
-    tail that materialises.
+    SQL-expressible (``element.can_fuse()``) and the producer feeds
+    only that consumer (no fan-out) or its fan-out is a
+    sibling-aggregate diamond (:func:`_sibling_aggregates`).
+    Connected components of absorbed edges form groups whose unique
+    member with no absorbed outgoing edge is the tail that
+    materialises.
     """
     elements = graph.elements
     parent: dict[str, str] = {}
@@ -311,11 +315,11 @@ def plan_pushdown(graph: "QueryGraph",
 
     absorbed_edges: list[tuple[str, str]] = []
     for name, element in elements.items():
-        if not element.can_fuse() or name in boundaries:
+        if not element.can_fuse():
             continue
         consumers = graph.consumers(name)
         if len(consumers) != 1 and not _sibling_aggregates(
-                graph, element, consumers, boundaries):
+                graph, element, consumers):
             continue
         if not all(elements[c].can_fuse() for c in consumers):
             continue
@@ -348,8 +352,7 @@ def plan_pushdown(graph: "QueryGraph",
 
 
 def _sibling_aggregates(graph: "QueryGraph", producer: "QueryElement",
-                        consumers: list[str],
-                        boundaries: frozenset[str]) -> bool:
+                        consumers: list[str]) -> bool:
     """Whether a fan-out is the diamond one ``GROUP BY`` computes: a
     source read by exactly two SQL data-set aggregates (which group on
     its parameters), each read only by the same two-input combiner.
@@ -363,16 +366,7 @@ def _sibling_aggregates(graph: "QueryGraph", producer: "QueryElement",
     combiner = graph.elements[readers[0][0]]
     return (combiner.kind == "combiner" and combiner.can_fuse()
             and sorted(combiner.inputs) == consumers
-            and all(graph.elements[c].sql_aggregate()
-                    and c not in boundaries for c in consumers))
-
-
-def cache_boundaries(graph: "QueryGraph") -> frozenset[str]:
-    """Boundary set when an element cache is active: every cacheable
-    element is a potential hit/miss seam, so no chain fuses (a miss
-    runs as a group of one instead)."""
-    return frozenset(name for name, element in graph.elements.items()
-                     if element.cacheable)
+            and all(graph.elements[c].sql_aggregate() for c in consumers))
 
 
 # =========================================================================

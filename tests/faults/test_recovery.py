@@ -1,5 +1,5 @@
 """Crash consistency: crashes mid-store, fsck detection and repair,
-data-version invalidation across a repair, and the perfbase fsck CLI."""
+schema-counter invalidation across a repair, and the perfbase fsck CLI."""
 
 from __future__ import annotations
 
@@ -194,14 +194,14 @@ class TestCrashConsistency:
         # a warm hit is served from a persistent pbc_ table — readable
         rows_before = avg_query().execute(
             exp, cache=qcache).vectors["a"].rows()
-        version_before = exp.store.data_version()
+        counter_before = exp.store.schema_counter()
         db = exp.store.db
         index = exp.run_indices()[-1]
         db.drop_table(f"rundata_{index}")  # simulated lost run data
         db.commit()
         report = fsck(exp.store)
         assert report.by_category()["run-no-data"] == 1
-        assert exp.store.data_version() > version_before
+        assert exp.store.schema_counter() > counter_before
         # warm run after the repair recomputes instead of serving the
         # stale vector, and matches a cache-less run on the repaired db
         warm = avg_query().execute(exp, cache=qcache,

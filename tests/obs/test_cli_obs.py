@@ -245,7 +245,8 @@ class TestExplainCommand:
                    str(workspace / "fig8.xml")) == 0
         out = capsys.readouterr().out
         assert "FUSED[" not in out and "fused into" not in out
-        assert "pushdown: no fusable chains" in out
+        assert "no chain fuses under the query cache" in out
+        assert "--no-cache" in out
 
     @pytest.mark.pushdown
     def test_simulate_reports_fusion_only_without_a_cache(self, workspace,

@@ -27,7 +27,7 @@ from repro.workloads.beffio_assets import fig8_query_xml
 from repro.xmlio import parse_query_xml
 
 from ..conftest import make_simple_experiment
-from .test_cache_plan import EXACT_COUNTS, EXECUTORS, beffio, run
+from .test_cache_plan import BACKEND_EXECUTORS, EXECUTORS, beffio, run
 
 pytestmark = pytest.mark.qcache
 
@@ -35,7 +35,7 @@ FIG8_CACHEABLE = ["max_new", "max_old", "reldiff", "src_new", "src_old"]
 
 
 @pytest.mark.parametrize("pushdown", [False, True])
-@pytest.mark.parametrize("backend,executor", sorted(EXACT_COUNTS))
+@pytest.mark.parametrize("backend,executor", BACKEND_EXECUTORS)
 def test_unmatched_import_is_all_hits(backend, executor, pushdown,
                                       beffio_campaign):
     exp, importer = beffio(backend, beffio_campaign)

@@ -5,7 +5,7 @@ one record of what ran: the element spans.
   cold and warm — structural hits resolved before scheduling included;
 * a cache hit's span encloses the load of the cached vector;
 * exact counter pins (cache hits/misses/stores and SQL statements) for
-  cold, warm and after-import runs, per executor and backend.
+  cold, warm and after-import runs, per executor, backend and pushdown.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def run(executor, xml, exp, **kwargs):
     return result
 
 
-def traced(executor, xml, exp):
+def traced(executor, xml, exp, **kwargs):
     tracer = Tracer(InMemorySink())
     with use_tracer(tracer):
-        result = run(executor, xml, exp, profile=True)
+        result = run(executor, xml, exp, profile=True, **kwargs)
     return result, tracer
 
 
@@ -68,20 +68,25 @@ def timings(result):
 
 
 def cache_attrs(tracer):
-    return Counter((s.name, s.kind, s.attributes.get("cache"))
+    return Counter((s.name, s.kind, s.attributes.get("cache"),
+                    s.attributes.get("fused"))
                    for s in tracer.element_spans())
 
 
-@pytest.mark.parametrize("query", sorted(QUERIES))
-def test_profiles_and_spans_agree_across_executors(query,
+@pytest.mark.parametrize("query,pushdown", [
+    pytest.param(query, pushdown,
+                 id=query + ("-pushdown" if pushdown else ""))
+    for query in sorted(QUERIES) for pushdown in (False, True)])
+def test_profiles_and_spans_agree_across_executors(query, pushdown,
                                                    beffio_campaign):
     """Cold and warm, both executors record every element once, with
-    the same rows, columns and cache outcome."""
+    the same rows, columns, cache outcome and fused group."""
     seen = {}
     for executor in EXECUTORS:
         exp, _ = beffio("sqlite", beffio_campaign)
         for phase in ("cold", "warm"):
-            result, tracer = traced(executor, QUERIES[query](), exp)
+            result, tracer = traced(executor, QUERIES[query](), exp,
+                                    pushdown=pushdown)
             profile = result.profile
             assert sorted(t.name for t in profile.timings) == \
                 sorted(parse_query_xml(QUERIES[query]()).elements)
@@ -127,21 +132,40 @@ def test_hit_span_encloses_the_load(executor, beffio_campaign,
 
 #: (qcache.hits, qcache.misses, qcache.stores, db.statements) of fig8
 #: cold, warm, and re-queried after one more import, over the 6-run
-#: ``beffio_campaign`` (5 runs before the import); the traced runs
-#: count rows with a ``SELECT COUNT(*)`` only for the missed sources,
-#: whose tables are filled one INSERT per run
+#: ``beffio_campaign`` (5 runs before the import), by backend, executor
+#: and pushdown; the traced runs count rows with a ``SELECT COUNT(*)``
+#: only for the missed sources whose tables are filled one INSERT per
+#: run.  With pushdown a missed source is one ``INSERT … UNION ALL``
+#: instead, except on a cluster over the columnar engine, whose
+#: experiment database no node can attach.
 EXACT_COUNTS = {
-    ("sqlite", "serial"): ((0, 5, 5, 88), (5, 0, 0, 12), (2, 3, 3, 58)),
-    ("sqlite", "parallel"): ((0, 5, 5, 98), (5, 0, 0, 27),
-                             (2, 3, 3, 68)),
-    ("memory", "serial"): ((0, 5, 5, 80), (5, 0, 0, 11), (2, 3, 3, 53)),
-    ("memory", "parallel"): ((0, 5, 5, 97), (5, 0, 0, 26),
-                             (2, 3, 3, 67)),
+    ("sqlite", "serial", False): ((0, 5, 5, 88), (5, 0, 0, 12),
+                                  (2, 3, 3, 58)),
+    ("sqlite", "parallel", False): ((0, 5, 5, 98), (5, 0, 0, 27),
+                                    (2, 3, 3, 68)),
+    ("memory", "serial", False): ((0, 5, 5, 80), (5, 0, 0, 11),
+                                  (2, 3, 3, 53)),
+    ("memory", "parallel", False): ((0, 5, 5, 97), (5, 0, 0, 26),
+                                    (2, 3, 3, 67)),
+    ("sqlite", "serial", True): ((0, 5, 5, 83), (5, 0, 0, 12),
+                                 (2, 3, 3, 55)),
+    ("sqlite", "parallel", True): ((0, 5, 5, 93), (5, 0, 0, 27),
+                                   (2, 3, 3, 65)),
+    ("memory", "serial", True): ((0, 5, 5, 75), (5, 0, 0, 11),
+                                 (2, 3, 3, 50)),
+    ("memory", "parallel", True): ((0, 5, 5, 97), (5, 0, 0, 26),
+                                   (2, 3, 3, 67)),
 }
+#: the (backend, executor) pairs the cache tests run on
+BACKEND_EXECUTORS = sorted({key[:2] for key in EXACT_COUNTS})
 
 
-@pytest.mark.parametrize("backend,executor", sorted(EXACT_COUNTS))
-def test_exact_cache_plan_counts(backend, executor, beffio_campaign):
+@pytest.mark.parametrize("backend,executor,pushdown", [
+    pytest.param(*key, id="-".join(key[:2])
+                 + ("-pushdown" if key[2] else ""))
+    for key in sorted(EXACT_COUNTS)])
+def test_exact_cache_plan_counts(backend, executor, pushdown,
+                                 beffio_campaign):
     exp, importer = beffio(backend, beffio_campaign[:-1])
     counts = []
     for phase in ("cold", "warm", "requery"):
@@ -150,12 +174,12 @@ def test_exact_cache_plan_counts(backend, executor, beffio_campaign):
                                  beffio_campaign[-1][0])
         tracer = Tracer(InMemorySink())
         with use_tracer(tracer):
-            run(executor, fig8_query_xml(), exp)
+            run(executor, fig8_query_xml(), exp, pushdown=pushdown)
         counts.append(tuple(
             int(tracer.metrics.counter(name).value)
             for name in ("qcache.hits", "qcache.misses",
                          "qcache.stores", "db.statements")))
-    assert tuple(counts) == EXACT_COUNTS[backend, executor]
+    assert tuple(counts) == EXACT_COUNTS[backend, executor, pushdown]
 
 
 def test_concurrent_profiled_runs_on_one_tracer(server):

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core import RunData
 from repro.db import MemoryServer, SQLiteDatabase, SQLiteServer
-from repro.parallel import (InterconnectModel, LevelScheduler,
-                            ParallelQueryExecutor, SimulatedCluster)
+from repro.parallel import ParallelQueryExecutor, SimulatedCluster
 from repro.query import (Operator, Output, ParameterSpec, Query, Source)
 
 
@@ -77,18 +76,6 @@ class TestAttachment:
 
 
 class TestExecutorEdges:
-    def test_apply_network_delay(self, filled_experiment):
-        slow = InterconnectModel(latency_s=0.02,
-                                 bandwidth_bytes_per_s=1e9)
-        cluster = SimulatedCluster(2, interconnect=slow)
-        executor = ParallelQueryExecutor(cluster, LevelScheduler(),
-                                         apply_network_delay=True)
-        _, stats = executor.execute(small_query(), filled_experiment)
-        if stats.transfers:
-            # the sleep really happened
-            assert stats.wall_seconds >= 0.02 * stats.transfers
-        cluster.shutdown()
-
     def test_single_element_chain_on_many_nodes(self,
                                                 filled_experiment):
         # more nodes than elements must not deadlock or misroute

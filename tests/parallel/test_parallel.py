@@ -50,9 +50,16 @@ class TestInterconnectModel:
                 < HIGH_SPEED.transfer_seconds(rows, cols)
                 < ETHERNET_1G.transfer_seconds(rows, cols))
 
-    def test_charge_accounts(self):
-        m = InterconnectModel()
-        assert m.charge(100, 3) == m.transfer_seconds(100, 3)
+    def test_charge_accounts(self, filled_experiment):
+        """A shipped vector is charged its modelled transfer time."""
+        cluster = SimulatedCluster(2, interconnect=ETHERNET_1G)
+        result = fig2_query().execute(filled_experiment,
+                                      keep_temp_tables=True)
+        vector = result.vectors["ao"]
+        copy_vector(vector, cluster.node(1), cluster)
+        assert cluster.transfer_seconds == ETHERNET_1G.transfer_seconds(
+            vector.n_rows, len(vector.columns))
+        cluster.shutdown()
 
 
 class TestSimulatedCluster:

@@ -104,35 +104,6 @@ class TestFingerprints:
         assert all(before[name] != after[name] for name in before)
 
 
-class TestDataVersion:
-    def test_store_run_bumps(self, exp):
-        before = exp.data_version()
-        exp.store_run(RunData(once={"technique": "new", "fs": "ufs"},
-                              datasets=[{"S_chunk": 32,
-                                         "access": "read", "bw": 1.0}]))
-        assert exp.data_version() == before + 1
-
-    def test_delete_run_bumps(self, exp):
-        before = exp.data_version()
-        exp.delete_run(exp.run_indices()[0])
-        assert exp.data_version() == before + 1
-
-    def test_schema_evolution_bumps(self, exp):
-        before = exp.data_version()
-        exp.add_variable(Parameter("extra", datatype=DataType.FLOAT,
-                                   occurrence=Occurrence.ONCE))
-        assert exp.data_version() == before + 1
-        exp.remove_variable("extra")
-        assert exp.data_version() == before + 2
-
-    def test_batch_bumps_once_per_run(self, server):
-        serial = fill_simple(make_simple_experiment(server, "srl"))
-        batched = make_simple_experiment(server, "bat")
-        with batched.store.batch():
-            fill_simple(batched)
-        assert batched.data_version() == serial.data_version()
-
-
 class TestWarmColdIdentity:
     def test_serial_values_identical(self, exp, cache):
         cold = build_query().execute(exp, keep_temp_tables=True,
@@ -221,11 +192,11 @@ class TestInvalidation:
 
     def test_modify_variable_invalidates(self, exp, cache):
         build_query().execute(exp, cache=cache)
-        before_version = exp.data_version()
+        before_counter = exp.store.schema_counter()
         changed = Parameter("technique", datatype=DataType.STRING,
                             synopsis="renamed variant")
         exp.modify_variable(changed)
-        assert exp.data_version() == before_version + 1
+        assert exp.store.schema_counter() == before_counter + 1
         before = dict(cache.session)
         post = build_query().execute(exp, keep_temp_tables=True,
                                      cache=cache)
@@ -380,7 +351,7 @@ class TestObservability:
         assert stat["entries"] == 5
         assert stat["bytes"] > 0
         assert stat["budget_bytes"] == DEFAULT_BUDGET_BYTES
-        assert stat["data_version"] == exp.data_version()
+        assert stat["schema_counter"] == exp.store.schema_counter()
 
     def test_entries_record_their_keys_and_payload_size(self, exp,
                                                        cache):
