@@ -230,6 +230,22 @@ if fused != ["src,mean,spread,both"]:
 EOF5
 done
 
+echo "== trace-diff: planted db.run latency regresses fig8, the reverse diff improves =="
+# subshell for the fault plan, as in the sentinel stage
+( export PERFBASE_FAULTS="latency@db.run:ms=5"
+  perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
+      -o "$PUSHDOWN_DIR/planted/fig8" --dbdir "$PUSHDOWN_DIR/db" \
+      --trace "$PUSHDOWN_DIR/planted_sqlite_fig8.jsonl" )
+clean="$PUSHDOWN_DIR/counted_sqlite_fig8.jsonl"
+planted="$PUSHDOWN_DIR/planted_sqlite_fig8.jsonl"
+perfbase trace-diff "$clean" "$planted" --min-ms 5 --fail-on-regression \
+    && { echo "trace-diff missed the planted latency"; exit 1; } \
+    || test $? -eq 3
+perfbase trace-diff "$planted" "$clean" --min-ms 5 --fail-on-regression \
+    > "$PUSHDOWN_DIR/reverse_diff.log"
+grep -q "improved" "$PUSHDOWN_DIR/reverse_diff.log" \
+    || { cat "$PUSHDOWN_DIR/reverse_diff.log"; exit 1; }
+
 echo "== query cache: cached re-analysis after an import is byte-identical =="
 # one more listless/ufs run: it matches one source of each query, so
 # the cached re-runs mix hits on the untouched chains with fused misses

@@ -21,8 +21,9 @@ from ..xmlio import (experiment_to_xml, parse_experiment_xml,
 from .common import (CommandError, add_cache_arguments,
                      add_dbdir_argument, add_experiment_argument,
                      add_obs_arguments, add_pushdown_arguments, echo,
-                     obs_session, open_experiment, open_server,
-                     resolve_cli_cache, resolve_cli_pushdown)
+                     non_negative_float, obs_session, open_experiment,
+                     open_server, resolve_cli_cache,
+                     resolve_cli_pushdown)
 
 __all__ = ["register_all"]
 
@@ -513,7 +514,7 @@ def _register_check(sub) -> None:
                    help="grouping parameter (repeatable)")
     p.add_argument("--kind", choices=("outliers", "regressions", "all"),
                    default="all")
-    p.add_argument("--threshold", type=float, default=3.5)
+    p.add_argument("--threshold", type=non_negative_float, default=3.5)
     from .sentinel import add_sentinel_check_arguments
     add_sentinel_check_arguments(p)
     add_obs_arguments(p)
@@ -852,10 +853,10 @@ def _register_obs(sub) -> None:
         help="compare two recorded traces and flag regressions")
     p.add_argument("base", help="baseline JSON-lines trace")
     p.add_argument("new", help="new JSON-lines trace to compare")
-    p.add_argument("--threshold", type=float, default=0.25,
+    p.add_argument("--threshold", type=non_negative_float, default=0.25,
                    help="relative wall-time growth flagged as a "
                         "regression (default 0.25 = +25%%)")
-    p.add_argument("--min-ms", type=float, default=0.0,
+    p.add_argument("--min-ms", type=non_negative_float, default=0.0,
                    help="absolute growth floor in milliseconds")
     p.add_argument("--all-kinds", action="store_true",
                    help="compare every span kind, not just query "

@@ -14,7 +14,7 @@ __all__ = ["add_dbdir_argument", "add_obs_arguments",
            "add_cache_arguments", "resolve_cli_cache",
            "add_pushdown_arguments", "resolve_cli_pushdown",
            "open_server", "open_experiment", "obs_session",
-           "CommandError"]
+           "non_negative_float", "CommandError"]
 
 #: default database directory, overridable via environment (mirrors the
 #: paper's "personal database server on his local workstation")
@@ -27,6 +27,20 @@ DEFAULT_BACKEND = "sqlite"
 
 class CommandError(Exception):
     """A user-facing command failure (exits with status 1)."""
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type of thresholds and floors: a number >= 0, so a
+    negative value is a usage error instead of a traceback."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number: {text!r}") from None
+    if not value >= 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {text!r}")
+    return value
 
 
 def add_dbdir_argument(parser: argparse.ArgumentParser) -> None:

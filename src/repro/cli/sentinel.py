@@ -17,7 +17,8 @@ from ..sentinel import (BaselineStore, CheckOptions, capture_baseline,
 from ..sentinel.assets import (EXPERIMENT_NAME,
                                element_trend_query_xml)
 from .common import (CommandError, add_dbdir_argument,
-                     add_obs_arguments, echo, obs_session, open_server)
+                     add_obs_arguments, echo, non_negative_float,
+                     obs_session, open_server)
 
 __all__ = ["cmd_check_sentinel", "cmd_baseline", "cmd_metrics",
            "register_sentinel"]
@@ -188,11 +189,11 @@ def add_sentinel_check_arguments(parser: argparse.ArgumentParser) -> None:
         help="baseline samples an element needs to be judged "
              "(default 4)")
     parser.add_argument(
-        "--min-change", type=float, default=0.5,
+        "--min-change", type=non_negative_float, default=0.5,
         help="relative growth floor flagged as regression "
              "(default 0.5 = +50%%)")
     parser.add_argument(
-        "--min-ms", type=float, default=2.0,
+        "--min-ms", type=non_negative_float, default=2.0,
         help="absolute wall-time growth floor in milliseconds "
              "(default 2.0)")
     parser.add_argument(

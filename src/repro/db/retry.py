@@ -23,9 +23,10 @@ helper (both were bugs):
 
 Observability: ``retry.retries`` / ``retry.recovered`` /
 ``retry.exhausted`` / ``retry.sleep_seconds`` counters (plus per-site
-``retry.retries.<site>``) on the active tracer's metrics registry, and
-a ``retries=`` attribute on the innermost open span.  When no tracer
-is active the policy costs the bare ``try``.
+``retry.retries.<site>``) in the process registry
+(:data:`repro.obs.REGISTRY`), and a ``retries=`` attribute on the
+innermost open span.  A statement that succeeds at once costs the bare
+``try``; the counters move only on retries.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class RetryPolicy:
                 self._on_recovered(site, retries)
             return result
 
-    # -- observability (no-ops without an active tracer) ------------------
+    # -- observability: process counters, plus the open span if any ------
 
     @staticmethod
     def _on_retry(site: str) -> None:

@@ -18,6 +18,8 @@ measurement a first-class, always-available facility:
   ASCII summary table (:func:`summary_table`).
 * :func:`rollup` totals spans per ``(kind, name)``; EXPLAIN ANALYZE,
   :func:`diff_traces` and :func:`summary_table` all read it.
+* :func:`compare_metric` is the one regression rule: ``trace-diff``
+  applies it to one sample per side, the sentinel to many.
 * :class:`QueryProfile` — the Section 4.3 per-element profile — is a
   thin view over the element spans of a trace
   (:meth:`QueryProfile.from_spans`); ``profile=True`` query runs
@@ -37,8 +39,8 @@ context-variable read per span site, plus the counters :func:`count`
 always adds to the process registry.
 """
 
-from .diff import (RegressionReason, RegressionRecord, SpanSetDelta,
-                   TraceDiff, diff_traces)
+from .diff import (MetricComparison, RegressionReason, RegressionRecord,
+                   SpanSetDelta, TraceDiff, compare_metric, diff_traces)
 from .explain import explain
 from .metrics import (REGISTRY, Counter, Gauge, Metrics, MetricsView,
                       count, gauge_add)
@@ -53,8 +55,8 @@ from .tracer import (Tracer, current_span, current_tracer, maybe_span,
                      use_tracer)
 
 __all__ = [
-    "RegressionReason", "RegressionRecord", "SpanSetDelta",
-    "TraceDiff", "diff_traces",
+    "MetricComparison", "RegressionReason", "RegressionRecord",
+    "SpanSetDelta", "TraceDiff", "compare_metric", "diff_traces",
     "explain",
     "REGISTRY", "Counter", "Gauge", "Metrics", "MetricsView", "count",
     "gauge_add",
@@ -64,6 +66,6 @@ __all__ = [
     "AsciiSummarySink", "InMemorySink", "JsonLinesSink", "Sink",
     "TraceData", "metrics_table", "read_trace", "summary_table",
     "ELEMENT_KINDS", "Span",
-    "Tracer", "count", "current_span", "current_tracer", "maybe_span",
+    "Tracer", "current_span", "current_tracer", "maybe_span",
     "use_tracer",
 ]

@@ -1,36 +1,54 @@
-"""Trace diffing and regression detection.
+"""Trace diffing and the one regression rule.
 
 The paper's workflow tracks how *benchmark* results move across runs
-("track the performance changes that we achieve", Section 5, and the
-``check`` command's regression analysis).  This module applies the same
-idea to perfbase's own execution traces: two recorded traces of the
-same workload — yesterday's query run vs today's, serial vs parallel,
-before vs after an optimisation — are compared span-set by span-set.
+("track the performance changes that we achieve", Section 5).  This
+module applies the idea to perfbase's own execution traces and holds
+the single rule that decides whether a metric regressed:
+:func:`compare_metric` takes baseline and observed samples of one
+metric and returns a :class:`MetricComparison`.
 
-Spans are grouped by ``(kind, name)`` (the logical identity of an
-element, statement class or transfer) and each group's call count,
-summed wall time and row count are compared.  A group whose wall time
-grew beyond a configurable threshold (and a noise floor) is flagged as
-a **regression**; groups that shrank accordingly count as improvements.
-Each flagged group carries a structured :class:`RegressionReason`
-(metric, baseline value, observed value, thresholds) that both
-``perfbase trace-diff`` and the continuous sentinel
-(:mod:`repro.sentinel`) render — and serialise — from, so ASCII report
-and machine-readable verdict always agree.  ``perfbase trace-diff``
-exposes this with ``--fail-on-regression`` for CI wiring, and the
-benchmark harness uses it for the PR trajectory point.
+* A count metric (rows, bytes: any unit but seconds) regresses exactly
+  when its medians differ — a declared workload moves a deterministic
+  number of rows, so any change is behavioural.
+* A time metric regresses when the observed median exceeds the
+  baseline median by more than ``threshold`` (relative, strict ``>``)
+  **and** by at least ``floor`` seconds **and** is a statistical
+  outlier against the baseline samples
+  (:func:`repro.analysis.outliers.outlier_mask` with the given
+  ``method``/``sensitivity``).  The outlier test needs at least three
+  baseline samples — with the observed median that makes the four
+  points ``outlier_mask`` requires; below that the two floors decide
+  alone.
+* An improvement is the same test with the sides swapped: the baseline
+  exceeds the observed median by the relative and absolute floors.
+
+:func:`diff_traces` (``perfbase trace-diff``) groups the spans of two
+traces by ``(kind, name)`` and applies the rule to each group's summed
+wall time, one sample per side; the sentinel
+(:func:`repro.sentinel.compare.compare_samples`, ``perfbase check``)
+applies it to N stored and M fresh samples per element.  Each
+regression carries a structured :class:`RegressionReason` that both
+commands render and serialise from, so ASCII report and
+machine-readable verdict always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from .profile import SpanTotals, rollup
 from .spans import ELEMENT_KINDS
 
-__all__ = ["RegressionReason", "RegressionRecord", "SpanSetDelta",
-           "TraceDiff", "diff_traces"]
+__all__ = ["RegressionReason", "RegressionRecord", "MetricComparison",
+           "compare_metric", "SpanSetDelta", "TraceDiff", "diff_traces"]
+
+
+def relative_change(baseline: float, observed: float) -> float:
+    """(observed - baseline) / |baseline|; ``inf`` from zero."""
+    if baseline == 0.0:
+        return float("inf") if observed else 0.0
+    return (observed - baseline) / abs(baseline)
 
 
 @dataclass(frozen=True)
@@ -57,10 +75,7 @@ class RegressionReason:
 
     @property
     def relative_change(self) -> float:
-        """(observed - baseline) / |baseline|; ``inf`` from zero."""
-        if self.baseline == 0.0:
-            return float("inf") if self.observed else 0.0
-        return self.delta / abs(self.baseline)
+        return relative_change(self.baseline, self.observed)
 
     def _fmt(self, value: float) -> str:
         if self.unit == "s":
@@ -101,12 +116,96 @@ class RegressionRecord:
         return f"{self.name} [{self.kind}]: {self.reason.describe()}"
 
 
+@dataclass(frozen=True)
+class MetricComparison:
+    """One metric compared across two sample sets: both medians plus
+    the verdict of :func:`compare_metric`."""
+
+    metric: str
+    unit: str
+    baseline: float          #: median of the baseline samples
+    observed: float          #: median of the observed samples
+    n_baseline: int
+    n_observed: int
+    reason: RegressionReason | None = None  #: set iff regression
+    improved: bool = False
+
+    @property
+    def is_regression(self) -> bool:
+        return self.reason is not None
+
+    @property
+    def relative_change(self) -> float:
+        return relative_change(self.baseline, self.observed)
+
+    def to_dict(self) -> dict[str, Any]:
+        out = {"metric": self.metric, "unit": self.unit,
+               "baseline": self.baseline, "observed": self.observed,
+               "n_baseline": self.n_baseline,
+               "n_observed": self.n_observed,
+               "regression": self.is_regression,
+               "improved": self.improved}
+        if self.reason is not None:
+            out["reason"] = self.reason.to_dict()
+        return out
+
+
+def compare_metric(metric: str, base: Sequence[float],
+                   observed: Sequence[float], *, unit: str = "s",
+                   threshold: float = 0.0, floor: float = 0.0,
+                   method: str = "mad", sensitivity: float = 4.0
+                   ) -> MetricComparison:
+    """Decide whether one metric regressed or improved.
+
+    ``base``/``observed`` are the samples of each side (one each for a
+    trace diff).  A metric in seconds is a time metric, judged by
+    ``threshold`` (relative), ``floor`` (absolute seconds) and — with
+    at least three baseline samples — the ``method``/``sensitivity``
+    outlier test; any other unit is a count that regresses whenever
+    the medians differ.  See the module docstring for the full rule.
+    """
+    # imported here: importing repro.obs stays free of numpy, and
+    # repro.analysis depends on the core layer, which imports this
+    # package
+    import numpy as np
+    from ..analysis.outliers import outlier_mask
+
+    base_arr = np.asarray(base, dtype=float)
+    base_med = float(np.median(base_arr))
+    obs_med = float(np.median(np.asarray(observed, dtype=float)))
+    if unit != "s":
+        reason = (None if obs_med == base_med else RegressionReason(
+            metric=metric, baseline=base_med, observed=obs_med,
+            threshold=0.0, unit=unit))
+        return MetricComparison(metric, unit, base_med, obs_med,
+                                len(base), len(observed), reason)
+
+    def exceeds(low: float, high: float) -> bool:
+        return high > low * (1.0 + threshold) and high - low >= floor
+
+    regressed = exceeds(base_med, obs_med)
+    improved = exceeds(obs_med, base_med)
+    if (regressed or improved) and len(base) >= 3:
+        outlier = bool(outlier_mask(np.append(base_arr, obs_med),
+                                    method=method,
+                                    threshold=sensitivity)[-1])
+        regressed, improved = regressed and outlier, improved and outlier
+    reason = (RegressionReason(
+        metric=metric, baseline=base_med, observed=obs_med,
+        threshold=threshold, min_value=floor, unit=unit)
+        if regressed else None)
+    return MetricComparison(metric, unit, base_med, obs_med, len(base),
+                            len(observed), reason, improved)
+
+
 @dataclass
 class SpanSetDelta:
-    """Per-(kind, name) comparison of two traces."""
+    """Per-(kind, name) row of a trace diff; ``comparison`` holds the
+    wall-time verdict of :func:`compare_metric`."""
 
     kind: str
     name: str
+    comparison: MetricComparison
     base_calls: int = 0
     new_calls: int = 0
     base_wall: float = 0.0
@@ -125,26 +224,6 @@ class SpanSetDelta:
             return float("inf") if self.new_wall > 0.0 else 1.0
         return self.new_wall / self.base_wall
 
-    def is_regression(self, threshold: float,
-                      min_seconds: float) -> bool:
-        return (self.new_wall > self.base_wall * (1.0 + threshold)
-                and self.wall_delta >= min_seconds)
-
-    def is_improvement(self, threshold: float,
-                       min_seconds: float) -> bool:
-        return (self.base_wall > self.new_wall * (1.0 + threshold)
-                and -self.wall_delta >= min_seconds)
-
-    def regression_reason(self, threshold: float, min_seconds: float
-                          ) -> RegressionReason | None:
-        """Structured reason when this delta is a regression."""
-        if not self.is_regression(threshold, min_seconds):
-            return None
-        return RegressionReason(
-            metric="wall_s", baseline=self.base_wall,
-            observed=self.new_wall, threshold=threshold,
-            min_value=min_seconds, unit="s")
-
 
 @dataclass
 class TraceDiff:
@@ -158,22 +237,15 @@ class TraceDiff:
     min_seconds: float = 0.0
 
     def regressions(self) -> list[SpanSetDelta]:
-        return [d for d in self.deltas
-                if d.is_regression(self.threshold, self.min_seconds)]
+        return [d for d in self.deltas if d.comparison.is_regression]
 
     def improvements(self) -> list[SpanSetDelta]:
-        return [d for d in self.deltas
-                if d.is_improvement(self.threshold, self.min_seconds)]
+        return [d for d in self.deltas if d.comparison.improved]
 
     def regression_records(self) -> list[RegressionRecord]:
         """Every regression with its structured reason attached."""
-        records = []
-        for d in self.deltas:
-            reason = d.regression_reason(self.threshold,
-                                         self.min_seconds)
-            if reason is not None:
-                records.append(RegressionRecord(d.kind, d.name, reason))
-        return records
+        return [RegressionRecord(d.kind, d.name, d.comparison.reason)
+                for d in self.regressions()]
 
     @property
     def has_regressions(self) -> bool:
@@ -195,11 +267,8 @@ class TraceDiff:
                 delta = f"{100 * (d.wall_ratio - 1.0):+7.1f}%"
             else:
                 delta = "    new"
-            flag = ""
-            if d.is_regression(self.threshold, self.min_seconds):
-                flag = "REGRESSION"
-            elif d.is_improvement(self.threshold, self.min_seconds):
-                flag = "improved"
+            flag = ("REGRESSION" if d.comparison.is_regression
+                    else "improved" if d.comparison.improved else "")
             lines.append(
                 f"{d.kind:<10} {d.name:<24} "
                 f"{d.base_calls:>5}/{d.new_calls:<5} "
@@ -225,8 +294,8 @@ def diff_traces(base, new, *, threshold: float = 0.25,
     or plain span iterables.  ``kinds`` restricts the comparison (the
     default compares only query-element spans — the logical execution
     record; pass ``None`` to compare every span kind).  ``threshold``
-    is the relative wall-time growth that counts as a regression,
-    ``min_seconds`` an absolute noise floor the growth must also clear.
+    and ``min_seconds`` are :func:`compare_metric`'s relative and
+    absolute floors, applied to each span set's summed wall time.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be non-negative")
@@ -244,6 +313,9 @@ def diff_traces(base, new, *, threshold: float = 0.25,
         n = new_totals.get(key) or SpanTotals(*key)
         diff.deltas.append(SpanSetDelta(
             kind=b.kind, name=b.name,
+            comparison=compare_metric(
+                "wall_s", [b.wall_seconds], [n.wall_seconds],
+                threshold=threshold, floor=min_seconds),
             base_calls=b.calls, new_calls=n.calls,
             base_wall=b.wall_seconds, new_wall=n.wall_seconds,
             base_rows=b.rows, new_rows=n.rows))

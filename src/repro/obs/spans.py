@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["Span", "ELEMENT_KINDS"]
+__all__ = ["Span", "ELEMENT_KINDS", "ELEMENT_KIND_ORDER"]
 
-#: span kinds produced by query elements (Section 3.3's four kinds);
-#: the element-span set of a query run is its logical execution record
-ELEMENT_KINDS = frozenset({"source", "operator", "combiner", "output"})
+#: span kinds produced by query elements (Section 3.3's four kinds, in
+#: the section's order); the element-span set of a query run is its
+#: logical execution record
+ELEMENT_KIND_ORDER = ("source", "operator", "combiner", "output")
+ELEMENT_KINDS = frozenset(ELEMENT_KIND_ORDER)
 
 
 @dataclass

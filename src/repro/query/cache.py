@@ -49,8 +49,9 @@ sets when it stores a new one, and, once, every entry of an older key
 scheme (the ``query_cache_format`` marker in ``pb_meta``).
 
 Observability: ``qcache.hits`` / ``qcache.misses`` / ``qcache.stores`` /
-``qcache.evictions`` counters on the active tracer's metrics registry,
-and a ``cache="hit"|"miss"`` span attribute per element (rendered by
+``qcache.evictions`` counters in the process registry
+(:data:`repro.obs.REGISTRY`, counted whether or not a tracer is
+active), and a ``cache="hit"|"miss"`` span attribute per element (rendered by
 ``perfbase explain --trace``).
 """
 

@@ -2,15 +2,18 @@
 
 Baselines are **data**: every captured baseline is a set of runs in a
 dedicated experiment (:data:`EXPERIMENT_NAME`), one run per recorded
-sample trace, one data set per query-element span — the same
-meta-experiment shape as :mod:`repro.workloads.obsmeta`, extended with
-the baseline bookkeeping once-parameters (baseline name, workload,
-sample index, capture timestamp).  Because baselines live in a regular
-experiment, every existing facility applies: ``perfbase runs -e
-perfbase_sentinel``, declarative queries, ``perfbase fsck``, dumps.
+sample trace, one data set per query-element span — built from the
+span schema of :mod:`repro.workloads.obsmeta`, extended with the
+``bytes`` counter and the baseline bookkeeping once-parameters
+(baseline name, workload, sample index, capture timestamp).  Because
+baselines live in a regular experiment, every existing facility
+applies: ``perfbase runs -e perfbase_sentinel``, declarative queries,
+``perfbase fsck``, dumps.
 """
 
 from __future__ import annotations
+
+from ..workloads.obsmeta import span_location_xml, span_variables_xml
 
 __all__ = ["EXPERIMENT_NAME", "CHECK_LABEL", "experiment_xml",
            "input_xml", "element_trend_query_xml"]
@@ -20,9 +23,8 @@ EXPERIMENT_NAME = "perfbase_sentinel"
 #: reserved baseline label under which `perfbase check` imports the
 #: fresh sample traces (replaced on every check, never listed)
 CHECK_LABEL = "@check"
-
-#: the span kinds that count as query elements (Section 3.3's four)
-_ELEMENT_KINDS = "source,operator,combiner,output"
+#: span counters a baseline records (the meta-experiment keeps rows only)
+_COUNTS = ("rows", "bytes")
 
 
 def experiment_xml() -> str:
@@ -63,65 +65,7 @@ def experiment_xml() -> str:
     <synopsis>ISO timestamp of the capture</synopsis>
     <datatype>string</datatype>
   </parameter>
-  <parameter>
-    <name>element</name>
-    <synopsis>query element the span measured</synopsis>
-    <datatype>string</datatype>
-  </parameter>
-  <parameter>
-    <name>kind</name>
-    <synopsis>element kind of the span</synopsis>
-    <datatype>string</datatype>
-    <valid>source</valid> <valid>operator</valid>
-    <valid>combiner</valid> <valid>output</valid>
-  </parameter>
-  <parameter>
-    <name>t_start</name>
-    <synopsis>monotonic clock at span start</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>t_end</name>
-    <synopsis>monotonic clock at span end</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>cpu_t0</name>
-    <synopsis>process CPU clock at span start</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>cpu_t1</name>
-    <synopsis>process CPU clock at span end</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <result>
-    <name>rows</name>
-    <synopsis>rows the element produced</synopsis>
-    <datatype>integer</datatype>
-  </result>
-  <result>
-    <name>bytes</name>
-    <synopsis>bytes the element moved</synopsis>
-    <datatype>integer</datatype>
-  </result>
-  <result>
-    <name>wall_s</name>
-    <synopsis>wall time of the span</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </result>
-  <result>
-    <name>cpu_s</name>
-    <synopsis>CPU time of the span</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </result>
-</experiment>
+{span_variables_xml(_COUNTS)}</experiment>
 """
 
 
@@ -135,21 +79,7 @@ def input_xml() -> str:
     """
     return f"""\
 <input name="{EXPERIMENT_NAME}">
-  <json_location>
-    <where key="type" value="span"/>
-    <where key="kind" value="{_ELEMENT_KINDS}" op="in"/>
-    <field variable="element" key="name"/>
-    <field variable="kind" key="kind"/>
-    <field variable="t_start" key="start"/>
-    <field variable="t_end" key="end"/>
-    <field variable="cpu_t0" key="cpu_start"/>
-    <field variable="cpu_t1" key="cpu_end"/>
-    <field variable="rows" key="attributes.rows" default="0"/>
-    <field variable="bytes" key="attributes.bytes" default="0"/>
-  </json_location>
-  <derived_parameter parameter="wall_s" expression="t_end - t_start"/>
-  <derived_parameter parameter="cpu_s" expression="cpu_t1 - cpu_t0"/>
-</input>
+{span_location_xml(_COUNTS)}</input>
 """
 
 

@@ -7,10 +7,10 @@ label, compare distributions per element, render the report, write the
 machine-readable verdict, and translate regressions into exit code 3
 (the same CI convention as ``trace-diff --fail-on-regression``).
 
-Every step feeds ``sentinel.*`` counters through the active tracer's
-metrics registry (visible via ``--metrics`` or ``perfbase metrics
-dump``); with no tracer active the counters cost nothing — the obs
-subsystem's usual bargain.
+Every step feeds ``sentinel.*`` counters into the process registry
+(:data:`repro.obs.REGISTRY`), whether or not a tracer is active; a
+traced run reports them via ``--metrics`` or ``perfbase metrics
+dump``.
 """
 
 from __future__ import annotations

@@ -1,25 +1,16 @@
 """Statistical trace comparison: fresh samples vs a stored baseline.
 
-Where PR2's ``trace-diff`` compares two single traces with a fixed
-relative threshold, the sentinel compares *distributions*: every
-element contributes N baseline samples and M fresh samples per metric
-(wall/CPU seconds, rows, bytes), and a fresh median is flagged only
-when it is
-
-* a statistical outlier against the baseline sample
-  (:func:`repro.analysis.outliers.outlier_mask`, configurable method
-  and ``sensitivity``),
-* slower (for time metrics — getting faster never fails a check),
-* beyond a relative floor (``min_change``) **and** an absolute floor
-  (``min_seconds``) — so neither noisy nor microscopic elements spam
-  the verdict.
-
-Count metrics (rows, bytes) are deterministic for a declared workload,
-so any median change at all is a behavioural regression.  Each flagged
-metric carries the structured
-:class:`~repro.obs.diff.RegressionReason` that ``trace-diff`` also
-uses; the ASCII report and the machine-readable verdict both render
-from it.
+The sentinel compares *distributions*: every element contributes N
+baseline samples and M fresh samples per metric (wall/CPU seconds,
+rows, bytes).  Each metric is judged by
+:func:`repro.obs.diff.compare_metric` — the rule ``trace-diff`` applies
+to one sample per side — with :class:`CheckOptions` supplying its
+knobs: ``min_change`` is the relative floor, ``min_seconds`` the
+absolute one, and ``method``/``sensitivity`` the outlier test a time
+median must also pass once the baseline holds three or more samples.
+Row and byte counts regress on any change of median; getting faster
+never fails a check, it only earns the ``improved`` label.  Elements
+with fewer than ``min_samples`` baseline samples are skipped.
 """
 
 from __future__ import annotations
@@ -27,20 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from ..analysis.outliers import METHODS, outlier_mask
+from ..analysis.outliers import METHODS
 from ..core.errors import DefinitionError
-from ..obs.diff import RegressionReason
+from ..obs.diff import MetricComparison, compare_metric
 from ..obs.render import table
-from .store import ElementSamples
+from .store import METRICS, ElementSamples
 
 __all__ = ["CheckOptions", "MetricComparison", "ElementVerdict",
            "CheckReport", "compare_samples"]
 
-#: metrics gated statistically (time) vs exactly (deterministic counts)
+#: metrics measured in seconds; the others are deterministic counts
 TIME_METRICS = ("wall_s", "cpu_s")
-COUNT_METRICS = ("rows", "bytes")
 
 
 @dataclass(frozen=True)
@@ -62,35 +50,9 @@ class CheckOptions:
             raise DefinitionError("min_samples must be positive")
         if self.sensitivity <= 0:
             raise DefinitionError("sensitivity must be positive")
-
-
-@dataclass(frozen=True)
-class MetricComparison:
-    """One element's one metric: both medians plus the verdict."""
-
-    metric: str
-    unit: str
-    baseline: float          #: median of the baseline samples
-    observed: float          #: median of the fresh samples
-    n_baseline: int
-    n_observed: int
-    reason: RegressionReason | None = None  #: set iff regression
-    improved: bool = False
-
-    @property
-    def is_regression(self) -> bool:
-        return self.reason is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        out = {"metric": self.metric, "unit": self.unit,
-               "baseline": self.baseline, "observed": self.observed,
-               "n_baseline": self.n_baseline,
-               "n_observed": self.n_observed,
-               "regression": self.is_regression,
-               "improved": self.improved}
-        if self.reason is not None:
-            out["reason"] = self.reason.to_dict()
-        return out
+        if self.min_change < 0 or self.min_seconds < 0:
+            raise DefinitionError(
+                "min_change and min_seconds must be non-negative")
 
 
 @dataclass
@@ -159,18 +121,11 @@ class CheckReport:
         rows = []
         for v in self.verdicts:
             for c in v.comparisons:
-                if c.baseline or c.observed:
-                    if c.baseline:
-                        delta = 100.0 * (c.observed - c.baseline) \
-                            / abs(c.baseline)
-                    else:
-                        delta = float("inf")
-                else:
-                    delta = 0.0
                 flag = ("REGRESSION" if c.is_regression
                         else "improved" if c.improved else "")
                 rows.append([v.element, v.kind, c.metric,
-                             c.baseline, c.observed, delta, flag])
+                             c.baseline, c.observed,
+                             100.0 * c.relative_change, flag])
         title = (f"check {self.workload!r} against baseline "
                  f"{self.baseline!r}")
         text = table(rows,
@@ -198,52 +153,6 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _median(values: list[float]) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
-
-
-def _compare_time(metric: str, base: list[float], fresh: list[float],
-                  options: CheckOptions) -> MetricComparison:
-    base_med = _median(base)
-    observed = _median(fresh)
-    delta = observed - base_med
-    rel = (delta / abs(base_med) if base_med
-           else (float("inf") if delta > 0 else 0.0))
-    combined = np.append(np.asarray(base, dtype=float), observed)
-    flagged = bool(outlier_mask(combined, method=options.method,
-                                threshold=options.sensitivity)[-1])
-    reason = None
-    if (flagged and delta > 0 and rel >= options.min_change
-            and delta >= options.min_seconds):
-        reason = RegressionReason(
-            metric=metric, baseline=base_med, observed=observed,
-            threshold=options.min_change,
-            min_value=options.min_seconds, unit="s")
-    improved = (flagged and delta < 0 and -rel >= options.min_change
-                and -delta >= options.min_seconds)
-    return MetricComparison(
-        metric=metric, unit="s", baseline=base_med, observed=observed,
-        n_baseline=len(base), n_observed=len(fresh),
-        reason=reason, improved=improved)
-
-
-def _compare_count(metric: str, base: list[float], fresh: list[float]
-                   ) -> MetricComparison:
-    base_med = _median(base)
-    observed = _median(fresh)
-    reason = None
-    if observed != base_med:
-        # a declared workload moves a deterministic number of rows;
-        # any change is behavioural, not noise
-        reason = RegressionReason(
-            metric=metric, baseline=base_med, observed=observed,
-            threshold=0.0, unit=metric)
-    return MetricComparison(
-        metric=metric, unit=metric, baseline=base_med,
-        observed=observed, n_baseline=len(base),
-        n_observed=len(fresh), reason=reason)
-
-
 def compare_samples(baseline: str, workload: str,
                     base: dict[str, ElementSamples],
                     fresh: dict[str, ElementSamples],
@@ -268,11 +177,12 @@ def compare_samples(baseline: str, workload: str,
                                f"need {options.min_samples}")
             report.verdicts.append(verdict)
             continue
-        for metric in TIME_METRICS:
-            verdict.comparisons.append(_compare_time(
-                metric, b.values[metric], f.values[metric], options))
-        for metric in COUNT_METRICS:
-            verdict.comparisons.append(_compare_count(
-                metric, b.values[metric], f.values[metric]))
+        for metric in METRICS:
+            verdict.comparisons.append(compare_metric(
+                metric, b.values[metric], f.values[metric],
+                unit="s" if metric in TIME_METRICS else metric,
+                threshold=options.min_change,
+                floor=options.min_seconds, method=options.method,
+                sensitivity=options.sensitivity))
         report.verdicts.append(verdict)
     return report

@@ -21,17 +21,82 @@ Shipped control files (same structure as
   number: summed source-element time divided by summed element time;
 * :func:`hotspot_query_xml` — per-element total wall/CPU time, the
   query-plan hotspot list.
+
+:func:`span_variables_xml` and :func:`span_location_xml` hold the
+per-span schema both this experiment and the regression sentinel's
+baselines experiment (:mod:`repro.sentinel.assets`) are built from.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from ..obs.spans import ELEMENT_KIND_ORDER
+
 __all__ = ["EXPERIMENT_NAME", "experiment_xml", "input_xml",
-           "source_fraction_query_xml", "hotspot_query_xml"]
+           "source_fraction_query_xml", "hotspot_query_xml",
+           "span_variables_xml", "span_location_xml"]
 
 EXPERIMENT_NAME = "perfbase_meta"
 
-#: the span kinds that count as query elements (Section 3.3's four)
-_ELEMENT_KINDS = "source,operator,combiner,output"
+#: raw clock readings of a span: (variable, trace key, synopsis)
+_CLOCKS = (("t_start", "start", "monotonic clock at span start"),
+           ("t_end", "end", "monotonic clock at span end"),
+           ("cpu_t0", "cpu_start", "process CPU clock at span start"),
+           ("cpu_t1", "cpu_end", "process CPU clock at span end"))
+#: span counter attributes a schema may record, with their synopses
+_COUNTS = {"rows": "rows the element produced",
+           "bytes": "bytes the element moved"}
+_SECONDS = "    <unit> <base_unit>s</base_unit> </unit>\n"
+
+
+def _variable(tag: str, name: str, synopsis: str, datatype: str,
+              extra: str = "") -> str:
+    return (f"  <{tag}>\n    <name>{name}</name>\n"
+            f"    <synopsis>{synopsis}</synopsis>\n"
+            f"    <datatype>{datatype}</datatype>\n{extra}  </{tag}>\n")
+
+
+def span_variables_xml(counts: Sequence[str] = ("rows",)) -> str:
+    """Parameters and results of one query-element span: element,
+    kind, raw clock readings, the ``counts`` attributes and the derived
+    wall/CPU durations."""
+    valid = " ".join(f"<valid>{kind}</valid>"
+                     for kind in ELEMENT_KIND_ORDER)
+    return "".join([
+        _variable("parameter", "element",
+                  "query element the span measured", "string"),
+        _variable("parameter", "kind", "element kind of the span",
+                  "string", f"    {valid}\n"),
+        *(_variable("parameter", name, synopsis, "float", _SECONDS)
+          for name, _, synopsis in _CLOCKS),
+        *(_variable("result", name, _COUNTS[name], "integer")
+          for name in counts),
+        _variable("result", "wall_s", "wall time of the span", "float",
+                  _SECONDS),
+        _variable("result", "cpu_s", "CPU time of the span", "float",
+                  _SECONDS)])
+
+
+def span_location_xml(counts: Sequence[str] = ("rows",)) -> str:
+    """The ``json_location`` that reads the element spans of a trace
+    into :func:`span_variables_xml`'s variables, plus the two
+    ``derived_parameter`` elements computing the durations."""
+    keys = [("element", "name"), ("kind", "kind"),
+            *((var, key) for var, key, _ in _CLOCKS)]
+    fields = "".join(f'    <field variable="{var}" key="{key}"/>\n'
+                     for var, key in keys)
+    fields += "".join(
+        f'    <field variable="{name}" key="attributes.{name}" '
+        f'default="0"/>\n' for name in counts)
+    return f"""\
+  <json_location>
+    <where key="type" value="span"/>
+    <where key="kind" value="{','.join(ELEMENT_KIND_ORDER)}" op="in"/>
+{fields}  </json_location>
+  <derived_parameter parameter="wall_s" expression="t_end - t_start"/>
+  <derived_parameter parameter="cpu_s" expression="cpu_t1 - cpu_t0"/>
+"""
 
 
 def experiment_xml() -> str:
@@ -56,60 +121,7 @@ def experiment_xml() -> str:
     <synopsis>label of the traced command (from the trace filename)</synopsis>
     <datatype>string</datatype>
   </parameter>
-  <parameter>
-    <name>element</name>
-    <synopsis>query element the span measured</synopsis>
-    <datatype>string</datatype>
-  </parameter>
-  <parameter>
-    <name>kind</name>
-    <synopsis>element kind of the span</synopsis>
-    <datatype>string</datatype>
-    <valid>source</valid> <valid>operator</valid>
-    <valid>combiner</valid> <valid>output</valid>
-  </parameter>
-  <parameter>
-    <name>t_start</name>
-    <synopsis>monotonic clock at span start</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>t_end</name>
-    <synopsis>monotonic clock at span end</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>cpu_t0</name>
-    <synopsis>process CPU clock at span start</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <parameter>
-    <name>cpu_t1</name>
-    <synopsis>process CPU clock at span end</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </parameter>
-  <result>
-    <name>rows</name>
-    <synopsis>rows the element produced</synopsis>
-    <datatype>integer</datatype>
-  </result>
-  <result>
-    <name>wall_s</name>
-    <synopsis>wall time of the span</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </result>
-  <result>
-    <name>cpu_s</name>
-    <synopsis>CPU time of the span</synopsis>
-    <datatype>float</datatype>
-    <unit> <base_unit>s</base_unit> </unit>
-  </result>
-</experiment>
+{span_variables_xml()}</experiment>
 """
 
 
@@ -123,20 +135,7 @@ def input_xml() -> str:
     return f"""\
 <input name="{EXPERIMENT_NAME}">
   <filename_location parameter="run_label" pattern="^([^.]+)"/>
-  <json_location>
-    <where key="type" value="span"/>
-    <where key="kind" value="{_ELEMENT_KINDS}" op="in"/>
-    <field variable="element" key="name"/>
-    <field variable="kind" key="kind"/>
-    <field variable="t_start" key="start"/>
-    <field variable="t_end" key="end"/>
-    <field variable="cpu_t0" key="cpu_start"/>
-    <field variable="cpu_t1" key="cpu_end"/>
-    <field variable="rows" key="attributes.rows" default="0"/>
-  </json_location>
-  <derived_parameter parameter="wall_s" expression="t_end - t_start"/>
-  <derived_parameter parameter="cpu_s" expression="cpu_t1 - cpu_t0"/>
-</input>
+{span_location_xml()}</input>
 """
 
 
