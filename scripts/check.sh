@@ -248,15 +248,17 @@ grep -q "improved" "$PUSHDOWN_DIR/reverse_diff.log" \
 
 echo "== query cache: cached re-analysis after an import is byte-identical =="
 # one more listless/ufs run: it matches one source of each query, so
-# the cached re-runs mix hits on the untouched chains with fused misses
+# the cached re-runs mix hits on the untouched chains with misses, and
+# each matched source extends its cached entry by the new run
 python - "$PUSHDOWN_DIR" <<'EOF3'
 import sys, pathlib
 from repro.workloads.beffio import generate_campaign
-more = pathlib.Path(sys.argv[1]) / "more"
-more.mkdir()
-for fname, content in generate_campaign(techniques=("listless",),
-                                        repetitions=1, seed=7):
-    (more / fname).write_text(content)
+for name, seed in (("more", 7), ("more2", 8)):
+    more = pathlib.Path(sys.argv[1]) / name
+    more.mkdir()
+    for fname, content in generate_campaign(techniques=("listless",),
+                                            repetitions=1, seed=seed):
+        (more / fname).write_text(content)
 EOF3
 perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
     --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more/*
@@ -280,6 +282,59 @@ done
 if diff -rq "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
     echo "the imported run changed no query result"; exit 1
 fi
+# a second listless/ufs run extends the extended entries again (the
+# parallel leg runs first, then the serial one hits); the traced serial
+# leg of the next step shows a miss that extends, and explain prints it
+perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
+    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more2/*
+for q in fig8 stddev; do
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
+        -o "$PUSHDOWN_DIR/re2_par/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
+        -o "$PUSHDOWN_DIR/re2_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        -o "$PUSHDOWN_DIR/re2_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
+done
+for leg in re2_par re2_serial; do
+    diff -r "$PUSHDOWN_DIR/re2_fresh" "$PUSHDOWN_DIR/$leg"
+done
+# a third run, traced: its cached re-query extends by one run
+python - "$PUSHDOWN_DIR" <<'EOF6'
+import sys, pathlib
+from repro.workloads.beffio import generate_campaign
+more = pathlib.Path(sys.argv[1]) / "more3"
+more.mkdir()
+for fname, content in generate_campaign(techniques=("listless",),
+                                        repetitions=1, seed=9):
+    (more / fname).write_text(content)
+EOF6
+perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
+    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more3/*
+perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" \
+    -o "$PUSHDOWN_DIR/re3_serial/fig8" --dbdir "$PUSHDOWN_DIR/db" \
+    --trace "$PUSHDOWN_DIR/re3_fig8.jsonl"
+perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
+    -o "$PUSHDOWN_DIR/re3_fresh/fig8" --dbdir "$PUSHDOWN_DIR/db"
+diff -r "$PUSHDOWN_DIR/re3_fresh" "$PUSHDOWN_DIR/re3_serial"
+grep -q '"extended_runs": *1' "$PUSHDOWN_DIR/re3_fig8.jsonl" \
+    || { echo "no traced miss extended its source entry"; exit 1; }
+perfbase explain -q "$PUSHDOWN_DIR/fig8.xml" \
+    --trace "$PUSHDOWN_DIR/re3_fig8.jsonl" | grep -q "extended_runs=1" \
+    || { echo "explain --trace does not print extended_runs"; exit 1; }
+# deleting a matched run (run 3 is the first listless/ufs run) changes
+# the run sets: the cached re-runs are full misses, still identical
+perfbase delete -e b_eff_io -r 3 --dbdir "$PUSHDOWN_DIR/db"
+for q in fig8 stddev; do
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
+        -o "$PUSHDOWN_DIR/del_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
+        -o "$PUSHDOWN_DIR/del_par/$q" --dbdir "$PUSHDOWN_DIR/db"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
+        -o "$PUSHDOWN_DIR/del_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
+done
+for leg in del_serial del_par; do
+    diff -r "$PUSHDOWN_DIR/del_fresh" "$PUSHDOWN_DIR/$leg"
+done
 
 echo "== service: multi-tenant service battery (pytest -m service) =="
 python -m pytest -q -p no:randomly -m service tests

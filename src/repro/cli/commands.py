@@ -146,7 +146,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         session = qcache.session
         echo(f"query cache: {session['hits']} hit(s), "
              f"{session['misses']} miss(es), "
-             f"{session['stores']} store(s)")
+             f"{session['stores']} store(s), "
+             f"{session.extensions} extension(s)")
     outdir = args.output or "."
     for path in result.write_all(outdir):
         echo(f"wrote {path}")
@@ -720,6 +721,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         echo(f"  bytes          : {stat['bytes']}")
         echo(f"  rows           : {stat['rows']}")
         echo(f"  hits (total)   : {stat['hits_total']}")
+        echo(f"  extensions     : {stat['extensions']}")
         echo(f"  budget         : {stat['budget_bytes']} bytes")
         echo(f"  schema counter : {stat['schema_counter']}")
         if args.verbose:
@@ -727,6 +729,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 echo(f"  {entry.element:<20} [{entry.kind}] "
                      f"rows={entry.n_rows} bytes={entry.n_bytes} "
                      f"hits={entry.hits} schema={entry.schema_counter} "
+                     f"runs={entry.n_runs} ext={entry.extensions} "
                      f"query={entry.query_name or '-'}")
     exp.close()
     return 0

@@ -57,6 +57,8 @@ class SpanTotals:
     #: query-cache outcomes (zero when the run was uncached)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: runs added by misses that extended a cached source entry
+    extended_runs: int = 0
 
     def annotation(self) -> str:
         """The EXPLAIN ANALYZE annotation of a plan node."""
@@ -77,6 +79,8 @@ class SpanTotals:
             else:
                 parts.append(f"cache={self.cache_hits}xHIT/"
                              f"{self.cache_misses}xMISS")
+        if self.extended_runs:
+            parts.append(f"extended_runs={self.extended_runs}")
         return "(" + " ".join(parts) + ")"
 
 
@@ -84,8 +88,8 @@ def rollup(spans: Iterable["Span"]
            ) -> dict[tuple[str, str], SpanTotals]:
     """Total ``spans`` per ``(kind, name)``.
 
-    Calls, wall and CPU time, rows and cache outcomes sum over the
-    group's spans; bytes sum each span's subtree.  An element is also
+    Calls, wall and CPU time, rows, cache outcomes and extended runs
+    sum over the group's spans; bytes sum each span's subtree.  An element is also
     credited with the ``node`` spans the parallel executor wrapped
     around its executions (attribute ``element``): their node number
     joins :attr:`SpanTotals.nodes`, and the bytes of their ``transfer``
@@ -128,6 +132,7 @@ def rollup(spans: Iterable["Span"]
             st.cache_hits += 1
         elif cache == "miss":
             st.cache_misses += 1
+            st.extended_runs += int(span.attributes.get("extended_runs", 0))
     for span in spans:
         if span.kind != "node":
             continue

@@ -128,11 +128,20 @@ class ParallelQueryExecutor:
             for node in self.cluster.nodes:
                 node.db.commit()
         plan = plan_cached_run(qcache, graph, experiment)
+        # extended sources store their new entry from the old one on
+        # the frontend before any worker reads the experiment database;
+        # one that cannot extend is scheduled as a full miss
+        extended: dict[str, DataVector] = {}
+        for name in plan.extends:
+            vector = plan.extend(graph.elements[name], experiment,
+                                 query.name)
+            if vector is not None:
+                extended[name] = vector
         # each unit is a group tail or a lone element; absorbed group
         # members never get scheduled
         units = (query.pushdown_plan(cache_active=qcache is not None)
                  if pushdown else PushdownPlan())
-        done = frozenset(plan.hits) | plan.skipped
+        done = frozenset(plan.hits) | plan.skipped | frozenset(extended)
         absorbed = frozenset(n for n in units.member_of
                              if units.absorbed(n))
 
@@ -159,6 +168,8 @@ class ParallelQueryExecutor:
         for name, entry in plan.hits.items():
             vectors[name] = plan.load(graph.elements[name], entry)
         stats.cache_hits += len(plan.hits)
+        vectors.update(extended)
+        stats.cache_misses += len(extended)
 
         # a unit becomes runnable when the inputs it reads from outside
         # itself are done

@@ -10,7 +10,8 @@ the same units with per-node databases.
 With a :class:`~repro.query.cache.QueryCache` the engine becomes
 *incremental*: every element's key is computed and probed before
 anything runs, cached subgraphs are pruned (a hit skips the element's
-exclusive ancestors), and misses run and are stored for the next run.
+exclusive ancestors), and misses run and are stored for the next run —
+a source whose run set grew by later runs only by reading those.
 See :mod:`repro.query.cache` for the key and invalidation scheme.
 """
 
@@ -153,7 +154,8 @@ class Query:
                                 elements=len(self.graph.elements)
                                 ) as root:
                     # hits are installed, skipped and absorbed elements
-                    # never run, everything else runs as a unit
+                    # never run, extended sources store their new entry
+                    # from the old one, everything else runs as a unit
                     plan = plan_cached_run(qcache, self.graph, experiment)
                     ctx.run_sets.update(plan.run_sets)
                     for element in self.graph.topological_order():
@@ -164,6 +166,12 @@ class Query:
                             ctx.vectors[name] = plan.load(
                                 element, plan.hits[name])
                             continue
+                        if name in plan.extends:
+                            vector = plan.extend(element, experiment,
+                                                 self.name)
+                            if vector is not None:
+                                ctx.vectors[name] = vector
+                                continue
                         miss = plan.is_miss(element)
                         vector = run_unit(ctx, self.graph, units, element,
                                           miss=miss, pushdown=pushdown)

@@ -60,12 +60,14 @@ from ..obs.tracer import maybe_span
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..db.backend import Database
     from .elements import QueryContext, QueryElement
     from .graph import QueryGraph
 
 __all__ = ["FusionError", "SelectFragment", "PushdownPlan",
            "plan_pushdown", "vector_fragment", "fuse_join",
-           "fuse_grouped", "materialise", "run_fused_group", "ORD_PREFIX"]
+           "fuse_grouped", "materialise", "insert_select",
+           "run_fused_group", "ORD_PREFIX"]
 
 
 class FusionError(QueryError):
@@ -239,6 +241,17 @@ def materialise(ctx: "QueryContext", frag: SelectFragment,
     table = ctx.temptables.new_table(
         element.name,
         [(c.name, sql_type(c.datatype)) for c in frag.columns])
+    n_rows = insert_select(ctx.db, table, frag)
+    return DataVector(ctx.db, table, list(frag.columns),
+                      from_source=frag.from_source,
+                      producer=element.name, n_rows=n_rows)
+
+
+def insert_select(db: "Database", table: str,
+                  frag: SelectFragment) -> int:
+    """Append ``frag``'s rows to ``table`` (whose columns are the
+    fragment's, in order) in the fragment's order; returns the row
+    count.  The one statement that materialises a fragment."""
     sel = ", ".join(f"s.{quote_identifier(c.name)}"
                     for c in frag.columns)
     sql = (f"INSERT INTO {quote_identifier(table)} "
@@ -246,10 +259,7 @@ def materialise(ctx: "QueryContext", frag: SelectFragment,
     if frag.order_names:
         sql += " ORDER BY " + ", ".join(
             f"s.{quote_identifier(n)}" for n in frag.order_names)
-    n_rows = ctx.db.execute(sql, frag.params)
-    return DataVector(ctx.db, table, list(frag.columns),
-                      from_source=frag.from_source,
-                      producer=element.name, n_rows=n_rows)
+    return db.execute(sql, frag.params)
 
 
 # =========================================================================

@@ -11,6 +11,7 @@ import pytest
 
 from repro import Parameter, RunData
 from repro.core import DataType, Occurrence
+from repro.core.datatypes import sql_type
 from repro.obs import InMemorySink, Tracer, use_tracer
 from repro.query import (DEFAULT_BUDGET_BYTES, Combiner, Operator,
                          Output, ParameterSpec, Query, QueryCache,
@@ -356,24 +357,41 @@ class TestObservability:
     def test_entries_record_their_keys_and_payload_size(self, exp,
                                                        cache):
         """Each entry sits under its element's planned key, and
-        ``n_bytes`` is the serialised payload size: the column header's
-        JSON plus one compact JSON line (and newline) per row."""
+        ``n_bytes`` is sized from the column types and the row count:
+        the column header's compact JSON plus, per row, 8 bytes per
+        INTEGER or REAL column and 24 per TEXT column."""
         build_query().execute(exp, cache=cache)
         keys = plan_cached_run(cache, build_query().graph, exp).keys
         entries = cache.entries()
         assert {e.element: e.key for e in entries} == \
             {name: keys[name] for name in ("s1", "s2", "a1", "a2", "c")}
+        # one more entry with INTEGER, TEXT and REAL columns
+        Query([Source("typed", parameters=[ParameterSpec("S_chunk"),
+                                           ParameterSpec("access")],
+                      results=["bw"]),
+               Output("o", inputs=["typed"], format="csv")],
+              name="typed").execute(exp, cache=cache)
+        entries = cache.entries()
+        assert {e.element for e in entries} == \
+            {"s1", "s2", "a1", "a2", "c", "typed"}
+        widths = {"INTEGER": 8, "REAL": 8, "TEXT": 24}
         for entry in entries:
             vector = cache.load(entry)
             header = json.dumps(
                 {"columns": columns_to_json(vector.columns),
                  "from_source": vector.from_source},
                 sort_keys=True, separators=(",", ":"), default=str)
-            lines = [json.dumps(list(row), separators=(",", ":"),
-                                default=str) for row in vector.rows()]
-            assert entry.n_rows == len(lines) > 0
-            assert entry.n_bytes == len(header) + sum(
-                len(line) + 1 for line in lines)
+            width = sum(widths[sql_type(c.datatype)]
+                        for c in vector.columns)
+            assert entry.n_rows == len(vector.rows()) > 0
+            assert entry.n_bytes == len(header) + entry.n_rows * width
+        typed = next(e for e in entries if e.element == "typed")
+        assert [sql_type(c.datatype) for c in typed.columns] == \
+            ["INTEGER", "TEXT", "REAL"]
+        assert typed.n_bytes == len(json.dumps(
+            {"columns": columns_to_json(typed.columns),
+             "from_source": True},
+            sort_keys=True, separators=(",", ":"))) + typed.n_rows * 40
 
 
 class TestArtifactErrors:
