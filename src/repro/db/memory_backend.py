@@ -31,11 +31,15 @@ read only its columns, hash-joins the surviving positions on the ON
 equalities, filters the joined rows by the remaining conjuncts, and
 then groups, orders, projects and limits by reading columns through
 those positions.  A named table joined on its primary key alone is
-probed by key instead of filtered and hashed.  UPDATE and DELETE select
-their rows with the same WHERE evaluation.  ``INSERT .. VALUES`` runs
-over a batch of parameter rows (``execute`` is a batch of one): the
-VALUES compile once, and a batch that lands after the table's last row
-is appended a column at a time.
+probed by key instead of filtered and hashed.  A SELECT compiles into a
+plan that holds no table and runs over the tables it is handed: the
+operands of a ``UNION ALL`` that differ only in table names and ``?``
+positions share one plan, kept on the parsed compound, so a query
+source's N-run compound compiles once per statement text.  UPDATE and
+DELETE select their rows with the same WHERE evaluation.  ``INSERT ..
+VALUES`` runs over a batch of parameter rows (``execute`` is a batch of
+one): the VALUES compile once, and a batch that lands after the table's
+last row is appended a column at a time.
 
 Semantics deliberately mirror SQLite so the differential harness
 (:mod:`repro.testing.differential`) can assert *byte-identical* results
@@ -82,6 +86,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
+from ..obs.metrics import count
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
 from .sqlite_backend import _sql_summary, count_statement
@@ -580,10 +585,17 @@ class _Select(_Statement):
 
 
 class _Compound(_Statement):
-    __slots__ = ("selects",)
+    """A ``UNION ALL`` of SELECTs.  ``spans`` holds each operand's
+    first ``?`` index and ``?`` count; ``operands`` (filled on first
+    execution) each operand's shape, span and table names, and
+    ``plans`` the compiled operand plans by shape and table layouts."""
+    __slots__ = ("selects", "spans", "operands", "plans")
 
-    def __init__(self, selects):
+    def __init__(self, selects, spans):
         self.selects = selects
+        self.spans = spans
+        self.operands = None
+        self.plans: dict = {}
 
 
 # =========================================================================
@@ -812,13 +824,17 @@ class _Parser:
         return _Delete(table, where)
 
     def select_compound(self):
+        starts = [self.n_params]
         selects = [self.select()]
         while self.accept_kw("UNION"):
             self.expect_kw("ALL")  # plain UNION is not emitted
+            starts.append(self.n_params)
             selects.append(self.select())
         if len(selects) == 1:
             return selects[0]
-        return _Compound(selects)
+        ends = starts[1:] + [self.n_params]
+        return _Compound(selects, [(first, end - first)
+                                   for first, end in zip(starts, ends)])
 
     def select(self):
         self.expect_kw("SELECT")
@@ -1053,7 +1069,9 @@ def _parse(sql: str):
         with _PARSE_LOCK:
             if len(_PARSE_CACHE) > 4096:
                 _PARSE_CACHE.clear()
-            _PARSE_CACHE[sql] = stmt
+            # threads that parsed one text at once share the first
+            # parse, and with it the plans kept on it
+            stmt = _PARSE_CACHE.setdefault(sql, stmt)
     return stmt
 
 
@@ -1096,28 +1114,34 @@ _ONE_ROW = _Frame(1, [])
 
 class _Scope:
     """Name resolution over a statement's sources, ``(k, table, alias)``
-    triples with ``k`` the source's slot in the frame.  ``used``
+    triples with ``k`` the source's slot in the frame.  Only the
+    tables' names and columns are read: compiled code reads cells from
+    the tables in ``env`` when it runs.  ``base`` is the index of the
+    statement's first ``?`` in the parameters it is handed.  ``used``
     collects the ``(k, column)`` pairs compiled since it was reset,
     which routes each WHERE conjunct to the sources it reads."""
 
-    __slots__ = ("sources", "aggs", "used")
+    __slots__ = ("sources", "base", "aggs", "used")
 
-    def __init__(self, sources: list[tuple[int, "_Table", str | None]]):
+    def __init__(self, sources: list[tuple[int, "_Table", str | None]],
+                 base: int = 0):
         self.sources = sources
+        self.base = base
         self.aggs: list[tuple[str, Any]] = []   # (name, arg_fn | None)
         self.used: set[tuple[int, str]] = set()
 
     def lookup(self, qualifier, name):
-        """``(k, values)`` of a column reference, or ``None`` when no
-        source of this scope matches it."""
+        """``(k, column)`` of a column reference (``column`` ``None``
+        for the rowid), or ``None`` when no source of this scope
+        matches it."""
         for k, table, alias in self.sources:
             if qualifier is not None and qualifier != alias \
                     and qualifier != table.name:
                 continue
             if name in table.cols:
-                return k, table.cols[name]
+                return k, name
             if name == "rowid":
-                return k, table.rowids
+                return k, None
             if qualifier is not None:
                 raise DatabaseError(f"no such column: {qualifier}.{name}")
         return None
@@ -1135,7 +1159,7 @@ class _Scope:
     def star(self, qualifier) -> list:
         """Compiled reads of every column of the sources ``qualifier``
         names (all sources for a bare ``*``)."""
-        fns = [_reader(k, table.cols[name])
+        fns = [_reader(k, name)
                for k, table, alias in self.sources
                if qualifier in (None, alias, table.name)
                for name in table.columns]
@@ -1146,12 +1170,15 @@ class _Scope:
         return fns
 
 
-def _reader(k: int, values: list):
-    """Read column ``values`` of source ``k`` at the frame's rows."""
+def _reader(k: int, name: str | None):
+    """Read column ``name`` (the rowids for ``None``) of source ``k``
+    at the frame's rows, from the table ``env`` holds in slot ``k``."""
     def read(frame, env):
         pos = frame.pos
         if pos is None:
             return [None] * frame.n
+        table = env[2][k]
+        values = table.rowids if name is None else table.cols[name]
         rows = pos[k]
         if type(rows) is range:
             return values[rows.start:rows.stop]
@@ -1179,14 +1206,16 @@ def _pairwise(fn, left, right):
 
 def _compile(node, scope: _Scope, allow_agg: bool = False):
     """Compile an expression AST into ``f(frame, env) -> column``: one
-    value per row of ``frame``.  ``env`` is ``(params, aggregates)``,
-    the latter one value column per aggregate of ``scope.aggs``."""
+    value per row of ``frame``.  ``env`` is ``(params, aggregates,
+    tables)``: the parameters from the scope's first ``?`` on, one value
+    column per aggregate of ``scope.aggs``, and the table of each
+    source slot."""
     kind = node[0]
     if kind == "lit":
         value = node[1]
         return lambda frame, env: [value] * frame.n
     if kind == "param":
-        index = node[1]
+        index = node[1] - scope.base
         return lambda frame, env: [env[0][index]] * frame.n
     if kind == "col":
         return scope.column(node[1], node[2])
@@ -1414,8 +1443,8 @@ def _compile_values(exprs: list):
             fns.append(lambda rows, value=node[1]: [value] * len(rows))
         else:
             fn = _value(node, _Scope([]))
-            fns.append(lambda rows, fn=fn: [fn(_ONE_ROW, (row, None))[0]
-                                            for row in rows])
+            fns.append(lambda rows, fn=fn: [
+                fn(_ONE_ROW, (row, None, ()))[0] for row in rows])
     return lambda rows: [fn(rows) for fn in fns]
 
 
@@ -1467,6 +1496,12 @@ class _Table:
 
     def __len__(self) -> int:
         return len(self.rowids)
+
+    @property
+    def layout(self) -> tuple:
+        """What a compiled plan reading this table depends on: the
+        column names, in order, and the primary key."""
+        return (tuple(self.columns), self.primary_key)
 
     @property
     def next_rowid(self) -> int:
@@ -1604,6 +1639,283 @@ class _Table:
         table.rowids = list(range(1, n + 1))
         return table
 
+
+# =========================================================================
+# SELECT plans
+# =========================================================================
+
+def _refs(stmt: _Select) -> list[tuple[Any, str | None]]:
+    """``(table name or subquery, alias)`` of FROM and each JOIN."""
+    if stmt.source is None:
+        return []
+    return [stmt.source] + [(ref, alias) for ref, alias, _on in stmt.joins]
+
+
+def _table_names(stmt: _Select) -> list[str]:
+    """The distinct tables ``stmt`` and its derived SELECTs read, in
+    order of first appearance: the tables a plan of ``stmt`` runs over
+    (a derived ``UNION ALL`` finds its own)."""
+    names: list[str] = []
+    for ref, _alias in _refs(stmt):
+        inner = ([ref] if isinstance(ref, str)
+                 else _table_names(ref) if isinstance(ref, _Select)
+                 else [])
+        names.extend(name for name in inner if name not in names)
+    return names
+
+
+def _derived(alias: str, names: list[str], result) -> "_Table":
+    n, columns = result
+    return _Table.derived(alias, names, columns, n)
+
+
+class _Plan:
+    """A compiled SELECT: its sources, the WHERE tests routed to one
+    source (``local``) or run on the joined rows (``post``), the join
+    keys and the joins that probe a primary key, the select items,
+    GROUP BY, the aggregates, ORDER BY, LIMIT and DISTINCT.
+
+    A plan holds no table.  It reads the tables it is run over, one per
+    name of :func:`_table_names`, and the parameters from its first
+    ``?`` on, so the operands of a ``UNION ALL`` that differ only in
+    table names and ``?`` positions run one plan.  It is never changed
+    after :meth:`compile`."""
+
+    __slots__ = ("sources", "local", "post", "joins", "probed", "items",
+                 "group", "aggs", "order", "limit", "distinct")
+
+    @classmethod
+    def compile(cls, stmt: _Select, names: list[str],
+                tables: list["_Table"], base: int) -> "_Plan":
+        """Compile ``stmt`` against the layouts of ``tables``, the
+        tables of ``names``, with its ``?`` counted from index ``base``.
+        A derived SELECT compiles into the plan; a derived ``UNION
+        ALL`` runs through :meth:`MemoryDatabase._compound`, with the
+        parameters of the whole statement (``base`` is then 0)."""
+        slots = {name: i for i, name in enumerate(names)}
+        entries: list[tuple[int, _Table, str | None]] = []
+        sources = []
+        for k, (ref, alias) in enumerate(_refs(stmt)):
+            if isinstance(ref, str):
+                index = slots[ref]
+                entries.append((k, tables[index], alias))
+                sources.append(
+                    lambda db, tables, params, index=index: tables[index])
+                continue
+            columns = _derived_names(ref)
+            entries.append((k, _Table.derived(
+                alias, columns, [[] for _ in columns], 0), alias))
+            if isinstance(ref, _Compound):
+                sources.append(
+                    lambda db, tables, params, ref=ref, alias=alias,
+                    columns=columns: _derived(
+                        alias, columns, db._compound(ref, params)))
+            else:
+                inner = cls.compile(ref, names, tables, base)
+                sources.append(
+                    lambda db, tables, params, inner=inner, alias=alias,
+                    columns=columns: _derived(
+                        alias, columns, inner.run(db, tables, params)))
+        scope = _Scope(entries, base)
+
+        plan = cls()
+        plan.sources = sources
+        plan.local = [[] for _ in entries]
+        plan.post = []
+        single_column = True
+        for test, used in _tests(stmt.where, scope):
+            read = {k for k, _name in used}
+            if len(read) == 1:
+                plan.local[read.pop()].append(test)
+            else:
+                plan.post.append(test)
+            single_column = single_column and len(used) <= 1
+        joins = [_join_keys(on, entries, k)
+                 for k, (_ref, _alias, on) in enumerate(stmt.joins, 1)]
+        plan.joins = [(left, right) for left, right, _names in joins]
+        plan.probed = {
+            k for k, (ref, _alias, _on) in enumerate(stmt.joins, 1)
+            if isinstance(ref, str)
+            and joins[k - 1][2] == [entries[k][1].primary_key]}
+        plan.items = []
+        for item in stmt.items:
+            if item[0] == "star":
+                plan.items.extend(scope.star(item[1]))
+            else:
+                plan.items.append(_value(item[1], scope, allow_agg=True))
+        plan.group = [_compile(term, scope) for term in stmt.group]
+        plan.order = [(_compile(term, scope, allow_agg=True), desc)
+                      for term, desc in stmt.order]
+        if stmt.group and (stmt.joins or not single_column or any(
+                term[0] != "col" for term in stmt.group) or not all(
+                _groupable(item) for item in stmt.items)):
+            raise DatabaseError(
+                "GROUP BY is supported only over plain columns of one "
+                "table, with single-column filters and plain or "
+                "aggregated columns selected")
+        plan.aggs = scope.aggs
+        plan.limit = (None if stmt.limit is None
+                      else _compile(stmt.limit, _Scope([], base)))
+        plan.distinct = stmt.distinct
+        return plan
+
+    def run(self, db: "MemoryDatabase", tables: list["_Table"],
+            params) -> tuple[int, list[list]]:
+        """Evaluate the plan over ``tables`` and ``params`` into its row
+        count and output columns.
+
+        Each source is first narrowed by the WHERE conjuncts that read
+        only its columns; the equality hash join then pairs the
+        surviving positions left to right, the remaining conjuncts
+        filter the joined rows, and grouping, ordering, projection,
+        DISTINCT and LIMIT read columns through those positions.  A
+        named table joined on its primary key alone is not scanned:
+        each left row probes the key, and the table's own conjuncts
+        filter the matched rows only."""
+        slots = [source(db, tables, params) for source in self.sources]
+        width = len(slots)
+        env = (params, None, slots)
+        limit = None
+        if self.limit is not None:
+            value = self.limit(_ONE_ROW, env)[0]
+            if value is not None and int(value) >= 0:
+                limit = int(value)
+
+        # -- filter and join --------------------------------------------
+        rows = [None if k in self.probed else
+                _where(_Frame.of_source(width, k, range(len(table))),
+                       self.local[k], env).pos[k]
+                for k, table in enumerate(slots)]
+        frame = _Frame.of_source(width, 0, rows[0]) if rows else _ONE_ROW
+        for k, (left_keys, right_keys) in enumerate(self.joins, 1):
+            if k in self.probed:
+                left_rows, right_rows = _pk_join(
+                    slots[k], left_keys[0](frame, env))
+                frame = frame.take(left_rows)
+                frame.pos[k] = right_rows
+                frame = _where(frame, self.local[k], env)
+                continue
+            right = _Frame.of_source(width, k, rows[k])
+            left_rows, right_rows = _hash_join(
+                [fn(frame, env) for fn in left_keys],
+                [fn(right, env) for fn in right_keys])
+            frame = frame.take(left_rows)
+            frame.pos[k] = [rows[k][j] for j in right_rows]
+        frame = _where(frame, self.post, env)
+
+        # -- aggregate ----------------------------------------------------
+        if self.group or self.aggs:
+            if self.group:
+                groups = _groups(frame, self.group, env)
+                first = frame.take([g[0] for g in groups])
+            else:
+                groups = [range(frame.n)]
+                first = frame.take([0]) if frame.n else _Frame(1, None)
+            aggregates = []
+            for name, arg in self.aggs:
+                if arg is None:
+                    aggregates.append([len(g) for g in groups])
+                else:
+                    values = arg(frame, env)
+                    aggregates.append([
+                        _aggregate(name, [values[i] for i in g])
+                        for g in groups])
+            frame, env = first, (params, aggregates, slots)
+
+        # -- order, limit, project ----------------------------------------
+        picked = None
+        if self.order:
+            picked = list(range(frame.n))
+            for fn, desc in reversed(self.order):
+                _sort_order(fn(frame, env), picked, desc)
+        if limit is not None and not self.distinct and limit < frame.n:
+            picked = (list(range(frame.n)) if picked is None
+                      else picked)[:limit]
+        if picked is not None:
+            frame = frame.take(picked)
+            if env[1]:
+                env = (params, [[column[i] for i in picked]
+                                for column in env[1]], slots)
+        columns = [fn(frame, env) for fn in self.items]
+        n = frame.n
+        if self.distinct:
+            seen: set = set()
+            keep = []
+            for i, row in enumerate(zip(*columns)):
+                if row not in seen:
+                    seen.add(row)
+                    keep.append(i)
+            if limit is not None:
+                keep = keep[:limit]
+            if len(keep) < n:
+                columns = [[column[i] for i in keep] for column in columns]
+                n = len(keep)
+        return n, columns
+
+
+def _operand_shape(select: _Select, first: int, names: list[str]):
+    """The key under which operands of one ``UNION ALL`` share a plan:
+    ``select``'s AST with each table name, in FROM and JOIN and in
+    qualifiers alike, replaced by its index in ``names``, literals
+    keyed with their type and ``?`` numbered from ``first``.  ``None``
+    for an operand that compiles on its own: one with a derived ``UNION
+    ALL`` (whose operands share plans of their own), or with an alias
+    that is also a table name, which could resolve a qualifier to a
+    different source in another operand of the same key."""
+    slots = {name: i for i, name in enumerate(names)}
+
+    def shareable(s) -> bool:
+        return all(alias not in slots and (
+            isinstance(ref, str)
+            or isinstance(ref, _Select) and shareable(ref))
+            for ref, alias in _refs(s))
+
+    def name(qualifier):
+        index = slots.get(qualifier)
+        return qualifier if index is None else ("table", index)
+
+    def expr(node):
+        if type(node) is list:
+            return tuple(map(expr, node))
+        if type(node) is not tuple:
+            return node
+        kind = node[0]
+        if kind == "lit":
+            return ("lit", type(node[1]), node[1])
+        if kind == "param":
+            return ("param", node[1] - first)
+        if kind == "col":
+            return ("col", name(node[1]), node[2])
+        return (kind, *map(expr, node[1:]))
+
+    def key(s) -> tuple:
+        return (s.distinct,
+                tuple(("star", name(item[1])) if item[0] == "star"
+                      else ("expr", expr(item[1]), item[2])
+                      for item in s.items),
+                tuple((name(ref) if isinstance(ref, str) else key(ref),
+                       alias) for ref, alias in _refs(s)),
+                tuple(expr(on) for _ref, _alias, on in s.joins),
+                expr(s.where), expr(s.group),
+                tuple((expr(term), desc) for term, desc in s.order),
+                expr(s.limit))
+
+    return key(select) if shareable(select) else None
+
+
+def _operands(stmt: _Compound) -> list[tuple]:
+    """``(shape, first ?, ? count, table names)`` of each operand of
+    ``stmt``, the shape a small integer equal for operands of equal
+    :func:`_operand_shape` (``None`` where that is ``None``)."""
+    shapes: dict[tuple, int] = {}
+    operands = []
+    for select, (first, n_params) in zip(stmt.selects, stmt.spans):
+        names = _table_names(select)
+        shape = _operand_shape(select, first, names)
+        if shape is not None:
+            shape = shapes.setdefault(shape, len(shapes))
+        operands.append((shape, first, n_params, names))
+    return operands
 
 
 # =========================================================================
@@ -1812,10 +2124,10 @@ class MemoryDatabase(Database):
             return None
         raise DatabaseError(f"unsupported statement [sql: {sql}]")
 
-    def _table(self, name: str, sql: str) -> _Table:
+    def _table(self, name: str) -> _Table:
         table = self._tables.get(name)
         if table is None:
-            raise DatabaseError(f"no such table: {name} [sql: {sql}]")
+            raise DatabaseError(f"no such table: {name}")
         return table
 
     # -- DDL --------------------------------------------------------------
@@ -1842,7 +2154,7 @@ class MemoryDatabase(Database):
         self._record(lambda: self._tables.__setitem__(name, table))
 
     def _exec_alter(self, stmt: _AlterTable, sql: str) -> None:
-        table = self._table(stmt.table, sql)
+        table = self._table(stmt.table)
         if stmt.action == "add":
             if stmt.column in table.cols:
                 raise DatabaseError(
@@ -1901,7 +2213,8 @@ class MemoryDatabase(Database):
             updates = [
                 (column, _store_value(
                     table.affinities[column],
-                    _compile(expr, scope)(frame, (params, None))[0]))
+                    _compile(expr, scope)(
+                        frame, (params, None, (table, excluded)))[0]))
                 for column, expr in conflict_sets]
             undo: list[tuple[str, Any]] = []
             for column, value in updates:
@@ -1939,7 +2252,7 @@ class MemoryDatabase(Database):
         other goes row by row, in order, so the rows before a failing
         one stay stored as on SQLite."""
         self._begin_implicit()
-        table = self._table(stmt.table, sql)
+        table = self._table(stmt.table)
         names = stmt.columns or table.columns
         if len(stmt.values) != len(names):
             raise DatabaseError(
@@ -1970,7 +2283,7 @@ class MemoryDatabase(Database):
         query engine's temp and cache tables, so a primary-key or
         ``ON CONFLICT`` target is unsupported."""
         self._begin_implicit()
-        table = self._table(stmt.table, sql)
+        table = self._table(stmt.table)
         if table.primary_key is not None or stmt.conflict_key is not None:
             raise DatabaseError(
                 "INSERT .. SELECT into a table with a primary key is "
@@ -1994,25 +2307,26 @@ class MemoryDatabase(Database):
 
     def _matching(self, table: _Table, where, params):
         """The positions of ``table``'s rows an UPDATE or DELETE
-        ``WHERE`` selects, and the scope its expressions compile in."""
+        ``WHERE`` selects, the scope its expressions compile in and the
+        environment they run in."""
         scope = _Scope([(0, table, None)])
         tests = [test for test, _used in _tests(where, scope)]
+        env = (params, None, (table,))
         frame = _where(_Frame.of_source(1, 0, range(len(table))), tests,
-                       (params, None))
-        return frame, scope
+                       env)
+        return frame, scope, env
 
     def _exec_update(self, stmt: _Update, params, sql: str) -> None:
         self._begin_implicit()
-        table = self._table(stmt.table, sql)
-        frame, scope = self._matching(table, stmt.where, params)
+        table = self._table(stmt.table)
+        frame, scope, env = self._matching(table, stmt.where, params)
         rows = frame.pos[0]
         # every SET expression reads the old row
         updates = []
         for column, expr in stmt.sets:
             if column not in table.cols:
                 raise DatabaseError(f"no such column: {column}")
-            updates.append((column, _compile(expr, scope)(
-                frame, (params, None))))
+            updates.append((column, _compile(expr, scope)(frame, env)))
         undo: list[tuple[str, list]] = []
         for column, values in updates:
             cells = table.cols[column]
@@ -2034,8 +2348,8 @@ class MemoryDatabase(Database):
 
     def _exec_delete(self, stmt: _Delete, params, sql: str) -> None:
         self._begin_implicit()
-        table = self._table(stmt.table, sql)
-        frame, _scope = self._matching(table, stmt.where, params)
+        table = self._table(stmt.table)
+        frame, _scope, _env = self._matching(table, stmt.where, params)
         removed = [(p, *table.remove_position(p))
                    for p in reversed(frame.pos[0])]
         self._last_rowcount += len(removed)
@@ -2047,164 +2361,59 @@ class MemoryDatabase(Database):
 
     # -- SELECT ------------------------------------------------------------
 
-    def _source(self, ref, alias, params) -> _Table:
-        """A FROM/JOIN entry: a named table, or a derived table
-        evaluated into an anonymous :class:`_Table`."""
-        if isinstance(ref, str):
-            table = self._tables.get(ref)
-            if table is None:
-                raise DatabaseError(f"no such table: {ref}")
-            return table
-        n, columns = self._select(ref, params)
-        return _Table.derived(alias, _derived_names(ref), columns, n)
-
     def _exec_select(self, stmt, params) -> list[tuple]:
         n, columns = self._select(stmt, params)
         return list(zip(*columns)) if columns else [()] * n
 
     def _select(self, stmt, params) -> tuple[int, list[list]]:
-        """Evaluate a SELECT into its row count and output columns.
-
-        Each source is first narrowed by the WHERE conjuncts that read
-        only its columns; the equality hash join then pairs the
-        surviving positions left to right, the remaining conjuncts
-        filter the joined rows, and grouping, ordering, projection,
-        DISTINCT and LIMIT read columns through those positions.  A
-        named table joined on its primary key alone is not scanned:
-        each left row probes the key, and the table's own conjuncts
-        filter the matched rows only."""
+        """Evaluate a SELECT or ``UNION ALL`` into its row count and
+        output columns.  A SELECT outside a compound compiles on every
+        execution: caching its plan would keep one per statement text,
+        and the per-run statements perfbase emits are many."""
         if isinstance(stmt, _Compound):
-            parts = [self._select(select, params)
-                     for select in stmt.selects]
-            width = len(parts[0][1])
-            if any(len(columns) != width for _n, columns in parts):
-                raise DatabaseError(
-                    "SELECTs to the left and right of UNION ALL do not "
-                    "have the same number of result columns")
-            return (sum(n for n, _columns in parts),
-                    [list(itertools.chain.from_iterable(
-                        columns[j] for _n, columns in parts))
-                     for j in range(width)])
+            return self._compound(stmt, params)
+        names = _table_names(stmt)
+        tables = [self._table(name) for name in names]
+        return _Plan.compile(stmt, names, tables, 0).run(self, tables,
+                                                         params)
 
-        entries = []
-        if stmt.source is not None:
-            ref, alias = stmt.source
-            entries.append((0, self._source(ref, alias, params), alias))
-        for ref, alias, _on in stmt.joins:
-            entries.append((len(entries), self._source(ref, alias, params),
-                            alias))
-        scope = _Scope(entries)
-        width = len(entries)
-
-        # -- compile ----------------------------------------------------
-        local: list[list] = [[] for _ in entries]
-        post = []
-        single_column = True
-        for test, used in _tests(stmt.where, scope):
-            read = {k for k, _name in used}
-            if len(read) == 1:
-                local[read.pop()].append(test)
-            else:
-                post.append(test)
-            single_column = single_column and len(used) <= 1
-        joins = [_join_keys(on, entries, k)
-                 for k, (_ref, _alias, on) in enumerate(stmt.joins, 1)]
-        probed = {k for k, (ref, _alias, _on) in enumerate(stmt.joins, 1)
-                  if isinstance(ref, str)
-                  and joins[k - 1][2] == [entries[k][1].primary_key]}
-        items = []
-        for item in stmt.items:
-            if item[0] == "star":
-                items.extend(scope.star(item[1]))
-            else:
-                items.append(_value(item[1], scope, allow_agg=True))
-        group = [_compile(term, scope) for term in stmt.group]
-        order = [(_compile(term, scope, allow_agg=True), desc)
-                 for term, desc in stmt.order]
-        if stmt.group and (stmt.joins or not single_column or any(
-                term[0] != "col" for term in stmt.group) or not all(
-                _groupable(item) for item in stmt.items)):
-            raise DatabaseError(
-                "GROUP BY is supported only over plain columns of one "
-                "table, with single-column filters and plain or "
-                "aggregated columns selected")
-        env = (params, None)
-        limit = None
-        if stmt.limit is not None:
-            value = _compile(stmt.limit, _Scope([]))(_ONE_ROW, env)[0]
-            if value is not None and int(value) >= 0:
-                limit = int(value)
-
-        # -- filter and join --------------------------------------------
-        rows = [None if k in probed else
-                _where(_Frame.of_source(width, k, range(len(table))),
-                       local[k], env).pos[k]
-                for k, table, _alias in entries]
-        frame = _Frame.of_source(width, 0, rows[0]) if rows else _ONE_ROW
-        for k, (left_keys, right_keys, _names) in enumerate(joins, 1):
-            if k in probed:
-                left_rows, right_rows = _pk_join(
-                    entries[k][1], left_keys[0](frame, env))
-                frame = frame.take(left_rows)
-                frame.pos[k] = right_rows
-                frame = _where(frame, local[k], env)
+    def _compound(self, stmt: _Compound, params) -> tuple[int, list[list]]:
+        """Evaluate a ``UNION ALL``: each operand runs the plan stored
+        on ``stmt`` under the operand's shape and its tables' layouts,
+        compiled by the first operand with that key.  A query source's
+        operands differ only in the run table they read, so its
+        compound compiles once per statement text and layout."""
+        operands = stmt.operands
+        if operands is None:
+            operands = stmt.operands = _operands(stmt)
+        parts = []
+        for select, (shape, first, n_params, names) in zip(
+                stmt.selects, operands):
+            if shape is None:
+                parts.append(self._select(select, params))
                 continue
-            right = _Frame.of_source(width, k, rows[k])
-            left_rows, right_rows = _hash_join(
-                [fn(frame, env) for fn in left_keys],
-                [fn(right, env) for fn in right_keys])
-            frame = frame.take(left_rows)
-            frame.pos[k] = [rows[k][j] for j in right_rows]
-        frame = _where(frame, post, env)
-
-        # -- aggregate ----------------------------------------------------
-        if stmt.group or scope.aggs:
-            if stmt.group:
-                groups = _groups(frame, group, env)
-                first = frame.take([g[0] for g in groups])
-            else:
-                groups = [range(frame.n)]
-                first = frame.take([0]) if frame.n else _Frame(1, None)
-            aggregates = []
-            for name, arg in scope.aggs:
-                if arg is None:
-                    aggregates.append([len(g) for g in groups])
-                else:
-                    values = arg(frame, env)
-                    aggregates.append([
-                        _aggregate(name, [values[i] for i in g])
-                        for g in groups])
-            frame, env = first, (params, aggregates)
-
-        # -- order, limit, project ----------------------------------------
-        picked = None
-        if order:
-            picked = list(range(frame.n))
-            for fn, desc in reversed(order):
-                _sort_order(fn(frame, env), picked, desc)
-        if limit is not None and not stmt.distinct and limit < frame.n:
-            picked = (list(range(frame.n)) if picked is None
-                      else picked)[:limit]
-        if picked is not None:
-            frame = frame.take(picked)
-            if env[1]:
-                env = (params, [[column[i] for i in picked]
-                                for column in env[1]])
-        columns = [fn(frame, env) for fn in items]
-        n = frame.n
-        if stmt.distinct:
-            seen: set = set()
-            keep = []
-            for i, row in enumerate(zip(*columns)):
-                if row not in seen:
-                    seen.add(row)
-                    keep.append(i)
-            if limit is not None:
-                keep = keep[:limit]
-            if len(keep) < n:
-                columns = [[column[i] for i in keep] for column in columns]
-                n = len(keep)
-        return n, columns
+            tables = [self._table(name) for name in names]
+            key = (shape, *[table.layout for table in tables])
+            plan = stmt.plans.get(key)
+            if plan is None:
+                # parsed statements are shared by every database
+                with _PARSE_LOCK:
+                    plan = stmt.plans.get(key)
+                    if plan is None:
+                        plan = _Plan.compile(select, names, tables, first)
+                        stmt.plans[key] = plan
+                        count("db.plans_compiled")
+            parts.append(plan.run(self, tables,
+                                  params[first:first + n_params]))
+        width = len(parts[0][1])
+        if any(len(columns) != width for _n, columns in parts):
+            raise DatabaseError(
+                "SELECTs to the left and right of UNION ALL do not "
+                "have the same number of result columns")
+        return (sum(n for n, _columns in parts),
+                [list(itertools.chain.from_iterable(
+                    columns[j] for _n, columns in parts))
+                 for j in range(width)])
 
 
 def _derived_names(stmt) -> list[str]:

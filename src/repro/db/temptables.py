@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..core.errors import DatabaseError
 from ..obs.metrics import count
 from .backend import Database
 
@@ -37,16 +38,22 @@ class TempTableManager:
         Numbering restarts per manager so a re-executed query emits the
         exact same statement text — both backends then reuse cached
         parses/prepared statements instead of recompiling every run.
-        Leftovers from kept temp tables (or another live manager with
-        the same prefix) are skipped, not clobbered.
+        The table is created without a catalogue probe first: only a
+        name that is taken (a kept leftover, or another live manager
+        with the same prefix) costs a failed ``CREATE`` and moves on to
+        the next number.  No permanent table carries a temp-table
+        prefix, so a temp table never shadows one on SQLite.
         """
         safe = "".join(c if c.isalnum() else "_" for c in element_name)
         while True:
             name = f"{self.prefix}_{safe}_{self._next}"
             self._next += 1
-            if not self.db.table_exists(name):
+            try:
+                self.db.create_table(name, columns, temporary=True)
                 break
-        self.db.create_table(name, columns, temporary=True)
+            except DatabaseError as exc:
+                if "already exists" not in str(exc):
+                    raise
         self._tables.append(name)
         return name
 

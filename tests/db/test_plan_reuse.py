@@ -1,0 +1,325 @@
+"""Plan reuse of the columnar engine's ``UNION ALL`` operands.
+
+The operands of one compound that differ only in their table names and
+``?`` positions run one compiled plan, stored on the parsed statement
+under the operand's shape and its tables' layouts.  The exact counts of
+``db.plans_compiled`` pin that reuse; the differential cases (marked
+``diffdb``) pin that a shared plan answers every operand as SQLite
+does, where layouts, qualifiers, parameters or the schema differ.
+"""
+
+import pytest
+
+from repro import Experiment
+from repro.core.errors import DatabaseError
+from repro.db import MemoryDatabase, MemoryDatabaseServer, SQLiteDatabase
+from repro.db import memory_backend
+from repro.obs.metrics import REGISTRY
+from repro.parse import Importer
+from repro.workloads.beffio import generate_campaign
+from repro.workloads.beffio_assets import (experiment_xml, fig8_query_xml,
+                                           input_xml, stddev_query_xml)
+from repro.xmlio import (parse_experiment_xml, parse_input_xml,
+                         parse_query_xml)
+
+
+@pytest.fixture(autouse=True)
+def fresh_parses():
+    """Plans live on parsed statements: start every test unparsed."""
+    memory_backend._PARSE_CACHE.clear()
+    yield
+    memory_backend._PARSE_CACHE.clear()
+
+
+def compiled(fn, *args, **kwargs) -> int:
+    """How many operand plans ``fn(*args, **kwargs)`` compiled."""
+    before = REGISTRY.values().get("db.plans_compiled", 0)
+    fn(*args, **kwargs)
+    return REGISTRY.values().get("db.plans_compiled", 0) - before
+
+
+def run_tables(db, n: int, extra: range = range(0)) -> None:
+    """``n`` run-like tables ``r0 .. r{n-1}`` of three rows each; the
+    tables numbered in ``extra`` get one more column."""
+    for i in range(n):
+        db.create_table(f"r{i}", [("dataset_index", "INTEGER"),
+                                  ("x", "REAL")],
+                        primary_key="dataset_index")
+        db.insert_rows(f"r{i}", ["dataset_index", "x"],
+                       [(d, i + d / 4) for d in range(3)])
+        if i in extra:
+            db.execute(f"ALTER TABLE r{i} ADD COLUMN y INTEGER")
+    db.commit()
+
+
+def union(n: int) -> tuple[str, list]:
+    """A source-like compound over ``r0 .. r{n-1}``: the run position
+    bound, data-set values from the run's own table."""
+    sql = " UNION ALL ".join(
+        f'SELECT ? AS "run", "x" AS "x" FROM "r{i}" WHERE "x" > ?'
+        for i in range(n))
+    params = [value for i in range(n) for value in (i, i + 0.3)]
+    return sql, params
+
+
+class TestPlanCounts:
+    def test_200_operands_compile_one_plan_once(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 200)
+        db.execute('CREATE TEMPORARY TABLE out ("run" INTEGER, "x" REAL)')
+        sql, params = union(200)
+        insert = f"INSERT INTO out {sql}"
+        assert compiled(db.execute, insert, params) == 1
+        assert compiled(db.execute, insert, params) == 0
+        assert db.fetchall("SELECT run, x FROM out") == [
+            (i, i + 0.5) for i in range(200)] * 2
+
+    def test_two_layouts_compile_two_plans(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 10, extra=range(0, 10, 2))
+        sql, params = union(10)
+        assert compiled(db.fetchall, sql, params) == 2
+        assert compiled(db.fetchall, sql, params) == 0
+
+    def test_statement_outside_a_compound_stores_no_plan(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 1)
+        assert compiled(db.fetchall, 'SELECT x FROM "r0"') == 0
+
+    def test_relayout_compiles_again(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 4)
+        sql, params = union(4)
+        assert compiled(db.fetchall, sql, params) == 1
+        db.execute('ALTER TABLE "r2" ADD COLUMN z TEXT')
+        assert compiled(db.fetchall, sql, params) == 1
+        assert compiled(db.fetchall, sql, params) == 0
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """An 800-run b_eff_io experiment on the columnar engine."""
+    directory = tmp_path_factory.mktemp("campaign")
+    paths = []
+    for name, content in generate_campaign(
+            techniques=("listbased", "listless"), filesystems=("ufs", "nfs"),
+            proc_counts=(4, 8, 16, 32), repetitions=50, seed=1):
+        path = directory / name
+        path.write_text(content)
+        paths.append(str(path))
+    definition = parse_experiment_xml(experiment_xml())
+    experiment = Experiment.create(MemoryDatabaseServer(), definition.name,
+                                   list(definition.variables),
+                                   definition.info)
+    importer = Importer(experiment, parse_input_xml(input_xml()))
+    for i in range(0, len(paths), 8):
+        importer.import_files(paths[i:i + 8])
+    assert experiment.n_runs() == 800
+    yield experiment
+    experiment.close()
+
+
+class TestFusedQueries:
+    def test_rerun_fused_fig8_compiles_no_plan(self, campaign):
+        query = parse_query_xml(fig8_query_xml("read", "ufs"))
+        first = query.execute(campaign, pushdown=True)
+        # one plan per compound: the two 200-run sources of fig8
+        assert compiled(query.execute, campaign, pushdown=True) == 0
+        memory_backend._PARSE_CACHE.clear()
+        assert compiled(query.execute, campaign, pushdown=True) == 2
+        again = query.execute(campaign, pushdown=True)
+        assert [(a.name, a.content) for a in again.artifacts] == [
+            (a.name, a.content) for a in first.artifacts]
+
+    def test_rerun_fused_stddev_compiles_no_plan(self, campaign):
+        query = parse_query_xml(stddev_query_xml("listless", "ufs"))
+        assert compiled(query.execute, campaign, pushdown=True) == 1
+        assert compiled(query.execute, campaign, pushdown=True) == 0
+
+
+# -- differential cases ------------------------------------------------------
+
+def _typed(rows):
+    return [tuple((type(c).__name__, c) for c in row) for row in rows]
+
+
+def _outcome(db, sql, params=()):
+    try:
+        return _typed(db.fetchall(sql, params))
+    except DatabaseError:
+        return "error"
+
+
+@pytest.fixture
+def dbs():
+    pair = (SQLiteDatabase(":memory:"), MemoryDatabase("plans"))
+    for db in pair:
+        for name in ("t1", "t2", "t3"):
+            db.create_table(name, [("k", "INTEGER"), ("x", "REAL"),
+                                   ("s", "TEXT")])
+        db.insert_rows("t1", ["k", "x", "s"],
+                       [(1, 1.5, "a"), (2, None, "b"), (3, 3.0, None)])
+        db.insert_rows("t2", ["k", "x", "s"],
+                       [(4, 0.5, "c"), (5, 5.0, "a"), (None, 2.5, "d")])
+        db.insert_rows("t3", ["k", "x", "s"], [(7, 7.25, "e")])
+        db.commit()
+    yield pair
+    for db in pair:
+        db.close()
+
+
+def same(dbs, sql, params=(), *, times: int = 2):
+    """Run ``sql`` ``times`` times on both backends: identical typed rows
+    or an error on both, every time.  Returns the SQLite outcome."""
+    sqlite, memory = dbs
+    for _ in range(times):
+        expected = _outcome(sqlite, sql, params)
+        assert _outcome(memory, sql, params) == expected, sql
+    return expected
+
+
+def each(dbs, sql: str) -> None:
+    for db in dbs:
+        db.execute(sql)
+        db.commit()
+
+
+@pytest.mark.diffdb
+class TestSharedPlanParity:
+    def test_operands_with_different_columns(self, dbs):
+        each(dbs, "ALTER TABLE t2 ADD COLUMN z INTEGER")
+        each(dbs, "UPDATE t2 SET z = k * 10")
+        assert same(dbs, "SELECT k, x FROM t1 UNION ALL SELECT k, x FROM t2 "
+                         "UNION ALL SELECT k, x FROM t3") != "error"
+        assert same(dbs, "SELECT * FROM t1 UNION ALL SELECT * FROM t3") \
+            != "error"
+        assert same(dbs, "SELECT * FROM t1 UNION ALL SELECT * FROM t2") \
+            == "error"
+        assert same(dbs, "SELECT z FROM t2 UNION ALL SELECT z FROM t1") \
+            == "error"
+        assert same(dbs, "SELECT z FROM t1 UNION ALL SELECT z FROM t2") \
+            == "error"
+        assert same(dbs, "SELECT rowid, s FROM t2 UNION ALL "
+                         "SELECT rowid, s FROM t1") != "error"
+
+    def test_columns_in_another_order(self, dbs):
+        for db in dbs:
+            db.create_table("u", [("s", "TEXT"), ("x", "REAL"),
+                                  ("k", "INTEGER")])
+            db.insert_rows("u", ["s", "x", "k"], [("u", 9.5, 9)])
+        assert same(dbs, "SELECT * FROM t1 UNION ALL SELECT * FROM u "
+                         "UNION ALL SELECT * FROM t3") != "error"
+        assert same(dbs, "SELECT k, s FROM t1 UNION ALL SELECT k, s FROM u"
+                    ) != "error"
+
+    def test_qualifier_naming_the_operands_own_table(self, dbs):
+        assert same(dbs, "SELECT t1.k, t1.s FROM t1 WHERE t1.x > 1.0 "
+                         "UNION ALL SELECT t2.k, t2.s FROM t2 "
+                         "WHERE t2.x > 1.0") != "error"
+        assert same(dbs, "SELECT a.k FROM t1 a UNION ALL "
+                         "SELECT a.k FROM t2 a") != "error"
+
+    def test_qualifier_naming_another_table(self, dbs):
+        assert same(dbs, "SELECT t1.k FROM t1 UNION ALL "
+                         "SELECT t1.k FROM t2") == "error"
+        assert same(dbs, "SELECT t2.k FROM t1 UNION ALL "
+                         "SELECT t2.k FROM t2") == "error"
+        assert same(dbs, "SELECT k FROM t1 UNION ALL "
+                         "SELECT k FROM t2 WHERE t1.x > 0") == "error"
+
+    def test_parameters_in_different_positions(self, dbs):
+        assert same(dbs,
+                    "SELECT ? AS c, k FROM t1 WHERE k IN (?, ?) "
+                    "UNION ALL SELECT ? AS c, k FROM t2 WHERE k IN (?, ?) "
+                    "UNION ALL SELECT k, ? AS c FROM t3 WHERE x > ?",
+                    ("p", 1, 3, "q", 5, 4, "r", 1.0)) != "error"
+        assert same(dbs,
+                    "SELECT k, ? AS c FROM t1 WHERE s IN (?) "
+                    "UNION ALL SELECT k, ? AS c FROM t2 WHERE s IN (?, ?)",
+                    (1, "a", 2.5, "a", "c")) != "error"
+        assert same(dbs,
+                    "SELECT d.k FROM (SELECT k AS k FROM t1 WHERE k > ? "
+                    "ORDER BY k LIMIT ?) d UNION ALL SELECT d.k FROM "
+                    "(SELECT k AS k FROM t2 WHERE k > ? ORDER BY k "
+                    "LIMIT ?) d", (0, 2, 0, 1)) != "error"
+
+    def test_derived_table_operands(self, dbs):
+        assert same(dbs,
+                    "SELECT d.s, d.n FROM (SELECT s AS s, k + 1 AS n "
+                    "FROM t1 WHERE x IS NOT NULL) d UNION ALL "
+                    "SELECT d.s, d.n FROM (SELECT s AS s, k + 1 AS n "
+                    "FROM t2 WHERE x IS NOT NULL) d") != "error"
+        assert same(dbs,
+                    "SELECT d.k, e.s FROM (SELECT k AS k FROM t1) d JOIN "
+                    "(SELECT k AS k, s AS s FROM t2) e ON d.k = e.k "
+                    "UNION ALL SELECT k, s FROM t3") != "error"
+        assert same(dbs,
+                    "SELECT d.k FROM (SELECT k AS k FROM t1 UNION ALL "
+                    "SELECT k AS k FROM t2) d UNION ALL "
+                    "SELECT d.k FROM (SELECT k AS k FROM t3 UNION ALL "
+                    "SELECT k AS k FROM t1) d") != "error"
+
+    def test_rerun_after_drop_and_create_with_another_layout(self, dbs):
+        sql = "SELECT * FROM t1 UNION ALL SELECT * FROM t2"
+        assert same(dbs, sql) != "error"
+        for name in ("t1", "t2"):
+            each(dbs, f"DROP TABLE {name}")
+            for db in dbs:
+                db.create_table(name, [("s", "TEXT"), ("k", "REAL")])
+                db.insert_rows(name, ["s", "k"], [(name, 1), ("z", 2.5)])
+                db.commit()
+        assert same(dbs, sql) != "error"
+        each(dbs, "DROP TABLE t2")
+        assert same(dbs, sql) == "error"
+
+    def test_no_such_column_raises_on_every_execution(self, dbs):
+        assert same(dbs, "SELECT k FROM t1 UNION ALL SELECT nope FROM t2",
+                    times=3) == "error"
+        assert same(dbs, "SELECT nope FROM t1 UNION ALL SELECT nope FROM t2",
+                    times=3) == "error"
+        sql = "SELECT z FROM t1 UNION ALL SELECT z FROM t2"
+        each(dbs, "ALTER TABLE t1 ADD COLUMN z INTEGER")
+        each(dbs, "ALTER TABLE t2 ADD COLUMN z INTEGER")
+        assert same(dbs, sql) != "error"
+        each(dbs, "ALTER TABLE t1 DROP COLUMN z")
+        assert same(dbs, sql, times=3) == "error"
+
+
+def test_threads_on_separate_databases_compile_one_plan():
+    """Parsed statements are shared by every database of the process:
+    eight threads running one compound on their own databases compile
+    its plan once, and each reads its own tables."""
+    import sys
+    import threading
+
+    sql, params = union(20)
+    dbs = [MemoryDatabase(f"plans{i}") for i in range(8)]
+    for db in dbs:
+        run_tables(db, 20)
+    barrier = threading.Barrier(len(dbs))
+    results, errors = {}, []
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=10)
+            results[i] = [dbs[i].fetchall(sql, params) for _ in range(5)]
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = REGISTRY.values().get("db.plans_compiled", 0)
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(dbs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert REGISTRY.values().get("db.plans_compiled", 0) - before == 1
+    expected = [(i, i + 0.5) for i in range(20)]
+    assert all(runs == [expected] * 5 for runs in results.values())
+    assert len(results) == len(dbs)

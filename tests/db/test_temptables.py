@@ -1,7 +1,10 @@
 """Unit tests for the temp-table manager (element communication,
 Section 4.2)."""
 
-from repro.db import SQLiteDatabase, TempTableManager
+import pytest
+
+from repro.core.errors import DatabaseError
+from repro.db import MemoryDatabase, SQLiteDatabase, TempTableManager
 
 
 class TestTempTableManager:
@@ -56,3 +59,28 @@ class TestTempTableManager:
         mgr = TempTableManager(db, prefix="myq")
         name = mgr.new_table("e", [("x", "INTEGER")])
         assert name.startswith("myq_")
+
+
+@pytest.mark.parametrize("make_db", [SQLiteDatabase,
+                                     lambda: MemoryDatabase("temps")],
+                         ids=["sqlite", "memory"])
+class TestLeftovers:
+    def test_kept_leftover_is_skipped_not_clobbered(self, make_db):
+        db = make_db()
+        kept = TempTableManager(db).new_table("e", [("x", "INTEGER")])
+        db.insert_rows(kept, ["x"], [(7,)])
+        mgr = TempTableManager(db)
+        name = mgr.new_table("e", [("x", "INTEGER")])
+        assert kept.endswith("_0") and name.endswith("_1")
+        assert db.fetchall(f"SELECT x FROM {kept}") == [(7,)]
+        assert mgr.row_count(name) == 0
+        mgr.drop_all()
+        assert db.table_exists(kept) and not db.table_exists(name)
+
+    def test_other_create_errors_propagate(self, make_db):
+        db = make_db()
+        mgr = TempTableManager(db)
+        db.close()
+        with pytest.raises(DatabaseError):
+            mgr.new_table("e", [("x", "INTEGER")])
+        assert mgr.tables == []

@@ -139,22 +139,22 @@ def test_hit_span_encloses_the_load(executor, beffio_campaign,
 #: instead, except on a cluster over the columnar engine, whose
 #: experiment database no node can attach.
 EXACT_COUNTS = {
-    ("sqlite", "serial", False): ((0, 5, 5, 73), (5, 0, 0, 12),
-                                  (2, 3, 3, 43)),
-    ("sqlite", "parallel", False): ((0, 5, 5, 88), (5, 0, 0, 27),
-                                    (2, 3, 3, 60)),
+    ("sqlite", "serial", False): ((0, 5, 5, 68), (5, 0, 0, 12),
+                                  (2, 3, 3, 41)),
+    ("sqlite", "parallel", False): ((0, 5, 5, 81), (5, 0, 0, 24),
+                                    (2, 3, 3, 55)),
     ("memory", "serial", False): ((0, 5, 5, 65), (5, 0, 0, 11),
                                   (2, 3, 3, 39)),
-    ("memory", "parallel", False): ((0, 5, 5, 87), (5, 0, 0, 26),
-                                    (2, 3, 3, 58)),
-    ("sqlite", "serial", True): ((0, 5, 5, 68), (5, 0, 0, 12),
-                                 (2, 3, 3, 43)),
-    ("sqlite", "parallel", True): ((0, 5, 5, 83), (5, 0, 0, 27),
-                                   (2, 3, 3, 60)),
+    ("memory", "parallel", False): ((0, 5, 5, 80), (5, 0, 0, 23),
+                                    (2, 3, 3, 53)),
+    ("sqlite", "serial", True): ((0, 5, 5, 63), (5, 0, 0, 12),
+                                 (2, 3, 3, 41)),
+    ("sqlite", "parallel", True): ((0, 5, 5, 76), (5, 0, 0, 24),
+                                   (2, 3, 3, 55)),
     ("memory", "serial", True): ((0, 5, 5, 60), (5, 0, 0, 11),
                                  (2, 3, 3, 39)),
-    ("memory", "parallel", True): ((0, 5, 5, 87), (5, 0, 0, 26),
-                                   (2, 3, 3, 58)),
+    ("memory", "parallel", True): ((0, 5, 5, 80), (5, 0, 0, 23),
+                                   (2, 3, 3, 53)),
 }
 #: the (backend, executor) pairs the cache tests run on
 BACKEND_EXECUTORS = sorted({key[:2] for key in EXACT_COUNTS})

@@ -351,7 +351,7 @@ class TestObservability:
 #: per source run element-wise (a materialised vector knows its rows);
 #: fused, stddev's sibling aggregates make the whole query one group.
 EXACT_STATEMENTS = {
-    "sqlite": {"unfused": (33, 22), "fused": (11, 7)},
+    "sqlite": {"unfused": (28, 18), "fused": (10, 6)},
     "memory": {"unfused": (26, 17), "fused": (8, 5)},
 }
 

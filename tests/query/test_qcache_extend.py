@@ -85,14 +85,14 @@ def extensions(monkeypatch):
 #: stores equal those before extensions existed; the extended source
 #: is one miss and one store.
 CYCLE_COUNTS = {
-    ("sqlite", "serial"): ((0, 5, 5, 0, 68), (2, 3, 3, 1, 41),
+    ("sqlite", "serial"): ((0, 5, 5, 0, 63), (2, 3, 3, 1, 39),
                            (5, 0, 0, 0, 10)),
-    ("sqlite", "parallel"): ((0, 5, 5, 0, 83), (2, 3, 3, 1, 58),
-                             (5, 0, 0, 0, 25)),
+    ("sqlite", "parallel"): ((0, 5, 5, 0, 76), (2, 3, 3, 1, 53),
+                             (5, 0, 0, 0, 22)),
     ("memory", "serial"): ((0, 5, 5, 0, 60), (2, 3, 3, 1, 37),
                            (5, 0, 0, 0, 9)),
-    ("memory", "parallel"): ((0, 5, 5, 0, 87), (2, 3, 3, 1, 56),
-                             (5, 0, 0, 0, 24)),
+    ("memory", "parallel"): ((0, 5, 5, 0, 80), (2, 3, 3, 1, 51),
+                             (5, 0, 0, 0, 21)),
 }
 
 
