@@ -360,6 +360,51 @@ for leg in del_serial del_par; do
     diff -r "$PUSHDOWN_DIR/del_fresh" "$PUSHDOWN_DIR/$leg"
 done
 
+echo "== query cache: the same re-analysis on the columnar engine, serial and 2-node =="
+# in-process (--backend memory), per executor: a cold cached run, an
+# import whose cached re-query extends the matched sources' entries,
+# and a delete whose cached re-query stores them from nothing, each
+# against a --no-cache run of the same process
+python - "$PUSHDOWN_DIR" <<'EOF7'
+import glob, sys
+from repro.cli.main import main
+from repro.obs.metrics import REGISTRY
+ws = sys.argv[1]
+
+def perfbase(*argv):
+    if main(list(argv)) != 0:
+        sys.exit(f"perfbase {' '.join(argv)} failed")
+
+for leg, parallel in (("serial", []), ("par", ["--parallel", "2"])):
+    memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb_re_{leg}"]
+    perfbase("setup", "-d", f"{ws}/experiment.xml", *memory)
+    perfbase("input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
+             *sorted(glob.glob(f"{ws}/results/*")), *memory)
+    for step in ("cold", "import", "delete"):
+        if step == "import":
+            perfbase("input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
+                     *sorted(glob.glob(f"{ws}/more/*")), *memory)
+        if step == "delete":  # run 3 is the first listless/ufs run
+            perfbase("delete", "-e", "b_eff_io", "-r", "3", *memory)
+        before = REGISTRY.values().get("qcache.extensions", 0)
+        for q in ("fig8", "stddev"):
+            perfbase("query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
+                     *parallel, "-o", f"{ws}/mem_re/{leg}_{step}/{q}",
+                     *memory)
+            perfbase("query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
+                     "--no-cache", "-o",
+                     f"{ws}/mem_re/{leg}_{step}_fresh/{q}", *memory)
+        extended = REGISTRY.values().get("qcache.extensions", 0) - before
+        if (extended > 0) != (step == "import"):
+            sys.exit(f"{leg} {step}: {extended} source stores extended")
+EOF7
+for leg in serial par; do
+    for step in cold import delete; do
+        diff -r "$PUSHDOWN_DIR/mem_re/${leg}_${step}_fresh" \
+            "$PUSHDOWN_DIR/mem_re/${leg}_$step"
+    done
+done
+
 echo "== service: multi-tenant service battery (pytest -m service) =="
 python -m pytest -q -p no:randomly -m service tests
 

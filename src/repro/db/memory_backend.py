@@ -54,8 +54,8 @@ across backends:
 * ``rowid`` as implicit insertion-order column, with ``INTEGER PRIMARY
   KEY`` columns acting as the rowid alias (scan order follows the key),
 * the ``pb_*`` statistical aggregates with PostgreSQL-parity NULL
-  semantics, computed in the same operation order as the Welford/median
-  implementations the SQLite backend registers as user aggregates.
+  semantics, computed by the very classes the SQLite backend registers
+  as user aggregates (:data:`~repro.db.sqlite_backend.PB_AGGREGATES`).
 
 Transactions follow the legacy ``sqlite3`` autocommit model the SQLite
 backend runs under (``isolation_level=""``): DML implicitly opens a
@@ -89,7 +89,7 @@ from ..core.errors import (DatabaseError, ExperimentExistsError,
 from ..obs.metrics import count
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
-from .sqlite_backend import _sql_summary, count_statement
+from .sqlite_backend import PB_AGGREGATES, _sql_summary, count_statement
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
            "evict_memory_server", "clear_memory_servers"]
@@ -373,10 +373,8 @@ def _cast(value, target: str):
 
 #: the aggregate functions the parser recognises (``COUNT(*)`` parses
 #: to the pseudo-name ``count*``)
-_AGGREGATE_NAMES = frozenset((
-    "count", "sum", "avg", "min", "max",
-    "pb_variance", "pb_stddev", "pb_median", "pb_product",
-))
+_AGGREGATE_NAMES = frozenset(("count", "sum", "avg", "min", "max",
+                              *PB_AGGREGATES))
 
 
 def _aggregate(name: str, values: list) -> Any:
@@ -384,10 +382,15 @@ def _aggregate(name: str, values: list) -> Any:
     callers) in a single pass.
 
     SUM stays an integer until a float appears and is NULL over no
-    rows, like SQLite's.  The ``pb_*`` aggregates perform their
-    arithmetic in exactly the order of the SQLite backend's Python
-    aggregate callbacks, so results are bit-identical across backends.
+    rows, like SQLite's.  A ``pb_*`` aggregate steps and finalizes the
+    class the SQLite backend registers for it, so its results are
+    bit-identical across backends.
     """
+    if name in PB_AGGREGATES:
+        state = PB_AGGREGATES[name]()
+        for v in values:
+            state.step(v)
+        return state.finalize()
     if name == "count":
         return sum(1 for v in values if v is not None)
     if name == "sum":
@@ -415,35 +418,6 @@ def _aggregate(name: str, values: list) -> Any:
             if v is not None and (best is None or better(v, best)):
                 best = v
         return best
-    if name in ("pb_variance", "pb_stddev"):
-        # Welford, identical operation order to _Variance.step
-        n, mean, m2 = 0, 0.0, 0.0
-        for v in values:
-            if v is None:
-                continue
-            n += 1
-            delta = float(v) - mean
-            mean += delta / n
-            m2 += delta * (float(v) - mean)
-        if n < 2:
-            return None
-        var = m2 / (n - 1)
-        return var if name == "pb_variance" else var ** 0.5
-    if name == "pb_median":
-        vals = sorted(float(v) for v in values if v is not None)
-        if not vals:
-            return None
-        mid = len(vals) // 2
-        if len(vals) % 2:
-            return vals[mid]
-        return 0.5 * (vals[mid - 1] + vals[mid])
-    if name == "pb_product":
-        product, seen = 1.0, False
-        for v in values:
-            if v is not None:
-                seen = True
-                product *= float(v)
-        return product if seen else None
     raise DatabaseError(f"unknown aggregate {name!r}")
 
 
@@ -832,6 +806,12 @@ class _Parser:
             selects.append(self.select())
         if len(selects) == 1:
             return selects[0]
+        if any(select.order or select.limit is not None
+               for select in selects):
+            # SQLite applies a trailing ORDER BY/LIMIT to the whole
+            # compound and rejects one on an earlier operand
+            raise DatabaseError(
+                "ORDER BY or LIMIT on an operand of a compound SELECT")
         ends = starts[1:] + [self.n_params]
         return _Compound(selects, [(first, end - first)
                                    for first, end in zip(starts, ends)])

@@ -33,7 +33,8 @@ from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
 from .retry import DEFAULT_POLICY
 
-__all__ = ["SQLiteDatabase", "SQLiteServer", "MemoryServer"]
+__all__ = ["SQLiteDatabase", "SQLiteServer", "MemoryServer",
+           "PB_AGGREGATES"]
 
 
 class _Variance:
@@ -97,6 +98,13 @@ class _Product:
 
     def finalize(self):
         return self.product if self.seen else None
+
+
+#: the ``pb_*`` statistical aggregates, one-argument step/finalize
+#: classes: registered on every SQLite connection, and stepped by the
+#: columnar engine, so both backends compute them alike
+PB_AGGREGATES = {"pb_variance": _Variance, "pb_stddev": _Stddev,
+                 "pb_median": _Median, "pb_product": _Product}
 
 
 def _adapt_datetime(value: datetime.datetime) -> str:
@@ -238,10 +246,8 @@ class SQLiteDatabase(Database):
         (``stddev``, ``variance``) plus ``median`` and ``product`` so the
         query operators can run inside the SQL engine (Section 4.2 of
         the paper: SQL-side processing beats per-row Python)."""
-        self._conn.create_aggregate("pb_variance", 1, _Variance)
-        self._conn.create_aggregate("pb_stddev", 1, _Stddev)
-        self._conn.create_aggregate("pb_median", 1, _Median)
-        self._conn.create_aggregate("pb_product", 1, _Product)
+        for name, aggregate in PB_AGGREGATES.items():
+            self._conn.create_aggregate(name, 1, aggregate)
 
     def _run(self, sql: str, params: Any, *, many: bool = False,
              fetch: str | None = None):

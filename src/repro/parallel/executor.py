@@ -88,8 +88,9 @@ class ParallelQueryExecutor:
         With ``cache`` the run is incremental: every element's key is
         probed upfront, cached subgraphs are treated as
         already-completed producers — the scheduler only places the
-        cold remainder — and every miss is stored back into the shared
-        cache once the run is over.
+        cold remainder.  Missed sources are stored into the shared
+        cache on the frontend before scheduling, like hits; every
+        other miss is stored once the run is over.
 
         ``pushdown`` fuses linear element chains into single SQL
         statements (:mod:`repro.query.pushdown`): each fused group is
@@ -97,7 +98,7 @@ class ParallelQueryExecutor:
         the single statement runs against the shipped external inputs.
         Each unit runs the way the serial engine runs it
         (:func:`~repro.query.engine.run_unit`): with an active cache no
-        chain fuses, and each miss runs as a fused group of one.
+        chain fuses, and each downstream miss runs as a fused group of one.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
@@ -128,20 +129,16 @@ class ParallelQueryExecutor:
             for node in self.cluster.nodes:
                 node.db.commit()
         plan = plan_cached_run(qcache, graph, experiment)
-        # extended sources store their new entry from the old one on
-        # the frontend before any worker reads the experiment database;
-        # one that cannot extend is scheduled as a full miss
-        extended: dict[str, DataVector] = {}
-        for name in plan.extends:
-            vector = plan.extend(graph.elements[name], experiment,
-                                 query.name)
-            if vector is not None:
-                extended[name] = vector
+        # missed sources are stored into their entries on the frontend
+        # before any worker reads the experiment database
+        stored = {name: plan.extend(graph.elements[name], experiment,
+                                    query.name)
+                  for name in plan.sources}
         # each unit is a group tail or a lone element; absorbed group
         # members never get scheduled
         units = (query.pushdown_plan(cache_active=qcache is not None)
                  if pushdown else PushdownPlan())
-        done = frozenset(plan.hits) | plan.skipped | frozenset(extended)
+        done = frozenset(plan.hits) | plan.skipped | frozenset(stored)
         absorbed = frozenset(n for n in units.member_of
                              if units.absorbed(n))
 
@@ -151,12 +148,11 @@ class ParallelQueryExecutor:
                                  scheduler=self.scheduler.name,
                                  placement=placement)
 
-        # per-node context: element outputs land on the element's node;
-        # sources read the runs their cache keys name
+        # per-node context: element outputs land on the element's node
         contexts = {
             node.index: QueryContext(
                 experiment=experiment, db=node.db,
-                temptables=node.temptables, run_sets=plan.run_sets)
+                temptables=node.temptables)
             for node in self.cluster.nodes}
         vectors: dict[str, DataVector] = {}
         transfer_base = self.cluster.transfer_seconds
@@ -168,8 +164,8 @@ class ParallelQueryExecutor:
         for name, entry in plan.hits.items():
             vectors[name] = plan.load(graph.elements[name], entry)
         stats.cache_hits += len(plan.hits)
-        vectors.update(extended)
-        stats.cache_misses += len(extended)
+        vectors.update(stored)
+        stats.cache_misses += len(stored)
 
         # a unit becomes runnable when the inputs it reads from outside
         # itself are done

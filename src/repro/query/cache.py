@@ -25,8 +25,8 @@ matched no new runs is all hits after one probe; an import that a
 source does match re-runs only that source's chain.  No result is ever
 hashed: an entry's key is its identity.
 
-Extending a source entry
-------------------------
+Storing a source entry
+----------------------
 
 A source's rows come in run order, and runs are immutable and never
 renumbered (a deleted run's index is not reused).  So when a source's
@@ -35,12 +35,13 @@ under (same schema counter) followed by later runs, the new entry is
 exactly the old payload followed by the new runs' rows.  The metadata
 row records the run count and the :func:`run_digest` of the selection,
 so the prefix is checked exactly: the digest of the first ``n_runs``
-new rows must equal the stored one.  Such a miss copies the old
-payload in SQL and reads only the new runs' tables
-(:meth:`QueryCache.extend`); it counts as one miss and one store, and
-as one ``qcache.extensions``.  A deleted run, a changed prefix or a
-schema change falls back to a full miss.  Elements downstream of an
-extended source re-run in full.
+new rows must equal the stored one.  Every missed source is stored by
+one method (:meth:`QueryCache.extend`): it copies the old payload in
+SQL when the family entry is such a prefix, and appends the rows of
+the runs the copy lacks — all of them when nothing was copied.  A
+store that copied counts as one ``qcache.extensions``; every store
+counts as one miss and one store.  Elements downstream of a stored
+source re-run in full.
 
 =========================  =========================================
 mutation                   changes
@@ -74,8 +75,8 @@ Observability: ``qcache.hits`` / ``qcache.misses`` / ``qcache.stores`` /
 ``qcache.evictions`` / ``qcache.extensions`` counters in the process
 registry (:data:`repro.obs.REGISTRY`, counted whether or not a tracer
 is active), and a ``cache="hit"|"miss"`` span attribute per element,
-plus ``extended_runs=<k>`` on an extended source (rendered by
-``perfbase explain --trace``).
+plus ``extended_runs=<k>`` on a source whose store copied its
+family's entry (rendered by ``perfbase explain --trace``).
 """
 
 from __future__ import annotations
@@ -97,13 +98,14 @@ from ..db.retry import RetryPolicy
 from ..db.schema import ExperimentStore, _unit_from_json, _unit_to_json
 from ..obs.metrics import MetricsView, count
 from ..obs.tracer import maybe_span
-from .pushdown import FusionError, SelectFragment, insert_select
+from .pushdown import insert_select
 from .vectors import ColumnInfo, DataVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.experiment import Experiment
     from .elements import QueryElement
     from .graph import QueryGraph
+    from .source import Source
 
 __all__ = ["QueryCache", "CacheEntry", "CachePlan", "SessionCounts",
            "CACHE_TABLE", "CACHE_PREFIX", "DEFAULT_BUDGET_BYTES",
@@ -439,30 +441,24 @@ class QueryCache:
     # -- store ------------------------------------------------------------
 
     def put(self, key: str, element: "QueryElement", vector: DataVector,
-            *, schema_counter: int, family: str = "",
-            query_name: str = "", n_runs: int = 0,
-            run_digest: str = "",
+            *, schema_counter: int, query_name: str = "",
             keep: Collection[str] = ()) -> CacheEntry:
-        """Persist an element's output vector under ``key``.
+        """Persist a missed downstream element's output vector under
+        ``key`` (sources are stored by :meth:`extend`).
 
-        Storing a source entry (one with a ``family``) drops the
-        source's entries under other run sets: no later run can look
-        them up again unless it matches exactly those runs.  A vector
-        on the experiment database is copied in SQL; its rows are
-        never read back.  The byte budget spares the entries under
+        A vector on the experiment database is copied in SQL; its rows
+        are never read back.  The byte budget spares the entries under
         ``keep`` (those the running query reads).
         """
         with self._lock:
             self._ensure()
             return _retry_locked(lambda: self._put_locked(
                 key, element, vector, schema_counter=schema_counter,
-                family=family, query_name=query_name, n_runs=n_runs,
-                run_digest=run_digest, keep=keep))
+                query_name=query_name, keep=keep))
 
     def _put_locked(self, key: str, element: "QueryElement",
                     vector: DataVector, *, schema_counter: int,
-                    family: str, query_name: str, n_runs: int,
-                    run_digest: str,
+                    query_name: str,
                     keep: Collection[str]) -> CacheEntry:
         if _faults.ACTIVE is not None:
             # inside the retried function: injected transient locks
@@ -475,87 +471,103 @@ class QueryCache:
         if won is not None:
             return won  # concurrent producer won
         table = self._new_payload(key, vector.columns)
-        cols = ", ".join(quote_identifier(c.name) for c in vector.columns)
         if vector.db is self.db:
-            n_rows = self.db.execute(
-                f"INSERT INTO {quote_identifier(table)} ({cols}) "
-                f"SELECT {cols} FROM {quote_identifier(vector.table)}")
+            n_rows = self._copy(vector.table, table, vector.columns)
         else:
             rows = vector.rows()
             if rows:
                 self.db.insert_rows(table, vector.column_names, rows)
             n_rows = len(rows)
         return self._record(CacheEntry(
-            key=key, family=family, element=element.name,
+            key=key, family="", element=element.name,
             kind=element.kind, query_name=query_name, table=table,
             schema_counter=int(schema_counter), n_rows=n_rows,
             n_bytes=payload_bytes(vector.columns, vector.from_source,
                                   n_rows),
             columns=tuple(vector.columns),
-            from_source=vector.from_source, hits=0, tick=0, created="",
-            n_runs=n_runs, run_digest=run_digest), keep)
+            from_source=vector.from_source, hits=0, tick=0, created=""),
+            keep)
 
-    def extend(self, base: CacheEntry, key: str, element: "QueryElement",
-               fragment: SelectFragment | None, *, n_runs: int,
-               run_digest: str, query_name: str = "",
-               keep: Collection[str] = ()) -> CacheEntry | None:
-        """Store under ``key`` the source entry ``base`` followed by the
-        rows of ``fragment`` (the new runs'
-        :meth:`~repro.query.source.Source.extension`, ``None`` when
-        none of them holds data sets).
+    def extend(self, base: CacheEntry | None, key: str, source: "Source",
+               experiment: "Experiment", runs: Sequence[tuple], *,
+               family: str, schema_counter: int, run_digest: str,
+               query_name: str = "",
+               keep: Collection[str] = ()) -> CacheEntry:
+        """Store under ``key`` the output of a missed source whose run
+        selection is ``runs`` (with digest ``run_digest``), and drop
+        the other entries of its ``family``.
 
-        The new payload table is filled by one copy of the old payload
-        and one ``INSERT … SELECT`` of the new runs; ``base`` is
-        dropped as any other entry of the family is.  The byte budget
-        spares the new entry, whose payload the caller reads next, and
-        the entries under ``keep``.  Returns ``None`` when ``base`` is
-        gone (a concurrent run of the family stored meanwhile): the
-        caller then runs a full miss.
+        The new payload table is filled by one copy of ``base``'s
+        payload when ``base`` (the family entry whose selection is a
+        prefix of ``runs``) is still stored, then by the rows of the
+        runs the copy lacks — all of ``runs`` when nothing was copied
+        (:meth:`~repro.query.source.Source.extension`: compound
+        statements of at most ``MAX_COMPOUND_OPERANDS`` operands, in
+        run order).  Only a store that copied counts as one
+        ``qcache.extensions``.  The byte budget spares the new entry,
+        whose payload the caller reads next, and the entries under
+        ``keep``.
         """
         with self._lock:
             self._ensure()
             return _retry_locked(lambda: self._extend_locked(
-                base, key, element, fragment, n_runs=n_runs,
-                run_digest=run_digest, query_name=query_name,
-                keep=keep))
+                base, key, source, experiment, runs, family=family,
+                schema_counter=schema_counter, run_digest=run_digest,
+                query_name=query_name, keep=keep))
 
-    def _extend_locked(self, base: CacheEntry, key: str,
-                       element: "QueryElement",
-                       fragment: SelectFragment | None, *,
-                       n_runs: int, run_digest: str, query_name: str,
-                       keep: Collection[str]) -> CacheEntry | None:
+    def _extend_locked(self, base: CacheEntry | None, key: str,
+                       source: "Source", experiment: "Experiment",
+                       runs: Sequence[tuple], *, family: str,
+                       schema_counter: int, run_digest: str,
+                       query_name: str,
+                       keep: Collection[str]) -> CacheEntry:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("cache.put", key=key,
-                                 element=element.name)
+                                 element=source.name)
+        keys = [key] if base is None else [key, base.key]
         found = {row[0]: row for row in self.db.fetchall(
-            f"SELECT {_COLS} FROM {CACHE_TABLE} WHERE key IN (?, ?)",
-            (key, base.key))}
+            f"SELECT {_COLS} FROM {CACHE_TABLE} WHERE key IN "
+            f"({', '.join(['?'] * len(keys))})", keys)}
         won = self._stored(found.get(key))
         if won is not None:
             return won  # concurrent producer won
-        if base.key not in found:
-            return None
-        table = self._new_payload(key, base.columns)
-        cols = ", ".join(quote_identifier(c.name) for c in base.columns)
-        n_rows = self.db.execute(
-            f"INSERT INTO {quote_identifier(table)} ({cols}) "
-            f"SELECT {cols} FROM {quote_identifier(base.table)}")
-        if _faults.ACTIVE is not None:
-            # between the copy of the old payload and the new runs: a
-            # crash here leaves a payload table without its metadata
-            _faults.ACTIVE.check("cache.put", key=key,
-                                 element=element.name, stage="extend")
-        if fragment is not None:
+        if base is not None and base.key not in found:
+            base = None  # a concurrent run of the family stored meanwhile
+        columns, fragments = source.extension(
+            experiment, runs[base.n_runs if base is not None else 0:])
+        table = self._new_payload(key, columns)
+        n_rows = 0
+        if base is not None:
+            n_rows = self._copy(base.table, table, columns)
+            if _faults.ACTIVE is not None:
+                # between the copy of the old payload and the new runs:
+                # a crash here leaves a payload table without its
+                # metadata
+                _faults.ACTIVE.check("cache.put", key=key,
+                                     element=source.name, stage="extend")
+        for fragment in fragments:
             n_rows += insert_select(self.db, table, fragment)
-        entry = self._record(dataclasses.replace(
-            base, key=key, query_name=query_name, table=table,
-            n_rows=n_rows,
-            n_bytes=payload_bytes(base.columns, base.from_source,
-                                  n_rows),
-            hits=0, n_runs=n_runs, run_digest=run_digest,
-            extensions=base.extensions + 1), {key, *keep})
-        count("qcache.extensions")
+        entry = self._record(CacheEntry(
+            key=key, family=family, element=source.name, kind=source.kind,
+            query_name=query_name, table=table,
+            schema_counter=int(schema_counter), n_rows=n_rows,
+            n_bytes=payload_bytes(columns, True, n_rows),
+            columns=tuple(columns), from_source=True, hits=0, tick=0,
+            created="", n_runs=len(runs), run_digest=run_digest,
+            extensions=0 if base is None else base.extensions + 1),
+            {key, *keep})
+        if base is not None:
+            count("qcache.extensions")
         return entry
+
+    def _copy(self, source_table: str, table: str,
+              columns: Sequence[ColumnInfo]) -> int:
+        """Append every row of ``source_table`` to ``table`` in one
+        ``INSERT … SELECT``; returns the row count."""
+        cols = ", ".join(quote_identifier(c.name) for c in columns)
+        return self.db.execute(
+            f"INSERT INTO {quote_identifier(table)} ({cols}) "
+            f"SELECT {cols} FROM {quote_identifier(source_table)}")
 
     def _stored(self, row: Sequence[Any] | None) -> CacheEntry | None:
         """The entry of metadata ``row`` if its payload table exists —
@@ -732,13 +744,12 @@ class CachePlan:
     Built by :func:`plan_cached_run` before anything runs: ``keys``
     holds every element's key, ``hits`` the entries installed instead
     of running, ``skipped`` the elements that never run; every other
-    element runs, and each cacheable one that does is a miss
-    (:meth:`is_miss`) stored by :meth:`put`.  A missed source in
-    ``extends`` first tries :meth:`extend` from its family's entry.
-    Without a cache the plan is empty and nothing is a miss.
-    ``run_sets`` holds the run-selection rows each source was keyed by
-    — the runs it must read
-    (:attr:`~repro.query.elements.QueryContext.run_sets`), so a run
+    element runs, and each cacheable one that does is a miss.  A
+    missed source (in ``sources``) is stored by :meth:`extend` and
+    served from its new entry; every other miss runs (:meth:`is_miss`)
+    and is stored by :meth:`put`.  Without a cache the plan is empty
+    and nothing is a miss.  ``run_sets`` holds the run-selection rows
+    each source was keyed by — the runs its store reads, so a run
     imported meanwhile cannot enter an entry whose key does not name
     it — and ``digests`` their :func:`run_digest`.
     """
@@ -752,11 +763,12 @@ class CachePlan:
     hits: dict[str, CacheEntry]
     skipped: frozenset[str]
     digests: dict[str, str] = dataclasses.field(default_factory=dict)
-    #: missed source name -> the family entry its run set extends
-    extends: dict[str, CacheEntry] = dataclasses.field(
+    #: missed source name -> the family entry its run set extends, or
+    #: ``None`` when its store copies nothing
+    sources: dict[str, CacheEntry | None] = dataclasses.field(
         default_factory=dict)
-    #: keys of the entries this run installed (hits, extensions): the
-    #: byte budget spares them while the run may still read them
+    #: keys of the entries this run installed (hits, source stores):
+    #: the byte budget spares them while the run may still read them
     installed: set[str] = dataclasses.field(default_factory=set)
 
     def __post_init__(self) -> None:
@@ -778,44 +790,33 @@ class CachePlan:
     def put(self, element: "QueryElement", vector: DataVector,
             query_name: str) -> None:
         """Store a missed element's fresh output under its key."""
-        name = element.name
-        self.qcache.put(self.keys[name], element, vector,
+        self.qcache.put(self.keys[element.name], element, vector,
                         schema_counter=self.schema_counter,
-                        family=self.families.get(name, ""),
-                        query_name=query_name,
-                        n_runs=len(self.run_sets.get(name, ())),
-                        run_digest=self.digests.get(name, ""),
-                        keep=self.installed)
+                        query_name=query_name, keep=self.installed)
 
-    def extend(self, element: "QueryElement", experiment: "Experiment",
-               query_name: str) -> DataVector | None:
-        """Run a missed source of ``extends`` as an extension of its
-        family's entry: store its new entry from the old payload and
-        the new runs alone, and serve it from there.  Its span carries
-        ``cache="miss"`` and ``extended_runs=<k>``.  Returns ``None``
-        when the source must run as a full miss instead (more new runs
-        than one compound statement takes, or the old entry is gone).
-        """
-        name = element.name
-        base = self.extends[name]
-        new = self.run_sets[name][base.n_runs:]
-        try:
-            fragment = element.extension(experiment, new)
-        except FusionError:
-            return None
-        with maybe_span(name, kind=element.kind, cache="miss",
-                        extended_runs=len(new)) as span:
+    def extend(self, source: "Source", experiment: "Experiment",
+               query_name: str) -> DataVector:
+        """Store a missed source of ``sources`` from its family's entry
+        (when it extends one) and the runs that entry lacks, and serve
+        it from there.  Its span carries ``cache="miss"``, plus
+        ``extended_runs=<k>`` when the store copied the family's
+        entry."""
+        name = source.name
+        base = self.sources[name]
+        with maybe_span(name, kind=source.kind, cache="miss") as span:
             entry = self.qcache.extend(
-                base, self.keys[name], element, fragment,
-                n_runs=len(self.run_sets[name]),
+                base, self.keys[name], source, experiment,
+                self.run_sets[name], family=self.families[name],
+                schema_counter=self.schema_counter,
                 run_digest=self.digests[name], query_name=query_name,
                 keep=self.installed)
-            if entry is None:
-                return None
             self.installed.add(entry.key)
             if span is not None:
                 span.attributes.update(rows=entry.n_rows,
                                        cols=len(entry.columns))
+                if base is not None and entry.extensions > base.extensions:
+                    span.attributes["extended_runs"] = (entry.n_runs
+                                                        - base.n_runs)
             return self.qcache.load(entry)
 
 
@@ -849,9 +850,8 @@ def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
     its vector keeps the run's result complete).  A needed element
     without an entry is a *miss* and runs; an unneeded one without an
     entry is skipped and not counted — a hit thus prunes the exclusive
-    ancestors it makes unnecessary.  A missed source whose family
-    entry its run set extends (:func:`_extendable`) is planned as an
-    extension.
+    ancestors it makes unnecessary.  A missed source is planned with
+    the family entry its run set extends (:func:`_extendable`), if any.
     """
     if qcache is None:
         return CachePlan(None, 0, {}, {}, {}, {}, frozenset())
@@ -874,7 +874,7 @@ def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
             by_family.setdefault(entry.family, []).append(entry)
     runs: set[str] = set()
     hits: dict[str, CacheEntry] = {}
-    extends: dict[str, CacheEntry] = {}
+    sources: dict[str, CacheEntry | None] = {}
     skipped: set[str] = set()
     misses = 0
     for element in order:
@@ -888,13 +888,13 @@ def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
             runs.add(name)
             if element.cacheable:
                 misses += 1
-            for base in by_family.get(families.get(name), ()):
-                if _extendable(base, schema, run_sets[name]):
-                    extends[name] = base
-                    break
+            if name in families:
+                sources[name] = next(
+                    (base for base in by_family.get(families[name], ())
+                     if _extendable(base, schema, run_sets[name])), None)
         else:
             skipped.add(name)
     qcache.touch(list(hits.values()))
     count("qcache.misses", misses)
     return CachePlan(qcache, schema, keys, families, run_sets, hits,
-                     frozenset(skipped), digests, extends)
+                     frozenset(skipped), digests, sources)

@@ -42,10 +42,6 @@ class QueryContext:
     temptables: TempTableManager
     #: output vectors of already-executed elements, by element name
     vectors: dict[str, DataVector] = field(default_factory=dict)
-    #: run-selection rows of sources, by element name, resolved before
-    #: execution; a source listed here reads exactly these runs (the
-    #: incremental engine keys sources by them)
-    run_sets: dict[str, list[tuple]] = field(default_factory=dict)
 
     def vector_of(self, element_name: str) -> DataVector:
         try:

@@ -11,7 +11,8 @@ With a :class:`~repro.query.cache.QueryCache` the engine becomes
 *incremental*: every element's key is computed and probed before
 anything runs, cached subgraphs are pruned (a hit skips the element's
 exclusive ancestors), and misses run and are stored for the next run —
-a source whose run set grew by later runs only by reading those.
+a missed source is stored straight into its entry, reading only the
+runs its family's entry lacks.
 See :mod:`repro.query.cache` for the key and invalidation scheme.
 """
 
@@ -66,12 +67,13 @@ def run_unit(ctx: QueryContext, graph: QueryGraph, plan: PushdownPlan,
              pushdown: bool = False) -> DataVector | None:
     """Run ``element`` as one unit of work — how the serial engine and
     the parallel executor both run everything that is neither a cache
-    hit, skipped, nor absorbed by a fused group.
+    hit, a missed source (stored by
+    :meth:`~repro.query.cache.CachePlan.extend`), skipped, nor absorbed
+    by a fused group.
 
     A group tail of ``plan`` runs its whole chain as one statement.  A
     cache ``miss`` is marked ``cache="miss"`` and, with ``pushdown``,
-    runs as a fused group of one when it can fuse (a source then runs
-    as one ``INSERT … UNION ALL`` over its runs).  Anything else runs
+    runs as a fused group of one when it can fuse.  Anything else runs
     element-wise.
     """
     attrs = {"cache": "miss"} if miss else {}
@@ -136,7 +138,7 @@ class Query:
         Results are byte-identical either way; absorbed
         interior elements simply produce no intermediate vector.  With
         an active cache the plan is empty (:meth:`pushdown_plan`); each
-        miss runs as a fused group of one (:func:`run_unit`).
+        downstream miss runs as a fused group of one (:func:`run_unit`).
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {self.name!r}")
@@ -154,10 +156,9 @@ class Query:
                                 elements=len(self.graph.elements)
                                 ) as root:
                     # hits are installed, skipped and absorbed elements
-                    # never run, extended sources store their new entry
-                    # from the old one, everything else runs as a unit
+                    # never run, missed sources are stored into their
+                    # entries, everything else runs as a unit
                     plan = plan_cached_run(qcache, self.graph, experiment)
-                    ctx.run_sets.update(plan.run_sets)
                     for element in self.graph.topological_order():
                         name = element.name
                         if name in plan.skipped or units.absorbed(name):
@@ -166,12 +167,10 @@ class Query:
                             ctx.vectors[name] = plan.load(
                                 element, plan.hits[name])
                             continue
-                        if name in plan.extends:
-                            vector = plan.extend(element, experiment,
-                                                 self.name)
-                            if vector is not None:
-                                ctx.vectors[name] = vector
-                                continue
+                        if name in plan.sources:
+                            ctx.vectors[name] = plan.extend(
+                                element, experiment, self.name)
+                            continue
                         miss = plan.is_miss(element)
                         vector = run_unit(ctx, self.graph, units, element,
                                           miss=miss, pushdown=pushdown)

@@ -24,9 +24,9 @@ varies is where the result is materialised:
 
   With a :class:`~repro.query.cache.QueryCache` active every cacheable
   element is a potential hit/miss seam, so the query's plan is empty
-  (:meth:`~repro.query.engine.Query.pushdown_plan`); a cache miss runs
-  as its own fused group of one instead (a source as one
-  ``INSERT … UNION ALL`` over its runs).
+  (:meth:`~repro.query.engine.Query.pushdown_plan`); a downstream
+  cache miss runs as its own fused group of one instead (a missed
+  source is stored straight into its cache entry).
 
 A group whose fragment cannot be built (:class:`FusionError`: a shape
 the fuser cannot reproduce byte-identically, a source with more

@@ -34,7 +34,8 @@ from .vectors import ColumnInfo, DataVector
 __all__ = ["ParameterSpec", "RunFilter", "Source", "MAX_COMPOUND_OPERANDS"]
 
 #: SQLite's default SQLITE_MAX_COMPOUND_SELECT: a fused source unions
-#: one operand per matching run, so beyond this it runs unfused
+#: one operand per matching run, so beyond this it runs unfused, and a
+#: cache store appends its runs in statements of at most this many
 MAX_COMPOUND_OPERANDS = 500
 
 _OPS = {"==": "=", "=": "=", "!=": "<>", "<>": "<>",
@@ -234,15 +235,6 @@ class Source(QueryElement):
         return self._matching_runs(experiment.store, experiment.variables,
                                    self._layout(experiment.variables))
 
-    def _runs(self, ctx: QueryContext, layout: _Layout) -> list[tuple]:
-        """The run-selection rows to read: those resolved before
-        execution (:attr:`QueryContext.run_sets`), else fresh ones."""
-        runs = ctx.run_sets.get(self.name)
-        if runs is None:
-            runs = self._matching_runs(ctx.experiment.store,
-                                       ctx.experiment.variables, layout)
-        return runs
-
     def _matching_runs(self, store, variables, layout: _Layout):
         """Fetch (run_index, shown-once values, once-result values)
         for every matching run, in run_index order."""
@@ -279,7 +271,7 @@ class Source(QueryElement):
                 dparams)
 
     def _run_operands(self, store, variables, layout: _Layout,
-                      runs: list[tuple], exp_prefix: str, *,
+                      runs: Sequence[tuple], exp_prefix: str, *,
                       ordinals: bool) -> list[tuple[str, list[Any]]]:
         """One ``SELECT`` per run of ``runs`` that stores data sets.
 
@@ -365,7 +357,7 @@ class Source(QueryElement):
             self.name,
             [(c.name, sql_type(c.datatype)) for c in layout.columns])
         rows: list[Any] = []
-        runs = self._runs(ctx, layout)
+        runs = self._matching_runs(store, variables, layout)
         if not layout.per_dataset:
             rows = [([int(r[0])] if self.include_run_index else [])
                     + list(r[1:]) for r in runs]
@@ -402,8 +394,7 @@ class Source(QueryElement):
         per-data-set values becomes one UNION ALL of the same per-run
         selects (built after the same single catalogue statement), and
         a run-level-only source a single select over the once table,
-        with no catalogue check (restricted to the runs resolved before
-        execution, when there are).  Hidden ordinals pin the (run, data
+        with no catalogue check.  Hidden ordinals pin the (run, data
         set) order, so a chain tail materialises rows in exactly the
         rowid order the source temp table would have had.  More than
         :data:`MAX_COMPOUND_OPERANDS` runs exceed SQLite's compound
@@ -419,44 +410,50 @@ class Source(QueryElement):
                 "attachable from this node")
         if not layout.per_dataset:
             return self._once_fragment(variables, layout, exp_prefix,
-                                       ctx.run_sets.get(self.name))
+                                       None)
+        store = ctx.experiment.store
         operands = self._run_operands(
-            ctx.experiment.store, variables, layout,
-            self._runs(ctx, layout), exp_prefix, ordinals=True)
+            store, variables, layout,
+            self._matching_runs(store, variables, layout), exp_prefix,
+            ordinals=True)
         if not operands:
             raise FusionError(
                 f"source {self.name!r}: no matching runs — the "
                 "temp-table path produces the empty vector")
         return self._union_fragment(layout, operands)
 
-    def extension(self, experiment,
-                  runs: list[tuple]) -> SelectFragment | None:
-        """The rows ``runs`` add after the runs already in this
-        source's cached entry, as a fragment over the experiment
-        database: exactly the rows a full run emits for them, in the
-        same order.
-        ``None`` when none of the runs stores a usable data table.
-        Raises :class:`FusionError` beyond
-        :data:`MAX_COMPOUND_OPERANDS` runs."""
+    def extension(self, experiment, runs: Sequence[tuple]
+                  ) -> tuple[list[ColumnInfo], list[SelectFragment]]:
+        """This source's output columns and the rows of the run
+        selection ``runs`` (all of it, or the runs after those already
+        in a cached entry) as fragments over the experiment database:
+        exactly the rows a full run emits for them, in the same order.
+        A run-level-only source is one fragment; otherwise each
+        fragment unions the operands of at most
+        :data:`MAX_COMPOUND_OPERANDS` runs, in run order.  No fragment
+        when no run stores a usable data table."""
         variables = experiment.variables
         layout = self._layout(variables)
+        if not runs:
+            return layout.columns, []
         if not layout.per_dataset:
-            return self._once_fragment(variables, layout, "", runs)
+            return layout.columns, [
+                self._once_fragment(variables, layout, "", runs)]
         operands = self._run_operands(experiment.store, variables, layout,
                                       runs, "", ordinals=True)
-        return self._union_fragment(layout, operands) if operands else None
+        return layout.columns, [
+            self._union_fragment(layout,
+                                 operands[i:i + MAX_COMPOUND_OPERANDS])
+            for i in range(0, len(operands), MAX_COMPOUND_OPERANDS)]
 
     def _once_fragment(self, variables, layout: _Layout, exp_prefix: str,
-                       runs: list[tuple] | None) -> SelectFragment:
+                       runs: Sequence[tuple] | None) -> SelectFragment:
         """A run-level-only source: one row per matching run, straight
         off the once table (:meth:`run` assembles these rows in
-        Python), restricted to ``runs`` unless ``None``."""
+        Python), restricted to the non-empty ``runs`` unless ``None``."""
         ordinal = f"{ORD_PREFIX}0"
         where, params = self._run_where(variables, layout.once_specs)
         if runs is not None:
-            if not runs:
-                raise FusionError(
-                    f"source {self.name!r}: no matching runs")
             where.append("o.run_index IN ("
                          + ", ".join(["?"] * len(runs)) + ")")
             params.extend(int(r[0]) for r in runs)

@@ -164,6 +164,9 @@ UNSUPPORTED = {
         "SELECT v + 1, COUNT(*) FROM t GROUP BY v + 1",
     "insert_select_into_primary_key":
         "INSERT INTO pk (k) SELECT v FROM t",
+    "compound_order_by":
+        "SELECT v FROM t UNION ALL SELECT v FROM t ORDER BY v",
+    "compound_limit": "SELECT v FROM t UNION ALL SELECT v FROM t LIMIT 1",
 }
 
 

@@ -62,8 +62,8 @@ class TestParallelWarmCold:
         cache = exp.query_cache()
         _, cold_stats = executor.execute(build_query(), exp,
                                          cache=cache)
-        assert set(cold_stats.placement) == {"s1", "s2", "a1", "a2",
-                                             "c", "o"}
+        # missed sources are stored on the frontend before scheduling
+        assert set(cold_stats.placement) == {"a1", "a2", "c", "o"}
         _, warm_stats = executor.execute(build_query(), exp,
                                          cache=cache)
         # every cacheable element resolved upfront: only the output

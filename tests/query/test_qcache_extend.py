@@ -6,7 +6,8 @@ matches, re-query) is pinned exactly: cache outcomes, the operands of
 the extended source's statement and the statements of an all-hit
 query.  The extension rule is exercised at its edges: an extension of
 an extended entry, a deleted run, a schema change, an import no source
-matches, and more new runs than one compound statement takes.
+matches, more runs than one compound statement takes, and a base entry
+gone before the store.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro import Experiment, Parameter, RunData
 from repro.core import DataType, Occurrence
+from repro.db.temptables import TempTableManager
 from repro.obs import InMemorySink, Tracer, use_tracer
 from repro.parallel import ParallelQueryExecutor, SimulatedCluster
 from repro.parse import Importer
@@ -66,14 +68,24 @@ def counted(fn, *args):
 
 @pytest.fixture
 def extensions(monkeypatch):
-    """The fragments extended sources append, by element name."""
-    seen = {}
-    original = QueryCache.extend
+    """The fragments appended by each source store that copied its
+    family's entry (an extension), by element name."""
+    seen, appended = {}, []
+    original_extension = source_module.Source.extension
+    original_extend = QueryCache.extend
 
-    def extend(self, base, key, element, fragment, **kwargs):
-        seen.setdefault(element.name, []).append(fragment)
-        return original(self, base, key, element, fragment, **kwargs)
+    def extension(self, experiment, runs):
+        columns, fragments = original_extension(self, experiment, runs)
+        appended[:] = fragments
+        return columns, fragments
 
+    def extend(self, base, key, source, *args, **kwargs):
+        entry = original_extend(self, base, key, source, *args, **kwargs)
+        if base is not None and entry.extensions > base.extensions:
+            seen.setdefault(source.name, []).extend(appended)
+        return entry
+
+    monkeypatch.setattr(source_module.Source, "extension", extension)
     monkeypatch.setattr(QueryCache, "extend", extend)
     return seen
 
@@ -85,13 +97,13 @@ def extensions(monkeypatch):
 #: stores equal those before extensions existed; the extended source
 #: is one miss and one store.
 CYCLE_COUNTS = {
-    ("sqlite", "serial"): ((0, 5, 5, 0, 63), (2, 3, 3, 1, 39),
+    ("sqlite", "serial"): ((0, 5, 5, 0, 57), (2, 3, 3, 1, 39),
                            (5, 0, 0, 0, 10)),
     ("sqlite", "parallel"): ((0, 5, 5, 0, 76), (2, 3, 3, 1, 53),
                              (5, 0, 0, 0, 22)),
-    ("memory", "serial"): ((0, 5, 5, 0, 60), (2, 3, 3, 1, 37),
+    ("memory", "serial"): ((0, 5, 5, 0, 54), (2, 3, 3, 1, 37),
                            (5, 0, 0, 0, 9)),
-    ("memory", "parallel"): ((0, 5, 5, 0, 80), (2, 3, 3, 1, 51),
+    ("memory", "parallel"): ((0, 5, 5, 0, 73), (2, 3, 3, 1, 51),
                              (5, 0, 0, 0, 21)),
 }
 
@@ -210,33 +222,85 @@ def test_import_matching_no_source_hits(exp, extensions):
     assert extensions == {}
 
 
-def test_too_many_new_runs_run_as_a_full_miss(exp, extensions,
-                                              monkeypatch):
-    cache = exp.query_cache()
-    build_query().execute(exp, cache=cache)
+def chunk_inserts(tracer):
+    """Statements that appended a source fragment to a payload table."""
+    return [s for s in tracer.spans if s.kind == "db"
+            and s.attributes.get("sql", "").startswith('INSERT INTO "pbc_')
+            and " SELECT s." in s.attributes["sql"]]
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_many_runs_store_in_chunks(exp, extensions, monkeypatch,
+                                   parallel):
+    """With one operand per statement, a cold store appends each of a
+    source's runs in its own statement, and an extension each new run;
+    both serve what an uncached run computes, and only the extension
+    counts in ``qcache.extensions``."""
     monkeypatch.setattr(source_module, "MAX_COMPOUND_OPERANDS", 1)
+    cache = exp.query_cache()
+    tracer = Tracer(InMemorySink())
+    with use_tracer(tracer):
+        cold = query_outcome(exp, build_query(), cache=cache,
+                             parallel=parallel, pushdown=True)
+    assert len(chunk_inserts(tracer)) == 6  # s1 and s2 match 3 runs each
+    assert cache.session.extensions == 0
+    assert_identical(query_outcome(exp, build_query()), cold)
     add_run(exp)
     add_run(exp)
-    before = dict(cache.session)
-    build_query().execute(exp, cache=cache)
-    assert extensions == {}
-    assert cache.session["stores"] - before["stores"] == 3
-    assert entries(cache)["s2"].extensions == 0
-    rerun_equals_uncached(exp, cache)
+    tracer = Tracer(InMemorySink())
+    with use_tracer(tracer):
+        cached = query_outcome(exp, build_query(), cache=cache,
+                               parallel=parallel, pushdown=True)
+    assert len(chunk_inserts(tracer)) == 2
+    assert [f.sql.count(" UNION ALL ") for f in extensions["s2"]] == [0, 0]
+    assert cache.session.extensions == 1
+    s2 = entries(cache)["s2"]
+    assert (s2.extensions, s2.n_runs) == (1, 5)
+    assert_identical(query_outcome(exp, build_query()), cached)
 
 
-def test_base_entry_gone_runs_a_full_miss(exp):
+def test_base_entry_gone_stores_from_nothing(exp):
     """A concurrent run that stored the family meanwhile leaves the
-    planned base entry gone: the source runs as a full miss."""
+    planned base entry gone: the source's store copies nothing and
+    reads all of its runs."""
     cache = exp.query_cache()
     build_query().execute(exp, cache=cache)
     add_run(exp)
     query = build_query()
     plan = plan_cached_run(cache, query.graph, exp)
-    assert set(plan.extends) == {"s2"}
+    assert set(plan.sources) == {"s2"}
+    assert plan.sources["s2"] is not None
     cache.clear()
-    assert plan.extend(query.elements["s2"], exp, "q") is None
+    vector = plan.extend(query.elements["s2"], exp, "q")
+    assert vector.rows() == build_query().execute(
+        exp, keep_temp_tables=True).vectors["s2"].rows()
+    assert cache.session.extensions == 0
+    s2 = entries(cache)["s2"]
+    assert (s2.extensions, s2.n_runs, s2.n_rows) == (0, 4, 20)
     rerun_equals_uncached(exp, cache)
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_source_miss_writes_no_temp_table(exp, monkeypatch, parallel):
+    """A missed source is stored straight into its ``pbc_`` table: no
+    temp table (``pbq_`` serial, per node parallel) is made for it,
+    cold or extending."""
+    made = []
+    original = TempTableManager.new_table
+
+    def new_table(self, element_name, columns):
+        made.append(element_name)
+        return original(self, element_name, columns)
+
+    monkeypatch.setattr(TempTableManager, "new_table", new_table)
+    cache = exp.query_cache()
+    for step in ("cold", "extend"):
+        if step == "extend":
+            add_run(exp)
+        query_outcome(exp, build_query(), cache=cache, parallel=parallel,
+                      pushdown=True)
+    assert made and not {"s1", "s2"} & set(made)
+    assert cache.session.extensions == 1
 
 
 @pytest.mark.parametrize("parallel", [0, 2])
