@@ -405,6 +405,41 @@ for leg in serial par; do
     done
 done
 
+echo "== catalogue memo: fig8 on a warm connection after a run table is dropped elsewhere =="
+# in-process on SQLite: fig8 fills the connection's catalogue memo, a
+# separate sqlite3 connection drops a matched run's table, and fig8 on
+# the warm connection must then write what a fresh process writes
+python - "$PUSHDOWN_DIR" <<'EOF8'
+import glob, sqlite3, sys
+from repro.cli.main import main
+from repro.core.experiment import Experiment
+from repro.db import SQLiteServer
+from repro.xmlio import parse_query_xml
+ws = sys.argv[1]
+dbdir = ["--dbdir", f"{ws}/memo_db"]
+for argv in (["setup", "-d", f"{ws}/experiment.xml"],
+             ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
+              *sorted(glob.glob(f"{ws}/results/*"))]):
+    if main(argv + dbdir) != 0:
+        sys.exit(1)
+exp = Experiment.open(SQLiteServer(f"{ws}/memo_db"), "b_eff_io")
+query = parse_query_xml(f"{ws}/fig8.xml")
+query.execute(exp, pushdown=True).write_all(f"{ws}/memo/warm")
+other = sqlite3.connect(f"{ws}/memo_db/b_eff_io.db")
+other.execute('DROP TABLE "rundata_3"')  # the first listless/ufs run
+other.commit()
+other.close()
+query.execute(exp, pushdown=True).write_all(f"{ws}/memo/dropped")
+exp.close()
+EOF8
+perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
+    -o "$PUSHDOWN_DIR/memo/fresh" --dbdir "$PUSHDOWN_DIR/memo_db"
+diff -r "$PUSHDOWN_DIR/memo/fresh" "$PUSHDOWN_DIR/memo/dropped"
+if diff -rq "$PUSHDOWN_DIR/memo/warm" "$PUSHDOWN_DIR/memo/fresh" > /dev/null
+then
+    echo "dropping run 3's table changed no fig8 output"; exit 1
+fi
+
 echo "== service: multi-tenant service battery (pytest -m service) =="
 python -m pytest -q -p no:randomly -m service tests
 

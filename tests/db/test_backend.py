@@ -102,3 +102,99 @@ class TestTablesWithColumns:
             db.tables_with_columns(["full", "narrow", "ghost"], ["a"])
         expected = 2 if factory is SQLiteDatabase else 0
         assert tracer.metrics.counter("db.statements").value == expected
+
+
+class TestCatalogueMemo:
+    """SQLite remembers ``tables_with_columns`` answers under the main
+    schema's cookie: a repeated call reads only the cookie, and after
+    any DDL the next call answers as a fresh connection would."""
+
+    NAMES = ["full", "narrow", "ghost"]
+    COLUMN_SETS = [["a", "b"], ["a"], ["b"], []]
+
+    def _db(self, path):
+        db = SQLiteDatabase(str(path))
+        db.create_table("full", [("a", "INTEGER"), ("b", "TEXT")])
+        db.create_table("narrow", [("a", "INTEGER")])
+        db.commit()
+        return db
+
+    def _answers(self, db, names=NAMES):
+        return [db.tables_with_columns(names, columns)
+                for columns in self.COLUMN_SETS]
+
+    def _assert_fresh(self, db, path, names=NAMES):
+        fresh = SQLiteDatabase(str(path))
+        try:
+            assert self._answers(db, names) == self._answers(fresh, names)
+        finally:
+            fresh.close()
+
+    @staticmethod
+    def _cookie(db):
+        return db.fetchone("PRAGMA schema_version")[0]
+
+    def test_repeat_call_is_one_statement_one_row(self, tmp_path):
+        db = self._db(tmp_path / "x.db")
+        first = db.tables_with_columns(self.NAMES, ["a"])
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            again = db.tables_with_columns(self.NAMES, ["a"])
+        assert again == first == {"full", "narrow"}
+        assert tracer.metrics.counter("db.statements").value == 1
+        assert tracer.metrics.counter("db.rows_fetched").value == 1
+
+    @pytest.mark.parametrize("ddl", [
+        'DROP TABLE "full"', 'ALTER TABLE "full" DROP COLUMN "b"',
+        'ALTER TABLE "narrow" ADD COLUMN "b" TEXT',
+        'CREATE TABLE "ghost" ("a" INTEGER, "b" TEXT)'],
+        ids=["drop_table", "drop_column", "add_column", "create"])
+    @pytest.mark.parametrize("other", [False, True],
+                             ids=["same_connection", "second_connection"])
+    def test_ddl_invalidates(self, tmp_path, ddl, other):
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        before = self._answers(db)
+        writer = SQLiteDatabase(str(path)) if other else db
+        writer.execute(ddl)
+        writer.commit()
+        if other:
+            writer.close()
+        self._assert_fresh(db, path)
+        assert self._answers(db) != before
+
+    def test_rollback_forgets(self, tmp_path):
+        """A rolled-back CREATE takes the cookie back, and the next DDL
+        moves it to the value the memo was filled at."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        db.begin()
+        db.execute('CREATE TABLE "new" ("a" INTEGER, "b" TEXT)')
+        filled_at = self._cookie(db)
+        assert db.tables_with_columns(names, ["a", "b"]) == {"full", "new"}
+        db.rollback()
+        db.execute('CREATE TABLE "ghost" ("a" INTEGER)')
+        db.commit()
+        assert self._cookie(db) == filled_at
+        self._assert_fresh(db, path, names)
+
+    def test_failed_statement_forgets(self, tmp_path):
+        """An interrupted INSERT rolls its whole transaction back, the
+        way some errors do: the memo goes with it."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        db.begin()
+        db.execute('CREATE TABLE "new" ("a" INTEGER, "b" TEXT)')
+        filled_at = self._cookie(db)
+        assert db.tables_with_columns(names, ["a", "b"]) == {"full", "new"}
+        db._conn.set_progress_handler(lambda: 1, 1)
+        with pytest.raises(DatabaseError, match="interrupted"):
+            db.execute('INSERT INTO "new" VALUES (1, ?)', ("x",))
+        db._conn.set_progress_handler(None, 1)
+        assert not db._conn.in_transaction
+        db.execute('CREATE TABLE "ghost" ("a" INTEGER)')
+        db.commit()
+        assert self._cookie(db) == filled_at
+        self._assert_fresh(db, path, names)

@@ -2,7 +2,8 @@
 skips an active run whose data table was dropped behind perfbase's back
 (fsck's ``run-no-data`` class) and a run whose table lost a requested
 column, identically on every backend, fused and unfused, serial and
-parallel."""
+parallel.  The warm case runs the query before the damage too, so
+nothing remembered about the run tables may outlive the DROP/ALTER."""
 
 import pytest
 
@@ -44,6 +45,26 @@ QUERIES = {"per_run": _per_run, "two_branch": QUERY_BATTERY["above"]}
 def test_damaged_runs_are_skipped(query, parallel):
     def scenario(server, backend):
         exp = build_filled(server)
+        _damage(exp)
+        unfused = query_outcome(exp, QUERIES[query](), parallel=parallel)
+        fused = query_outcome(exp, QUERIES[query](), parallel=parallel,
+                              pushdown=True)
+        _assert_fused_matches(unfused, fused, backend)
+        if query == "per_run":
+            runs = {row[0] for row in unfused["vectors"]["s"]["rows"]}
+            assert sorted(runs) == [1, 3, 4, 6], backend
+        return fused
+    run_differential(scenario)
+
+
+@pytest.mark.parametrize("parallel", [0, 3], ids=["serial", "parallel"])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_damage_after_a_warm_query(query, parallel):
+    def scenario(server, backend):
+        exp = build_filled(server)
+        for pushdown in (False, True):
+            query_outcome(exp, QUERIES[query](), parallel=parallel,
+                          pushdown=pushdown)
         _damage(exp)
         unfused = query_outcome(exp, QUERIES[query](), parallel=parallel)
         fused = query_outcome(exp, QUERIES[query](), parallel=parallel,
