@@ -1,5 +1,8 @@
 #!/bin/sh
-# Repo check runner: tier-1 test suite plus the observability battery.
+# Repo check runner: the tier-1 test suite once, then end-to-end stages
+# that drive the CLI and the e2e benchmark's smoke test.  The pytest
+# markers (obs, diffdb, faults, ...) select batteries for a focused
+# run; every marked test is already part of the tier-1 suite.
 #
 # Test order is deterministic (pytest collects files alphabetically and
 # we disable random ordering if the pytest-randomly plugin happens to
@@ -23,24 +26,6 @@ fi
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q -p no:randomly tests
-
-echo "== observability battery (pytest -m obs) =="
-python -m pytest -q -p no:randomly -m obs tests
-
-echo "== obs-analytics: explain / diff / meta-experiment markers =="
-python -m pytest -q -p no:randomly -m obs_analytics tests
-
-echo "== batch storage path: correctness + identity markers (pytest -m batch) =="
-python -m pytest -q -p no:randomly -m batch tests
-
-echo "== parse: compiled-parser battery (pytest -m parse) =="
-python -m pytest -q -p no:randomly -m parse tests
-
-echo "== query cache: incremental engine markers (pytest -m qcache) =="
-python -m pytest -q -p no:randomly -m qcache tests
-
-echo "== diffdb: cross-backend differential battery (pytest -m diffdb) =="
-python -m pytest -q -p no:randomly -m diffdb tests
 
 echo "== diffdb: an import counts the same db.rows_affected on both backends =="
 ROWS_DIR="$(mktemp -d)"
@@ -80,9 +65,6 @@ rm -rf "$ROWS_DIR"
 echo "== e2e benchmark: harness smoke (fused-vs-unfused digests, n_runs, cross-backend agreement) =="
 python -m pytest -q -p no:randomly benchmarks/e2e/test_e2e_smoke.py
 
-echo "== faults: injection / retry / crash-recovery markers (pytest -m faults) =="
-python -m pytest -q -p no:randomly -m faults tests
-
 echo "== faults: fsck round-trip on a deliberately corrupted fixture db =="
 FSCK_DIR="$(mktemp -d)"
 trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR"' EXIT
@@ -116,9 +98,6 @@ perfbase fsck -e fixture --dbdir "$FSCK_DIR" --dry-run \
 perfbase fsck -e fixture --dbdir "$FSCK_DIR"
 perfbase fsck -e fixture --dbdir "$FSCK_DIR" --dry-run
 
-echo "== sentinel: regression-sentinel battery (pytest -m sentinel) =="
-python -m pytest -q -p no:randomly -m sentinel tests
-
 echo "== sentinel: baseline -> planted latency -> perfbase check exits 3 =="
 SENTINEL_DIR="$(mktemp -d)"
 trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR"' EXIT
@@ -135,9 +114,6 @@ perfbase check --against ci --samples 2 --min-samples 4 \
     --dbdir "$SENTINEL_DIR"
 # baselines must survive a consistency pass over their experiment
 perfbase fsck -e perfbase_sentinel --dbdir "$SENTINEL_DIR" --dry-run
-
-echo "== pushdown: chain-fusion battery (pytest -m pushdown) =="
-python -m pytest -q -p no:randomly -m pushdown tests
 
 echo "== pushdown/parallel: fused, unfused and 2-node CLI artifacts are byte-identical =="
 PUSHDOWN_DIR="$(mktemp -d)"
@@ -404,44 +380,6 @@ for leg in serial par; do
             "$PUSHDOWN_DIR/mem_re/${leg}_$step"
     done
 done
-
-echo "== catalogue memo: fig8 on a warm connection after a run table is dropped elsewhere =="
-# in-process on SQLite: fig8 fills the connection's catalogue memo, a
-# separate sqlite3 connection drops a matched run's table, and fig8 on
-# the warm connection must then write what a fresh process writes
-python - "$PUSHDOWN_DIR" <<'EOF8'
-import glob, sqlite3, sys
-from repro.cli.main import main
-from repro.core.experiment import Experiment
-from repro.db import SQLiteServer
-from repro.xmlio import parse_query_xml
-ws = sys.argv[1]
-dbdir = ["--dbdir", f"{ws}/memo_db"]
-for argv in (["setup", "-d", f"{ws}/experiment.xml"],
-             ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
-              *sorted(glob.glob(f"{ws}/results/*"))]):
-    if main(argv + dbdir) != 0:
-        sys.exit(1)
-exp = Experiment.open(SQLiteServer(f"{ws}/memo_db"), "b_eff_io")
-query = parse_query_xml(f"{ws}/fig8.xml")
-query.execute(exp, pushdown=True).write_all(f"{ws}/memo/warm")
-other = sqlite3.connect(f"{ws}/memo_db/b_eff_io.db")
-other.execute('DROP TABLE "rundata_3"')  # the first listless/ufs run
-other.commit()
-other.close()
-query.execute(exp, pushdown=True).write_all(f"{ws}/memo/dropped")
-exp.close()
-EOF8
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    -o "$PUSHDOWN_DIR/memo/fresh" --dbdir "$PUSHDOWN_DIR/memo_db"
-diff -r "$PUSHDOWN_DIR/memo/fresh" "$PUSHDOWN_DIR/memo/dropped"
-if diff -rq "$PUSHDOWN_DIR/memo/warm" "$PUSHDOWN_DIR/memo/fresh" > /dev/null
-then
-    echo "dropping run 3's table changed no fig8 output"; exit 1
-fi
-
-echo "== service: multi-tenant service battery (pytest -m service) =="
-python -m pytest -q -p no:randomly -m service tests
 
 echo "== service: stress smoke under injected faults (CLI) =="
 perfbase service stress --scratch --clients 200 --shards 4 \

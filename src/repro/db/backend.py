@@ -18,9 +18,12 @@ from __future__ import annotations
 import abc
 import contextlib
 import re
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..core.errors import DatabaseError
+
+if TYPE_CHECKING:
+    from .temptables import TempTablePool
 
 __all__ = ["Database", "DatabaseServer", "quote_identifier"]
 
@@ -40,7 +43,14 @@ def quote_identifier(name: str) -> str:
 
 
 class Database(abc.ABC):
-    """One open database holding one experiment (plus temp tables)."""
+    """One open database holding one experiment (plus temp tables).
+
+    Each handle owns the :class:`~repro.db.temptables.TempTablePool`
+    its queries lease their temp tables from, as ``temp_pool``; a
+    :meth:`rollback` makes the pool forget what it knows of them.
+    """
+
+    temp_pool: "TempTablePool"
 
     @abc.abstractmethod
     def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
@@ -79,9 +89,11 @@ class Database(abc.ABC):
         return {name for name in names if self.table_exists(name)
                 and wanted.issubset(self.table_columns(name))}
 
-    @abc.abstractmethod
     def drop_table(self, name: str) -> None:
-        """Drop a table if it exists."""
+        """Drop a table if it exists; a temp table this handle keeps
+        between queries leaves its :attr:`temp_pool`."""
+        self.temp_pool.evict(name)
+        self.execute(f"DROP TABLE IF EXISTS {quote_identifier(name)}")
 
     @abc.abstractmethod
     def list_tables(self) -> list[str]:

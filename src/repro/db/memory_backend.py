@@ -90,6 +90,7 @@ from ..obs.metrics import count
 from ..obs.tracer import current_tracer
 from .backend import Database, DatabaseServer, quote_identifier
 from .sqlite_backend import PB_AGGREGATES, _sql_summary, count_statement
+from .temptables import TempTablePool
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
            "evict_memory_server", "clear_memory_servers"]
@@ -1919,6 +1920,10 @@ class MemoryDatabase(Database):
         self._undo: list = []
         self._closed = False
         self._last_rowcount = 0
+        self.temp_pool = TempTablePool()
+        #: queries inside read_transaction, and whether the first began it
+        self._queries = 0
+        self._query_began = False
 
     # -- transactions ----------------------------------------------------
 
@@ -1944,6 +1949,7 @@ class MemoryDatabase(Database):
 
     def rollback(self) -> None:
         with self._lock:
+            self.temp_pool.forget()
             for fn in reversed(self._undo):
                 fn()
             self._undo.clear()
@@ -2043,15 +2049,22 @@ class MemoryDatabase(Database):
         here.  The query's DML would otherwise open one implicitly and
         leave it open: its undo log would keep every dropped temp table
         alive until the next commit, and a later failed batch would roll
-        the query's temp tables back into the experiment."""
+        the query's temp tables back into the experiment.  Queries that
+        run at once on this handle share the transaction, and the last
+        to finish commits it, as on SQLite."""
         with self._lock:
-            began = not self._in_txn
+            if not self._queries:
+                self._query_began = not self._in_txn
             self._in_txn = True
+            self._queries += 1
         try:
             yield
         finally:
-            if began and self._in_txn:
-                self.commit()
+            with self._lock:
+                self._queries -= 1
+                if not self._queries and self._query_began \
+                        and self._in_txn:
+                    self.commit()
 
     # -- introspection ----------------------------------------------------
 
@@ -2066,9 +2079,6 @@ class MemoryDatabase(Database):
             if table is None:
                 raise DatabaseError(f"no such table {name!r}")
             return list(table.columns)
-
-    def drop_table(self, name: str) -> None:
-        self.execute(f"DROP TABLE IF EXISTS {quote_identifier(name)}")
 
     def list_tables(self) -> list[str]:
         with self._lock:
@@ -2329,6 +2339,21 @@ class MemoryDatabase(Database):
     def _exec_delete(self, stmt: _Delete, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table)
+        if stmt.where is None:
+            # emptying a table (a pooled temp table's release) keeps
+            # the rows for the undo log whole, not one removal each
+            rowids = table.rowids[:]
+            cols = [table.cols[c][:] for c in table.columns]
+            table.truncate(0)
+            self._last_rowcount += len(rowids)
+            if rowids:
+                def undo_empty():
+                    table.rowids.extend(rowids)
+                    for name, column in zip(table.columns, cols):
+                        table.cols[name].extend(column)
+                    table.invalidate()
+                self._record(undo_empty)
+            return
         frame, _scope, _env = self._matching(table, stmt.where, params)
         removed = [(p, *table.remove_position(p))
                    for p in reversed(frame.pos[0])]

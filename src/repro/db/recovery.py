@@ -14,7 +14,8 @@ Repair matrix
 finding              repair
 ===================  ===============================================
 ``temp-table``       leaked query temp table (``pbtmp_*`` /
-                     ``pbq_*`` / ``pbnode*``): dropped
+                     ``pbq_*`` / ``pbnode*``) that is not idle in
+                     the handle's temp-table pool: dropped
 ``orphan-cache``     ``pbc_*`` payload table without its
                      ``pb_query_cache`` metadata row (crash between
                      table creation and metadata commit): dropped
@@ -129,8 +130,12 @@ class _Pass:
     # -- damage classes ---------------------------------------------------
 
     def temp_tables(self) -> None:
+        # an idle table of the handle's pool is released, not leaked:
+        # empty, and leased again by the next query that needs it
+        pool = self.db.temp_pool
         for table in self.db.list_tables():
-            if table.startswith(TEMP_TABLE_PREFIXES):
+            if table.startswith(TEMP_TABLE_PREFIXES) \
+                    and not pool.is_idle(table):
                 if self.note("temp-table",
                              f"leaked query temp table {table!r}",
                              f"drop {table}"):

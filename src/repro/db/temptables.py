@@ -5,81 +5,194 @@ the experiment database. [...] each query element stores its output
 vector into its own temporary table.  A reference to this table (its
 name) is passed on to the element by which it was invoked."
 
-:class:`TempTableManager` hands out unique table names, creates the
-tables and tears everything down when the query finishes.
+:class:`TempTableManager` hands out unique table names for one query
+and tears everything down when the query finishes.  The tables
+themselves outlive the query: every database handle keeps a
+:class:`TempTablePool` of emptied tables, and a query that needs a
+table of the same name and layout again leases it without a
+statement.  On SQLite every ``CREATE`` or ``DROP`` moves the schema
+cookie and so expires every prepared statement of the connection; a
+warm query issues no DDL, and its statements stay prepared.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 from ..core.errors import DatabaseError
-from ..obs.metrics import count
-from .backend import Database
+from ..obs.metrics import REGISTRY, count
+from .backend import Database, quote_identifier
 
-__all__ = ["TempTableManager"]
+__all__ = ["TempTableManager", "TempTablePool", "IDLE_BOUND"]
+
+#: idle tables one handle keeps; beyond it the least recently released
+#: is dropped.  Idle tables hold no rows, so this bounds catalogue
+#: entries: two fig8 and two stddev_check queries, each run fused and
+#: unfused, lease 12 distinct tables
+IDLE_BOUND = 64
+
+_CREATED = REGISTRY.counter("temptables.created")
+_REUSED = REGISTRY.counter("temptables.reused")
+
+Layout = tuple[tuple[str, str], ...]
+
+
+class TempTablePool:
+    """The temp tables one database handle keeps between queries.
+
+    Each table is *leased* by one live :class:`TempTableManager` or
+    *idle*: empty, with a known layout, ready for the next lease.  A
+    rollback may undo the ``CREATE`` or the emptying ``DELETE`` of an
+    idle table, so :meth:`forget` turns every idle table into one of
+    unknown state, which its next lease drops and creates afresh.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: OrderedDict[str, Layout] = OrderedDict()
+        self._leased: dict[str, Layout] = {}
+        self._unknown: set[str] = set()
+
+    def lease(self, name: str, layout: Layout) -> str | None:
+        """Reserve ``name`` for one manager: ``None`` when another
+        holds it, ``"idle"`` when an empty table of this layout is
+        ready, ``"replace"`` when a table of another layout or of
+        unknown state may hold the name, ``"create"`` otherwise."""
+        with self._lock:
+            if name in self._leased:
+                return None
+            self._leased[name] = layout
+            if self._idle.get(name) == layout:
+                del self._idle[name]
+                return "idle"
+            if self._idle.pop(name, None) is not None \
+                    or name in self._unknown:
+                self._unknown.discard(name)
+                return "replace"
+            return "create"
+
+    def release(self, name: str) -> list[str]:
+        """Mark a leased table emptied and idle; returns the idle
+        tables beyond :data:`IDLE_BOUND`, which the caller drops."""
+        with self._lock:
+            layout = self._leased.pop(name, None)
+            if layout is None:
+                return []
+            self._idle[name] = layout
+            overflow = []
+            while len(self._idle) > IDLE_BOUND:
+                overflow.append(self._idle.popitem(last=False)[0])
+            return overflow
+
+    def evict(self, name: str) -> None:
+        """Forget ``name``: it was dropped, or never created."""
+        with self._lock:
+            self._leased.pop(name, None)
+            self._idle.pop(name, None)
+            self._unknown.discard(name)
+
+    def forget(self) -> None:
+        """The handle's transaction was rolled back."""
+        with self._lock:
+            self._unknown.update(self._idle)
+            self._idle.clear()
+
+    def is_idle(self, name: str) -> bool:
+        with self._lock:
+            return name in self._idle
 
 
 class TempTableManager:
-    """Creates and tracks per-query-element temporary tables."""
+    """Leases the temporary tables of one query's elements."""
 
     def __init__(self, db: Database, prefix: str = "pbtmp"):
         self.db = db
         self.prefix = prefix
         self._next = 0
-        self._tables: list[str] = []
+        #: (name, pooled?) in lease order; adopted tables are not pooled
+        self._tables: list[tuple[str, bool]] = []
 
     def new_table(self, element_name: str,
                   columns: Sequence[tuple[str, str]]) -> str:
-        """Create a fresh temp table for ``element_name`` with the given
-        ``(column, sqltype)`` pairs; returns the table name (the
+        """Lease an empty temp table for ``element_name`` with the
+        given ``(column, sqltype)`` pairs; returns the table name (the
         "reference" passed between elements).
 
-        Numbering restarts per manager so a re-executed query emits the
-        exact same statement text — both backends then reuse cached
-        parses/prepared statements instead of recompiling every run.
-        The table is created without a catalogue probe first: only a
-        name that is taken (a kept leftover, or another live manager
-        with the same prefix) costs a failed ``CREATE`` and moves on to
-        the next number.  No permanent table carries a temp-table
-        prefix, so a temp table never shadows one on SQLite.
+        Numbering restarts per manager, so a re-run query leases the
+        tables of its previous run: an idle pooled table of the same
+        name and layout costs no statement, and the query's statement
+        texts repeat.  The columnar engine then reuses its compiled
+        plans, and SQLite its prepared statements, which no DDL has
+        expired.  A name leased by another live manager on this handle
+        (a kept result, or a concurrent query with the same prefix), or
+        a table the pool does not know, moves on to the next number.
+        No permanent table carries a temp-table prefix, so a temp table
+        never shadows one on SQLite.
         """
         safe = "".join(c if c.isalnum() else "_" for c in element_name)
+        layout = tuple(map(tuple, columns))
+        pool = self.db.temp_pool
         while True:
             name = f"{self.prefix}_{safe}_{self._next}"
             self._next += 1
-            try:
-                self.db.create_table(name, columns, temporary=True)
+            state = pool.lease(name, layout)
+            if state is None:
+                continue
+            if state == "idle":
+                _REUSED.inc()
                 break
-            except DatabaseError as exc:
-                if "already exists" not in str(exc):
-                    raise
-        self._tables.append(name)
+            try:
+                if state == "replace":
+                    self.db.execute(
+                        f"DROP TABLE IF EXISTS {quote_identifier(name)}")
+                self.db.create_table(name, columns, temporary=True)
+            except Exception as exc:
+                pool.evict(name)
+                if isinstance(exc, DatabaseError) \
+                        and "already exists" in str(exc):
+                    continue
+                raise
+            _CREATED.inc()
+            break
+        self._tables.append((name, True))
         return name
 
     def adopt(self, name: str) -> None:
-        """Track an externally created table for cleanup."""
-        self._tables.append(name)
+        """Track an externally created table; teardown drops it."""
+        self._tables.append((name, False))
 
     @property
     def tables(self) -> list[str]:
-        return list(self._tables)
+        return [name for name, _pooled in self._tables]
 
     def drop_all(self) -> None:
-        """Drop every table created by this manager (query teardown).
+        """Release every table of this manager (query teardown).
 
-        Teardown is best-effort: a failing drop must not abandon the
-        later tables (that used to leak every table after the first
-        failure — and, worse, left ``_tables`` populated so a second
-        teardown attempt re-raised on the same table).  Every drop is
-        attempted, the list is always cleared, and the first error is
-        re-raised afterwards.
+        A leased table is emptied by one ``DELETE`` and returns to the
+        pool idle; one whose ``DELETE`` fails (a rollback undid its
+        ``CREATE``, say) is dropped instead, as is an adopted table and
+        an idle table the pool's bound pushes out.  Teardown is
+        best-effort: every table is attempted, the list is always
+        cleared, and the first table that could not be torn down
+        re-raises its error afterwards.
         """
         first_error: Exception | None = None
         failed = 0
-        for name in self._tables:
+        for name, pooled in self._tables:
             try:
-                self.db.drop_table(name)
+                if not pooled:
+                    self.db.drop_table(name)
+                    continue
+                try:
+                    self.db.execute(
+                        f"DELETE FROM {quote_identifier(name)}")
+                except Exception:
+                    self.db.drop_table(name)
+                    continue
+                for evicted in self.db.temp_pool.release(name):
+                    self.db.drop_table(evicted)
             except Exception as exc:
                 failed += 1
                 if first_error is None:
@@ -106,3 +219,4 @@ class TempTableManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TempTableManager({len(self._tables)} tables)"
+

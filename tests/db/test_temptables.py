@@ -23,21 +23,27 @@ class TestTempTableManager:
         assert db.table_exists(name)
 
     def test_drop_all(self):
+        # teardown releases each table to the handle's pool: it stays,
+        # emptied and idle, for the next query to lease
         db = SQLiteDatabase()
         mgr = TempTableManager(db)
         names = [mgr.new_table("e", [("x", "INTEGER")])
                  for _ in range(3)]
+        for name in names:
+            db.insert_rows(name, ["x"], [(1,), (2,)])
         mgr.drop_all()
         for name in names:
-            assert not db.table_exists(name)
+            assert db.temp_pool.is_idle(name)
+            assert db.count_rows(name) == 0
         assert mgr.tables == []
 
     def test_context_manager(self):
         db = SQLiteDatabase()
         with TempTableManager(db) as mgr:
             name = mgr.new_table("e", [("x", "INTEGER")])
-            assert db.table_exists(name)
-        assert not db.table_exists(name)
+            db.insert_rows(name, ["x"], [(1,)])
+            assert not db.temp_pool.is_idle(name)
+        assert db.temp_pool.is_idle(name) and db.count_rows(name) == 0
 
     def test_adopt(self):
         db = SQLiteDatabase()
@@ -75,7 +81,10 @@ class TestLeftovers:
         assert db.fetchall(f"SELECT x FROM {kept}") == [(7,)]
         assert mgr.row_count(name) == 0
         mgr.drop_all()
-        assert db.table_exists(kept) and not db.table_exists(name)
+        # the kept table stays leased and whole; the other is released
+        assert db.fetchall(f"SELECT x FROM {kept}") == [(7,)]
+        assert not db.temp_pool.is_idle(kept)
+        assert db.temp_pool.is_idle(name) and mgr.row_count(name) == 0
 
     def test_other_create_errors_propagate(self, make_db):
         db = make_db()

@@ -193,8 +193,9 @@ class TestLockRecovery:
 
 class TestNoLeakAfterFailingQuery:
     def test_failing_query_leaves_no_temp_tables(self, server):
-        """The hard guarantee: zero leaked pbtmp_/pbq_ tables and zero
-        orphan pbc_ tables after a query dies mid-flight."""
+        """The hard guarantee: no leased pbtmp_/pbq_ table, no rows in
+        a released one and zero orphan pbc_ tables after a query dies
+        mid-flight."""
         exp = fill_simple(make_simple_experiment(server))
         plan = FaultPlan()
         # fail the element's own SQL, not the teardown drops
@@ -208,6 +209,9 @@ class TestNoLeakAfterFailingQuery:
         with use_faults(plan):
             with pytest.raises(OSError):
                 query.execute(exp)
-        leftovers = [t for t in exp.store.db.list_tables()
-                     if t.startswith(("pbtmp_", "pbq_", "pbc_"))]
+        db = exp.store.db
+        leftovers = [t for t in db.list_tables()
+                     if t.startswith(("pbtmp_", "pbq_", "pbc_"))
+                     and not (db.temp_pool.is_idle(t)
+                              and db.count_rows(t) == 0)]
         assert leftovers == []

@@ -134,13 +134,16 @@ class TestEngineSpans:
         assert source.rows > 0
         assert source.attributes["cols"] > 0
         # DB statements nest below the elements; only the temp-table
-        # teardown (after the query span closed) runs at the root
+        # teardown (after the query span closed) runs at the root: it
+        # empties each table for the handle's pool
         db_spans = [s for s in tracer.spans if s.kind == "db"]
         element_ids = {s.span_id for s in elements}
         nested = [s for s in db_spans if s.parent_id is not None]
         assert nested
         loose = [s for s in db_spans if s.parent_id is None]
-        assert all("DROP" in s.attributes["sql"] for s in loose)
+        assert loose
+        assert all(s.attributes["sql"].startswith('DELETE FROM "pbq_')
+                   for s in loose)
         # at least the sources' SELECTs sit directly under an element
         assert any(s.parent_id in element_ids for s in db_spans)
 

@@ -135,22 +135,24 @@ def test_hit_span_encloses_the_load(executor, beffio_campaign,
 #: ``beffio_campaign`` (5 runs before the import), by backend, executor
 #: and pushdown.  A missed source is stored straight into its entry by
 #: one ``INSERT … UNION ALL`` over its runs on the experiment database,
-#: with or without pushdown and on either executor.
+#: with or without pushdown and on either executor.  The serial
+#: re-query leases the cold run's temp table from the handle's pool
+#: (the cluster's node handles are fresh per run).
 EXACT_COUNTS = {
     ("sqlite", "serial", False): ((0, 5, 5, 57), (5, 0, 0, 12),
-                                  (2, 3, 3, 41)),
+                                  (2, 3, 3, 40)),
     ("sqlite", "parallel", False): ((0, 5, 5, 76), (5, 0, 0, 24),
                                     (2, 3, 3, 55)),
     ("memory", "serial", False): ((0, 5, 5, 54), (5, 0, 0, 11),
-                                  (2, 3, 3, 39)),
+                                  (2, 3, 3, 38)),
     ("memory", "parallel", False): ((0, 5, 5, 73), (5, 0, 0, 23),
                                     (2, 3, 3, 53)),
     ("sqlite", "serial", True): ((0, 5, 5, 57), (5, 0, 0, 12),
-                                 (2, 3, 3, 41)),
+                                 (2, 3, 3, 40)),
     ("sqlite", "parallel", True): ((0, 5, 5, 76), (5, 0, 0, 24),
                                    (2, 3, 3, 55)),
     ("memory", "serial", True): ((0, 5, 5, 54), (5, 0, 0, 11),
-                                 (2, 3, 3, 39)),
+                                 (2, 3, 3, 38)),
     ("memory", "parallel", True): ((0, 5, 5, 73), (5, 0, 0, 23),
                                    (2, 3, 3, 53)),
 }

@@ -31,10 +31,15 @@ class TestExecution:
             result.artifact("ghost")
 
     def test_temp_tables_dropped(self, filled_experiment):
+        # every table the query added is released: an idle pooled temp
+        # table holding no rows
         db = filled_experiment.store.db
         before = set(db.list_tables())
         fig_query().execute(filled_experiment)
-        assert set(db.list_tables()) == before
+        added = set(db.list_tables()) - before
+        assert added
+        assert all(db.temp_pool.is_idle(t) and db.count_rows(t) == 0
+                   for t in added)
 
     def test_temp_tables_kept_on_request(self, filled_experiment):
         db = filled_experiment.store.db
@@ -55,7 +60,9 @@ class TestExecution:
         ])
         with pytest.raises(Exception):
             bad.execute(filled_experiment)
-        assert set(db.list_tables()) == before
+        added = set(db.list_tables()) - before
+        assert all(db.temp_pool.is_idle(t) and db.count_rows(t) == 0
+                   for t in added)
 
     def test_no_transaction_left_open(self, filled_experiment):
         db = filled_experiment.store.db
