@@ -198,3 +198,64 @@ class TestCatalogueMemo:
         db.commit()
         assert self._cookie(db) == filled_at
         self._assert_fresh(db, path, names)
+
+    def test_own_create_probes_only_the_new_table(self, tmp_path):
+        """An import's ``create_table`` moves the memo's tag with the
+        cookie: the next call probes the new table alone."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        assert db.tables_with_columns(names, ["a"]) == {"full", "narrow"}
+        db.create_table("new", [("a", "INTEGER")])
+        db.commit()
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            found = db.tables_with_columns(names, ["a"])
+        assert found == {"full", "narrow", "new"}
+        assert tracer.metrics.counter("db.statements").value == 1
+        # the cookie row and the one probed table; a refill would also
+        # return "full" and "narrow"
+        assert tracer.metrics.counter("db.rows_fetched").value == 2
+        self._assert_fresh(db, path, names)
+
+    def test_own_create_after_foreign_ddl_refills(self, tmp_path):
+        """Another connection's DDL before this handle's CREATE leaves
+        the cookie past the memo's moved tag: the memo is refilled."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        before = self._answers(db, names)
+        writer = SQLiteDatabase(str(path))
+        writer.execute('DROP TABLE "full"')
+        writer.commit()
+        writer.close()
+        db.create_table("new", [("a", "INTEGER"), ("b", "TEXT")])
+        db.commit()
+        self._assert_fresh(db, path, names)
+        assert self._answers(db, names) != before
+
+    def test_own_create_rolled_back_refills(self, tmp_path):
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        self._answers(db, names)
+        db.begin()
+        db.create_table("new", [("a", "INTEGER"), ("b", "TEXT")])
+        assert db.tables_with_columns(names, ["a", "b"]) == {"full", "new"}
+        db.rollback()
+        db.create_table("ghost", [("b", "TEXT")])
+        db.commit()
+        self._assert_fresh(db, path, names)
+
+    def test_temp_create_keeps_the_memo(self, tmp_path):
+        """A temp table leaves the main cookie and the memo alone."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        self._answers(db)
+        db.create_table("pbtmp_x", [("a", "INTEGER")], temporary=True)
+        self._assert_fresh(db, path)
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            assert db.tables_with_columns(self.NAMES, ["a"]) \
+                == {"full", "narrow"}
+        assert tracer.metrics.counter("db.rows_fetched").value == 1
