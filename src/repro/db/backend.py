@@ -80,14 +80,11 @@ class Database(abc.ABC):
     def table_columns(self, name: str) -> list[str]:
         """Column names of a table, in declaration order."""
 
+    @abc.abstractmethod
     def tables_with_columns(self, names: Sequence[str],
                             columns: Sequence[str]) -> set[str]:
         """Those of ``names`` that are tables holding every one of
-        ``columns``.  Backends whose catalogue probes are statements
-        answer this with one statement, however many names."""
-        wanted = set(columns)
-        return {name for name in names if self.table_exists(name)
-                and wanted.issubset(self.table_columns(name))}
+        ``columns``, in at most one statement however many names."""
 
     def drop_table(self, name: str) -> None:
         """Drop a table if it exists; a temp table this handle keeps

@@ -35,8 +35,10 @@ probed by key instead of filtered and hashed.  A SELECT compiles into a
 plan that holds no table and runs over the tables it is handed: the
 operands of a ``UNION ALL`` that differ only in table names and ``?``
 positions share one plan, kept on the parsed compound, so a query
-source's N-run compound compiles once per statement text.  UPDATE and
-DELETE select their rows with the same WHERE evaluation.  ``INSERT ..
+source's N-run compound compiles once per statement text; consecutive
+operands of a plan that reads a row at a time run it once, as one
+batch over all their rows.  UPDATE and DELETE select their rows with
+the same WHERE evaluation.  ``INSERT ..
 VALUES`` runs over a batch of parameter rows (``execute`` is a batch of
 one): the VALUES compile once, and a batch that lands after the table's
 last row is appended a column at a time.
@@ -76,6 +78,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
+import math
 import operator
 import re
 import sqlite3
@@ -248,13 +251,6 @@ def _truthy(value: Any):
     return bool(number) if number is not None else False
 
 
-def _and(a, b):
-    """Three-valued AND of two truth values."""
-    if a is False or b is False:
-        return False
-    return None if a is None or b is None else True
-
-
 def _or(a, b):
     """Three-valued OR of two truth values."""
     if a is True or b is True:
@@ -377,6 +373,8 @@ def _cast(value, target: str):
 _AGGREGATE_NAMES = frozenset(("count", "sum", "avg", "min", "max",
                               *PB_AGGREGATES))
 
+_NUMBERS = frozenset((int, float))
+
 
 def _aggregate(name: str, values: list) -> Any:
     """Aggregate one column's values (``COUNT(*)`` is counted by the
@@ -413,10 +411,14 @@ def _aggregate(name: str, values: list) -> Any:
                 n += 1
         return total / n if n else None
     if name in ("min", "max"):
+        present = [v for v in values if v is not None]
+        if set(map(type, present)) <= _NUMBERS:
+            # like the loop below, the builtin keeps the first extreme
+            return (min if name == "min" else max)(present, default=None)
         better = _lt if name == "min" else _gt
         best = None
-        for v in values:
-            if v is not None and (best is None or better(v, best)):
+        for v in present:
+            if best is None or better(v, best):
                 best = v
         return best
     raise DatabaseError(f"unknown aggregate {name!r}")
@@ -1151,6 +1153,13 @@ class _Scope:
         return fns
 
 
+def _at(values: list, rows) -> list:
+    """``values`` at the positions ``rows`` (a list or a range)."""
+    if type(rows) is range:
+        return values[rows.start:rows.stop]
+    return list(map(values.__getitem__, rows))
+
+
 def _reader(k: int, name: str | None):
     """Read column ``name`` (the rowids for ``None``) of source ``k``
     at the frame's rows, from the table ``env`` holds in slot ``k``."""
@@ -1159,12 +1168,24 @@ def _reader(k: int, name: str | None):
         if pos is None:
             return [None] * frame.n
         table = env[2][k]
-        values = table.rowids if name is None else table.cols[name]
-        rows = pos[k]
-        if type(rows) is range:
-            return values[rows.start:rows.stop]
-        return list(map(values.__getitem__, rows))
+        return _at(table.rowids if name is None else table.cols[name],
+                   pos[k])
     return read
+
+
+class _PerRow(list):
+    """A ``?`` bound to different values in the operands of a batch, as
+    a column over the batch's rows: each row holds the value its own
+    operand binds, read like a column of the batch's one source."""
+
+
+def _scalar(node, scope: _Scope):
+    """A literal's or a ``?``'s value, read from ``env``: a
+    :class:`_PerRow` for a ``?`` that varies over a batch's rows."""
+    if node[0] == "lit":
+        return lambda env, value=node[1]: value
+    index = node[1] - scope.base
+    return lambda env: env[0][index]
 
 
 #: expression kinds whose values are truth values (True/False/NULL)
@@ -1196,8 +1217,14 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
         value = node[1]
         return lambda frame, env: [value] * frame.n
     if kind == "param":
-        index = node[1] - scope.base
-        return lambda frame, env: [env[0][index]] * frame.n
+        get = _scalar(node, scope)
+
+        def param(frame, env):
+            value = get(env)
+            if type(value) is _PerRow:
+                return _at(value, frame.pos[0])
+            return [value] * frame.n
+        return param
     if kind == "col":
         return scope.column(node[1], node[2])
     if kind == "agg":
@@ -1209,8 +1236,22 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
         return lambda frame, env: env[1][index]
     if kind in ("cmp", "bin"):
         fn = (_COMPARISONS if kind == "cmp" else _ARITHMETIC)[node[1]]
-        return _pairwise(fn, _compile(node[2], scope, allow_agg),
-                         _compile(node[3], scope, allow_agg))
+        left = _compile(node[2], scope, allow_agg)
+        pairwise = _pairwise(fn, left, _compile(node[3], scope, allow_agg))
+        if fn is not _eq or node[3][0] not in ("lit", "param"):
+            return pairwise
+        get = _scalar(node[3], scope)
+
+        def equals(frame, env):
+            # ``col = <one value>``: _eq's NULL rule in a comprehension
+            value = get(env)
+            if type(value) is _PerRow:
+                return pairwise(frame, env)
+            if value is None:
+                return [None] * frame.n
+            return [None if v is None else v == value
+                    for v in left(frame, env)]
+        return equals
     if kind == "like":
         return _pairwise(_like, _value(node[1], scope, allow_agg),
                          _value(node[2], scope, allow_agg))
@@ -1243,28 +1284,38 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
     if kind == "in":
         left = _compile(node[1], scope, allow_agg)
         options = [_compile(e, scope, allow_agg) for e in node[2]]
-        if all(e[0] in ("lit", "param") for e in node[2]):
-            def isin(frame, env):
-                values = [fn(_ONE_ROW, env)[0] for fn in options]
-                keys = {v for v in values if v is not None}
-                miss = None if None in values else False
-                return [None if v is None else (v in keys) or miss
-                        for v in left(frame, env)]
-            return isin
 
         def isin_rows(frame, env):
             columns = [fn(frame, env) for fn in options]
             return [_in(v, row) for v, row in zip(left(frame, env),
                                                   zip(*columns))]
-        return isin_rows
+        if not all(e[0] in ("lit", "param") for e in node[2]):
+            return isin_rows
+        getters = [_scalar(e, scope) for e in node[2]]
+
+        def isin(frame, env):
+            values = [get(env) for get in getters]
+            if any(type(v) is _PerRow for v in values):
+                return isin_rows(frame, env)
+            keys = {v for v in values if v is not None}
+            miss = None if None in values else False
+            return [None if v is None else (v in keys) or miss
+                    for v in left(frame, env)]
+        return isin
     if kind == "not":
         inner = _truth(node[1], _compile(node[1], scope, allow_agg))
         return lambda frame, env: [None if t is None else not t
                                    for t in inner(frame, env)]
     if kind in ("and", "or"):
-        return _pairwise(_and if kind == "and" else _or,
-                         _truth(node[1], _compile(node[1], scope, allow_agg)),
-                         _truth(node[2], _compile(node[2], scope, allow_agg)))
+        left = _truth(node[1], _compile(node[1], scope, allow_agg))
+        right = _truth(node[2], _compile(node[2], scope, allow_agg))
+        if kind == "or":
+            return _pairwise(_or, left, right)
+        # three-valued AND of truth values: ``a and b``, but NULL AND
+        # FALSE is FALSE
+        return lambda frame, env: [
+            False if b is False else a and b
+            for a, b in zip(left(frame, env), right(frame, env))]
     raise DatabaseError(f"cannot compile expression node {kind!r}")
 
 
@@ -1296,8 +1347,8 @@ def _where(frame: _Frame, tests: list, env) -> _Frame:
     for test in tests:
         if not frame.n:
             break
-        truth = test(frame, env)
-        keep = [i for i, t in enumerate(truth) if t is True]
+        # truth values are True, False or None: only True is kept
+        keep = list(itertools.compress(range(frame.n), test(frame, env)))
         if len(keep) < frame.n:
             frame = frame.take(keep)
     return frame
@@ -1659,11 +1710,16 @@ class _Plan:
     A plan holds no table.  It reads the tables it is run over, one per
     name of :func:`_table_names`, and the parameters from its first
     ``?`` on, so the operands of a ``UNION ALL`` that differ only in
-    table names and ``?`` positions run one plan.  It is never changed
-    after :meth:`compile`."""
+    table names and ``?`` positions run one plan.  A plan that
+    ``batches`` answers a row of its source on its own: it reads one
+    named table and has no JOIN, GROUP BY, aggregate, ORDER BY, LIMIT
+    or DISTINCT.  Run once over the rows of several operands' tables,
+    one after another, it returns what it returns for each operand, in
+    operand order (:func:`_batch`).  It is never changed after
+    :meth:`compile`."""
 
     __slots__ = ("sources", "local", "post", "joins", "probed", "items",
-                 "group", "aggs", "order", "limit", "distinct")
+                 "group", "aggs", "order", "limit", "distinct", "batches")
 
     @classmethod
     def compile(cls, stmt: _Select, names: list[str],
@@ -1738,12 +1794,17 @@ class _Plan:
         plan.limit = (None if stmt.limit is None
                       else _compile(stmt.limit, _Scope([], base)))
         plan.distinct = stmt.distinct
+        plan.batches = (len(entries) == 1 and isinstance(stmt.source[0], str)
+                        and not (stmt.group or plan.aggs or stmt.order
+                                 or stmt.distinct)
+                        and stmt.limit is None)
         return plan
 
     def run(self, db: "MemoryDatabase", tables: list["_Table"],
             params) -> tuple[int, list[list]]:
         """Evaluate the plan over ``tables`` and ``params`` into its row
-        count and output columns.
+        count and output columns: one operand's, or a batch's made by
+        :func:`_batch`.
 
         Each source is first narrowed by the WHERE conjuncts that read
         only its columns; the equality hash join then pairs the
@@ -1897,6 +1958,54 @@ def _operands(stmt: _Compound) -> list[tuple]:
             shape = shapes.setdefault(shape, len(shapes))
         operands.append((shape, first, n_params, names))
     return operands
+
+
+class _Columns(dict):
+    """The columns of several tables of one layout, each joined up,
+    table after table, when first read."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list["_Table"]):
+        super().__init__()
+        self.parts = parts
+
+    def __missing__(self, name: str) -> list:
+        column = self[name] = list(itertools.chain.from_iterable(
+            [t.cols[name] for t in self.parts]))
+        return column
+
+
+def _same(a, b) -> bool:
+    """Whether two bound values read as one value: equal, of one type,
+    and of one sign for floats (``-0.0`` equals ``0.0``)."""
+    return a is b or (type(a) is type(b) and a == b and (
+        type(a) is not float
+        or math.copysign(1.0, a) == math.copysign(1.0, b)))
+
+
+def _batch(operands: list[tuple[list, tuple]]) -> tuple[list, tuple]:
+    """The tables and parameters one run of a plan answers a batch of
+    operands' ``(tables, params)`` with.  A lone operand runs over its
+    own.  A longer batch, of a plan that batches, runs over one table
+    of its operands' rows, operand after operand, whose columns are
+    joined up when the plan first reads them; a ``?`` bound to one
+    value in every operand reads that value, any other a
+    :class:`_PerRow` of the operands' values."""
+    if len(operands) == 1:
+        return operands[0]
+    parts = [tables[0] for tables, _params in operands]
+    table = _Table(parts[0].name, [], None, True)
+    table.cols = _Columns(parts)
+    table.rowids = list(itertools.chain.from_iterable(
+        [t.rowids for t in parts]))
+    counts = list(map(len, parts))
+    params = tuple(
+        values[0] if all(_same(values[0], v) for v in values)
+        else _PerRow(itertools.chain.from_iterable(
+            map(itertools.repeat, values, counts)))
+        for values in zip(*(params for _tables, params in operands)))
+    return [table], params
 
 
 # =========================================================================
@@ -2079,6 +2188,15 @@ class MemoryDatabase(Database):
             if table is None:
                 raise DatabaseError(f"no such table {name!r}")
             return list(table.columns)
+
+    def tables_with_columns(self, names: Sequence[str],
+                            columns: Sequence[str]) -> set[str]:
+        """Answered from the table dict under one lock, no statement."""
+        wanted = set(columns)
+        with self._lock:
+            tables = self._tables
+            return {name for name in names
+                    if name in tables and wanted <= tables[name].cols.keys()}
 
     def list_tables(self) -> list[str]:
         with self._lock:
@@ -2383,19 +2501,25 @@ class MemoryDatabase(Database):
                                                          params)
 
     def _compound(self, stmt: _Compound, params) -> tuple[int, list[list]]:
-        """Evaluate a ``UNION ALL``: each operand runs the plan stored
+        """Evaluate a ``UNION ALL``.  Each operand runs the plan stored
         on ``stmt`` under the operand's shape and its tables' layouts,
-        compiled by the first operand with that key.  A query source's
-        operands differ only in the run table they read, so its
-        compound compiles once per statement text and layout."""
+        compiled by the first operand with that key.  Consecutive
+        operands of one key whose plan batches (:class:`_Plan`) form a
+        batch, and the plan runs once per batch (``db.operand_batches``);
+        every other operand is a batch of its own.  A query source's
+        operands differ only in the run table they read and the run
+        position they bind, so its compound compiles once per statement
+        text and layout, and runs one plan per stretch of runs of one
+        layout."""
         operands = stmt.operands
         if operands is None:
             operands = stmt.operands = _operands(stmt)
-        parts = []
+        batches: list[tuple[Any, list]] = []
         for select, (shape, first, n_params, names) in zip(
                 stmt.selects, operands):
             if shape is None:
-                parts.append(self._select(select, params))
+                # compiles on its own, and runs as a batch of one
+                batches.append((None, select))
                 continue
             tables = [self._table(name) for name in names]
             key = (shape, *[table.layout for table in tables])
@@ -2408,8 +2532,16 @@ class MemoryDatabase(Database):
                         plan = _Plan.compile(select, names, tables, first)
                         stmt.plans[key] = plan
                         count("db.plans_compiled")
-            parts.append(plan.run(self, tables,
-                                  params[first:first + n_params]))
+            operand = (tables, params[first:first + n_params])
+            if plan.batches and batches and batches[-1][0] is plan:
+                batches[-1][1].append(operand)
+            else:
+                batches.append((plan, [operand]))
+        parts = []
+        for plan, batch in batches:
+            count("db.operand_batches")
+            parts.append(self._select(batch, params) if plan is None
+                         else plan.run(self, *_batch(batch)))
         width = len(parts[0][1])
         if any(len(columns) != width for _n, columns in parts):
             raise DatabaseError(

@@ -27,7 +27,10 @@ __all__ = ["ClusterNode", "SimulatedCluster", "copy_vector"]
 
 @dataclass
 class ClusterNode:
-    """One node: an independent database server for element outputs."""
+    """One node: an independent database server for element outputs.
+    ``temptables`` holds the copies :func:`copy_vector` makes outside a
+    query; each query leases its node tables with a manager of its own
+    and releases them when it ends."""
 
     index: int
     db: Database
@@ -79,8 +82,10 @@ class SimulatedCluster:
 
 
 def copy_vector(vector: DataVector, target: ClusterNode,
-                cluster: SimulatedCluster) -> DataVector:
-    """Materialise ``vector`` on ``target``'s database server.
+                cluster: SimulatedCluster,
+                temptables: TempTableManager | None = None) -> DataVector:
+    """Materialise ``vector`` on ``target``'s database server, in a
+    table of ``temptables`` (by default the node's own).
 
     This is the Fig. 3 data movement: "the output vector of each query
     element is stored on the node on which the query element(s) run
@@ -107,7 +112,7 @@ def copy_vector(vector: DataVector, target: ClusterNode,
             count("transfer.bytes", n_bytes)
             count("transfer.modelled_seconds", seconds)
         from ..core.datatypes import sql_type
-        table = target.temptables.new_table(
+        table = (temptables or target.temptables).new_table(
             f"xfer_{vector.producer or 'v'}",
             [(c.name, sql_type(c.datatype)) for c in vector.columns])
         if rows:

@@ -15,6 +15,7 @@ overlap.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -24,6 +25,7 @@ from .. import faults as _faults
 from ..core.access import UserClass
 from ..core.errors import QueryError
 from ..core.experiment import Experiment
+from ..db.temptables import TempTableManager
 from ..faults import NodeDeathFault
 from ..obs.profile import QueryProfile, profile_spans
 from ..obs.metrics import count
@@ -80,10 +82,17 @@ class ParallelQueryExecutor:
 
     def execute(self, query: Query, experiment: Experiment, *,
                 profile: bool = False,
+                keep_temp_tables: bool = False,
                 cache: "QueryCache | bool | None" = None,
                 pushdown: bool = False
                 ) -> tuple[QueryResult, ParallelRunStats]:
         """Execute ``query``; returns the result plus run statistics.
+
+        The query leases its tables on each node with a manager of its
+        own and releases them when it ends, also when it fails, unless
+        ``keep_temp_tables`` (the result's vectors then stay readable
+        until the cluster shuts down).  A re-run query leases the
+        tables the last run released.
 
         With ``cache`` the run is incremental: every element's key is
         probed upfront, cached subgraphs are treated as
@@ -103,6 +112,9 @@ class ParallelQueryExecutor:
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
         qcache = resolve_cache(cache, experiment)
+        leases = {node.index: TempTableManager(
+                      node.db, prefix=f"pbnode{node.index}")
+                  for node in self.cluster.nodes}
         with profile_spans(profile) as spans:
             # one root span per run: upfront cache hits, scheduled
             # elements and deferred cache stores all nest below it
@@ -110,15 +122,20 @@ class ParallelQueryExecutor:
                             nodes=len(self.cluster),
                             scheduler=self.scheduler.name,
                             elements=len(query.graph.elements)) as root:
-                result, stats = self._run(query, experiment, qcache,
-                                          pushdown, root)
+                with contextlib.ExitStack() as release:
+                    if not keep_temp_tables:
+                        for lease in leases.values():
+                            release.enter_context(lease)
+                    result, stats = self._run(query, experiment, qcache,
+                                              pushdown, root, leases)
         if spans is not None:
             result.profile = QueryProfile.from_spans(
                 spans.spans, query.name, query=root.span_id)
         return result, stats
 
     def _run(self, query: Query, experiment: Experiment,
-             qcache: QueryCache | None, pushdown: bool, root_span
+             qcache: QueryCache | None, pushdown: bool, root_span,
+             leases: dict[int, TempTableManager]
              ) -> tuple[QueryResult, ParallelRunStats]:
         graph = query.graph
         if qcache is not None:
@@ -152,7 +169,7 @@ class ParallelQueryExecutor:
         contexts = {
             node.index: QueryContext(
                 experiment=experiment, db=node.db,
-                temptables=node.temptables)
+                temptables=leases[node.index])
             for node in self.cluster.nodes}
         vectors: dict[str, DataVector] = {}
         transfer_base = self.cluster.transfer_seconds
@@ -210,7 +227,8 @@ class ParallelQueryExecutor:
                     # ship inputs to this node (Fig. 3 data movement)
                     for input_name in sorted(units.inputs(graph, name)):
                         ctx.vectors[input_name] = copy_vector(
-                            vectors[input_name], node, self.cluster)
+                            vectors[input_name], node, self.cluster,
+                            leases[node.index])
                     start = time.perf_counter()
                     vector = run_unit(ctx, graph, units, element,
                                       miss=miss, pushdown=pushdown)

@@ -172,7 +172,8 @@ def query_outcome(experiment, query, *, cache=None,
         from ..parallel import ParallelQueryExecutor, SimulatedCluster
         cluster = SimulatedCluster(parallel)
         result, _stats = ParallelQueryExecutor(cluster).execute(
-            query, experiment, cache=cache, pushdown=pushdown)
+            query, experiment, cache=cache, keep_temp_tables=True,
+            pushdown=pushdown)
         snapshot = snapshot_result(result)
         cluster.shutdown()
         return snapshot

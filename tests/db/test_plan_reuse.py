@@ -2,11 +2,16 @@
 
 The operands of one compound that differ only in their table names and
 ``?`` positions run one compiled plan, stored on the parsed statement
-under the operand's shape and its tables' layouts.  The exact counts of
-``db.plans_compiled`` pin that reuse; the differential cases (marked
-``diffdb``) pin that a shared plan answers every operand as SQLite
-does, where layouts, qualifiers, parameters or the schema differ.
+under the operand's shape and its tables' layouts.  Consecutive
+operands of one plan that reads a row at a time run it once, as one
+batch over all their rows.  The exact counts of ``db.plans_compiled``
+and ``db.operand_batches`` pin that reuse and that batching; the
+differential cases (marked ``diffdb``) pin that a shared plan, run per
+operand or per batch, answers every operand as SQLite does, where
+layouts, qualifiers, parameters or the schema differ.
 """
+
+import math
 
 import pytest
 
@@ -36,6 +41,13 @@ def compiled(fn, *args, **kwargs) -> int:
     before = REGISTRY.values().get("db.plans_compiled", 0)
     fn(*args, **kwargs)
     return REGISTRY.values().get("db.plans_compiled", 0) - before
+
+
+def batches(fn, *args, **kwargs) -> int:
+    """How many operand batches ``fn(*args, **kwargs)`` ran."""
+    before = REGISTRY.values().get("db.operand_batches", 0)
+    fn(*args, **kwargs)
+    return REGISTRY.values().get("db.operand_batches", 0) - before
 
 
 def run_tables(db, n: int, extra: range = range(0)) -> None:
@@ -86,6 +98,39 @@ class TestPlanCounts:
         run_tables(db, 1)
         assert compiled(db.fetchall, 'SELECT x FROM "r0"') == 0
 
+    def test_operands_of_one_plan_run_as_one_batch(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 200)
+        sql, params = union(200)
+        assert batches(db.fetchall, sql, params) == 1
+        assert db.fetchall(sql, params) == [(i, i + 0.5)
+                                            for i in range(200)]
+
+    def test_alternating_layouts_run_one_batch_per_operand(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 10, extra=range(0, 10, 2))
+        sql, params = union(10)
+        assert batches(db.fetchall, sql, params) == 10
+        assert db.fetchall(sql, params) == [(i, i + 0.5)
+                                            for i in range(10)]
+
+    def test_a_change_of_layout_ends_a_batch(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 10, extra=range(4, 7))
+        sql, params = union(10)
+        assert batches(db.fetchall, sql, params) == 3
+        assert db.fetchall(sql, params) == [(i, i + 0.5)
+                                            for i in range(10)]
+
+    def test_operand_with_limit_runs_once_per_operand(self):
+        db = MemoryDatabase("plans")
+        run_tables(db, 6)
+        sql = " UNION ALL ".join(
+            f'SELECT d.x FROM (SELECT "x" AS x FROM "r{i}" LIMIT 1) d'
+            for i in range(6))
+        assert batches(db.fetchall, sql) == 6
+        assert db.fetchall(sql) == [(float(i),) for i in range(6)]
+
     def test_relayout_compiles_again(self):
         db = MemoryDatabase("plans")
         run_tables(db, 4)
@@ -135,6 +180,13 @@ class TestFusedQueries:
         query = parse_query_xml(stddev_query_xml("listless", "ufs"))
         assert compiled(query.execute, campaign, pushdown=True) == 1
         assert compiled(query.execute, campaign, pushdown=True) == 0
+
+    def test_fused_sources_run_one_batch_each(self, campaign):
+        # fig8's two 200-run sources, stddev's one
+        fig8 = parse_query_xml(fig8_query_xml("read", "ufs"))
+        assert batches(fig8.execute, campaign, pushdown=True) == 2
+        stddev = parse_query_xml(stddev_query_xml("listless", "ufs"))
+        assert batches(stddev.execute, campaign, pushdown=True) == 1
 
 
 # -- differential cases ------------------------------------------------------
@@ -283,6 +335,100 @@ class TestSharedPlanParity:
         assert same(dbs, sql) != "error"
         each(dbs, "ALTER TABLE t1 DROP COLUMN z")
         assert same(dbs, sql, times=3) == "error"
+
+    # -- operands run as one batch ------------------------------------------
+
+    @staticmethod
+    def compound(operand: str, tables=("t1", "t2", "t3")) -> str:
+        return " UNION ALL ".join(operand.format(t=t) for t in tables)
+
+    def test_batched_operands_read_their_own_parameters(self, dbs):
+        sql = self.compound("SELECT ? AS c, k, x FROM {t} WHERE x > ?")
+        assert same(dbs, sql, ("p", 1.0, "q", 0.0, "r", 7.0)) != "error"
+        sql = self.compound("SELECT k, ? AS c FROM {t} WHERE k IN (?, ?)")
+        assert same(dbs, sql, (1, 1, 3, 2, 5, None, 3, 7, 7)) != "error"
+        sql = self.compound("SELECT k + ? AS c, s FROM {t} "
+                            "WHERE s = ? OR x < ?")
+        assert same(dbs, sql, (1, "a", 2.0, 2, "d", 0.0, 3, "z", 9.0)) \
+            != "error"
+
+    def test_one_parameter_shared_and_one_varying(self, dbs):
+        sql = self.compound("SELECT ? AS run, k, x FROM {t} WHERE s = ?")
+        assert same(dbs, sql, (0, "a", 1, "a", 2, "a")) != "error"
+        assert same(dbs, sql, (0, "a", 1, "c", 2, "e")) != "error"
+        assert same(dbs, sql, (0, None, 1, None, 2, None)) == []
+        assert same(dbs, sql, (0, None, 1, "a", 2, None)) != "error"
+        # equal values of another type are not one value
+        sql = self.compound("SELECT ? AS v, k FROM {t} WHERE ? > 0")
+        assert same(dbs, sql, (1, 1, 1.0, 1.0, 1, 1)) != "error"
+        assert same(dbs, sql, ("1", 1, 1, 1, 1.0, 1)) != "error"
+
+    def test_zeros_of_either_sign_are_not_one_value(self, dbs):
+        sql = self.compound("SELECT ? AS v FROM {t}", ("t1", "t2"))
+        signs = [[math.copysign(1.0, v) for (v,) in db.fetchall(
+            sql, (0.0, -0.0))] for db in dbs]
+        assert signs[0] == signs[1] == [1.0] * 3 + [-1.0] * 3
+
+    def test_operands_keeping_no_rows_and_empty_tables(self, dbs):
+        for db in dbs:
+            db.create_table("t4", [("k", "INTEGER"), ("x", "REAL"),
+                                   ("s", "TEXT")])
+            db.commit()
+        tables = ("t4", "t1", "t4", "t2", "t3", "t4")
+        sql = self.compound("SELECT ? AS run, k, s FROM {t} WHERE x > ?",
+                            tables)
+        assert same(dbs, sql, (0, 0, 1, 2.0, 2, 0, 3, 99.0, 4, 0, 5, 0)) \
+            != "error"
+        assert same(dbs, sql, [v for i in range(6) for v in (i, 99.0)]) \
+            == []
+        assert same(dbs, self.compound("SELECT * FROM {t}",
+                                       ("t4", "t4"))) == []
+
+    def test_rowids_nulls_and_star(self, dbs):
+        assert same(dbs, self.compound("SELECT rowid, * FROM {t}")) \
+            != "error"
+        assert same(dbs, self.compound("SELECT * FROM {t} WHERE rowid > 1")
+                    ) != "error"
+        assert same(dbs, self.compound(
+            "SELECT k, x IS NULL, s FROM {t} WHERE s = ? OR x IS NULL"),
+            ("a", None, "d")) != "error"
+        assert same(dbs, self.compound(
+            "SELECT k, x FROM {t} WHERE NOT (k IS NULL AND s IS NULL) "
+            "AND x = ?"), (None, 0.5, 7.25)) != "error"
+        assert same(dbs, self.compound(
+            "SELECT k * ? AS y, COALESCE(s, ?) AS s FROM {t}"),
+            (None, "n", 2, None, 3, "m")) != "error"
+
+    def test_integer_and_real_literals_are_different_shapes(self, dbs):
+        assert same(dbs, "SELECT k, 1 AS c FROM t1 UNION ALL "
+                         "SELECT k, 1.0 AS c FROM t2 UNION ALL "
+                         "SELECT k, 1 AS c FROM t3") != "error"
+        assert same(dbs, "SELECT k / 2 AS c FROM t1 UNION ALL "
+                         "SELECT k / 2.0 AS c FROM t2 UNION ALL "
+                         "SELECT k / 2 AS c FROM t3") != "error"
+
+    def test_operands_that_do_not_batch_keep_their_own_results(self, dbs):
+        for operand in (
+                "SELECT DISTINCT s FROM {t}",
+                "SELECT s, COUNT(*) AS n FROM {t} GROUP BY s",
+                "SELECT MAX(x) AS m, COUNT(k) AS n FROM {t}",
+                "SELECT d.k FROM (SELECT k AS k FROM {t} "
+                "ORDER BY k DESC LIMIT 1) d",
+                "SELECT d.k FROM (SELECT k AS k FROM {t} LIMIT 1) d",
+                "SELECT a.k, b.s FROM {t} a JOIN t1 b ON a.s = b.s"):
+            assert same(dbs, self.compound(operand)) != "error", operand
+
+    def test_aggregates_over_a_batch_see_operand_order(self, dbs):
+        inner = self.compound("SELECT s AS s, x AS x, ? AS r FROM {t}",
+                              ("t1", "t2", "t3", "t2"))
+        sql = (f"SELECT d.r, SUM(d.x), AVG(d.x), MIN(d.x), MAX(d.x), "
+               f"COUNT(*), pb_stddev(d.x) FROM ({inner}) d GROUP BY d.r")
+        assert same(dbs, sql, (0, 1, 0, 1)) != "error"
+        ties = ("SELECT MAX(d.v), MIN(d.v) FROM (SELECT ? AS v FROM t3 "
+                "UNION ALL SELECT ? AS v FROM t3) d")
+        assert same(dbs, ties, (1, 1.0)) == [(("int", 1), ("int", 1))]
+        assert same(dbs, ties, (1.0, 1)) == [(("float", 1.0),
+                                             ("float", 1.0))]
 
 
 def test_threads_on_separate_databases_compile_one_plan():

@@ -53,8 +53,8 @@ class TestNodeDeathDegradation:
             plan = FaultPlan()
             plan.add("node_death", "parallel.worker", node=1, times=1)
             with use_faults(plan):
-                result, stats = executor.execute(fig2_query(),
-                                                 filled_experiment)
+                result, stats = executor.execute(
+                    fig2_query(), filled_experiment, keep_temp_tables=True)
             assert plan.fired("node_death") == 1
             assert stats.node_deaths == 1
             assert stats.dead_nodes == [1]
@@ -90,8 +90,8 @@ class TestNodeDeathAccounting:
             plan = FaultPlan()
             plan.add("node_death", "parallel.worker", node=1, times=1)
             with use_faults(plan), use_tracer(tracer):
-                result, stats = executor.execute(fig2_query(),
-                                                 filled_experiment)
+                result, stats = executor.execute(
+                    fig2_query(), filled_experiment, keep_temp_tables=True)
             assert stats.node_deaths == 1
             assert (tracer.metrics.counter("parallel.node_deaths").value
                     == 1)
@@ -108,7 +108,7 @@ class TestNodeDeathAccounting:
         cluster = SimulatedCluster(2)
         try:
             result, stats = ParallelQueryExecutor(cluster).execute(
-                fig2_query(), filled_experiment)
+                fig2_query(), filled_experiment, keep_temp_tables=True)
             assert stats.node_deaths == 0
             assert stats.dead_nodes == []
             assert sorted(result.vectors["rel"].rows()) == sorted(
