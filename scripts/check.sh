@@ -154,31 +154,7 @@ for q in fig8 stddev; do
         --profile -o "$PUSHDOWN_DIR/par_warm/$q" --dbdir "$PUSHDOWN_DIR/db" \
         > "$PUSHDOWN_DIR/par_warm_$q.log"
 done
-# the columnar engine lives in-process: fused fig8 and stddev run twice
-# in one process, and the second run compiles no compound-operand plan
-python - "$PUSHDOWN_DIR" <<'EOF3'
-import glob, sys
-from repro.cli.main import main
-from repro.obs.metrics import REGISTRY
-ws = sys.argv[1]
-memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb_fused"]
-for argv in (["setup", "-d", f"{ws}/experiment.xml"],
-             ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
-              *sorted(glob.glob(f"{ws}/results/*"))]):
-    if main(argv + memory) != 0:
-        sys.exit(1)
-for run in ("mem_fused", "mem_fused_again"):
-    before = REGISTRY.values().get("db.plans_compiled", 0)
-    for q in ("fig8", "stddev"):
-        if main(["query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
-                 "--no-cache", "-o", f"{ws}/{run}/{q}"] + memory) != 0:
-            sys.exit(1)
-    compiled = REGISTRY.values().get("db.plans_compiled", 0) - before
-    print(f"{run}: {compiled} compound-operand plans compiled")
-    if (compiled > 0) != (run == "mem_fused"):
-        sys.exit(f"{run}: expected plans only on the first run")
-EOF3
-for run in plain par par_cold par_warm mem_fused mem_fused_again; do
+for run in plain par par_cold par_warm; do
     diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/$run"
 done
 # the warm profile lists every fig8 element, upfront cache hits included

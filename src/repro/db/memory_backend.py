@@ -32,13 +32,16 @@ equalities, filters the joined rows by the remaining conjuncts, and
 then groups, orders, projects and limits by reading columns through
 those positions.  A named table joined on its primary key alone is
 probed by key instead of filtered and hashed.  A SELECT compiles into a
-plan that holds no table and runs over the tables it is handed: the
-operands of a ``UNION ALL`` that differ only in table names and ``?``
-positions share one plan, kept on the parsed compound, so a query
-source's N-run compound compiles once per statement text; consecutive
-operands of a plan that reads a row at a time run it once, as one
-batch over all their rows.  UPDATE and DELETE select their rows with
-the same WHERE evaluation.  ``INSERT ..
+plan that holds no table and runs over the tables it is handed, and
+every plan is stored under its SELECT's shape and its tables' layouts:
+SELECTs that differ only in table names, ``?`` positions and derived
+``UNION ALL``s share one plan, so a query source's N-run compound, or
+its N per-run statements, compile once per layout, and a warm query
+compiles nothing.  Consecutive operands of a plan that reads a row at
+a time run it once, as one batch over all their rows.  GROUP BY
+buckets rows one key column at a time, and the aggregates loop over a
+group's values with no call per value.  UPDATE and DELETE select their
+rows with the same WHERE evaluation.  ``INSERT ..
 VALUES`` runs over a batch of parameter rows (``execute`` is a batch of
 one): the VALUES compile once, and a batch that lands after the table's
 last row is appended a column at a time.
@@ -76,6 +79,7 @@ Python-row fallback paths, which the differential battery exercises.
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import itertools
 import math
@@ -377,38 +381,44 @@ _NUMBERS = frozenset((int, float))
 
 
 def _aggregate(name: str, values: list) -> Any:
-    """Aggregate one column's values (``COUNT(*)`` is counted by the
+    """Aggregate one group's values (``COUNT(*)`` is counted by the
     callers) in a single pass.
 
     SUM stays an integer until a float appears and is NULL over no
     rows, like SQLite's.  A ``pb_*`` aggregate steps and finalizes the
     class the SQLite backend registers for it, so its results are
-    bit-identical across backends.
+    bit-identical across backends.  SUM and AVG add in row order, one
+    value at a time, with a function call only for a value that is
+    neither an int nor a float: their bit-for-bit contract with
+    SQLite's sequential sums (builtin ``sum`` of floats compensates,
+    from Python 3.12 on, and would round differently).
     """
     if name in PB_AGGREGATES:
         state = PB_AGGREGATES[name]()
-        for v in values:
-            state.step(v)
+        state.steps(values)
         return state.finalize()
     if name == "count":
-        return sum(1 for v in values if v is not None)
+        return len(values) - values.count(None)
     if name == "sum":
         acc, seen = 0, False
         for v in values:
             if v is None:
                 continue
             seen = True
-            v = _num(v)
-            if isinstance(v, float) and isinstance(acc, int):
+            if type(v) is not int and type(v) is not float:
+                v = _num(v)
+            if type(v) is float and type(acc) is int:
                 acc = float(acc)
             acc += v
         return acc if seen else None
     if name == "avg":
         total, n = 0.0, 0
         for v in values:
-            if v is not None:
-                total += float(_num(v))
-                n += 1
+            if v is None:
+                continue
+            total += (v if type(v) is float else float(v) if type(v) is int
+                      else float(_num(v)))
+            n += 1
         return total / n if n else None
     if name in ("min", "max"):
         present = [v for v in values if v is not None]
@@ -545,8 +555,10 @@ class _Delete(_Statement):
 
 
 class _Select(_Statement):
+    """A SELECT.  ``form`` is its :func:`_form`, set on its first
+    execution by :meth:`MemoryDatabase._plan`."""
     __slots__ = ("distinct", "items", "source", "joins", "where",
-                 "group", "order", "limit")
+                 "group", "order", "limit", "form")
 
     def __init__(self, distinct, items, source, joins, where, group,
                  order, limit):
@@ -559,20 +571,19 @@ class _Select(_Statement):
         self.group = group              # [ast]
         self.order = order              # [(ast, desc)]
         self.limit = limit              # expr | None
+        self.form = None
 
 
 class _Compound(_Statement):
-    """A ``UNION ALL`` of SELECTs.  ``spans`` holds each operand's
-    first ``?`` index and ``?`` count; ``operands`` (filled on first
-    execution) each operand's shape, span and table names, and
-    ``plans`` the compiled operand plans by shape and table layouts."""
-    __slots__ = ("selects", "spans", "operands", "plans")
+    """A ``UNION ALL`` of SELECTs.  ``first`` is the index of its first
+    ``?`` in the statement, and ``spans`` holds each operand's first
+    ``?`` index, counted from ``first``, and ``?`` count."""
+    __slots__ = ("selects", "spans", "first")
 
-    def __init__(self, selects, spans):
+    def __init__(self, selects, spans, first):
         self.selects = selects
         self.spans = spans
-        self.operands = None
-        self.plans: dict = {}
+        self.first = first
 
 
 # =========================================================================
@@ -816,8 +827,9 @@ class _Parser:
             raise DatabaseError(
                 "ORDER BY or LIMIT on an operand of a compound SELECT")
         ends = starts[1:] + [self.n_params]
-        return _Compound(selects, [(first, end - first)
-                                   for first, end in zip(starts, ends)])
+        return _Compound(selects, [(first - starts[0], end - first)
+                                   for first, end in zip(starts, ends)],
+                         starts[0])
 
     def select(self):
         self.expect_kw("SELECT")
@@ -1041,20 +1053,26 @@ class _Parser:
         raise DatabaseError(f"unexpected token {value!r} in expression")
 
 
-_PARSE_CACHE: dict[str, Any] = {}
+#: the process's statement store, shared by every database: each
+#: statement text's parse, and each SELECT shape's plans by table
+#: layouts (:func:`_form`), under one bound and one lock
+_PARSE_CACHE: dict[Any, Any] = {}
 _PARSE_LOCK = threading.Lock()
+
+
+def _stored(key, value):
+    """The store's entry for ``key``, set to ``value`` if it has none:
+    threads that built one key's entry at once share the first."""
+    with _PARSE_LOCK:
+        if len(_PARSE_CACHE) > 4096:
+            _PARSE_CACHE.clear()
+        return _PARSE_CACHE.setdefault(key, value)
 
 
 def _parse(sql: str):
     stmt = _PARSE_CACHE.get(sql)
     if stmt is None:
-        stmt = _Parser(sql).parse()
-        with _PARSE_LOCK:
-            if len(_PARSE_CACHE) > 4096:
-                _PARSE_CACHE.clear()
-            # threads that parsed one text at once share the first
-            # parse, and with it the plans kept on it
-            stmt = _PARSE_CACHE.setdefault(sql, stmt)
+        stmt = _stored(sql, _Parser(sql).parse())
     return stmt
 
 
@@ -1086,9 +1104,8 @@ class _Frame:
         """The frame of the given row indices, in their order."""
         if self.pos is None:
             return _Frame(len(rows), None)
-        return _Frame(len(rows), [
-            None if p is None else [p[i] for i in rows]
-            for p in self.pos])
+        return _Frame(len(rows), [None if p is None else _at(p, rows)
+                                  for p in self.pos])
 
 
 #: a frame of one row over no sources (VALUES, LIMIT, FROM-less SELECT)
@@ -1118,8 +1135,8 @@ class _Scope:
         for the rowid), or ``None`` when no source of this scope
         matches it."""
         for k, table, alias in self.sources:
-            if qualifier is not None and qualifier != alias \
-                    and qualifier != table.name:
+            if qualifier is not None and qualifier != _ref_name(table,
+                                                                alias):
                 continue
             if name in table.cols:
                 return k, name
@@ -1144,13 +1161,20 @@ class _Scope:
         names (all sources for a bare ``*``)."""
         fns = [_reader(k, name)
                for k, table, alias in self.sources
-               if qualifier in (None, alias, table.name)
+               if qualifier in (None, _ref_name(table, alias))
                for name in table.columns]
         if qualifier is not None and not any(
-                qualifier in (alias, table.name)
+                qualifier == _ref_name(table, alias)
                 for _k, table, alias in self.sources):
             raise DatabaseError(f"no such table: {qualifier}")
         return fns
+
+
+def _ref_name(table: "_Table", alias: str | None) -> str:
+    """The name a qualifier reads a source by: its alias if it has one
+    (SQLite then no longer knows the table's own name), else the
+    table's name."""
+    return table.name if alias is None else alias
 
 
 def _at(values: list, rows) -> list:
@@ -1179,18 +1203,37 @@ class _PerRow(list):
     operand binds, read like a column of the batch's one source."""
 
 
+def _bound(value):
+    """A bound value as SQLite binds it: a bool as the integer 0 or 1."""
+    return int(value) if type(value) is bool else value
+
+
 def _scalar(node, scope: _Scope):
     """A literal's or a ``?``'s value, read from ``env``: a
     :class:`_PerRow` for a ``?`` that varies over a batch's rows."""
     if node[0] == "lit":
         return lambda env, value=node[1]: value
     index = node[1] - scope.base
-    return lambda env: env[0][index]
+    return lambda env: _bound(env[0][index])
 
 
 #: expression kinds whose values are truth values (True/False/NULL)
 _PREDICATES = frozenset(("cmp", "isnull", "like", "in", "not", "and",
                          "or"))
+
+
+def _never_null(node) -> bool:
+    """Whether a predicate's truth values are never NULL: ``IS [NOT]
+    NULL``, and ``NOT``, ``AND`` and ``OR`` of such predicates, whose
+    ``AND`` and ``OR`` are then those of plain booleans."""
+    kind = node[0]
+    if kind == "isnull":
+        return True
+    if kind == "not":
+        return _never_null(node[1])
+    if kind in ("and", "or"):
+        return _never_null(node[1]) and _never_null(node[2])
+    return False
 
 
 def _truth(node, fn):
@@ -1309,6 +1352,11 @@ def _compile(node, scope: _Scope, allow_agg: bool = False):
     if kind in ("and", "or"):
         left = _truth(node[1], _compile(node[1], scope, allow_agg))
         right = _truth(node[2], _compile(node[2], scope, allow_agg))
+        if _never_null(node):
+            # plain booleans combine in C
+            both = operator.and_ if kind == "and" else operator.or_
+            return lambda frame, env: list(map(both, left(frame, env),
+                                               right(frame, env)))
         if kind == "or":
             return _pairwise(_or, left, right)
         # three-valued AND of truth values: ``a and b``, but NULL AND
@@ -1437,17 +1485,29 @@ def _hash_join(left_keys: list[list], right_keys: list[list]):
 
 def _groups(frame: _Frame, fns: list, env) -> list[list[int]]:
     """Row indices of ``frame`` per distinct GROUP BY key, members in
-    row order and groups ordered by key: SQLite groups by sorting on
-    the grouping terms and emits its groups in that order."""
-    buckets: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(*(fn(frame, env) for fn in fns))):
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [i]
-        else:
-            bucket.append(i)
-    return [buckets[key] for key in sorted(
-        buckets, key=lambda key: tuple(map(_sort_key, key)))]
+    row order and groups ordered by key, ties by first row: SQLite
+    groups by sorting on the grouping terms and emits its groups in
+    that order.  The rows are bucketed by the first key column's
+    values, each bucket by the next column's, and so on, so no key
+    tuple is built per row.  A dict keys values as SQLite compares
+    them: 1 and 1.0 are one key, 1 and '1' two."""
+    groups: list = [range(frame.n)]
+    keys: list[tuple] = [()]
+    for fn in fns:
+        column = fn(frame, env)
+        refined, refined_keys = [], []
+        for key, rows in zip(keys, groups):
+            buckets: dict[Any, list[int]] = collections.defaultdict(list)
+            # append each row to its value's bucket, in C: consume the
+            # map of appends into a deque that keeps nothing
+            collections.deque(map(list.append, map(
+                buckets.__getitem__, _at(column, rows)), rows), maxlen=0)
+            refined.extend(buckets.values())
+            refined_keys.extend((*key, value) for value in buckets)
+        groups, keys = refined, refined_keys
+    order = sorted(range(len(groups)), key=lambda g: (
+        tuple(map(_sort_key, keys[g])), groups[g][0]))
+    return [groups[g] for g in order]
 
 
 def _sort_order(keys: list, order: list[int], desc: bool) -> None:
@@ -1696,6 +1756,19 @@ def _table_names(stmt: _Select) -> list[str]:
     return names
 
 
+def _unions(stmt: _Select) -> list["_Compound"]:
+    """The derived ``UNION ALL``s of ``stmt`` and of its derived
+    SELECTs, in :func:`_refs` order, depth first: the ones a plan of
+    ``stmt`` runs."""
+    unions: list[_Compound] = []
+    for ref, _alias in _refs(stmt):
+        if isinstance(ref, _Compound):
+            unions.append(ref)
+        elif isinstance(ref, _Select):
+            unions.extend(_unions(ref))
+    return unions
+
+
 def _derived(alias: str, names: list[str], result) -> "_Table":
     n, columns = result
     return _Table.derived(alias, names, columns, n)
@@ -1708,9 +1781,10 @@ class _Plan:
     GROUP BY, the aggregates, ORDER BY, LIMIT and DISTINCT.
 
     A plan holds no table.  It reads the tables it is run over, one per
-    name of :func:`_table_names`, and the parameters from its first
-    ``?`` on, so the operands of a ``UNION ALL`` that differ only in
-    table names and ``?`` positions run one plan.  A plan that
+    name of :func:`_table_names`, the derived ``UNION ALL``s it is run
+    with, one per entry of :func:`_unions`, and the parameters from its
+    first ``?`` on, so SELECTs that differ only in table names, ``?``
+    positions and derived ``UNION ALL``s run one plan.  A plan that
     ``batches`` answers a row of its source on its own: it reads one
     named table and has no JOIN, GROUP BY, aggregate, ORDER BY, LIMIT
     or DISTINCT.  Run once over the rows of several operands' tables,
@@ -1723,12 +1797,14 @@ class _Plan:
 
     @classmethod
     def compile(cls, stmt: _Select, names: list[str],
-                tables: list["_Table"], base: int) -> "_Plan":
+                tables: list["_Table"], base: int,
+                unions: list["_Compound"]) -> "_Plan":
         """Compile ``stmt`` against the layouts of ``tables``, the
         tables of ``names``, with its ``?`` counted from index ``base``.
         A derived SELECT compiles into the plan; a derived ``UNION
-        ALL`` runs through :meth:`MemoryDatabase._compound`, with the
-        parameters of the whole statement (``base`` is then 0)."""
+        ALL``, the one at its position in ``unions``, runs through
+        :meth:`MemoryDatabase._compound` with the parameters from its
+        own first ``?`` on."""
         slots = {name: i for i, name in enumerate(names)}
         entries: list[tuple[int, _Table, str | None]] = []
         sources = []
@@ -1736,23 +1812,26 @@ class _Plan:
             if isinstance(ref, str):
                 index = slots[ref]
                 entries.append((k, tables[index], alias))
-                sources.append(
-                    lambda db, tables, params, index=index: tables[index])
+                sources.append(lambda db, tables, params, unions,
+                               index=index: tables[index])
                 continue
             columns = _derived_names(ref)
             entries.append((k, _Table.derived(
                 alias, columns, [[] for _ in columns], 0), alias))
             if isinstance(ref, _Compound):
+                index = next(i for i, u in enumerate(unions) if u is ref)
                 sources.append(
-                    lambda db, tables, params, ref=ref, alias=alias,
-                    columns=columns: _derived(
-                        alias, columns, db._compound(ref, params)))
+                    lambda db, tables, params, unions, index=index,
+                    offset=ref.first - base, alias=alias,
+                    columns=columns: _derived(alias, columns, db._compound(
+                        unions[index], params[offset:])))
             else:
-                inner = cls.compile(ref, names, tables, base)
+                inner = cls.compile(ref, names, tables, base, unions)
                 sources.append(
-                    lambda db, tables, params, inner=inner, alias=alias,
-                    columns=columns: _derived(
-                        alias, columns, inner.run(db, tables, params)))
+                    lambda db, tables, params, unions, inner=inner,
+                    alias=alias, columns=columns: _derived(
+                        alias, columns,
+                        inner.run(db, tables, params, unions)))
         scope = _Scope(entries, base)
 
         plan = cls()
@@ -1800,11 +1879,11 @@ class _Plan:
                         and stmt.limit is None)
         return plan
 
-    def run(self, db: "MemoryDatabase", tables: list["_Table"],
-            params) -> tuple[int, list[list]]:
-        """Evaluate the plan over ``tables`` and ``params`` into its row
-        count and output columns: one operand's, or a batch's made by
-        :func:`_batch`.
+    def run(self, db: "MemoryDatabase", tables: list["_Table"], params,
+            unions: list["_Compound"]) -> tuple[int, list[list]]:
+        """Evaluate the plan over ``tables``, ``params`` and ``unions``
+        into its row count and output columns: one SELECT's, or a
+        batch's made by :func:`_batch`.
 
         Each source is first narrowed by the WHERE conjuncts that read
         only its columns; the equality hash join then pairs the
@@ -1814,7 +1893,8 @@ class _Plan:
         named table joined on its primary key alone is not scanned:
         each left row probes the key, and the table's own conjuncts
         filter the matched rows only."""
-        slots = [source(db, tables, params) for source in self.sources]
+        slots = [source(db, tables, params, unions)
+                 for source in self.sources]
         width = len(slots)
         env = (params, None, slots)
         limit = None
@@ -1859,9 +1939,8 @@ class _Plan:
                     aggregates.append([len(g) for g in groups])
                 else:
                     values = arg(frame, env)
-                    aggregates.append([
-                        _aggregate(name, [values[i] for i in g])
-                        for g in groups])
+                    aggregates.append([_aggregate(name, _at(values, g))
+                                       for g in groups])
             frame, env = first, (params, aggregates, slots)
 
         # -- order, limit, project ----------------------------------------
@@ -1895,26 +1974,27 @@ class _Plan:
         return n, columns
 
 
-def _operand_shape(select: _Select, first: int, names: list[str]):
-    """The key under which operands of one ``UNION ALL`` share a plan:
-    ``select``'s AST with each table name, in FROM and JOIN and in
-    qualifiers alike, replaced by its index in ``names``, literals
-    keyed with their type and ``?`` numbered from ``first``.  ``None``
-    for an operand that compiles on its own: one with a derived ``UNION
-    ALL`` (whose operands share plans of their own), or with an alias
-    that is also a table name, which could resolve a qualifier to a
-    different source in another operand of the same key."""
+def _shape(select: _Select, first: int, names: list[str]):
+    """The key under which SELECTs share plans: ``select``'s AST with
+    each table name, in FROM and JOIN, in aliases and in qualifiers
+    alike, replaced by its index in ``names``, literals keyed with
+    their type, ``?`` numbered from ``first``, and each derived ``UNION
+    ALL`` (whose operands have plans of their own) replaced by where its
+    ``?`` start and its column names.  SELECTs of one key are then one
+    text up to a renaming of their tables, under which every name
+    resolves to the same source."""
     slots = {name: i for i, name in enumerate(names)}
 
-    def shareable(s) -> bool:
-        return all(alias not in slots and (
-            isinstance(ref, str)
-            or isinstance(ref, _Select) and shareable(ref))
-            for ref, alias in _refs(s))
+    def source(ref):
+        if isinstance(ref, str):
+            return name(ref)
+        if isinstance(ref, _Select):
+            return key(ref)
+        return ("union", ref.first - first, tuple(_derived_names(ref)))
 
-    def name(qualifier):
-        index = slots.get(qualifier)
-        return qualifier if index is None else ("table", index)
+    def name(identifier):
+        index = slots.get(identifier)
+        return identifier if index is None else ("table", index)
 
     def expr(node):
         if type(node) is list:
@@ -1935,29 +2015,23 @@ def _operand_shape(select: _Select, first: int, names: list[str]):
                 tuple(("star", name(item[1])) if item[0] == "star"
                       else ("expr", expr(item[1]), item[2])
                       for item in s.items),
-                tuple((name(ref) if isinstance(ref, str) else key(ref),
-                       alias) for ref, alias in _refs(s)),
+                tuple((source(ref), name(alias))
+                      for ref, alias in _refs(s)),
                 tuple(expr(on) for _ref, _alias, on in s.joins),
                 expr(s.where), expr(s.group),
                 tuple((expr(term), desc) for term, desc in s.order),
                 expr(s.limit))
 
-    return key(select) if shareable(select) else None
+    return key(select)
 
 
-def _operands(stmt: _Compound) -> list[tuple]:
-    """``(shape, first ?, ? count, table names)`` of each operand of
-    ``stmt``, the shape a small integer equal for operands of equal
-    :func:`_operand_shape` (``None`` where that is ``None``)."""
-    shapes: dict[tuple, int] = {}
-    operands = []
-    for select, (first, n_params) in zip(stmt.selects, stmt.spans):
-        names = _table_names(select)
-        shape = _operand_shape(select, first, names)
-        if shape is not None:
-            shape = shapes.setdefault(shape, len(shapes))
-        operands.append((shape, first, n_params, names))
-    return operands
+def _form(select: _Select, first: int) -> tuple[dict, list, list]:
+    """``(plans, table names, derived UNION ALLs)`` of a SELECT whose
+    first ``?`` is ``first``: ``plans`` is the store's entry for its
+    :func:`_shape`, shared by every SELECT of that shape, which holds
+    their plans by the layouts of the tables they read."""
+    names = _table_names(select)
+    return _stored(_shape(select, first, names), {}), names, _unions(select)
 
 
 class _Columns(dict):
@@ -1971,8 +2045,10 @@ class _Columns(dict):
         self.parts = parts
 
     def __missing__(self, name: str) -> list:
-        column = self[name] = list(itertools.chain.from_iterable(
-            [t.cols[name] for t in self.parts]))
+        column: list = []
+        for table in self.parts:
+            column += table.cols[name]
+        self[name] = column
         return column
 
 
@@ -1984,17 +2060,17 @@ def _same(a, b) -> bool:
         or math.copysign(1.0, a) == math.copysign(1.0, b)))
 
 
-def _batch(operands: list[tuple[list, tuple]]) -> tuple[list, tuple]:
-    """The tables and parameters one run of a plan answers a batch of
-    operands' ``(tables, params)`` with.  A lone operand runs over its
-    own.  A longer batch, of a plan that batches, runs over one table
-    of its operands' rows, operand after operand, whose columns are
-    joined up when the plan first reads them; a ``?`` bound to one
-    value in every operand reads that value, any other a
-    :class:`_PerRow` of the operands' values."""
+def _batch(operands: list[tuple]) -> tuple:
+    """The tables, parameters and derived ``UNION ALL``s one run of a
+    plan answers a batch of operands' ``(tables, params, unions)`` with.
+    A lone operand runs over its own.  A longer batch, of a plan that
+    batches, runs over one table of its operands' rows, operand after
+    operand, whose columns are joined up when the plan first reads
+    them; a ``?`` bound to one value in every operand reads that value,
+    any other a :class:`_PerRow` of the operands' values."""
     if len(operands) == 1:
         return operands[0]
-    parts = [tables[0] for tables, _params in operands]
+    parts = [tables[0] for tables, _params, _u in operands]
     table = _Table(parts[0].name, [], None, True)
     table.cols = _Columns(parts)
     table.rowids = list(itertools.chain.from_iterable(
@@ -2003,9 +2079,9 @@ def _batch(operands: list[tuple[list, tuple]]) -> tuple[list, tuple]:
     params = tuple(
         values[0] if all(_same(values[0], v) for v in values)
         else _PerRow(itertools.chain.from_iterable(
-            map(itertools.repeat, values, counts)))
-        for values in zip(*(params for _tables, params in operands)))
-    return [table], params
+            map(itertools.repeat, map(_bound, values), counts)))
+        for values in zip(*(params for _tables, params, _u in operands)))
+    return [table], params, []
 
 
 # =========================================================================
@@ -2490,49 +2566,50 @@ class MemoryDatabase(Database):
 
     def _select(self, stmt, params) -> tuple[int, list[list]]:
         """Evaluate a SELECT or ``UNION ALL`` into its row count and
-        output columns.  A SELECT outside a compound compiles on every
-        execution: caching its plan would keep one per statement text,
-        and the per-run statements perfbase emits are many."""
+        output columns."""
         if isinstance(stmt, _Compound):
             return self._compound(stmt, params)
-        names = _table_names(stmt)
+        plan, tables, unions = self._plan(stmt, 0)
+        return plan.run(self, tables, params, unions)
+
+    def _plan(self, select: _Select, first: int):
+        """``(plan, tables, derived UNION ALLs)`` that run ``select``,
+        whose first ``?`` is ``first``.  The plan is the one stored
+        under its shape and its tables' layouts (:func:`_form`),
+        compiled by the first SELECT with that key: SELECTs that differ
+        only in table names, ``?`` positions and derived ``UNION ALL``s
+        share it, so the per-run statements of a query source, or one
+        text run again, compile once per layout."""
+        form = select.form
+        if form is None:
+            form = select.form = _form(select, first)
+        plans, names, unions = form
         tables = [self._table(name) for name in names]
-        return _Plan.compile(stmt, names, tables, 0).run(self, tables,
-                                                         params)
+        layouts = tuple([table.layout for table in tables])
+        plan = plans.get(layouts)
+        if plan is None:
+            # the store is shared by every database
+            with _PARSE_LOCK:
+                plan = plans.get(layouts)
+                if plan is None:
+                    plan = _Plan.compile(select, names, tables, first,
+                                         unions)
+                    plans[layouts] = plan
+                    count("db.plans_compiled")
+        return plan, tables, unions
 
     def _compound(self, stmt: _Compound, params) -> tuple[int, list[list]]:
-        """Evaluate a ``UNION ALL``.  Each operand runs the plan stored
-        on ``stmt`` under the operand's shape and its tables' layouts,
-        compiled by the first operand with that key.  Consecutive
-        operands of one key whose plan batches (:class:`_Plan`) form a
-        batch, and the plan runs once per batch (``db.operand_batches``);
-        every other operand is a batch of its own.  A query source's
-        operands differ only in the run table they read and the run
-        position they bind, so its compound compiles once per statement
-        text and layout, and runs one plan per stretch of runs of one
-        layout."""
-        operands = stmt.operands
-        if operands is None:
-            operands = stmt.operands = _operands(stmt)
-        batches: list[tuple[Any, list]] = []
-        for select, (shape, first, n_params, names) in zip(
-                stmt.selects, operands):
-            if shape is None:
-                # compiles on its own, and runs as a batch of one
-                batches.append((None, select))
-                continue
-            tables = [self._table(name) for name in names]
-            key = (shape, *[table.layout for table in tables])
-            plan = stmt.plans.get(key)
-            if plan is None:
-                # parsed statements are shared by every database
-                with _PARSE_LOCK:
-                    plan = stmt.plans.get(key)
-                    if plan is None:
-                        plan = _Plan.compile(select, names, tables, first)
-                        stmt.plans[key] = plan
-                        count("db.plans_compiled")
-            operand = (tables, params[first:first + n_params])
+        """Evaluate a ``UNION ALL``, ``params`` counted from its first
+        ``?``.  Each operand runs its :meth:`_plan`.  Consecutive
+        operands of one plan that batches (:class:`_Plan`) form a batch,
+        and the plan runs once per batch (``db.operand_batches``); every
+        other operand is a batch of its own.  A query source's operands
+        differ only in the run table they read and the run position they
+        bind, so it runs one plan per stretch of runs of one layout."""
+        batches: list[tuple[_Plan, list]] = []
+        for select, (first, n_params) in zip(stmt.selects, stmt.spans):
+            plan, tables, unions = self._plan(select, stmt.first + first)
+            operand = (tables, params[first:first + n_params], unions)
             if plan.batches and batches and batches[-1][0] is plan:
                 batches[-1][1].append(operand)
             else:
@@ -2540,8 +2617,7 @@ class MemoryDatabase(Database):
         parts = []
         for plan, batch in batches:
             count("db.operand_batches")
-            parts.append(self._select(batch, params) if plan is None
-                         else plan.run(self, *_batch(batch)))
+            parts.append(plan.run(self, *_batch(batch)))
         width = len(parts[0][1])
         if any(len(columns) != width for _n, columns in parts):
             raise DatabaseError(

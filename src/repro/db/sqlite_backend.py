@@ -38,7 +38,16 @@ __all__ = ["SQLiteDatabase", "SQLiteServer", "MemoryServer",
            "PB_AGGREGATES"]
 
 
-class _Variance:
+class _Aggregate:
+    """A one-argument user aggregate: SQLite calls ``step`` once per
+    row; the columnar engine hands ``steps`` a whole group's values."""
+
+    def steps(self, values):
+        for value in values:
+            self.step(value)
+
+
+class _Variance(_Aggregate):
     """Sample variance via Welford's online algorithm (stable)."""
 
     def __init__(self):
@@ -54,6 +63,20 @@ class _Variance:
         self.mean += delta / self.n
         self.m2 += delta * (float(value) - self.mean)
 
+    def steps(self, values):
+        """:meth:`step` over every value in turn, as one loop: the same
+        operations in the same order, so the same bits."""
+        n, mean, m2 = self.n, self.mean, self.m2
+        for value in values:
+            if value is None:
+                continue
+            x = value if type(value) is float else float(value)
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+        self.n, self.mean, self.m2 = n, mean, m2
+
     def finalize(self):
         # PostgreSQL (the paper's backend) yields NULL for the sample
         # variance of fewer than two rows; mirror that instead of 0.0.
@@ -68,7 +91,7 @@ class _Stddev(_Variance):
         return None if var is None else var ** 0.5
 
 
-class _Median:
+class _Median(_Aggregate):
     def __init__(self):
         self.values: list[float] = []
 
@@ -87,7 +110,7 @@ class _Median:
         return 0.5 * (self.values[mid - 1] + self.values[mid])
 
 
-class _Product:
+class _Product(_Aggregate):
     def __init__(self):
         self.product = 1.0
         self.seen = False
@@ -116,8 +139,15 @@ sqlite3.register_adapter(datetime.datetime, _adapt_datetime)
 
 
 def _sql_summary(sql: str, limit: int = 120) -> str:
-    """Compact single-line form of a statement for span attributes."""
-    text = " ".join(sql.split())
+    """Compact single-line form of a statement for span attributes:
+    its words joined by single spaces, cut to ``limit`` characters
+    (``limit`` >= 1) with a trailing ``…``.  Only the first ``limit``
+    words are split off: they join to at least ``limit`` characters,
+    so a statement with more is cut within them."""
+    words = sql.split(None, limit)
+    if len(words) > limit:
+        return " ".join(words[:limit])[:limit - 1] + "…"
+    text = " ".join(words)
     return text if len(text) <= limit else text[:limit - 1] + "…"
 
 

@@ -1,13 +1,14 @@
-"""Plan reuse of the columnar engine's ``UNION ALL`` operands.
+"""Plan reuse of the columnar engine.
 
-The operands of one compound that differ only in their table names and
-``?`` positions run one compiled plan, stored on the parsed statement
-under the operand's shape and its tables' layouts.  Consecutive
-operands of one plan that reads a row at a time run it once, as one
-batch over all their rows.  The exact counts of ``db.plans_compiled``
-and ``db.operand_batches`` pin that reuse and that batching; the
+SELECTs that differ only in their table names, ``?`` positions and
+derived ``UNION ALL``s run one compiled plan, stored under their shape
+and their tables' layouts: the operands of a compound, the per-run
+statements of a source, and one text run again.  Consecutive operands
+of one plan that reads a row at a time run it once, as one batch over
+all their rows.  The exact counts of ``db.plans_compiled`` and
+``db.operand_batches`` pin that reuse and that batching; the
 differential cases (marked ``diffdb``) pin that a shared plan, run per
-operand or per batch, answers every operand as SQLite does, where
+operand or per batch, answers every SELECT as SQLite does, where
 layouts, qualifiers, parameters or the schema differ.
 """
 
@@ -30,7 +31,7 @@ from repro.xmlio import (parse_experiment_xml, parse_input_xml,
 
 @pytest.fixture(autouse=True)
 def fresh_parses():
-    """Plans live on parsed statements: start every test unparsed."""
+    """Plans live in the parse cache: start every test without any."""
     memory_backend._PARSE_CACHE.clear()
     yield
     memory_backend._PARSE_CACHE.clear()
@@ -93,10 +94,43 @@ class TestPlanCounts:
         assert compiled(db.fetchall, sql, params) == 2
         assert compiled(db.fetchall, sql, params) == 0
 
-    def test_statement_outside_a_compound_stores_no_plan(self):
+    def test_statement_outside_a_compound_compiles_once(self):
         db = MemoryDatabase("plans")
         run_tables(db, 1)
+        assert compiled(db.fetchall, 'SELECT x FROM "r0"') == 1
         assert compiled(db.fetchall, 'SELECT x FROM "r0"') == 0
+
+    def test_200_per_run_statements_compile_one_plan(self):
+        sqlite, memory = SQLiteDatabase(":memory:"), MemoryDatabase("plans")
+        for db in (sqlite, memory):
+            run_tables(db, 200)
+        statements = [(f'SELECT ? AS "run", "x" AS "x" FROM "r{i}" '
+                       f'WHERE "x" > ?', (i, i + 0.3)) for i in range(200)]
+
+        def run_all(db):
+            return [_typed(db.fetchall(sql, params))
+                    for sql, params in statements]
+        expected = run_all(sqlite)
+        before = REGISTRY.values().get("db.plans_compiled", 0)
+        assert run_all(memory) == expected
+        assert run_all(memory) == expected
+        assert REGISTRY.values().get("db.plans_compiled", 0) - before == 1
+
+    def test_added_column_gets_a_plan_of_its_own(self):
+        sqlite, memory = SQLiteDatabase(":memory:"), MemoryDatabase("plans")
+        for db in (sqlite, memory):
+            run_tables(db, 2)
+        sql = 'SELECT * FROM "r0" WHERE "x" > ?'
+        assert compiled(same, (sqlite, memory), sql, (0.2,), times=1) == 1
+        for db in (sqlite, memory):
+            db.execute('ALTER TABLE "r0" ADD COLUMN "y" TEXT')
+            db.execute('UPDATE "r0" SET "y" = CAST("x" AS TEXT)')
+            db.commit()
+        assert compiled(same, (sqlite, memory), sql, (0.2,), times=1) == 1
+        assert compiled(same, (sqlite, memory), sql, (0.2,), times=1) == 0
+        # the table left unaltered keeps the first layout's plan
+        assert compiled(same, (sqlite, memory),
+                        'SELECT * FROM "r1" WHERE "x" > ?', (0.2,)) == 0
 
     def test_operands_of_one_plan_run_as_one_batch(self):
         db = MemoryDatabase("plans")
@@ -168,18 +202,24 @@ class TestFusedQueries:
     def test_rerun_fused_fig8_compiles_no_plan(self, campaign):
         query = parse_query_xml(fig8_query_xml("read", "ufs"))
         first = query.execute(campaign, pushdown=True)
-        # one plan per compound: the two 200-run sources of fig8
         assert compiled(query.execute, campaign, pushdown=True) == 0
         memory_backend._PARSE_CACHE.clear()
-        assert compiled(query.execute, campaign, pushdown=True) == 2
+        # the run selection, the fused INSERT .. SELECT, one operand
+        # plan shared by both 200-run sources, and the result's SELECT
+        assert compiled(query.execute, campaign, pushdown=True) == 4
         again = query.execute(campaign, pushdown=True)
         assert [(a.name, a.content) for a in again.artifacts] == [
             (a.name, a.content) for a in first.artifacts]
 
     def test_rerun_fused_stddev_compiles_no_plan(self, campaign):
         query = parse_query_xml(stddev_query_xml("listless", "ufs"))
-        assert compiled(query.execute, campaign, pushdown=True) == 1
+        # the run selection, the fused INSERT .. SELECT, the operands'
+        # plan and the result's SELECT
+        assert compiled(query.execute, campaign, pushdown=True) == 4
         assert compiled(query.execute, campaign, pushdown=True) == 0
+        # another text of the same shapes: a source over other runs
+        other = parse_query_xml(stddev_query_xml("listbased", "nfs"))
+        assert compiled(other.execute, campaign, pushdown=True) == 0
 
     def test_fused_sources_run_one_batch_each(self, campaign):
         # fig8's two 200-run sources, stddev's one
@@ -279,6 +319,28 @@ class TestSharedPlanParity:
         assert same(dbs, "SELECT k FROM t1 UNION ALL "
                          "SELECT k FROM t2 WHERE t1.x > 0") == "error"
 
+    def test_aliases_that_are_table_names(self, dbs):
+        # one shape: the aliases rename as the tables do
+        for a, b in (("t1", "t2"), ("t2", "t3"), ("t3", "t1")):
+            assert same(dbs, f"SELECT {b}.k, {a}.x FROM {a} {b} "
+                             f"JOIN {b} {a} ON {b}.s = {a}.s") != "error"
+        # a table aliased is no longer known by its own name, so these
+        # two differ once table names are set aside: the first reads
+        # its alias t2, the second a table it has renamed
+        assert same(dbs, "SELECT t2.k FROM t1 t2 JOIN t2 b ON t2.s = b.s") \
+            != "error"
+        assert same(dbs, "SELECT t3.k FROM t1 t2 JOIN t3 b ON t3.s = b.s") \
+            == "error"
+        assert same(dbs, "SELECT t1.k FROM t1 a") == "error"
+        assert same(dbs, "SELECT t2.* FROM t1 JOIN t2 b ON t1.s = b.s") \
+            == "error"
+        assert same(dbs, "SELECT t2.k FROM t1 t2 UNION ALL "
+                         "SELECT t3.k FROM t2 t3 UNION ALL "
+                         "SELECT t2.k FROM t3 t2") != "error"
+        assert same(dbs, "SELECT t2.k FROM (SELECT k AS k FROM t1) t2 "
+                         "UNION ALL SELECT t1.k FROM (SELECT k AS k "
+                         "FROM t2) t1") != "error"
+
     def test_parameters_in_different_positions(self, dbs):
         assert same(dbs,
                     "SELECT ? AS c, k FROM t1 WHERE k IN (?, ?) "
@@ -294,6 +356,18 @@ class TestSharedPlanParity:
                     "ORDER BY k LIMIT ?) d UNION ALL SELECT d.k FROM "
                     "(SELECT k AS k FROM t2 WHERE k > ? ORDER BY k "
                     "LIMIT ?) d", (0, 2, 0, 1)) != "error"
+
+    def test_parameters_around_a_derived_union(self, dbs):
+        inner = ("SELECT k AS k, ? AS p FROM t1 WHERE k > ? UNION ALL "
+                 "SELECT k AS k, ? AS p FROM t2 WHERE k > ?")
+        for sql, params in (
+                (f"SELECT ? AS c, d.k, d.p FROM ({inner}) d WHERE d.k < ?",
+                 ("c", "p1", 1, "p2", 4, 9)),
+                (f"SELECT d.k, ? AS c, d.p FROM ({inner}) d WHERE d.k < ?",
+                 ("c", "q1", 0, "q2", 0, 5)),
+                (f"SELECT ? AS c, d.k FROM (SELECT ? AS x, e.k AS k FROM "
+                 f"({inner}) e) d", (7, 8, "r1", 2, "r2", 4))):
+            assert same(dbs, sql, params) != "error"
 
     def test_derived_table_operands(self, dbs):
         assert same(dbs,
@@ -417,6 +491,22 @@ class TestSharedPlanParity:
                 "SELECT d.k FROM (SELECT k AS k FROM {t} LIMIT 1) d",
                 "SELECT a.k, b.s FROM {t} a JOIN t1 b ON a.s = b.s"):
             assert same(dbs, self.compound(operand)) != "error", operand
+
+    def test_bool_parameters_read_as_integers(self, dbs):
+        assert same(dbs, "SELECT ? AS v, k FROM t1 WHERE k < 3", (True,)) \
+            == [(("int", 1), ("int", 1)), (("int", 1), ("int", 2))]
+        assert same(dbs, "SELECT CAST(? AS TEXT), k + ?, COALESCE(?, 7) "
+                         "FROM t3", (True, False, False)) \
+            == [(("str", "1"), ("int", 7), ("int", 0))]
+        assert same(dbs, "SELECT k FROM t1 WHERE s LIKE ? OR k = ?",
+                    (True, True)) == [(("int", 1),)]
+        sql = self.compound("SELECT ? AS v, k FROM {t} WHERE ?")
+        assert same(dbs, sql, (True, True, False, True, True, False)) \
+            != "error"
+        assert same(dbs, sql, (True, True, True, True, True, True)) \
+            != "error"
+        assert same(dbs, f"SELECT MAX(d.v), SUM(d.v) FROM ({sql}) d",
+                    (True, True, False, True, 1, True)) != "error"
 
     def test_aggregates_over_a_batch_see_operand_order(self, dbs):
         inner = self.compound("SELECT s AS s, x AS x, ? AS r FROM {t}",
