@@ -115,7 +115,11 @@ perfbase check --against ci --samples 2 --min-samples 4 \
 # baselines must survive a consistency pass over their experiment
 perfbase fsck -e perfbase_sentinel --dbdir "$SENTINEL_DIR" --dry-run
 
-echo "== pushdown/parallel: fused, unfused and 2-node CLI artifacts are byte-identical =="
+# the fused, unfused and 2-node artefact comparison is the tier-1 test
+# tests/cli/test_pushdown_artifacts.py; the stages below share this
+# workspace: the imported campaign, and a cached pre-import run of each
+# query whose entries the re-analysis stage extends
+echo "== workspace: b_eff_io campaign, imported, queried once with the cache =="
 PUSHDOWN_DIR="$(mktemp -d)"
 trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR" \
     "$PUSHDOWN_DIR"' EXIT
@@ -137,29 +141,10 @@ EOF2
 perfbase setup -d "$PUSHDOWN_DIR/experiment.xml" --dbdir "$PUSHDOWN_DIR/db"
 perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
     --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/results/*
-# fig8 fuses into one group (two source->max chains joined by the
-# comparison); stddev fuses whole: its source feeds only the mean and
-# spread aggregates the combiner joins, so one GROUP BY computes both
 for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        -o "$PUSHDOWN_DIR/fused/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        --no-pushdown -o "$PUSHDOWN_DIR/plain/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        --parallel 2 -o "$PUSHDOWN_DIR/par/$q" --dbdir "$PUSHDOWN_DIR/db"
-    # a cached 2-node run fills the cache, the next one runs warm
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
-        -o "$PUSHDOWN_DIR/par_cold/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
-        --profile -o "$PUSHDOWN_DIR/par_warm/$q" --dbdir "$PUSHDOWN_DIR/db" \
-        > "$PUSHDOWN_DIR/par_warm_$q.log"
+    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
+        -o "$PUSHDOWN_DIR/pre_import/$q" --dbdir "$PUSHDOWN_DIR/db"
 done
-for run in plain par par_cold par_warm; do
-    diff -r "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/$run"
-done
-# the warm profile lists every fig8 element, upfront cache hits included
-test "$(grep -cE '^[A-Za-z0-9_]+ +(source|operator|combiner|output) ' \
-    "$PUSHDOWN_DIR/par_warm_fig8.log")" -eq 8
 
 echo "== metrics: traced serial fig8 and stddev count one db.statements per db span (both backends) =="
 for q in fig8 stddev; do
@@ -255,7 +240,7 @@ for leg in re_serial re_par re_serial_np re_par_np; do
     diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/$leg"
 done
 # the import changed the results, so serving stale ones would show
-if diff -rq "$PUSHDOWN_DIR/fused" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
+if diff -rq "$PUSHDOWN_DIR/pre_import" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
     echo "the imported run changed no query result"; exit 1
 fi
 # a second listless/ufs run extends the extended entries again (the

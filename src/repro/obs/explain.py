@@ -118,7 +118,7 @@ def explain(query, trace=None, fused=None, cached=False) -> str:
                 .format(len(groups), fused.statements_saved))
         elif cached:
             lines.append("pushdown: no chain fuses under the query cache "
-                         "(each miss runs as a group of one; --no-cache "
+                         "(each miss runs element-wise; --no-cache "
                          "fuses chains)")
         else:
             lines.append("pushdown: no fusable chains")

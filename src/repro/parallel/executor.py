@@ -106,8 +106,8 @@ class ParallelQueryExecutor:
         scheduled as one unit placed on its tail element's node, where
         the single statement runs against the shipped external inputs.
         Each unit runs the way the serial engine runs it
-        (:func:`~repro.query.engine.run_unit`): with an active cache no
-        chain fuses, and each downstream miss runs as a fused group of one.
+        (:func:`~repro.query.engine.run_unit`); with an active cache no
+        chain fuses.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {query.name!r}")
@@ -231,7 +231,7 @@ class ParallelQueryExecutor:
                             leases[node.index])
                     start = time.perf_counter()
                     vector = run_unit(ctx, graph, units, element,
-                                      miss=miss, pushdown=pushdown)
+                                      miss=miss)
                     with lock:
                         busy[0] += time.perf_counter() - start
                 if miss and vector is not None:

@@ -63,27 +63,23 @@ class QueryResult:
 
 
 def run_unit(ctx: QueryContext, graph: QueryGraph, plan: PushdownPlan,
-             element: QueryElement, *, miss: bool = False,
-             pushdown: bool = False) -> DataVector | None:
+             element: QueryElement, *,
+             miss: bool = False) -> DataVector | None:
     """Run ``element`` as one unit of work — how the serial engine and
     the parallel executor both run everything that is neither a cache
     hit, a missed source (stored by
     :meth:`~repro.query.cache.CachePlan.extend`), skipped, nor absorbed
     by a fused group.
 
-    A group tail of ``plan`` runs its whole chain as one statement.  A
-    cache ``miss`` is marked ``cache="miss"`` and, with ``pushdown``,
-    runs as a fused group of one when it can fuse.  Anything else runs
-    element-wise.
+    A group tail of ``plan`` runs its whole chain as one statement;
+    anything else runs element-wise, which for an element that can
+    fuse is already a fused group of one
+    (:meth:`~repro.query.elements.QueryElement.run_fused`).  A cache
+    ``miss`` is marked ``cache="miss"`` on its span.
     """
     attrs = {"cache": "miss"} if miss else {}
-    name = element.name
-    if name in plan.groups:
-        return run_fused_group(ctx, graph, plan, name, attrs)
-    if miss and pushdown and element.can_fuse():
-        return run_fused_group(
-            ctx, graph, PushdownPlan({name: (name,)}, {name: name}), name,
-            attrs)
+    if element.name in plan.groups:
+        return run_fused_group(ctx, graph, plan, element.name, attrs)
     return element.execute(ctx, span_attrs=attrs)
 
 
@@ -137,8 +133,8 @@ class Query:
         chain tail; without it every element is a group of one.
         Results are byte-identical either way; absorbed
         interior elements simply produce no intermediate vector.  With
-        an active cache the plan is empty (:meth:`pushdown_plan`); each
-        downstream miss runs as a fused group of one (:func:`run_unit`).
+        an active cache the plan is empty (:meth:`pushdown_plan`), so
+        ``pushdown`` changes nothing about how its misses run.
         """
         experiment.access.check(experiment.user, UserClass.QUERY,
                                 f"execute query {self.name!r}")
@@ -173,7 +169,7 @@ class Query:
                             continue
                         miss = plan.is_miss(element)
                         vector = run_unit(ctx, self.graph, units, element,
-                                          miss=miss, pushdown=pushdown)
+                                          miss=miss)
                         if miss and vector is not None:
                             plan.put(element, vector, self.name)
                 for output in self.graph.outputs:

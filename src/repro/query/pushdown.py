@@ -25,8 +25,8 @@ varies is where the result is materialised:
   With a :class:`~repro.query.cache.QueryCache` active every cacheable
   element is a potential hit/miss seam, so the query's plan is empty
   (:meth:`~repro.query.engine.Query.pushdown_plan`); a downstream
-  cache miss runs as its own fused group of one instead (a missed
-  source is stored straight into its cache entry).
+  cache miss runs element-wise (a missed source is stored straight
+  into its cache entry).
 
 A group whose fragment cannot be built (:class:`FusionError`: a shape
 the fuser cannot reproduce byte-identically, a source with more
@@ -66,8 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FusionError", "SelectFragment", "PushdownPlan",
            "plan_pushdown", "vector_fragment", "fuse_join",
-           "fuse_grouped", "materialise", "insert_select",
-           "run_fused_group", "ORD_PREFIX"]
+           "fuse_grouped", "materialise", "ordered_select",
+           "insert_select", "run_fused_group", "ORD_PREFIX"]
 
 
 class FusionError(QueryError):
@@ -247,19 +247,26 @@ def materialise(ctx: "QueryContext", frag: SelectFragment,
                       producer=element.name, n_rows=n_rows)
 
 
+def ordered_select(frag: SelectFragment) -> str:
+    """The SELECT of ``frag``'s visible columns in the fragment's
+    order, which :func:`insert_select` materialises."""
+    sel = ", ".join(f"s.{quote_identifier(c.name)}"
+                    for c in frag.columns)
+    sql = f"SELECT {sel} FROM ({frag.sql}) s"
+    if frag.order_names:
+        sql += " ORDER BY " + ", ".join(
+            f"s.{quote_identifier(n)}" for n in frag.order_names)
+    return sql
+
+
 def insert_select(db: "Database", table: str,
                   frag: SelectFragment) -> int:
     """Append ``frag``'s rows to ``table`` (whose columns are the
     fragment's, in order) in the fragment's order; returns the row
     count.  The one statement that materialises a fragment."""
-    sel = ", ".join(f"s.{quote_identifier(c.name)}"
-                    for c in frag.columns)
-    sql = (f"INSERT INTO {quote_identifier(table)} "
-           f"SELECT {sel} FROM ({frag.sql}) s")
-    if frag.order_names:
-        sql += " ORDER BY " + ", ".join(
-            f"s.{quote_identifier(n)}" for n in frag.order_names)
-    return db.execute(sql, frag.params)
+    return db.execute(
+        f"INSERT INTO {quote_identifier(table)} {ordered_select(frag)}",
+        frag.params)
 
 
 # =========================================================================
@@ -272,7 +279,7 @@ class PushdownPlan:
 
     #: tail element name -> group member names in topological order
     #: (the tail is always the last member); the planner makes groups
-    #: of >= 2, a cache miss runs as a group of one
+    #: of >= 2
     groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: member name -> its tail, for every fused member
     member_of: dict[str, str] = field(default_factory=dict)

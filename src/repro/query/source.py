@@ -28,14 +28,15 @@ from ..core.variables import ORD_PREFIX, Occurrence
 from ..db.backend import quote_identifier
 from ..db.schema import _encode_value  # shared cell encoding
 from .elements import QueryContext, QueryElement
-from .pushdown import FusionError, SelectFragment
+from .pushdown import (FusionError, SelectFragment, insert_select,
+                       ordered_select)
 from .vectors import ColumnInfo, DataVector
 
 __all__ = ["ParameterSpec", "RunFilter", "Source", "MAX_COMPOUND_OPERANDS"]
 
-#: SQLite's default SQLITE_MAX_COMPOUND_SELECT: a fused source unions
-#: one operand per matching run, so beyond this it runs unfused, and a
-#: cache store appends its runs in statements of at most this many
+#: SQLite's default SQLITE_MAX_COMPOUND_SELECT: a source's fragment
+#: unions one operand per matching run, so a source writes its runs in
+#: statements of at most this many, and fuses only within one
 MAX_COMPOUND_OPERANDS = 500
 
 _OPS = {"==": "=", "=": "=", "!=": "<>", "<>": "<>",
@@ -53,12 +54,22 @@ def _spec_value(value: Any) -> Any:
     return value
 
 
+def _in_sql(column: str, n_values: int) -> str:
+    """``column IN (?, …)`` over ``n_values`` bound values; with none,
+    a clause that selects nothing (``IN ()`` is SQLite's extension,
+    not SQL the columnar engine parses)."""
+    if not n_values:
+        return "0 = 1"
+    return f"{column} IN ({', '.join(['?'] * n_values)})"
+
+
 @dataclass
 class ParameterSpec:
     """One ``<parameter>`` element of a source definition.
 
     ``value=None`` makes this a pure output dimension.  ``op`` may be
-    any comparison of :data:`_OPS` or ``"in"`` with a sequence value.
+    any comparison of :data:`_OPS` or ``"in"`` with a sequence value
+    (not a string, which would match character by character).
     ``show`` controls whether a filtered parameter appears in the output
     tuple (default true, per the paper's wording).
     """
@@ -67,6 +78,12 @@ class ParameterSpec:
     value: Any = None
     op: str = "=="
     show: bool = True
+
+    def __post_init__(self):
+        if self.op == "in" and isinstance(self.value, str):
+            raise QueryError(
+                f"parameter {self.name!r}: op 'in' needs a sequence of "
+                f"values, not the string {self.value!r}")
 
     @property
     def is_filter(self) -> bool:
@@ -87,9 +104,9 @@ class RunFilter:
         clauses: list[str] = []
         params: list[Any] = []
         if self.indices is not None:
-            marks = ", ".join(["?"] * len(list(self.indices)))
-            clauses.append(f"r.run_index IN ({marks})")
-            params.extend(int(i) for i in self.indices)
+            indices = [int(i) for i in self.indices]
+            clauses.append(_in_sql("r.run_index", len(indices)))
+            params.extend(indices)
         if self.min_index is not None:
             clauses.append("r.run_index >= ?")
             params.append(int(self.min_index))
@@ -169,8 +186,7 @@ class Source(QueryElement):
                 f"source {self.name!r}: filter value of parameter "
                 f"{spec.name!r} is not a {datatype.value}: {exc}") from None
         if sql_op == "IN":
-            marks = ", ".join(["?"] * len(values))
-            return f"{column} IN ({marks})", values
+            return _in_sql(column, len(values)), values
         return f"{column} {sql_op} ?", values
 
     def _layout(self, variables) -> _Layout:
@@ -232,17 +248,13 @@ class Source(QueryElement):
         tuple per matching run, in run_index order.  Runs never change
         once stored, so under a fixed variable schema these rows
         determine the source's output."""
-        return self._matching_runs(experiment.store, experiment.variables,
-                                   self._layout(experiment.variables))
-
-    def _matching_runs(self, store, variables, layout: _Layout):
-        """Fetch (run_index, shown-once values, once-result values)
-        for every matching run, in run_index order."""
+        layout = self._layout(experiment.variables)
         once_cols = ["o.run_index"] + [
             f"o.{quote_identifier(s.name)}" for s in layout.shown_once] + [
             f"o.{quote_identifier(v.name)}" for v in layout.once_results]
-        where, params = self._run_where(variables, layout.once_specs)
-        return store.db.fetchall(
+        where, params = self._run_where(experiment.variables,
+                                        layout.once_specs)
+        return experiment.store.db.fetchall(
             f"SELECT {', '.join(once_cols)} FROM pb_once o "
             "JOIN pb_runs r ON r.run_index = o.run_index "
             f"WHERE {' AND '.join(where)} ORDER BY o.run_index",
@@ -271,16 +283,16 @@ class Source(QueryElement):
                 dparams)
 
     def _run_operands(self, store, variables, layout: _Layout,
-                      runs: Sequence[tuple], exp_prefix: str, *,
-                      ordinals: bool) -> list[tuple[str, list[Any]]]:
+                      runs: Sequence[tuple],
+                      exp_prefix: str) -> list[tuple[str, list[Any]]]:
         """One ``SELECT`` per run of ``runs`` that stores data sets.
 
         Run-level values ride along as bound constants, data-set
         values come from the run's own table under the data-set
-        filters.  With ``ordinals`` the (run position, data set)
-        order is projected as ``pb_ord__0``/``pb_ord__1``.  Returns
-        ``(sql, params)`` pairs in run order — the per-run statements
-        of :meth:`run` and the compound operands of :meth:`fuse`.
+        filters, and the (run position, data set) order is projected
+        as ``pb_ord__0``/``pb_ord__1``.  Returns ``(sql, params)``
+        pairs in run order, the compound operands of
+        :meth:`_fragments`.
 
         One catalogue statement checks every matching run's table: a
         run is skipped when its data table is missing (e.g. dropped
@@ -303,10 +315,9 @@ class Source(QueryElement):
         sel += [stored(s.name) for s in layout.shown_multi]
         sel += [bound(v.name) for v in layout.once_results]
         sel += [stored(v.name) for v in layout.multi_results]
-        if ordinals:
-            sel += [f"? AS {quote_identifier(ORD_PREFIX + '0')}",
-                    f"{quote_identifier('dataset_index')} "
-                    f"AS {quote_identifier(ORD_PREFIX + '1')}"]
+        sel += [bound(ORD_PREFIX + "0"),
+                f"{quote_identifier('dataset_index')} "
+                f"AS {quote_identifier(ORD_PREFIX + '1')}"]
         head = f"SELECT {', '.join(sel)} FROM {exp_prefix}"
         n_once = len(layout.shown_once) + len(layout.once_results)
         tables = [store.run_table(int(r[0])) for r in runs]
@@ -318,12 +329,47 @@ class Source(QueryElement):
                 continue
             params = ([int(run_row[0])] if self.include_run_index
                       else []) + list(run_row[1:1 + n_once])
-            if ordinals:
-                params.append(position)
             operands.append((
                 f"{head}{quote_identifier(data_table)}{where_sql}",
-                params + dparams))
+                params + [position] + dparams))
         return operands
+
+    def _fragments(self, experiment, layout: _Layout, exp_prefix: str,
+                   runs: Sequence[tuple] | None = None
+                   ) -> list[SelectFragment]:
+        """This source's one SQL emitter: its rows as fragments over
+        the experiment tables under ``exp_prefix``, in run order.
+
+        A run-level-only source is one select over the once table.
+        Otherwise each fragment unions the per-run operands
+        (:meth:`_run_operands`) of at most
+        :data:`MAX_COMPOUND_OPERANDS` runs, and there is none when no
+        run stores a usable data table.  ``runs`` restricts the source
+        to that part of its run selection (:meth:`run_selection`);
+        ``None`` reads all of it.
+        """
+        if runs is not None and not runs:
+            return []
+        variables = experiment.variables
+        if not layout.per_dataset:
+            return [self._once_fragment(variables, layout, exp_prefix,
+                                        runs)]
+        if runs is None:
+            runs = self.run_selection(experiment)
+        operands = self._run_operands(experiment.store, variables, layout,
+                                      runs, exp_prefix)
+        # each operand scans its run table in rowid (== dataset_index)
+        # order and both engines emit UNION ALL operands left to right,
+        # so the natural emission order is the unfused insertion order
+        ords = (f"{ORD_PREFIX}0", f"{ORD_PREFIX}1")
+        chunks = [operands[i:i + MAX_COMPOUND_OPERANDS]
+                  for i in range(0, len(operands), MAX_COMPOUND_OPERANDS)]
+        return [SelectFragment(
+            " UNION ALL ".join(sql for sql, _ in chunk),
+            tuple(p for _, params in chunk for p in params),
+            tuple(layout.columns), ords, ords, from_source=True,
+            scan_ordered=True, ord_rowid=False, rescan_cheap=False,
+            producer=self.name) for chunk in chunks]
 
     @staticmethod
     def _exp_prefix(ctx: QueryContext) -> str | None:
@@ -344,38 +390,26 @@ class Source(QueryElement):
         """The Section 4.3 protocol: "source elements do only perform
         simple read access on the shared database tables, and write
         data into independent temporary tables" — one INSERT..SELECT
-        per matching run, entirely inside the SQL engine, after one
-        catalogue statement that checks all the runs' tables.  On a node
-        whose database cannot attach the experiment database, the same
-        per-run selects run on the experiment database and the rows
-        travel through Python instead.
+        per fragment (:meth:`_fragments`), entirely inside the SQL
+        engine.  On a node whose database cannot attach the experiment
+        database, the experiment database runs the same fragments and
+        their rows travel through Python instead.
         """
-        variables = ctx.experiment.variables
-        store = ctx.experiment.store
-        layout = self._layout(variables)
+        layout = self._layout(ctx.experiment.variables)
         table = ctx.temptables.new_table(
             self.name,
             [(c.name, sql_type(c.datatype)) for c in layout.columns])
-        rows: list[Any] = []
-        runs = self._matching_runs(store, variables, layout)
-        if not layout.per_dataset:
-            rows = [([int(r[0])] if self.include_run_index else [])
-                    + list(r[1:]) for r in runs]
-        else:
-            exp_prefix = self._exp_prefix(ctx)
-            for sql, params in self._run_operands(
-                    store, variables, layout, runs, exp_prefix or "",
-                    ordinals=False):
-                sql += " ORDER BY dataset_index"
-                if exp_prefix is None:
-                    rows.extend(store.db.fetchall(sql, params))
-                else:
-                    ctx.db.execute(
-                        f"INSERT INTO {quote_identifier(table)} {sql}",
-                        params)
-        if rows:
-            ctx.db.insert_rows(table, [c.name for c in layout.columns],
-                               rows)
+        exp_prefix = self._exp_prefix(ctx)
+        for frag in self._fragments(ctx.experiment, layout,
+                                    exp_prefix or ""):
+            if exp_prefix is not None:
+                insert_select(ctx.db, table, frag)
+                continue
+            rows = ctx.experiment.store.db.fetchall(ordered_select(frag),
+                                                    frag.params)
+            if rows:
+                ctx.db.insert_rows(
+                    table, [c.name for c in layout.columns], rows)
         return DataVector(ctx.db, table, layout.columns, from_source=True,
                           producer=self.name)
 
@@ -386,76 +420,49 @@ class Source(QueryElement):
 
     def fuse(self, ctx: QueryContext,
              inputs: Sequence[Any]) -> SelectFragment:
-        """Express the retrieval itself as a composable SELECT.
-
-        :meth:`run` runs one INSERT..SELECT per matching run — by
-        far the largest statement count of any element, and pure
-        per-statement overhead on warm data.  Fused, a source with
-        per-data-set values becomes one UNION ALL of the same per-run
-        selects (built after the same single catalogue statement), and
-        a run-level-only source a single select over the once table,
-        with no catalogue check.  Hidden ordinals pin the (run, data
-        set) order, so a chain tail materialises rows in exactly the
-        rowid order the source temp table would have had.  More than
-        :data:`MAX_COMPOUND_OPERANDS` runs exceed SQLite's compound
-        SELECT limit, so such a source falls back to :meth:`run` (on
-        every backend, keeping them observably alike).
+        """Express the retrieval itself as a composable SELECT: the
+        single fragment of :meth:`_fragments`.  Hidden ordinals pin the
+        (run, data set) order, so a chain tail materialises rows in
+        exactly the rowid order the source temp table would have had.
+        A source with no usable run, or with more than
+        :data:`MAX_COMPOUND_OPERANDS`, has not one fragment and runs
+        element-wise instead (on every backend, keeping them
+        observably alike).
         """
-        variables = ctx.experiment.variables
-        layout = self._layout(variables)
         exp_prefix = self._exp_prefix(ctx)
         if exp_prefix is None:
             raise FusionError(
                 f"source {self.name!r}: experiment database is not "
                 "attachable from this node")
-        if not layout.per_dataset:
-            return self._once_fragment(variables, layout, exp_prefix,
-                                       None)
-        store = ctx.experiment.store
-        operands = self._run_operands(
-            store, variables, layout,
-            self._matching_runs(store, variables, layout), exp_prefix,
-            ordinals=True)
-        if not operands:
+        fragments = self._fragments(
+            ctx.experiment, self._layout(ctx.experiment.variables),
+            exp_prefix)
+        if len(fragments) != 1:
             raise FusionError(
-                f"source {self.name!r}: no matching runs — the "
-                "temp-table path produces the empty vector")
-        return self._union_fragment(layout, operands)
+                f"source {self.name!r}: {len(fragments)} fragments (no "
+                "usable run, or more than the compound SELECT limit)")
+        return fragments[0]
 
     def extension(self, experiment, runs: Sequence[tuple]
                   ) -> tuple[list[ColumnInfo], list[SelectFragment]]:
         """This source's output columns and the rows of the run
         selection ``runs`` (all of it, or the runs after those already
-        in a cached entry) as fragments over the experiment database:
-        exactly the rows a full run emits for them, in the same order.
-        A run-level-only source is one fragment; otherwise each
-        fragment unions the operands of at most
-        :data:`MAX_COMPOUND_OPERANDS` runs, in run order.  No fragment
-        when no run stores a usable data table."""
-        variables = experiment.variables
-        layout = self._layout(variables)
-        if not runs:
-            return layout.columns, []
-        if not layout.per_dataset:
-            return layout.columns, [
-                self._once_fragment(variables, layout, "", runs)]
-        operands = self._run_operands(experiment.store, variables, layout,
-                                      runs, "", ordinals=True)
-        return layout.columns, [
-            self._union_fragment(layout,
-                                 operands[i:i + MAX_COMPOUND_OPERANDS])
-            for i in range(0, len(operands), MAX_COMPOUND_OPERANDS)]
+        in a cached entry) as fragments over the experiment database
+        (:meth:`_fragments`): exactly the rows a full run emits for
+        them, in the same order."""
+        layout = self._layout(experiment.variables)
+        return layout.columns, self._fragments(experiment, layout, "",
+                                               runs)
 
     def _once_fragment(self, variables, layout: _Layout, exp_prefix: str,
                        runs: Sequence[tuple] | None) -> SelectFragment:
         """A run-level-only source: one row per matching run, straight
-        off the once table (:meth:`run` assembles these rows in
-        Python), restricted to the non-empty ``runs`` unless ``None``."""
+        off the once table, restricted to the non-empty ``runs``
+        unless ``None``."""
         ordinal = f"{ORD_PREFIX}0"
         where, params = self._run_where(variables, layout.once_specs)
         if runs is not None:
-            where.append("o.run_index IN ("
-                         + ", ".join(["?"] * len(runs)) + ")")
+            where.append(_in_sql("o.run_index", len(runs)))
             params.extend(int(r[0]) for r in runs)
         sel = []
         if self.include_run_index:
@@ -474,26 +481,6 @@ class Source(QueryElement):
             sql, tuple(params), tuple(layout.columns), (ordinal,),
             (ordinal,), from_source=True, scan_ordered=True,
             ord_rowid=False, producer=self.name)
-
-    def _union_fragment(self, layout: _Layout,
-                        operands: list[tuple[str, list[Any]]]
-                        ) -> SelectFragment:
-        """The UNION ALL of per-run operands (:meth:`_run_operands`)."""
-        if len(operands) > MAX_COMPOUND_OPERANDS:
-            raise FusionError(
-                f"source {self.name!r}: {len(operands)} matching runs "
-                f"exceed the {MAX_COMPOUND_OPERANDS}-operand compound "
-                "SELECT limit")
-        # each operand scans its run table in rowid (== dataset_index)
-        # order and both engines emit UNION ALL operands left to right,
-        # so the natural emission order is the unfused insertion order
-        ords = (f"{ORD_PREFIX}0", f"{ORD_PREFIX}1")
-        return SelectFragment(
-            " UNION ALL ".join(sql for sql, _ in operands),
-            tuple(p for _, params in operands for p in params),
-            tuple(layout.columns), ords, ords, from_source=True,
-            scan_ordered=True, ord_rowid=False, rescan_cheap=False,
-            producer=self.name)
 
 
 class _Layout(NamedTuple):

@@ -110,11 +110,16 @@ def _smart_value(raw: str) -> Any:
 def _parse_source(element: ET.Element) -> Source:
     parameters = []
     for p in element.findall("parameter"):
-        value = p.get("value")
+        op, value = p.get("op", "=="), p.get("value")
+        if value is not None and op == "in":
+            # comma-separated alternatives, each typed on its own, as
+            # <where op="in"> of the input description takes them
+            value = ([_smart_value(v) for v in value.split(",")]
+                     if value.strip() else [])
+        elif value is not None:
+            value = _smart_value(value)
         parameters.append(ParameterSpec(
-            name=p.get("name"),
-            value=_smart_value(value) if value is not None else None,
-            op=p.get("op", "=="),
+            name=p.get("name"), value=value, op=op,
             show=bool_attr(p, "show", True)))
     results = [r.get("name") for r in element.findall("result")]
     run_el = element.find("run")

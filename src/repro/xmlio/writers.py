@@ -123,7 +123,9 @@ def query_to_xml(query: Query) -> str:
             for spec in element.parameters:
                 p_attrs = _attr("name", spec.name)
                 if spec.value is not None:
-                    p_attrs += _attr("value", spec.value)
+                    p_attrs += _attr("value", ",".join(
+                        str(v) for v in spec.value) if spec.op == "in"
+                        else spec.value)
                     if spec.op != "==":
                         p_attrs += _attr("op", spec.op)
                 p_attrs += _bool("show", spec.show, True)

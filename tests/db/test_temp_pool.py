@@ -74,9 +74,9 @@ def assert_released(db):
 #: warm run leases every table back: no DDL, one DELETE per table.
 WARM_COUNTS = {
     ("sqlite", True): ((1, 0, 1, 0, 1, 10), (0, 1, 0, 0, 1, 9)),
-    ("sqlite", False): ((5, 0, 5, 0, 5, 28), (0, 5, 0, 0, 5, 23)),
+    ("sqlite", False): ((5, 0, 5, 0, 5, 24), (0, 5, 0, 0, 5, 19)),
     ("memory", True): ((1, 0, 1, 0, 1, 8), (0, 1, 0, 0, 1, 7)),
-    ("memory", False): ((5, 0, 5, 0, 5, 26), (0, 5, 0, 0, 5, 21)),
+    ("memory", False): ((5, 0, 5, 0, 5, 22), (0, 5, 0, 0, 5, 17)),
 }
 
 
