@@ -27,41 +27,9 @@ fi
 echo "== tier-1 test suite =="
 python -m pytest -x -q -p no:randomly tests
 
-echo "== diffdb: an import counts the same db.rows_affected on both backends =="
-ROWS_DIR="$(mktemp -d)"
-trap 'rm -rf "$STATUS_BEFORE" "$ROWS_DIR"' EXIT
-python - "$ROWS_DIR" <<'EOF5'
-import pathlib, sys
-from repro.cli.main import main
-from repro.obs.metrics import REGISTRY
-from repro.workloads.beffio import generate_campaign
-from repro.workloads.beffio_assets import experiment_xml, input_xml
-ws = pathlib.Path(sys.argv[1])
-(ws / "experiment.xml").write_text(experiment_xml())
-(ws / "input.xml").write_text(input_xml())
-files = []
-for name, text in generate_campaign(filesystems=("ufs", "nfs"),
-                                    proc_counts=(4, 8, 16, 32),
-                                    repetitions=1):
-    (ws / name).write_text(text)
-    files.append(str(ws / name))
-affected = {}
-for backend in ("sqlite", "memory"):
-    where = ["--backend", backend, "--dbdir", str(ws / backend)]
-    if main(["setup", "-d", str(ws / "experiment.xml"), *where]) != 0:
-        sys.exit(1)
-    before = REGISTRY.counter("db.rows_affected").value
-    if main(["input", "-e", "b_eff_io", "-d", str(ws / "input.xml"),
-             *files, *where]) != 0:
-        sys.exit(1)
-    affected[backend] = REGISTRY.counter("db.rows_affected").value - before
-print(f"{len(files)} files imported, db.rows_affected per backend: "
-      f"{affected}")
-if affected["sqlite"] != affected["memory"]:
-    sys.exit(1)
-EOF5
-rm -rf "$ROWS_DIR"
-
+# an import's db.rows_affected on both backends is the tier-1 test
+# tests/diffdb/test_importer_roundtrip.py::
+# test_batch_import_counts_the_same_rows_affected
 echo "== e2e benchmark: harness smoke (fused-vs-unfused digests, n_runs, cross-backend agreement) =="
 python -m pytest -q -p no:randomly benchmarks/e2e/test_e2e_smoke.py
 
@@ -146,52 +114,14 @@ for q in fig8 stddev; do
         -o "$PUSHDOWN_DIR/pre_import/$q" --dbdir "$PUSHDOWN_DIR/db"
 done
 
-echo "== metrics: traced serial fig8 and stddev count one db.statements per db span (both backends) =="
-for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        -o "$PUSHDOWN_DIR/counted/sqlite/$q" --dbdir "$PUSHDOWN_DIR/db" \
-        --trace "$PUSHDOWN_DIR/counted_sqlite_$q.jsonl"
-done
-# the memory backend lives in-process: set up, import and query in one
-python - "$PUSHDOWN_DIR" <<'EOF4'
-import glob, sys
-from repro.cli.main import main
-ws = sys.argv[1]
-memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb"]
-for argv in (["setup", "-d", f"{ws}/experiment.xml"],
-             ["input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
-              *sorted(glob.glob(f"{ws}/results/*"))],
-             *(["query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
-                "--no-cache", "-o", f"{ws}/counted/memory/{q}",
-                "--trace", f"{ws}/counted_memory_{q}.jsonl"]
-               for q in ("fig8", "stddev"))):
-    if main(argv + memory) != 0:
-        sys.exit(1)
-EOF4
-for backend in sqlite memory; do
-    for q in fig8 stddev; do
-        trace="$PUSHDOWN_DIR/counted_${backend}_$q.jsonl"
-        spans="$(grep -c '"kind": "db"' "$trace")"
-        statements="$(perfbase metrics dump --trace-file "$trace" --json \
-            | python -c 'import json, sys
-print(json.load(sys.stdin)["metrics"]["db.statements"]["value"])')"
-        if [ "$spans" -ne "$statements" ]; then
-            echo "$backend $q: $statements db.statements, $spans db spans"
-            exit 1
-        fi
-    done
-    # stddev's whole diamond runs as one group, accounted to its tail
-    python - "$PUSHDOWN_DIR/counted_${backend}_stddev.jsonl" <<'EOF5'
-import sys
-from repro.obs import read_trace
-fused = [s.attributes.get("fused") for s in read_trace(sys.argv[1]).spans
-         if s.name == "both"]
-if fused != ["src,mean,spread,both"]:
-    sys.exit(f"stddev tail spans: fused={fused}")
-EOF5
-done
-
+# that a traced query counts one db.statements per db span, and as
+# many as an untraced one, is the tier-1 test tests/obs/test_registry.py::
+# test_untraced_run_counts_like_a_traced_one; this traced run is the
+# clean side of the trace-diff stage
 echo "== trace-diff: planted db.run latency regresses fig8, the reverse diff improves =="
+perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
+    -o "$PUSHDOWN_DIR/counted/sqlite/fig8" --dbdir "$PUSHDOWN_DIR/db" \
+    --trace "$PUSHDOWN_DIR/counted_sqlite_fig8.jsonl"
 # subshell for the fault plan, as in the sentinel stage
 ( export PERFBASE_FAULTS="latency@db.run:ms=5"
   perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \

@@ -13,7 +13,7 @@ import os
 
 from ..analysis import run_regressions, suspicious_datasets
 from ..core.experiment import Experiment
-from ..parse.importer import Importer, MissingPolicy
+from ..parse.importer import Importer, ImportReport, MissingPolicy
 from ..status import (experiment_report, list_runs,
                       missing_sweep_points, show_run, show_variable)
 from ..xmlio import (experiment_to_xml, parse_experiment_xml,
@@ -631,7 +631,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for pattern in args.files:
         matches = glob.glob(pattern)
         paths.extend(matches if matches else [pattern])
-    total = ImporterReportAccumulator()
+    total = ImportReport()
     with obs_session(args):
         # one storage batch for the whole trace batch: single
         # transaction, grouped meta inserts (same as `perfbase input`)
@@ -644,18 +644,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         echo(f"skipped {len(total.duplicates)} duplicate trace(s)")
     exp.close()
     return 0
-
-
-class ImporterReportAccumulator:
-    """Tiny helper mirroring ImportReport.merge for trace batches."""
-
-    def __init__(self):
-        self.n_imported = 0
-        self.duplicates: list[str] = []
-
-    def merge(self, report) -> None:
-        self.n_imported += report.n_imported
-        self.duplicates.extend(report.duplicates)
 
 
 def _register_dump(sub) -> None:

@@ -116,8 +116,8 @@ def add_pushdown_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the chain-fusion escape hatch of query-running commands.
 
     The CLI fuses by default.  With the (default) query cache active no
-    chain fuses, but each cache miss still runs as a fused group of
-    one, so the flag changes how cached queries run their misses too.
+    chain fuses and every element runs on its own, so the flag changes
+    only queries run with ``--no-cache``.
     """
     parser.add_argument(
         "--no-pushdown", action="store_true",

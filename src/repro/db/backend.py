@@ -11,6 +11,15 @@ PostgreSQL server instance ("A user can either run a personal database
 server on his local workstation, or store his data on any connected
 PostgreSQL server").  The parallel query executor of Section 4.3 runs one
 independent server per simulated cluster node.
+
+Both engines share one handle protocol: :class:`Database` owns the
+statement choke point (:meth:`Database._run`, which counts every
+statement and, under a tracer, wraps it in a ``db`` span), the query
+transaction (:meth:`Database.read_transaction`), the handle's lock and
+its temp-table pool.  An engine supplies only how one statement runs
+(``_run_locked``), whether a transaction is open
+(:attr:`Database.in_transaction`) and the transaction verbs.  The
+in-process servers of both engines are one :class:`NamedDatabaseServer`.
 """
 
 from __future__ import annotations
@@ -18,14 +27,19 @@ from __future__ import annotations
 import abc
 import contextlib
 import re
+import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from ..core.errors import DatabaseError
+from ..core.errors import (DatabaseError, ExperimentExistsError,
+                           NoSuchExperimentError)
+from ..obs.metrics import REGISTRY
+from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:
     from .temptables import TempTablePool
 
-__all__ = ["Database", "DatabaseServer", "quote_identifier"]
+__all__ = ["Database", "DatabaseServer", "NamedDatabaseServer",
+           "quote_identifier"]
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -42,15 +56,93 @@ def quote_identifier(name: str) -> str:
     return f'"{name}"'
 
 
+def _sql_summary(sql: str, limit: int = 120) -> str:
+    """Compact single-line form of a statement for span attributes:
+    its words joined by single spaces, cut to ``limit`` characters
+    (``limit`` >= 1) with a trailing ``…``.  Only the first ``limit``
+    words are split off: they join to at least ``limit`` characters,
+    so a statement with more is cut within them."""
+    words = sql.split(None, limit)
+    if len(words) > limit:
+        return " ".join(words[:limit])[:limit - 1] + "…"
+    text = " ".join(words)
+    return text if len(text) <= limit else text[:limit - 1] + "…"
+
+
+_STATEMENTS = REGISTRY.counter("db.statements")
+_ROWS_FETCHED = REGISTRY.counter("db.rows_fetched")
+_ROWS_AFFECTED = REGISTRY.counter("db.rows_affected")
+
+
+def count_statement(fetch: str | None, result: Any, rowcount: int) -> int:
+    """Count one finished statement and its rows on the process
+    registry; returns the statement's row count."""
+    if fetch == "all":
+        rows = len(result)
+    elif fetch == "one":
+        rows = 0 if result is None else 1
+    else:
+        rows = max(rowcount, 0)
+    _STATEMENTS.inc()
+    (_ROWS_FETCHED if fetch else _ROWS_AFFECTED).inc(rows)
+    return rows
+
+
 class Database(abc.ABC):
     """One open database holding one experiment (plus temp tables).
 
     Each handle owns the :class:`~repro.db.temptables.TempTablePool`
     its queries lease their temp tables from, as ``temp_pool``; a
     :meth:`rollback` makes the pool forget what it knows of them.
+    Statements and transaction state are serialised on the handle's
+    ``_lock``.
     """
 
     temp_pool: "TempTablePool"
+
+    def __init__(self) -> None:
+        # temptables imports this module
+        from .temptables import TempTablePool
+        self._lock = threading.RLock()
+        self.temp_pool = TempTablePool()
+        #: queries inside read_transaction, and whether the first began it
+        self._queries = 0
+        self._query_began = False
+
+    # -- the statement choke point -----------------------------------------
+
+    @abc.abstractmethod
+    def _run_locked(self, sql: str, params: Any, many: bool,
+                    fetch: str | None) -> tuple[Any, int]:
+        """Run one statement under :attr:`_lock`: ``params`` is one
+        parameter tuple, or a list of them with ``many``; ``fetch`` is
+        ``"all"``, ``"one"`` or ``None``.  Returns the fetched rows
+        (``None`` without ``fetch``) and the statement's rowcount;
+        engine errors are raised as :class:`DatabaseError` naming the
+        statement."""
+
+    def _run(self, sql: str, params: Any, *, many: bool = False,
+             fetch: str | None = None):
+        """Single choke point for statement execution.
+
+        Counts the statement and its rows; only when a tracer is active
+        is the statement also wrapped in a ``db`` span, so a traced
+        statement counts exactly as an untraced one.  Returns the
+        fetched rows, or the affected-row count of a statement that
+        fetches none.
+        """
+        tracer = current_tracer()
+        if tracer is None:
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            rows = count_statement(fetch, result, rowcount)
+            return result if fetch else rows
+        op = ("db.executemany" if many
+              else f"db.fetch{fetch}" if fetch else "db.execute")
+        with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
+            result, rowcount = self._run_locked(sql, params, many, fetch)
+            rows = span.attributes["rows"] = count_statement(
+                fetch, result, rowcount)
+            return result if fetch else rows
 
     @abc.abstractmethod
     def execute(self, sql: str, params: Sequence[Any] = ()) -> int:
@@ -96,40 +188,64 @@ class Database(abc.ABC):
     def list_tables(self) -> list[str]:
         """All table names in the database."""
 
+    # -- transactions -------------------------------------------------------
+
+    @property
+    @abc.abstractmethod
+    def in_transaction(self) -> bool:
+        """Whether a transaction is open on this handle."""
+
     @abc.abstractmethod
     def commit(self) -> None:
         """Commit the current transaction."""
 
+    @abc.abstractmethod
     def begin(self) -> None:
-        """Start an explicit transaction, if the backend supports one.
+        """Open an explicit transaction (no-op if one is already open),
+        so DDL early in a batch joins it instead of autocommitting."""
 
-        Backends without transaction support may leave this a no-op;
-        batched writers then degrade to grouped-but-not-atomic
-        statement execution.
-        """
-
+    @abc.abstractmethod
     def rollback(self) -> None:
-        """Discard the current transaction.
-
-        The default raises: a backend that cannot roll back must not
-        silently pretend a failed batch was undone.
-        """
-        raise DatabaseError(
-            f"{type(self).__name__} does not support rollback")
+        """Discard the current transaction."""
 
     @contextlib.contextmanager
     def read_transaction(self) -> Iterator[None]:
         """Run a query's statements as one transaction, closed on exit.
 
         A query only reads the experiment tables and writes its own
-        temp tables.  Backends whose connections open transactions
-        implicitly must not leave one open afterwards: an idle handle
-        would keep the database's read lock and lock every writer out.
-        Inside a transaction the caller already holds, this is a no-op.
-        This default does nothing, for backends without implicit
-        transactions.
+        temp tables.  Without this its first DML would open a
+        transaction implicitly that nothing ends: on SQLite the idle
+        handle would keep its read lock on the database file and every
+        other writer's commit would wait out the busy timeout; on the
+        columnar engine its undo log would keep every dropped temp
+        table alive, and a later failed batch would roll the query's
+        temp tables back into the experiment.  The transaction is
+        deferred, so it takes no write lock on the experiment tables,
+        and the query's DDL joins it instead of committing statement by
+        statement.
+
+        Only the first query to enter begins the transaction, and only
+        when none is open: inside a transaction the caller holds, this
+        neither commits nor ends it.  Queries that run at once on this
+        handle share the transaction, and the last to finish commits
+        it: the first committing would leave the others' later
+        statements (a teardown ``DELETE``) in an implicit transaction
+        that nothing ends.
         """
-        yield
+        with self._lock:
+            if not self._queries:
+                self._query_began = not self.in_transaction
+                if self._query_began:
+                    self.begin()
+            self._queries += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._queries -= 1
+                if not self._queries and self._query_began \
+                        and self.in_transaction:
+                    self.commit()
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -225,3 +341,42 @@ class DatabaseServer(abc.ABC):
 
     def has_database(self, name: str) -> bool:
         return name in self.list_databases()
+
+
+class NamedDatabaseServer(DatabaseServer):
+    """An in-process server: its databases live in a dict keyed by
+    name for as long as the server object, and every
+    :meth:`open_database` returns the one shared handle."""
+
+    def __init__(self, node: int = 0):
+        super().__init__(node)
+        self._dbs: dict[str, Database] = {}
+
+    @abc.abstractmethod
+    def _new_database(self, name: str) -> Database:
+        """A fresh, empty database for ``name``."""
+
+    def create_database(self, name: str) -> Database:
+        quote_identifier(name)
+        if name in self._dbs:
+            raise ExperimentExistsError(
+                f"database {name!r} already exists on node {self.node}")
+        db = self._dbs[name] = self._new_database(name)
+        return db
+
+    def open_database(self, name: str) -> Database:
+        try:
+            return self._dbs[name]
+        except KeyError:
+            raise NoSuchExperimentError(
+                f"no database {name!r} on node {self.node}") from None
+
+    def drop_database(self, name: str) -> None:
+        try:
+            self._dbs.pop(name).close()
+        except KeyError:
+            raise NoSuchExperimentError(
+                f"no database {name!r} on node {self.node}") from None
+
+    def list_databases(self) -> list[str]:
+        return sorted(self._dbs)

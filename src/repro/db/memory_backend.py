@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import contextlib
 import itertools
 import math
 import operator
@@ -88,16 +87,14 @@ import re
 import sqlite3
 import threading
 from datetime import datetime
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .. import faults as _faults
-from ..core.errors import (DatabaseError, ExperimentExistsError,
-                           NoSuchExperimentError)
+from ..core.errors import DatabaseError
 from ..obs.metrics import count
-from ..obs.tracer import current_tracer
-from .backend import Database, DatabaseServer, quote_identifier
-from .sqlite_backend import PB_AGGREGATES, _sql_summary, count_statement
-from .temptables import TempTablePool
+from .backend import (Database, NamedDatabaseServer, _sql_summary,
+                      quote_identifier)
+from .sqlite_backend import PB_AGGREGATES
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
            "evict_memory_server", "clear_memory_servers"]
@@ -2098,19 +2095,19 @@ class MemoryDatabase(Database):
     """
 
     def __init__(self, name: str = "memory"):
+        super().__init__()
         self.path = f"memory://{name}"
         self._tables: dict[str, _Table] = {}
-        self._lock = threading.RLock()
         self._in_txn = False
         self._undo: list = []
         self._closed = False
         self._last_rowcount = 0
-        self.temp_pool = TempTablePool()
-        #: queries inside read_transaction, and whether the first began it
-        self._queries = 0
-        self._query_began = False
 
     # -- transactions ----------------------------------------------------
+
+    @property
+    def in_transaction(self) -> bool:
+        return self._in_txn
 
     def _begin_implicit(self) -> None:
         if not self._in_txn:
@@ -2148,22 +2145,7 @@ class MemoryDatabase(Database):
         """Reset the closed flag (the server reopens live data)."""
         self._closed = False
 
-    # -- execution choke point -------------------------------------------
-
-    def _run(self, sql: str, params: Any, *, many: bool = False,
-             fetch: str | None = None):
-        tracer = current_tracer()
-        if tracer is None:
-            result, rowcount = self._run_locked(sql, params, many, fetch)
-            rows = count_statement(fetch, result, rowcount)
-            return result if fetch else rows
-        op = ("db.executemany" if many
-              else f"db.fetch{fetch}" if fetch else "db.execute")
-        with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
-            result, rowcount = self._run_locked(sql, params, many, fetch)
-            rows = span.attributes["rows"] = count_statement(
-                fetch, result, rowcount)
-            return result if fetch else rows
+    # -- statement execution ---------------------------------------------
 
     def _run_locked(self, sql: str, params: Any, many: bool,
                     fetch: str | None) -> tuple[Any, int]:
@@ -2227,29 +2209,6 @@ class MemoryDatabase(Database):
     def fetchone(self, sql: str,
                  params: Sequence[Any] = ()) -> tuple | None:
         return self._run(sql, tuple(params), fetch="one")
-
-    @contextlib.contextmanager
-    def read_transaction(self) -> Iterator[None]:
-        """One transaction around a query, committed on exit if it began
-        here.  The query's DML would otherwise open one implicitly and
-        leave it open: its undo log would keep every dropped temp table
-        alive until the next commit, and a later failed batch would roll
-        the query's temp tables back into the experiment.  Queries that
-        run at once on this handle share the transaction, and the last
-        to finish commits it, as on SQLite."""
-        with self._lock:
-            if not self._queries:
-                self._query_began = not self._in_txn
-            self._in_txn = True
-            self._queries += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._queries -= 1
-                if not self._queries and self._query_began \
-                        and self._in_txn:
-                    self.commit()
 
     # -- introspection ----------------------------------------------------
 
@@ -2655,7 +2614,7 @@ def _derived_names(stmt) -> list[str]:
 # the server
 # =========================================================================
 
-class MemoryDatabaseServer(DatabaseServer):
+class MemoryDatabaseServer(NamedDatabaseServer):
     """A server of named :class:`MemoryDatabase` instances.
 
     Databases live for the lifetime of the server object; a
@@ -2667,37 +2626,13 @@ class MemoryDatabaseServer(DatabaseServer):
 
     backend_name = "memory"
 
-    def __init__(self, node: int = 0):
-        super().__init__(node)
-        self._dbs: dict[str, MemoryDatabase] = {}
-
-    def create_database(self, name: str) -> MemoryDatabase:
-        quote_identifier(name)
-        if name in self._dbs:
-            raise ExperimentExistsError(
-                f"database {name!r} already exists on node {self.node}")
-        db = MemoryDatabase(name)
-        self._dbs[name] = db
-        return db
+    def _new_database(self, name: str) -> MemoryDatabase:
+        return MemoryDatabase(name)
 
     def open_database(self, name: str) -> MemoryDatabase:
-        try:
-            db = self._dbs[name]
-        except KeyError:
-            raise NoSuchExperimentError(
-                f"no database {name!r} on node {self.node}") from None
+        db = super().open_database(name)
         db._reopen()
         return db
-
-    def drop_database(self, name: str) -> None:
-        try:
-            self._dbs.pop(name).close()
-        except KeyError:
-            raise NoSuchExperimentError(
-                f"no database {name!r} on node {self.node}") from None
-
-    def list_databases(self) -> list[str]:
-        return sorted(self._dbs)
 
     def close(self) -> None:
         """Close every database and drop all state.

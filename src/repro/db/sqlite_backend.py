@@ -17,22 +17,19 @@ pool yields real concurrency for the parallel-query experiments.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
+import itertools
 import json
 import pathlib
 import sqlite3
-import threading
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
-from ..obs.metrics import REGISTRY
-from ..obs.tracer import current_tracer
-from .backend import Database, DatabaseServer, quote_identifier
+from .backend import (Database, DatabaseServer, NamedDatabaseServer,
+                      _sql_summary, quote_identifier)
 from .retry import DEFAULT_POLICY
-from .temptables import TempTablePool
 
 __all__ = ["SQLiteDatabase", "SQLiteServer", "MemoryServer",
            "PB_AGGREGATES"]
@@ -138,39 +135,6 @@ def _adapt_datetime(value: datetime.datetime) -> str:
 sqlite3.register_adapter(datetime.datetime, _adapt_datetime)
 
 
-def _sql_summary(sql: str, limit: int = 120) -> str:
-    """Compact single-line form of a statement for span attributes:
-    its words joined by single spaces, cut to ``limit`` characters
-    (``limit`` >= 1) with a trailing ``…``.  Only the first ``limit``
-    words are split off: they join to at least ``limit`` characters,
-    so a statement with more is cut within them."""
-    words = sql.split(None, limit)
-    if len(words) > limit:
-        return " ".join(words[:limit])[:limit - 1] + "…"
-    text = " ".join(words)
-    return text if len(text) <= limit else text[:limit - 1] + "…"
-
-
-_STATEMENTS = REGISTRY.counter("db.statements")
-_ROWS_FETCHED = REGISTRY.counter("db.rows_fetched")
-_ROWS_AFFECTED = REGISTRY.counter("db.rows_affected")
-
-
-def count_statement(fetch: str | None, result: Any, rowcount: int) -> int:
-    """Count one finished statement and its rows on the process
-    registry (both backends' choke points call this); returns the
-    statement's row count."""
-    if fetch == "all":
-        rows = len(result)
-    elif fetch == "one":
-        rows = 0 if result is None else 1
-    else:
-        rows = max(rowcount, 0)
-    _STATEMENTS.inc()
-    (_ROWS_FETCHED if fetch else _ROWS_AFFECTED).inc(rows)
-    return rows
-
-
 def _to_uri(path: str) -> str:
     """URI form of a database path (private memory db stays private)."""
     if path == ":memory:":
@@ -219,6 +183,7 @@ class SQLiteDatabase(Database):
                  shared_name: str | None = None,
                  autocommit: bool = False,
                  busy_timeout_ms: int = 5000):
+        super().__init__()
         if shared_name is not None:
             self.uri = f"file:{shared_name}?mode=memory&cache=shared"
         else:
@@ -236,13 +201,8 @@ class SQLiteDatabase(Database):
         self._conn.execute(
             f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
         self.busy_timeout_ms = int(busy_timeout_ms)
-        self._lock = threading.RLock()
         self.path = path
         self._attached: dict[str, str] = {}
-        self.temp_pool = TempTablePool()
-        #: queries inside read_transaction, and whether the first began it
-        self._queries = 0
-        self._query_began = False
         self._forget_catalogue()
         self._register_aggregates()
 
@@ -288,29 +248,6 @@ class SQLiteDatabase(Database):
         the paper: SQL-side processing beats per-row Python)."""
         for name, aggregate in PB_AGGREGATES.items():
             self._conn.create_aggregate(name, 1, aggregate)
-
-    def _run(self, sql: str, params: Any, *, many: bool = False,
-             fetch: str | None = None):
-        """Single choke point for statement execution.
-
-        Serialises on the per-database lock, maps sqlite errors and
-        counts the statement and its rows; only when a tracer is active
-        is the statement also wrapped in a ``db`` span.  Returns the
-        fetched rows, or the affected-row count of a statement that
-        fetches none.
-        """
-        tracer = current_tracer()
-        if tracer is None:
-            result, rowcount = self._run_locked(sql, params, many, fetch)
-            rows = count_statement(fetch, result, rowcount)
-            return result if fetch else rows
-        op = ("db.executemany" if many
-              else f"db.fetch{fetch}" if fetch else "db.execute")
-        with tracer.span(op, kind="db", sql=_sql_summary(sql)) as span:
-            result, rowcount = self._run_locked(sql, params, many, fetch)
-            rows = span.attributes["rows"] = count_statement(
-                fetch, result, rowcount)
-            return result if fetch else rows
 
     def _run_locked(self, sql: str, params: Any, many: bool,
                     fetch: str | None) -> tuple[Any, int]:
@@ -441,6 +378,10 @@ class SQLiteDatabase(Database):
             "ORDER BY name")
         return [r[0] for r in rows]
 
+    @property
+    def in_transaction(self) -> bool:
+        return self._conn.in_transaction
+
     def commit(self) -> None:
         # the crash-before-commit injection point: a CrashFault here
         # abandons the open transaction exactly like a killed process
@@ -450,12 +391,9 @@ class SQLiteDatabase(Database):
             self._conn.commit()
 
     def begin(self) -> None:
-        """Open an explicit transaction (no-op if one is already open).
-
-        sqlite3's implicit transaction handling only BEGINs before DML,
-        so DDL issued early in a batch (per-run table creation) would
-        otherwise autocommit and escape a later rollback.
-        """
+        """sqlite3's implicit transaction handling only BEGINs before
+        DML, so DDL issued early in a batch (per-run table creation)
+        would otherwise autocommit and escape a later rollback."""
         with self._lock:
             if not self._conn.in_transaction:
                 try:
@@ -475,37 +413,6 @@ class SQLiteDatabase(Database):
         with self._lock:
             self._rolled_back()
             self._conn.rollback()
-
-    @contextlib.contextmanager
-    def read_transaction(self) -> Iterator[None]:
-        """One deferred transaction around a query.
-
-        sqlite3 would otherwise BEGIN implicitly before the first
-        temp-table INSERT and never end that transaction, so the idle
-        handle kept its read lock on the database file and every other
-        writer's commit waited out the busy timeout.  Deferred, the
-        transaction takes no write lock on the experiment tables (temp
-        tables live in their own database), and the query's DDL joins
-        it instead of committing statement by statement.  Queries that
-        run at once on this handle share the transaction, and the last
-        to finish commits it: the first committing would leave the
-        others' later statements (a teardown ``DELETE``) in an implicit
-        transaction that nothing ends.
-        """
-        with self._lock:
-            if not self._queries:
-                self._query_began = not self._conn.in_transaction
-                if self._query_began:
-                    self._conn.execute("BEGIN")
-            self._queries += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._queries -= 1
-                if not self._queries and self._query_began \
-                        and self._conn.in_transaction:
-                    self.commit()
 
     def close(self) -> None:
         with self._lock:
@@ -554,10 +461,10 @@ class SQLiteServer(DatabaseServer):
 
 
 #: process-wide counter making shared-cache database names unique
-_SHARED_COUNTER = __import__("itertools").count()
+_SHARED_COUNTER = itertools.count()
 
 
-class MemoryServer(DatabaseServer):
+class MemoryServer(NamedDatabaseServer):
     """In-memory server; databases live as long as the server object.
 
     Databases are created in shared-cache mode so query elements on
@@ -567,33 +474,6 @@ class MemoryServer(DatabaseServer):
 
     backend_name = "sqlite"
 
-    def __init__(self, node: int = 0):
-        super().__init__(node)
-        self._dbs: dict[str, SQLiteDatabase] = {}
-
-    def create_database(self, name: str) -> SQLiteDatabase:
-        quote_identifier(name)
-        if name in self._dbs:
-            raise ExperimentExistsError(
-                f"database {name!r} already exists on node {self.node}")
-        shared = f"pbmem_{next(_SHARED_COUNTER)}_{name}"
-        db = SQLiteDatabase(shared_name=shared)
-        self._dbs[name] = db
-        return db
-
-    def open_database(self, name: str) -> SQLiteDatabase:
-        try:
-            return self._dbs[name]
-        except KeyError:
-            raise NoSuchExperimentError(
-                f"no database {name!r} on node {self.node}") from None
-
-    def drop_database(self, name: str) -> None:
-        try:
-            self._dbs.pop(name).close()
-        except KeyError:
-            raise NoSuchExperimentError(
-                f"no database {name!r} on node {self.node}") from None
-
-    def list_databases(self) -> list[str]:
-        return sorted(self._dbs)
+    def _new_database(self, name: str) -> SQLiteDatabase:
+        return SQLiteDatabase(
+            shared_name=f"pbmem_{next(_SHARED_COUNTER)}_{name}")

@@ -53,7 +53,8 @@ def table(rows: Sequence[Sequence[Any]],
     infos = [ColumnInfo(name, datatype=DataType(dt),
                         is_result=(dt != "string"))
              for name, dt in columns]
-    vector = DataVector(db, "obs_summary", infos, producer="obs")
+    vector = DataVector(db, "obs_summary", infos, n_rows=len(rows),
+                        producer="obs")
     fmt = AsciiTableFormat({"title": title, "precision": 6,
                             "sort_by": names[0]})
     text = fmt.render_one(vector)

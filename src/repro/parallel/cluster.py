@@ -101,16 +101,16 @@ def copy_vector(vector: DataVector, target: ClusterNode,
             len(rows), len(vector.columns))
         cluster.transfer_seconds += seconds
         cluster.transfers += 1
+        n_bytes = (len(rows) * len(vector.columns)
+                   * cluster.interconnect.bytes_per_cell)
+        count("transfer.vectors")
+        count("transfer.rows", len(rows))
+        count("transfer.bytes", n_bytes)
+        count("transfer.modelled_seconds", seconds)
         if span is not None:
-            n_bytes = (len(rows) * len(vector.columns)
-                       * cluster.interconnect.bytes_per_cell)
             span.attributes.update(
                 rows=len(rows), cols=len(vector.columns),
                 bytes=n_bytes, modelled_seconds=seconds)
-            count("transfer.vectors")
-            count("transfer.rows", len(rows))
-            count("transfer.bytes", n_bytes)
-            count("transfer.modelled_seconds", seconds)
         from ..core.datatypes import sql_type
         table = (temptables or target.temptables).new_table(
             f"xfer_{vector.producer or 'v'}",
@@ -119,5 +119,5 @@ def copy_vector(vector: DataVector, target: ClusterNode,
             target.db.insert_rows(
                 table, [c.name for c in vector.columns], rows)
     return DataVector(target.db, table, vector.columns,
-                      from_source=vector.from_source,
+                      n_rows=len(rows), from_source=vector.from_source,
                       producer=vector.producer)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .. import faults as _faults
 from ..core.errors import (DataTypeError, DuplicateImportError,
@@ -97,8 +97,8 @@ class Importer:
 
     # -- internals ---------------------------------------------------------
 
-    def _check_duplicate(self, text: str, filename: str) -> str:
-        checksum = content_checksum(text)
+    def _check_duplicate(self, content: str | bytes, filename: str) -> str:
+        checksum = content_checksum(content)
         previous = self.experiment.store.find_import(checksum)
         if previous is not None and not self.force:
             raise DuplicateImportError(filename, previous)
@@ -167,19 +167,30 @@ class Importer:
                     ) -> ImportReport:
         """Import one input text (cases a/b, programmatic form)."""
         desc = self._description(description)
+        return self.import_content(
+            text, filename, lambda: self._extract(desc, text, filename))
+
+    def import_content(self, content: str | bytes, filename: str,
+                       extract: Callable[[], list[RunData]]
+                       ) -> ImportReport:
+        """Import the runs ``extract`` finds in one input's
+        ``content``: the duplicate-import guard keys on the content,
+        and each run is validated and stored under the
+        missing-content policy.  Every kind of input (ASCII text,
+        binary trace) imports through here."""
         report = ImportReport()
         with maybe_span(filename, kind="import.file",
-                        bytes=len(text)) as span:
+                        bytes=len(content)) as span:
             count("import.files")
             try:
-                checksum = self._check_duplicate(text, filename)
+                checksum = self._check_duplicate(content, filename)
             except DuplicateImportError:
                 report.duplicates.append(filename)
                 count("import.duplicates_skipped")
                 if span is not None:
                     span.attributes["duplicate"] = True
                 return report
-            runs = self._extract(desc, text, filename)
+            runs = extract()
             if not runs:
                 # a file yielding no runs must not abort a batch under
                 # the discard policy (Section 3.2's batch promise)

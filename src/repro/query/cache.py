@@ -435,6 +435,7 @@ class QueryCache:
     def load(self, entry: CacheEntry) -> DataVector:
         """Materialise a :class:`DataVector` view of a cached entry."""
         return DataVector(self.db, entry.table, list(entry.columns),
+                          n_rows=entry.n_rows,
                           from_source=entry.from_source,
                           producer=entry.element)
 

@@ -273,7 +273,8 @@ class Operator(QueryElement):
             rows = [row]
         if rows:
             ctx.db.insert_rows(table, [c.name for c in out_cols], rows)
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
+        return DataVector(ctx.db, table, out_cols, n_rows=len(rows),
+                          producer=self.name)
 
     def _aggregate_rows(self, vector: DataVector, group: list[ColumnInfo],
                         results: list[ColumnInfo]) -> list[list]:
@@ -336,7 +337,8 @@ class Operator(QueryElement):
             rows.append(out)
         if rows:
             ctx.db.insert_rows(table, names, rows)
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
+        return DataVector(ctx.db, table, out_cols, n_rows=len(rows),
+                          producer=self.name)
 
     # -- arithmetic: eval ------------------------------------------------------
 
@@ -383,7 +385,8 @@ class Operator(QueryElement):
                 for i, jrow in enumerate(joined)]
         if rows:
             ctx.db.insert_rows(table, [c.name for c in out_cols], rows)
-        return DataVector(ctx.db, table, out_cols, producer=self.name)
+        return DataVector(ctx.db, table, out_cols, n_rows=len(rows),
+                          producer=self.name)
 
     # -- transforms: filter (norm and convert are SQL, see fuse()) --------
 
@@ -412,14 +415,14 @@ class Operator(QueryElement):
                 f"operator {self.name!r}: filter expression references "
                 f"unknown or non-numeric columns: "
                 + ", ".join(sorted(missing)))
+        kept = []
         if rows:
             keep = np.asarray(self.expression(env), dtype=bool)
             keep = np.broadcast_to(keep, (len(rows),))
             kept = [list(row) for row, k in zip(rows, keep) if k]
-            if kept:
-                ctx.db.insert_rows(
-                    table, [c.name for c in out_cols], kept)
-        return DataVector(ctx.db, table, out_cols,
+        if kept:
+            ctx.db.insert_rows(table, [c.name for c in out_cols], kept)
+        return DataVector(ctx.db, table, out_cols, n_rows=len(kept),
                           from_source=vector.from_source,
                           producer=self.name)
 
@@ -723,6 +726,7 @@ def _concat(ctx: QueryContext, vectors: list[DataVector],
     union = " UNION ALL ".join(
         f"SELECT {cols} FROM {quote_identifier(v.table)}"
         for v in vectors)
-    ctx.db.execute(
+    n_rows = ctx.db.execute(
         f"INSERT INTO {quote_identifier(table)} {union}")
-    return DataVector(ctx.db, table, base.columns, producer=who)
+    return DataVector(ctx.db, table, base.columns, n_rows=n_rows,
+                      producer=who)

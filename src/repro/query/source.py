@@ -400,18 +400,20 @@ class Source(QueryElement):
             self.name,
             [(c.name, sql_type(c.datatype)) for c in layout.columns])
         exp_prefix = self._exp_prefix(ctx)
+        n_rows = 0
         for frag in self._fragments(ctx.experiment, layout,
                                     exp_prefix or ""):
             if exp_prefix is not None:
-                insert_select(ctx.db, table, frag)
+                n_rows += insert_select(ctx.db, table, frag)
                 continue
             rows = ctx.experiment.store.db.fetchall(ordered_select(frag),
                                                     frag.params)
             if rows:
                 ctx.db.insert_rows(
                     table, [c.name for c in layout.columns], rows)
-        return DataVector(ctx.db, table, layout.columns, from_source=True,
-                          producer=self.name)
+            n_rows += len(rows)
+        return DataVector(ctx.db, table, layout.columns, n_rows=n_rows,
+                          from_source=True, producer=self.name)
 
     # -- SQL pushdown ------------------------------------------------------
 

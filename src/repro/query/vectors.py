@@ -62,22 +62,22 @@ class DataVector:
 
     ``from_source`` records whether the producing element was a *source*
     — the operator mode selection of Section 3.3.2 depends on it.
-    ``n_rows`` is the row count when the producer knows it (the
-    rowcount of the statement that filled the table); otherwise every
-    read counts the table.
+    ``n_rows`` is the table's row count, which every producer knows
+    from the statements that filled the table, so reading it issues
+    no statement.
     """
 
     def __init__(self, db: Database, table: str,
                  columns: Sequence[ColumnInfo], *,
+                 n_rows: int,
                  from_source: bool = False,
-                 producer: str = "",
-                 n_rows: int | None = None):
+                 producer: str = ""):
         self.db = db
         self.table = table
         self.columns = list(columns)
+        self.n_rows = n_rows
         self.from_source = from_source
         self.producer = producer
-        self._n_rows = n_rows
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise QueryError(
@@ -111,12 +111,6 @@ class DataVector:
         return any(c.name == name for c in self.columns)
 
     # -- data access ----------------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        if self._n_rows is None:
-            return self.db.count_rows(self.table)
-        return self._n_rows
 
     def rows(self, order_by: Sequence[str] = ()) -> list[tuple]:
         """All rows in column order (optionally sorted)."""

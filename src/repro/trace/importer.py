@@ -9,8 +9,9 @@ variables and the event stream to data sets, in one of two modes:
 * ``summary`` — one data set per (event, process) pair with the record
   count and the sum/mean of the values (the usual profile view).
 
-The duplicate-import guard and missing-content policies of the ASCII
-importer apply unchanged (the guard keys on the binary content).
+Traces import through the ASCII importer's own store step: its
+duplicate-import guard (keyed on the binary content), missing-content
+policies, fault site and counters apply unchanged.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Mapping
 from ..core.errors import InputError
 from ..core.experiment import Experiment
 from ..core.run import RunData
-from ..db.checksums import content_checksum
-from ..parse.importer import ImportReport, MissingPolicy
+from ..parse.importer import Importer, ImportReport, MissingPolicy
 from .format import Trace, TraceReader
 
 __all__ = ["TraceImportDescription", "TraceImporter"]
@@ -104,7 +104,13 @@ class TraceImportDescription:
 
 
 class TraceImporter:
-    """Imports PBT1 traces into an experiment."""
+    """Imports PBT1 traces into an experiment.
+
+    Each trace goes through :meth:`Importer.import_content`, so the
+    duplicate-import guard, the missing-content policy, the
+    ``import.store`` fault site, the ``store_run`` span and the
+    ``import.*`` counters are those of an ASCII import.
+    """
 
     def __init__(self, experiment: Experiment,
                  description: TraceImportDescription, *,
@@ -112,37 +118,14 @@ class TraceImporter:
                  force: bool = False):
         self.experiment = experiment
         self.description = description
-        self.missing = missing
-        self.force = force
+        self._importer = Importer(experiment, missing=missing,
+                                  force=force)
 
     def import_bytes(self, data: bytes,
                      filename: str = "<trace>") -> ImportReport:
-        report = ImportReport()
-        checksum = content_checksum(data)
-        previous = self.experiment.store.find_import(checksum)
-        if previous is not None and not self.force:
-            report.duplicates.append(filename)
-            return report
-        trace = TraceReader.from_bytes(data)
-        run = self.description.to_run(trace, filename)
-        run.file_checksums[filename] = checksum
-        use_defaults = self.missing is not MissingPolicy.EMPTY
-        try:
-            missing = run.validate(
-                self.experiment.variables,
-                require_all=self.missing in (MissingPolicy.DISCARD,
-                                             MissingPolicy.REJECT),
-                use_defaults=use_defaults)
-        except InputError:
-            if self.missing is MissingPolicy.DISCARD:
-                report.discarded += 1
-                return report
-            raise
-        index = self.experiment.store_validated_run(run)
-        report.run_indices.append(index)
-        if missing:
-            report.missing[index] = missing
-        return report
+        return self._importer.import_content(
+            data, filename, lambda: [self.description.to_run(
+                TraceReader.from_bytes(data), filename)])
 
     def import_file(self, path: str) -> ImportReport:
         with open(path, "rb") as fh:

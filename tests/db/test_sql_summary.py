@@ -5,7 +5,7 @@ whitespace, and whatever the text's length around ``limit``."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.db.sqlite_backend import _sql_summary
+from repro.db.backend import _sql_summary
 
 #: whitespace ``str.split`` splits on, ASCII and not
 WHITESPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2007"

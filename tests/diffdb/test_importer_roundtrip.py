@@ -4,6 +4,7 @@ the XML control files must land identically in every backend."""
 import pytest
 
 from repro import Experiment
+from repro.obs import MetricsView
 from repro.parse import Importer
 from repro.testing import run_differential, snapshot_store
 from repro.workloads.beffio import generate_campaign
@@ -33,6 +34,32 @@ def test_campaign_roundtrip(campaign):
         exp = build_beffio(server, campaign)
         return snapshot_store(exp.store)
     run_differential(scenario)
+
+
+def test_batch_import_counts_the_same_rows_affected(campaign, tmp_path):
+    """``perfbase input``'s path, one ``import_files`` batch over the
+    campaign's files, counts the same ``db.rows_affected`` on every
+    backend: each reports the rows its statements wrote alike."""
+    paths = []
+    for fname, content in campaign:
+        (tmp_path / fname).write_text(content)
+        paths.append(str(tmp_path / fname))
+
+    def scenario(server, backend):
+        definition = parse_experiment_xml(experiment_xml())
+        exp = Experiment.create(server, definition.name,
+                                list(definition.variables),
+                                definition.info)
+        importer = Importer(exp, parse_input_xml(input_xml()))
+        view = MetricsView()
+        try:
+            report = importer.import_files(paths)
+        finally:
+            view.close()
+        return {"runs": report.n_imported,
+                "rows_affected": view.counter("db.rows_affected").value}
+    outcomes = run_differential(scenario)
+    assert outcomes["sqlite"]["rows_affected"] > 0
 
 
 def test_duplicate_import_detection(campaign):

@@ -18,7 +18,8 @@ from repro.obs import (JsonLinesSink, MetricsView, Span, Tracer, count,
                        rollup, summary_table, use_tracer)
 from repro.parallel import ParallelQueryExecutor, SimulatedCluster
 from repro.service import ExperimentService
-from repro.workloads.beffio_assets import fig8_query_xml
+from repro.workloads.beffio_assets import (fig8_query_xml,
+                                           stddev_query_xml)
 from repro.xmlio import parse_query_xml
 from tests.parallel.test_cache_plan import beffio
 
@@ -29,38 +30,57 @@ STATEMENT_COUNTERS = ("db.statements", "db.rows_fetched")
 
 @pytest.mark.parametrize("backend", ["sqlite", "memory"])
 def test_untraced_run_counts_like_a_traced_one(backend, beffio_campaign):
-    """The statement counters do not depend on tracing.  The one
-    difference is the tracer's own work: a traced run reads the row
-    count of each vector that ``materialise`` does not build for its
-    element span's ``rows``, one ``SELECT COUNT(*)`` (fetching one
-    row) per such span.  In fig8 those are the two sources, which fill
-    their tables with one INSERT per run; a materialised vector knows
-    its count from its INSERT's rowcount.  A first, unmeasured run
-    warms SQLite's catalogue memo, so both measured runs fetch the same
-    catalogue rows."""
+    """The statement counters do not depend on tracing, and tracing
+    issues no statement of its own: for fig8 and stddev, fused and
+    unfused, a traced query counts the statements and fetched rows of
+    an untraced one, and one ``db`` span per statement.  Fused,
+    stddev's whole diamond runs as one group, accounted to its tail.
+    A first, unmeasured run of each leg warms SQLite's catalogue memo,
+    so both measured runs fetch the same catalogue rows."""
     exp, _ = beffio(backend, beffio_campaign)
-    query = parse_query_xml(fig8_query_xml())
-    query.execute(exp)
+    for name, xml in (("fig8", fig8_query_xml()),
+                      ("stddev", stddev_query_xml())):
+        query = parse_query_xml(xml)
+        for pushdown in (False, True):
+            query.execute(exp, pushdown=pushdown)
+            untraced = MetricsView()
+            query.execute(exp, pushdown=pushdown)
+            untraced.close()
+            tracer = Tracer()
+            with use_tracer(tracer):
+                query.execute(exp, pushdown=pushdown)
+            tracer.close()
 
-    untraced = MetricsView()
-    query.execute(exp)
-    untraced.close()
-    tracer = Tracer()
-    with use_tracer(tracer):
-        query.execute(exp)
-    tracer.close()
+            leg = (name, pushdown)
+            moved = [tuple(view.counter(counter).value
+                           for counter in STATEMENT_COUNTERS)
+                     for view in (untraced, tracer.metrics)]
+            db_spans = [s for s in tracer.spans if s.kind == "db"]
+            assert moved[1] == moved[0], leg
+            assert moved[1][0] == len(db_spans), leg
+            assert moved[0][1] > 0, leg
+            if leg == ("stddev", True):
+                fused = [s.attributes.get("fused") for s in tracer.spans
+                         if s.name == "both"]
+                assert fused == ["src,mean,spread,both"]
 
-    moved = [tuple(view.counter(name).value for name in STATEMENT_COUNTERS)
-             for view in (untraced, tracer.metrics)]
-    db_spans = [s for s in tracer.spans if s.kind == "db"]
-    row_counts = [s for s in db_spans
-                  if s.attributes["sql"].startswith("SELECT COUNT(*)")]
-    vectors = [s for s in tracer.element_spans() if s.kind == "source"]
-    assert len(row_counts) == len(vectors) == 2
-    assert moved[1] == (moved[0][0] + len(row_counts),
-                        moved[0][1] + len(row_counts))
-    assert moved[1][0] == len(db_spans)
-    assert moved[0][1] > 0
+
+def test_untraced_transfers_move_the_transfer_counters(beffio_campaign):
+    """The ``transfer.*`` counters are always on: an untraced 2-node
+    fig8 moves ``transfer.vectors`` by the executor's own count of
+    inter-node vector transfers."""
+    exp, _ = beffio("sqlite", beffio_campaign)
+    cluster = SimulatedCluster(2)
+    view = MetricsView()
+    try:
+        _, stats = ParallelQueryExecutor(cluster).execute(
+            parse_query_xml(fig8_query_xml()), exp)
+    finally:
+        cluster.shutdown()
+        view.close()
+    assert stats.transfers > 0
+    assert view.counter("transfer.vectors").value == stats.transfers
+    assert view.counter("transfer.rows").value > 0
 
 
 @pytest.mark.service

@@ -32,7 +32,7 @@ def make_vector(rows=None, with_series=False):
         ColumnInfo("bw", DataType.FLOAT, Unit.parse("MB/s"),
                    "bandwidth", is_result=True),
     ]
-    return DataVector(db, "t", infos, producer="test")
+    return DataVector(db, "t", infos, n_rows=len(rows), producer="test")
 
 
 class TestRegistry:
@@ -161,7 +161,7 @@ class TestGnuplot:
                        synopsis="mean"),
             ColumnInfo("err", DataType.FLOAT, is_result=True,
                        synopsis="stddev"),
-        ])
+        ], n_rows=2)
         arts = GnuplotFormat({"style": "errorbars",
                               "x": "x"}).render([v])
         gp = arts[0].content
@@ -186,7 +186,7 @@ class TestGnuplot:
         db.create_table("t", [("x", "INTEGER"), ("s", "TEXT")])
         v = DataVector(db, "t", [
             ColumnInfo("x", DataType.INTEGER),
-            ColumnInfo("s", DataType.STRING, is_result=True)])
+            ColumnInfo("s", DataType.STRING, is_result=True)], n_rows=0)
         with pytest.raises(QueryError, match="no numeric"):
             GnuplotFormat({"x": "x"}).render([v])
 

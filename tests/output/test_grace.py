@@ -47,7 +47,7 @@ class TestGrace:
         db.create_table("t", [("x", "INTEGER"), ("s", "TEXT")])
         v = DataVector(db, "t", [
             ColumnInfo("x", DataType.INTEGER),
-            ColumnInfo("s", DataType.STRING, is_result=True)])
+            ColumnInfo("s", DataType.STRING, is_result=True)], n_rows=0)
         with pytest.raises(QueryError, match="no numeric"):
             GraceFormat({"x": "x"}).render([v])
 

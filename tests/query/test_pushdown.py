@@ -348,12 +348,12 @@ class TestObservability:
 #: runs what the Section 4.2 protocol does — one CREATE and one INSERT
 #: (a source: one per ``MAX_COMPOUND_OPERANDS`` runs), plus norm's
 #: probe per column — so these numbers must not move when
-#: emitters are refactored.  The tracer adds one ``SELECT COUNT(*)``
-#: per source run element-wise (a materialised vector knows its rows);
-#: fused, stddev's sibling aggregates make the whole query one group.
+#: emitters are refactored.  Every vector knows its row count, so the
+#: tracer adds no statement; fused, stddev's sibling aggregates make
+#: the whole query one group.
 EXACT_STATEMENTS = {
-    "sqlite": {"unfused": (24, 16), "fused": (10, 6)},
-    "memory": {"unfused": (22, 15), "fused": (8, 5)},
+    "sqlite": {"unfused": (22, 15), "fused": (10, 6)},
+    "memory": {"unfused": (20, 14), "fused": (8, 5)},
 }
 
 

@@ -21,7 +21,7 @@ def make_vector():
                    "bandwidth", is_result=True),
         ColumnInfo("label", DataType.STRING, is_result=True),
     ]
-    return DataVector(db, "t", cols, producer="test")
+    return DataVector(db, "t", cols, n_rows=3, producer="test")
 
 
 class TestDataVector:
@@ -67,7 +67,8 @@ class TestDataVector:
         db = SQLiteDatabase()
         db.create_table("t", [("x", "INTEGER")])
         with pytest.raises(QueryError, match="duplicate"):
-            DataVector(db, "t", [ColumnInfo("x"), ColumnInfo("x")])
+            DataVector(db, "t", [ColumnInfo("x"), ColumnInfo("x")],
+                       n_rows=0)
 
 
 class TestColumnInfo:

@@ -5,6 +5,10 @@ import pytest
 
 from repro import Experiment, MemoryServer, Parameter, Result
 from repro.core import InputError
+from repro.faults import FaultPlan, InjectedIOError, use_faults
+from repro.obs import MetricsView, Tracer, use_tracer
+from repro.parse import MissingPolicy
+from repro.testing import DIFF_BACKENDS, make_server
 from repro.trace import (Trace, TraceImportDescription, TraceImporter,
                          TraceReader, TraceRecord, TraceWriter)
 from repro.workloads.tracegen import MPITraceGenerator, TraceGenConfig
@@ -117,8 +121,7 @@ class TestGenerator:
             TraceGenConfig(n_procs=0)
 
 
-@pytest.fixture
-def trace_experiment(server):
+def make_trace_experiment(server):
     return Experiment.create(server, "traces", [
         Parameter("technique"),
         Parameter("app"),
@@ -129,6 +132,11 @@ def trace_experiment(server):
         Result("total", datatype="float", occurrence="multiple"),
         Result("mean", datatype="float", occurrence="multiple"),
     ])
+
+
+@pytest.fixture
+def trace_experiment(server):
+    return make_trace_experiment(server)
 
 
 class TestTraceImporter:
@@ -225,3 +233,67 @@ class TestTraceImporter:
         result = q.execute(trace_experiment, keep_temp_tables=True)
         ratios = result.vectors["ratio"].values("mean")
         assert all(r > 1.5 for r in ratios)  # listless I/O slower
+
+
+IMPORT_COUNTERS = ("import.files", "import.duplicates_skipped",
+                   "import.runs_stored", "import.datasets_stored",
+                   "import.runs_missing_content", "import.runs_discarded")
+
+
+def import_counts(importer, data, filename):
+    """The ``import.*`` counters one trace import moves."""
+    view = MetricsView()
+    try:
+        importer.import_bytes(data, filename)
+    finally:
+        view.close()
+    moved = {name: int(view.counter(name).value)
+             for name in IMPORT_COUNTERS}
+    return {name: n for name, n in moved.items() if n}
+
+
+@pytest.mark.parametrize("backend", DIFF_BACKENDS)
+class TestTraceImportStore:
+    """A trace imports through the ASCII importer's store step: its
+    counters, its ``store_run`` span and its ``import.store`` fault
+    site."""
+
+    full = TraceImportDescription(
+        meta={"technique": "technique", "application": "app"})
+    #: fills no ``app``: a missing-content run
+    partial = TraceImportDescription(meta={"technique": "technique"})
+
+    def test_counters_move_as_for_an_ascii_import(self, backend):
+        exp = make_trace_experiment(make_server(backend))
+        data = MPITraceGenerator(TraceGenConfig(n_procs=2)).generate()
+        importer = TraceImporter(exp, self.full)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            stored = import_counts(importer, data, "a.pbt")
+        assert stored == {"import.files": 1, "import.runs_stored": 1,
+                          "import.datasets_stored": 8}
+        assert [s.kind for s in tracer.spans
+                if s.name == "store_run"] == ["import.run"]
+        assert import_counts(importer, data, "b.pbt") == {
+            "import.files": 1, "import.duplicates_skipped": 1}
+
+        other = MPITraceGenerator(TraceGenConfig(n_procs=2,
+                                                 seed=1)).generate()
+        discarding = TraceImporter(exp, self.partial,
+                                   missing=MissingPolicy.DISCARD)
+        assert import_counts(discarding, other, "c.pbt") == {
+            "import.files": 1, "import.runs_discarded": 1}
+        defaulting = TraceImporter(exp, self.partial)
+        assert import_counts(defaulting, other, "d.pbt") == {
+            "import.files": 1, "import.runs_stored": 1,
+            "import.datasets_stored": 8, "import.runs_missing_content": 1}
+        assert exp.n_runs() == 2
+
+    def test_store_fault_fails_the_import(self, backend):
+        exp = make_trace_experiment(make_server(backend))
+        data = MPITraceGenerator(TraceGenConfig()).generate()
+        plan = FaultPlan.parse("io@import.store")
+        with use_faults(plan), pytest.raises(InjectedIOError):
+            TraceImporter(exp, self.full).import_bytes(data, "a.pbt")
+        assert [r.site for r in plan.log] == ["import.store"]
+        assert exp.n_runs() == 0
