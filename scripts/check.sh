@@ -84,10 +84,9 @@ perfbase check --against ci --samples 2 --min-samples 4 \
 perfbase fsck -e perfbase_sentinel --dbdir "$SENTINEL_DIR" --dry-run
 
 # the fused, unfused and 2-node artefact comparison is the tier-1 test
-# tests/cli/test_pushdown_artifacts.py; the stages below share this
-# workspace: the imported campaign, and a cached pre-import run of each
-# query whose entries the re-analysis stage extends
-echo "== workspace: b_eff_io campaign, imported, queried once with the cache =="
+# tests/cli/test_pushdown_artifacts.py; the trace-diff stage below runs
+# on this workspace: the imported campaign
+echo "== workspace: b_eff_io campaign, imported =="
 PUSHDOWN_DIR="$(mktemp -d)"
 trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR" \
     "$PUSHDOWN_DIR"' EXIT
@@ -109,10 +108,6 @@ EOF2
 perfbase setup -d "$PUSHDOWN_DIR/experiment.xml" --dbdir "$PUSHDOWN_DIR/db"
 perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
     --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/results/*
-for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
-        -o "$PUSHDOWN_DIR/pre_import/$q" --dbdir "$PUSHDOWN_DIR/db"
-done
 
 # that a traced query counts one db.statements per db span, and as
 # many as an untraced one, is the tier-1 test tests/obs/test_registry.py::
@@ -137,140 +132,9 @@ perfbase trace-diff "$planted" "$clean" --min-ms 5 --fail-on-regression \
 grep -q "improved" "$PUSHDOWN_DIR/reverse_diff.log" \
     || { cat "$PUSHDOWN_DIR/reverse_diff.log"; exit 1; }
 
-echo "== query cache: cached re-analysis after an import is byte-identical =="
-# one more listless/ufs run: it matches one source of each query, so
-# the cached re-runs mix hits on the untouched chains with misses, and
-# each matched source extends its cached entry by the new run
-python - "$PUSHDOWN_DIR" <<'EOF3'
-import sys, pathlib
-from repro.workloads.beffio import generate_campaign
-for name, seed in (("more", 7), ("more2", 8)):
-    more = pathlib.Path(sys.argv[1]) / name
-    more.mkdir()
-    for fname, content in generate_campaign(techniques=("listless",),
-                                            repetitions=1, seed=seed):
-        (more / fname).write_text(content)
-EOF3
-perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
-    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more/*
-for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
-        -o "$PUSHDOWN_DIR/re_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
-        -o "$PUSHDOWN_DIR/re_par/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        -o "$PUSHDOWN_DIR/re_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-pushdown \
-        -o "$PUSHDOWN_DIR/re_serial_np/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-pushdown \
-        --parallel 2 -o "$PUSHDOWN_DIR/re_par_np/$q" \
-        --dbdir "$PUSHDOWN_DIR/db"
-done
-for leg in re_serial re_par re_serial_np re_par_np; do
-    diff -r "$PUSHDOWN_DIR/re_fresh" "$PUSHDOWN_DIR/$leg"
-done
-# the import changed the results, so serving stale ones would show
-if diff -rq "$PUSHDOWN_DIR/pre_import" "$PUSHDOWN_DIR/re_fresh" > /dev/null; then
-    echo "the imported run changed no query result"; exit 1
-fi
-# a second listless/ufs run extends the extended entries again (the
-# parallel leg runs first, then the serial one hits); the traced serial
-# leg of the next step shows a miss that extends, and explain prints it
-perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
-    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more2/*
-for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
-        -o "$PUSHDOWN_DIR/re2_par/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
-        -o "$PUSHDOWN_DIR/re2_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        -o "$PUSHDOWN_DIR/re2_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
-done
-for leg in re2_par re2_serial; do
-    diff -r "$PUSHDOWN_DIR/re2_fresh" "$PUSHDOWN_DIR/$leg"
-done
-# a third run, traced: its cached re-query extends by one run
-python - "$PUSHDOWN_DIR" <<'EOF6'
-import sys, pathlib
-from repro.workloads.beffio import generate_campaign
-more = pathlib.Path(sys.argv[1]) / "more3"
-more.mkdir()
-for fname, content in generate_campaign(techniques=("listless",),
-                                        repetitions=1, seed=9):
-    (more / fname).write_text(content)
-EOF6
-perfbase input -e b_eff_io -d "$PUSHDOWN_DIR/input.xml" \
-    --dbdir "$PUSHDOWN_DIR/db" "$PUSHDOWN_DIR"/more3/*
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" \
-    -o "$PUSHDOWN_DIR/re3_serial/fig8" --dbdir "$PUSHDOWN_DIR/db" \
-    --trace "$PUSHDOWN_DIR/re3_fig8.jsonl"
-perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/fig8.xml" --no-cache \
-    -o "$PUSHDOWN_DIR/re3_fresh/fig8" --dbdir "$PUSHDOWN_DIR/db"
-diff -r "$PUSHDOWN_DIR/re3_fresh" "$PUSHDOWN_DIR/re3_serial"
-grep -q '"extended_runs": *1' "$PUSHDOWN_DIR/re3_fig8.jsonl" \
-    || { echo "no traced miss extended its source entry"; exit 1; }
-perfbase explain -q "$PUSHDOWN_DIR/fig8.xml" \
-    --trace "$PUSHDOWN_DIR/re3_fig8.jsonl" | grep -q "extended_runs=1" \
-    || { echo "explain --trace does not print extended_runs"; exit 1; }
-# deleting a matched run (run 3 is the first listless/ufs run) changes
-# the run sets: the cached re-runs are full misses, still identical
-perfbase delete -e b_eff_io -r 3 --dbdir "$PUSHDOWN_DIR/db"
-for q in fig8 stddev; do
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" \
-        -o "$PUSHDOWN_DIR/del_serial/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --parallel 2 \
-        -o "$PUSHDOWN_DIR/del_par/$q" --dbdir "$PUSHDOWN_DIR/db"
-    perfbase query -e b_eff_io -q "$PUSHDOWN_DIR/$q.xml" --no-cache \
-        -o "$PUSHDOWN_DIR/del_fresh/$q" --dbdir "$PUSHDOWN_DIR/db"
-done
-for leg in del_serial del_par; do
-    diff -r "$PUSHDOWN_DIR/del_fresh" "$PUSHDOWN_DIR/$leg"
-done
-
-echo "== query cache: the same re-analysis on the columnar engine, serial and 2-node =="
-# in-process (--backend memory), per executor: a cold cached run, an
-# import whose cached re-query extends the matched sources' entries,
-# and a delete whose cached re-query stores them from nothing, each
-# against a --no-cache run of the same process
-python - "$PUSHDOWN_DIR" <<'EOF7'
-import glob, sys
-from repro.cli.main import main
-from repro.obs.metrics import REGISTRY
-ws = sys.argv[1]
-
-def perfbase(*argv):
-    if main(list(argv)) != 0:
-        sys.exit(f"perfbase {' '.join(argv)} failed")
-
-for leg, parallel in (("serial", []), ("par", ["--parallel", "2"])):
-    memory = ["--backend", "memory", "--dbdir", f"{ws}/memdb_re_{leg}"]
-    perfbase("setup", "-d", f"{ws}/experiment.xml", *memory)
-    perfbase("input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
-             *sorted(glob.glob(f"{ws}/results/*")), *memory)
-    for step in ("cold", "import", "delete"):
-        if step == "import":
-            perfbase("input", "-e", "b_eff_io", "-d", f"{ws}/input.xml",
-                     *sorted(glob.glob(f"{ws}/more/*")), *memory)
-        if step == "delete":  # run 3 is the first listless/ufs run
-            perfbase("delete", "-e", "b_eff_io", "-r", "3", *memory)
-        before = REGISTRY.values().get("qcache.extensions", 0)
-        for q in ("fig8", "stddev"):
-            perfbase("query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
-                     *parallel, "-o", f"{ws}/mem_re/{leg}_{step}/{q}",
-                     *memory)
-            perfbase("query", "-e", "b_eff_io", "-q", f"{ws}/{q}.xml",
-                     "--no-cache", "-o",
-                     f"{ws}/mem_re/{leg}_{step}_fresh/{q}", *memory)
-        extended = REGISTRY.values().get("qcache.extensions", 0) - before
-        if (extended > 0) != (step == "import"):
-            sys.exit(f"{leg} {step}: {extended} source stores extended")
-EOF7
-for leg in serial par; do
-    for step in cold import delete; do
-        diff -r "$PUSHDOWN_DIR/mem_re/${leg}_${step}_fresh" \
-            "$PUSHDOWN_DIR/mem_re/${leg}_$step"
-    done
-done
+# the cached re-analysis after imports and a delete, on SQLite and on
+# the columnar engine, is the tier-1 test
+# tests/cli/test_cached_reanalysis.py
 
 echo "== service: stress smoke under injected faults (CLI) =="
 perfbase service stress --scratch --clients 200 --shards 4 \

@@ -13,7 +13,7 @@ import os
 
 from ..analysis import run_regressions, suspicious_datasets
 from ..core.experiment import Experiment
-from ..parse.importer import Importer, ImportReport, MissingPolicy
+from ..parse.importer import Importer, MissingPolicy
 from ..status import (experiment_report, list_runs,
                       missing_sweep_points, show_run, show_variable)
 from ..xmlio import (experiment_to_xml, parse_experiment_xml,
@@ -84,14 +84,20 @@ def cmd_input(args: argparse.Namespace) -> int:
     if report.duplicates:
         echo(f"skipped {len(report.duplicates)} duplicate file(s): "
              + ", ".join(report.duplicates))
+    _echo_discards(report)
+    exp.close()
+    return 0
+
+
+def _echo_discards(report) -> None:
+    """What an import skipped under the discard policy, and the runs
+    it stored without content for some variables."""
     if report.discarded:
         echo(f"discarded {report.discarded} incomplete run(s)")
     for filename, reason in report.failed.items():
         echo(f"discarded file {filename}: {reason}")
     for index, names in report.missing.items():
         echo(f"run {index}: no content for " + ", ".join(names))
-    exp.close()
-    return 0
 
 
 def _register_input(sub) -> None:
@@ -631,17 +637,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for pattern in args.files:
         matches = glob.glob(pattern)
         paths.extend(matches if matches else [pattern])
-    total = ImportReport()
     with obs_session(args):
-        # one storage batch for the whole trace batch: single
-        # transaction, grouped meta inserts (same as `perfbase input`)
-        with exp.store.batch():
-            for path in paths:
-                total.merge(importer.import_file(path))
-    echo(f"imported {total.n_imported} trace run(s) from "
+        report = importer.import_files(paths)
+    echo(f"imported {report.n_imported} trace run(s) from "
          f"{len(paths)} file(s)")
-    if total.duplicates:
-        echo(f"skipped {len(total.duplicates)} duplicate trace(s)")
+    if report.duplicates:
+        echo(f"skipped {len(report.duplicates)} duplicate trace(s)")
+    _echo_discards(report)
     exp.close()
     return 0
 

@@ -1562,11 +1562,14 @@ def _bindings_error(stmt, params) -> DatabaseError:
 # =========================================================================
 
 class _Table:
-    """One table: per-column value lists plus a parallel rowid list."""
+    """One table: per-column value lists plus a parallel rowid list.
+
+    ``version`` counts the changes of its rows: every insert, update
+    and delete, and the undo of each, moves it on."""
 
     __slots__ = ("name", "columns", "types", "affinities", "cols",
                  "rowids", "primary_key", "rowid_is_pk",
-                 "temporary", "_pk_map")
+                 "temporary", "_pk_map", "version")
 
     def __init__(self, name: str, columns: list[tuple[str, str]],
                  primary_key: str | None, temporary: bool):
@@ -1582,6 +1585,7 @@ class _Table:
             and self.affinities.get(primary_key) == "INTEGER")
         self.temporary = temporary
         self._pk_map: dict | None = {} if primary_key else None
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self.rowids)
@@ -1641,6 +1645,8 @@ class _Table:
                 self._pk_map = None
 
     def invalidate(self) -> None:
+        """Note a change of rows that may have moved primary keys."""
+        self.version += 1
         if self.primary_key is not None:
             self._pk_map = None
 
@@ -1650,6 +1656,7 @@ class _Table:
         """Insert one affinity-converted row, ``key`` the index of its
         primary-key cell; returns its rowid.  A NULL ``INTEGER PRIMARY
         KEY`` takes the next rowid, stored in its cell as on SQLite."""
+        self.version += 1
         if self.rowid_is_pk:
             rowid = cells[key]
             if rowid is None:
@@ -1688,6 +1695,7 @@ class _Table:
                        n: int) -> None:
         """Append ``n`` converted rows, one value list per column, that
         :meth:`appends` admits."""
+        self.version += 1
         old_len = len(self.rowids)
         self.rowids.extend(keys if self.rowid_is_pk else range(
             self.next_rowid, self.next_rowid + n))
@@ -2057,28 +2065,59 @@ def _same(a, b) -> bool:
         or math.copysign(1.0, a) == math.copysign(1.0, b)))
 
 
-def _batch(operands: list[tuple]) -> tuple:
-    """The tables, parameters and derived ``UNION ALL``s one run of a
-    plan answers a batch of operands' ``(tables, params, unions)`` with.
-    A lone operand runs over its own.  A longer batch, of a plan that
-    batches, runs over one table of its operands' rows, operand after
-    operand, whose columns are joined up when the plan first reads
-    them; a ``?`` bound to one value in every operand reads that value,
-    any other a :class:`_PerRow` of the operands' values."""
-    if len(operands) == 1:
-        return operands[0]
-    parts = [tables[0] for tables, _params, _u in operands]
+def _batch_table(parts: list["_Table"]) -> "_Table":
+    """One table of the rows of ``parts``, table after table, whose
+    columns are joined up when a plan first reads them."""
     table = _Table(parts[0].name, [], None, True)
     table.cols = _Columns(parts)
     table.rowids = list(itertools.chain.from_iterable(
         [t.rowids for t in parts]))
-    counts = list(map(len, parts))
-    params = tuple(
+    return table
+
+
+def _batch_params(operands: list[tuple], counts: list[int]) -> tuple:
+    """The parameters one run of a plan over a batch's table
+    (:func:`_batch_table`) reads, from each operand's parameters and
+    row count: a ``?`` bound to one value in every operand reads that
+    value, any other a :class:`_PerRow` of the operands' values."""
+    return tuple(
         values[0] if all(_same(values[0], v) for v in values)
         else _PerRow(itertools.chain.from_iterable(
             map(itertools.repeat, map(_bound, values), counts)))
-        for values in zip(*(params for _tables, params, _u in operands)))
-    return [table], params, []
+        for values in zip(*operands))
+
+
+class _CompoundBatches:
+    """How a ``UNION ALL`` runs on one database, kept from one
+    execution to the next (:meth:`MemoryDatabase._compound`).
+
+    ``batches`` holds ``(plan, spans, tables, unions, counts)`` per
+    batch: ``spans`` are its operands' ``(first ?, ? count)``; a lone
+    operand's ``tables`` and ``unions`` are its own and ``counts`` is
+    ``None``, a longer batch's are its :func:`_batch_table`, none, and
+    its operands' row counts.  ``parts`` are the tables whose rows
+    those batch tables copy, with the ``versions`` they were copied at,
+    and ``generation`` the catalogue's when the operands were
+    planned."""
+
+    __slots__ = ("generation", "batches", "parts", "versions")
+
+    def __init__(self, generation: int, batches: list, parts: list):
+        self.generation = generation
+        self.batches = batches
+        self.parts = parts
+        self.versions = list(map(_VERSION, parts))
+
+    def valid(self, generation: int) -> bool:
+        return (generation == self.generation
+                and list(map(_VERSION, self.parts)) == self.versions)
+
+
+_VERSION = operator.attrgetter("version")
+
+#: the ``UNION ALL``s a database keeps :class:`_CompoundBatches` of;
+#: past it, the one kept longest goes
+_COMPOUND_MEMO = 16
 
 
 # =========================================================================
@@ -2102,6 +2141,10 @@ class MemoryDatabase(Database):
         self._undo: list = []
         self._closed = False
         self._last_rowcount = 0
+        #: moved on by every CREATE, DROP and ALTER, and by each undo
+        self._generation = 0
+        #: each recent _Compound's _CompoundBatches (see _compound)
+        self._compounds: dict[_Compound, _CompoundBatches] = {}
 
     # -- transactions ----------------------------------------------------
 
@@ -2140,6 +2183,7 @@ class MemoryDatabase(Database):
     def close(self) -> None:
         with self._lock:
             self._closed = True
+            self._compounds.clear()
 
     def _reopen(self) -> None:
         """Reset the closed flag (the server reopens live data)."""
@@ -2275,6 +2319,16 @@ class MemoryDatabase(Database):
 
     # -- DDL --------------------------------------------------------------
 
+    def _record_ddl(self, undo) -> None:
+        """Note a CREATE, DROP or ALTER: the catalogue generation moves
+        on now, and again when its ``undo`` runs on rollback."""
+        self._generation += 1
+
+        def undo_ddl():
+            undo()
+            self._generation += 1
+        self._record(undo_ddl)
+
     def _exec_create(self, stmt: _CreateTable, sql: str) -> None:
         if stmt.table in self._tables:
             if stmt.if_not_exists:
@@ -2285,7 +2339,7 @@ class MemoryDatabase(Database):
                        stmt.temporary)
         self._tables[stmt.table] = table
         name = stmt.table
-        self._record(lambda: self._tables.pop(name, None))
+        self._record_ddl(lambda: self._tables.pop(name, None))
 
     def _exec_drop(self, stmt: _DropTable) -> None:
         table = self._tables.pop(stmt.table, None)
@@ -2294,7 +2348,7 @@ class MemoryDatabase(Database):
                 return
             raise DatabaseError(f"no such table: {stmt.table}")
         name = stmt.table
-        self._record(lambda: self._tables.__setitem__(name, table))
+        self._record_ddl(lambda: self._tables.__setitem__(name, table))
 
     def _exec_alter(self, stmt: _AlterTable, sql: str) -> None:
         table = self._table(stmt.table)
@@ -2315,7 +2369,7 @@ class MemoryDatabase(Database):
                 table.types.pop(column, None)
                 table.affinities.pop(column, None)
                 table.cols.pop(column, None)
-            self._record(undo_add)
+            self._record_ddl(undo_add)
         else:
             if stmt.column not in table.cols:
                 raise DatabaseError(
@@ -2332,7 +2386,7 @@ class MemoryDatabase(Database):
                 table.types[column] = decltype
                 table.affinities[column] = affinity
                 table.cols[column] = values
-            self._record(undo_drop)
+            self._record_ddl(undo_drop)
 
     # -- DML --------------------------------------------------------------
 
@@ -2360,6 +2414,7 @@ class MemoryDatabase(Database):
                         frame, (params, None, (table, excluded)))[0]))
                 for column, expr in conflict_sets]
             undo: list[tuple[str, Any]] = []
+            table.version += 1
             for column, value in updates:
                 undo.append((column, table.cols[column][position]))
                 table.cols[column][position] = value
@@ -2471,6 +2526,7 @@ class MemoryDatabase(Database):
                 raise DatabaseError(f"no such column: {column}")
             updates.append((column, _compile(expr, scope)(frame, env)))
         undo: list[tuple[str, list]] = []
+        table.version += 1
         for column, values in updates:
             cells = table.cols[column]
             affinity = table.affinities[column]
@@ -2564,28 +2620,63 @@ class MemoryDatabase(Database):
         and the plan runs once per batch (``db.operand_batches``); every
         other operand is a batch of its own.  A query source's operands
         differ only in the run table they read and the run position they
-        bind, so it runs one plan per stretch of runs of one layout."""
-        batches: list[tuple[_Plan, list]] = []
-        for select, (first, n_params) in zip(stmt.selects, stmt.spans):
-            plan, tables, unions = self._plan(select, stmt.first + first)
-            operand = (tables, params[first:first + n_params], unions)
-            if plan.batches and batches and batches[-1][0] is plan:
-                batches[-1][1].append(operand)
-            else:
-                batches.append((plan, [operand]))
+        bind, so it runs one plan per stretch of runs of one layout.
+
+        The batches, each batch's table and the columns joined into it
+        are kept (:class:`_CompoundBatches`) until a CREATE, DROP or
+        ALTER, or a change of a batched table's rows, voids them: a
+        ``UNION ALL`` run again over unchanged tables plans nothing and
+        joins nothing.  Only the parameters are read anew."""
+        kept = self._compounds.get(stmt)
+        if kept is None or not kept.valid(self._generation):
+            kept = self._compound_batches(stmt)
         parts = []
-        for plan, batch in batches:
+        for plan, spans, tables, unions, counts in kept.batches:
             count("db.operand_batches")
-            parts.append(plan.run(self, *_batch(batch)))
+            if counts is None:
+                first, n = spans[0]
+                parts.append(plan.run(self, tables,
+                                      params[first:first + n], unions))
+            else:
+                parts.append(plan.run(self, tables, _batch_params(
+                    [params[first:first + n] for first, n in spans],
+                    counts), unions))
         width = len(parts[0][1])
         if any(len(columns) != width for _n, columns in parts):
             raise DatabaseError(
                 "SELECTs to the left and right of UNION ALL do not "
                 "have the same number of result columns")
+        if len(parts) == 1:
+            return parts[0]
         return (sum(n for n, _columns in parts),
                 [list(itertools.chain.from_iterable(
                     columns[j] for _n, columns in parts))
                  for j in range(width)])
+
+    def _compound_batches(self, stmt: _Compound) -> _CompoundBatches:
+        """Plan ``stmt``'s operands, batch them and keep the batches."""
+        batches: list[tuple] = []
+        for select, span in zip(stmt.selects, stmt.spans):
+            plan, tables, unions = self._plan(select, stmt.first + span[0])
+            if plan.batches and batches and batches[-1][0] is plan:
+                batches[-1][1].append(span)
+                batches[-1][2].append(tables[0])
+            else:
+                batches.append((plan, [span], tables, unions, None))
+        parts: list[_Table] = []
+        for i, (plan, spans, tables, _unions, _counts) in enumerate(
+                batches):
+            if len(spans) > 1:
+                parts.extend(tables)
+                batches[i] = (plan, spans, [_batch_table(tables)], [],
+                              list(map(len, tables)))
+        kept = _CompoundBatches(self._generation, batches, parts)
+        memo = self._compounds
+        memo.pop(stmt, None)
+        if len(memo) >= _COMPOUND_MEMO:
+            del memo[next(iter(memo))]
+        memo[stmt] = kept
+        return kept
 
 
 def _derived_names(stmt) -> list[str]:

@@ -190,6 +190,9 @@ class ExperimentStore:
         self._variables_cache: VariableSet | None = None
         self._checksum_index_ready = False
         self._batch: "BatchContext | None" = None
+        #: the query sources' fragments, kept by this handle
+        #: (``repro.query.source.Source._fragments``)
+        self.source_fragments: dict = {}
 
     # -- initialisation ----------------------------------------------------
 

@@ -234,11 +234,21 @@ class Importer:
         file.)
 
         The whole call runs as one storage batch
+        (:meth:`import_batch`).
+        """
+        return self.import_batch(
+            paths, lambda path: self.import_file(path, description))
+
+    def import_batch(self, paths: Iterable[str | os.PathLike],
+                     import_one: Callable[[str | os.PathLike],
+                                          ImportReport]) -> ImportReport:
+        """``import_one`` of each path as one storage batch
         (:meth:`repro.db.ExperimentStore.batch`): one transaction, run
         indices allocated once, meta rows flushed via ``executemany``.
-        Under a non-discard policy an aborting file rolls the batch
-        back, leaving the experiment untouched.
-        """
+        Under the discard policy a path that raises :class:`InputError`
+        or :class:`OSError` is recorded in :attr:`ImportReport.failed`
+        and the batch goes on; under any other policy it rolls the
+        batch back, leaving the experiment untouched."""
         paths = list(paths)
         report = ImportReport()
         with maybe_span("import_files", kind="import.batch",
@@ -246,7 +256,7 @@ class Importer:
             with self.experiment.store.batch():
                 for path in paths:
                     try:
-                        report.merge(self.import_file(path, description))
+                        report.merge(import_one(path))
                     except (InputError, OSError) as exc:
                         if self.missing is not MissingPolicy.DISCARD:
                             raise

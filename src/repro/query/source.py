@@ -17,6 +17,7 @@ each run.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Any, NamedTuple, Sequence
@@ -38,6 +39,13 @@ __all__ = ["ParameterSpec", "RunFilter", "Source", "MAX_COMPOUND_OPERANDS"]
 #: unions one operand per matching run, so a source writes its runs in
 #: statements of at most this many, and fuses only within one
 MAX_COMPOUND_OPERANDS = 500
+
+#: how many sources' fragments an experiment handle keeps
+#: (:meth:`Source._fragments`); a source past the cap evicts the one
+#: stored first
+FRAGMENT_MEMO_SOURCES = 32
+
+_FRAGMENT_MEMO_LOCK = threading.Lock()
 
 _OPS = {"==": "=", "=": "=", "!=": "<>", "<>": "<>",
         "<": "<", "<=": "<=", ">": ">", ">=": ">=", "like": "LIKE"}
@@ -282,8 +290,9 @@ class Source(QueryElement):
         return ((" WHERE " + " AND ".join(dwhere)) if dwhere else "",
                 dparams)
 
-    def _run_operands(self, store, variables, layout: _Layout,
-                      runs: Sequence[tuple],
+    def _run_operands(self, variables, layout: _Layout,
+                      runs: Sequence[tuple], tables: Sequence[str],
+                      usable: set[str],
                       exp_prefix: str) -> list[tuple[str, list[Any]]]:
         """One ``SELECT`` per run of ``runs`` that stores data sets.
 
@@ -294,14 +303,13 @@ class Source(QueryElement):
         pairs in run order, the compound operands of
         :meth:`_fragments`.
 
-        One catalogue statement checks every matching run's table: a
+        ``tables`` are the runs' data tables and ``usable`` those of
+        them the catalogue probe found with every requested column: a
         run is skipped when its data table is missing (e.g. dropped
         behind perfbase's back) or lacks a requested column (the run
         predates these variables).
         """
         where_sql, dparams = self._dataset_where(variables, layout)
-        needed = ([s.name for s in layout.shown_multi]
-                  + [v.name for v in layout.multi_results])
         # the select text is the same for every run: run-level values
         # (and the run position) are bound, only the table name varies
         def bound(name: str) -> str:
@@ -320,8 +328,6 @@ class Source(QueryElement):
                 f"AS {quote_identifier(ORD_PREFIX + '1')}"]
         head = f"SELECT {', '.join(sel)} FROM {exp_prefix}"
         n_once = len(layout.shown_once) + len(layout.once_results)
-        tables = [store.run_table(int(r[0])) for r in runs]
-        usable = store.db.tables_with_columns(tables, needed)
         operands: list[tuple[str, list[Any]]] = []
         for position, (run_row, data_table) in enumerate(
                 zip(runs, tables)):
@@ -347,6 +353,11 @@ class Source(QueryElement):
         run stores a usable data table.  ``runs`` restricts the source
         to that part of its run selection (:meth:`run_selection`);
         ``None`` reads all of it.
+
+        The experiment handle keeps the fragments of a per-run source
+        (:meth:`_memo`).  The run selection and the catalogue probe
+        run on every call; the operands are built again only when
+        what they are built from changed.
         """
         if runs is not None and not runs:
             return []
@@ -354,22 +365,56 @@ class Source(QueryElement):
         if not layout.per_dataset:
             return [self._once_fragment(variables, layout, exp_prefix,
                                         runs)]
-        if runs is None:
-            runs = self.run_selection(experiment)
-        operands = self._run_operands(experiment.store, variables, layout,
-                                      runs, exp_prefix)
+        runs = tuple(self.run_selection(experiment) if runs is None
+                     else runs)
+        store = experiment.store
+        tables = [store.run_table(int(r[0])) for r in runs]
+        usable = store.db.tables_with_columns(
+            tables, [s.name for s in layout.shown_multi]
+            + [v.name for v in layout.multi_results])
+        # what the operand text, its parameters and the fragment
+        # columns are built from: the definitions of the variables this
+        # source reads, the runs, their usable tables and the limit
+        key = (tuple(variables[s.name] for s in self.parameters)
+               + tuple(variables[r] for r in self.results),
+               runs, usable, MAX_COMPOUND_OPERANDS)
+        memo = self._memo(store)
+        kept = memo.get(exp_prefix)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        operands = self._run_operands(variables, layout, runs, tables,
+                                      usable, exp_prefix)
         # each operand scans its run table in rowid (== dataset_index)
         # order and both engines emit UNION ALL operands left to right,
         # so the natural emission order is the unfused insertion order
         ords = (f"{ORD_PREFIX}0", f"{ORD_PREFIX}1")
         chunks = [operands[i:i + MAX_COMPOUND_OPERANDS]
                   for i in range(0, len(operands), MAX_COMPOUND_OPERANDS)]
-        return [SelectFragment(
+        fragments = [SelectFragment(
             " UNION ALL ".join(sql for sql, _ in chunk),
             tuple(p for _, params in chunk for p in params),
             tuple(layout.columns), ords, ords, from_source=True,
             scan_ordered=True, ord_rowid=False, rescan_cheap=False,
             producer=self.name) for chunk in chunks]
+        memo[exp_prefix] = (key, fragments)
+        return fragments
+
+    def _memo(self, store) -> dict:
+        """This source's entries in ``store.source_fragments``, one per
+        schema prefix: ``((definitions of the variables it reads,
+        run-selection rows, usable tables, operand limit), fragments)``.
+        The entries are keyed by the source's fingerprint, which covers
+        its whole :meth:`spec`; the handle keeps those of
+        :data:`FRAGMENT_MEMO_SOURCES` sources."""
+        fingerprint = self.fingerprint()
+        sources = store.source_fragments
+        with _FRAGMENT_MEMO_LOCK:
+            memo = sources.get(fingerprint)
+            if memo is None:
+                if len(sources) >= FRAGMENT_MEMO_SOURCES:
+                    del sources[next(iter(sources))]
+                memo = sources[fingerprint] = {}
+            return memo
 
     @staticmethod
     def _exp_prefix(ctx: QueryContext) -> str | None:

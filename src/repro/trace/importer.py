@@ -130,3 +130,10 @@ class TraceImporter:
     def import_file(self, path: str) -> ImportReport:
         with open(path, "rb") as fh:
             return self.import_bytes(fh.read(), str(path))
+
+    def import_files(self, paths) -> ImportReport:
+        """Import many traces as one storage batch, as
+        :meth:`Importer.import_files` imports input files: under the
+        discard policy a malformed or unreadable trace is skipped and
+        reported, and the others are stored."""
+        return self._importer.import_batch(paths, self.import_file)

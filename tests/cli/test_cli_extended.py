@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import Experiment
 from repro.cli import main
+from repro.db import SQLiteServer
 from repro.workloads.tracegen import MPITraceGenerator, TraceGenConfig
 from tests.cli.test_cli import setup_and_import, workspace  # noqa: F401
 
@@ -114,6 +116,41 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "imported 1 trace run(s)" in out
         assert "skipped 1 duplicate" in out
+
+    @pytest.mark.parametrize("missing", ["discard", "default"])
+    def test_malformed_trace_fails_like_a_malformed_input(
+            self, workspace, capsys, tmp_path, missing):
+        """One good and one bad file: under the discard policy the good
+        one is stored and the bad one reported, under any other the
+        batch stores nothing.  ``perfbase trace`` exits as ``perfbase
+        input`` does on a good input file and an unreadable one."""
+        self.make_trace_experiment(workspace)
+        good = tmp_path / "good.pbt"
+        good.write_bytes(MPITraceGenerator(
+            TraceGenConfig(n_iterations=5)).generate())
+        bad = tmp_path / "bad.pbt"
+        bad.write_bytes(b"PBT1 but not a trace")
+        capsys.readouterr()
+        traced = run(workspace, "trace", "-e", "traces", "--missing",
+                     missing, "--meta", "technique=technique",
+                     str(good), str(bad))
+        out = capsys.readouterr().out
+        assert run(workspace, "setup", "-d",
+                   str(workspace / "experiment.xml")) == 0
+        sums = sorted((workspace / "results").iterdir())[:1]
+        inputs = run(workspace, "input", "-e", "b_eff_io", "-d",
+                     str(workspace / "input.xml"), "--missing", missing,
+                     str(sums[0]), str(tmp_path / "absent.sum"))
+        assert traced == inputs == (0 if missing == "discard" else 1)
+        exp = Experiment.open(SQLiteServer(workspace / "db"), "traces")
+        stored = [record.source_files for record in exp.run_records()]
+        exp.close()
+        if missing == "discard":
+            assert "imported 1 trace run(s) from 2 file(s)" in out
+            assert f"discarded file {bad}: " in out
+            assert stored == [(str(good),)]
+        else:
+            assert stored == []
 
     def test_bad_meta_syntax(self, workspace, tmp_path, capsys):
         self.make_trace_experiment(workspace)

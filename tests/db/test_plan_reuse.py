@@ -559,3 +559,102 @@ def test_threads_on_separate_databases_compile_one_plan():
     expected = [(i, i + 0.5) for i in range(20)]
     assert all(runs == [expected] * 5 for runs in results.values())
     assert len(results) == len(dbs)
+
+
+@pytest.mark.diffdb
+class TestKeptBatches:
+    """The columnar engine keeps a ``UNION ALL``'s batches and the
+    columns joined into them on its database.  Every write to a
+    batched table, every CREATE, DROP and ALTER, and the undo of each,
+    must void them: one compound text, run again after each change,
+    answers as SQLite does.  Unchanged tables are joined once."""
+
+    SQL = TestSharedPlanParity.compound(
+        "SELECT ? AS run, k, x, s FROM {t} WHERE x > ?")
+    PARAMS = (0, 0.0, 1, 0.0, 2, 0.0)
+
+    def rerun(self, dbs):
+        assert same(dbs, self.SQL, self.PARAMS, times=1) != "error"
+
+    def test_writes_and_their_undo(self, dbs):
+        self.rerun(dbs)
+        for change in (
+                "INSERT INTO t2 (k, x, s) VALUES (6, 6.5, 'f')",
+                "UPDATE t1 SET x = x + 10 WHERE k = 1",
+                "DELETE FROM t3 WHERE k = 7",
+                "DELETE FROM t2",
+                "INSERT INTO t3 (k, x, s) VALUES (8, 8.5, 'g')"):
+            for db in dbs:
+                db.begin()
+                db.execute(change)
+            self.rerun(dbs)
+            for db in dbs:
+                db.rollback()
+            self.rerun(dbs)
+            each(dbs, change)
+            self.rerun(dbs)
+
+    def test_drop_and_create_of_one_name(self, dbs):
+        self.rerun(dbs)
+        for db in dbs:
+            db.begin()
+            db.execute("DROP TABLE t2")
+            db.create_table("t2", [("k", "INTEGER"), ("x", "REAL"),
+                                   ("s", "TEXT")])
+        self.rerun(dbs)
+        for db in dbs:
+            db.rollback()
+        self.rerun(dbs)
+        for db in dbs:
+            db.execute("DROP TABLE t2")
+            db.create_table("t2", [("k", "INTEGER"), ("x", "REAL"),
+                                   ("s", "TEXT")])
+            db.insert_rows("t2", ["k", "x", "s"], [(9, 9.5, "h")])
+            db.commit()
+        self.rerun(dbs)
+
+    def test_added_and_dropped_columns(self, dbs):
+        sql = TestSharedPlanParity.compound("SELECT * FROM {t}")
+        assert same(dbs, sql, times=1) != "error"
+        for db in dbs:
+            db.begin()
+            for table in ("t1", "t2", "t3"):
+                db.execute(f"ALTER TABLE {table} ADD COLUMN z INTEGER")
+        assert same(dbs, sql, times=1) != "error"
+        for db in dbs:
+            db.rollback()
+        assert same(dbs, sql, times=1) != "error"
+        for change in ("ALTER TABLE t1 ADD COLUMN z INTEGER",
+                       "ALTER TABLE t2 ADD COLUMN z INTEGER",
+                       "ALTER TABLE t3 ADD COLUMN z INTEGER",
+                       "ALTER TABLE t1 DROP COLUMN z"):
+            each(dbs, change)
+            assert same(dbs, sql, times=1) is not None
+
+    def test_unchanged_tables_are_joined_once(self, dbs, monkeypatch):
+        joined = []
+        original = memory_backend._Columns.__missing__
+
+        def missing(self, name):
+            joined.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(memory_backend._Columns, "__missing__",
+                            missing)
+        memory = dbs[1]
+        for _ in range(3):
+            memory.fetchall(self.SQL, self.PARAMS)
+        assert sorted(joined) == ["k", "s", "x"]
+        del joined[:]
+        memory.execute("INSERT INTO t1 (k, x, s) VALUES (0, 0.5, 'z')")
+        memory.commit()
+        assert memory.fetchall(self.SQL, self.PARAMS)[:1] == [
+            (0, 1, 1.5, "a")]
+        assert sorted(joined) == ["k", "s", "x"]
+
+    def test_closing_drops_the_kept_batches(self, dbs):
+        memory = dbs[1]
+        memory.fetchall(self.SQL, self.PARAMS)
+        assert memory._compounds
+        memory.close()
+        assert not memory._compounds

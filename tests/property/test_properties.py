@@ -2,6 +2,7 @@
 invariants: datatype round-trips, unit conversion algebra, expression
 evaluation, store round-trips and SQL/Python operator parity."""
 
+import keyword
 import math
 import string
 
@@ -17,11 +18,11 @@ from repro.expr import Expression, evaluate
 
 # -- strategies ---------------------------------------------------------------
 
+# a variable name is no Python keyword (Variable rejects those) and no
+# expression-constant name
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True
-                            ).filter(lambda s: s not in (
-                                "as", "in", "is", "if", "or", "not",
-                                # expression-constant names
-                                "e", "pi", "inf"))
+                            ).filter(lambda s: not keyword.iskeyword(s)
+                                     and s not in ("e", "pi", "inf"))
 safe_floats = st.floats(allow_nan=False, allow_infinity=False,
                         min_value=-1e12, max_value=1e12)
 safe_ints = st.integers(min_value=-2 ** 53, max_value=2 ** 53)
