@@ -33,42 +33,17 @@ python -m pytest -x -q -p no:randomly tests
 echo "== e2e benchmark: harness smoke (fused-vs-unfused digests, n_runs, cross-backend agreement) =="
 python -m pytest -q -p no:randomly benchmarks/e2e/test_e2e_smoke.py
 
-echo "== faults: fsck round-trip on a deliberately corrupted fixture db =="
-FSCK_DIR="$(mktemp -d)"
-trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR"' EXIT
-python - "$FSCK_DIR" <<'EOF'
-import sys
-sys.path.insert(0, "tests")
-from conftest import fill_simple, make_simple_experiment
-from repro.db import SQLiteServer
-
-server = SQLiteServer(sys.argv[1])
-exp = make_simple_experiment(server, "fixture")
-fill_simple(exp, reps=1)
-db = exp.store.db
-# one instance of each repairable damage class
-db.create_table("pbtmp_leak_0", [("v", "REAL")])
-db.create_table("pbc_deadbeef", [("v", "REAL")])
-db.execute("INSERT INTO pb_run_files (run_index, filename, checksum) "
-           "VALUES (999, 'ghost.sum', 'x')")
-db.create_table("rundata_999", [("pb_dataset", "INTEGER")])
-db.commit()
-exp.close()
-EOF
-# dry run must flag the damage (exit 4), repair must fix it (exit 0),
-# and a second dry run must come back clean
+# the fsck round-trip on a deliberately damaged experiment (dry run
+# exits 4, repair 0, a second dry run 0) is the tier-1 test
+# tests/cli/test_fsck_roundtrip.py
 perfbase() {
     python -c "import sys; from repro.cli.main import main; \
 sys.exit(main(sys.argv[1:]))" "$@"
 }
-perfbase fsck -e fixture --dbdir "$FSCK_DIR" --dry-run \
-    && { echo "fsck --dry-run missed the damage"; exit 1; } || test $? -eq 4
-perfbase fsck -e fixture --dbdir "$FSCK_DIR"
-perfbase fsck -e fixture --dbdir "$FSCK_DIR" --dry-run
 
 echo "== sentinel: baseline -> planted latency -> perfbase check exits 3 =="
 SENTINEL_DIR="$(mktemp -d)"
-trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR"' EXIT
+trap 'rm -rf "$STATUS_BEFORE" "$SENTINEL_DIR"' EXIT
 perfbase baseline add ci --samples 4 --dbdir "$SENTINEL_DIR"
 # subshell: a VAR=x prefix on a shell *function* call leaks the
 # assignment in some POSIX shells, which would poison the clean re-run
@@ -88,8 +63,7 @@ perfbase fsck -e perfbase_sentinel --dbdir "$SENTINEL_DIR" --dry-run
 # on this workspace: the imported campaign
 echo "== workspace: b_eff_io campaign, imported =="
 PUSHDOWN_DIR="$(mktemp -d)"
-trap 'rm -rf "$STATUS_BEFORE" "$FSCK_DIR" "$SENTINEL_DIR" \
-    "$PUSHDOWN_DIR"' EXIT
+trap 'rm -rf "$STATUS_BEFORE" "$SENTINEL_DIR" "$PUSHDOWN_DIR"' EXIT
 python - "$PUSHDOWN_DIR" <<'EOF2'
 import sys, pathlib
 from repro.workloads.beffio import generate_campaign

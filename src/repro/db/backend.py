@@ -287,6 +287,24 @@ class Database(abc.ABC):
         self.execute(
             f"CREATE {kind} {quote_identifier(name)} ({', '.join(defs)})")
 
+    def create_index(self, name: str, table: str,
+                     columns: Sequence[str]) -> None:
+        """Create index ``name`` on ``table`` unless it exists."""
+        self.execute(
+            f"CREATE INDEX IF NOT EXISTS {quote_identifier(name)} ON "
+            f"{quote_identifier(table)} "
+            f"({', '.join(map(quote_identifier, columns))})")
+
+    def add_column(self, table: str, column: str, sqltype: str) -> None:
+        """Add a column, NULL in every row, to ``table``."""
+        self.execute(f"ALTER TABLE {quote_identifier(table)} "
+                     f"ADD COLUMN {quote_identifier(column)} {sqltype}")
+
+    def drop_column(self, table: str, column: str) -> None:
+        """Remove a column and its values from ``table``."""
+        self.execute(f"ALTER TABLE {quote_identifier(table)} "
+                     f"DROP COLUMN {quote_identifier(column)}")
+
     def insert_rows(self, name: str, columns: Sequence[str],
                     rows: Iterable[Sequence[Any]]) -> None:
         cols = ", ".join(quote_identifier(c) for c in columns)

@@ -86,6 +86,7 @@ import operator
 import re
 import sqlite3
 import threading
+import weakref
 from datetime import datetime
 from typing import Any, Iterable, Sequence
 
@@ -1569,7 +1570,7 @@ class _Table:
 
     __slots__ = ("name", "columns", "types", "affinities", "cols",
                  "rowids", "primary_key", "rowid_is_pk",
-                 "temporary", "_pk_map", "version")
+                 "temporary", "_pk_map", "version", "__weakref__")
 
     def __init__(self, name: str, columns: list[tuple[str, str]],
                  primary_key: str | None, temporary: bool):
@@ -2141,10 +2142,15 @@ class MemoryDatabase(Database):
         self._undo: list = []
         self._closed = False
         self._last_rowcount = 0
-        #: moved on by every CREATE, DROP and ALTER, and by each undo
+        #: moved on by every DROP and ALTER, and by each undo of a
+        #: CREATE, DROP or ALTER (see _record_ddl)
         self._generation = 0
         #: each recent _Compound's _CompoundBatches (see _compound)
         self._compounds: dict[_Compound, _CompoundBatches] = {}
+        #: the batch tables those hold, by their parts and the parts'
+        #: versions: compounds that batch the same tables share one
+        self._batch_tables: weakref.WeakValueDictionary[
+            tuple, _Table] = weakref.WeakValueDictionary()
 
     # -- transactions ----------------------------------------------------
 
@@ -2319,10 +2325,14 @@ class MemoryDatabase(Database):
 
     # -- DDL --------------------------------------------------------------
 
-    def _record_ddl(self, undo) -> None:
+    def _record_ddl(self, undo, *, moves: bool = True) -> None:
         """Note a CREATE, DROP or ALTER: the catalogue generation moves
-        on now, and again when its ``undo`` runs on rollback."""
-        self._generation += 1
+        on now (unless not ``moves``), and again when its ``undo`` runs
+        on rollback.  A CREATE does not move it: a compound is planned
+        only over tables that exist, so none kept reads the new name,
+        and the DROP that freed the name moved it already."""
+        if moves:
+            self._generation += 1
 
         def undo_ddl():
             undo()
@@ -2339,7 +2349,8 @@ class MemoryDatabase(Database):
                        stmt.temporary)
         self._tables[stmt.table] = table
         name = stmt.table
-        self._record_ddl(lambda: self._tables.pop(name, None))
+        self._record_ddl(lambda: self._tables.pop(name, None),
+                         moves=False)
 
     def _exec_drop(self, stmt: _DropTable) -> None:
         table = self._tables.pop(stmt.table, None)
@@ -2351,12 +2362,16 @@ class MemoryDatabase(Database):
         self._record_ddl(lambda: self._tables.__setitem__(name, table))
 
     def _exec_alter(self, stmt: _AlterTable, sql: str) -> None:
+        # an ALTER, and its undo, move the table's version too: a batch
+        # table copies its parts' columns, and one kept by versions
+        # (see _compound_batches) must not outlive a column's change
         table = self._table(stmt.table)
         if stmt.action == "add":
             if stmt.column in table.cols:
                 raise DatabaseError(
                     f"duplicate column name: {stmt.column} "
                     f"[sql: {sql}]")
+            table.version += 1
             table.columns.append(stmt.column)
             table.types[stmt.column] = stmt.decltype or ""
             table.affinities[stmt.column] = _affinity(
@@ -2365,6 +2380,7 @@ class MemoryDatabase(Database):
             column = stmt.column
 
             def undo_add():
+                table.version += 1
                 table.columns.remove(column)
                 table.types.pop(column, None)
                 table.affinities.pop(column, None)
@@ -2374,6 +2390,7 @@ class MemoryDatabase(Database):
             if stmt.column not in table.cols:
                 raise DatabaseError(
                     f"no such column: {stmt.column} [sql: {sql}]")
+            table.version += 1
             position = table.columns.index(stmt.column)
             values = table.cols.pop(stmt.column)
             table.columns.pop(position)
@@ -2382,6 +2399,7 @@ class MemoryDatabase(Database):
             column = stmt.column
 
             def undo_drop():
+                table.version += 1
                 table.columns.insert(position, column)
                 table.types[column] = decltype
                 table.affinities[column] = affinity
@@ -2623,10 +2641,13 @@ class MemoryDatabase(Database):
         bind, so it runs one plan per stretch of runs of one layout.
 
         The batches, each batch's table and the columns joined into it
-        are kept (:class:`_CompoundBatches`) until a CREATE, DROP or
-        ALTER, or a change of a batched table's rows, voids them: a
-        ``UNION ALL`` run again over unchanged tables plans nothing and
-        joins nothing.  Only the parameters are read anew."""
+        are kept (:class:`_CompoundBatches`) until a DROP or ALTER, the
+        undo of any DDL, or a change of a batched table's rows voids
+        them: a ``UNION ALL`` run again over unchanged tables plans
+        nothing and joins nothing.  Only the parameters are read anew.
+        Compounds that batch the same tables at the same versions (a
+        source run fused and element-wise) share each batch table and
+        its joined columns."""
         kept = self._compounds.get(stmt)
         if kept is None or not kept.valid(self._generation):
             kept = self._compound_batches(stmt)
@@ -2668,7 +2689,11 @@ class MemoryDatabase(Database):
                 batches):
             if len(spans) > 1:
                 parts.extend(tables)
-                batches[i] = (plan, spans, [_batch_table(tables)], [],
+                key = (tuple(tables), tuple(map(_VERSION, tables)))
+                table = self._batch_tables.get(key)
+                if table is None:
+                    table = self._batch_tables[key] = _batch_table(tables)
+                batches[i] = (plan, spans, [table], [],
                               list(map(len, tables)))
         kept = _CompoundBatches(self._generation, batches, parts)
         memo = self._compounds

@@ -155,7 +155,7 @@ class ParallelQueryExecutor:
         # members never get scheduled
         units = (query.pushdown_plan(cache_active=qcache is not None)
                  if pushdown else PushdownPlan())
-        done = frozenset(plan.hits) | plan.skipped | frozenset(stored)
+        done = frozenset(plan.hits) | frozenset(stored)
         absorbed = frozenset(n for n in units.member_of
                              if units.absorbed(n))
 

@@ -743,9 +743,9 @@ class CachePlan:
     and the parallel executor.
 
     Built by :func:`plan_cached_run` before anything runs: ``keys``
-    holds every element's key, ``hits`` the entries installed instead
-    of running, ``skipped`` the elements that never run; every other
-    element runs, and each cacheable one that does is a miss.  A
+    holds every element's key and ``hits`` the entries installed
+    instead of running; every other element runs, and each cacheable
+    one that does is a miss.  A
     missed source (in ``sources``) is stored by :meth:`extend` and
     served from its new entry; every other miss runs (:meth:`is_miss`)
     and is stored by :meth:`put`.  Without a cache the plan is empty
@@ -762,7 +762,6 @@ class CachePlan:
     families: dict[str, str]
     run_sets: dict[str, list[tuple]]
     hits: dict[str, CacheEntry]
-    skipped: frozenset[str]
     digests: dict[str, str] = dataclasses.field(default_factory=dict)
     #: missed source name -> the family entry its run set extends, or
     #: ``None`` when its store copies nothing
@@ -844,18 +843,18 @@ def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
     (:meth:`QueryCache.lookup_structural`) finds every entry, and
     every source's family entry.
 
-    Walking the graph from the sinks, an element is *needed* when it
-    is a sink or some consumer runs.  Every cacheable element with an
-    entry is a *hit*, needed or not: it is installed instead of run,
-    counted and touched (an unneeded hit still costs no execution, and
-    its vector keeps the run's result complete).  A needed element
-    without an entry is a *miss* and runs; an unneeded one without an
-    entry is skipped and not counted — a hit thus prunes the exclusive
-    ancestors it makes unnecessary.  A missed source is planned with
-    the family entry its run set extends (:func:`_extendable`), if any.
+    Every cacheable element with an entry is a *hit*: it is installed
+    instead of run, counted and touched.  Every other element runs,
+    and a cacheable one is a *miss*, even when each of its consumers
+    hits, so the run's vectors are always those of an uncached run.
+    (An ancestor can lack its entry while a consumer keeps one: an
+    eviction drops one, and a source's store drops its family's
+    entries under other run sets, which a later ``delete_run`` may
+    select again.)  A missed source is planned with the family entry
+    its run set extends (:func:`_extendable`), if any.
     """
     if qcache is None:
-        return CachePlan(None, 0, {}, {}, {}, {}, frozenset())
+        return CachePlan(None, 0, {}, {}, {}, {})
     schema = qcache.store.schema_counter()
     qcache.prune_stale(schema)
     run_sets = {source.name: source.run_selection(experiment)
@@ -873,29 +872,22 @@ def plan_cached_run(qcache: QueryCache | None, graph: "QueryGraph",
     for entry in found.values():
         if entry.family:
             by_family.setdefault(entry.family, []).append(entry)
-    runs: set[str] = set()
     hits: dict[str, CacheEntry] = {}
     sources: dict[str, CacheEntry | None] = {}
-    skipped: set[str] = set()
     misses = 0
     for element in order:
         name = element.name
         entry = found.get(keys[name]) if element.cacheable else None
-        consumers = graph.consumers(name)
-        needed = not consumers or not runs.isdisjoint(consumers)
         if entry is not None:
             hits[name] = entry
-        elif not element.cacheable or needed:
-            runs.add(name)
-            if element.cacheable:
-                misses += 1
-            if name in families:
-                sources[name] = next(
-                    (base for base in by_family.get(families[name], ())
-                     if _extendable(base, schema, run_sets[name])), None)
-        else:
-            skipped.add(name)
+            continue
+        if element.cacheable:
+            misses += 1
+        if name in families:
+            sources[name] = next(
+                (base for base in by_family.get(families[name], ())
+                 if _extendable(base, schema, run_sets[name])), None)
     qcache.touch(list(hits.values()))
     count("qcache.misses", misses)
     return CachePlan(qcache, schema, keys, families, run_sets, hits,
-                     frozenset(skipped), digests, sources)
+                     digests, sources)

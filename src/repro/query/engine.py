@@ -9,8 +9,8 @@ the same units with per-node databases.
 
 With a :class:`~repro.query.cache.QueryCache` the engine becomes
 *incremental*: every element's key is computed and probed before
-anything runs, cached subgraphs are pruned (a hit skips the element's
-exclusive ancestors), and misses run and are stored for the next run —
+anything runs, hits are installed instead of run, and misses run and
+are stored for the next run —
 a missed source is stored straight into its entry, reading only the
 runs its family's entry lacks.
 See :mod:`repro.query.cache` for the key and invalidation scheme.
@@ -68,8 +68,8 @@ def run_unit(ctx: QueryContext, graph: QueryGraph, plan: PushdownPlan,
     """Run ``element`` as one unit of work — how the serial engine and
     the parallel executor both run everything that is neither a cache
     hit, a missed source (stored by
-    :meth:`~repro.query.cache.CachePlan.extend`), skipped, nor absorbed
-    by a fused group.
+    :meth:`~repro.query.cache.CachePlan.extend`), nor absorbed by a
+    fused group.
 
     A group tail of ``plan`` runs its whole chain as one statement;
     anything else runs element-wise, which for an element that can
@@ -151,13 +151,13 @@ class Query:
                 with maybe_span(self.name, kind="query", mode="serial",
                                 elements=len(self.graph.elements)
                                 ) as root:
-                    # hits are installed, skipped and absorbed elements
-                    # never run, missed sources are stored into their
-                    # entries, everything else runs as a unit
+                    # hits are installed, absorbed elements never run,
+                    # missed sources are stored into their entries,
+                    # everything else runs as a unit
                     plan = plan_cached_run(qcache, self.graph, experiment)
                     for element in self.graph.topological_order():
                         name = element.name
-                        if name in plan.skipped or units.absorbed(name):
+                        if units.absorbed(name):
                             continue
                         if name in plan.hits:
                             ctx.vectors[name] = plan.load(

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro import Parameter, Result
+from repro.core import DataType, Occurrence
 from repro.core.errors import DatabaseError
-from repro.db import MemoryDatabase, SQLiteDatabase, quote_identifier
+from repro.db import (MemoryDatabase, SQLiteDatabase, SQLiteServer,
+                      quote_identifier)
+from repro.db.recovery import fsck
 from repro.obs import InMemorySink, Tracer, use_tracer
+
+from ..conftest import fill_simple, make_simple_experiment
 
 
 class TestQuoteIdentifier:
@@ -201,7 +207,8 @@ class TestCatalogueMemo:
 
     def test_own_create_probes_only_the_new_table(self, tmp_path):
         """An import's ``create_table`` moves the memo's tag with the
-        cookie: the next call probes the new table alone."""
+        cookie and records the new table's columns: the next call
+        probes no table."""
         path = tmp_path / "x.db"
         db = self._db(path)
         names = self.NAMES + ["new"]
@@ -213,9 +220,9 @@ class TestCatalogueMemo:
             found = db.tables_with_columns(names, ["a"])
         assert found == {"full", "narrow", "new"}
         assert tracer.metrics.counter("db.statements").value == 1
-        # the cookie row and the one probed table; a refill would also
-        # return "full" and "narrow"
-        assert tracer.metrics.counter("db.rows_fetched").value == 2
+        # the cookie row alone; a probe of "new" would add its row, a
+        # refill those of "full" and "narrow" too
+        assert tracer.metrics.counter("db.rows_fetched").value == 1
         self._assert_fresh(db, path, names)
 
     def test_own_create_after_foreign_ddl_refills(self, tmp_path):
@@ -246,6 +253,130 @@ class TestCatalogueMemo:
         db.create_table("ghost", [("b", "TEXT")])
         db.commit()
         self._assert_fresh(db, path, names)
+
+    @staticmethod
+    def _counted(db, names, columns):
+        """``tables_with_columns``'s answer, its statements and the
+        rows they fetched."""
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            found = db.tables_with_columns(names, columns)
+        return found, (int(tracer.metrics.counter("db.statements").value),
+                       int(tracer.metrics.counter("db.rows_fetched").value))
+
+    def _assert_from_memory(self, db, path, names, column_sets):
+        """Each column set is answered by the cookie row alone, as a
+        fresh connection answers it."""
+        fresh = SQLiteDatabase(str(path))
+        try:
+            for columns in column_sets:
+                found, counts = self._counted(db, names, columns)
+                assert counts == (1, 1), columns
+                assert found == fresh.tables_with_columns(names, columns)
+        finally:
+            fresh.close()
+
+    @staticmethod
+    def _experiment(directory):
+        """A two-run experiment whose handle created every table."""
+        exp = make_simple_experiment(SQLiteServer(directory), "x")
+        fill_simple(exp, reps=1)
+        return exp, directory / "x.db"
+
+    def test_own_add_and_remove_variable(self, tmp_path):
+        exp, path = self._experiment(tmp_path)
+        db = exp.store.db
+        names = ["rundata_1", "rundata_2", "pb_once", "ghost"]
+        exp.add_variable(Result("lat", datatype=DataType.FLOAT,
+                                occurrence=Occurrence.MULTIPLE))
+        exp.add_variable(Parameter("host", datatype=DataType.STRING))
+        sets = [["bw", "lat"], ["lat"], ["host"], ["technique", "host"],
+                []]
+        self._assert_from_memory(db, path, names, sets)
+        assert db.tables_with_columns(names, ["lat"]) \
+            == {"rundata_1", "rundata_2"}
+        exp.remove_variable("lat")
+        exp.remove_variable("host")
+        self._assert_from_memory(db, path, names, sets + [["bw"]])
+        assert db.tables_with_columns(names, ["lat"]) == set()
+
+    def test_own_delete_run_and_fsck_drop(self, tmp_path):
+        exp, path = self._experiment(tmp_path)
+        db = exp.store.db
+        # a run table without its pb_runs row, as an interrupted
+        # import leaves it
+        db.create_table("rundata_9", [("dataset_index", "INTEGER"),
+                                      ("bw", "REAL")])
+        db.commit()
+        names = ["rundata_1", "rundata_2", "rundata_9"]
+        assert db.tables_with_columns(names, ["bw"]) == set(names)
+        exp.delete_run(1)
+        self._assert_from_memory(db, path, names, [["bw"], []])
+        report = fsck(exp.store)
+        assert [f.category for f in report.findings] == ["orphan-rundata"]
+        self._assert_from_memory(db, path, names, [["bw"], []])
+        assert db.tables_with_columns(names, ["bw"]) == {"rundata_2"}
+
+    def test_own_create_rolled_back_refills_once(self, tmp_path):
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["new"]
+        self._answers(db, names)
+        db.begin()
+        db.create_table("new", [("a", "INTEGER"), ("b", "TEXT")])
+        assert db.tables_with_columns(names, ["a"]) \
+            == {"full", "narrow", "new"}
+        db.rollback()
+        # the rollback forgot the memo: one refill reads every table
+        # and the two named ones, then the memo answers alone
+        assert self._counted(db, names, ["a"]) \
+            == ({"full", "narrow"}, (1, 3))
+        self._assert_from_memory(db, path, names, self.COLUMN_SETS)
+
+    def test_foreign_create_between_own_creates_refills_once(
+            self, tmp_path):
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        names = self.NAMES + ["one", "foreign", "two"]
+        self._answers(db, names)
+        db.create_table("one", [("a", "INTEGER")])
+        db.commit()
+        writer = SQLiteDatabase(str(path))
+        writer.create_table("foreign", [("a", "INTEGER"), ("b", "TEXT")])
+        writer.commit()
+        writer.close()
+        db.create_table("two", [("b", "TEXT")])
+        db.commit()
+        # the cookie is one past the memo's tag: one refill reads the
+        # five tables of the six names, then the memo answers alone
+        assert self._counted(db, names, ["a"]) \
+            == ({"full", "narrow", "one", "foreign"}, (1, 6))
+        self._assert_from_memory(db, path, names, self.COLUMN_SETS)
+
+    def test_temp_table_shadowing_a_main_table(self, tmp_path):
+        """A statement names this handle's temp table before the main
+        table of the same name: dropping it leaves the main one, and
+        the memo knows."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        db.create_table("full", [("z", "INTEGER")], temporary=True)
+        db.drop_table("full")
+        self._assert_from_memory(db, path, self.NAMES, self.COLUMN_SETS)
+        assert db.tables_with_columns(self.NAMES, ["b"]) == {"full"}
+        db.drop_table("full")
+        db.commit()
+        self._assert_from_memory(db, path, self.NAMES, self.COLUMN_SETS)
+        assert db.tables_with_columns(self.NAMES, ["a"]) == {"narrow"}
+
+    def test_own_index_joins_the_memo(self, tmp_path):
+        """``create_index`` moves the tag unless the index exists."""
+        path = tmp_path / "x.db"
+        db = self._db(path)
+        for _ in range(2):
+            db.create_index("full_a", "full", ["a"])
+            db.commit()
+            self._assert_from_memory(db, path, self.NAMES + ["full_a"],
+                                     self.COLUMN_SETS)
 
     def test_temp_create_keeps_the_memo(self, tmp_path):
         """A temp table leaves the main cookie and the memo alone."""

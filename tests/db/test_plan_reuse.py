@@ -613,6 +613,19 @@ class TestKeptBatches:
             db.commit()
         self.rerun(dbs)
 
+    def test_rolled_back_create(self, dbs):
+        """A compound over a table whose CREATE is rolled back reads a
+        table that is gone, as on SQLite."""
+        sql = TestSharedPlanParity.compound(
+            "SELECT k, x FROM {t}", ("t1", "t2", "t3", "t4"))
+        for db in dbs:
+            db.begin()
+            db.create_table("t4", [("k", "INTEGER"), ("x", "REAL")])
+        assert same(dbs, sql, times=1) != "error"
+        for db in dbs:
+            db.rollback()
+        assert same(dbs, sql, times=1) == "error"
+
     def test_added_and_dropped_columns(self, dbs):
         sql = TestSharedPlanParity.compound("SELECT * FROM {t}")
         assert same(dbs, sql, times=1) != "error"
@@ -630,6 +643,28 @@ class TestKeptBatches:
                        "ALTER TABLE t1 DROP COLUMN z"):
             each(dbs, change)
             assert same(dbs, sql, times=1) is not None
+
+    def test_dropped_and_readded_column(self, dbs):
+        """A column the compound reads, dropped and added again with no
+        row written, reads NULL, as on SQLite, and the old values come
+        back when both ALTERs are rolled back."""
+        sql = TestSharedPlanParity.compound("SELECT k, x FROM {t}")
+        NULL = ("NoneType", None)
+        before = same(dbs, sql, times=1)
+        readd = [f"ALTER TABLE {table} {action}"
+                 for table in ("t1", "t2", "t3")
+                 for action in ("DROP COLUMN x", "ADD COLUMN x REAL")]
+        for db in dbs:
+            db.begin()
+            for change in readd:
+                db.execute(change)
+        assert {x for _k, x in same(dbs, sql, times=1)} == {NULL}
+        for db in dbs:
+            db.rollback()
+        assert same(dbs, sql, times=1) == before
+        for change in readd:
+            each(dbs, change)
+        assert {x for _k, x in same(dbs, sql, times=1)} == {NULL}
 
     def test_unchanged_tables_are_joined_once(self, dbs, monkeypatch):
         joined = []

@@ -1,15 +1,19 @@
 """Unit tests for the experiment store: schema layout (Section 4.2),
 run storage, variable serialisation and the duplicate-import guard."""
 
+import re
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (DataType, Parameter, Result, RunData, Unit,
                         VariableSet)
 from repro.core.errors import DatabaseError, NoSuchRunError
-from repro.db import (ExperimentStore, SQLiteDatabase, variable_from_json,
-                      variable_to_json)
+from repro.db import (ExperimentStore, SQLiteDatabase, schema,
+                      variable_from_json, variable_to_json)
+from repro.db.schema import _decode_value
 
 
 @pytest.fixture
@@ -150,3 +154,61 @@ class TestDuplicateGuard:
         store.delete_run(idx)
         # a deleted run's file may be imported again
         assert store.find_import("abc123") is None
+
+
+def _strptime_decode(value):
+    """The timestamp decoder before stored shapes got a fast path."""
+    for fmt in ("%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%d %H:%M:%S"):
+        try:
+            return datetime.strptime(str(value), fmt)
+        except ValueError:
+            continue
+    raise DatabaseError(f"bad stored timestamp {value!r}")
+
+
+def _decoded(decode, value):
+    try:
+        return decode(value)
+    except DatabaseError:
+        return "error"
+
+
+_TIMESTAMP_TEXT = st.one_of(
+    # both stored shapes, and str() of a datetime
+    st.datetimes(min_value=datetime(1000, 1, 1)).flatmap(
+        lambda d: st.sampled_from([
+            d.strftime("%Y-%m-%d %H:%M:%S.%f"),
+            d.strftime("%Y-%m-%d %H:%M:%S"), str(d)])),
+    # padded or unpadded fields, out of range among them, and
+    # fractions of none to nine digits
+    st.tuples(st.sampled_from(["%d-%d-%d %d:%d:%d",
+                               "%04d-%02d-%02d %02d:%02d:%02d"]),
+              st.integers(1, 9999), st.integers(0, 13),
+              st.integers(0, 32), st.integers(0, 25), st.integers(0, 61),
+              st.integers(0, 62), st.text("0123456789", max_size=9)).map(
+        lambda t: t[0] % t[1:7] + ("." + t[7] if t[7] else "")),
+    # the stored layout over any characters, ISO variants among them
+    st.text("0123456789-: .T+Z٣", min_size=17, max_size=28),
+    st.text(max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TIMESTAMP_TEXT)
+def test_timestamp_decode_matches_strptime(text):
+    assert _decoded(lambda v: _decode_value(v, DataType.TIMESTAMP),
+                    text) == _decoded(_strptime_decode, text)
+
+
+def test_run_records_decode_as_strptime(store, monkeypatch):
+    store.save_variables(varset())
+    for i in range(4):
+        store.store_run(RunData(
+            once={"t": i, "when": datetime(2005, 3, 1, 12, 0, i, i * 7),
+                  "flag": True},
+            datasets=[{"size": 1, "bw": 1.0}]),
+            created=datetime(2006, 1, 2, 3, 4, i))
+    fast = store.run_records()
+    monkeypatch.setattr(schema, "_STORED_TIMESTAMP",
+                        re.compile("(?!)"))  # no string takes the fast path
+    assert fast == store.run_records()
+    assert [r.created.second for r in fast] == [0, 1, 2, 3]

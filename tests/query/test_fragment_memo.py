@@ -160,3 +160,81 @@ def test_variable_definitions_key_the_memo(backend, beffio_campaign,
     assert operand_builds == ["src", "src"]
     assert "avg of scatter rate" in [c.synopsis for c in
                               result.vectors["both"].columns]
+
+
+def test_first_queries_after_own_import_probe_no_run_table(
+        beffio_campaign):
+    """The handle that created the run tables knows their columns: the
+    catalogue probe of the first fused fig8 and stddev returns the
+    schema cookie's row alone."""
+    exp, _ = beffio("sqlite", beffio_campaign)
+    # fig8 has two sources, stddev one
+    for xml, sources in ((fig8_query_xml(), 2), (stddev_query_xml(), 1)):
+        tracer = Tracer(InMemorySink())
+        with use_tracer(tracer):
+            parse_query_xml(xml).execute(exp, pushdown=True)
+        probes = [span.attributes["rows"] for span in tracer.spans
+                  if span.attributes.get("sql", "").startswith(
+                      "SELECT schema_version")]
+        assert probes == [1] * sources
+
+
+@pytest.fixture
+def batch_builds(monkeypatch):
+    """One entry per :meth:`MemoryDatabase._compound_batches` call."""
+    calls = []
+    original = memory_backend.MemoryDatabase._compound_batches
+
+    def compound_batches(self, stmt):
+        calls.append(stmt)
+        return original(self, stmt)
+
+    monkeypatch.setattr(memory_backend.MemoryDatabase,
+                        "_compound_batches", compound_batches)
+    return calls
+
+
+def test_temp_create_keeps_the_kept_batches(beffio_campaign, batch_builds,
+                                            column_joins):
+    """stddev's first run creates its temp table; the fig8 run after it
+    still plans, batches and joins nothing."""
+    exp, _ = beffio("memory", beffio_campaign)
+    fig8 = parse_query_xml(fig8_query_xml())
+    fig8.execute(exp, pushdown=True)
+    tracer = Tracer(InMemorySink())
+    with use_tracer(tracer):
+        parse_query_xml(stddev_query_xml()).execute(exp, pushdown=True)
+    assert tracer.metrics.counter("temptables.created").value >= 1
+    del batch_builds[:], column_joins[:]
+    _, _, plans = counted(fig8, exp)
+    assert batch_builds == []
+    assert plans == 0
+    assert column_joins == []
+
+
+def kept_slots(db) -> int:
+    """The list slots of every batch table ``db`` keeps: rowids and
+    joined columns, each batch table counted once."""
+    tables = {id(table): table for kept in db._compounds.values()
+              for _plan, _spans, tables, _unions, counts in kept.batches
+              if counts is not None for table in tables}
+    return sum(len(table.rowids) + sum(map(len, table.cols.values()))
+               for table in tables.values())
+
+
+def test_fused_and_unfused_runs_share_batch_tables(beffio_campaign):
+    """A source run element-wise batches the tables its fused run
+    batched: the two statements keep one copy of their rows."""
+    exp, _ = beffio("memory", beffio_campaign)
+    db = exp.store.db
+    queries = [parse_query_xml(x)
+               for x in (fig8_query_xml(), stddev_query_xml())]
+    for query in queries:
+        query.execute(exp, pushdown=True)
+    fused = kept_slots(db)
+    compounds = len(db._compounds)
+    for query in queries:
+        query.execute(exp, pushdown=False)
+    assert len(db._compounds) == 2 * compounds
+    assert fused > 0
+    assert kept_slots(db) == fused

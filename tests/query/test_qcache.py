@@ -216,6 +216,25 @@ class TestInvalidation:
         assert post.artifact("o.csv").content \
             != cold.artifact("o.csv").content
 
+    def test_deleting_an_imported_run_restores_every_vector(self, exp,
+                                                           cache):
+        """The import's store of s2 drops s2's old entry, and the
+        delete selects the old runs again: s1, a1, a2 and c hit their
+        old entries, and s2, whose entry is gone, still runs."""
+        build_query().execute(exp, cache=cache)
+        index = exp.store_run(RunData(
+            once={"technique": "old", "fs": "ufs"},
+            datasets=[{"S_chunk": 32, "access": "write", "bw": 999.0}]))
+        build_query().execute(exp, cache=cache)
+        exp.delete_run(index)
+        before = dict(cache.session)
+        post = build_query().execute(exp, keep_temp_tables=True,
+                                     cache=cache)
+        uncached = build_query().execute(exp, keep_temp_tables=True)
+        assert vector_rows(post) == vector_rows(uncached)
+        assert {k: cache.session[k] - before[k]
+                for k in ("hits", "misses")} == {"hits": 4, "misses": 1}
+
     def test_schema_evolution_invalidates(self, exp, cache):
         build_query().execute(exp, cache=cache)
         exp.add_variable(Parameter("extra", datatype=DataType.FLOAT,
@@ -265,8 +284,7 @@ class TestEviction:
         assert small.session["evictions"] >= 1
         assert small.stat()["bytes"] <= full - 1
         # correctness survives eviction: a warm run still renders the
-        # cold result (evicted ancestors of a cached consumer are
-        # pruned, so only their intermediate vectors are absent)
+        # cold result (evicted ancestors of a cached consumer run again)
         warm = build_query().execute(exp, keep_temp_tables=True,
                                      cache=small)
         uncached = build_query().execute(exp, keep_temp_tables=True)
