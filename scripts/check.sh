@@ -108,11 +108,9 @@ grep -q "improved" "$PUSHDOWN_DIR/reverse_diff.log" \
 
 # the cached re-analysis after imports and a delete, on SQLite and on
 # the columnar engine, is the tier-1 test
-# tests/cli/test_cached_reanalysis.py
-
-echo "== service: stress smoke under injected faults (CLI) =="
-perfbase service stress --scratch --clients 200 --shards 4 \
-    --faults "seed=11;lock@db.run:p=0.02;io@db.commit:p=0.01"
+# tests/cli/test_cached_reanalysis.py; the CLI stress run under lock
+# and commit faults, and the removal of its scratch directory, is the
+# tier-1 test tests/cli/test_stress_cli.py
 
 if [ -n "$IN_GIT" ]; then
     echo "== working tree: no stage changed the checkout =="

@@ -72,10 +72,14 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_stress(args: argparse.Namespace) -> int:
-    directory = args.dbdir
-    if args.scratch:
-        directory = tempfile.mkdtemp(prefix="perfbase_stress_")
-        echo(f"stress scratch directory: {directory}")
+    if not args.scratch:
+        return _stress(args, args.dbdir)
+    with tempfile.TemporaryDirectory(prefix="perfbase_stress_") as scratch:
+        echo(f"stress scratch directory: {scratch}")
+        return _stress(args, scratch)
+
+
+def _stress(args: argparse.Namespace, directory: str | None) -> int:
     options = StressOptions(clients=args.clients, shards=args.shards,
                             ops_per_client=args.ops,
                             faults=args.faults, seed=args.seed,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import datetime
 import re
 import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -39,7 +40,7 @@ if TYPE_CHECKING:
     from .temptables import TempTablePool
 
 __all__ = ["Database", "DatabaseServer", "NamedDatabaseServer",
-           "quote_identifier"]
+           "quote_identifier", "stored_timestamp"]
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -54,6 +55,15 @@ def quote_identifier(name: str) -> str:
     if not _IDENT_RE.match(name):
         raise DatabaseError(f"invalid SQL identifier {name!r}")
     return f'"{name}"'
+
+
+def stored_timestamp(value: datetime.datetime) -> str:
+    """The text a timestamp is stored and compared as, on every engine:
+    ``YYYY-MM-DD HH:MM:SS.ffffff`` with the year zero padded to four
+    digits, as ``strftime("%Y-%m-%d %H:%M:%S.%f")`` writes years 1000
+    to 9999, and without the UTC offset, which that format ignores
+    too."""
+    return value.isoformat(" ", "microseconds")[:26]
 
 
 def _sql_summary(sql: str, limit: int = 120) -> str:

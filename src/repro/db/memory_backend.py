@@ -8,8 +8,8 @@ small SQL interpreter for exactly the statements perfbase emits:
 * ``CREATE [TEMP] TABLE``, ``CREATE INDEX`` (a no-op), ``DROP TABLE``,
   ``ALTER TABLE .. ADD/DROP COLUMN``;
 * ``INSERT .. VALUES`` (with ``ON CONFLICT(key) DO UPDATE`` upserts),
-  ``INSERT .. SELECT`` into tables without a primary key, ``UPDATE``,
-  ``DELETE``;
+  ``INSERT .. SELECT`` into tables without a primary key, ``UPDATE``
+  and upserts that leave the primary key alone, ``DELETE``;
 * ``SELECT [DISTINCT]`` from one named or derived table, optionally
   ``JOIN``-ed to more on conjunctions of column equalities, with
   ``WHERE``, ``GROUP BY`` over plain columns of a single table,
@@ -67,9 +67,15 @@ backend runs under (``isolation_level=""``): DML implicitly opens a
 transaction, DDL joins an open transaction but autocommits outside one,
 ``begin()`` opens one explicitly; ``commit()`` and ``rollback()`` end
 it (there is no ``BEGIN``/``COMMIT`` statement text), and
-``read_transaction()`` wraps a query in one it commits.  Rollback
-replays an undo log, so :class:`~repro.db.schema.BatchContext` failure
-semantics are identical.
+``read_transaction()`` wraps a query in one it commits.  A
+transaction's first change to a table records how to put it back:
+nothing for a table it created, the row count for an append, a copy of
+the rows, column names and types for any other change; its CREATEs and
+DROPs record what each name held.  Rollback puts those back, so
+:class:`~repro.db.schema.BatchContext` failure semantics are identical.
+Every change of a table, its DROP and its restore move the table's
+``version`` on, and the batches a ``UNION ALL`` keeps hold while the
+versions of the tables they read stand still.
 
 ``attachable_uri``/``attach`` return ``None``: cross-database readers
 (the parallel executor's source elements, the query cache) take their
@@ -94,7 +100,7 @@ from .. import faults as _faults
 from ..core.errors import DatabaseError
 from ..obs.metrics import count
 from .backend import (Database, NamedDatabaseServer, _sql_summary,
-                      quote_identifier)
+                      quote_identifier, stored_timestamp)
 from .sqlite_backend import PB_AGGREGATES
 
 __all__ = ["MemoryDatabase", "MemoryDatabaseServer", "memory_server_for",
@@ -137,8 +143,8 @@ def _store_value(affinity: str, value: Any) -> Any:
     if isinstance(value, bool):
         value = int(value)
     elif isinstance(value, datetime):
-        # same adapter the SQLite backend registers
-        value = value.strftime("%Y-%m-%d %H:%M:%S.%f")
+        # the adapter the SQLite backend registers
+        value = stored_timestamp(value)
     if affinity in ("INTEGER", "NUMERIC"):
         if isinstance(value, int):
             return value
@@ -1552,6 +1558,15 @@ def _targets(table: "_Table", names: Sequence[str], sql: str) -> list[int]:
     return positions
 
 
+def _no_key_set(table: "_Table", sets: list, sql: str) -> None:
+    """Reject an UPDATE or upsert ``SET`` of the primary key, which no
+    statement perfbase emits makes."""
+    if any(column == table.primary_key for column, _expr in sets):
+        raise DatabaseError(
+            f"SET of the primary key {table.primary_key} is unsupported "
+            f"[sql: {sql}]")
+
+
 def _bindings_error(stmt, params) -> DatabaseError:
     return DatabaseError(
         f"Incorrect number of bindings supplied. The current statement "
@@ -1565,8 +1580,9 @@ def _bindings_error(stmt, params) -> DatabaseError:
 class _Table:
     """One table: per-column value lists plus a parallel rowid list.
 
-    ``version`` counts the changes of its rows: every insert, update
-    and delete, and the undo of each, moves it on."""
+    ``version`` moves on with every change of its rows or columns, with
+    its DROP and with every rollback that puts it back: a reader that
+    saw one version has seen this table as it is."""
 
     __slots__ = ("name", "columns", "types", "affinities", "cols",
                  "rowids", "primary_key", "rowid_is_pk",
@@ -1706,24 +1722,47 @@ class _Table:
             self._pk_map.update(zip(keys, range(old_len, old_len + n)))
 
     def truncate(self, length: int) -> None:
-        """Drop every row from position ``length`` on (the undo of an
-        append)."""
+        """Drop every row from position ``length`` on."""
         for name in self.columns:
             del self.cols[name][length:]
         del self.rowids[length:]
         self.invalidate()
 
-    def remove_position(self, position: int) -> tuple[int, list]:
-        rowid = self.rowids.pop(position)
-        cells = [self.cols[c].pop(position) for c in self.columns]
+    def delete(self, rows: Sequence[int]) -> None:
+        """Delete the rows at the positions ``rows``, keeping the
+        others, in order, in one pass over each column."""
+        if len(rows) == len(self.rowids):
+            return self.truncate(0)
+        keep = [True] * len(self.rowids)
+        for position in rows:
+            keep[position] = False
+        self.rowids = list(itertools.compress(self.rowids, keep))
+        for name in self.columns:
+            self.cols[name] = list(itertools.compress(self.cols[name],
+                                                      keep))
         self.invalidate()
-        return rowid, cells
 
-    def restore_position(self, position: int, rowid: int,
-                         cells: list) -> None:
-        self.rowids.insert(position, rowid)
-        for name, value in zip(self.columns, cells):
-            self.cols[name].insert(position, value)
+    # -- rollback ---------------------------------------------------------
+
+    def saved(self, length: int) -> tuple:
+        """A copy of the table's first ``length`` rows, its column
+        names and types (affinities included), for :meth:`restore`."""
+        return (self.rowids[:length],
+                {name: self.cols[name][:length] for name in self.columns},
+                list(self.columns), dict(self.types),
+                dict(self.affinities))
+
+    def restore(self, kept) -> None:
+        """Put the table back as a transaction's record of its first
+        change says (see :meth:`MemoryDatabase._keep`): ``None`` for a
+        table the transaction created, which its rollback removes, a
+        row count to cut it back to, or a :meth:`saved` copy."""
+        if type(kept) is int:
+            self.truncate(kept)
+            return
+        if kept is not None:
+            (self.rowids, self.cols, self.columns, self.types,
+             self.affinities) = kept
         self.invalidate()
 
     @classmethod
@@ -2096,22 +2135,20 @@ class _CompoundBatches:
     batch: ``spans`` are its operands' ``(first ?, ? count)``; a lone
     operand's ``tables`` and ``unions`` are its own and ``counts`` is
     ``None``, a longer batch's are its :func:`_batch_table`, none, and
-    its operands' row counts.  ``parts`` are the tables whose rows
-    those batch tables copy, with the ``versions`` they were copied at,
-    and ``generation`` the catalogue's when the operands were
-    planned."""
+    its operands' row counts.  ``tables`` are the tables every batch
+    reads, lone operands' and batched ones alike, with the
+    ``versions`` they were planned and copied at: the batches hold
+    while none of those versions has moved."""
 
-    __slots__ = ("generation", "batches", "parts", "versions")
+    __slots__ = ("batches", "tables", "versions")
 
-    def __init__(self, generation: int, batches: list, parts: list):
-        self.generation = generation
+    def __init__(self, batches: list, tables: list):
         self.batches = batches
-        self.parts = parts
-        self.versions = list(map(_VERSION, parts))
+        self.tables = tables
+        self.versions = list(map(_VERSION, tables))
 
-    def valid(self, generation: int) -> bool:
-        return (generation == self.generation
-                and list(map(_VERSION, self.parts)) == self.versions)
+    def valid(self) -> bool:
+        return list(map(_VERSION, self.tables)) == self.versions
 
 
 _VERSION = operator.attrgetter("version")
@@ -2139,12 +2176,14 @@ class MemoryDatabase(Database):
         self.path = f"memory://{name}"
         self._tables: dict[str, _Table] = {}
         self._in_txn = False
-        self._undo: list = []
+        #: how to put back each table the open transaction changed,
+        #: recorded at its first change (see _keep)
+        self._undo: dict[_Table, Any] = {}
+        #: each name the open transaction created or dropped, with the
+        #: table it named before (None: no table)
+        self._names: dict[str, _Table | None] = {}
         self._closed = False
         self._last_rowcount = 0
-        #: moved on by every DROP and ALTER, and by each undo of a
-        #: CREATE, DROP or ALTER (see _record_ddl)
-        self._generation = 0
         #: each recent _Compound's _CompoundBatches (see _compound)
         self._compounds: dict[_Compound, _CompoundBatches] = {}
         #: the batch tables those hold, by their parts and the parts'
@@ -2162,9 +2201,19 @@ class MemoryDatabase(Database):
         if not self._in_txn:
             self._in_txn = True
 
-    def _record(self, fn) -> None:
-        if self._in_txn:
-            self._undo.append(fn)
+    def _keep(self, table: _Table, start: int | None = None) -> None:
+        """Record how an open transaction puts ``table`` back, before a
+        change that leaves its rows before ``start`` alone (``None``: a
+        change of columns).  A row count puts back any change that
+        starts at or past it, an append first; before any other change
+        the rows it covers are saved (:meth:`_Table.saved`).  A table
+        the transaction created needs nothing."""
+        if not self._in_txn:
+            return
+        kept = self._undo.get(table, len(table))
+        if type(kept) is int and (start is None or start < kept):
+            kept = table.saved(kept)
+        self._undo[table] = kept
 
     def commit(self) -> None:
         if _faults.ACTIVE is not None:
@@ -2172,6 +2221,7 @@ class MemoryDatabase(Database):
         with self._lock:
             self._in_txn = False
             self._undo.clear()
+            self._names.clear()
 
     def begin(self) -> None:
         with self._lock:
@@ -2181,9 +2231,15 @@ class MemoryDatabase(Database):
     def rollback(self) -> None:
         with self._lock:
             self.temp_pool.forget()
-            for fn in reversed(self._undo):
-                fn()
+            for table, kept in self._undo.items():
+                table.restore(kept)
+            for name, table in self._names.items():
+                if table is None:
+                    self._tables.pop(name, None)
+                else:
+                    self._tables[name] = table
             self._undo.clear()
+            self._names.clear()
             self._in_txn = False
 
     def close(self) -> None:
@@ -2325,20 +2381,6 @@ class MemoryDatabase(Database):
 
     # -- DDL --------------------------------------------------------------
 
-    def _record_ddl(self, undo, *, moves: bool = True) -> None:
-        """Note a CREATE, DROP or ALTER: the catalogue generation moves
-        on now (unless not ``moves``), and again when its ``undo`` runs
-        on rollback.  A CREATE does not move it: a compound is planned
-        only over tables that exist, so none kept reads the new name,
-        and the DROP that freed the name moved it already."""
-        if moves:
-            self._generation += 1
-
-        def undo_ddl():
-            undo()
-            self._generation += 1
-        self._record(undo_ddl)
-
     def _exec_create(self, stmt: _CreateTable, sql: str) -> None:
         if stmt.table in self._tables:
             if stmt.if_not_exists:
@@ -2348,9 +2390,9 @@ class MemoryDatabase(Database):
         table = _Table(stmt.table, stmt.columns, stmt.primary_key,
                        stmt.temporary)
         self._tables[stmt.table] = table
-        name = stmt.table
-        self._record_ddl(lambda: self._tables.pop(name, None),
-                         moves=False)
+        if self._in_txn:
+            self._names.setdefault(stmt.table, None)
+            self._undo[table] = None
 
     def _exec_drop(self, stmt: _DropTable) -> None:
         table = self._tables.pop(stmt.table, None)
@@ -2358,53 +2400,36 @@ class MemoryDatabase(Database):
             if stmt.if_exists:
                 return
             raise DatabaseError(f"no such table: {stmt.table}")
-        name = stmt.table
-        self._record_ddl(lambda: self._tables.__setitem__(name, table))
+        table.version += 1
+        if self._in_txn:
+            self._names.setdefault(stmt.table, table)
 
     def _exec_alter(self, stmt: _AlterTable, sql: str) -> None:
-        # an ALTER, and its undo, move the table's version too: a batch
-        # table copies its parts' columns, and one kept by versions
-        # (see _compound_batches) must not outlive a column's change
         table = self._table(stmt.table)
+        column = stmt.column
         if stmt.action == "add":
-            if stmt.column in table.cols:
+            if column in table.cols:
                 raise DatabaseError(
-                    f"duplicate column name: {stmt.column} "
-                    f"[sql: {sql}]")
-            table.version += 1
-            table.columns.append(stmt.column)
-            table.types[stmt.column] = stmt.decltype or ""
-            table.affinities[stmt.column] = _affinity(
-                stmt.decltype or "")
-            table.cols[stmt.column] = [None] * len(table)
-            column = stmt.column
-
-            def undo_add():
-                table.version += 1
-                table.columns.remove(column)
-                table.types.pop(column, None)
-                table.affinities.pop(column, None)
-                table.cols.pop(column, None)
-            self._record_ddl(undo_add)
+                    f"duplicate column name: {column} [sql: {sql}]")
+            self._keep(table)
+            table.columns.append(column)
+            table.types[column] = stmt.decltype or ""
+            table.affinities[column] = _affinity(stmt.decltype or "")
+            table.cols[column] = [None] * len(table)
         else:
-            if stmt.column not in table.cols:
+            if column not in table.cols:
                 raise DatabaseError(
-                    f"no such column: {stmt.column} [sql: {sql}]")
-            table.version += 1
-            position = table.columns.index(stmt.column)
-            values = table.cols.pop(stmt.column)
-            table.columns.pop(position)
-            decltype = table.types.pop(stmt.column)
-            affinity = table.affinities.pop(stmt.column)
-            column = stmt.column
-
-            def undo_drop():
-                table.version += 1
-                table.columns.insert(position, column)
-                table.types[column] = decltype
-                table.affinities[column] = affinity
-                table.cols[column] = values
-            self._record_ddl(undo_drop)
+                    f"no such column: {column} [sql: {sql}]")
+            if column == table.primary_key:
+                raise DatabaseError(
+                    f'cannot drop PRIMARY KEY column: "{column}" '
+                    f"[sql: {sql}]")
+            self._keep(table)
+            table.columns.remove(column)
+            del table.types[column]
+            del table.affinities[column]
+            del table.cols[column]
+        table.version += 1
 
     # -- DML --------------------------------------------------------------
 
@@ -2414,49 +2439,29 @@ class MemoryDatabase(Database):
         cell: a key that matches a stored row is a UNIQUE error, or with
         ``conflict_sets`` an upsert of that row."""
         position = None if key is None else table.pk_position(cells[key])
-        if position is not None:
-            if conflict_sets is None:
-                raise DatabaseError(
-                    f"UNIQUE constraint failed: {table.name}."
-                    f"{table.primary_key} [sql: {sql}]")
-            # upsert: update the existing row in place; bare columns
-            # read the existing row, ``excluded.col`` the new one
-            excluded = _Table.derived("excluded", table.columns,
-                                      [[v] for v in cells], 1)
-            scope = _Scope([(0, table, None), (1, excluded, "excluded")])
-            frame = _Frame(1, [[position], [0]])
-            updates = [
-                (column, _store_value(
-                    table.affinities[column],
-                    _compile(expr, scope)(
-                        frame, (params, None, (table, excluded)))[0]))
-                for column, expr in conflict_sets]
-            undo: list[tuple[str, Any]] = []
-            table.version += 1
-            for column, value in updates:
-                undo.append((column, table.cols[column][position]))
-                table.cols[column][position] = value
-                if column == table.primary_key:
-                    table.invalidate()
-
-            def undo_update():
-                for column, value in undo:
-                    table.cols[column][position] = value
-                table.invalidate()
-            self._record(undo_update)
+        if position is None:
+            table.insert_row(cells, key)
             self._last_rowcount += 1
             return
-
-        rowid = table.insert_row(cells, key)
-
-        def undo_insert():
-            index = bisect.bisect_left(table.rowids, rowid)
-            while index < len(table.rowids) \
-                    and table.rowids[index] != rowid:
-                index += 1
-            if index < len(table.rowids):
-                table.remove_position(index)
-        self._record(undo_insert)
+        if conflict_sets is None:
+            raise DatabaseError(
+                f"UNIQUE constraint failed: {table.name}."
+                f"{table.primary_key} [sql: {sql}]")
+        # upsert: update the existing row in place; bare columns read the
+        # existing row, ``excluded.col`` the new one
+        excluded = _Table.derived("excluded", table.columns,
+                                  [[v] for v in cells], 1)
+        scope = _Scope([(0, table, None), (1, excluded, "excluded")])
+        frame = _Frame(1, [[position], [0]])
+        updates = [
+            (column, _store_value(
+                table.affinities[column],
+                _compile(expr, scope)(
+                    frame, (params, None, (table, excluded)))[0]))
+            for column, expr in conflict_sets]
+        table.version += 1
+        for column, value in updates:
+            table.cols[column][position] = value
         self._last_rowcount += 1
 
     def _exec_values(self, stmt: _Insert, rows: list, sql: str) -> None:
@@ -2464,9 +2469,9 @@ class MemoryDatabase(Database):
         runs a batch of one).  The target columns are resolved and the
         ``VALUES`` compiled once per batch, and each column is converted
         in one pass.  A batch that lands wholly after the table's last
-        row is appended a column at a time under one undo record; any
-        other goes row by row, in order, so the rows before a failing
-        one stay stored as on SQLite."""
+        row is appended a column at a time; any other goes row by row,
+        in order, so the rows before a failing one stay stored as on
+        SQLite."""
         self._begin_implicit()
         table = self._table(stmt.table)
         names = stmt.columns or table.columns
@@ -2475,6 +2480,8 @@ class MemoryDatabase(Database):
                 f"{len(names)} columns but {len(stmt.values)} values "
                 f"[sql: {sql}]")
         positions = _targets(table, names, sql)
+        if stmt.conflict_sets is not None:
+            _no_key_set(table, stmt.conflict_sets, sql)
         n = len(rows)
         if not n:
             return
@@ -2484,20 +2491,20 @@ class MemoryDatabase(Database):
                else table.columns.index(table.primary_key))
         keys = None if key is None else columns[key]
         if table.appends(keys):
-            old_len = len(table)
+            self._keep(table, len(table))
             table.append_columns(columns, keys, n)
-            self._record(lambda: table.truncate(old_len))
             self._last_rowcount += n
             return
+        self._keep(table, 0)
         for cells, params in zip(zip(*columns), rows):
             self._insert_cells(table, list(cells), key, sql,
                                stmt.conflict_sets, params)
 
     def _exec_insert_select(self, stmt: _Insert, params, sql: str) -> None:
         """``INSERT .. SELECT`` as a column-wise append: one affinity
-        pass per column and a single undo record.  Its targets are the
-        query engine's temp and cache tables, so a primary-key or
-        ``ON CONFLICT`` target is unsupported."""
+        pass per column.  Its targets are the query engine's temp and
+        cache tables, so a primary-key or ``ON CONFLICT`` target is
+        unsupported."""
         self._begin_implicit()
         table = self._table(stmt.table)
         if table.primary_key is not None or stmt.conflict_key is not None:
@@ -2516,9 +2523,8 @@ class MemoryDatabase(Database):
         if not m:
             return
         columns = table.stored_columns(positions, values, m)
-        old_len = len(table)
+        self._keep(table, len(table))
         table.append_columns(columns, None, m)
-        self._record(lambda: table.truncate(old_len))
         self._last_rowcount += m
 
     def _matching(self, table: _Table, where, params):
@@ -2535,6 +2541,7 @@ class MemoryDatabase(Database):
     def _exec_update(self, stmt: _Update, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table)
+        _no_key_set(table, stmt.sets, sql)
         frame, scope, env = self._matching(table, stmt.where, params)
         rows = frame.pos[0]
         # every SET expression reads the old row
@@ -2543,53 +2550,26 @@ class MemoryDatabase(Database):
             if column not in table.cols:
                 raise DatabaseError(f"no such column: {column}")
             updates.append((column, _compile(expr, scope)(frame, env)))
-        undo: list[tuple[str, list]] = []
+        self._last_rowcount += len(rows)
+        if not rows:
+            return
+        self._keep(table, rows[0])
         table.version += 1
         for column, values in updates:
             cells = table.cols[column]
             affinity = table.affinities[column]
-            undo.append((column, [cells[p] for p in rows]))
             for p, value in zip(rows, values):
                 cells[p] = _store_value(affinity, value)
-            if column == table.primary_key:
-                table.invalidate()
-        self._last_rowcount += len(rows)
-        if rows and undo:
-            def undo_update():
-                for column, old in reversed(undo):
-                    cells = table.cols[column]
-                    for p, value in zip(rows, old):
-                        cells[p] = value
-                table.invalidate()
-            self._record(undo_update)
 
     def _exec_delete(self, stmt: _Delete, params, sql: str) -> None:
         self._begin_implicit()
         table = self._table(stmt.table)
-        if stmt.where is None:
-            # emptying a table (a pooled temp table's release) keeps
-            # the rows for the undo log whole, not one removal each
-            rowids = table.rowids[:]
-            cols = [table.cols[c][:] for c in table.columns]
-            table.truncate(0)
-            self._last_rowcount += len(rowids)
-            if rowids:
-                def undo_empty():
-                    table.rowids.extend(rowids)
-                    for name, column in zip(table.columns, cols):
-                        table.cols[name].extend(column)
-                    table.invalidate()
-                self._record(undo_empty)
+        rows = self._matching(table, stmt.where, params)[0].pos[0]
+        self._last_rowcount += len(rows)
+        if not rows:
             return
-        frame, _scope, _env = self._matching(table, stmt.where, params)
-        removed = [(p, *table.remove_position(p))
-                   for p in reversed(frame.pos[0])]
-        self._last_rowcount += len(removed)
-        if removed:
-            def undo_delete():
-                for position, rowid, cells in reversed(removed):
-                    table.restore_position(position, rowid, cells)
-            self._record(undo_delete)
+        self._keep(table, rows[0])
+        table.delete(rows)
 
     # -- SELECT ------------------------------------------------------------
 
@@ -2641,15 +2621,15 @@ class MemoryDatabase(Database):
         bind, so it runs one plan per stretch of runs of one layout.
 
         The batches, each batch's table and the columns joined into it
-        are kept (:class:`_CompoundBatches`) until a DROP or ALTER, the
-        undo of any DDL, or a change of a batched table's rows voids
-        them: a ``UNION ALL`` run again over unchanged tables plans
-        nothing and joins nothing.  Only the parameters are read anew.
+        are kept (:class:`_CompoundBatches`) until a table they read
+        changes its rows or columns, is dropped or is put back by a
+        rollback: a ``UNION ALL`` run again over unchanged tables plans
+        nothing and joins nothing, whatever DDL ran on other tables.  Only the parameters are read anew.
         Compounds that batch the same tables at the same versions (a
         source run fused and element-wise) share each batch table and
         its joined columns."""
         kept = self._compounds.get(stmt)
-        if kept is None or not kept.valid(self._generation):
+        if kept is None or not kept.valid():
             kept = self._compound_batches(stmt)
         parts = []
         for plan, spans, tables, unions, counts in kept.batches:
@@ -2684,18 +2664,18 @@ class MemoryDatabase(Database):
                 batches[-1][2].append(tables[0])
             else:
                 batches.append((plan, [span], tables, unions, None))
-        parts: list[_Table] = []
+        read: list[_Table] = []
         for i, (plan, spans, tables, _unions, _counts) in enumerate(
                 batches):
+            read.extend(tables)
             if len(spans) > 1:
-                parts.extend(tables)
                 key = (tuple(tables), tuple(map(_VERSION, tables)))
                 table = self._batch_tables.get(key)
                 if table is None:
                     table = self._batch_tables[key] = _batch_table(tables)
                 batches[i] = (plan, spans, [table], [],
                               list(map(len, tables)))
-        kept = _CompoundBatches(self._generation, batches, parts)
+        kept = _CompoundBatches(batches, read)
         memo = self._compounds
         memo.pop(stmt, None)
         if len(memo) >= _COMPOUND_MEMO:

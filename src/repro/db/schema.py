@@ -47,7 +47,7 @@ from ..core.variables import (Occurrence, Parameter, Result, Variable,
                               VariableSet)
 from ..obs.metrics import count
 from ..obs.tracer import maybe_span
-from .backend import Database, quote_identifier
+from .backend import Database, quote_identifier, stored_timestamp
 from .retry import retry_locked
 
 __all__ = ["BatchContext", "ExperimentStore", "variable_to_json",
@@ -120,7 +120,7 @@ def _encode_value(value: Any, datatype: DataType) -> Any:
     if value is None:
         return None
     if datatype is DataType.TIMESTAMP and isinstance(value, _dt.datetime):
-        return value.strftime("%Y-%m-%d %H:%M:%S.%f")
+        return stored_timestamp(value)
     if datatype is DataType.BOOLEAN:
         return int(bool(value))
     return value
@@ -723,7 +723,7 @@ class BatchContext:
                 _dataset_rows(run.datasets, multi_vars))
 
         self._runs_rows.append(
-            (index, created.strftime("%Y-%m-%d %H:%M:%S.%f"),
+            (index, stored_timestamp(created),
              len(run.datasets), 1))
         if run.source_files:
             from .checksums import file_checksum

@@ -28,7 +28,7 @@ from .. import faults as _faults
 from ..core.errors import (DatabaseError, ExperimentExistsError,
                            NoSuchExperimentError)
 from .backend import (Database, DatabaseServer, NamedDatabaseServer,
-                      _sql_summary, quote_identifier)
+                      _sql_summary, quote_identifier, stored_timestamp)
 from .retry import DEFAULT_POLICY
 
 __all__ = ["SQLiteDatabase", "SQLiteServer", "MemoryServer",
@@ -128,11 +128,7 @@ PB_AGGREGATES = {"pb_variance": _Variance, "pb_stddev": _Stddev,
                  "pb_median": _Median, "pb_product": _Product}
 
 
-def _adapt_datetime(value: datetime.datetime) -> str:
-    return value.strftime("%Y-%m-%d %H:%M:%S.%f")
-
-
-sqlite3.register_adapter(datetime.datetime, _adapt_datetime)
+sqlite3.register_adapter(datetime.datetime, stored_timestamp)
 
 
 def _to_uri(path: str) -> str:

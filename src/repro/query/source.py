@@ -26,7 +26,7 @@ from ..core.datatypes import DataType, coerce, sql_type
 from ..core.errors import DataTypeError, QueryError
 from ..core.units import DIMENSIONLESS
 from ..core.variables import ORD_PREFIX, Occurrence
-from ..db.backend import quote_identifier
+from ..db.backend import quote_identifier, stored_timestamp
 from ..db.schema import _encode_value  # shared cell encoding
 from .elements import QueryContext, QueryElement
 from .pushdown import (FusionError, SelectFragment, insert_select,
@@ -123,10 +123,10 @@ class RunFilter:
             params.append(int(self.max_index))
         if self.since is not None:
             clauses.append("r.created >= ?")
-            params.append(self.since.strftime("%Y-%m-%d %H:%M:%S.%f"))
+            params.append(stored_timestamp(self.since))
         if self.until is not None:
             clauses.append("r.created <= ?")
-            params.append(self.until.strftime("%Y-%m-%d %H:%M:%S.%f"))
+            params.append(stored_timestamp(self.until))
         return " AND ".join(clauses), params
 
 

@@ -167,6 +167,9 @@ UNSUPPORTED = {
     "compound_order_by":
         "SELECT v FROM t UNION ALL SELECT v FROM t ORDER BY v",
     "compound_limit": "SELECT v FROM t UNION ALL SELECT v FROM t LIMIT 1",
+    "update_of_primary_key": "UPDATE pk SET k = 1 WHERE k = 2",
+    "upsert_of_primary_key":
+        "INSERT INTO pk (k) VALUES (1) ON CONFLICT(k) DO UPDATE SET k = 3",
 }
 
 

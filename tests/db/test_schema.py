@@ -2,7 +2,7 @@
 run storage, variable serialisation and the duplicate-import guard."""
 
 import re
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.core import (DataType, Parameter, Result, RunData, Unit,
                         VariableSet)
 from repro.core.errors import DatabaseError, NoSuchRunError
-from repro.db import (ExperimentStore, SQLiteDatabase, schema,
-                      variable_from_json, variable_to_json)
+from repro.db import (ExperimentStore, MemoryDatabase, SQLiteDatabase,
+                      schema, variable_from_json, variable_to_json)
+from repro.db.backend import stored_timestamp
 from repro.db.schema import _decode_value
 
 
@@ -197,6 +198,32 @@ _TIMESTAMP_TEXT = st.one_of(
 def test_timestamp_decode_matches_strptime(text):
     assert _decoded(lambda v: _decode_value(v, DataType.TIMESTAMP),
                     text) == _decoded(_strptime_decode, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime(1000, 1, 1),
+                    timezones=st.sampled_from(
+                        [None, timezone.utc,
+                         timezone(timedelta(hours=-9, minutes=-30))])))
+def test_stored_timestamp_writes_what_strftime_wrote(value):
+    """From year 1000 on, stored text, and so ``since``/``until``
+    comparisons with it, are what ``strftime`` wrote."""
+    assert stored_timestamp(value) == value.strftime(
+        "%Y-%m-%d %H:%M:%S.%f")
+
+
+@pytest.mark.parametrize("database", [SQLiteDatabase, MemoryDatabase],
+                         ids=["sqlite", "memory"])
+def test_run_created_in_year_five_reads_back(database):
+    store = ExperimentStore(database())
+    store.initialise("demo")
+    store.save_variables(varset())
+    created, when = datetime(5, 1, 2, 3, 4, 5), datetime(5, 6, 7, 8, 9)
+    store.store_run(RunData(once={"t": 1, "when": when, "flag": True},
+                            datasets=[{"size": 1, "bw": 1.0}]),
+                    created=created)
+    [record] = store.run_records()
+    assert (record.created, record.once["when"]) == (created, when)
 
 
 def test_run_records_decode_as_strptime(store, monkeypatch):

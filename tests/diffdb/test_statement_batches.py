@@ -139,6 +139,116 @@ def test_random_values_batches_store_what_sqlite_stores(data):
         db.close()
 
 
+# -- the property: rollback puts back what the transaction changed ---------
+
+def _catalogue(db):
+    """Every table's column names and rows, by name."""
+    return {name: (db.table_columns(name), _typed(db.fetchall(
+        f"SELECT rowid, * FROM {name} ORDER BY rowid")))
+        for name in db.list_tables()}
+
+
+def _change(data, catalogue):
+    """One drawn statement, as a call on a database, that changes the
+    rows, the columns or the existence of one of :data:`_TABLES`."""
+    table = data.draw(st.sampled_from(sorted(_TABLES)), label="table")
+    columns, key = _TABLES[table]
+    if table not in catalogue:
+        return lambda db: db.create_table(table, columns, primary_key=key)
+    names, rows = catalogue[table]
+    free = [name for name in names if name != key]
+    kinds = ["append", "insert", "update", "delete", "add", "drop table"]
+    if key is not None:
+        kinds.append("upsert")
+    if len(names) > 2:
+        kinds.append("drop column")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "drop table":
+        return lambda db: db.execute(f"DROP TABLE {table}")
+    if kind == "add":
+        column = data.draw(st.sampled_from(
+            [c for c in ("x", "y", "z") if c not in names]), label="add")
+        decltype = data.draw(st.sampled_from(["INTEGER", "REAL", "TEXT"]),
+                             label="type")
+        return lambda db: db.execute(
+            f"ALTER TABLE {table} ADD COLUMN {column} {decltype}")
+    if kind == "drop column":
+        column = data.draw(st.sampled_from(free), label="column")
+        return lambda db: db.execute(
+            f"ALTER TABLE {table} DROP COLUMN {column}")
+    last = rows[-1][0][1] if rows else 0
+    where, params = data.draw(st.one_of(
+        st.just(("", ())),
+        st.tuples(st.just(" WHERE rowid >= ?"),
+                  st.tuples(st.integers(last - 2, last + 1))),
+        st.tuples(st.just(" WHERE rowid % 2 = ?"),
+                  st.tuples(st.integers(0, 1)))), label="where")
+    if kind == "delete":
+        return lambda db: db.execute(f"DELETE FROM {table}{where}", params)
+    if kind == "update":
+        column = data.draw(st.sampled_from(free), label="column")
+        value = data.draw(_CELLS, label="value")
+        return lambda db: db.execute(
+            f"UPDATE {table} SET {column} = ?{where}", (value, *params))
+    n = data.draw(st.integers(0, 5), label="n")
+    values = [list(data.draw(st.tuples(*[_CELLS] * len(names)),
+                             label="row")) for _ in range(n)]
+    if key is not None:
+        keys = (_keys(data, table, n, {table: rows}) if kind == "append"
+                else data.draw(st.lists(
+                    _INT_KEYS if table == "ikey" else _TEXT_KEYS,
+                    min_size=n, max_size=n), label="keys"))
+        for row, value in zip(values, keys):
+            row[0] = value
+    sql = (f"INSERT INTO {table} ({', '.join(names)}) VALUES "
+           f"({', '.join('?' * len(names))})")
+    if kind == "upsert":
+        sql += (f" ON CONFLICT({key}) DO UPDATE SET "
+                f"{free[-1]}=excluded.{free[-1]}")
+    return lambda db: db.executemany(sql, values)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_rollback_restores_what_sqlite_restores(data):
+    """Random appends, out-of-order and conflicting inserts, upserts,
+    UPDATEs and DELETEs with and without WHERE, ADD and DROP COLUMN,
+    CREATE and DROP TABLE, a few in each transaction, which commits or
+    rolls back: the engines agree after every step, and each rollback
+    leaves each engine as it last committed."""
+    dbs = _databases()
+    for db in dbs.values():
+        for name, (columns, key) in _TABLES.items():
+            db.create_table(name, columns, primary_key=key)
+        db.commit()
+    committed = {backend: _catalogue(db) for backend, db in dbs.items()}
+    for _transaction in range(data.draw(st.integers(1, 5),
+                                        label="transactions")):
+        for db in dbs.values():
+            db.begin()
+        now = committed
+        for _step in range(data.draw(st.integers(1, 4), label="steps")):
+            change = _change(data, now["sqlite"])
+            outcomes = {}
+            for backend, db in dbs.items():
+                outcome = _outcome(lambda: change(db))
+                outcomes[backend] = (outcome[0], _catalogue(db))
+            assert outcomes["memory"] == outcomes["sqlite"]
+            now = {backend: catalogue
+                   for backend, (_kind, catalogue) in outcomes.items()}
+        if data.draw(st.booleans(), label="commit"):
+            for db in dbs.values():
+                db.commit()
+            committed = {backend: _catalogue(db)
+                         for backend, db in dbs.items()}
+        else:
+            for backend, db in dbs.items():
+                db.rollback()
+                assert _catalogue(db) == committed[backend]
+    for db in dbs.values():
+        db.close()
+
+
 # -- SQLite parity of single statements, one scenario each ----------------
 
 def _same_everywhere(calls):
@@ -162,6 +272,18 @@ def test_null_integer_primary_key_takes_the_next_rowid():
     ])
     assert outcome[-1] == ("ok", _typed([(1, 1, "x"), (2, 2, "y")]))
 
+
+@pytest.mark.parametrize("decltype", ["INTEGER", "TEXT"])
+def test_primary_key_column_cannot_be_dropped(decltype):
+    outcome = _same_everywhere([
+        lambda db: db.create_table("t", [("k", decltype), ("v", "TEXT")],
+                                   primary_key="k"),
+        lambda db: db.execute("ALTER TABLE t DROP COLUMN k"),
+        lambda db: db.table_columns("t"),
+    ])
+    assert outcome[1:] == [
+        ("DatabaseError", 'cannot drop PRIMARY KEY column: "k"'),
+        ("ok", ["k", "v"])]
 
 @pytest.mark.parametrize("params", [(), (1,), (1, "x", 2)])
 def test_wrong_binding_count_is_a_database_error(params):

@@ -212,6 +212,30 @@ def test_temp_create_keeps_the_kept_batches(beffio_campaign, batch_builds,
     assert column_joins == []
 
 
+def test_ddl_on_other_tables_keeps_the_kept_batches(beffio_campaign,
+                                                    batch_builds):
+    """An ALTER and a DROP of a table fig8 does not read, committed or
+    rolled back, leave its kept batches: each next fig8 batches and
+    plans nothing, and answers as before."""
+    exp, _ = beffio("memory", beffio_campaign)
+    db = exp.store.db
+    fig8 = parse_query_xml(fig8_query_xml())
+    fig8.execute(exp, pushdown=True)
+    warm = counted(fig8, exp)[0]
+    db.create_table("other", [("k", "INTEGER")])
+    db.commit()
+    for change, end in (("ALTER TABLE other ADD COLUMN v REAL", db.commit),
+                        ("DROP TABLE other", db.rollback),
+                        ("DROP TABLE other", db.commit)):
+        db.begin()
+        db.execute(change)
+        end()
+        del batch_builds[:]
+        again, _, plans = counted(fig8, exp)
+        assert (batch_builds, plans) == ([], 0), change
+        assert again == warm
+
+
 def kept_slots(db) -> int:
     """The list slots of every batch table ``db`` keeps: rowids and
     joined columns, each batch table counted once."""
